@@ -5,7 +5,7 @@ keeps a scalar reference implementation that is bit-identical under
 pinned seeds, enforced by equivalence tests.  This module makes the
 *wiring* of that invariant statically checkable, so a new scheme or
 kernel cannot silently ship an engine gate with no scalar twin and no
-test.  Six contracts, each reported as a :class:`~.core.Finding`:
+test.  Seven contracts, each reported as a :class:`~.core.Finding`:
 
 ``parity-scalar-twin``
     Every function branching on :func:`repro.engine.resolve_engine` /
@@ -49,6 +49,13 @@ test.  Six contracts, each reported as a :class:`~.core.Finding`:
     kernel whose races ship; the recipe itself must also run under the
     ``tsan`` profile (``scripts/native_sanitize.sh tsan`` or
     ``REPRO_NATIVE_SANITIZE=tsan``).
+``bench-ordering-source``
+    The paper experiments (``repro.bench.experiments``) get orderings
+    only through ``runners.ordering_for`` or the ordering store
+    (``repro.ordering.store.cached_order``), never by reading a
+    scheme's ``.order``/``.compute`` directly.  A direct call bypasses
+    the persistent store, so every warm run silently recomputes it —
+    the Figure 7 METIS sweep did exactly that.
 """
 
 from __future__ import annotations
@@ -71,7 +78,9 @@ __all__ = [
     "check_bench_floors",
     "check_native_twins",
     "check_tsan_gate",
+    "check_ordering_sources",
     "check_contracts",
+    "ORDERING_SOURCE_MODULES",
     "GATE_CALLS",
     "GATE_STRINGS",
     "GATE_EXEMPT_PREFIXES",
@@ -884,6 +893,46 @@ def check_tsan_gate(
     return findings
 
 
+# ----------------------------------------------------------------------
+# Contract 7: bench experiments get orderings through the store
+# ----------------------------------------------------------------------
+#: modules whose orderings must come from the runner memo or the store.
+ORDERING_SOURCE_MODULES = ("repro.bench.experiments",)
+
+#: scheme methods that compute an ordering past the store.
+_DIRECT_ORDERING_ATTRS = frozenset({"order", "compute"})
+
+
+def check_ordering_sources(index: dict[str, ModuleInfo]) -> list[Finding]:
+    """No ``.order``/``.compute`` read in :data:`ORDERING_SOURCE_MODULES`.
+
+    Any attribute *read* counts, not just a call, so binding
+    ``scheme.order`` to a local first does not slip past.
+    """
+    findings: list[Finding] = []
+    for module in ORDERING_SOURCE_MODULES:
+        info = index.get(module)
+        if info is None:
+            continue
+        for node in ast.walk(info.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in _DIRECT_ORDERING_ATTRS
+                and isinstance(node.ctx, ast.Load)
+            ):
+                findings.append(
+                    Finding(
+                        "bench-ordering-source", _rel(info.path),
+                        node.lineno, node.col_offset,
+                        f"{module} reads `.{node.attr}`, computing an "
+                        f"ordering past the persistent store; use "
+                        f"runners.ordering_for(name, dataset) or "
+                        f"repro.ordering.store.cached_order(graph, scheme)",
+                    )
+                )
+    return findings
+
+
 def _make_target_recipe(makefile: Path, target: str) -> list[str]:
     if not makefile.exists():
         return []
@@ -923,6 +972,7 @@ def check_contracts(
     findings.extend(check_scheme_classes(index))
     findings.extend(check_native_twins(index))
     findings.extend(check_tsan_gate(index, makefile_path, tests_root))
+    findings.extend(check_ordering_sources(index))
     perf_default = (
         src_root / "bench" / "perf.py" if src_root is not None else None
     )

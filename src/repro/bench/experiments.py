@@ -48,6 +48,8 @@ from ..measures.profiles import (
     profile_dominance_score,
 )
 from ..ordering import PAPER_SCHEMES, MetisOrder
+from ..ordering.store import cached_order
+from .cells import cached_cell
 from .pool import map_cells
 from .report import format_profile, format_table
 from .runners import (
@@ -171,22 +173,45 @@ def _samples_budget(
 
 
 def _cd_cell(cell: tuple[str, str, int]) -> CommunityDetectionReport:
-    """Pool worker: one (dataset, scheme) community-detection cell."""
+    """Pool worker: one (dataset, scheme) community-detection cell.
+
+    Served from the cell store when a run (or an earlier figure of this
+    run — Figure 10 re-reads Figure 9's cells) already computed it.
+    """
     dataset, scheme, threads = cell
-    return run_community_detection(
-        load(dataset), ordering_for(scheme, dataset), num_threads=threads
+    graph = load(dataset)
+    ordering = ordering_for(scheme, dataset)
+    return cached_cell(
+        "community_detection", graph, ordering,
+        {"scheme": ordering.scheme, "num_threads": threads},
+        lambda: run_community_detection(
+            graph, ordering, num_threads=threads
+        ),
     )
 
 
 def _im_cell(
     cell: tuple[str, str, int, float, int, int]
 ) -> InfluenceMaxReport:
-    """Pool worker: one (dataset, scheme) influence-maximization cell."""
+    """Pool worker: one (dataset, scheme) influence-maximization cell.
+
+    Cell-store backed like :func:`_cd_cell` (Figure 12 re-reads Figure
+    11's cells for the same input).
+    """
     dataset, scheme, threads, probability, k, budget = cell
-    return run_influence_maximization(
-        load(dataset), ordering_for(scheme, dataset),
-        k=k, probability=probability,
-        num_threads=threads, max_samples=budget,
+    graph = load(dataset)
+    ordering = ordering_for(scheme, dataset)
+    return cached_cell(
+        "influence_maximization", graph, ordering,
+        {
+            "scheme": ordering.scheme, "num_threads": threads,
+            "probability": probability, "k": k, "max_samples": budget,
+        },
+        lambda: run_influence_maximization(
+            graph, ordering,
+            k=k, probability=probability,
+            num_threads=threads, max_samples=budget,
+        ),
     )
 
 
@@ -194,7 +219,7 @@ def _metis_cell(cell: tuple[int, str]) -> float:
     """Pool worker: one (partition count, dataset) METIS-sweep cell."""
     num_parts, dataset = cell
     graph = load(dataset)
-    ordering = MetisOrder(num_parts=num_parts).order(graph)
+    ordering = cached_order(graph, MetisOrder(num_parts=num_parts))
     return max(average_gap(graph, ordering.permutation), 1e-9)
 
 

@@ -37,7 +37,7 @@ from ..graph import shm as graph_shm
 from ..graph.csr import CSRGraph
 from ..measures.gaps import GapMeasures, gap_measures
 from ..ordering.base import Ordering, get_scheme
-from ..ordering.store import default_store
+from ..ordering.store import cached_order
 from ..resilience import faults
 from ..resilience.journal import active_journal, cell_key
 from .pool import (
@@ -153,11 +153,7 @@ def ordering_for(scheme: str, dataset: str) -> Ordering:
         entry = (
             journal.lookup(journal_key) if journal is not None else None
         )
-        store = default_store()
-        if store is not None:
-            ordering = store.get_or_compute(graph, instance)
-        else:
-            ordering = instance.order(graph)
+        ordering = cached_order(graph, instance)
         if journal is not None:
             if entry is not None and entry.get("status") == "ok":
                 journal.mark_replayed(journal_key)

@@ -54,6 +54,7 @@ import numpy as np
 
 from ..analysis import sanitize
 from ..resilience import degrade, faults
+from ..resilience.store import EntryStore
 from .csr import CSRGraph
 
 __all__ = [
@@ -249,41 +250,28 @@ def read_graph_file(path: str, *, verify: bool = False) -> CSRGraph:
     return graph
 
 
-class GraphStore:
+class GraphStore(EntryStore):
     """A keyed on-disk collection of ``.rgr`` graphs with quarantine.
 
     Keys are caller-chosen strings (the dataset registry derives them
     from the recipe's source digest, making entries content-addressed);
     the store maps them to ``<root>/<key>.rgr`` and gives the same
-    never-raise load contract as :class:`repro.ordering.store.
-    OrderingStore`.
+    never-raise load contract as the other caches
+    (:class:`repro.resilience.store.EntryStore`).  Entries are written
+    and mapped in place by :func:`write_graph_file` /
+    :func:`read_graph_file` rather than through a byte payload, so a
+    warm load stays an ``mmap`` attach.
     """
 
+    site = "graph-store"
+    suffix = ".rgr"
+
     def __init__(self, root: str | None = None) -> None:
-        if root is None:
-            root = _default_root()
-        self.root = root
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
+        super().__init__(root if root is not None else _default_root())
 
     def path(self, key: str) -> str:
         """Full path of the entry for ``key``."""
         return os.path.join(self.root, f"{key}.rgr")
-
-    def _quarantine(self, path: str, reason: str) -> None:
-        try:
-            os.replace(path, path + ".bad")
-            self.quarantined += 1
-        except OSError as exc:
-            # degrade: could not even move the damaged entry aside
-            degrade.record("graph-store", "quarantine-failed", exc)
-            return
-        degrade.record(
-            "graph-store",
-            "quarantined",
-            f"{os.path.basename(path)}: {reason}",
-        )
 
     def load(self, key: str, *, verify: bool = False) -> CSRGraph | None:
         """The stored graph, or ``None`` on a miss (never raises).
@@ -292,11 +280,7 @@ class GraphStore:
         as misses; the caller rebuilds and :meth:`save` overwrites.
         """
         path = self.path(key)
-        if os.path.isfile(path) and faults.maybe_store_torn_read(path):
-            # deterministic stand-in for an mmap SIGBUS / torn page:
-            # same quarantine-and-rebuild path as genuine damage
-            self._quarantine(path, "injected store-torn-read")
-            self.misses += 1
+        if self.torn_read(path):
             return None
         try:
             graph = read_graph_file(path, verify=verify)
@@ -304,10 +288,7 @@ class GraphStore:
             self.misses += 1
             return None
         except _CORRUPTION_ERRORS as exc:
-            if os.path.isfile(path):
-                self._quarantine(path, f"{exc.__class__.__name__}: {exc}")
-            self.misses += 1
-            return None
+            return self.reject(path, f"{exc.__class__.__name__}: {exc}")
         self.hits += 1
         return graph
 
@@ -329,37 +310,6 @@ class GraphStore:
             # persistent layer is lost for this entry
             degrade.record("graph-store.write", "disk-full", exc)
             return None
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of files removed."""
-        removed = 0
-        if not os.path.isdir(self.root):
-            return removed
-        for name in os.listdir(self.root):
-            if name.endswith((".rgr", ".bad")):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                    removed += 1
-                except OSError:
-                    pass  # degrade: explicit maintenance; nothing to route
-        return removed
-
-    def entry_count(self) -> int:
-        """Number of live ``.rgr`` entries on disk."""
-        if not os.path.isdir(self.root):
-            return 0
-        return sum(
-            1 for name in os.listdir(self.root)
-            if name.endswith(".rgr") and not name.startswith(".tmp-")
-        )
-
-    def quarantined_count(self) -> int:
-        """Number of quarantined ``.bad`` files currently on disk."""
-        if not os.path.isdir(self.root):
-            return 0
-        return sum(
-            1 for name in os.listdir(self.root) if name.endswith(".bad")
-        )
 
 
 def _default_root() -> str:

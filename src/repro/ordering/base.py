@@ -11,6 +11,7 @@ shape without depending on interpreter speed).
 from __future__ import annotations
 
 import abc
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -162,22 +163,39 @@ class OrderingScheme(abc.ABC):
         """Deterministic string identifying this scheme *configuration*.
 
         Combines the registry name, the algorithm :attr:`version`, and
-        every scalar constructor parameter (seed, window width, partition
-        count, ...), so the persistent ordering cache
+        every parameter declared by the constructor (seed, window width,
+        partition count, ...), so the persistent ordering cache
         (:mod:`repro.ordering.store`) distinguishes e.g. ``metis`` at 16
-        parts from ``metis`` at 32.  Engine choice is deliberately
-        excluded: scalar and vector engines are bit-identical by
-        contract, so they share cache entries.
+        parts from ``metis`` at 32.  Each parameter ``p`` is read back
+        from the ``_p`` attribute the constructor stores it in; instance
+        state set later (recursion cursors, scratch) never enters the
+        token, so it is the same before and after :meth:`order`.
+        Engine choice is deliberately excluded: scalar and vector
+        engines are bit-identical by contract, so they share entries.
         """
-        params: dict[str, object] = {}
-        for key, value in sorted(vars(self).items()):
+        params: list[str] = []
+        for key in _declared_params(type(self)):
+            try:
+                value = getattr(self, f"_{key}")
+            except AttributeError:
+                raise TypeError(
+                    f"{type(self).__name__} declares constructor parameter "
+                    f"{key!r} but stores no `_{key}` attribute; cache_token "
+                    f"cannot cover it"
+                ) from None
             if isinstance(value, OrderingScheme):
                 # e.g. MinLA's initial scheme: recurse so its config counts.
-                params[key.lstrip("_")] = f"<{value.cache_token()}>"
-            elif isinstance(value, (bool, int, float, str)) or value is None:
-                params[key.lstrip("_")] = value
-        rendered = ",".join(f"{k}={v!r}" for k, v in params.items())
-        return f"{self.name}:v{self.version}:{rendered}"
+                value = f"<{value.cache_token()}>"
+            elif not (
+                isinstance(value, (bool, int, float, str)) or value is None
+            ):
+                raise TypeError(
+                    f"{type(self).__name__}.{key} is a "
+                    f"{type(value).__name__}; cache_token needs a scalar "
+                    f"or a nested OrderingScheme"
+                )
+            params.append(f"{key}={value!r}")
+        return f"{self.name}:v{self.version}:{','.join(params)}"
 
     def estimated_work(self, graph: CSRGraph) -> int | None:
         """Rough abstract-operation estimate, for tier short-circuiting.
@@ -233,6 +251,16 @@ class OrderingScheme(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def _declared_params(cls: type) -> tuple[str, ...]:
+    """Sorted names of the parameters ``cls.__init__`` declares."""
+    signature = inspect.signature(cls.__init__)
+    return tuple(sorted(
+        name for name, param in signature.parameters.items()
+        if name != "self"
+        and param.kind not in (param.VAR_POSITIONAL, param.VAR_KEYWORD)
+    ))
 
 
 _REGISTRY: dict[str, Callable[[], OrderingScheme]] = {}

@@ -84,7 +84,7 @@ class MultilevelMinLA(OrderingScheme):
         if base_size < 2:
             raise ValueError("base_size must be at least 2")
         self._base_size = base_size
-        self._passes = refinement_passes
+        self._refinement_passes = refinement_passes
 
     def compute(
         self,
@@ -111,7 +111,7 @@ class MultilevelMinLA(OrderingScheme):
             pi = np.empty(n, dtype=np.int64)
             pi[sequence] = np.arange(n, dtype=np.int64)
             return adjacent_swap_refine(
-                graph, pi, passes=self._passes, counter=counter
+                graph, pi, passes=self._refinement_passes, counter=counter
             )
 
         match = heavy_edge_matching(graph, rng)
@@ -139,5 +139,5 @@ class MultilevelMinLA(OrderingScheme):
                 pi[v] = rank
                 rank += 1
         return adjacent_swap_refine(
-            graph, pi, passes=self._passes, counter=counter
+            graph, pi, passes=self._refinement_passes, counter=counter
         )

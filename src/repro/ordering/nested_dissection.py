@@ -47,59 +47,45 @@ class NestedDissectionOrder(OrderingScheme):
         counter: OperationCounter,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, dict]:
+        # The recursion state lives in this call, never on ``self``: a
+        # scheme instance must be reusable and its cache_token must not
+        # depend on what it ordered before.
         n = graph.num_vertices
         sequence = np.empty(n, dtype=np.int64)
-        self._pos = 0
-        self._max_depth = 0
-        self._dissect(
-            graph,
-            np.arange(n, dtype=np.int64),
-            sequence,
-            counter,
-            rng,
-            depth=0,
-        )
+        pos = 0
+        max_depth = 0
+
+        def emit(vertices: np.ndarray) -> None:
+            nonlocal pos
+            sequence[pos: pos + vertices.size] = vertices
+            pos += vertices.size
+
+        def dissect(vertices: np.ndarray, depth: int) -> None:
+            """Order the subgraph induced by ``vertices`` (global ids)."""
+            nonlocal max_depth
+            max_depth = max(max_depth, depth)
+            if vertices.size <= self._leaf_size:
+                emit(vertices)
+                return
+            counter.count_edges(int(graph.degrees()[vertices].sum()))
+            sub = induced_subgraph(graph, vertices, keep_weights=False).graph
+            split = vertex_separator(sub, seed=rng)
+            if split.left.size == 0 or split.right.size == 0:
+                # Separator failed to split (e.g. a clique): stop recursing.
+                emit(vertices)
+                return
+            # Recurse into halves (global ids), separator last.
+            dissect(vertices[split.left], depth + 1)
+            dissect(vertices[split.right], depth + 1)
+            emit(vertices[split.separator])
+
+        dissect(np.arange(n, dtype=np.int64), 0)
         counter.count_vertices(n)
         engine = resolve_engine()
         if engine == "native" and _native_fm.KERNEL.usable() is None:
             engine = "vector"  # partition kernels unavailable/degraded: numpy ran
         return ordering_from_sequence(sequence), {
-            "max_depth": self._max_depth,
+            "max_depth": max_depth,
             "leaf_size": self._leaf_size,
             ENGINE_METADATA_KEY: engine,
         }
-
-    # ------------------------------------------------------------------
-    def _emit(self, sequence: np.ndarray, vertices: np.ndarray) -> None:
-        sequence[self._pos: self._pos + vertices.size] = vertices
-        self._pos += vertices.size
-
-    def _dissect(
-        self,
-        graph: CSRGraph,
-        vertices: np.ndarray,
-        sequence: np.ndarray,
-        counter: OperationCounter,
-        rng: np.random.Generator,
-        depth: int,
-    ) -> None:
-        """Order the subgraph induced by ``vertices`` (global ids)."""
-        self._max_depth = max(self._max_depth, depth)
-        if vertices.size <= self._leaf_size:
-            self._emit(sequence, vertices)
-            return
-        counter.count_edges(int(graph.degrees()[vertices].sum()))
-        sub = induced_subgraph(graph, vertices, keep_weights=False).graph
-        split = vertex_separator(sub, seed=rng)
-        if split.left.size == 0 or split.right.size == 0:
-            # Separator failed to split (e.g. a clique): stop recursing.
-            self._emit(sequence, vertices)
-            return
-        # Recurse into halves (global ids), separator last.
-        self._dissect(
-            graph, vertices[split.left], sequence, counter, rng, depth + 1
-        )
-        self._dissect(
-            graph, vertices[split.right], sequence, counter, rng, depth + 1
-        )
-        self._emit(sequence, vertices[split.separator])

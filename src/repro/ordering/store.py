@@ -13,25 +13,23 @@ Layout (under ``$REPRO_CACHE_DIR``, default ``.repro-cache/``)::
 ``graph-hash`` is :meth:`repro.graph.csr.CSRGraph.content_hash` (sha256 of
 the CSR arrays), ``key-hash`` digests the scheme's
 :meth:`~repro.ordering.base.OrderingScheme.cache_token` (name, algorithm
-version, seed, and every scalar constructor parameter).  Entries store the
+version, and every declared constructor parameter).  Entries store the
 permutation plus the operation count and metadata, so a cache hit
 reproduces the fresh :class:`~repro.ordering.base.Ordering` exactly.
-
-Writes are atomic (temp file + ``os.replace``) so concurrent pool workers
-can share one cache directory without corruption; the worst case is two
-workers computing the same entry and one harmlessly overwriting the other
-with identical bytes.
 
 The store is **self-healing**: every entry records a sha256 over its
 payload (permutation bytes, cost, metadata, schema version) at write
 time, and loads verify it.  A corrupt, truncated, or stale-schema entry
 is quarantined to ``<entry>.bad`` and treated as a miss — it gets
 recomputed and rewritten, and no exception ever escapes the store.  The
-``cache-corrupt`` fault of :mod:`repro.resilience.faults` tears entries
-deliberately so this recovery path stays property-tested.
+file mechanics (atomic writes, quarantine, disk-full degrade, fault
+seams) are shared with the other caches through
+:class:`repro.resilience.store.EntryStore`.
 
 Set ``REPRO_ORDERING_CACHE=0`` to disable the persistent layer entirely
-(the in-process memo in :mod:`repro.bench.runners` still applies).
+(the in-process memo in :mod:`repro.bench.runners` still applies); the
+switch also turns off the application cell cache
+(:mod:`repro.bench.cells`).
 """
 
 from __future__ import annotations
@@ -40,19 +38,20 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 import zipfile
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..resilience import degrade, faults
+from ..resilience.store import EntryStore
 from .base import Ordering, OrderingScheme
 
 __all__ = [
     "OrderingStore",
     "default_store",
     "store_enabled",
+    "cached_order",
+    "cache_root",
     "DEFAULT_CACHE_DIR",
     "ENV_CACHE_DIR",
     "ENV_CACHE_SWITCH",
@@ -87,16 +86,19 @@ def store_enabled() -> bool:
     return os.environ.get(ENV_CACHE_SWITCH, "1") != "0"
 
 
-class OrderingStore:
+def cache_root() -> str:
+    """The cache directory every persistent layer lives under."""
+    return os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
+
+
+class OrderingStore(EntryStore):
     """A content-addressed on-disk cache of :class:`Ordering` results."""
 
+    site = "ordering-store"
+    suffix = ".npz"
+
     def __init__(self, root: str | None = None) -> None:
-        if root is None:
-            root = os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
-        self.root = os.path.join(root, "orderings")
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
+        super().__init__(os.path.join(root or cache_root(), "orderings"))
 
     # ------------------------------------------------------------------
     # Keys and paths
@@ -133,28 +135,6 @@ class OrderingStore:
         )
         return digest.hexdigest()
 
-    def _quarantine(self, path: str, reason: str) -> None:
-        """Move a damaged entry aside as ``<entry>.bad`` (never raises).
-
-        Quarantined files keep the evidence for post-mortems without
-        ever being picked up as cache entries again; the caller treats
-        the slot as a miss and recomputes.  Every quarantine — and every
-        failure to quarantine — increments a named degradation counter
-        (:mod:`repro.resilience.degrade`) instead of vanishing.
-        """
-        try:
-            os.replace(path, path + ".bad")
-            self.quarantined += 1
-        except OSError as exc:
-            # degrade: could not even move the damaged entry aside
-            degrade.record("ordering-store", "quarantine-failed", exc)
-            return
-        degrade.record(
-            "ordering-store",
-            "quarantined",
-            f"{os.path.basename(path)}: {reason}",
-        )
-
     def load(
         self, graph: CSRGraph, scheme: OrderingScheme
     ) -> Ordering | None:
@@ -165,40 +145,25 @@ class OrderingStore:
         ``<entry>.bad`` and reported as a miss; no exception escapes.
         """
         path = self.entry_path(graph, scheme)
-        if os.path.isfile(path) and faults.maybe_store_torn_read(path):
-            # the deterministic stand-in for an mmap SIGBUS / torn page:
-            # route the entry through the same quarantine-and-rebuild
-            # path a genuinely damaged file takes
-            self._quarantine(path, "injected store-torn-read")
-            self.misses += 1
+        data = self.read(path)
+        if data is None:
             return None
         try:
-            with np.load(path, allow_pickle=False) as bundle:
+            with np.load(io.BytesIO(data), allow_pickle=False) as bundle:
                 if not _REQUIRED_FIELDS <= set(bundle.files):
-                    self._quarantine(path, "stale schema (missing fields)")
-                    self.misses += 1
-                    return None
+                    return self.reject(path, "stale schema (missing fields)")
                 if int(bundle["schema"]) != _FORMAT_VERSION:
-                    self._quarantine(path, "stale schema version")
-                    self.misses += 1
-                    return None
+                    return self.reject(path, "stale schema version")
                 permutation = bundle["permutation"].astype(np.int64)
                 cost = int(bundle["cost"])
                 metadata_json = str(bundle["metadata"])
                 checksum = str(bundle["checksum"])
         except _CORRUPTION_ERRORS:
-            if os.path.isfile(path):
-                self._quarantine(path, "unreadable entry")
-            self.misses += 1
-            return None
+            return self.reject(path, "unreadable entry")
         if checksum != self._payload_digest(permutation, cost, metadata_json):
-            self._quarantine(path, "checksum mismatch")
-            self.misses += 1
-            return None
+            return self.reject(path, "checksum mismatch")
         if permutation.size != graph.num_vertices:
-            self._quarantine(path, "wrong-sized permutation (stale entry)")
-            self.misses += 1
-            return None
+            return self.reject(path, "wrong-sized permutation (stale entry)")
         self.hits += 1
         return Ordering(
             scheme=scheme.name,
@@ -213,17 +178,10 @@ class OrderingStore:
         """Persist ``ordering`` atomically; returns the entry path.
 
         The entry carries its schema version and a sha256 over the full
-        payload so :meth:`load` can verify it byte-for-byte.  The
-        ``cache-corrupt`` injected fault tears the freshly written entry
-        here (a simulated torn write) to keep the recovery path tested.
-
-        A cache volume refusing the write (``ENOSPC``, read-only, …)
-        degrades to compute-without-cache: the error is counted and
-        warned once (:mod:`repro.resilience.degrade`), ``None`` is
-        returned, and the run continues.
+        payload so :meth:`load` can verify it byte-for-byte.  ``None``
+        means the cache volume refused the write (``ENOSPC``,
+        read-only, …): the run continues without the persistent copy.
         """
-        path = self.entry_path(graph, scheme)
-        directory = os.path.dirname(path)
         permutation = ordering.permutation.astype(np.int64)
         metadata_json = json.dumps(ordering.metadata, sort_keys=True)
         payload = io.BytesIO()
@@ -237,37 +195,9 @@ class OrderingStore:
                 permutation, ordering.cost, metadata_json
             ),
         )
-        tmp_path = None
-        try:
-            faults.maybe_disk_full(path)
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=directory, prefix=".tmp-", suffix=".npz"
-            )
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload.getvalue())
-            os.replace(tmp_path, path)
-        except OSError as exc:
-            self._discard_tmp(tmp_path)
-            # degrade: the run keeps the computed ordering in memory and
-            # simply loses the persistent layer for this entry
-            degrade.record("ordering-store.write", "disk-full", exc)
-            return None
-        except BaseException:
-            self._discard_tmp(tmp_path)
-            raise
-        faults.maybe_cache_corrupt(path)
-        return path
-
-    @staticmethod
-    def _discard_tmp(tmp_path: str | None) -> None:
-        """Best-effort scratch-file cleanup after a failed write."""
-        if tmp_path is None:
-            return
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass  # degrade: scratch file on a refusing volume; no route
+        return self.write(
+            self.entry_path(graph, scheme), payload.getvalue()
+        )
 
     def get_or_compute(
         self, graph: CSRGraph, scheme: OrderingScheme
@@ -280,46 +210,6 @@ class OrderingStore:
         self.store(graph, scheme, ordering)
         return ordering
 
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def clear(self) -> int:
-        """Delete every entry; returns the number of files removed."""
-        removed = 0
-        if not os.path.isdir(self.root):
-            return removed
-        for dirpath, _dirnames, filenames in os.walk(
-            self.root, topdown=False
-        ):
-            for name in filenames:
-                try:
-                    os.unlink(os.path.join(dirpath, name))
-                    removed += 1
-                except OSError:
-                    pass  # degrade: explicit maintenance; nothing to route
-            try:
-                os.rmdir(dirpath)
-            except OSError:
-                pass  # degrade: non-empty dir is fine during clear()
-        return removed
-
-    def entry_count(self) -> int:
-        """Number of persisted (live) entries."""
-        count = 0
-        for _dirpath, _dirnames, filenames in os.walk(self.root):
-            count += sum(
-                1 for f in filenames
-                if f.endswith(".npz") and not f.startswith(".tmp-")
-            )
-        return count
-
-    def quarantined_count(self) -> int:
-        """Number of quarantined ``.bad`` files currently on disk."""
-        count = 0
-        for _dirpath, _dirnames, filenames in os.walk(self.root):
-            count += sum(1 for f in filenames if f.endswith(".bad"))
-        return count
-
 
 def default_store() -> OrderingStore | None:
     """The process-wide store for the current environment, or ``None``.
@@ -330,12 +220,25 @@ def default_store() -> OrderingStore | None:
     """
     if not store_enabled():
         return None
-    root = os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
+    root = cache_root()
     store = _STORES.get(root)
     if store is None:
         store = OrderingStore(root)
         _STORES[root] = store
     return store
+
+
+def cached_order(graph: CSRGraph, scheme: OrderingScheme) -> Ordering:
+    """``scheme`` on ``graph``, through the process-wide store when on.
+
+    The one way bench code turns a configured scheme instance into an
+    ordering: a hit skips the computation, and a miss is stored for
+    every later run (and every pool worker) to reuse.
+    """
+    store = default_store()
+    if store is None:
+        return scheme.order(graph)
+    return store.get_or_compute(graph, scheme)
 
 
 _STORES: dict[str, OrderingStore] = {}

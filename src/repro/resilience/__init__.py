@@ -29,6 +29,10 @@ pipeline survive such failures *and* prove it under injected faults:
     exhaustion, disk-full cache writes, quarantined entries), and the
     run-level health report behind ``python -m repro.bench --health``.
     ``REPRO_DEGRADE=strict`` turns any degradation into a hard error.
+:mod:`~repro.resilience.store`
+    The file mechanics every on-disk cache shares: atomic writes,
+    quarantine of damaged entries, disk-full degrade, and the fault
+    seams that keep those paths tested.
 
 See ``docs/robustness.md`` for the fault model, the journal schema, and
 the resume semantics.

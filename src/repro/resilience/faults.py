@@ -39,9 +39,9 @@ Fault kinds and their seams:
     Same seam.  In a pool worker the cell stalls past the supervisor's
     deadline (killed + retried); sequentially it raises.
 ``cache-corrupt``
-    :class:`repro.ordering.store.OrderingStore` truncates the entry it
-    just wrote (a simulated torn write), so the checksum verification and
-    quarantine path runs on the next load.
+    The on-disk caches (the ordering, cell and graph stores) truncate
+    the entry they just wrote (a simulated torn write), so the checksum
+    verification and quarantine path runs on the next load.
 ``run-abort``
     The run journal raises :class:`RunAborted` after ``after`` records —
     a deterministic stand-in for ``kill -9`` mid-run, driving the
@@ -62,8 +62,9 @@ Fault kinds and their seams:
     ``OSError(ENOSPC)`` as if ``/dev/shm`` were full; workers degrade to
     per-worker store/mmap loads.
 ``disk-full``
-    The cache/journal write seams (:mod:`repro.graph.store`,
-    :mod:`repro.ordering.store`, :mod:`repro.resilience.journal`) —
+    The cache/journal write seams (:mod:`repro.resilience.store`, shared
+    by the ordering and cell caches, :mod:`repro.graph.store`,
+    :mod:`repro.resilience.journal`) —
     the write raises ``OSError(ENOSPC)``; the run degrades to
     compute-without-cache instead of crashing.
 ``store-torn-read``

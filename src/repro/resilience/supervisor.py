@@ -120,11 +120,20 @@ def _worker_loop(
     process fan-out and the kernel thread pools do not oversubscribe.
     Results are unaffected — threaded kernels are bit-identical for
     every thread count.
+
+    A worker is always a leaf of the fan-out: its default pool width is
+    reset to 1, so a cell that would fan out on its own by default (the
+    batched RRR sampler of Figures 11–12 reads
+    :func:`repro.bench.pool.default_jobs`) runs in-process instead of
+    trying to start a nested pool, which daemonic workers may not.
     """
     if thread_cap is not None:
         from repro._native.core import set_thread_cap
 
         set_thread_cap(thread_cap)
+    from repro.bench.pool import set_default_jobs
+
+    set_default_jobs(1)
     if worker_init is not None:
         try:
             worker_init()

@@ -2,11 +2,51 @@
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.analysis import sanitize
 from repro.graph import CSRGraph, from_edges
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: the per-artifact ``(N.Ns)`` wall-time stamp of the bench CLI headers.
+_STAMP = re.compile(r" \(\d+\.\ds\) ==$", re.MULTILINE)
+
+
+def strip_stamps(stdout: str) -> str:
+    """Bench CLI output with its wall-time stamps removed."""
+    return _STAMP.sub(" ==", stdout)
+
+
+def run_bench(
+    args: list[str], cache_dir: Path, **env: str
+) -> subprocess.CompletedProcess:
+    """``python -m repro.bench <args>`` in a child on ``cache_dir``.
+
+    The child sees none of the caller's ``REPRO_*`` knobs (a chaos leg's
+    ``REPRO_FAULTS`` must not leak into a clean reference run) — only
+    the cache directory and the extra ``env`` given here.
+    """
+    child_env = {
+        k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+    }
+    child_env.update(
+        PYTHONPATH=str(REPO_ROOT / "src"),
+        REPRO_CACHE_DIR=str(cache_dir),
+        **env,
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro.bench", *args],
+        cwd=REPO_ROOT, env=child_env, capture_output=True, text=True,
+        timeout=600,
+    )
 
 
 @pytest.fixture(autouse=True)

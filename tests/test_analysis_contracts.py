@@ -11,6 +11,7 @@ from repro.analysis.contracts import (
     check_contracts,
     check_equivalence_coverage,
     check_native_twins,
+    check_ordering_sources,
     check_scalar_twins,
     check_scheme_classes,
     gated_functions,
@@ -251,6 +252,94 @@ def test_real_tree_schemes_define_cache_tokens():
     """Every registered scheme in the tree resolves a cache_token."""
     findings = check_scheme_classes(index_tree())
     assert findings == []
+
+
+# ----------------------------------------------------------------------
+# bench-ordering-source contract
+# ----------------------------------------------------------------------
+def _experiments_tree(tmp_path, experiments_source):
+    return write_tree(
+        tmp_path,
+        {
+            "repro/__init__.py": "",
+            "repro/bench/__init__.py": "",
+            "repro/bench/experiments.py": experiments_source,
+            # outside the contract's scope: direct calls stay legal here
+            "repro/bench/ablations.py": """
+                def sweep(scheme, graph):
+                    return scheme.order(graph)
+                """,
+        },
+    )
+
+
+def test_direct_order_call_in_experiments_detected(tmp_path):
+    src = _experiments_tree(
+        tmp_path,
+        """
+        from ..ordering import MetisOrder
+
+
+        def _metis_cell(graph, parts):
+            return MetisOrder(num_parts=parts).order(graph)
+        """,
+    )
+    findings = check_ordering_sources(index_tree(src))
+    assert [f.rule for f in findings] == ["bench-ordering-source"]
+    assert findings[0].path.endswith("repro/bench/experiments.py")
+    assert findings[0].line == 6
+    assert "cached_order" in findings[0].message
+
+
+def test_aliased_compute_in_experiments_detected(tmp_path):
+    src = _experiments_tree(
+        tmp_path,
+        """
+        def _cell(scheme, graph, counter, rng):
+            run = scheme.compute
+            return run(graph, counter, rng)
+        """,
+    )
+    findings = check_ordering_sources(index_tree(src))
+    assert [f.rule for f in findings] == ["bench-ordering-source"]
+
+
+def test_store_backed_experiments_pass(tmp_path):
+    src = _experiments_tree(
+        tmp_path,
+        """
+        from ..ordering import MetisOrder
+        from ..ordering.store import cached_order
+        from .runners import ordering_for
+
+
+        def _metis_cell(graph, parts):
+            return cached_order(graph, MetisOrder(num_parts=parts))
+
+
+        def _cd_cell(scheme, dataset):
+            return ordering_for(scheme, dataset)
+        """,
+    )
+    assert check_ordering_sources(index_tree(src)) == []
+
+
+def test_ordering_source_rule_runs_in_check_contracts(tmp_path):
+    src = _experiments_tree(
+        tmp_path,
+        """
+        def _cell(scheme, graph):
+            return scheme.order(graph)
+        """,
+    )
+    tests_root = tmp_path / "tests"
+    tests_root.mkdir()
+    rules = {f.rule for f in check_contracts(src, tests_root)}
+    assert "bench-ordering-source" in rules
+
+
+def test_real_experiments_get_orderings_through_the_store():
+    assert check_ordering_sources(index_tree()) == []
 
 
 # ----------------------------------------------------------------------

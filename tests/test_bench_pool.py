@@ -25,6 +25,7 @@ from repro.bench.runners import (
     warm_measures,
     warm_orderings,
 )
+from tests.conftest import run_bench, strip_stamps
 
 SMALL = "euroroad"
 
@@ -84,6 +85,32 @@ def _fail_on_three(cell):
     if cell == 3:
         raise RuntimeError("cell three always fails")
     return cell * 2
+
+
+def _worker_default_jobs(cell):
+    return default_jobs()
+
+
+class TestNestedFanOut:
+    def test_pool_workers_are_leaves(self):
+        """Workers must not inherit the parent's width and nest a pool."""
+        set_default_jobs(2)
+        assert map_cells(_worker_default_jobs, [0, 1, 2]) == [1, 1, 1]
+        assert default_jobs() == 2
+
+    def test_fig11_parallel_matches_sequential(self, tmp_path):
+        """fig11 fans its cells out, and each cell samples in batches.
+
+        Separate caches make both runs compute every cell.
+        """
+        args = ["fig11", "--datasets", SMALL]
+        sequential = run_bench([*args, "--jobs", "1"], tmp_path / "one")
+        parallel = run_bench([*args, "--jobs", "2"], tmp_path / "two")
+        assert sequential.returncode == 0, sequential.stderr
+        assert parallel.returncode == 0, parallel.stderr
+        assert strip_stamps(parallel.stdout) == strip_stamps(
+            sequential.stdout
+        )
 
 
 class TestSupervisedFailureModes:

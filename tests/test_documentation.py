@@ -23,7 +23,9 @@ PACKAGES = [
     "repro.bench.ablations",
     "repro.bench.extensions",
     "repro.bench.scaling",
+    "repro.bench.cells",
     "repro.resilience",
+    "repro.resilience.store",
     "repro.resilience.faults",
     "repro.resilience.journal",
     "repro.resilience.supervisor",

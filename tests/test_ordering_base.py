@@ -14,6 +14,7 @@ from repro.ordering import (
     register_scheme,
 )
 from repro.ordering import PAPER_SCHEMES
+from tests.conftest import make_grid, random_graph
 
 
 class TestOperationCounter:
@@ -108,3 +109,47 @@ class TestSchemeContracts:
             ordering = scheme.order(g)
             assert ordering.cost >= 0
             assert isinstance(ordering.metadata, dict)
+
+
+class TestCacheToken:
+    """The persistent-cache key names a configuration, not a history."""
+
+    @pytest.mark.parametrize("name", available_schemes())
+    def test_token_stable_across_order_calls(self, name):
+        scheme = get_scheme(name)
+        before = scheme.cache_token()
+        scheme.order(make_grid(6, 5))
+        after_a = scheme.cache_token()
+        scheme.order(random_graph(60, 150, seed=3))
+        after_b = scheme.cache_token()
+        assert before == after_a == after_b
+
+    def test_token_built_from_declared_parameters(self):
+        from repro.ordering import MultilevelMinLA, NestedDissectionOrder
+
+        assert NestedDissectionOrder().cache_token() == (
+            "nested_dissection:v1:leaf_size=16,seed=0"
+        )
+        assert MultilevelMinLA(refinement_passes=5).cache_token() != (
+            MultilevelMinLA().cache_token()
+        )
+
+    def test_nested_scheme_configuration_counts(self):
+        from repro.ordering import GrappoloOrder, MinLAAnneal
+
+        assert MinLAAnneal(
+            initial=GrappoloOrder(max_phases=2)
+        ).cache_token() != MinLAAnneal().cache_token()
+
+    def test_undeclared_storage_is_an_error(self):
+        class Forgetful(OrderingScheme):
+            name = "forgetful"
+
+            def __init__(self, *, width: int = 3, seed=0):
+                super().__init__(seed=seed)
+
+            def compute(self, graph, counter, rng):
+                return np.arange(graph.num_vertices, dtype=np.int64), {}
+
+        with pytest.raises(TypeError, match="width"):
+            Forgetful().cache_token()
