@@ -1,16 +1,22 @@
 #!/bin/sh
 # Degradation-ladder grid check (the `make test-faults` leg):
 #   1. the ordering bench grid with every native kernel build failing
-#      (injected `native-build-fail`) must exit 0 — breakers open and
-#      the vector/scalar twins carry the run,
+#      (injected `native-build-fail`) must exit 0 — each kernel is
+#      disabled for the process and the vector/scalar twins carry the
+#      run,
 #   2. the same grid runs clean with the native tier disabled up front
 #      (REPRO_NO_NATIVE=1),
 #   3. stdout (timings normalised) and every cached ordering entry —
 #      permutation bits, cost, metadata including the recorded engine
 #      tier — must be identical between the two runs,
-#   4. `--native-info --health` under the fault must report the open
-#      breakers (small grids can short-circuit to the scalar tier
-#      before dispatching a kernel, so the breaker proof is explicit).
+#   4. `--native-info --health` under the fault must report a
+#      `kernel.<name>:native-build-fail` counter (small grids can
+#      short-circuit to the scalar tier before dispatching a kernel, so
+#      the build-failure proof is explicit),
+#   5. legs 1-3 again with every native dispatch raising at runtime
+#      (injected `native-runtime-fault`), over a scheme set that also
+#      reaches the gorder and partition (metis, nested_dissection)
+#      kernels.
 # Run from the repo root.
 set -eu
 
@@ -22,28 +28,34 @@ unset REPRO_FAULTS REPRO_NO_NATIVE REPRO_NO_SHM 2>/dev/null || true
 # the grid genuinely dispatches native kernels (and degrades) instead
 # of short-circuiting to the scalar tier
 GRID="fig1 --datasets pgp --schemes rcm,degree_sort,natural,random"
+RUNTIME_GRID="$GRID,gorder,metis,nested_dissection"
 NORMALIZE='s/\([0-9][0-9]*\.[0-9]s\)/(Xs)/g'
 
-echo "== leg 1: grid under native-build-fail:p=1 must exit 0"
-REPRO_FAULTS="native-build-fail:p=1" REPRO_CACHE_DIR="$WORK/faulted" \
-    python -m repro.bench $GRID 2>"$WORK/faulted.err" \
-    | sed "$NORMALIZE" >"$WORK/faulted.out"
-grep -q "\[degrade\]" "$WORK/faulted.err" || {
-    echo "FAIL: faulted run printed no [degrade] warning" >&2
-    cat "$WORK/faulted.err" >&2
-    exit 1
-}
+# compare_grids FAULT GRID TAG: run GRID under REPRO_FAULTS=FAULT and
+# again under REPRO_NO_NATIVE=1; stdout and every cached ordering must
+# match, and no entry may record the native tier.
+compare_grids() {
+    fault=$1 grid=$2 tag=$3
+    echo "== $tag: grid under $fault must exit 0"
+    REPRO_FAULTS="$fault" REPRO_CACHE_DIR="$WORK/$tag-faulted" \
+        python -m repro.bench $grid 2>"$WORK/$tag-faulted.err" \
+        | sed "$NORMALIZE" >"$WORK/$tag-faulted.out"
+    grep -q "\[degrade\]" "$WORK/$tag-faulted.err" || {
+        echo "FAIL: faulted run printed no [degrade] warning" >&2
+        cat "$WORK/$tag-faulted.err" >&2
+        exit 1
+    }
 
-echo "== leg 2: clean grid with REPRO_NO_NATIVE=1"
-REPRO_NO_NATIVE=1 REPRO_CACHE_DIR="$WORK/clean" \
-    python -m repro.bench $GRID | sed "$NORMALIZE" >"$WORK/clean.out"
+    echo "== $tag: clean grid with REPRO_NO_NATIVE=1"
+    REPRO_NO_NATIVE=1 REPRO_CACHE_DIR="$WORK/$tag-clean" \
+        python -m repro.bench $grid | sed "$NORMALIZE" >"$WORK/$tag-clean.out"
 
-echo "== leg 3: stdout and cached orderings must be bit-identical"
-diff -u "$WORK/clean.out" "$WORK/faulted.out" || {
-    echo "FAIL: degraded run printed different results" >&2
-    exit 1
-}
-python - "$WORK/faulted" "$WORK/clean" <<'EOF'
+    echo "== $tag: stdout and cached orderings must be bit-identical"
+    diff -u "$WORK/$tag-clean.out" "$WORK/$tag-faulted.out" || {
+        echo "FAIL: degraded run printed different results" >&2
+        exit 1
+    }
+    python - "$WORK/$tag-faulted" "$WORK/$tag-clean" <<'PYEOF'
 import json
 import os
 import sys
@@ -74,20 +86,21 @@ for rel in sorted(faulted):
     # the recorded tier is the fallback, never the faulted native tier
     assert meta_a.get("engine", "scalar") != "native", (rel, meta_a)
 print(f"compared {len(faulted)} ordering entries: identical")
-EOF
+PYEOF
+}
 
-echo "== leg 4: --native-info --health reports the open breakers"
+compare_grids "native-build-fail:p=1" "$GRID" "build-fail"
+
+echo "== leg 4: --native-info --health reports the build failures"
 out=$(REPRO_FAULTS="native-build-fail:p=1" \
     python -m repro.bench --native-info --health 2>/dev/null)
-printf '%s\n' "$out" | grep -q "native-build-fail" || {
-    echo "FAIL: health report shows no native-build-fail breaker" >&2
+printf '%s\n' "$out" \
+    | grep -q "\[counter\] kernel\.[a-z_]*:native-build-fail" || {
+    echo "FAIL: health report shows no kernel.<name>:native-build-fail counter" >&2
     printf '%s\n' "$out" >&2
     exit 1
 }
-printf '%s\n' "$out" | grep -q "\[breaker\]" || {
-    echo "FAIL: health report lists no open breaker" >&2
-    printf '%s\n' "$out" >&2
-    exit 1
-}
+
+compare_grids "native-runtime-fault:p=1" "$RUNTIME_GRID" "runtime-fault"
 
 echo "degrade grid check: OK"

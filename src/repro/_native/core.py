@@ -1,16 +1,16 @@
 """Shared infrastructure for lazy-compiled C kernels.
 
-:mod:`repro.simulator._native` proved the pattern: a hot loop with no
-numpy-friendly structure is written once in C, compiled on first use with
-the system compiler, cached by source hash, and loaded through
-:mod:`ctypes` — with the pure-Python path kept as bit-identical ground
-truth.  This module generalises that pattern so every native kernel in
-the tree shares one build cache, one fallback gate, and one reporting
+:mod:`repro._native` kernels are hot loops with no numpy-friendly
+structure, written once in C, compiled on first use with the system
+compiler, cached by source hash, and loaded through :mod:`ctypes` —
+with the pure-Python path kept as bit-identical ground truth.  Every
+kernel shares one build cache, one fallback gate, and one reporting
 surface:
 
 * :class:`NativeKernel` wraps a C source string plus its symbol
   prototypes; ``kernel.lib()`` returns the loaded library or ``None``
-  (no compiler, build failure, or ``REPRO_NO_NATIVE=1``);
+  (no compiler, build failure, a runtime fault earlier in the process,
+  or ``REPRO_NO_NATIVE=1``);
 * every kernel must name its **scalar and vector twins** — the Python
   implementations it is bit-identical to — which the reprolint contracts
   checker verifies statically;
@@ -506,33 +506,25 @@ class NativeKernel:
             self._lib = self._build(profile)
             self._status = "cached" if self._cache_hit else "compiled"
         except NativeBuildError as exc:
-            self._lib = None
-            first = exc.stderr.splitlines()[0] if exc.stderr else str(exc)
-            self._status = f"compile failed: {first}"
-            # open the circuit breaker: dispatch falls to the vector
-            # twin, and the degradation is counted/warned (or raised,
-            # under REPRO_DEGRADE=strict) instead of vanishing
-            degrade.record_kernel_fault(self, exc, kind="native-build-fail")
+            self.disable("native-build-fail", exc)
         except Exception as exc:  # pragma: no cover - toolchain dependent
             self._lib = None
             self._status = f"unavailable ({exc.__class__.__name__})"
         return self._lib
 
-    def usable(self) -> ctypes.CDLL | None:
-        """The compiled kernel, circuit-breaker gated.
+    def disable(self, kind: str, exc: BaseException) -> None:
+        """Turn the kernel off for the rest of the process and record why.
 
-        Like :meth:`lib`, but additionally ``None`` while the kernel's
-        breaker is open (cool-down after a build or runtime fault), so
-        gate checks of the form ``if KERNEL.usable() is None: fall back``
-        honour the degradation ladder.  The half-open probe dispatch is
-        granted here once the cool-down is spent.
+        The kernels are deterministic: a failed build stays failed and a
+        runtime fault recurs on the same input, so there is nothing to
+        retry.  Every later :meth:`lib` call answers ``None`` and
+        dispatch runs the bit-identical twin; :meth:`reset` re-arms.
         """
-        lib = self.lib()
-        if lib is None:
-            return None
-        if not degrade.kernel_allowed(self):
-            return None
-        return lib
+        reason = f"{exc.__class__.__name__}: {exc}"
+        self._lib = None
+        self._tried = True
+        self._status = f"degraded: {kind}: {reason}"
+        degrade.record(f"kernel.{self.name}", kind, reason)
 
     def reset(self) -> None:
         """Forget the build attempt (tests re-run with env changes)."""
@@ -545,21 +537,20 @@ class NativeKernel:
         self._profile = None
         self._compile_stderr = None
         self._cache_hit = None
-        degrade.reset_breaker(self.name)
 
     # -- reporting -----------------------------------------------------
     def build_info(self) -> dict:
         """Status of this kernel after (attempting) the build.
 
-        A kernel whose circuit breaker is open reports ``status:
-        "degraded: ..."`` with the triggering exception text — never a
-        stale ``"cached"``/``"compiled"`` from the sidecar: the build
-        cache knows how the ``.so`` was produced, not whether this
-        process is actually dispatching to it.
+        A kernel turned off by :meth:`disable` reports ``status:
+        "degraded: <kind>: <reason>"`` — never a stale
+        ``"cached"``/``"compiled"`` from the sidecar: the build cache
+        knows how the ``.so`` was produced, not whether this process is
+        actually dispatching to it.
         """
         self.lib()
         available = self._lib is not None
-        info = {
+        return {
             "kernel": self.name,
             "status": self._status,
             "available": available,
@@ -575,16 +566,7 @@ class NativeKernel:
             "vector_twin": self.vector_twin,
             "threaded": self.threaded,
             "serial_twin": self.serial_twin,
-            "degraded": False,
         }
-        breaker = degrade.breaker_state(self.name)
-        if breaker is not None and breaker.state == "open":
-            reason = breaker.reason or breaker.kind or "unknown fault"
-            info["status"] = f"degraded: {reason}"
-            info["available"] = False
-            info["fallback"] = f"breaker open ({breaker.kind}): {reason}"
-            info["degraded"] = True
-        return info
 
 
 _F = TypeVar("_F", bound=Callable)
@@ -595,36 +577,34 @@ def runtime_gate(kernel: NativeKernel) -> bool:
 
     For dispatch sites that call library symbols directly instead of
     going through a :func:`guarded` wrapper.  Returns ``True`` to
-    proceed natively; an injected fault opens the breaker and returns
+    proceed natively; an injected fault disables the kernel and returns
     ``False`` so the caller drops to its twin.
     """
     try:
         faults.maybe_native_runtime_fault(kernel.name)
     except faults.InjectedFault as exc:
-        degrade.record_kernel_fault(kernel, exc)
+        kernel.disable("native-runtime-fault", exc)
         return False
     return True
 
 
 def guarded(kernel: NativeKernel) -> Callable[[_F], _F]:
-    """Wrap a native dispatch function with ``kernel``'s circuit breaker.
+    """Wrap a native dispatch function with ``kernel``'s fallback gate.
 
     The decorated function keeps its ``-> result | None`` contract
-    (``None`` = fall back to the twin) and gains the degradation ladder:
+    (``None`` = fall back to the twin):
 
-    * an **open breaker** short-circuits to ``None`` (one cool-down skip
-      consumed) without touching the native tier;
+    * a kernel that is unavailable or disabled returns ``None`` without
+      touching the native tier;
     * the injected ``native-runtime-fault`` seam fires *before* the
       call, never mid-kernel;
-    * any exception escaping the native dispatch **opens the breaker**
-      and returns ``None`` — the caller's twin fallback runs, the
-      degradation is counted (or raised under ``REPRO_DEGRADE=strict``);
-    * a successful native result closes an open breaker (half-open
-      probe succeeded).
+    * any exception escaping the native dispatch **disables the kernel**
+      for the rest of the process (:meth:`NativeKernel.disable`) and
+      returns ``None`` — the caller's twin fallback runs and the
+      degradation is counted.
 
-    Injected :class:`~repro.resilience.faults.RunAborted` and strict-mode
-    :class:`~repro.resilience.degrade.DegradationError` propagate — they
-    are verdicts about the run, not kernel faults to absorb.
+    An injected :class:`~repro.resilience.faults.RunAborted` propagates:
+    it is a verdict about the run, not a kernel fault to absorb.
     """
 
     def decorate(fn: _F) -> _F:
@@ -632,19 +612,14 @@ def guarded(kernel: NativeKernel) -> Callable[[_F], _F]:
         def wrapper(*args, **kwargs):
             if kernel.lib() is None:
                 return None
-            if not degrade.kernel_allowed(kernel):
-                return None
             try:
                 faults.maybe_native_runtime_fault(kernel.name)
-                result = fn(*args, **kwargs)
-            except (faults.RunAborted, degrade.DegradationError):
+                return fn(*args, **kwargs)
+            except faults.RunAborted:
                 raise
             except Exception as exc:
-                degrade.record_kernel_fault(kernel, exc)
+                kernel.disable("native-runtime-fault", exc)
                 return None
-            if result is not None:
-                degrade.record_kernel_recovery(kernel)
-            return result
 
         return wrapper  # type: ignore[return-value]
 

@@ -117,7 +117,7 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.ordering.degree:_stable_key_order_scalar",
-    vector_twin="repro.ordering.degree:_stable_key_order_vector",
+    vector_twin="repro.ordering.degree:_stable_key_order_scalar",
     threaded=True,
     serial_twin="repro.ordering.degree:_stable_key_order_native",
 )

@@ -22,10 +22,12 @@ Rules:
     first or keep an explicit order.
 ``env-read``
     ``os.environ`` / ``os.getenv`` outside the sanctioned config entry
-    points (:mod:`repro.engine`, :mod:`repro.ordering.store`,
-    :mod:`repro.simulator._native`, :mod:`repro._native.core` — which
-    owns the ``REPRO_NO_NATIVE`` and ``REPRO_NATIVE_THREADS`` knobs —
-    :mod:`repro.graph.shm`, :mod:`repro.analysis.sanitize`).
+    points (:data:`SANCTIONED_ENV_MODULES`: :mod:`repro.engine`,
+    :mod:`repro.ordering.store`, :mod:`repro._native.core` — which owns
+    the ``REPRO_NO_NATIVE`` and ``REPRO_NATIVE_THREADS`` knobs —
+    :mod:`repro.graph.shm`, :mod:`repro.graph.store`,
+    :mod:`repro.analysis.sanitize`, :mod:`repro.resilience.faults`,
+    :mod:`repro.resilience.journal`).
     Scattered env reads make a run's configuration impossible to pin.
 ``mutable-default``
     Mutable default arguments — shared state across calls breaks replay
@@ -56,12 +58,10 @@ SANCTIONED_ENV_MODULES = frozenset(
     {
         "repro.engine",
         "repro.ordering.store",
-        "repro.simulator._native",
         "repro._native.core",
         "repro.graph.shm",
         "repro.graph.store",
         "repro.analysis.sanitize",
-        "repro.resilience.degrade",
         "repro.resilience.faults",
         "repro.resilience.journal",
     }

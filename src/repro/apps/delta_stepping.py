@@ -192,7 +192,7 @@ def _delta_stepping_native(
     stream in execution order; the work items are assembled here from
     the same phase tables the vector engine scans.
     """
-    if _native_delta.KERNEL.usable() is None:
+    if _native_delta.KERNEL.lib() is None:
         return None
     n = graph.num_vertices
     light, heavy, cycles, weights, _ = _build_phases(graph, delta)

@@ -18,10 +18,11 @@ Resilient execution (:mod:`repro.resilience`):
 * ``--timeout S`` / ``--retries K`` bound each cell's attempts; a cell
   that exhausts them degrades (NaN in the grid) instead of aborting;
 * ``--health`` prints the degradation health report after the run —
-  open circuit breakers (native kernels re-dispatching to their
-  vector/scalar twins) and resource-pressure fallback counters
-  (:mod:`repro.resilience.degrade`); journaled runs always persist the
-  same report as a ``{"type": "health"}`` journal record.
+  one counter per fallback site: native kernels disabled after a build
+  or runtime fault (their vector/scalar twins ran instead) and
+  resource-pressure fallbacks (:mod:`repro.resilience.degrade`);
+  journaled runs always persist the same report as a
+  ``{"type": "health"}`` journal record.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--health", action="store_true",
-        help="print the degradation health report (circuit breakers, "
-             "fallback counters) after the run",
+        help="print the degradation health report (disabled native "
+             "kernels, fallback counters) after the run",
     )
     parser.add_argument(
         "--run-id", metavar="ID", default=None,
@@ -182,8 +183,8 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
         print(json.dumps(build_info_all(), indent=2))
         if args.health:
-            # after build_info_all: attempting every build is what arms
-            # the breakers the health report describes
+            # after build_info_all: attempting every build is what
+            # records the build failures the health report describes
             print(degrade.format_health())
         return 0
     if args.jobs < 1:

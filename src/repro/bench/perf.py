@@ -1073,10 +1073,6 @@ def native_summary(infos: dict[str, dict] | None = None) -> list[str]:
             if info.get("cache_hit"):
                 detail += ", cache hit"
             lines.append(f"native {name}: ready ({detail})")
-        elif info.get("degraded"):
-            # circuit breaker open (build/runtime fault): distinct from
-            # a plain build fallback so degraded runs read as degraded
-            lines.append(f"native {name}: degraded ({info.get('fallback')})")
         else:
             reason = info.get("fallback") or info.get("status")
             lines.append(f"native {name}: fallback to vector ({reason})")

@@ -44,13 +44,11 @@ import numpy as np
 __all__ = [
     "ENGINES",
     "DEFAULT_ENGINE",
-    "FALLBACK_ORDER",
     "VECTOR_MIN_WORK",
     "ENGINE_METADATA_KEY",
     "THREADS_METADATA_KEY",
     "resolve_engine",
     "engine_for_work",
-    "fallback_tier",
     "use_engine",
     "strip_engine_metadata",
     "gather_ranges",
@@ -59,16 +57,6 @@ __all__ = [
 
 ENGINES = ("native", "vector", "scalar")
 DEFAULT_ENGINE = "native"
-
-#: the degradation ladder: the tier a failing engine re-dispatches to.
-#: Tiers are bit-identical by contract, so stepping down never changes
-#: results — only the :data:`ENGINE_METADATA_KEY` provenance entry (see
-#: :mod:`repro.resilience.degrade`).
-FALLBACK_ORDER: dict[str, str | None] = {
-    "native": "vector",
-    "vector": "scalar",
-    "scalar": None,
-}
 
 #: below this much estimated work (abstract operations), vector/native
 #: dispatch overhead dominates and trivial schemes run scalar.
@@ -121,15 +109,6 @@ def engine_for_work(
     ):
         return "scalar"
     return resolved
-
-
-def fallback_tier(engine: str) -> str | None:
-    """The next tier down the degradation ladder (``None`` below scalar)."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return FALLBACK_ORDER[engine]
 
 
 @contextmanager

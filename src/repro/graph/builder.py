@@ -45,12 +45,7 @@ _CHUNK = 1 << 15
 
 
 def _pair_order_scalar(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """Ground-truth stable sort of pairs by ``(major, minor)``."""
-    return np.lexsort((minor, major))
-
-
-def _pair_order_vector(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """Vector-tier pair sort (same primitive as the scalar tier)."""
+    """Stable sort of pairs by ``(major, minor)`` (scalar and vector tiers)."""
     return np.lexsort((minor, major))
 
 
@@ -83,10 +78,7 @@ def _pair_order(
         order = _pair_order_native(major, minor, num_buckets)
         if order is not None:
             return order
-        return _pair_order_vector(major, minor)
-    if engine == "scalar":
-        return _pair_order_scalar(major, minor)
-    return _pair_order_vector(major, minor)
+    return _pair_order_scalar(major, minor)
 
 
 class GraphBuilder:

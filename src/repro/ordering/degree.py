@@ -14,7 +14,7 @@ among frequently accessed hubs.
 
 Every scheme here reduces to one primitive — a *stable* sort of the
 vertex ids by a small non-negative integer key — so all four share the
-:func:`_stable_key_order` dispatcher.  The scalar and vector tiers are
+:func:`_stable_key_order` dispatcher.  The scalar and vector tiers share
 numpy's stable argsort; the native tier is the BOBA-style parallel
 counting sort (:mod:`repro._native.counting`), bit-identical to the
 argsort for every ``REPRO_NATIVE_THREADS`` value.
@@ -51,12 +51,7 @@ def average_degree_cutoff(graph: CSRGraph) -> float:
 
 
 def _stable_key_order_scalar(key: np.ndarray) -> np.ndarray:
-    """Stable argsort of ``key`` — the schemes' ground truth."""
-    return np.argsort(key, kind="stable")
-
-
-def _stable_key_order_vector(key: np.ndarray) -> np.ndarray:
-    """Vector twin: numpy's stable argsort is already the batched form."""
+    """Stable argsort of ``key`` (scalar and vector tiers)."""
     return np.argsort(key, kind="stable")
 
 
@@ -86,9 +81,7 @@ def _stable_key_order(
             metadata[ENGINE_METADATA_KEY] = "native"
             metadata[THREADS_METADATA_KEY] = native_threads()
             return sequence
-    if engine == "scalar":
-        return _stable_key_order_scalar(key)
-    return _stable_key_order_vector(key)
+    return _stable_key_order_scalar(key)
 
 
 class DegreeSort(OrderingScheme):

@@ -82,7 +82,7 @@ class NestedDissectionOrder(OrderingScheme):
         dissect(np.arange(n, dtype=np.int64), 0)
         counter.count_vertices(n)
         engine = resolve_engine()
-        if engine == "native" and _native_fm.KERNEL.usable() is None:
+        if engine == "native" and _native_fm.KERNEL.lib() is None:
             engine = "vector"  # partition kernels unavailable/degraded: numpy ran
         return ordering_from_sequence(sequence), {
             "max_depth": max_depth,

@@ -96,7 +96,7 @@ class MetisOrder(OrderingScheme):
         # Stable sort by part: contiguous parts, natural order within.
         sequence = np.argsort(assignment, kind="stable")
         engine = resolve_engine()
-        if engine == "native" and _native_fm.KERNEL.usable() is None:
+        if engine == "native" and _native_fm.KERNEL.lib() is None:
             engine = "vector"  # partition kernels unavailable/degraded: numpy ran
         return ordering_from_sequence(sequence), {
             "num_parts": num_parts,

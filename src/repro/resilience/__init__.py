@@ -23,12 +23,11 @@ pipeline survive such failures *and* prove it under injected faults:
 :mod:`~repro.resilience.reporting`
     Completeness reports over a run journal (ok / degraded / replayed).
 :mod:`~repro.resilience.degrade`
-    The process-wide degradation supervisor: per-kernel circuit
-    breakers over the ``native > vector > scalar`` engine ladder,
-    named counters for every resource-pressure fallback (shm
-    exhaustion, disk-full cache writes, quarantined entries), and the
-    run-level health report behind ``python -m repro.bench --health``.
-    ``REPRO_DEGRADE=strict`` turns any degradation into a hard error.
+    The process-wide degradation record: named counters for every
+    fallback the run absorbs — a native kernel disabled after a build
+    or runtime fault, shm exhaustion, disk-full cache writes,
+    quarantined entries — and the run-level health report behind
+    ``python -m repro.bench --health``.
 :mod:`~repro.resilience.store`
     The file mechanics every on-disk cache shares: atomic writes,
     quarantine of damaged entries, disk-full degrade, and the fault
@@ -40,14 +39,7 @@ the resume semantics.
 
 from __future__ import annotations
 
-from .degrade import (
-    ENV_DEGRADE,
-    BreakerState,
-    DegradationError,
-    degrade_mode,
-    format_health,
-    health_report,
-)
+from .degrade import format_health, health_report
 from .faults import (
     ENV_FAULTS,
     FaultPlan,
@@ -87,10 +79,6 @@ __all__ = [
     "active_plan",
     "parse_spec",
     "ENV_FAULTS",
-    "ENV_DEGRADE",
-    "BreakerState",
-    "DegradationError",
-    "degrade_mode",
     "health_report",
     "format_health",
 ]

@@ -1,33 +1,24 @@
-"""Process-wide degradation supervisor: breakers, counters, health.
+"""Process-wide degradation record: counters, events, health.
 
-The engine ladder (``native > vector > scalar``, :mod:`repro.engine`)
-was a *static* choice: a kernel that failed to compile raised
-:class:`~repro._native.core.NativeBuildError` straight through the
-caller, and resource pressure (``/dev/shm`` full, ``ENOSPC`` on a cache
-write, a torn mmap read) was handled ad-hoc per module — or silently
-swallowed.  This module turns the ladder into a *runtime* one:
+Every fallback the run absorbs instead of crashing routes through
+:func:`record`: one warning per ``(site, kind)``, a named counter, a
+bounded event log.  Two families feed it:
 
-* Every :class:`~repro._native.core.NativeKernel` gets a **circuit
-  breaker**.  A build failure or runtime kernel fault opens it; while
-  open, dispatch transparently falls back to the kernel's declared
-  ``vector_twin``/``scalar_twin`` for a deterministic cool-down keyed by
-  the kernel's source digest, then grants a half-open probe.  A probe
-  success closes the breaker; a probe failure reopens it with a doubled
-  cool-down (capped).  Twins are bit-identical by contract, so the
-  downgrade never changes results — only the tier recorded in
-  :data:`~repro.engine.ENGINE_METADATA_KEY` metadata.
-* Every **resource-pressure fallback** (shm publish failure, disk-full
-  cache write, quarantined store entry) routes through :func:`record`:
-  one warning per ``(site, kind)``, a named counter, a bounded event
-  log, never a crash.
-* The whole picture is queryable as a **health report**
-  (:func:`health_report` / :func:`format_health`, surfaced by
-  ``python -m repro.bench ... --health`` and the run journal).
+* **Native kernels.**  A kernel that fails its build or raises at
+  dispatch is turned off for the rest of the process
+  (:meth:`repro._native.core.NativeKernel.disable`); every later call
+  runs its declared ``vector_twin``/``scalar_twin``.  The kernels are
+  deterministic, so a failed build stays failed and a runtime fault
+  recurs on the same input — there is nothing to retry.  Twins are
+  bit-identical by contract, so the downgrade never changes results,
+  only the tier recorded in :data:`~repro.engine.ENGINE_METADATA_KEY`
+  metadata.
+* **Resource pressure** — shm publish failure, disk-full cache write,
+  quarantined store entry: the run degrades to compute-without-cache.
 
-``REPRO_DEGRADE`` selects the posture: ``auto`` (the default) degrades
-and records; ``strict`` turns the first degradation into a raised
-:class:`DegradationError` — for CI legs that must prove the native tier
-actually ran.
+The whole picture is queryable as a **health report**
+(:func:`health_report` / :func:`format_health`, surfaced by
+``python -m repro.bench ... --health`` and the run journal).
 
 State is per-process.  Supervised pool workers ship their degradation
 events back to the parent piggybacked on result messages
@@ -37,70 +28,23 @@ the parent's health report covers the whole run.
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import sys
 import threading
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from .._native.core import NativeKernel
 
 __all__ = [
-    "ENV_DEGRADE",
-    "MODES",
     "MAX_EVENTS",
-    "MAX_COOLDOWN",
-    "DegradationError",
-    "BreakerState",
-    "degrade_mode",
     "record",
     "counters",
     "events",
     "reset",
     "drain_outbox",
     "absorb",
-    "kernel_allowed",
-    "record_kernel_fault",
-    "record_kernel_recovery",
-    "breaker_state",
-    "breaker_states",
-    "reset_breaker",
-    "base_cooldown",
     "health_report",
     "format_health",
 ]
 
-ENV_DEGRADE = "REPRO_DEGRADE"
-
-#: recognised ``REPRO_DEGRADE`` values.
-MODES = ("auto", "strict")
-
 #: cap on the retained event log (counters keep exact totals past it).
 MAX_EVENTS = 256
-
-#: cap on a breaker's cool-down (skipped dispatches) after re-opens.
-MAX_COOLDOWN = 4096
-
-
-class DegradationError(RuntimeError):
-    """A degradation that ``REPRO_DEGRADE=strict`` refuses to absorb."""
-
-
-@dataclasses.dataclass
-class BreakerState:
-    """One kernel's circuit-breaker bookkeeping (see module docstring)."""
-
-    name: str
-    digest: str
-    state: str = "closed"  # "closed" | "open"
-    failures: int = 0  # faults recorded against the kernel
-    opens: int = 0  # times the breaker opened (incl. re-opens)
-    cooldown: int = 0  # dispatches skipped per open
-    skips_remaining: int = 0
-    probes: int = 0  # half-open probe dispatches granted
-    kind: str | None = None  # fault kind behind the last open
-    reason: str | None = None  # triggering exception text
 
 
 _lock = threading.Lock()
@@ -108,30 +52,16 @@ _counters: dict[str, int] = {}
 _events: list[dict] = []
 _outbox: list[dict] = []
 _warned: set[tuple[str, str]] = set()
-_breakers: dict[str, BreakerState] = {}
-
-
-def degrade_mode() -> str:
-    """The active posture from ``$REPRO_DEGRADE`` (fail loud on typos)."""
-    mode = os.environ.get(ENV_DEGRADE, "").strip() or "auto"
-    if mode not in MODES:
-        raise ValueError(
-            f"unknown {ENV_DEGRADE} value {mode!r}; expected one of {MODES}"
-        )
-    return mode
 
 
 def record(site: str, kind: str, detail: str) -> None:
     """Register one degradation at ``site`` of ``kind``.
 
-    ``auto`` mode increments the ``site:kind`` counter, appends a
-    bounded event, queues it for worker-to-parent transport, and prints
-    one warning per ``(site, kind)`` to stderr.  ``strict`` mode raises
-    :class:`DegradationError` instead — degradation becomes a failure.
+    Increments the ``site:kind`` counter, appends a bounded event,
+    queues it for worker-to-parent transport, and prints one warning per
+    ``(site, kind)`` to stderr.
     """
     detail = str(detail)
-    if degrade_mode() == "strict":
-        raise DegradationError(f"{site}: {kind}: {detail}")
     event = {"site": site, "kind": kind, "detail": detail}
     with _lock:
         _counters[f"{site}:{kind}"] = _counters.get(f"{site}:{kind}", 0) + 1
@@ -163,7 +93,6 @@ def reset() -> None:
         _events.clear()
         _outbox.clear()
         _warned.clear()
-        _breakers.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -202,144 +131,17 @@ def absorb(events_in: list[dict] | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-kernel circuit breakers
-# ---------------------------------------------------------------------------
-def base_cooldown(digest: str) -> int:
-    """The deterministic first-open cool-down for a kernel source digest.
-
-    A small skip budget in ``[4, 16)`` derived from the digest, so each
-    kernel's probe cadence is stable across runs and machines but not
-    synchronised across kernels.
-    """
-    return 4 + int(digest[:4] or "0", 16) % 12
-
-
-def _breaker_for(kernel: "NativeKernel") -> BreakerState:
-    breaker = _breakers.get(kernel.name)
-    if breaker is None:
-        breaker = BreakerState(name=kernel.name, digest=kernel.source_digest)
-        _breakers[kernel.name] = breaker
-    return breaker
-
-
-def kernel_allowed(kernel: "NativeKernel") -> bool:
-    """Whether dispatch may enter the native tier for ``kernel``.
-
-    Closed breaker: yes.  Open breaker: consume one cool-down skip and
-    answer no; once the skips are spent, grant a half-open probe (the
-    next dispatch runs natively — success closes the breaker, failure
-    reopens it with a doubled cool-down).
-    """
-    with _lock:
-        breaker = _breakers.get(kernel.name)
-        if breaker is None or breaker.state == "closed":
-            return True
-        if breaker.skips_remaining > 0:
-            breaker.skips_remaining -= 1
-            return False
-        breaker.probes += 1
-        return True
-
-
-def record_kernel_fault(
-    kernel: "NativeKernel",
-    exc: BaseException,
-    *,
-    kind: str = "native-runtime-fault",
-) -> None:
-    """Open (or re-open) ``kernel``'s breaker after a native-tier fault.
-
-    A fault with the breaker already open is a failed half-open probe:
-    the cool-down doubles (capped at :data:`MAX_COOLDOWN`).  The
-    degradation is routed through :func:`record`, so ``strict`` mode
-    raises and ``auto`` mode counts and warns.
-    """
-    reason = f"{exc.__class__.__name__}: {exc}"
-    with _lock:
-        breaker = _breaker_for(kernel)
-        breaker.failures += 1
-        breaker.opens += 1
-        if breaker.state == "open":
-            breaker.cooldown = min(breaker.cooldown * 2, MAX_COOLDOWN)
-        else:
-            breaker.state = "open"
-            breaker.cooldown = base_cooldown(breaker.digest)
-        breaker.skips_remaining = breaker.cooldown
-        breaker.kind = kind
-        breaker.reason = reason
-    record(f"kernel.{kernel.name}", kind, reason)
-
-
-def record_kernel_recovery(kernel: "NativeKernel") -> None:
-    """Close ``kernel``'s breaker after a successful half-open probe.
-
-    Event-log only (no counter bump, no warning, never raises): recovery
-    is good news, but the health report should still show it happened.
-    """
-    with _lock:
-        breaker = _breakers.get(kernel.name)
-        if breaker is None or breaker.state == "closed":
-            return
-        breaker.state = "closed"
-        breaker.skips_remaining = 0
-        if len(_events) < MAX_EVENTS:
-            _events.append(
-                {
-                    "site": f"kernel.{kernel.name}",
-                    "kind": "recovered",
-                    "detail": f"breaker closed after {breaker.opens} open(s)",
-                }
-            )
-
-
-def breaker_state(name: str) -> BreakerState | None:
-    """A copy of the breaker for kernel ``name``, or ``None`` if untouched."""
-    with _lock:
-        breaker = _breakers.get(name)
-        return dataclasses.replace(breaker) if breaker is not None else None
-
-
-def breaker_states() -> list[BreakerState]:
-    """Copies of every breaker touched so far, sorted by kernel name."""
-    with _lock:
-        return [
-            dataclasses.replace(_breakers[name]) for name in sorted(_breakers)
-        ]
-
-
-def reset_breaker(name: str) -> None:
-    """Forget the breaker for kernel ``name`` (kernel ``reset()`` path)."""
-    with _lock:
-        _breakers.pop(name, None)
-
-
-# ---------------------------------------------------------------------------
 # Health reporting
 # ---------------------------------------------------------------------------
-def _kernel_fallback_tier() -> str:
-    """The tier an open breaker re-dispatches to (metadata wording)."""
-    # lazy import: this module is reachable mid-import of the package
-    from .. import engine
-
-    tier = engine.fallback_tier("native")
-    return tier if tier is not None else "scalar"
-
-
 def health_report() -> dict:
     """A JSON-safe snapshot of the process's degradation state."""
     with _lock:
         snapshot_counters = dict(sorted(_counters.items()))
         snapshot_events = [dict(event) for event in _events]
-        snapshot_breakers = [
-            dataclasses.asdict(_breakers[name]) for name in sorted(_breakers)
-        ]
-    open_breakers = [b for b in snapshot_breakers if b["state"] == "open"]
     return {
-        "mode": degrade_mode(),
-        "healthy": not snapshot_counters and not open_breakers,
+        "healthy": not snapshot_counters,
         "counters": snapshot_counters,
         "events": snapshot_events,
-        "breakers": snapshot_breakers,
     }
 
 
@@ -347,29 +149,11 @@ def format_health(report: dict | None = None) -> str:
     """Human-readable health lines (the ``--health`` flag's output)."""
     if report is None:
         report = health_report()
-    lines = []
-    breakers = report.get("breakers", [])
-    open_count = sum(1 for b in breakers if b.get("state") == "open")
+    counts = report.get("counters", {})
     if report.get("healthy"):
-        lines.append(
-            f"[health] mode={report.get('mode', 'auto')} ok "
-            "(no degradation recorded)"
-        )
+        lines = ["[health] ok (no degradation recorded)"]
     else:
-        lines.append(
-            f"[health] mode={report.get('mode', 'auto')} "
-            f"degraded-sites={len(report.get('counters', {}))} "
-            f"open-breakers={open_count}"
-        )
-    for breaker in breakers:
-        if breaker.get("state") != "open":
-            continue
-        tier = _kernel_fallback_tier()
-        lines.append(
-            f"[breaker] {breaker['name']}: open "
-            f"({breaker.get('kind')}, cooldown {breaker.get('cooldown')}, "
-            f"re-dispatching to {tier}) — {breaker.get('reason')}"
-        )
-    for key, count in report.get("counters", {}).items():
+        lines = [f"[health] degraded-sites={len(counts)}"]
+    for key, count in counts.items():
         lines.append(f"[counter] {key}: {count}")
     return "\n".join(lines)

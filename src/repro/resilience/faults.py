@@ -50,13 +50,14 @@ Fault kinds and their seams:
     :class:`repro._native.core.NativeKernel` compilation, including warm
     ``.so`` cache hits — the kernel raises
     :class:`~repro._native.core.NativeBuildError` as if ``cc`` failed, so
-    the degradation supervisor's circuit breaker and twin re-dispatch run
-    (:mod:`repro.resilience.degrade`).
+    the kernel is disabled for the process and its vector/scalar twin
+    runs (:meth:`repro._native.core.NativeKernel.disable`).
 ``native-runtime-fault``
     The guarded native dispatch wrappers — the call raises
     :class:`InjectedFault` *instead of* entering the C kernel (never
-    mid-kernel, so no partially-mutated buffers), opening the kernel's
-    breaker and re-dispatching to the vector/scalar twin.
+    mid-kernel, so no partially-mutated buffers), disabling the kernel
+    for the process; this and every later call run the vector/scalar
+    twin.
 ``shm-exhausted``
     :func:`repro.graph.shm.publish_graph` — segment creation raises
     ``OSError(ENOSPC)`` as if ``/dev/shm`` were full; workers degrade to
@@ -376,8 +377,9 @@ def maybe_native_runtime_fault(kernel: str) -> None:
 
     Fires *before* the C call (never mid-kernel, so output buffers stay
     untouched); the schedule draws per dispatch, keyed by kernel name and
-    how many times this process has dispatched it, so breaker probe calls
-    after the cool-down see fresh (reproducible) decisions.
+    how many times this process has dispatched it, so the first faulting
+    call is reproducible.  A fault disables the kernel for the process,
+    so later calls never reach this seam.
     """
     plan = active_plan()
     if plan is None:

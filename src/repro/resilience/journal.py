@@ -23,8 +23,8 @@ lines).  Record types (readers ignore unknown ones):
     resume turns into pure cache hits.
 ``{"type": "health", ...}``
     Written once at run end: the degradation health report
-    (:func:`repro.resilience.degrade.health_report`) — counters, events,
-    and breaker states — so a journaled run records *how* it was
+    (:func:`repro.resilience.degrade.health_report`) — counters and
+    events — so a journaled run records *how* it was
     computed, not just that it finished.
 
 Only the process that opened the journal writes to it (pool workers

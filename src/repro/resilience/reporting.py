@@ -7,8 +7,8 @@ completeness report makes the difference loud — every journaled run ends
 by stating how many cells completed, which degraded (and why), and how
 much of the run was replayed from the journal versus computed fresh.
 The summary also surfaces this process's degradation counters
-(:mod:`repro.resilience.degrade` — breaker opens, cache-write failures,
-shm fallbacks), so an execution-substrate downgrade is as loud as a
+(:mod:`repro.resilience.degrade` — disabled native kernels, cache-write
+failures, shm fallbacks), so an execution-substrate downgrade is as loud as a
 missing cell.
 """
 

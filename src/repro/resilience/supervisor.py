@@ -156,7 +156,7 @@ def _worker_loop(
             ok, value, error = False, None, _describe(exc)
         else:
             ok, error = True, None
-        # degradation events (breaker opens, cache write failures, …)
+        # degradation events (disabled kernels, cache write failures, …)
         # piggyback on the result message so the parent's health report
         # covers the whole pool, not just its own process
         message = (index, attempt, ok, value, error, degrade.drain_outbox())

@@ -36,7 +36,6 @@ import numpy as np
 from ..analysis import sanitize
 from .._native import core as native_core
 from .._native import lru as native_lru
-from . import _native
 from .cache import Cache
 from .hierarchy import MemoryHierarchy, ThreadCounters
 
@@ -76,7 +75,7 @@ def cache_access_batch(cache: Cache, lines: np.ndarray) -> np.ndarray:
       tag equal to the set's immediately previous access is the MRU way,
       so it hits and its LRU refresh is a no-op;
     * the surviving short tag runs are replayed through the compiled LRU
-      kernel (:mod:`repro.simulator._native`) when a C compiler is
+      kernel (:mod:`repro._native.lru`) when a C compiler is
       available, and through an equivalent pure-Python LRU walk
       otherwise (or when ``REPRO_NO_NATIVE`` is set).
 
@@ -102,7 +101,7 @@ def cache_access_batch(cache: Cache, lines: np.ndarray) -> np.ndarray:
         )
         offsets = np.append(starts, n)
         group_sets = sorted_sets[starts]
-    native = _native.lib()
+    native = native_lru.KERNEL.lib()
     if native is not None and native_core.runtime_gate(native_lru.KERNEL):
         return _replay_native(
             cache, native, tags, order, offsets, group_sets, hits

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ast
+import importlib.util
 import json
 import textwrap
 
 import pytest
 
-from repro.analysis import core
+from repro.analysis import core, rules
 from repro.analysis.core import (
     Finding,
     available_rules,
@@ -267,6 +269,24 @@ class TestEnvRead:
             mode = os.getenv("X")  # reprolint: disable=env-read
             """
         )
+
+    @pytest.mark.parametrize(
+        "module", sorted(rules.SANCTIONED_ENV_MODULES)
+    )
+    def test_sanctioned_module_exists_and_reads_env(self, module):
+        # a stale entry (deleted module, or one that no longer reads
+        # the environment) silently widens the rule's exemption
+        spec = importlib.util.find_spec(module)
+        assert spec is not None and spec.origin, module
+        with open(spec.origin, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        assert any(
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ("environ", "getenv")
+            for node in ast.walk(tree)
+        ), f"{module} reads no environment variable"
 
 
 # ----------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_native_delta_stepping_weighted_random(n, edges, source):
 # LRU replay through the batched engine (kernel vs pure-Python walk)
 # ---------------------------------------------------------------------------
 def test_lru_kernel_matches_python_walk(monkeypatch):
-    from repro.simulator import _native as sim_native
+    from repro._native import lru
     from repro.simulator import batch as sim_batch
     from repro.simulator.cache import Cache, CacheConfig
 
@@ -258,8 +258,7 @@ def test_lru_kernel_matches_python_walk(monkeypatch):
         return sim_batch.cache_access_batch(Cache(config), lines)
 
     with_kernel = run()
-    monkeypatch.setattr(sim_native, "_lib", None)
-    monkeypatch.setattr(sim_native, "_tried", True)
+    monkeypatch.setattr(lru.KERNEL, "lib", lambda: None)
     without_kernel = run()
     assert np.array_equal(with_kernel, without_kernel)
 
@@ -631,14 +630,13 @@ def test_compile_failure_surfaces_stderr():
             kernel._build(None)
         assert "missing_symbol" in excinfo.value.stderr
         assert "test_broken_fixture" in str(excinfo.value)
-        # the soft path opens the circuit breaker and keeps the diagnosis
+        # the soft path disables the kernel and keeps the diagnosis
         assert kernel.lib() is None
         info = kernel.build_info()
         assert info["available"] is False
-        assert info["degraded"] is True
-        assert info["status"].startswith("degraded: ")
+        assert info["status"].startswith("degraded: native-build-fail: ")
         assert "failed to compile" in info["status"]
         assert "missing_symbol" in info["compile_stderr"]
-        assert "breaker open (native-build-fail)" in info["fallback"]
+        assert info["fallback"] == info["status"]
     finally:
         native_core._KERNELS.pop("test_broken_fixture", None)

@@ -1,4 +1,4 @@
-"""The degradation ladder: breakers, resource-pressure fallback, health.
+"""The degradation ladder: kernel latches, resource-pressure fallback, health.
 
 Every test here proves the same contract from a different angle: a
 degraded run *finishes with the same bits* as a clean one — the native
@@ -8,13 +8,14 @@ visible in the health report instead of crashing (or vanishing).
 """
 
 import json
-import types
 
 import numpy as np
 import pytest
 
 from repro._native import core as native_core
 from repro._native import counting as native_counting
+from repro._native import fm as native_fm
+from repro.engine import ENGINE_METADATA_KEY, VECTOR_MIN_WORK
 from repro.graph import shm
 from repro.graph.store import GraphStore
 from repro.ordering import OrderingStore, get_scheme
@@ -25,11 +26,6 @@ from tests.conftest import random_graph
 
 def _set_faults(monkeypatch, spec):
     monkeypatch.setenv("REPRO_FAULTS", spec)
-
-
-def _fake_kernel(name="fake_kernel", digest="00ab" + "0" * 60):
-    """A stand-in with the two attributes the breaker bookkeeping reads."""
-    return types.SimpleNamespace(name=name, source_digest=digest)
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +55,7 @@ def counting_kernel():
 
 
 # ---------------------------------------------------------------------------
-# record(): counters, events, one warning, strict mode
+# record(): counters, events, one warning
 # ---------------------------------------------------------------------------
 class TestRecord:
     def test_counts_and_warns_once_per_site_kind(self, capsys):
@@ -85,16 +81,6 @@ class TestRecord:
         assert len(degrade.events()) == degrade.MAX_EVENTS
         assert degrade.counters()["site:kind"] == degrade.MAX_EVENTS + 40
 
-    def test_strict_mode_raises(self, monkeypatch):
-        monkeypatch.setenv(degrade.ENV_DEGRADE, "strict")
-        with pytest.raises(degrade.DegradationError, match="site.*kind"):
-            degrade.record("site", "kind", "detail")
-
-    def test_unknown_mode_fails_loud(self, monkeypatch):
-        monkeypatch.setenv(degrade.ENV_DEGRADE, "lenient")
-        with pytest.raises(ValueError, match="REPRO_DEGRADE"):
-            degrade.degrade_mode()
-
     def test_outbox_drains_once(self):
         degrade.record("site", "kind", "one")
         degrade.record("site", "kind", "two")
@@ -116,78 +102,6 @@ class TestRecord:
 
 
 # ---------------------------------------------------------------------------
-# Circuit breaker lifecycle
-# ---------------------------------------------------------------------------
-class TestBreaker:
-    def test_base_cooldown_deterministic_and_bounded(self):
-        digests = ["0000" + "0" * 60, "ffff" + "0" * 60, "1a2b" + "0" * 60]
-        for digest in digests:
-            cooldown = degrade.base_cooldown(digest)
-            assert cooldown == degrade.base_cooldown(digest)
-            assert 4 <= cooldown < 16
-
-    def test_open_skip_probe_recover(self):
-        kernel = _fake_kernel()
-        assert degrade.kernel_allowed(kernel)  # untouched: closed
-        degrade.record_kernel_fault(kernel, RuntimeError("boom"))
-        breaker = degrade.breaker_state(kernel.name)
-        assert breaker.state == "open"
-        assert breaker.cooldown == degrade.base_cooldown(kernel.source_digest)
-        # cool-down: exactly `cooldown` dispatches skipped...
-        for _ in range(breaker.cooldown):
-            assert not degrade.kernel_allowed(kernel)
-        # ...then a half-open probe is granted
-        assert degrade.kernel_allowed(kernel)
-        degrade.record_kernel_recovery(kernel)
-        after = degrade.breaker_state(kernel.name)
-        assert after.state == "closed"
-        assert degrade.kernel_allowed(kernel)
-        assert any(
-            event["kind"] == "recovered" for event in degrade.events()
-        )
-
-    def test_failed_probe_doubles_cooldown_capped(self):
-        kernel = _fake_kernel()
-        degrade.record_kernel_fault(kernel, RuntimeError("first"))
-        base = degrade.breaker_state(kernel.name).cooldown
-        degrade.record_kernel_fault(kernel, RuntimeError("probe failed"))
-        assert degrade.breaker_state(kernel.name).cooldown == base * 2
-        for _ in range(20):
-            degrade.record_kernel_fault(kernel, RuntimeError("again"))
-        assert (
-            degrade.breaker_state(kernel.name).cooldown
-            == degrade.MAX_COOLDOWN
-        )
-
-    def test_fault_counter_and_reason_recorded(self):
-        kernel = _fake_kernel()
-        degrade.record_kernel_fault(
-            kernel, RuntimeError("segfault stand-in")
-        )
-        assert (
-            degrade.counters()[f"kernel.{kernel.name}:native-runtime-fault"]
-            == 1
-        )
-        breaker = degrade.breaker_state(kernel.name)
-        assert breaker.kind == "native-runtime-fault"
-        assert "segfault stand-in" in breaker.reason
-
-    def test_breaker_state_returns_a_copy(self):
-        kernel = _fake_kernel()
-        degrade.record_kernel_fault(kernel, RuntimeError("boom"))
-        copy = degrade.breaker_state(kernel.name)
-        copy.state = "closed"
-        assert degrade.breaker_state(kernel.name).state == "open"
-
-    def test_strict_mode_still_opens_breaker(self, monkeypatch):
-        monkeypatch.setenv(degrade.ENV_DEGRADE, "strict")
-        kernel = _fake_kernel()
-        with pytest.raises(degrade.DegradationError):
-            degrade.record_kernel_fault(kernel, RuntimeError("boom"))
-        assert degrade.breaker_state(kernel.name).state == "open"
-
-
-# ---------------------------------------------------------------------------
 # Native kernels under injected faults (the guarded dispatch path)
 # ---------------------------------------------------------------------------
 KEYS = np.array([1, 0, 2, 1, 0, 2, 2, 1], dtype=np.int64)
@@ -195,62 +109,85 @@ EXPECTED = np.array([1, 4, 0, 3, 7, 2, 5, 6], dtype=np.int64)
 
 
 class TestKernelFaults:
-    def test_build_fail_opens_breaker_and_falls_back(
+    def test_build_fail_latches_and_falls_back(
         self, monkeypatch, counting_kernel
     ):
         _set_faults(monkeypatch, "native-build-fail:p=1")
         assert counting_kernel.lib() is None
         assert native_counting.run(KEYS, 3) is None  # caller's twin runs
-        breaker = degrade.breaker_state(counting_kernel.name)
-        assert breaker.state == "open"
-        assert breaker.kind == "native-build-fail"
-        assert "injected native-build-fail" in breaker.reason
+        assert degrade.counters() == {
+            f"kernel.{counting_kernel.name}:native-build-fail": 1
+        }
+        # the schedule is gone, but the kernel stays off for the process
+        monkeypatch.delenv("REPRO_FAULTS")
+        assert native_counting.run(KEYS, 3) is None
+        counting_kernel.reset()
+        if counting_kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        assert np.array_equal(native_counting.run(KEYS, 3), EXPECTED)
 
     def test_build_info_reports_degraded(
         self, monkeypatch, counting_kernel
     ):
         _set_faults(monkeypatch, "native-build-fail:p=1")
         info = counting_kernel.build_info()
-        assert info["degraded"] is True
         assert info["available"] is False
-        assert info["status"].startswith("degraded: ")
-        assert "native-build-fail" in info["fallback"]
+        assert info["status"].startswith("degraded: native-build-fail: ")
         assert "injected native-build-fail" in info["status"]
+        assert info["fallback"] == info["status"]
 
     def test_build_info_clean_kernel_not_degraded(self, counting_kernel):
         info = counting_kernel.build_info()
-        assert info["degraded"] is False
+        assert not info["status"].startswith("degraded")
 
-    def test_runtime_fault_opens_then_probe_recovers(
-        self, monkeypatch, counting_kernel
-    ):
+    def test_runtime_fault_latches(self, monkeypatch, counting_kernel):
         if counting_kernel.lib() is None:
             pytest.skip("native kernel unavailable")
         _set_faults(monkeypatch, "native-runtime-fault:p=1")
         assert native_counting.run(KEYS, 3) is None  # fault -> fallback
-        breaker = degrade.breaker_state(counting_kernel.name)
-        assert breaker.state == "open"
-        # clear the schedule: the breaker keeps gating on its own
         monkeypatch.delenv("REPRO_FAULTS")
-        for _ in range(breaker.cooldown):
-            assert native_counting.run(KEYS, 3) is None  # cool-down skip
-        result = native_counting.run(KEYS, 3)  # half-open probe succeeds
-        assert np.array_equal(result, EXPECTED)
-        assert degrade.breaker_state(counting_kernel.name).state == "closed"
-
-    def test_usable_gates_on_open_breaker(self, counting_kernel):
-        if counting_kernel.lib() is None:
-            pytest.skip("native kernel unavailable")
-        assert counting_kernel.usable() is not None
-        degrade.record_kernel_fault(counting_kernel, RuntimeError("boom"))
-        assert counting_kernel.usable() is None
+        assert native_counting.run(KEYS, 3) is None  # still off
+        assert counting_kernel.lib() is None
+        info = counting_kernel.build_info()
+        assert info["status"].startswith("degraded: native-runtime-fault: ")
+        assert degrade.counters() == {
+            f"kernel.{counting_kernel.name}:native-runtime-fault": 1
+        }
+        counting_kernel.reset()
+        assert np.array_equal(native_counting.run(KEYS, 3), EXPECTED)
 
     def test_runtime_gate_routes_injected_fault(
         self, monkeypatch, counting_kernel
     ):
         _set_faults(monkeypatch, "native-runtime-fault:p=1")
         assert not native_core.runtime_gate(counting_kernel)
-        assert degrade.breaker_state(counting_kernel.name).state == "open"
+        assert counting_kernel.lib() is None
+        assert degrade.counters() == {
+            f"kernel.{counting_kernel.name}:native-runtime-fault": 1
+        }
+
+    def test_metis_under_runtime_fault_records_vector(self, monkeypatch):
+        kernel = native_fm.KERNEL
+        kernel.reset()
+        if kernel.lib() is None:
+            pytest.skip("native kernel unavailable")
+        graph = random_graph(2000, 10000, seed=5)
+        assert graph.num_directed_edges > VECTOR_MIN_WORK
+        scheme = get_scheme("metis")
+        clean = scheme.order(graph)
+        assert clean.metadata[ENGINE_METADATA_KEY] == "native"
+        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        try:
+            faulted = get_scheme("metis").order(graph)
+        finally:
+            # the builder's counting sort latches off too
+            for name in native_core.kernel_names():
+                native_core.get_kernel(name).reset()
+        assert faulted.metadata[ENGINE_METADATA_KEY] == "vector"
+        assert np.array_equal(faulted.permutation, clean.permutation)
+        assert degrade.counters()[
+            f"kernel.{kernel.name}:native-runtime-fault"
+        ] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +270,17 @@ class TestHealth:
         assert report["counters"] == {}
         assert "ok (no degradation recorded)" in degrade.format_health()
 
-    def test_degraded_process_reports_everything(self):
+    def test_degraded_process_reports_everything(self, counting_kernel):
         degrade.record("some-site", "some-kind", "detail")
-        kernel = _fake_kernel()
-        degrade.record_kernel_fault(kernel, RuntimeError("boom"))
+        counting_kernel.disable("native-runtime-fault", RuntimeError("boom"))
         report = degrade.health_report()
         assert not report["healthy"]
         text = degrade.format_health(report)
-        assert "open-breakers=1" in text
-        assert f"[breaker] {kernel.name}: open" in text
-        assert "re-dispatching to vector" in text
+        assert "degraded-sites=2" in text
+        assert (
+            f"[counter] kernel.{counting_kernel.name}:native-runtime-fault: 1"
+            in text
+        )
         assert "[counter] some-site:some-kind: 1" in text
 
     def test_journal_write_health_record(self, monkeypatch, tmp_path):

@@ -24,7 +24,8 @@ from repro.simulator import (
     lru_stack_distances,
     miss_ratio_curve,
 )
-from repro.simulator import _native, batch
+from repro._native import lru as native_lru
+from repro.simulator import batch
 from repro.simulator.parallel import (
     SimulatedMachine,
     WorkItem,
@@ -64,8 +65,7 @@ def assert_same_state(a, b):
 @pytest.fixture
 def python_fallback(monkeypatch):
     """Force the pure-Python replay path regardless of the toolchain."""
-    monkeypatch.setattr(_native, "_tried", True)
-    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(native_lru.KERNEL, "lib", lambda: None)
 
 
 class TestCacheAccessBatch:
@@ -105,13 +105,13 @@ class TestCacheAccessBatch:
         assert cache.stats.accesses == 0
 
     def test_native_and_python_paths_agree(self, monkeypatch):
-        if _native.lib() is None:
+        if native_lru.KERNEL.lib() is None:
             pytest.skip("no compiler available for the native kernel")
         rng = np.random.default_rng(11)
         trace = rng.integers(0, 400, size=2000)
         native_cache = Cache(GEOMETRIES[4])
         native_hits = cache_access_batch(native_cache, trace)
-        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(native_lru.KERNEL, "lib", lambda: None)
         python_cache = Cache(GEOMETRIES[4])
         python_hits = cache_access_batch(python_cache, trace)
         assert np.array_equal(native_hits, python_hits)
