@@ -70,8 +70,7 @@ bench-threads:
 
 bench-native:
 	PYTHONPATH=src python -m repro.bench --native-info
-	PYTHONPATH=src python -m pytest -x -q tests/test_native_kernels.py \
-		tests/test_graph_shm.py
+	PYTHONPATH=src python -m pytest -x -q tests/test_native_kernels.py
 	REPRO_NO_NATIVE=1 PYTHONPATH=src python -m pytest -x -q \
 		tests/test_native_kernels.py
 

@@ -23,7 +23,7 @@ set -eu
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 export PYTHONPATH=src
-unset REPRO_FAULTS REPRO_NO_NATIVE REPRO_NO_SHM 2>/dev/null || true
+unset REPRO_FAULTS REPRO_NO_NATIVE 2>/dev/null || true
 # pgp is the smallest dataset whose work crosses VECTOR_MIN_WORK, so
 # the grid genuinely dispatches native kernels (and degrades) instead
 # of short-circuiting to the scalar tier

@@ -127,7 +127,10 @@ def native_threads() -> int:
     Resolution order: :func:`use_native_threads` override, then the
     ``REPRO_NATIVE_THREADS`` environment knob, then ``os.cpu_count()``
     bounded by any :func:`set_thread_cap` cap.  ``=1`` forces the serial
-    path inside the kernel; the result is bit-identical either way.
+    path inside the kernel; the result is bit-identical either way.  A
+    malformed knob raises ``ValueError``, as
+    :func:`sanitize_profile` does: a typo must not quietly run some
+    other thread count.
     """
     if _thread_override is not None:
         return _thread_override
@@ -136,7 +139,9 @@ def native_threads() -> int:
         try:
             return max(1, min(MAX_THREADS, int(env)))
         except ValueError:
-            pass  # fall through to the default on a malformed knob
+            raise ValueError(
+                f"REPRO_NATIVE_THREADS={env!r} is not an integer"
+            ) from None
     count = os.cpu_count() or 1
     if _thread_cap is not None:
         count = min(count, _thread_cap)
@@ -495,13 +500,16 @@ class NativeKernel:
         """The compiled kernel, or None when unavailable or disabled."""
         if self._tried:
             return self._lib
-        self._tried = True
         if os.environ.get("REPRO_NO_NATIVE"):
+            self._tried = True
             self._status = "disabled by REPRO_NO_NATIVE"
             return None
-        # resolved outside the fallback guard: a malformed sanitizer
-        # knob must fail loudly, never silently run uninstrumented
+        # resolved outside the fallback guard (and before the latch): a
+        # malformed sanitizer or thread knob must fail loudly on every
+        # call, never silently run uninstrumented or at another width
         profile = sanitize_profile()
+        native_threads()
+        self._tried = True
         try:
             self._lib = self._build(profile)
             self._status = "cached" if self._cache_hit else "compiled"

@@ -23,11 +23,10 @@ Rules:
 ``env-read``
     ``os.environ`` / ``os.getenv`` outside the sanctioned config entry
     points (:data:`SANCTIONED_ENV_MODULES`: :mod:`repro.engine`,
-    :mod:`repro.ordering.store`, :mod:`repro._native.core` — which owns
-    the ``REPRO_NO_NATIVE`` and ``REPRO_NATIVE_THREADS`` knobs —
-    :mod:`repro.graph.shm`, :mod:`repro.graph.store`,
-    :mod:`repro.analysis.sanitize`, :mod:`repro.resilience.faults`,
-    :mod:`repro.resilience.journal`).
+    :mod:`repro._native.core` — which owns the ``REPRO_NO_NATIVE``,
+    ``REPRO_NATIVE_THREADS`` and ``REPRO_NATIVE_SANITIZE`` knobs —
+    :mod:`repro.analysis.sanitize`, :mod:`repro.resilience.faults` and
+    :mod:`repro.resilience.store`, which owns ``REPRO_CACHE_DIR``).
     Scattered env reads make a run's configuration impossible to pin.
 ``mutable-default``
     Mutable default arguments — shared state across calls breaks replay
@@ -48,6 +47,7 @@ from typing import Iterable, Iterator
 from .core import FileContext, Finding, rule
 
 __all__ = [
+    "env_accesses",
     "SANCTIONED_ENV_MODULES",
     "WALL_CLOCK_EXEMPT_PREFIXES",
     "LEGACY_NUMPY_RANDOM",
@@ -57,13 +57,10 @@ __all__ = [
 SANCTIONED_ENV_MODULES = frozenset(
     {
         "repro.engine",
-        "repro.ordering.store",
         "repro._native.core",
-        "repro.graph.shm",
-        "repro.graph.store",
         "repro.analysis.sanitize",
         "repro.resilience.faults",
-        "repro.resilience.journal",
+        "repro.resilience.store",
     }
 )
 
@@ -366,6 +363,31 @@ def check_unordered_iter(ctx: FileContext) -> Iterator[Finding]:
     yield from findings
 
 
+def env_accesses(tree: ast.AST) -> Iterator[tuple[ast.AST, list[str]]]:
+    """Every ``os.environ`` / ``os.getenv`` / ``os.putenv`` reference.
+
+    Yields the referencing node with its dotted name; aliased ``os``
+    imports and ``from os import environ`` bindings are followed.
+    """
+    os_aliases = _import_aliases(tree, "os")
+    from_os = _from_imports(tree, "os")
+    env_names = {
+        local for local, orig in from_os.items()
+        if orig in ("environ", "getenv", "putenv")
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            parts = _dotted(node)
+            if (
+                len(parts) == 2
+                and parts[0] in os_aliases
+                and parts[1] in ("environ", "getenv", "putenv")
+            ):
+                yield node, parts
+        elif isinstance(node, ast.Name) and node.id in env_names:
+            yield node, [node.id]
+
+
 @rule(
     "env-read",
     "os.environ access outside the sanctioned config entry points",
@@ -377,33 +399,13 @@ def check_env_read(ctx: FileContext) -> Iterator[Finding]:
         or ctx.module.startswith("repro.analysis")
     ):
         return
-    tree = ctx.tree
-    os_aliases = _import_aliases(tree, "os")
-    from_os = _from_imports(tree, "os")
-    env_names = {
-        local for local, orig in from_os.items()
-        if orig in ("environ", "getenv", "putenv")
-    }
-    for node in ast.walk(tree):
-        parts: list[str] = []
-        if isinstance(node, ast.Attribute):
-            parts = _dotted(node)
-            if not (
-                len(parts) == 2
-                and parts[0] in os_aliases
-                and parts[1] in ("environ", "getenv", "putenv")
-            ):
-                continue
-        elif isinstance(node, ast.Name) and node.id in env_names:
-            parts = [node.id]
-        else:
-            continue
+    for node, parts in env_accesses(ctx.tree):
         yield ctx.finding(
             "env-read", node,
             f"environment access ({'.'.join(parts)}) outside the "
             f"sanctioned entry points "
             f"({', '.join(sorted(SANCTIONED_ENV_MODULES))}); route "
-            f"configuration through repro.engine or repro.ordering.store",
+            f"configuration through one of them",
         )
 
 
@@ -456,7 +458,7 @@ def check_bare_oserror_swallow(ctx: FileContext) -> Iterator[Finding]:
     """Flag silently swallowed I/O errors — route them or explain them.
 
     An ``except OSError`` whose body only passes / returns nothing /
-    continues makes resource pressure (``ENOSPC``, a full ``/dev/shm``,
+    continues makes resource pressure (``ENOSPC``, a read-only volume,
     a vanished file) invisible.  The handler must either route the error
     through :func:`repro.resilience.degrade.record` (named counter, one
     warning) or carry a ``# degrade: <reason>`` comment stating why the

@@ -27,9 +27,6 @@ report ``==`` the computed one and renders the same text.  The file
 mechanics — atomic writes, quarantine of damaged entries, disk-full
 degrade, fault seams — are the shared
 :class:`repro.resilience.store.EntryStore`'s.
-
-The store follows the ordering cache's switch: ``REPRO_ORDERING_CACHE=0``
-turns it off, and every cell is computed.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from ..apps.community_detection import (
 from ..apps.influence_max import InfluenceMaxReport
 from ..graph.csr import CSRGraph
 from ..ordering.base import Ordering
-from ..ordering.store import cache_root, store_enabled
 from ..resilience.journal import cell_key
 from ..resilience.store import EntryStore
 from ..simulator.counters import CounterReport
@@ -59,7 +55,6 @@ from ..simulator.parallel import ExecutionResult
 __all__ = [
     "CellStore",
     "cached_cell",
-    "default_cell_store",
     "entry_key",
     "source_digest",
 ]
@@ -159,9 +154,7 @@ class CellStore(EntryStore):
 
     site = "cell-store"
     suffix = ".json"
-
-    def __init__(self, root: str | None = None) -> None:
-        super().__init__(os.path.join(root or cache_root(), "cells"))
+    directory = "cells"
 
     def entry_path(self, kind: str, key: str) -> str:
         """Full path of the entry for ``key`` of ``kind``."""
@@ -217,22 +210,6 @@ class CellStore(EntryStore):
         return report
 
 
-def default_cell_store() -> CellStore | None:
-    """The process-wide cell store, or ``None`` when caching is off.
-
-    Follows the ordering cache: the same ``REPRO_CACHE_DIR`` root and
-    the same ``REPRO_ORDERING_CACHE=0`` switch.
-    """
-    if not store_enabled():
-        return None
-    root = cache_root()
-    store = _STORES.get(root)
-    if store is None:
-        store = CellStore(root)
-        _STORES[root] = store
-    return store
-
-
 def cached_cell(
     kind: str,
     graph: CSRGraph,
@@ -240,13 +217,7 @@ def cached_cell(
     params: dict,
     compute: Callable[[], R],
 ) -> R:
-    """``compute()`` for one cell, through the store when it is on."""
-    store = default_cell_store()
-    if store is None:
-        return compute()
-    return store.get_or_compute(
+    """``compute()`` for one cell, through the process-wide store."""
+    return CellStore.default().get_or_compute(
         kind, entry_key(kind, graph, ordering, params), compute
     )
-
-
-_STORES: dict[str, CellStore] = {}

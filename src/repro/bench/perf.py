@@ -975,7 +975,7 @@ def measure_ingest(
             built["scalar"], built["native"]
         )
 
-        store = GraphStore(str(Path(tmp) / "graphs"))
+        store = GraphStore(tmp)
         timings["store_save"], _ = _best_of(
             lambda: store.save("bench", graph), 1
         )

@@ -150,15 +150,13 @@ def map_cells_detailed(
     jobs: int | None = None,
     timeout: float | None = None,
     retries: int | None = None,
-    worker_init: Callable[[], None] | None = None,
 ) -> list[CellResult]:
     """Supervised ``map``: one :class:`CellResult` per cell, input order.
 
     A cell that crashes its worker, times out, or raises is retried up
     to ``retries`` times (deterministic seeded backoff) and then
     degrades to ``ok=False`` with the error recorded — the grid always
-    completes.  ``worker_init`` runs once per (re)spawned worker (see
-    :func:`repro.resilience.supervisor.run_supervised`).
+    completes.
     """
     width = jobs if jobs is not None else _default_jobs
     if width < 1:
@@ -169,7 +167,6 @@ def map_cells_detailed(
         jobs=width,
         timeout=timeout if timeout is not None else _default_timeout,
         retries=retries if retries is not None else _default_retries,
-        worker_init=worker_init,
     )
 
 
@@ -180,7 +177,6 @@ def map_cells(
     jobs: int | None = None,
     timeout: float | None = None,
     retries: int | None = None,
-    worker_init: Callable[[], None] | None = None,
 ) -> list[R]:
     """``[worker(c) for c in cells]``, fanned out over processes.
 
@@ -203,8 +199,7 @@ def map_cells(
     if (width <= 1 or len(cell_list) <= 1) and faults.active_plan() is None:
         return [worker(c) for c in cell_list]
     results = map_cells_detailed(
-        worker, cell_list, jobs=width, timeout=timeout, retries=retries,
-        worker_init=worker_init,
+        worker, cell_list, jobs=width, timeout=timeout, retries=retries
     )
     failures = [
         (index, result.error or "unknown failure")

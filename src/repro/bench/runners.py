@@ -27,13 +27,11 @@ Resilience wiring (:mod:`repro.resilience`):
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable
 
 import numpy as np
 
-from ..datasets.registry import install_shared_graph, load
-from ..graph import shm as graph_shm
+from ..datasets.registry import load
 from ..graph.csr import CSRGraph
 from ..measures.gaps import GapMeasures, gap_measures
 from ..ordering.base import Ordering, get_scheme
@@ -210,36 +208,19 @@ def _ordering_cell(cell: tuple[str, str]) -> Ordering:
     return ordering_for(*cell)
 
 
-def _install_shared(metas: tuple[tuple[str, dict], ...]) -> None:
-    """Worker init: register the parent's shared-graph segments."""
-    for name, meta in metas:
-        install_shared_graph(name, meta)
-
-
-def _shared_worker_init(
+def _load_for_fan_out(
     missing: list[tuple[str, str]], jobs: int | None
-) -> Callable[[], None] | None:
-    """Publish each dataset's CSR once; workers then attach zero-copy.
+) -> None:
+    """Load every dataset of ``missing`` before a fan-out of width > 1.
 
-    Only kicks in when the warm will actually fan out (effective width
-    > 1) and sharing is enabled.  The parent loads each graph (it
-    usually needs them afterwards anyway, e.g. for gap measures) and
-    publishes it; the returned init — a picklable partial over a
-    module-level function — installs the segment metas in every worker
-    the supervisor (re)spawns.  Segments stay published until process
-    exit, so later warms reuse them for free.
+    Pool workers are forked, so they inherit the parent's loaded graphs:
+    a cold run builds (and stores) each graph once, not once per worker.
+    The parent usually needs the graphs afterwards anyway (gap measures).
     """
     width = jobs if jobs is not None else default_jobs()
-    if min(width, len(missing)) <= 1 or not graph_shm.shm_enabled():
-        return None
-    metas: list[tuple[str, dict]] = []
-    for dataset in dict.fromkeys(ds for _scheme, ds in missing):
-        meta = graph_shm.publish_graph(load(dataset))
-        if meta is not None:
-            metas.append((dataset, meta))
-    if not metas:
-        return None
-    return functools.partial(_install_shared, tuple(metas))
+    if min(width, len(missing)) > 1:
+        for dataset in dict.fromkeys(ds for _scheme, ds in missing):
+            load(dataset)
 
 
 def _measures_cell(cell: tuple[str, str]) -> GapMeasures:
@@ -279,12 +260,9 @@ def _warm_supervised(
         dispatch.append(pair)
     if not dispatch:
         return
+    _load_for_fan_out(dispatch, jobs)
     for pair, result in zip(
-        dispatch,
-        map_cells_detailed(
-            worker, dispatch, jobs=jobs,
-            worker_init=_shared_worker_init(dispatch, jobs),
-        ),
+        dispatch, map_cells_detailed(worker, dispatch, jobs=jobs)
     ):
         scheme, dataset = pair
         journal_key = (
@@ -332,12 +310,9 @@ def warm_orderings(
     if _supervised():
         _warm_supervised(missing, kind="ordering", jobs=jobs)
         return
+    _load_for_fan_out(missing, jobs)
     for pair, ordering in zip(
-        missing,
-        map_cells(
-            _ordering_cell, missing, jobs=jobs,
-            worker_init=_shared_worker_init(missing, jobs),
-        ),
+        missing, map_cells(_ordering_cell, missing, jobs=jobs)
     ):
         _ordering_cache[pair] = ordering
 
@@ -354,12 +329,9 @@ def warm_measures(
     if _supervised():
         _warm_supervised(missing, kind="measures", jobs=jobs)
         return
+    _load_for_fan_out(missing, jobs)
     for pair, measures in zip(
-        missing,
-        map_cells(
-            _measures_cell, missing, jobs=jobs,
-            worker_init=_shared_worker_init(missing, jobs),
-        ),
+        missing, map_cells(_measures_cell, missing, jobs=jobs)
     ):
         _measures_cache[pair] = measures
 

@@ -4,13 +4,10 @@ Surrogate construction is deterministic but not free (Delaunay, planted
 partitions), so built graphs are memoised per process.  Tests and
 benchmarks go through :func:`load` / :func:`load_many`.
 
-Loads consult three layers before building:
+Loads consult two layers before building:
 
-1. the per-process memo;
-2. shared memory (:mod:`repro.graph.shm`) when the parent published the
-   dataset's CSR arrays and installed the segment meta via
-   :func:`install_shared_graph` — pool workers attach zero-copy;
-3. the persistent graph store (:mod:`repro.graph.store`) — a warm
+1. the per-process memo — forked pool workers inherit the parent's;
+2. the persistent graph store (:mod:`repro.graph.store`) — a warm
    process mmap-attaches the ``.rgr`` entry in milliseconds instead of
    re-running the generator recipe.
 
@@ -28,18 +25,14 @@ from __future__ import annotations
 
 import hashlib
 
-from ..graph import shm as graph_shm
 from ..graph import store as graph_store
 from ..graph.csr import CSRGraph
-from ..resilience import degrade
 from . import catalog as _catalog_module
 from .catalog import CATALOG, LARGE_SET, SMALL_SET, DatasetSpec, audit_graph
 
 __all__ = [
     "load",
     "load_many",
-    "install_shared_graph",
-    "shared_graph_metas",
     "dataset_store_key",
     "spec",
     "dataset_names",
@@ -47,12 +40,8 @@ __all__ = [
     "large_set",
 ]
 
-#: per-process graph memo (explicit dict so shared-graph installs can
-#: invalidate a single entry, which ``lru_cache`` cannot).
+#: per-process graph memo (explicit dict so tests can clear it).
 _graph_cache: dict[str, CSRGraph] = {}
-
-#: dataset name -> shared-memory segment meta (see repro.graph.shm).
-_shared_metas: dict[str, dict] = {}
 
 #: memoised digest of the recipe sources (computed once per process).
 _recipe_digest: str | None = None
@@ -94,55 +83,21 @@ def dataset_store_key(name: str) -> str:
     return f"{name}-{_recipe_source_digest()[:16]}"
 
 
-def install_shared_graph(name: str, meta: dict) -> None:
-    """Serve future ``load(name)`` calls from a shared-memory segment.
-
-    Called in pool workers (via their ``worker_init``) with metas the
-    parent obtained from :func:`repro.graph.shm.publish_graph`.  Any
-    memoised graph for ``name`` is dropped so the next load attaches the
-    shared segment — forked workers would otherwise keep serving the
-    copy-on-write build they inherited.
-    """
-    _shared_metas[name] = meta
-    _graph_cache.pop(name, None)
-
-
-def shared_graph_metas() -> dict[str, dict]:
-    """The installed shared-graph metas (diagnostics and tests)."""
-    return dict(_shared_metas)
-
-
 def _load_uncached(name: str) -> CSRGraph:
-    """Resolve ``name`` through shm, then the store, then the builder."""
-    meta = _shared_metas.get(name)
-    if meta is not None:
-        graph = graph_shm.attach_graph(meta)
-        if graph is not None:
-            return graph
-        # the parent promised this dataset over shm but the attach
-        # failed — the per-worker store/build ladder below still serves
-        # it, at per-worker cost; make the downgrade visible
-        degrade.record(
-            "datasets.load",
-            "shm-fallback",
-            f"{name}: shared segment unavailable, "
-            "loading per worker instead",
-        )
-    store = graph_store.default_store()
-    key = dataset_store_key(name) if store is not None else ""
-    if store is not None:
-        graph = store.load(key)
-        if graph is not None:
-            return graph
+    """Resolve ``name`` through the store, then the builder."""
+    store = graph_store.GraphStore.default()
+    key = dataset_store_key(name)
+    graph = store.load(key)
+    if graph is not None:
+        return graph
     graph = spec(name).build()
     audit_graph(graph)
-    if store is not None:
-        store.save(key, graph)
+    store.save(key, graph)
     return graph
 
 
 def load(name: str) -> CSRGraph:
-    """Build (or fetch from cache / shared memory / store) ``name``."""
+    """Build (or fetch from the memo / store) ``name``."""
     graph = _graph_cache.get(name)
     if graph is None:
         graph = _load_uncached(name)

@@ -7,10 +7,8 @@ this store persists them verbatim: a warm load is an ``mmap`` attach of
 page-aligned ``int64``/``float64`` arrays, costing milliseconds and no
 heap copies regardless of graph size.  Pages fault in lazily as the
 arrays are traversed, and read-only mappings of the same file are
-shared between processes by the page cache — the on-disk twin of the
-shared-memory fan-out in :mod:`repro.graph.shm` (which can publish a
-mapped graph's arrays directly, copying from the page cache instead of
-a rebuilt heap).
+shared between processes by the page cache, so pool workers that load
+the same entry share its pages.
 
 File layout (little-endian)::
 
@@ -33,15 +31,8 @@ header, short file, or (when verification is on) a content-hash
 mismatch quarantines the file to ``<entry>.bad`` and reports a miss, so
 callers rebuild and rewrite.  Writes are atomic (temp + ``os.replace``)
 and the ``cache-corrupt`` injected fault tears fresh entries to keep
-the recovery path property-tested.
-
-Environment switches:
-
-* ``REPRO_GRAPH_CACHE`` — ``0`` disables the store; any other value is
-  the store directory (default: ``$REPRO_CACHE_DIR/graphs``).
-* ``REPRO_NO_MMAP=1`` — load with copying reads instead of ``mmap``
-  (for filesystems where mappings are unreliable); results are
-  identical, only residency behaviour changes.
+the recovery path property-tested.  The store always lives at
+``$REPRO_CACHE_DIR/graphs`` (:func:`repro.resilience.store.cache_root`).
 """
 
 from __future__ import annotations
@@ -59,20 +50,13 @@ from .csr import CSRGraph
 
 __all__ = [
     "GraphStore",
-    "default_store",
-    "store_enabled",
-    "mmap_enabled",
     "write_graph_file",
     "read_graph_file",
     "FORMAT_VERSION",
-    "ENV_STORE",
-    "ENV_NO_MMAP",
 ]
 
 MAGIC = b"RGR1"
 FORMAT_VERSION = 1
-ENV_STORE = "REPRO_GRAPH_CACHE"
-ENV_NO_MMAP = "REPRO_NO_MMAP"
 
 #: arrays start on page boundaries so mappings are alignment-friendly.
 _PAGE = 4096
@@ -82,16 +66,6 @@ _PREAMBLE = 12
 
 #: damaged entries raise these at parse time; all mean "quarantine".
 _CORRUPTION_ERRORS = (OSError, EOFError, KeyError, ValueError, TypeError)
-
-
-def store_enabled() -> bool:
-    """Whether the persistent graph store is on (``REPRO_GRAPH_CACHE``)."""
-    return os.environ.get(ENV_STORE, "") != "0"
-
-
-def mmap_enabled() -> bool:
-    """Whether loads attach via ``mmap`` (off under ``REPRO_NO_MMAP=1``)."""
-    return os.environ.get(ENV_NO_MMAP, "") != "1"
 
 
 def _page_ceil(offset: int) -> int:
@@ -179,7 +153,7 @@ def write_graph_file(path: str, graph: CSRGraph) -> str:
 
 
 def _read_arrays(path: str, header: dict):
-    """The three CSR arrays for a parsed header (mmap or copying)."""
+    """The three CSR arrays for a parsed header, as read-only mmaps."""
     n = int(header["num_vertices"])
     mdir = int(header["num_directed_edges"])
     weighted = bool(header["weighted"])
@@ -189,24 +163,14 @@ def _read_arrays(path: str, header: dict):
     )
     if os.path.getsize(path) < end:
         raise ValueError("short file")
-    if mmap_enabled():
-        def attach(offset, dtype, count):
-            if count == 0:  # zero bytes cannot be mapped
-                return np.empty(0, dtype=dtype)
-            return np.memmap(
-                path, mode="r", dtype=dtype, offset=offset, shape=(count,)
-            )
-    else:
-        def attach(offset, dtype, count):
-            if count == 0:
-                return np.empty(0, dtype=dtype)
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                array = np.fromfile(handle, dtype=dtype, count=count)
-            if array.size != count:
-                raise ValueError("short read")
-            array.setflags(write=False)
-            return array
+
+    def attach(offset, dtype, count):
+        if count == 0:  # zero bytes cannot be mapped
+            return np.empty(0, dtype=dtype)
+        return np.memmap(
+            path, mode="r", dtype=dtype, offset=offset, shape=(count,)
+        )
+
     indptr = attach(indptr_off, np.int64, n + 1)
     indices = attach(indices_off, np.int64, mdir)
     weights = attach(weights_off, np.float64, mdir) if weighted else None
@@ -242,8 +206,8 @@ def read_graph_file(path: str, *, verify: bool = False) -> CSRGraph:
             raise ValueError("content hash mismatch")
     else:
         # the arrays were hashed at write time; adopt the digest so
-        # downstream consumers (ordering cache keys, shm segment names)
-        # do not fault in every page just to recompute it.
+        # downstream consumers (ordering and cell cache keys) do not
+        # fault in every page just to recompute it.
         graph._content_hash = str(header["content_hash"])
     for key, value in dict(header.get("meta") or {}).items():
         graph.meta[key] = value
@@ -265,9 +229,7 @@ class GraphStore(EntryStore):
 
     site = "graph-store"
     suffix = ".rgr"
-
-    def __init__(self, root: str | None = None) -> None:
-        super().__init__(root if root is not None else _default_root())
+    directory = "graphs"
 
     def path(self, key: str) -> str:
         """Full path of the entry for ``key``."""
@@ -310,31 +272,3 @@ class GraphStore(EntryStore):
             # persistent layer is lost for this entry
             degrade.record("graph-store.write", "disk-full", exc)
             return None
-
-
-def _default_root() -> str:
-    override = os.environ.get(ENV_STORE, "")
-    if override and override != "0":
-        return override
-    cache_root = os.environ.get("REPRO_CACHE_DIR") or ".repro-cache"
-    return os.path.join(cache_root, "graphs")
-
-
-def default_store() -> GraphStore | None:
-    """The process-wide store for the current environment, or ``None``.
-
-    Re-resolves the environment on every call (tests repoint the cache
-    directory per test); counters persist per resolved root for the
-    life of the process.
-    """
-    if not store_enabled():
-        return None
-    root = _default_root()
-    store = _STORES.get(root)
-    if store is None:
-        store = GraphStore(root)
-        _STORES[root] = store
-    return store
-
-
-_STORES: dict[str, GraphStore] = {}

@@ -53,7 +53,7 @@ from .partition import DEFAULT_NUM_PARTS, MetisOrder
 from .rabbit import RabbitOrder
 from .rcm import RCMOrder, cuthill_mckee_sequence, pseudo_peripheral_vertex
 from .slashburn import SlashBurnOrder
-from .store import OrderingStore, default_store, store_enabled
+from .store import OrderingStore
 from .traversal import BFSOrder, ChildrenDFSOrder, DFSOrder
 
 __all__ = [
@@ -94,8 +94,6 @@ __all__ = [
     "swap_delta",
     "HybridOrder",
     "OrderingStore",
-    "default_store",
-    "store_enabled",
     "PAPER_SCHEMES",
     "EXTENSION_SCHEMES",
 ]

@@ -26,10 +26,8 @@ file mechanics (atomic writes, quarantine, disk-full degrade, fault
 seams) are shared with the other caches through
 :class:`repro.resilience.store.EntryStore`.
 
-Set ``REPRO_ORDERING_CACHE=0`` to disable the persistent layer entirely
-(the in-process memo in :mod:`repro.bench.runners` still applies); the
-switch also turns off the application cell cache
-(:mod:`repro.bench.cells`).
+The store is always on; a volume that refuses writes degrades to
+compute-without-cache (see :class:`~repro.resilience.store.EntryStore`).
 """
 
 from __future__ import annotations
@@ -46,20 +44,7 @@ from ..graph.csr import CSRGraph
 from ..resilience.store import EntryStore
 from .base import Ordering, OrderingScheme
 
-__all__ = [
-    "OrderingStore",
-    "default_store",
-    "store_enabled",
-    "cached_order",
-    "cache_root",
-    "DEFAULT_CACHE_DIR",
-    "ENV_CACHE_DIR",
-    "ENV_CACHE_SWITCH",
-]
-
-DEFAULT_CACHE_DIR = ".repro-cache"
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-ENV_CACHE_SWITCH = "REPRO_ORDERING_CACHE"
+__all__ = ["OrderingStore", "cached_order"]
 
 #: bump to invalidate every persisted entry at once (format changes).
 #: v2 added the per-entry schema tag and payload checksum.
@@ -81,24 +66,12 @@ _CORRUPTION_ERRORS = (
 )
 
 
-def store_enabled() -> bool:
-    """Whether the persistent layer is switched on (default: yes)."""
-    return os.environ.get(ENV_CACHE_SWITCH, "1") != "0"
-
-
-def cache_root() -> str:
-    """The cache directory every persistent layer lives under."""
-    return os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
-
-
 class OrderingStore(EntryStore):
     """A content-addressed on-disk cache of :class:`Ordering` results."""
 
     site = "ordering-store"
     suffix = ".npz"
-
-    def __init__(self, root: str | None = None) -> None:
-        super().__init__(os.path.join(root or cache_root(), "orderings"))
+    directory = "orderings"
 
     # ------------------------------------------------------------------
     # Keys and paths
@@ -211,34 +184,11 @@ class OrderingStore(EntryStore):
         return ordering
 
 
-def default_store() -> OrderingStore | None:
-    """The process-wide store for the current environment, or ``None``.
-
-    Re-resolves ``REPRO_CACHE_DIR`` on every call (tests repoint it), and
-    returns ``None`` when ``REPRO_ORDERING_CACHE=0``.  Hit/miss counters
-    persist per resolved root for the life of the process.
-    """
-    if not store_enabled():
-        return None
-    root = cache_root()
-    store = _STORES.get(root)
-    if store is None:
-        store = OrderingStore(root)
-        _STORES[root] = store
-    return store
-
-
 def cached_order(graph: CSRGraph, scheme: OrderingScheme) -> Ordering:
-    """``scheme`` on ``graph``, through the process-wide store when on.
+    """``scheme`` on ``graph``, through the process-wide store.
 
     The one way bench code turns a configured scheme instance into an
     ordering: a hit skips the computation, and a miss is stored for
     every later run (and every pool worker) to reuse.
     """
-    store = default_store()
-    if store is None:
-        return scheme.order(graph)
-    return store.get_or_compute(graph, scheme)
-
-
-_STORES: dict[str, OrderingStore] = {}
+    return OrderingStore.default().get_or_compute(graph, scheme)

@@ -25,9 +25,8 @@ pipeline survive such failures *and* prove it under injected faults:
 :mod:`~repro.resilience.degrade`
     The process-wide degradation record: named counters for every
     fallback the run absorbs — a native kernel disabled after a build
-    or runtime fault, shm exhaustion, disk-full cache writes,
-    quarantined entries — and the run-level health report behind
-    ``python -m repro.bench --health``.
+    or runtime fault, disk-full cache writes, quarantined entries — and
+    the run-level health report behind ``python -m repro.bench --health``.
 :mod:`~repro.resilience.store`
     The file mechanics every on-disk cache shares: atomic writes,
     quarantine of damaged entries, disk-full degrade, and the fault

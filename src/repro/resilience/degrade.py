@@ -13,8 +13,8 @@ bounded event log.  Two families feed it:
   bit-identical by contract, so the downgrade never changes results,
   only the tier recorded in :data:`~repro.engine.ENGINE_METADATA_KEY`
   metadata.
-* **Resource pressure** — shm publish failure, disk-full cache write,
-  quarantined store entry: the run degrades to compute-without-cache.
+* **Resource pressure** — disk-full cache write, quarantined store
+  entry: the run degrades to compute-without-cache.
 
 The whole picture is queryable as a **health report**
 (:func:`health_report` / :func:`format_health`, surfaced by

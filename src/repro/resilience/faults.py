@@ -14,7 +14,7 @@ Spec grammar (``;``-separated clauses, ``:``-separated fields)::
     clause  := kind (":" name "=" value)*
     kind    := "worker-crash" | "cache-corrupt" | "cell-timeout"
              | "run-abort" | "native-build-fail" | "native-runtime-fault"
-             | "shm-exhausted" | "disk-full" | "store-torn-read"
+             | "disk-full" | "store-torn-read"
     params  := p=<float in [0,1]>   fire probability      (default 1)
                seed=<int>           schedule seed          (default 0)
                cells=<i,j,...>      restrict to cell indices
@@ -58,10 +58,6 @@ Fault kinds and their seams:
     mid-kernel, so no partially-mutated buffers), disabling the kernel
     for the process; this and every later call run the vector/scalar
     twin.
-``shm-exhausted``
-    :func:`repro.graph.shm.publish_graph` — segment creation raises
-    ``OSError(ENOSPC)`` as if ``/dev/shm`` were full; workers degrade to
-    per-worker store/mmap loads.
 ``disk-full``
     The cache/journal write seams (:mod:`repro.resilience.store`, shared
     by the ordering and cell caches, :mod:`repro.graph.store`,
@@ -97,7 +93,6 @@ __all__ = [
     "maybe_run_abort",
     "maybe_native_build_fail",
     "maybe_native_runtime_fault",
-    "maybe_shm_exhausted",
     "maybe_disk_full",
     "maybe_store_torn_read",
 ]
@@ -112,7 +107,6 @@ KINDS = (
     "run-abort",
     "native-build-fail",
     "native-runtime-fault",
-    "shm-exhausted",
     "disk-full",
     "store-torn-read",
 )
@@ -388,23 +382,6 @@ def maybe_native_runtime_fault(kernel: str) -> None:
     if plan.decide("native-runtime-fault", f"native-call:{kernel}:{nth}"):
         raise InjectedFault(
             f"injected native-runtime-fault in kernel {kernel!r} (call {nth})"
-        )
-
-
-def maybe_shm_exhausted(key: str) -> None:
-    """Raise ``OSError(ENOSPC)`` for the shm publish of ``key`` if scheduled.
-
-    ``key`` should be machine-independent (the graph content hash, not
-    the pid-bearing segment name) so the schedule reproduces across
-    hosts and pool workers.
-    """
-    plan = active_plan()
-    if plan is None:
-        return
-    if plan.decide("shm-exhausted", f"shm:{key}"):
-        raise OSError(
-            errno.ENOSPC,
-            f"injected shm-exhausted publishing segment for {key}",
         )
 
 

@@ -46,6 +46,7 @@ from typing import Iterator
 import hashlib
 
 from . import degrade, faults
+from .store import cache_root
 
 __all__ = [
     "RunJournal",
@@ -58,15 +59,8 @@ __all__ = [
     "list_runs",
 ]
 
-#: duplicated from repro.ordering.store to keep this package free of
-#: repro-internal imports (the store itself imports resilience.faults).
-DEFAULT_CACHE_DIR = ".repro-cache"
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-
-
 def _runs_root(root: str | None) -> str:
-    base = root or os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
-    return os.path.join(base, "runs")
+    return os.path.join(root or cache_root(), "runs")
 
 
 def run_directory(run_id: str, root: str | None = None) -> str:

@@ -8,8 +8,8 @@ by stating how many cells completed, which degraded (and why), and how
 much of the run was replayed from the journal versus computed fresh.
 The summary also surfaces this process's degradation counters
 (:mod:`repro.resilience.degrade` — disabled native kernels, cache-write
-failures, shm fallbacks), so an execution-substrate downgrade is as loud as a
-missing cell.
+failures, quarantined entries), so an execution-substrate downgrade is as
+loud as a missing cell.
 """
 
 from __future__ import annotations

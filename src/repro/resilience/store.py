@@ -20,6 +20,11 @@ implemented once here:
   ``store-torn-read`` kinds of :mod:`repro.resilience.faults` fire here,
   which keeps every recovery path above tested.
 
+Every store lives in its own directory under one cache root,
+``$REPRO_CACHE_DIR`` (default ``.repro-cache/``); :func:`cache_root` is
+the only reader of that variable, and the run journal
+(:mod:`repro.resilience.journal`) keeps its ``runs/`` next to the stores.
+
 Subclasses own their keys and payload formats (and their checksums);
 this class owns the files and the hit/miss/quarantine counters.
 """
@@ -28,10 +33,24 @@ from __future__ import annotations
 
 import os
 import tempfile
+from typing import TypeVar
 
 from . import degrade, faults
 
-__all__ = ["EntryStore"]
+__all__ = ["EntryStore", "cache_root"]
+
+DEFAULT_CACHE_DIR = ".repro-cache"
+ENV_CACHE_DIR = "REPRO_CACHE_DIR"
+
+_S = TypeVar("_S", bound="EntryStore")
+
+
+def cache_root() -> str:
+    """The directory every persistent store and run journal lives under.
+
+    Re-read on every call (tests repoint it per test).
+    """
+    return os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
 
 
 class EntryStore:
@@ -43,11 +62,27 @@ class EntryStore:
     #: entry file suffix; :meth:`entry_count` counts files ending in it.
     suffix = ""
 
-    def __init__(self, root: str) -> None:
-        self.root = root
+    #: the store's subdirectory of the cache root (set by each subclass).
+    directory: str
+
+    def __init__(self, root: str | None = None) -> None:
+        self.root = os.path.join(root or cache_root(), self.directory)
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
+
+    @classmethod
+    def default(cls: type[_S]) -> _S:
+        """The process-wide store of this kind under :func:`cache_root`.
+
+        The root is re-resolved on every call; hit/miss counters persist
+        per (store kind, root) for the life of the process.
+        """
+        root = cache_root()
+        store = _DEFAULTS.get((cls, root))
+        if store is None:
+            store = _DEFAULTS[(cls, root)] = cls(root)
+        return store
 
     # ------------------------------------------------------------------
     # Reads
@@ -190,3 +225,6 @@ def _discard_tmp(tmp_path: str | None) -> None:
         os.unlink(tmp_path)
     except OSError:
         pass  # degrade: scratch file on a refusing volume; no route
+
+
+_DEFAULTS: dict[tuple[type, str], EntryStore] = {}

@@ -97,7 +97,6 @@ def _worker_loop(
     tasks,
     results,
     timeout_hint: float | None,
-    worker_init: Callable[[], None] | None = None,
     thread_cap: int | None = None,
 ) -> None:
     """One supervised worker: run cells from ``tasks`` until sentinel.
@@ -134,11 +133,6 @@ def _worker_loop(
     from repro.bench.pool import set_default_jobs
 
     set_default_jobs(1)
-    if worker_init is not None:
-        try:
-            worker_init()
-        except Exception:  # noqa: BLE001 - init is only an optimisation
-            pass  # cells still run; they just rebuild what init shared
     stall = timeout_hint * 4.0 if timeout_hint else None
     while True:
         try:
@@ -251,7 +245,6 @@ def run_supervised(
     retries: int = 2,
     backoff_base: float = 0.05,
     backoff_seed: int = 0,
-    worker_init: Callable[[], None] | None = None,
 ) -> list[CellResult]:
     """Run ``worker`` over ``cells`` under supervision.
 
@@ -261,14 +254,6 @@ def run_supervised(
     seconds (``None`` = unbounded); ``retries`` bounds re-execution
     after a crash, timeout, or exception, with deterministic seeded
     backoff between attempts.
-
-    ``worker_init`` runs once in every worker process before its first
-    cell — including workers respawned after a crash — and is the hook
-    for attaching shared-memory graphs (:mod:`repro.graph.shm`).  It
-    must be picklable under spawn contexts; failures are swallowed (the
-    init is an optimisation, never a correctness dependency).  The
-    in-process sequential path never calls it: the parent already holds
-    whatever the init would share.
 
     ``KeyboardInterrupt`` (and any other supervisor-level error)
     terminates and joins every worker before propagating — a Ctrl-C on
@@ -294,7 +279,6 @@ def run_supervised(
         retries=retries,
         backoff_base=backoff_base,
         backoff_seed=backoff_seed,
-        worker_init=worker_init,
     )
 
 
@@ -307,7 +291,6 @@ def _run_parallel(
     retries: int,
     backoff_base: float,
     backoff_seed: int,
-    worker_init: Callable[[], None] | None = None,
 ) -> list[CellResult]:
     """The supervised pool proper (see :func:`run_supervised`)."""
     ctx = _context()
@@ -323,7 +306,6 @@ def _run_parallel(
                 task_recv,
                 result_send,
                 timeout,
-                worker_init,
                 thread_cap,
             ),
             daemon=True,

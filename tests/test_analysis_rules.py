@@ -251,7 +251,7 @@ class TestEnvRead:
         assert not lint(self.SOURCE, module="repro.engine")
 
     def test_sanctioned_store_module_clean(self):
-        assert not lint(self.SOURCE, module="repro.ordering.store")
+        assert not lint(self.SOURCE, module="repro.resilience.store")
 
     def test_from_import_flagged(self):
         findings = lint(

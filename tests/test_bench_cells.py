@@ -26,7 +26,6 @@ from repro.bench import cells
 from repro.bench.cells import (
     CellStore,
     cached_cell,
-    default_cell_store,
     entry_key,
     source_digest,
 )
@@ -328,9 +327,9 @@ def test_run_under_torn_reads_exits_zero(clean_fig9, tmp_path):
 # Wiring
 # ---------------------------------------------------------------------------
 def test_switch_turns_the_store_off(monkeypatch, tmp_path):
+    """A cache volume refusing every write computes every cell."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_ORDERING_CACHE", "0")
-    assert default_cell_store() is None
+    monkeypatch.setenv("REPRO_FAULTS", "disk-full:p=1")
     graph = make_grid(5, 4)
     ordering = get_scheme("rcm").order(graph)
     calls = []
@@ -347,16 +346,15 @@ def test_switch_turns_the_store_off(monkeypatch, tmp_path):
 
 def test_default_store_lives_under_the_cache_dir(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
-    store = default_cell_store()
-    assert store is not None
+    store = CellStore.default()
     assert store.root == os.path.join(str(tmp_path / "alt"), "cells")
-    assert default_cell_store() is store
+    assert CellStore.default() is store
 
 
 def test_repeated_cell_is_served_from_the_store():
     """Figure 10 re-reads Figure 9's cells instead of recomputing."""
     first = _cd_cell(("euroroad", "natural", 2))
-    store = default_cell_store()
+    store = CellStore.default()
     hits = store.hits
     assert _cd_cell(("euroroad", "natural", 2)) == first
     assert store.hits == hits + 1

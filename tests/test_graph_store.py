@@ -2,8 +2,8 @@
 
 The ``.rgr`` format holds the *canonical* CSR arrays, so the contract
 is exact: a load must reproduce the saved graph bit for bit (arrays,
-weightedness, content hash, JSON-safe meta) whether it attaches via
-``mmap`` or copies under ``REPRO_NO_MMAP=1``.  Damage of any kind —
+weightedness, content hash, JSON-safe meta) from read-only ``mmap``
+views.  Damage of any kind —
 torn magic, truncation, header rot, array corruption under
 verification — must quarantine the entry and report a miss, never
 raise.  The dataset registry rides on top: a second process (simulated
@@ -25,7 +25,7 @@ from repro.graph import store as gstore
 
 @pytest.fixture
 def store(tmp_path):
-    return gstore.GraphStore(str(tmp_path / "graphs"))
+    return gstore.GraphStore(str(tmp_path))
 
 
 def make_graph(n, edges, weights=None):
@@ -76,15 +76,6 @@ def test_mmap_views_are_read_only(store):
     assert not restored.indices.flags.writeable
     with pytest.raises((ValueError, RuntimeError)):
         restored.indices[0] = 99
-
-
-def test_no_mmap_copies(store, monkeypatch):
-    store.save("g", GRAPHS[3])
-    monkeypatch.setenv("REPRO_NO_MMAP", "1")
-    restored = store.load("g", verify=True)
-    assert restored == GRAPHS[3]
-    assert not isinstance(restored.indptr.base, np.memmap)
-    assert np.array_equal(restored.weights, GRAPHS[3].weights)
 
 
 def test_lazy_load_adopts_stored_content_hash(store):
@@ -165,19 +156,6 @@ def test_missing_entry_is_a_miss(store):
     assert store.misses == 1 and store.quarantined == 0
 
 
-def test_store_disabled_by_env(monkeypatch):
-    monkeypatch.setenv(gstore.ENV_STORE, "0")
-    assert gstore.default_store() is None
-    assert not gstore.store_enabled()
-
-
-def test_store_dir_override(monkeypatch, tmp_path):
-    monkeypatch.setenv(gstore.ENV_STORE, str(tmp_path / "override"))
-    store = gstore.default_store()
-    assert store is not None
-    assert store.root == str(tmp_path / "override")
-
-
 def test_clear_and_counts(store):
     store.save("a", GRAPHS[1])
     path = store.save("b", GRAPHS[2])
@@ -214,7 +192,7 @@ def test_registry_store_key_is_recipe_addressed():
 def test_registry_survives_corrupt_store_entry():
     registry._graph_cache.clear()  # force a build into this test's store
     first = registry.load("euroroad")
-    store = gstore.default_store()
+    store = gstore.GraphStore.default()
     path = store.path(registry.dataset_store_key("euroroad"))
     damage_truncate(path)
     registry._graph_cache.clear()
@@ -224,8 +202,12 @@ def test_registry_survives_corrupt_store_entry():
 
 
 def test_registry_store_disabled(monkeypatch):
-    monkeypatch.setenv(gstore.ENV_STORE, "0")
-    registry._graph_cache.clear()
-    served = registry.load("euroroad")
-    assert served.indptr.flags.writeable  # fresh build
+    """A cache volume refusing every write leaves the registry building."""
+    monkeypatch.setenv("REPRO_FAULTS", "disk-full:p=1")
+    store = gstore.GraphStore.default()
+    for _ in range(2):
+        registry._graph_cache.clear()
+        served = registry.load("euroroad")
+        assert served.indptr.flags.writeable  # fresh build, not mapped
+    assert store.entry_count() == 0
     assert served.meta["dataset_audit"]["isolated_vertices"] >= 0

@@ -275,11 +275,28 @@ def test_native_threads_resolution(monkeypatch):
     assert native_core.native_threads() == 1  # clamped up
     monkeypatch.setenv("REPRO_NATIVE_THREADS", "100000")
     assert native_core.native_threads() == native_core.MAX_THREADS
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "bogus")
-    assert native_core.native_threads() >= 1  # malformed knob -> default
     monkeypatch.setenv("REPRO_NATIVE_THREADS", "2")
     with native_core.use_native_threads(5):
         assert native_core.native_threads() == 5  # override beats env
+
+
+@pytest.mark.parametrize("value", ["bogus", "2x", "1.5"])
+def test_malformed_native_threads_fails_loudly(monkeypatch, value):
+    # a typo'd knob must not quietly run at the cpu_count default, and
+    # the kernel's fallback guard must not absorb it either
+    monkeypatch.setenv("REPRO_NATIVE_THREADS", value)
+    with pytest.raises(ValueError, match="REPRO_NATIVE_THREADS"):
+        native_core.native_threads()
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    kernel = native_core.get_kernel("counting_sort")
+    kernel.reset()
+    try:
+        with pytest.raises(ValueError, match="REPRO_NATIVE_THREADS"):
+            kernel.lib()
+        with pytest.raises(ValueError, match="REPRO_NATIVE_THREADS"):
+            kernel.lib()  # not latched as unavailable by the first raise
+    finally:
+        kernel.reset()
 
 
 def test_thread_cap_bounds_only_the_default(monkeypatch):
@@ -502,6 +519,7 @@ def test_malformed_sanitize_knob_fails_loudly(monkeypatch):
     """A typo'd knob must raise, never silently build uninstrumented."""
     kernel = native_core.get_kernel("counting_sort")
     kernel.reset()
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
     monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "nope")
     try:
         with pytest.raises(ValueError, match="nope"):
@@ -615,9 +633,10 @@ BROKEN_SRC = (
 )
 
 
-def test_compile_failure_surfaces_stderr():
+def test_compile_failure_surfaces_stderr(monkeypatch):
     if native_core._compiler() is None:
         pytest.skip("no C compiler")
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
     kernel = native_core.NativeKernel(
         "test_broken_fixture",
         BROKEN_SRC,

@@ -11,15 +11,11 @@ import numpy as np
 import pytest
 
 from repro.bench import runners
+from repro.datasets import registry
 from repro.datasets.registry import load
 from repro.graph import from_edges
-from repro.ordering import (
-    OrderingStore,
-    RandomOrder,
-    default_store,
-    get_scheme,
-    store_enabled,
-)
+from repro.graph.store import GraphStore
+from repro.ordering import OrderingStore, RandomOrder, get_scheme
 from tests.conftest import make_grid, make_two_cliques, random_graph
 
 
@@ -148,20 +144,10 @@ def test_clear_removes_everything(store):
 # ---------------------------------------------------------------------------
 def test_default_store_honours_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
-    store = default_store()
-    assert store is not None
+    store = OrderingStore.default()
     assert store.root == os.path.join(str(tmp_path / "alt"), "orderings")
     # Singleton per root: a second call reuses the same counters.
-    assert default_store() is store
-
-
-def test_disable_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_ORDERING_CACHE", "0")
-    assert not store_enabled()
-    assert default_store() is None
-    monkeypatch.setenv("REPRO_ORDERING_CACHE", "1")
-    assert store_enabled()
-    assert default_store() is not None
+    assert OrderingStore.default() is store
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +168,8 @@ def clean_runner_caches():
 
 def test_runner_hits_persistent_store(clean_runner_caches):
     first = runners.ordering_for("rcm", "euroroad")
-    store = default_store()
-    assert store is not None and store.entry_count() == 1
+    store = OrderingStore.default()
+    assert store.entry_count() == 1
     # Drop the in-process memo: the next call must come from disk.
     runners._ordering_cache.clear()
     hits_before = store.hits
@@ -195,8 +181,8 @@ def test_runner_hits_persistent_store(clean_runner_caches):
 def test_pool_round_trip_matches_fresh_compute(clean_runner_caches):
     pairs = [("rcm", "euroroad"), ("bfs", "euroroad")]
     runners.warm_orderings(pairs, jobs=2)
-    store = default_store()
-    assert store is not None and store.entry_count() == len(pairs)
+    store = OrderingStore.default()
+    assert store.entry_count() == len(pairs)
     graph = load("euroroad")
     for scheme_name, dataset in pairs:
         pooled = runners.ordering_for(scheme_name, dataset)
@@ -204,13 +190,35 @@ def test_pool_round_trip_matches_fresh_compute(clean_runner_caches):
         assert same_ordering(pooled, fresh)
 
 
+def test_cold_fan_out_builds_each_graph_in_the_parent(
+    clean_runner_caches,
+):
+    """A cold ``--jobs N`` fan-out loads its graphs once, before forking.
+
+    The forked workers inherit the parent's memo instead of each
+    rebuilding the same graph.
+    """
+    saved = dict(registry._graph_cache)
+    registry._graph_cache.clear()
+    try:
+        runners.warm_orderings([("rcm", "euroroad"), ("bfs", "euroroad")],
+                               jobs=2)
+        assert "euroroad" in registry._graph_cache
+        assert GraphStore.default().entry_count() == 1
+    finally:
+        registry._graph_cache.clear()
+        registry._graph_cache.update(saved)
+
+
 def test_runner_works_with_store_disabled(
     clean_runner_caches, monkeypatch
 ):
-    monkeypatch.setenv("REPRO_ORDERING_CACHE", "0")
+    """A cache volume refusing every write degrades to computing."""
+    monkeypatch.setenv("REPRO_FAULTS", "disk-full:p=1")
     ordering = runners.ordering_for("rcm", "euroroad")
     fresh = get_scheme("rcm").order(load("euroroad"))
     assert same_ordering(ordering, fresh)
+    assert OrderingStore.default().entry_count() == 0
 
 
 # ---------------------------------------------------------------------------

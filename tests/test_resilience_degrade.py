@@ -16,7 +16,6 @@ from repro._native import core as native_core
 from repro._native import counting as native_counting
 from repro._native import fm as native_fm
 from repro.engine import ENGINE_METADATA_KEY, VECTOR_MIN_WORK
-from repro.graph import shm
 from repro.graph.store import GraphStore
 from repro.ordering import OrderingStore, get_scheme
 from repro.resilience import degrade, faults
@@ -191,17 +190,9 @@ class TestKernelFaults:
 
 
 # ---------------------------------------------------------------------------
-# Resource pressure: shm, disk-full, torn reads
+# Resource pressure: disk-full, torn reads
 # ---------------------------------------------------------------------------
 class TestResourcePressure:
-    def test_shm_exhausted_degrades_to_none(self, monkeypatch):
-        if not shm.shm_enabled():
-            pytest.skip("shared memory disabled")
-        _set_faults(monkeypatch, "shm-exhausted:p=1")
-        graph = random_graph(50, 120, seed=7)
-        assert shm.publish_graph(graph) is None
-        assert degrade.counters()["shm.publish:shm-exhausted"] == 1
-
     def test_ordering_store_disk_full_computes_without_cache(
         self, monkeypatch, tmp_path
     ):
@@ -222,7 +213,7 @@ class TestResourcePressure:
     ):
         graph = random_graph(30, 60, seed=1)
         _set_faults(monkeypatch, "disk-full:p=1")
-        store = GraphStore(str(tmp_path / "graphs"))
+        store = GraphStore(str(tmp_path))
         assert store.save("entry", graph) is None
         assert degrade.counters()["graph-store.write:disk-full"] == 1
 
@@ -252,7 +243,7 @@ class TestResourcePressure:
         self, monkeypatch, tmp_path
     ):
         graph = random_graph(30, 60, seed=4)
-        store = GraphStore(str(tmp_path / "graphs"))
+        store = GraphStore(str(tmp_path))
         assert store.save("entry", graph) is not None
         _set_faults(monkeypatch, "store-torn-read:p=1")
         assert store.load("entry") is None

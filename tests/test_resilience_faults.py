@@ -298,11 +298,10 @@ class TestCacheCorrupt:
 class TestDegradationComposition:
     """The ladder's end-to-end contract (ISSUE satellite):
 
-    a ``--jobs 4`` bench run with every native build failing *and* shm
-    exhausted must exit 0 and print bit-identical results to a clean run
-    that was told up front to skip those tiers (``REPRO_NO_NATIVE=1
-    REPRO_NO_SHM=1``) — degradation changes the execution substrate,
-    never the bits.
+    a ``--jobs 4`` bench run with every native build failing must exit 0
+    and print bit-identical results to a clean run that was told up
+    front to skip that tier (``REPRO_NO_NATIVE=1``) — degradation
+    changes the execution substrate, never the bits.
     """
 
     ARGV = [
@@ -315,17 +314,14 @@ class TestDegradationComposition:
         from repro._native.core import get_kernel, kernel_names
         from repro.bench import runners
         from repro.datasets import registry
-        from repro.graph import shm
         from repro.resilience import degrade
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / leg))
-        shm.unlink_all()  # drop memoised segments: re-run the publish seam
         for name in kernel_names():
             get_kernel(name).reset()
         runners.reset_caches()
         runners.reset_degraded()
         registry._graph_cache.clear()
-        registry._shared_metas.clear()
         degrade.reset()
         faults._PLANS.clear()
 
@@ -335,32 +331,22 @@ class TestDegradationComposition:
         import re
 
         from repro.bench.__main__ import main
-        from repro.resilience import degrade
 
         def normalize(text):
             return re.sub(r"\(\d+\.\d+s\)", "(Xs)", text)
 
-        # Leg A: full ladder active, every native build and shm publish
-        # failing via injected faults.
+        # Leg A: full ladder active, every native build failing via an
+        # injected fault.
         self._reset_world(tmp_path, monkeypatch, "faulted")
-        monkeypatch.setenv(
-            "REPRO_FAULTS", "native-build-fail:p=1;shm-exhausted:p=1"
-        )
+        monkeypatch.setenv("REPRO_FAULTS", "native-build-fail:p=1")
         monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
-        monkeypatch.delenv("REPRO_NO_SHM", raising=False)
         assert main(list(self.ARGV)) == 0
         faulted = capsys.readouterr()
-        # the parent's publish attempt degraded (and was counted), so
-        # the workers fell back to per-process loads
-        assert (
-            degrade.counters().get("shm.publish:shm-exhausted", 0) >= 1
-        ), degrade.counters()
 
-        # Leg B: the tiers the faults knocked out, disabled up front.
+        # Leg B: the tier the fault knocked out, disabled up front.
         self._reset_world(tmp_path, monkeypatch, "clean")
         monkeypatch.delenv("REPRO_FAULTS")
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
         assert main(list(self.ARGV)) == 0
         clean = capsys.readouterr()
 
