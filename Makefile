@@ -71,8 +71,8 @@ bench-threads:
 bench-native:
 	PYTHONPATH=src python -m repro.bench --native-info
 	PYTHONPATH=src python -m pytest -x -q tests/test_native_kernels.py
-	REPRO_NO_NATIVE=1 PYTHONPATH=src python -m pytest -x -q \
-		tests/test_native_kernels.py
+	REPRO_FAULTS=native-build-fail:p=1 PYTHONPATH=src python -m pytest \
+		-x -q tests/test_native_kernels.py
 
 bench-ablations:
 	python -m repro.bench ablation_gorder_window ablation_hub_cutoff \

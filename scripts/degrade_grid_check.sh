@@ -4,8 +4,8 @@
 #      (injected `native-build-fail`) must exit 0 — each kernel is
 #      disabled for the process and the vector/scalar twins carry the
 #      run,
-#   2. the same grid runs clean with the native tier disabled up front
-#      (REPRO_NO_NATIVE=1),
+#   2. the same grid runs clean with the native tier skipped up front
+#      (REPRO_ORDERING_ENGINE=vector),
 #   3. stdout (timings normalised) and every cached ordering entry —
 #      permutation bits, cost, metadata including the recorded engine
 #      tier — must be identical between the two runs,
@@ -23,7 +23,7 @@ set -eu
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 export PYTHONPATH=src
-unset REPRO_FAULTS REPRO_NO_NATIVE 2>/dev/null || true
+unset REPRO_FAULTS REPRO_ORDERING_ENGINE 2>/dev/null || true
 # pgp is the smallest dataset whose work crosses VECTOR_MIN_WORK, so
 # the grid genuinely dispatches native kernels (and degrades) instead
 # of short-circuiting to the scalar tier
@@ -32,8 +32,8 @@ RUNTIME_GRID="$GRID,gorder,metis,nested_dissection"
 NORMALIZE='s/\([0-9][0-9]*\.[0-9]s\)/(Xs)/g'
 
 # compare_grids FAULT GRID TAG: run GRID under REPRO_FAULTS=FAULT and
-# again under REPRO_NO_NATIVE=1; stdout and every cached ordering must
-# match, and no entry may record the native tier.
+# again under REPRO_ORDERING_ENGINE=vector; stdout and every cached
+# ordering must match, and no entry may record the native tier.
 compare_grids() {
     fault=$1 grid=$2 tag=$3
     echo "== $tag: grid under $fault must exit 0"
@@ -46,8 +46,8 @@ compare_grids() {
         exit 1
     }
 
-    echo "== $tag: clean grid with REPRO_NO_NATIVE=1"
-    REPRO_NO_NATIVE=1 REPRO_CACHE_DIR="$WORK/$tag-clean" \
+    echo "== $tag: clean grid with REPRO_ORDERING_ENGINE=vector"
+    REPRO_ORDERING_ENGINE=vector REPRO_CACHE_DIR="$WORK/$tag-clean" \
         python -m repro.bench $grid | sed "$NORMALIZE" >"$WORK/$tag-clean.out"
 
     echo "== $tag: stdout and cached orderings must be bit-identical"

@@ -12,7 +12,7 @@ MOUNT=${1:?usage: disk_full_check.sh <mountpoint>}
 SCRATCH=$(mktemp -d)
 trap 'rm -rf "$SCRATCH"; rm -f "$MOUNT/filler"' EXIT
 export PYTHONPATH=src
-unset REPRO_FAULTS REPRO_NO_NATIVE 2>/dev/null || true
+unset REPRO_FAULTS 2>/dev/null || true
 export REPRO_CACHE_DIR="$MOUNT/repro-cache"
 GRID="fig1 --datasets euroroad --schemes natural,random"
 

@@ -2,8 +2,8 @@
 
 Every kernel follows the three-tier engine contract
 (:mod:`repro.engine`): the scalar Python loop is ground truth, the numpy
-engine is the tested middle tier, and the native kernel — when a C
-compiler is available and ``REPRO_NO_NATIVE`` is unset — is a
+engine is the tested middle tier, and the native kernel — run only
+under the native engine and when a C compiler is available — is a
 bit-identical escalation.  Kernels declare their scalar and vector twins
 (verified statically by :mod:`repro.analysis.contracts`) and report
 their build status through :func:`build_info_all`.

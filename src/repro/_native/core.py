@@ -9,8 +9,10 @@ surface:
 
 * :class:`NativeKernel` wraps a C source string plus its symbol
   prototypes; ``kernel.lib()`` returns the loaded library or ``None``
-  (no compiler, build failure, a runtime fault earlier in the process,
-  or ``REPRO_NO_NATIVE=1``);
+  (no compiler, build failure, or a runtime fault earlier in the
+  process).  Whether C runs at all is the engine's call
+  (:func:`repro.engine.resolve_engine`): dispatch sites ask for the
+  library only under the ``"native"`` engine;
 * every kernel must name its **scalar and vector twins** — the Python
   implementations it is bit-identical to — which the reprolint contracts
   checker verifies statically;
@@ -500,10 +502,6 @@ class NativeKernel:
         """The compiled kernel, or None when unavailable or disabled."""
         if self._tried:
             return self._lib
-        if os.environ.get("REPRO_NO_NATIVE"):
-            self._tried = True
-            self._status = "disabled by REPRO_NO_NATIVE"
-            return None
         # resolved outside the fallback guard (and before the latch): a
         # malformed sanitizer or thread knob must fail loudly on every
         # call, never silently run uninstrumented or at another width

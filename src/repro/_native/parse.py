@@ -24,9 +24,10 @@ ids are plain decimal int64s, weights are plain decimal floats
 and ``n=<count>`` headers follow the reader's rules, and anything else
 — non-ASCII bytes, underscored literals, ``inf``/``nan``, overlong
 numbers — sets a per-shard error flag that makes the wrapper return
-``None`` so the caller falls back to the scalar reader for the whole
-file.  The fallback therefore also reproduces the scalar reader's
-*exceptions* on malformed files, not just its results.
+``None`` so the caller falls back to the scalar parse for the whole
+file.  The fallback therefore also reproduces the scalar parse's
+*exceptions* on malformed files, not just its results.  The kernel has
+no vector twin: both twin slots name the scalar parse.
 """
 
 from __future__ import annotations
@@ -349,9 +350,9 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.graph.io:_parse_edge_text_scalar",
-    vector_twin="repro.graph.io:_parse_edge_text_vector",
+    vector_twin="repro.graph.io:_parse_edge_text_scalar",
     threaded=True,
-    serial_twin="repro.graph.io:_parse_edge_text_native",
+    serial_twin="repro._native.parse:run",
 )
 
 #: sentinel for "shard saw no edge line" in the per-shard max-id output.
@@ -367,7 +368,7 @@ def run(
     Returns ``(src, dst, wgt, saw_weight, max_id, header_n)`` matching
     the scalar reader's parse of the same bytes, or ``None`` when the
     kernel is unavailable or the file leaves the strict grammar (the
-    caller must then re-parse with a Python tier).
+    caller must then re-parse with the scalar tier).
     """
     native = KERNEL.lib()
     if native is None:

@@ -181,10 +181,11 @@ def _sample_rrr_native(
 
     The serial twin of the kernel: this is the dispatch the native tier
     runs, and with one worker thread it is the kernel's serial path.
-    Returns None when the kernel is unavailable (no compiler,
-    ``REPRO_NO_NATIVE=1``) so the caller falls through to the batched
-    numpy sampler; otherwise the returned ``RRRSet`` list is
-    bit-identical to both Python engines for every thread count.
+    Returns None when the kernel is unavailable (no compiler, or a
+    build or runtime failure earlier in the process) so the caller
+    falls through to the batched numpy sampler; otherwise the returned
+    ``RRRSet`` list is bit-identical to both Python engines for every
+    thread count.
     """
     from .._native import rrr as native_rrr
     from .influence_max import RRRSet

@@ -28,7 +28,7 @@ the host actually has four cores (the recorded ``cpu_count``); the
 identity checks always apply.
 
 **Ingest stage** (``--ingest``) times the zero-parse ingestion path:
-edge-list text parsing through the scalar, vector, and native
+edge-list text parsing through the scalar and native
 (``parse_edges``) tiers, the builder's counting-sort finalisation per
 engine, and a cold-save/warm-load cycle of the mmap-backed graph store
 (:mod:`repro.graph.store`), verifying every path reproduces the scalar
@@ -260,8 +260,8 @@ THREAD_SCALING_FLOOR = 2.0
 INGEST_PATH = Path(__file__).resolve().parents[3] / "BENCH_ingest.json"
 
 #: native/scalar edge-list parse floor, enforced only when the
-#: ``parse_edges`` kernel compiled (otherwise the vector tier runs,
-#: whose speedup is recorded but unfloored — it is allocation bound).
+#: ``parse_edges`` kernel compiled (otherwise both legs run the scalar
+#: parse and the ratio means nothing).
 INGEST_NATIVE_PARSE_FLOOR = 5.0
 
 #: warm mmap store load over scalar text re-parse — the headline
@@ -907,8 +907,8 @@ def measure_ingest(
     Three legs, all verified bit-identical against the scalar reader:
 
     * **parse** — the dataset serialised as edge-list text, re-read
-      through each engine tier (the native leg also sweeps 1/2/4/8
-      threads);
+      through the scalar and native parse tiers (the native leg also
+      sweeps 1/2/4/8 threads);
     * **build** — CSR finalisation from raw edge arrays through each
       engine (lexsort vs the counting-sort kernel);
     * **store** — a cold ``.rgr`` save then warm mmap loads, priced
@@ -924,16 +924,13 @@ def measure_ingest(
         text_bytes = text_path.stat().st_size
 
         parsed: dict[str, object] = {}
-        for engine in ("scalar", "vector", "native"):
+        for engine in ("scalar", "native"):
             timings[f"parse_{engine}"], parsed[engine] = _best_of(
                 lambda e=engine: graph_io.read_edge_list(
                     text_path, engine=e
                 ),
                 repeats,
             )
-        checks["parse_vector_identical"] = _graphs_identical(
-            parsed["scalar"], parsed["vector"]
-        )
         checks["parse_native_identical"] = _graphs_identical(
             parsed["scalar"], parsed["native"]
         )
@@ -1002,10 +999,6 @@ def measure_ingest(
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
         "parse_thread_wall_s": thread_walls,
         "speedup": {
-            "parse_vector": round(
-                timings["parse_scalar"] / timings["parse_vector"]
-                if timings["parse_vector"] > 0 else float("inf"), 3
-            ),
             "parse_native": round(
                 timings["parse_scalar"] / timings["parse_native"]
                 if timings["parse_native"] > 0 else float("inf"), 3

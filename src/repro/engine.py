@@ -10,9 +10,14 @@ every expensive ordering construction keeps a **tiered** implementation:
   permutation, same operation counts, same metadata;
 * a *native* tier — lazily compiled C kernels (:mod:`repro._native`) for
   the few loops that resist vectorisation, equally bit-identical.  A hot
-  path with no native kernel (or with ``REPRO_NO_NATIVE=1`` set, or no C
+  path with no native kernel (or whose kernel failed to build, or no C
   compiler available) simply runs its vector engine under the native
   tier, so ``"native"`` is always safe to request.
+
+This resolution is the one switch that decides whether C runs: every
+native dispatch site asks for its kernel only when the engine resolves
+to ``"native"``, so ``REPRO_ORDERING_ENGINE=vector`` (or ``scalar``)
+keeps the whole process in Python.
 
 The active engine is resolved per call:
 

@@ -9,14 +9,14 @@ Supports the three formats the paper's data sources use:
 All readers canonicalise through :class:`~repro.graph.builder.GraphBuilder`
 so the in-memory graph is always the same regardless of source format.
 
-:func:`read_edge_list` is engine-gated (:mod:`repro.engine`): the
-original per-line Python loop is retained as the scalar ground truth, a
-numpy bulk tokeniser is the vector tier, and the sharded two-pass byte
-scanner in :mod:`repro._native.parse` is the native tier.  The faster
-tiers parse a *strict grammar* (ASCII, plain decimal numbers) and defer
-the whole file to the scalar reader on anything outside it, so every
-tier — and every thread count — produces bit-identical graphs and
-raises the scalar reader's exceptions on malformed input.
+:func:`read_edge_list` has two parse tiers.  Under the native engine
+(:mod:`repro.engine`) the sharded two-pass byte scanner in
+:mod:`repro._native.parse` runs first; it parses a *strict grammar*
+(ASCII, plain decimal numbers) and declines the whole file on anything
+outside it.  Every other engine, and every declined file, runs the
+per-line Python loop, which is the ground truth.  Both tiers — at every
+thread count — produce bit-identical graphs, and malformed input raises
+the scalar loop's exceptions.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ __all__ = [
     "write_matrix_market",
 ]
 
-#: (src, dst, wgt, saw_weight_column, max_id, header_n) — what every
-#: parse tier produces from raw edge-list bytes.
+#: (src, dst, wgt, saw_weight_column, max_id, header_n) — what both
+#: parse tiers produce from raw edge-list bytes.
 _Parsed = tuple[np.ndarray, np.ndarray, np.ndarray, bool, int, "int | None"]
 
 
@@ -64,76 +64,30 @@ def read_edge_list(
     ``# n=<count> ...`` comment (as written by :func:`write_edge_list`) is
     present, which preserves trailing isolated vertices.
 
-    ``engine`` selects the parse tier (default: the ambient engine, see
-    :func:`repro.engine.resolve_engine`); every tier is bit-identical.
+    ``engine`` (default: the ambient engine, see
+    :func:`repro.engine.resolve_engine`) decides whether the native
+    parser is tried; both tiers are bit-identical.  The tier that
+    actually parsed is recorded as ``graph.meta["parse_engine"]``.
     """
     resolved = resolve_engine(engine)
-    if resolved != "scalar":
-        raw = Path(path).read_bytes()
-        parsed: _Parsed | None = None
-        if resolved == "native":
-            parsed = _parse_edge_text_native(raw, one_based)
-        if parsed is None:
-            parsed = _parse_edge_text_vector(raw, one_based)
-        if parsed is not None:
-            return _graph_from_parsed(parsed, num_vertices, resolved)
-    return _read_edge_list_scalar(
-        path, num_vertices=num_vertices, one_based=one_based
-    )
-
-
-def _read_edge_list_scalar(
-    path: str | Path,
-    *,
-    num_vertices: int | None = None,
-    one_based: bool = False,
-) -> CSRGraph:
-    """The retained per-line reader — ground truth for the faster tiers."""
-    edges: list[tuple[int, int, float]] = []
-    max_id = -1
-    header_n: int | None = None
-    saw_weight_column = False
-    with _open_text(path, "r") as handle:
-        for line in handle:
-            line = line.strip()
-            if line.startswith(("#", "%")):
-                for token in line[1:].split():
-                    if token.startswith("n=") and token[2:].isdigit():
-                        header_n = int(token[2:])
-                continue
-            if not line:
-                continue
-            parts = line.split()
-            u, v = int(parts[0]), int(parts[1])
-            if one_based:
-                u -= 1
-                v -= 1
-            if len(parts) > 2:
-                w = float(parts[2])
-                saw_weight_column = True
-            else:
-                w = 1.0
-            edges.append((u, v, w))
-            max_id = max(max_id, u, v)
-    if num_vertices is not None:
-        n = num_vertices
-    elif header_n is not None:
-        n = max(header_n, max_id + 1)
-    else:
-        n = max_id + 1
-    builder = GraphBuilder(n)
-    for u, v, w in edges:
-        builder.add_edge(u, v, w)
-    # explicit weight columns force a weighted graph even if all 1.0
-    return builder.build(weighted=saw_weight_column or None)
+    raw = Path(path).read_bytes()
+    parsed: _Parsed | None = None
+    parse_engine = "native"
+    if resolved == "native":
+        parsed = _parse_kernel.run(raw, one_based)
+    if parsed is None:
+        parsed = _parse_edge_text_scalar(raw, one_based)
+        parse_engine = "scalar"
+    graph = _graph_from_parsed(parsed, num_vertices, resolved)
+    graph.meta["parse_engine"] = parse_engine
+    return graph
 
 
 def _parse_edge_text_scalar(raw: bytes, one_based: bool) -> _Parsed:
-    """Scalar parse of raw bytes into arrays (equivalence-test twin).
+    """The per-line parse of raw edge-list bytes — the ground truth.
 
-    Byte-level twin of the loop inside :func:`_read_edge_list_scalar`,
-    used by the parse-identity property tests to compare all three tiers
-    on the same bytes without touching the filesystem.
+    Malformed input raises here (``ValueError``, ``IndexError``,
+    ``UnicodeDecodeError``), so every engine reports the same exception.
     """
     src: list[int] = []
     dst: list[int] = []
@@ -141,8 +95,8 @@ def _parse_edge_text_scalar(raw: bytes, one_based: bool) -> _Parsed:
     max_id = -1
     header_n: int | None = None
     saw_weight_column = False
-    # StringIO(newline=None) applies the same universal-newline
-    # translation as the text-mode file handle the reader iterates.
+    # StringIO(newline=None) applies universal-newline translation, as a
+    # text-mode file handle would.
     for line in io.StringIO(raw.decode("utf-8"), newline=None):
         line = line.strip()
         if line.startswith(("#", "%")):
@@ -176,77 +130,13 @@ def _parse_edge_text_scalar(raw: bytes, one_based: bool) -> _Parsed:
     )
 
 
-def _parse_edge_text_vector(raw: bytes, one_based: bool) -> _Parsed | None:
-    """Numpy bulk-conversion parse tier, or ``None`` on fallback.
-
-    Lines are still split in Python (comment/blank/width handling), but
-    token-to-number conversion — the dominant scalar cost — happens in
-    two ``astype`` calls over the whole file.
-    """
-    if not raw.isascii():
-        return None
-    header_n: int | None = None
-    rows: list[list[bytes]] = []
-    for ln in raw.splitlines():
-        stripped = ln.strip()
-        if stripped[:1] in (b"#", b"%"):
-            for token in stripped[1:].split():
-                if token[:2] == b"n=" and token[2:].isdigit():
-                    header_n = int(token[2:])
-            continue
-        if not stripped:
-            continue
-        rows.append(stripped.split())
-    if not rows:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-            False,
-            -1,
-            header_n,
-        )
-    if any(len(r) < 2 for r in rows):
-        return None  # the scalar reader raises IndexError; let it
-    try:
-        src = np.array([r[0] for r in rows]).astype(np.int64)
-        dst = np.array([r[1] for r in rows]).astype(np.int64)
-    except (ValueError, OverflowError):
-        return None  # int() may accept what numpy rejects — defer
-    wgt = np.ones(len(rows), dtype=np.float64)
-    weight_rows = [i for i, r in enumerate(rows) if len(r) > 2]
-    saw_weight_column = bool(weight_rows)
-    if weight_rows:
-        try:
-            vals = np.array([rows[i][2] for i in weight_rows]).astype(
-                np.float64
-            )
-        except (ValueError, OverflowError):
-            return None
-        wgt[np.asarray(weight_rows, dtype=np.int64)] = vals
-    if one_based:
-        src -= 1
-        dst -= 1
-    max_id = int(max(src.max(), dst.max()))
-    return src, dst, wgt, saw_weight_column, max_id, header_n
-
-
-def _parse_edge_text_native(raw: bytes, one_based: bool) -> _Parsed | None:
-    """Threaded native parse tier, or ``None`` on fallback.
-
-    Drives the ``parse_edges`` kernel (:mod:`repro._native.parse`);
-    bit-identical to the scalar parse at any thread count.
-    """
-    return _parse_kernel.run(raw, one_based)
-
-
 def _graph_from_parsed(
     parsed: _Parsed, num_vertices: int | None, engine: str
 ) -> CSRGraph:
     """Finish a parsed edge array into a canonical graph.
 
-    Applies the same ``n`` inference as the scalar reader, then routes
-    the arrays through the builder's bulk path.
+    Infers ``n`` (explicit count, else ``max(header n, max id + 1)``),
+    then routes the arrays through the builder's bulk path.
     """
     src, dst, wgt, saw_weight_column, max_id, header_n = parsed
     if num_vertices is not None:
@@ -257,11 +147,10 @@ def _graph_from_parsed(
         n = max_id + 1
     builder = GraphBuilder(n)
     builder.add_edge_array(src, dst, wgt if saw_weight_column else None)
-    graph = builder.build(
+    # explicit weight columns force a weighted graph even if all 1.0
+    return builder.build(
         weighted=saw_weight_column or None, engine=engine
     )
-    graph.meta["parse_engine"] = engine
-    return graph
 
 
 def write_edge_list(graph: CSRGraph, path: str | Path) -> None:

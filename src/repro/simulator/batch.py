@@ -9,7 +9,9 @@ This module replays whole numpy line streams instead, two ways:
 :func:`hierarchy_access_batch`, :func:`run_exact_region`).  Accesses are
 grouped by cache set with numpy (stable argsort), consecutive duplicate
 lines are collapsed into guaranteed hits, and only each set's short run of
-tags is replayed through the per-set dict LRU in Python.  Sets are
+tags is replayed — through the compiled LRU kernel under the native
+engine (:func:`repro.engine.resolve_engine`), through the per-set dict
+LRU in Python otherwise.  Sets are
 independent, misses are forwarded to the next level in original temporal
 order, and private L1/L2 streams commute across thread interleavings, so
 the results are **bit-identical** to the per-access model (property-tested
@@ -36,6 +38,7 @@ import numpy as np
 from ..analysis import sanitize
 from .._native import core as native_core
 from .._native import lru as native_lru
+from ..engine import resolve_engine
 from .cache import Cache
 from .hierarchy import MemoryHierarchy, ThreadCounters
 
@@ -75,9 +78,10 @@ def cache_access_batch(cache: Cache, lines: np.ndarray) -> np.ndarray:
       tag equal to the set's immediately previous access is the MRU way,
       so it hits and its LRU refresh is a no-op;
     * the surviving short tag runs are replayed through the compiled LRU
-      kernel (:mod:`repro._native.lru`) when a C compiler is
+      kernel (:mod:`repro._native.lru`) under the native engine
+      (:func:`repro.engine.resolve_engine`) when the kernel is
       available, and through an equivalent pure-Python LRU walk
-      otherwise (or when ``REPRO_NO_NATIVE`` is set).
+      otherwise.
 
     Statistics are updated in bulk.
     """
@@ -101,11 +105,12 @@ def cache_access_batch(cache: Cache, lines: np.ndarray) -> np.ndarray:
         )
         offsets = np.append(starts, n)
         group_sets = sorted_sets[starts]
-    native = native_lru.KERNEL.lib()
-    if native is not None and native_core.runtime_gate(native_lru.KERNEL):
-        return _replay_native(
-            cache, native, tags, order, offsets, group_sets, hits
-        )
+    if resolve_engine() == "native":
+        native = native_lru.KERNEL.lib()
+        if native is not None and native_core.runtime_gate(native_lru.KERNEL):
+            return _replay_native(
+                cache, native, tags, order, offsets, group_sets, hits
+            )
     return _replay_python(cache, tags, order, offsets, group_sets, hits)
 
 

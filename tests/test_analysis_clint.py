@@ -486,7 +486,7 @@ def test_seeded_race_caught_by_lint_and_tsan(tmp_path):
     log_dir = tmp_path / "tsan-logs"
     log_dir.mkdir()
     env = dict(os.environ)
-    env.pop("REPRO_NO_NATIVE", None)
+    env.pop("REPRO_FAULTS", None)
     env["PYTHONPATH"] = str(SRC_DIR)
     env["REPRO_NATIVE_SANITIZE"] = "tsan"
     env["LD_PRELOAD"] = runtime

@@ -326,7 +326,7 @@ def test_run_under_torn_reads_exits_zero(clean_fig9, tmp_path):
 # ---------------------------------------------------------------------------
 # Wiring
 # ---------------------------------------------------------------------------
-def test_switch_turns_the_store_off(monkeypatch, tmp_path):
+def test_refused_writes_compute_every_cell(monkeypatch, tmp_path):
     """A cache volume refusing every write computes every cell."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_FAULTS", "disk-full:p=1")

@@ -201,7 +201,7 @@ def test_registry_survives_corrupt_store_entry():
     assert os.path.exists(path)  # rewritten after the rebuild
 
 
-def test_registry_store_disabled(monkeypatch):
+def test_refused_writes_leave_the_registry_building(monkeypatch):
     """A cache volume refusing every write leaves the registry building."""
     monkeypatch.setenv("REPRO_FAULTS", "disk-full:p=1")
     store = gstore.GraphStore.default()

@@ -3,9 +3,8 @@
 Every :class:`repro._native.core.NativeKernel` declares scalar and
 vector twins; this suite is the dynamic half of that contract (the
 static half is the reprolint ``native-twin`` check).  Each kernel is
-driven against its scalar twin over structured and random inputs, the
-``REPRO_NO_NATIVE`` gate is exercised through ``reset()``, and the
-build-info reporting surface is pinned.
+driven against its scalar twin over structured and random inputs, and
+the build-info reporting surface is pinned.
 
 Thread-parallel kernels carry the stronger contract that results are
 bit-identical for **every** ``REPRO_NATIVE_THREADS`` value; the
@@ -13,8 +12,10 @@ invariance tests here pin 1 vs 4 threads (and the no-native fallback)
 byte for byte.
 
 ``make bench-native`` runs this file twice — once with the C tier and
-once under ``REPRO_NO_NATIVE=1`` — so a kernel regression and a
-fallback regression are both loud.
+once with every kernel build failing
+(``REPRO_FAULTS=native-build-fail:p=1``, the stand-in for a host with
+no C compiler) — so a kernel regression and a fallback regression are
+both loud.
 """
 
 import os
@@ -121,23 +122,6 @@ def test_twins_resolve_dynamically():
             for part in qualname.split("."):
                 obj = getattr(obj, part)
             assert callable(obj)
-
-
-def test_no_native_gate_disables_kernel(monkeypatch):
-    kernel = native_core.get_kernel("lru_replay")
-    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    kernel.reset()
-    try:
-        assert kernel.lib() is None
-        info = kernel.build_info()
-        assert not info["available"]
-        assert "REPRO_NO_NATIVE" in info["status"]
-    finally:
-        monkeypatch.delenv("REPRO_NO_NATIVE")
-        kernel.reset()
-    # With the gate lifted the kernel builds again (or reports a real
-    # toolchain failure — never the disabled status).
-    assert "REPRO_NO_NATIVE" not in kernel.build_info()["status"]
 
 
 def test_reset_forgets_build_state():
@@ -287,7 +271,6 @@ def test_malformed_native_threads_fails_loudly(monkeypatch, value):
     monkeypatch.setenv("REPRO_NATIVE_THREADS", value)
     with pytest.raises(ValueError, match="REPRO_NATIVE_THREADS"):
         native_core.native_threads()
-    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
     kernel = native_core.get_kernel("counting_sort")
     kernel.reset()
     try:
@@ -400,19 +383,19 @@ def test_degree_orderings_thread_invariant(scheme_name, monkeypatch):
         )
 
 
-def test_degree_ordering_no_native_gate(monkeypatch):
+def test_degree_ordering_under_build_failure(monkeypatch):
     kernel = native_core.get_kernel("counting_sort")
     graph = GRAPHS["random"]
     scalar = order_with("hub_sort", graph, "scalar")
-    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    monkeypatch.setenv("REPRO_FAULTS", "native-build-fail:p=1")
     kernel.reset()
     try:
-        gated = order_with("hub_sort", graph, "native")
+        degraded = order_with("hub_sort", graph, "native")
     finally:
-        monkeypatch.delenv("REPRO_NO_NATIVE")
+        monkeypatch.delenv("REPRO_FAULTS")
         kernel.reset()
-    assert np.array_equal(gated.permutation, scalar.permutation)
-    assert gated.metadata["engine"] != "native"  # vector fallback ran
+    assert np.array_equal(degraded.permutation, scalar.permutation)
+    assert degraded.metadata["engine"] != "native"  # vector fallback ran
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +502,6 @@ def test_malformed_sanitize_knob_fails_loudly(monkeypatch):
     """A typo'd knob must raise, never silently build uninstrumented."""
     kernel = native_core.get_kernel("counting_sort")
     kernel.reset()
-    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
     monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "nope")
     try:
         with pytest.raises(ValueError, match="nope"):
@@ -636,7 +618,8 @@ BROKEN_SRC = (
 def test_compile_failure_surfaces_stderr(monkeypatch):
     if native_core._compiler() is None:
         pytest.skip("no C compiler")
-    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    # a real compiler diagnosis, not the injected build failure
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
     kernel = native_core.NativeKernel(
         "test_broken_fixture",
         BROKEN_SRC,

@@ -210,7 +210,7 @@ def test_cold_fan_out_builds_each_graph_in_the_parent(
         registry._graph_cache.update(saved)
 
 
-def test_runner_works_with_store_disabled(
+def test_refused_writes_leave_the_runner_computing(
     clean_runner_caches, monkeypatch
 ):
     """A cache volume refusing every write degrades to computing."""

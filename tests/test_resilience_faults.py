@@ -300,8 +300,8 @@ class TestDegradationComposition:
 
     a ``--jobs 4`` bench run with every native build failing must exit 0
     and print bit-identical results to a clean run that was told up
-    front to skip that tier (``REPRO_NO_NATIVE=1``) — degradation
-    changes the execution substrate, never the bits.
+    front to skip that tier (``REPRO_ORDERING_ENGINE=vector``) —
+    degradation changes the execution substrate, never the bits.
     """
 
     ARGV = [
@@ -339,14 +339,14 @@ class TestDegradationComposition:
         # injected fault.
         self._reset_world(tmp_path, monkeypatch, "faulted")
         monkeypatch.setenv("REPRO_FAULTS", "native-build-fail:p=1")
-        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+        monkeypatch.delenv("REPRO_ORDERING_ENGINE", raising=False)
         assert main(list(self.ARGV)) == 0
         faulted = capsys.readouterr()
 
         # Leg B: the tier the fault knocked out, disabled up front.
         self._reset_world(tmp_path, monkeypatch, "clean")
         monkeypatch.delenv("REPRO_FAULTS")
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        monkeypatch.setenv("REPRO_ORDERING_ENGINE", "vector")
         assert main(list(self.ARGV)) == 0
         clean = capsys.readouterr()
 

@@ -25,6 +25,7 @@ from repro.simulator import (
     miss_ratio_curve,
 )
 from repro._native import lru as native_lru
+from repro.engine import use_engine
 from repro.simulator import batch
 from repro.simulator.parallel import (
     SimulatedMachine,
@@ -116,6 +117,26 @@ class TestCacheAccessBatch:
         python_hits = cache_access_batch(python_cache, trace)
         assert np.array_equal(native_hits, python_hits)
         assert_same_state(native_cache, python_cache)
+
+    @pytest.mark.parametrize("engine", ["vector", "scalar"])
+    def test_non_native_engines_never_ask_for_the_kernel(
+        self, monkeypatch, engine
+    ):
+        rng = np.random.default_rng(13)
+        warmup = rng.integers(0, 400, size=200)
+        trace = rng.integers(0, 400, size=2000)
+        native_cache, engine_cache = warmed_pair(GEOMETRIES[4], warmup)
+        with use_engine("native"):
+            native_hits = cache_access_batch(native_cache, trace)
+
+        def refuse():
+            raise AssertionError(f"LRU kernel requested under {engine!r}")
+
+        monkeypatch.setattr(native_lru.KERNEL, "lib", refuse)
+        with use_engine(engine):
+            engine_hits = cache_access_batch(engine_cache, trace)
+        assert np.array_equal(engine_hits, native_hits)
+        assert_same_state(engine_cache, native_cache)
 
 
 class TestHierarchyAccessBatch:
