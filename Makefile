@@ -45,11 +45,11 @@ test-faults:
 		PYTHONPATH=src python -m pytest -x -q \
 		tests/test_bench_pool.py tests/test_ordering_store.py \
 		tests/test_resilience_supervisor.py \
-		tests/test_resilience_faults.py tests/test_resilience_journal.py
+		tests/test_resilience_faults.py
 	# degradation-ladder suite: each test pins its own REPRO_FAULTS
 	# (an ambient disk-full would break the clean-write assertions)
 	PYTHONPATH=src python -m pytest -x -q tests/test_resilience_degrade.py
-	sh scripts/chaos_resume_check.sh
+	sh scripts/kill_rerun_check.sh
 	sh scripts/degrade_grid_check.sh
 
 bench:

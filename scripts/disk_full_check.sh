@@ -1,6 +1,6 @@
 #!/bin/sh
-# Disk-full degradation check: point every persistent layer (ordering
-# cache, graph store, run journal) at a full volume and require the
+# Disk-full degradation check: point every persistent layer (graph,
+# ordering and cell stores) at a full volume and require the
 # grid to finish exit-0, compute-without-cache, with the degradation
 # counted and warned instead of crashing.
 #   usage: sh scripts/disk_full_check.sh <mountpoint>

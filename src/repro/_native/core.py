@@ -608,9 +608,6 @@ def guarded(kernel: NativeKernel) -> Callable[[_F], _F]:
       for the rest of the process (:meth:`NativeKernel.disable`) and
       returns ``None`` — the caller's twin fallback runs and the
       degradation is counted.
-
-    An injected :class:`~repro.resilience.faults.RunAborted` propagates:
-    it is a verdict about the run, not a kernel fault to absorb.
     """
 
     def decorate(fn: _F) -> _F:
@@ -621,8 +618,6 @@ def guarded(kernel: NativeKernel) -> Callable[[_F], _F]:
             try:
                 faults.maybe_native_runtime_fault(kernel.name)
                 return fn(*args, **kwargs)
-            except faults.RunAborted:
-                raise
             except Exception as exc:
                 kernel.disable("native-runtime-fault", exc)
                 return None

@@ -26,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from .clint import c_rule_help, check_native_sources
+from .clint import c_rule_help, check_native_sources, linted_sources
 from .contracts import check_contracts
 from .core import (
     DEFAULT_BASELINE,
@@ -160,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     if args.clint:
-        files = []
+        files = linted_sources()
         findings = check_native_sources()
     else:
         paths = args.paths or [SRC_ROOT / "repro"]

@@ -65,6 +65,7 @@ __all__ = [
     "CFunction",
     "c_rule_help",
     "discover_kernels",
+    "linted_sources",
     "scan_kernel_source",
     "check_native_sources",
     "NATIVE_ROOT",
@@ -269,6 +270,24 @@ _C_SUPPRESS_RE = re.compile(
 )
 
 _ALL = "*"
+
+
+def linted_sources(
+    native_root: Path | None = None,
+    *,
+    repo_root: Path | None = None,
+) -> list[CKernelSource]:
+    """The C sources :func:`check_native_sources` runs the rules over.
+
+    Every discovered kernel whose source resolved, plus — on the real
+    tree — the thread-pool helper.
+    """
+    kernels = discover_kernels(native_root, repo_root=repo_root)
+    if native_root is None:
+        helper = _helper_source(repo_root)
+        if helper is not None:
+            kernels.append(helper)
+    return [kernel for kernel in kernels if kernel.source]
 
 
 def _c_suppressions(source: str) -> dict[int, frozenset[str]]:
@@ -918,25 +937,17 @@ def check_native_sources(
     ``registered`` explicitly; the cross-check is skipped when scanning
     a synthetic tree without an explicit registry.
     """
-    scanning_real_tree = native_root is None
-    kernels = discover_kernels(native_root, repo_root=repo_root)
     findings: list[Finding] = []
 
-    if registered is None and scanning_real_tree:
+    if registered is None and native_root is None:
         from repro import _native
 
         registered = _native.kernel_names()
     if registered is not None:
-        findings.extend(_registry_findings(kernels, registered))
+        discovered = discover_kernels(native_root, repo_root=repo_root)
+        findings.extend(_registry_findings(discovered, registered))
 
-    if scanning_real_tree:
-        helper = _helper_source(repo_root)
-        if helper is not None:
-            kernels = [*kernels, helper]
-
-    for kernel in kernels:
-        if not kernel.source:
-            continue
+    for kernel in linted_sources(native_root, repo_root=repo_root):
         findings.extend(
             scan_kernel_source(
                 kernel.name,

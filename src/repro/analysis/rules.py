@@ -65,7 +65,7 @@ SANCTIONED_ENV_MODULES = frozenset(
 )
 
 #: module prefixes where wall-clock readings are the point (timing
-#: harnesses) or supervision plumbing (timeouts, backoff), not a
+#: harnesses) or supervision plumbing (per-cell deadlines), not a
 #: determinism hazard — result *values* stay wall-clock free.
 WALL_CLOCK_EXEMPT_PREFIXES = (
     "repro.bench", "repro.analysis", "repro.resilience",

@@ -8,21 +8,17 @@ fig9 fig10 fig11 fig12``) plus the ``ablation_*`` and ``ext_*`` studies.
 
 Resilient execution (:mod:`repro.resilience`):
 
-* ``--run-id ID`` journals every cell to
-  ``$REPRO_CACHE_DIR/runs/ID/journal.jsonl`` and prints a completeness
-  report at the end;
-* ``--resume ID`` replays the journal of an interrupted run — completed
-  cells (and whole experiments) are served from the journal, only the
-  missing ones execute, and the original experiment selection is
-  restored from the run's meta record;
+* resuming is re-running: every ordering, graph and application cell
+  lands in a content-addressed store under ``$REPRO_CACHE_DIR``, so the
+  same command after a kill serves the finished cells as store hits;
 * ``--timeout S`` / ``--retries K`` bound each cell's attempts; a cell
-  that exhausts them degrades (NaN in the grid) instead of aborting;
+  that exhausts them degrades (NaN in the grid) instead of aborting,
+  gets one ``[degraded] <scheme>/<dataset>: <error> (after N
+  attempts)`` line on stderr, and makes the run exit 1;
 * ``--health`` prints the degradation health report after the run —
   one counter per fallback site: native kernels disabled after a build
   or runtime fault (their vector/scalar twins ran instead) and
-  resource-pressure fallbacks (:mod:`repro.resilience.degrade`);
-  journaled runs always persist the same report as a
-  ``{"type": "health"}`` journal record.
+  resource-pressure fallbacks (:mod:`repro.resilience.degrade`).
 """
 
 from __future__ import annotations
@@ -34,9 +30,6 @@ import sys
 import time
 
 from ..resilience import degrade
-from ..resilience.faults import RunAborted
-from ..resilience.journal import RunJournal, cell_key, using_run
-from ..resilience.reporting import completeness, format_report
 from .ablations import ABLATIONS
 from .experiments import ALL_EXPERIMENTS
 from .extensions import EXTENSIONS
@@ -64,56 +57,19 @@ def _call_restricted(func, datasets, schemes):
     return func(**kwargs)
 
 
-def _run_experiments(args, registry, ids, datasets, schemes, journal):
-    """Execute (or replay) each experiment; returns the exit code."""
+def _run_experiments(args, registry, ids, datasets, schemes):
+    """Execute each experiment, printing its reproduction."""
     for experiment_id in ids:
-        experiment_key = cell_key(
-            "experiment", experiment_id, datasets, schemes
-        )
-        if journal is not None and not args.output:
-            entry = journal.lookup(experiment_key)
-            if (
-                entry is not None
-                and entry.get("status") == "ok"
-                and isinstance(entry.get("value"), dict)
-            ):
-                value = entry["value"]
-                journal.mark_replayed(experiment_key)
-                print(f"== {experiment_id}: {value['title']} "
-                      f"(replayed) ==")
-                print(value["text"])
-                print()
-                continue
         start = time.perf_counter()
         result = _call_restricted(registry[experiment_id], datasets, schemes)
         elapsed = time.perf_counter() - start
         print(f"== {result.experiment_id}: {result.title} "
               f"({elapsed:.1f}s) ==")
         print(result.text)
-        if journal is not None:
-            if degraded_cells():
-                # The rendered text has holes (NaN cells): journal the
-                # experiment as degraded, with no replay value, so a
-                # --resume re-executes it and retries the failed cells.
-                journal.record(
-                    experiment_key, kind="experiment", status="degraded",
-                    label=f"experiment:{experiment_id}",
-                    error=f"{len(degraded_cells())} degraded cells "
-                          f"in this run's grids",
-                    duration=elapsed,
-                )
-            else:
-                journal.record(
-                    experiment_key, kind="experiment", status="ok",
-                    label=f"experiment:{experiment_id}",
-                    value={"title": result.title, "text": result.text},
-                    duration=elapsed,
-                )
         if args.output:
             text_path, json_path = result.save(args.output)
             print(f"[saved {text_path}, {json_path}]")
         print()
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,16 +113,6 @@ def main(argv: list[str] | None = None) -> int:
              "kernels, fallback counters) after the run",
     )
     parser.add_argument(
-        "--run-id", metavar="ID", default=None,
-        help="journal this run's cells under $REPRO_CACHE_DIR/runs/ID "
-             "(checkpointing; enables --resume ID later)",
-    )
-    parser.add_argument(
-        "--resume", metavar="ID", default=None,
-        help="resume a journaled run: replay its completed cells, "
-             "execute only the missing ones",
-    )
-    parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help="per-cell deadline in seconds (supervised runs; a cell "
              "past it is killed and retried)",
@@ -189,8 +135,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.run_id and args.resume:
-        parser.error("--run-id and --resume are mutually exclusive")
     if args.timeout is not None and args.timeout <= 0:
         parser.error("--timeout must be positive")
     if args.retries is not None and args.retries < 0:
@@ -208,62 +152,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.schemes else None
     )
 
-    journal = None
-    run_id = args.resume or args.run_id
-    if run_id is not None:
-        try:
-            journal = RunJournal(run_id)
-        except ValueError as exc:
-            parser.error(str(exc))
-        if args.resume and not journal.exists:
-            print(f"no journal found for run {run_id!r}",
-                  file=sys.stderr)
-            return 2
-
     ids = args.ids or list(ALL_EXPERIMENTS)
-    if journal is not None:
-        meta = journal.meta()
-        if args.resume and meta is not None:
-            # Restore the original selection unless overridden.
-            if not args.ids and meta.get("ids"):
-                ids = list(meta["ids"])
-            if datasets is None and meta.get("datasets"):
-                datasets = list(meta["datasets"])
-            if schemes is None and meta.get("schemes"):
-                schemes = list(meta["schemes"])
-        elif meta is None:
-            journal.write_meta(
-                ids=ids, datasets=datasets, schemes=schemes,
-                jobs=args.jobs,
-            )
     unknown = [i for i in ids if i not in registry]
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         print(f"available: {list(registry)}", file=sys.stderr)
         return 2
 
-    if journal is None:
-        status = _run_experiments(args, registry, ids, datasets, schemes,
-                                  None)
-        if args.health:
-            print(degrade.format_health())
-        return status
-    status = 0
-    with using_run(journal):
-        try:
-            status = _run_experiments(args, registry, ids, datasets,
-                                      schemes, journal)
-        except RunAborted as exc:
-            print(f"[aborted] {exc}", file=sys.stderr)
-            status = 3
-    journal.write_health()
-    report = completeness(journal)
-    print(format_report(report))
+    _run_experiments(args, registry, ids, datasets, schemes)
     if args.health:
         print(degrade.format_health())
-    if status == 0 and not report.complete:
-        status = 1
-    return status
+    degraded = degraded_cells()
+    for (scheme, dataset), (error, attempts) in degraded.items():
+        print(f"[degraded] {scheme}/{dataset}: {error} "
+              f"(after {attempts} attempts)", file=sys.stderr)
+    return 1 if degraded else 0
 
 
 if __name__ == "__main__":

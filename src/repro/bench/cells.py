@@ -47,7 +47,6 @@ from ..apps.community_detection import (
 from ..apps.influence_max import InfluenceMaxReport
 from ..graph.csr import CSRGraph
 from ..ordering.base import Ordering
-from ..resilience.journal import cell_key
 from ..resilience.store import EntryStore
 from ..simulator.counters import CounterReport
 from ..simulator.parallel import ExecutionResult
@@ -55,6 +54,7 @@ from ..simulator.parallel import ExecutionResult
 __all__ = [
     "CellStore",
     "cached_cell",
+    "cell_key",
     "entry_key",
     "source_digest",
 ]
@@ -82,6 +82,17 @@ _CORRUPTION_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
 #: memoised digest of the package source (computed once per process).
 _source_digest: str | None = None
+
+
+def cell_key(*parts: object) -> str:
+    """A stable content-hash key for a cell identified by ``parts``.
+
+    Parts are serialised canonically (JSON, sorted keys) before
+    hashing, so logically equal cells map to equal keys across
+    processes and sessions.
+    """
+    canonical = json.dumps(parts, sort_keys=True, default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:24]
 
 
 def source_digest() -> str:

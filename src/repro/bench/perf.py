@@ -83,7 +83,6 @@ from ..measures.gaps import gap_measures
 from ..ordering import PAPER_SCHEMES
 from ..ordering.base import Ordering, get_scheme
 from ..ordering.store import OrderingStore
-from ..resilience.journal import RunJournal, cell_key
 from ..simulator import hit_ratio_curve, lru_stack_distances
 from ..simulator.parallel import (
     ExecutionResult,
@@ -1162,65 +1161,30 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats", type=int, default=3, metavar="N",
         help="wall-clock repeats per stage, best-of (default: 3)",
     )
-    parser.add_argument(
-        "--run-id", metavar="ID", default=None,
-        help="journal the stage result under $REPRO_CACHE_DIR/runs/ID; "
-             "a rerun with the same id replays it without re-measuring",
-    )
     args = parser.parse_args(argv)
 
     dataset = "livemocha" if args.quick else args.dataset
     repeats = 1 if args.quick else args.repeats
-    stage = "orderings" if args.orderings else (
-        "apps" if args.apps else (
-            "threads" if args.threads else (
-                "ingest" if args.ingest else "replay"
-            )
+    if args.orderings:
+        schemes = args.schemes.split(",") if args.schemes else None
+        result = measure_orderings(dataset, schemes=schemes, repeats=repeats)
+    elif args.apps:
+        result = measure_apps(
+            dataset,
+            num_samples=16 if args.quick else args.num_samples,
+            repeats=repeats,
+            jobs=args.jobs,
         )
-    )
-    journal = RunJournal(args.run_id) if args.run_id else None
-    stage_key = cell_key(
-        "perf", stage, dataset, repeats, args.schemes,
-        args.num_samples, args.jobs, bool(args.quick),
-    )
-    entry = journal.lookup(stage_key) if journal is not None else None
-    if (
-        entry is not None
-        and entry.get("status") == "ok"
-        and isinstance(entry.get("value"), dict)
-    ):
-        result = entry["value"]
-        journal.mark_replayed(stage_key)
-        print(f"[replayed {stage} stage from run {args.run_id}]",
-              file=sys.stderr)
+    elif args.threads:
+        result = measure_threads(
+            dataset,
+            num_samples=16 if args.quick else args.num_samples,
+            repeats=repeats,
+        )
+    elif args.ingest:
+        result = measure_ingest(dataset, repeats=repeats)
     else:
-        if args.orderings:
-            schemes = args.schemes.split(",") if args.schemes else None
-            result = measure_orderings(
-                dataset, schemes=schemes, repeats=repeats
-            )
-        elif args.apps:
-            result = measure_apps(
-                dataset,
-                num_samples=16 if args.quick else args.num_samples,
-                repeats=repeats,
-                jobs=args.jobs,
-            )
-        elif args.threads:
-            result = measure_threads(
-                dataset,
-                num_samples=16 if args.quick else args.num_samples,
-                repeats=repeats,
-            )
-        elif args.ingest:
-            result = measure_ingest(dataset, repeats=repeats)
-        else:
-            result = measure(dataset, repeats=repeats)
-        if journal is not None:
-            journal.record(
-                stage_key, kind="perf", status="ok",
-                label=f"perf:{stage}:{dataset}", value=result,
-            )
+        result = measure(dataset, repeats=repeats)
     for line in native_summary(result.get("native_kernels")):
         print(f"[{line}]", file=sys.stderr)
     print(json.dumps(result, indent=2))

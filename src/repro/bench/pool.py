@@ -10,12 +10,12 @@ deterministic:
 * workers are plain module-level functions over picklable cell tuples,
   so the fan-out composes with the fork start method (workers inherit
   the parent's warmed caches) as well as spawn;
-* ``jobs=1`` (the default) with no active fault plan bypasses the
-  supervisor entirely — bit-identical to the sequential path and the
-  mode the equivalence tests pin;
+* ``jobs=1`` (the default) with no timeout and no active fault plan
+  bypasses the supervisor entirely — bit-identical to the sequential
+  path and the mode the equivalence tests pin;
 * a crashed, hung, or failing worker is detected, respawned, and its
-  cell retried with deterministic backoff; ``map_cells`` raises
-  :class:`CellFailedError` only after a cell exhausts its retries,
+  cell retried at once; ``map_cells`` raises :class:`CellFailedError`
+  only after a cell exhausts its retries,
   while :func:`map_cells_detailed` returns the structured per-cell
   outcomes so supervised grids can degrade instead of aborting;
 * each worker's native-kernel thread pool is capped at
@@ -154,9 +154,8 @@ def map_cells_detailed(
     """Supervised ``map``: one :class:`CellResult` per cell, input order.
 
     A cell that crashes its worker, times out, or raises is retried up
-    to ``retries`` times (deterministic seeded backoff) and then
-    degrades to ``ok=False`` with the error recorded — the grid always
-    completes.
+    to ``retries`` times and then degrades to ``ok=False`` with the
+    error recorded — the grid always completes.
     """
     width = jobs if jobs is not None else _default_jobs
     if width < 1:
@@ -182,12 +181,12 @@ def map_cells(
 
     Results preserve input order, so a parallel run produces exactly the
     rows a sequential run would.  The pool width is capped by the cell
-    count; with one job or one cell (and no active fault plan) the work
-    runs in the calling process as a plain loop, preserving exception
-    semantics exactly.  Under fan-out, worker death and hangs are
-    supervised and retried; a cell that exhausts its retries raises
-    :class:`CellFailedError` (in sequential runs chained from the
-    original exception).
+    count; with one job or one cell (and no timeout or active fault
+    plan) the work runs in the calling process as a plain loop,
+    preserving exception semantics exactly.  Under fan-out, worker death
+    and hangs are supervised and retried; a cell that exhausts its
+    retries raises :class:`CellFailedError` (in sequential runs chained
+    from the original exception).
     """
     cell_list: Sequence[T] = list(cells)
     width = jobs if jobs is not None else _default_jobs
@@ -196,7 +195,11 @@ def map_cells(
     if not cell_list:
         return []
     width = min(width, len(cell_list))
-    if (width <= 1 or len(cell_list) <= 1) and faults.active_plan() is None:
+    if (
+        width <= 1
+        and faults.active_plan() is None
+        and (timeout if timeout is not None else _default_timeout) is None
+    ):
         return [worker(c) for c in cell_list]
     results = map_cells_detailed(
         worker, cell_list, jobs=width, timeout=timeout, retries=retries

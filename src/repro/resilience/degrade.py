@@ -18,7 +18,9 @@ bounded event log.  Two families feed it:
 
 The whole picture is queryable as a **health report**
 (:func:`health_report` / :func:`format_health`, surfaced by
-``python -m repro.bench ... --health`` and the run journal).
+``python -m repro.bench ... --health``).  Grid cells that exhaust their
+retries are a different thing — missing results, not a slower tier —
+and are reported by :mod:`repro.bench.runners` and the bench CLI.
 
 State is per-process.  Supervised pool workers ship their degradation
 events back to the parent piggybacked on result messages

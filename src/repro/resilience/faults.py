@@ -1,7 +1,7 @@
 """Deterministic fault injection at the pool / store / runner seams.
 
 ``REPRO_FAULTS=<spec>`` plants faults inside the execution substrate so
-the recovery paths (retry, respawn, quarantine, resume) are exercised by
+the recovery paths (retry, respawn, quarantine, fallback) are exercised by
 tests instead of waiting for production to exercise them.  The schedule
 is a pure function of the spec: decisions are derived by hashing
 ``(seed, site key)`` through sha256, so the same spec and seed always
@@ -13,20 +13,17 @@ Spec grammar (``;``-separated clauses, ``:``-separated fields)::
     spec    := clause (";" clause)*
     clause  := kind (":" name "=" value)*
     kind    := "worker-crash" | "cache-corrupt" | "cell-timeout"
-             | "run-abort" | "native-build-fail" | "native-runtime-fault"
+             | "native-build-fail" | "native-runtime-fault"
              | "disk-full" | "store-torn-read"
     params  := p=<float in [0,1]>   fire probability      (default 1)
                seed=<int>           schedule seed          (default 0)
                cells=<i,j,...>      restrict to cell indices
-               after=<int>          run-abort: abort once this many
-                                    journal records were written
 
 Examples::
 
     REPRO_FAULTS="worker-crash:p=0.1:seed=7"
     REPRO_FAULTS="cache-corrupt"
     REPRO_FAULTS="cell-timeout:p=0.5:seed=3;worker-crash:p=1:cells=2"
-    REPRO_FAULTS="run-abort:after=2"
 
 Fault kinds and their seams:
 
@@ -42,10 +39,6 @@ Fault kinds and their seams:
     The on-disk caches (the ordering, cell and graph stores) truncate
     the entry they just wrote (a simulated torn write), so the checksum
     verification and quarantine path runs on the next load.
-``run-abort``
-    The run journal raises :class:`RunAborted` after ``after`` records —
-    a deterministic stand-in for ``kill -9`` mid-run, driving the
-    ``--resume`` kill/resume cycle in CI.
 ``native-build-fail``
     :class:`repro._native.core.NativeKernel` compilation, including warm
     ``.so`` cache hits — the kernel raises
@@ -59,11 +52,10 @@ Fault kinds and their seams:
     for the process; this and every later call run the vector/scalar
     twin.
 ``disk-full``
-    The cache/journal write seams (:mod:`repro.resilience.store`, shared
-    by the ordering and cell caches, :mod:`repro.graph.store`,
-    :mod:`repro.resilience.journal`) —
-    the write raises ``OSError(ENOSPC)``; the run degrades to
-    compute-without-cache instead of crashing.
+    The cache write seams (:mod:`repro.resilience.store`, shared by the
+    ordering and cell caches, and :mod:`repro.graph.store`) — the write
+    raises ``OSError(ENOSPC)``; the run degrades to compute-without-cache
+    instead of crashing.
 ``store-torn-read``
     The store *read* seams — a load reports a torn/bit-rotted payload,
     driving the quarantine-and-rebuild path without real mmap SIGBUS.
@@ -84,13 +76,11 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "InjectedFault",
-    "RunAborted",
     "parse_spec",
     "active_plan",
     "maybe_worker_crash",
     "maybe_cell_timeout",
     "maybe_cache_corrupt",
-    "maybe_run_abort",
     "maybe_native_build_fail",
     "maybe_native_runtime_fault",
     "maybe_disk_full",
@@ -104,7 +94,6 @@ KINDS = (
     "worker-crash",
     "cache-corrupt",
     "cell-timeout",
-    "run-abort",
     "native-build-fail",
     "native-runtime-fault",
     "disk-full",
@@ -119,10 +108,6 @@ class InjectedFault(RuntimeError):
     """An injected fault firing on a sequential (in-process) path."""
 
 
-class RunAborted(RuntimeError):
-    """An injected mid-run abort (deterministic ``kill -9`` stand-in)."""
-
-
 @dataclasses.dataclass(frozen=True)
 class FaultSpec:
     """One parsed clause of a ``REPRO_FAULTS`` spec."""
@@ -131,7 +116,6 @@ class FaultSpec:
     p: float = 1.0
     seed: int = 0
     cells: tuple[int, ...] | None = None
-    after: int | None = None
 
 
 def _unit(seed: int, key: str) -> float:
@@ -174,8 +158,6 @@ def parse_spec(text: str) -> tuple[FaultSpec, ...]:
                     fields["cells"] = tuple(
                         int(c) for c in value.split(",") if c.strip()
                     )
-                elif name == "after":
-                    fields["after"] = int(value)
                 else:
                     raise ValueError(
                         f"unknown fault parameter {name!r} in {clause!r}"
@@ -190,18 +172,13 @@ class FaultPlan:
     ``decide`` is pure — the same ``(kind, key, cell)`` always returns
     the same answer for a given spec — while the plan object carries the
     small amount of per-process bookkeeping injection needs (per-entry
-    corruption counters, the one-shot abort latch).
+    corruption and dispatch counters).
     """
 
     def __init__(self, specs: tuple[FaultSpec, ...]) -> None:
         self.specs = specs
         self._by_kind = {spec.kind: spec for spec in specs}
         self._entry_counts: dict[str, int] = {}
-        self._aborted = False
-
-    def spec_for(self, kind: str) -> FaultSpec | None:
-        """The clause covering ``kind``, or ``None``."""
-        return self._by_kind.get(kind)
 
     def decide(self, kind: str, key: str, cell: int | None = None) -> bool:
         """Whether the fault of ``kind`` fires at injection site ``key``."""
@@ -242,7 +219,7 @@ def active_plan() -> FaultPlan | None:
 
     Re-reads the environment on every call (tests repoint it); the plan
     instance is cached per spec string so per-process injection state
-    (corruption counters, the abort latch) survives between calls.
+    (corruption and dispatch counters) survives between calls.
     """
     text = os.environ.get(ENV_FAULTS, "").strip()
     if not text:
@@ -330,27 +307,6 @@ def maybe_cache_corrupt(path: str) -> bool:
     with open(path, "r+b") as handle:
         handle.truncate(max(1, size // 2))
     return True
-
-
-def maybe_run_abort(records_written: int) -> None:
-    """Abort the run once ``records_written`` reaches the spec threshold.
-
-    Called by the run journal after each appended record; raising
-    :class:`RunAborted` here is the deterministic stand-in for killing a
-    bench run mid-grid.
-    """
-    plan = active_plan()
-    if plan is None or plan._aborted:
-        return
-    spec = plan.spec_for("run-abort")
-    if spec is None:
-        return
-    threshold = spec.after if spec.after is not None else 1
-    if records_written >= threshold:
-        plan._aborted = True
-        raise RunAborted(
-            f"injected run-abort after {records_written} journal records"
-        )
 
 
 def maybe_native_build_fail(kernel: str) -> bool:

@@ -22,8 +22,9 @@ implemented once here:
 
 Every store lives in its own directory under one cache root,
 ``$REPRO_CACHE_DIR`` (default ``.repro-cache/``); :func:`cache_root` is
-the only reader of that variable, and the run journal
-(:mod:`repro.resilience.journal`) keeps its ``runs/`` next to the stores.
+the only reader of that variable.  Because every store is
+content-addressed, re-running a killed command is how it resumes: the
+entries it committed before the kill come back as hits.
 
 Subclasses own their keys and payload formats (and their checksums);
 this class owns the files and the hit/miss/quarantine counters.
@@ -46,7 +47,7 @@ _S = TypeVar("_S", bound="EntryStore")
 
 
 def cache_root() -> str:
-    """The directory every persistent store and run journal lives under.
+    """The directory every persistent store lives under.
 
     Re-read on every call (tests repoint it per test).
     """

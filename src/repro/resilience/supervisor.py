@@ -11,9 +11,8 @@ explicitly supervised pool:
   was holding;
 * per-cell **timeouts** — a cell past its deadline is killed and
   retried, not waited on;
-* **bounded retries** with deterministic, seeded backoff (delays are
-  hashed from ``(seed, cell, attempt)``, never drawn from wall-clock
-  jittered RNG state — the reprolint determinism rules apply here too);
+* **bounded retries** — a failed cell is re-queued at once: cells are
+  deterministic and local, so waiting before a retry buys nothing;
 * **worker-death detection and respawn** — a worker that segfaults or
   ``os._exit``\\ s is detected via ``Process.is_alive``/``exitcode``,
   its cell is retried on a freshly spawned worker, and the pool keeps
@@ -22,10 +21,12 @@ explicitly supervised pool:
   after its retries degrades to ``ok=False`` with the error recorded,
   instead of aborting the grid.
 
-Results are returned in input order.  With ``jobs=1`` (and no active
-fault plan) callers at the :mod:`repro.bench.pool` layer bypass the
-supervisor entirely, so the sequential path the equivalence tests pin
-stays bit-identical.
+Results are returned in input order.  A width of one with no timeout
+runs in-process (:func:`_run_sequential`); a timeout always takes the
+process path, since only a separate process can be stopped at its
+deadline.  With ``jobs=1``, no timeout and no active fault plan, callers
+at the :mod:`repro.bench.pool` layer bypass the supervisor entirely, so
+the sequential path the equivalence tests pin stays bit-identical.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import time
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import degrade, faults
-from .faults import _unit
 
 __all__ = ["CellResult", "run_supervised"]
 
@@ -78,16 +78,6 @@ def _context() -> multiprocessing.context.BaseContext:
     )
 
 
-def _backoff_delay(
-    base: float, seed: int, index: int, attempt: int
-) -> float:
-    """Deterministic exponential backoff with hashed (not RNG) jitter."""
-    if base <= 0.0:
-        return 0.0
-    jitter = 0.5 + _unit(seed, f"backoff:{index}:{attempt}")
-    return base * (2.0 ** (attempt - 1)) * jitter
-
-
 def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -121,8 +111,9 @@ def _worker_loop(
     every thread count.
 
     A worker is always a leaf of the fan-out: its default pool width is
-    reset to 1, so a cell that would fan out on its own by default (the
-    batched RRR sampler of Figures 11–12 reads
+    reset to 1 and its default timeout cleared (the supervisor already
+    holds this cell's deadline), so a cell that would fan out on its own
+    by default (the batched RRR sampler of Figures 11–12 reads
     :func:`repro.bench.pool.default_jobs`) runs in-process instead of
     trying to start a nested pool, which daemonic workers may not.
     """
@@ -130,9 +121,10 @@ def _worker_loop(
         from repro._native.core import set_thread_cap
 
         set_thread_cap(thread_cap)
-    from repro.bench.pool import set_default_jobs
+    from repro.bench.pool import set_default_jobs, set_default_timeout
 
     set_default_jobs(1)
+    set_default_timeout(None)
     stall = timeout_hint * 4.0 if timeout_hint else None
     while True:
         try:
@@ -189,8 +181,6 @@ def _run_sequential(
     cell_list: Sequence[T],
     *,
     retries: int,
-    backoff_base: float,
-    backoff_seed: int,
 ) -> list[CellResult]:
     """The in-process path: same retry/degrade semantics, no processes.
 
@@ -208,11 +198,6 @@ def _run_sequential(
                 faults.maybe_worker_crash(index, attempt, hard=False)
                 faults.maybe_cell_timeout(index, attempt, stall_seconds=None)
                 value = worker(cell)
-            except faults.RunAborted:
-                # A simulated kill -9 (run-abort fault) must stop the
-                # whole run, exactly like the real signal would — it is
-                # never a retryable cell failure.
-                raise
             except Exception as exc:  # noqa: BLE001 - degrade, not abort
                 if attempt > retries:
                     results.append(
@@ -222,9 +207,6 @@ def _run_sequential(
                         )
                     )
                     break
-                time.sleep(
-                    _backoff_delay(backoff_base, backoff_seed, index, attempt)
-                )
             else:
                 results.append(
                     CellResult(
@@ -243,17 +225,14 @@ def run_supervised(
     jobs: int = 1,
     timeout: float | None = None,
     retries: int = 2,
-    backoff_base: float = 0.05,
-    backoff_seed: int = 0,
 ) -> list[CellResult]:
     """Run ``worker`` over ``cells`` under supervision.
 
     Returns one :class:`CellResult` per cell, in input order.  ``jobs``
     caps the worker-process count (clamped to the cell count; ``1``
-    runs in-process).  ``timeout`` is the per-attempt deadline in
-    seconds (``None`` = unbounded); ``retries`` bounds re-execution
-    after a crash, timeout, or exception, with deterministic seeded
-    backoff between attempts.
+    without a timeout runs in-process).  ``timeout`` is the per-attempt
+    deadline in seconds (``None`` = unbounded); ``retries`` bounds
+    re-execution after a crash, timeout, or exception.
 
     ``KeyboardInterrupt`` (and any other supervisor-level error)
     terminates and joins every worker before propagating — a Ctrl-C on
@@ -265,20 +244,10 @@ def run_supervised(
     if retries < 0:
         raise ValueError("retries must be >= 0")
     width = min(jobs, len(cell_list))
-    if width <= 1:
-        return _run_sequential(
-            worker, cell_list,
-            retries=retries,
-            backoff_base=backoff_base,
-            backoff_seed=backoff_seed,
-        )
+    if width <= 1 and timeout is None:
+        return _run_sequential(worker, cell_list, retries=retries)
     return _run_parallel(
-        worker, cell_list,
-        width=width,
-        timeout=timeout,
-        retries=retries,
-        backoff_base=backoff_base,
-        backoff_seed=backoff_seed,
+        worker, cell_list, width=width, timeout=timeout, retries=retries
     )
 
 
@@ -289,8 +258,6 @@ def _run_parallel(
     width: int,
     timeout: float | None,
     retries: int,
-    backoff_base: float,
-    backoff_seed: int,
 ) -> list[CellResult]:
     """The supervised pool proper (see :func:`run_supervised`)."""
     ctx = _context()
@@ -321,7 +288,6 @@ def _run_parallel(
     pending: collections.deque[tuple[int, int]] = collections.deque(
         (index, 1) for index in range(len(cell_list))
     )
-    waiting_retries: list[tuple[float, int, int]] = []
     first_start: dict[int, float] = {}
     results: dict[int, CellResult] = {}
 
@@ -334,10 +300,7 @@ def _run_parallel(
                 time.monotonic() - first_start[index],
             )
         else:
-            ready = time.monotonic() + _backoff_delay(
-                backoff_base, backoff_seed, index, attempt
-            )
-            waiting_retries.append((ready, index, attempt + 1))
+            pending.append((index, attempt + 1))
 
     def replace(slot: int) -> None:
         handles[slot].close()
@@ -346,15 +309,6 @@ def _run_parallel(
     try:
         while len(results) < len(cell_list):
             now = time.monotonic()
-
-            # Promote due retries into the dispatch queue (stable order).
-            due = [entry for entry in waiting_retries if entry[0] <= now]
-            if due:
-                waiting_retries[:] = [
-                    entry for entry in waiting_retries if entry[0] > now
-                ]
-                for _ready, index, attempt in sorted(due):
-                    pending.append((index, attempt))
 
             # Dispatch to idle workers.
             for handle in handles:

@@ -413,6 +413,17 @@ def test_discovery_on_a_synthetic_tree(tmp_path):
     assert findings[0].path == "mod.py"
 
 
+def test_clint_cli_reports_the_sources_it_linted(capsys):
+    """``--clint`` counts every kernel plus the thread-pool helper."""
+    from repro import _native
+    from repro.analysis.__main__ import main
+
+    assert main(["--clint"]) == 0
+    count = len(_native.kernel_names()) + 1
+    assert count > 1
+    assert f"across {count} file(s)" in capsys.readouterr().out
+
+
 def test_helper_is_linted_with_the_real_tree():
     """THREAD_POOL_HELPER itself goes through the rules (it holds the
     pthread plumbing every threaded kernel embeds)."""

@@ -8,6 +8,7 @@ in a recompute, never in a stale or crashed run.
 
 import math
 import os
+import re
 import shutil
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.bench import cells
 from repro.bench.cells import (
     CellStore,
     cached_cell,
+    cell_key,
     entry_key,
     source_digest,
 )
@@ -145,6 +147,34 @@ def test_computed_reports_round_trip(store):
 # ---------------------------------------------------------------------------
 # Keys
 # ---------------------------------------------------------------------------
+class TestCellKey:
+    def test_stable(self):
+        assert cell_key("measures", "ds", "token") == cell_key(
+            "measures", "ds", "token"
+        )
+
+    def test_distinguishes_parts(self):
+        keys = {
+            cell_key("measures", "ds", "token"),
+            cell_key("ordering", "ds", "token"),
+            cell_key("measures", "other", "token"),
+            cell_key("measures", "ds", "token2"),
+        }
+        assert len(keys) == 4
+
+    def test_shape(self):
+        key = cell_key("a", "b")
+        assert re.fullmatch(r"[0-9a-f]{24}", key)
+
+    def test_pinned_value(self):
+        """Entries already on disk keep their keys."""
+        key = cell_key(
+            "community_detection", "abc", "def",
+            {"scheme": "rcm", "num_threads": 4}, "0" * 64,
+        )
+        assert key == "a6b654eda8f17a8014e85673"
+
+
 def test_key_covers_graph_permutation_and_params():
     base = _key()
     assert base == _key()

@@ -1,6 +1,7 @@
 """Tests for the bench fan-out pool, cache warming, and perf harness."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -91,12 +92,26 @@ def _worker_default_jobs(cell):
     return default_jobs()
 
 
+def _worker_default_timeout(cell):
+    return default_timeout()
+
+
+def _sleep_two(cell):
+    time.sleep(2.0)
+    return cell
+
+
 class TestNestedFanOut:
     def test_pool_workers_are_leaves(self):
         """Workers must not inherit the parent's width and nest a pool."""
         set_default_jobs(2)
         assert map_cells(_worker_default_jobs, [0, 1, 2]) == [1, 1, 1]
         assert default_jobs() == 2
+
+    def test_pool_workers_leave_the_deadline_to_the_supervisor(self):
+        set_default_timeout(30.0)
+        assert map_cells(_worker_default_timeout, [0, 1]) == [None, None]
+        assert default_timeout() == 30.0
 
     def test_fig11_parallel_matches_sequential(self, tmp_path):
         """fig11 fans its cells out, and each cell samples in batches.
@@ -125,6 +140,10 @@ class TestSupervisedFailureModes:
         # The surviving cells are still inspectable on the exception.
         assert len(err.results) == 6
         assert [r.value for r in err.results if r.ok] == [0, 2, 4, 8, 10]
+
+    def test_strict_map_enforces_timeout_at_one_job(self):
+        with pytest.raises(CellFailedError, match="timed out"):
+            map_cells(_sleep_two, [0], jobs=1, timeout=0.2, retries=0)
 
     def test_detailed_map_degrades_instead_of_raising(self):
         results = map_cells_detailed(

@@ -35,9 +35,7 @@ PACKAGES = [
     "repro.resilience",
     "repro.resilience.store",
     "repro.resilience.faults",
-    "repro.resilience.journal",
     "repro.resilience.supervisor",
-    "repro.resilience.reporting",
 ]
 
 

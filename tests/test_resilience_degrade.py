@@ -7,8 +7,6 @@ to compute-without-cache, and all of it is counted, warned once, and
 visible in the health report instead of crashing (or vanishing).
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from repro.engine import ENGINE_METADATA_KEY, VECTOR_MIN_WORK
 from repro.graph.store import GraphStore
 from repro.ordering import OrderingStore, get_scheme
 from repro.resilience import degrade, faults
-from repro.resilience.journal import RunJournal
 from tests.conftest import random_graph
 
 
@@ -217,14 +214,6 @@ class TestResourcePressure:
         assert store.save("entry", graph) is None
         assert degrade.counters()["graph-store.write:disk-full"] == 1
 
-    def test_journal_disk_full_never_crashes(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        _set_faults(monkeypatch, "disk-full:p=1")
-        journal = RunJournal("pressure-run")
-        journal.record("cell", kind="x", status="ok")  # write swallowed
-        assert degrade.counters()["run-journal.write:disk-full"] >= 1
-        assert not journal.exists
-
     def test_torn_read_quarantines_and_recomputes(
         self, monkeypatch, tmp_path
     ):
@@ -273,27 +262,3 @@ class TestHealth:
             in text
         )
         assert "[counter] some-site:some-kind: 1" in text
-
-    def test_journal_write_health_record(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        degrade.record("site", "kind", "detail")
-        journal = RunJournal("health-run")
-        journal.write_health()
-        with open(journal.path, encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle]
-        (health,) = [r for r in records if r.get("type") == "health"]
-        assert health["run_id"] == "health-run"
-        assert health["counters"] == {"site:kind": 1}
-        assert health["healthy"] is False
-
-    def test_reporting_summary_includes_degrade_counters(
-        self, monkeypatch, tmp_path
-    ):
-        from repro.resilience.reporting import completeness, format_report
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        degrade.record("site", "kind", "detail")
-        journal = RunJournal("summary-run")
-        journal.record("cell", kind="x", status="ok")
-        text = format_report(completeness(journal))
-        assert "[degrade] site:kind: 1" in text

@@ -15,12 +15,10 @@ from repro.resilience.faults import (
     CRASH_EXIT_CODE,
     FaultSpec,
     InjectedFault,
-    RunAborted,
     parse_spec,
 )
-from repro.resilience.journal import RunJournal
 from repro.resilience.supervisor import run_supervised
-from tests.conftest import random_graph
+from tests.conftest import random_graph, run_bench
 
 
 def _square(x):
@@ -33,7 +31,7 @@ def _set_faults(monkeypatch, spec):
 
 @pytest.fixture(autouse=True)
 def _fresh_plans():
-    """Drop cached plans so per-process state (abort latches, corruption
+    """Drop cached plans so per-process state (corruption and dispatch
     counters) never leaks between tests sharing a spec string."""
     faults._PLANS.clear()
     yield
@@ -48,7 +46,7 @@ class TestParseSpec:
         (spec,) = parse_spec("cache-corrupt")
         assert spec == FaultSpec(kind="cache-corrupt")
         assert spec.p == 1.0 and spec.seed == 0
-        assert spec.cells is None and spec.after is None
+        assert spec.cells is None
 
     def test_full_clause(self):
         (spec,) = parse_spec("worker-crash:p=0.1:seed=7:cells=2,5")
@@ -58,9 +56,9 @@ class TestParseSpec:
         assert spec.cells == (2, 5)
 
     def test_multiple_clauses(self):
-        specs = parse_spec("worker-crash:p=0.5;run-abort:after=3")
-        assert [s.kind for s in specs] == ["worker-crash", "run-abort"]
-        assert specs[1].after == 3
+        specs = parse_spec("worker-crash:p=0.5;cell-timeout:seed=3")
+        assert [s.kind for s in specs] == ["worker-crash", "cell-timeout"]
+        assert specs[1].seed == 3
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -146,9 +144,7 @@ class TestEquivalenceUnderFaults:
         cells = list(range(24))
         baseline = [_square(c) for c in cells]
         _set_faults(monkeypatch, spec)
-        results = run_supervised(
-            _square, cells, jobs=1, retries=4, backoff_base=0.0
-        )
+        results = run_supervised(_square, cells, jobs=1, retries=4)
         for cell, result in zip(cells, results):
             if result.ok:
                 assert result.value == _square(cell)
@@ -161,8 +157,7 @@ class TestEquivalenceUnderFaults:
         cells = list(range(24))
         _set_faults(monkeypatch, spec)
         results = run_supervised(
-            _square, cells, jobs=4, retries=3, backoff_base=0.01,
-            timeout=10.0,
+            _square, cells, jobs=4, retries=3, timeout=10.0
         )
         assert all(r.ok for r in results)
         assert [r.value for r in results] == [_square(c) for c in cells]
@@ -170,9 +165,7 @@ class TestEquivalenceUnderFaults:
     def test_retry_attempts_follow_schedule(self, monkeypatch):
         _set_faults(monkeypatch, "worker-crash:p=0.3:seed=5")
         plan = faults.active_plan()
-        results = run_supervised(
-            _square, range(24), jobs=1, retries=3, backoff_base=0.0
-        )
+        results = run_supervised(_square, range(24), jobs=1, retries=3)
         for index, result in enumerate(results):
             expected = 1
             while plan.decide(
@@ -188,9 +181,7 @@ class TestEquivalenceUnderFaults:
         cells = list(range(10))
         baseline = [_square(c) for c in cells]
         _set_faults(monkeypatch, "worker-crash:p=1:cells=4")
-        results = run_supervised(
-            _square, cells, jobs=2, retries=2, backoff_base=0.01
-        )
+        results = run_supervised(_square, cells, jobs=2, retries=2)
         assert not results[4].ok
         assert results[4].attempts == 3
         assert str(CRASH_EXIT_CODE) in results[4].error
@@ -212,42 +203,41 @@ class TestEquivalenceUnderFaults:
 
 
 # ---------------------------------------------------------------------------
-# run-abort: the deterministic kill -9 stand-in
+# Degraded grid cells: NaN in the figure, named on stderr, exit 1
 # ---------------------------------------------------------------------------
-class TestRunAbort:
-    def test_aborts_after_threshold(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        _set_faults(monkeypatch, "run-abort:after=2")
-        journal = RunJournal("abort-run")
-        journal.record("k1", kind="x", status="ok")
-        with pytest.raises(RunAborted):
-            journal.record("k2", kind="x", status="ok")
-        # Both records hit the disk before the abort fired.
-        reloaded = RunJournal("abort-run")
-        assert set(reloaded.entries()) == {"k1", "k2"}
+class TestDegradedCells:
+    GRID = ["fig1", "--datasets", "euroroad", "--schemes", "natural,random"]
 
-    def test_abort_is_one_shot_per_plan(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        _set_faults(monkeypatch, "run-abort:after=1")
-        journal = RunJournal("oneshot")
-        with pytest.raises(RunAborted):
-            journal.record("k1", kind="x", status="ok")
-        journal.record("k2", kind="x", status="ok")  # latch is spent
+    def test_degraded_cell_renders_nan(self, monkeypatch):
+        from repro.bench import runners
 
-    def test_abort_propagates_through_supervised_sequential(
-        self, monkeypatch, tmp_path
-    ):
-        """A simulated kill is never swallowed as a retryable failure."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        _set_faults(monkeypatch, "run-abort:after=1")
-        journal = RunJournal("mid-cell")
+        runners.reset_caches()
+        _set_faults(monkeypatch, "worker-crash:p=1:cells=0")
+        scores = runners.collect_scores(
+            ["natural", "random"], ["euroroad"], lambda m: m.average_gap,
+        )
+        degraded = runners.degraded_cells()
+        assert list(degraded) == [("natural", "euroroad")]
+        error, attempts = degraded[("natural", "euroroad")]
+        assert "injected worker-crash" in error
+        assert attempts == 3
+        assert np.isnan(scores["natural"]["euroroad"])
+        assert np.isfinite(scores["random"]["euroroad"])
 
-        def record_cell(cell):
-            journal.record(f"cell-{cell}", kind="x", status="ok")
-            return cell
-
-        with pytest.raises(RunAborted):
-            run_supervised(record_cell, range(4), jobs=1, retries=3)
+    def test_cli_names_degraded_cells_and_exits_1(self, tmp_path):
+        result = run_bench(
+            self.GRID, tmp_path / "cache",
+            REPRO_FAULTS="worker-crash:p=1:cells=0",
+        )
+        assert result.returncode == 1, result.stderr
+        degraded = [
+            line for line in result.stderr.splitlines()
+            if line.startswith("[degraded]")
+        ]
+        assert len(degraded) == 1, result.stderr
+        assert degraded[0].startswith("[degraded] natural/euroroad: ")
+        assert degraded[0].endswith("(after 3 attempts)")
+        assert "[degraded]" not in result.stdout
 
 
 # ---------------------------------------------------------------------------

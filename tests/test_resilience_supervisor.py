@@ -17,11 +17,7 @@ import time
 
 import pytest
 
-from repro.resilience.supervisor import (
-    CellResult,
-    _backoff_delay,
-    run_supervised,
-)
+from repro.resilience.supervisor import CellResult, run_supervised
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +45,11 @@ def _fail_on_two(x):
     if x == 2:
         raise ValueError("boom")
     return x * 2
+
+
+def _slow(x):
+    time.sleep(2.0)
+    return x
 
 
 def _hang_on_one(x):
@@ -109,9 +110,7 @@ class TestEquivalence:
 
 class TestWorkerDeath:
     def test_persistent_crash_degrades_cell_only(self):
-        results = run_supervised(
-            _crash_on_two, range(8), jobs=4, retries=2, backoff_base=0.01
-        )
+        results = run_supervised(_crash_on_two, range(8), jobs=4, retries=2)
         assert not results[2].ok
         assert results[2].attempts == 3
         assert "worker died" in results[2].error
@@ -121,10 +120,7 @@ class TestWorkerDeath:
 
     def test_crash_once_then_succeed(self, tmp_path):
         cells = [(i, str(tmp_path)) for i in range(6)]
-        results = run_supervised(
-            _crash_until_marker, cells, jobs=3, retries=2,
-            backoff_base=0.01,
-        )
+        results = run_supervised(_crash_until_marker, cells, jobs=3, retries=2)
         assert all(r.ok for r in results)
         assert _values(results) == [i * 2 for i in range(6)]
         assert results[3].attempts == 2  # died once, respawned, retried
@@ -133,37 +129,28 @@ class TestWorkerDeath:
         )
 
     def test_zero_retries_degrades_immediately(self):
-        results = run_supervised(
-            _crash_on_two, range(4), jobs=2, retries=0, backoff_base=0.0
-        )
+        results = run_supervised(_crash_on_two, range(4), jobs=2, retries=0)
         assert not results[2].ok and results[2].attempts == 1
 
 
 class TestExceptionsAndTimeouts:
     def test_exception_degrades_with_description(self):
-        results = run_supervised(
-            _fail_on_two, range(5), jobs=2, retries=1, backoff_base=0.0
-        )
+        results = run_supervised(_fail_on_two, range(5), jobs=2, retries=1)
         assert not results[2].ok
         assert results[2].attempts == 2
         assert "ValueError" in results[2].error
         assert "boom" in results[2].error
 
     def test_sequential_exception_degrades_identically(self):
-        seq = run_supervised(
-            _fail_on_two, range(5), jobs=1, retries=1, backoff_base=0.0
-        )
-        par = run_supervised(
-            _fail_on_two, range(5), jobs=2, retries=1, backoff_base=0.0
-        )
+        seq = run_supervised(_fail_on_two, range(5), jobs=1, retries=1)
+        par = run_supervised(_fail_on_two, range(5), jobs=2, retries=1)
         assert [(r.ok, r.value, r.attempts) for r in seq] == [
             (r.ok, r.value, r.attempts) for r in par
         ]
 
     def test_hung_cell_times_out_and_degrades(self):
         results = run_supervised(
-            _hang_on_one, range(4), jobs=2, timeout=0.5, retries=1,
-            backoff_base=0.01,
+            _hang_on_one, range(4), jobs=2, timeout=0.5, retries=1
         )
         assert not results[1].ok
         assert "timed out" in results[1].error
@@ -171,13 +158,22 @@ class TestExceptionsAndTimeouts:
         for i in (0, 2, 3):
             assert results[i].ok and results[i].value == i + 10
 
+    def test_timeout_enforced_at_width_one(self):
+        """A deadline holds at ``jobs=1`` too: the cell runs in a worker
+        process the supervisor can stop, not in-process."""
+        start = time.monotonic()
+        (result,) = run_supervised(
+            _slow, [1], jobs=1, timeout=0.2, retries=0
+        )
+        assert not result.ok
+        assert "timed out" in result.error
+        assert time.monotonic() - start < 2.0  # not waited out
+
 
 class TestCleanup:
     def test_no_leaked_children_after_run(self):
         run_supervised(_double, range(8), jobs=4)
-        run_supervised(
-            _crash_on_two, range(6), jobs=3, retries=1, backoff_base=0.01
-        )
+        run_supervised(_crash_on_two, range(6), jobs=3, retries=1)
         deadline = time.monotonic() + 5.0
         while multiprocessing.active_children():
             assert time.monotonic() < deadline, (
@@ -221,22 +217,3 @@ class TestCleanup:
         # The process group is gone: no surviving workers to signal.
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
-
-
-class TestBackoff:
-    def test_deterministic(self):
-        a = _backoff_delay(0.05, 7, 3, 2)
-        b = _backoff_delay(0.05, 7, 3, 2)
-        assert a == b
-
-    def test_seed_and_cell_vary_jitter(self):
-        assert _backoff_delay(0.05, 1, 3, 2) != _backoff_delay(0.05, 2, 3, 2)
-        assert _backoff_delay(0.05, 1, 3, 2) != _backoff_delay(0.05, 1, 4, 2)
-
-    def test_grows_with_attempts(self):
-        # Jitter is bounded in [0.5, 1.5), so doubling always dominates
-        # two attempts apart.
-        assert _backoff_delay(0.05, 0, 1, 3) > _backoff_delay(0.05, 0, 1, 1)
-
-    def test_zero_base_disables_delay(self):
-        assert _backoff_delay(0.0, 0, 1, 5) == 0.0
