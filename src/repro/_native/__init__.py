@@ -28,7 +28,14 @@ Kernels:
 * ``counting_sort`` — BOBA-style stable counting sort behind the
   degree-driven lightweight orderings (:mod:`.counting`);
 * ``parse_edges`` — sharded two-pass edge-list byte parser behind
-  :func:`repro.graph.io.read_edge_list` (:mod:`.parse`).
+  :func:`repro.graph.io.read_edge_list` (:mod:`.parse`);
+* ``louvain_sweep`` — one whole serial Louvain sweep on the CSR arrays,
+  behind the Grappolo orderings and the community-detection
+  application (:mod:`.louvain`);
+* ``sim_dynamic`` — a whole dynamically scheduled parallel region
+  replayed through per-thread L1/L2 and a shared L3, behind
+  :meth:`repro.simulator.parallel.SimulatedMachine.run_dynamic`
+  (:mod:`.machine`).
 """
 
 from __future__ import annotations
@@ -48,7 +55,9 @@ from .core import (
     set_thread_cap,
     use_native_threads,
 )
-from . import counting, delta, fm, gorder, lru, parse, rrr  # noqa: F401  (register)
+from . import (  # noqa: F401  (register)
+    counting, delta, fm, gorder, louvain, lru, machine, parse, rrr,
+)
 
 __all__ = [
     "NativeKernel",
@@ -68,7 +77,9 @@ __all__ = [
     "delta",
     "fm",
     "gorder",
+    "louvain",
     "lru",
+    "machine",
     "parse",
     "rrr",
 ]

@@ -8,10 +8,12 @@ the per-access reference simulator and the batched engine, writing
 ``BENCH_simulator.json``.
 
 **Ordering stage** (``--orderings``) times every paper scheme through the
-vector and scalar ordering engines (:mod:`repro.engine`), verifies the
-permutations, costs, and metadata are bit-identical, times a cold/warm
-cycle of the persistent ordering store, and writes
-``BENCH_ordering.json``.
+vector and scalar ordering engines (:mod:`repro.engine`) and, where a
+scheme has one, its native kernel; verifies the permutations, costs,
+and metadata are bit-identical, times a cold/warm cycle of the
+persistent ordering store, and writes ``BENCH_ordering.json``.
+Schemes whose two Python engines are one code path
+(:data:`SINGLE_TIER_SCHEMES`) get no vector/scalar timing.
 
 **Apps stage** (``--apps``) times the application workloads through both
 engines — batched hash-pinned RRR sampling, array-based greedy seed
@@ -120,6 +122,7 @@ __all__ = [
     "INGEST_NATIVE_PARSE_FLOOR",
     "INGEST_STORE_RELOAD_FLOOR",
     "NATIVE_ORDERING_SCHEMES",
+    "SINGLE_TIER_SCHEMES",
     "NATIVE_ORDERING_FLOORS",
     "ND_NATIVE_WALL_CEILING_S",
     "APPS_NATIVE_FLOORS",
@@ -202,7 +205,14 @@ NATIVE_ORDERING_SCHEMES: dict[str, str] = {
     "hub_sort": "counting_sort",
     "hub_cluster": "counting_sort",
     "dbg": "counting_sort",
+    "grappolo": "louvain_sweep",
+    "grappolo_rcm": "louvain_sweep",
 }
+
+#: schemes whose vector and scalar engines run one code path: timing
+#: both would report noise as a speedup, so the ordering stage writes no
+#: vector/scalar row for them (a native tier still gets its row).
+SINGLE_TIER_SCHEMES = frozenset({"natural", "random", "degree_sort"})
 
 #: native/scalar speedup floors, enforced only when the kernel actually
 #: compiled (an unavailable kernel falls back to the vector tier, which
@@ -394,38 +404,44 @@ def measure_orderings(
     vector_orderings: dict[str, Ordering] = {}
     for name in scheme_names:
         instance = get_scheme(name)
-        with use_engine("vector"):
-            t_vec, o_vec = _best_of(
-                lambda s=instance: s.order(graph), repeats
-            )
+        entry: dict = {}
+        if name not in SINGLE_TIER_SCHEMES:
+            with use_engine("vector"):
+                t_vec, o_vec = _best_of(
+                    lambda s=instance: s.order(graph), repeats
+                )
         with use_engine("scalar"):
             t_sca, o_sca = _best_of(
                 lambda s=instance: s.order(graph), repeats
             )
-        identical = _orderings_identical(o_vec, o_sca)
-        vector_total += t_vec
-        scalar_total += t_sca
-        vector_orderings[name] = o_vec
-        per_scheme[name] = {
-            "vector_s": round(t_vec, 6),
-            "scalar_s": round(t_sca, 6),
-            "speedup": round(
-                t_sca / t_vec if t_vec > 0 else float("inf"), 3
-            ),
-            "identical": identical,
-        }
+        if name in SINGLE_TIER_SCHEMES:
+            vector_orderings[name] = o_sca
+        else:
+            vector_total += t_vec
+            scalar_total += t_sca
+            vector_orderings[name] = o_vec
+            entry = {
+                "vector_s": round(t_vec, 6),
+                "scalar_s": round(t_sca, 6),
+                "speedup": round(
+                    t_sca / t_vec if t_vec > 0 else float("inf"), 3
+                ),
+                "identical": _orderings_identical(o_vec, o_sca),
+            }
         if name in NATIVE_ORDERING_SCHEMES:
             with use_engine("native"):
                 t_nat, o_nat = _best_of(
                     lambda s=instance: s.order(graph), repeats
                 )
-            per_scheme[name].update(
+            entry.update(
                 native_s=round(t_nat, 6),
                 native_speedup=round(
                     t_sca / t_nat if t_nat > 0 else float("inf"), 3
                 ),
                 native_identical=_orderings_identical(o_nat, o_sca),
             )
+        if entry:
+            per_scheme[name] = entry
 
     # Persistent store: cold fill then warm reload, in a throwaway dir.
     with tempfile.TemporaryDirectory() as tmp:
@@ -480,7 +496,7 @@ def check_orderings(
     """Regression failures in an ordering measurement (empty = pass)."""
     failures: list[str] = []
     for name, entry in result["schemes"].items():
-        if not entry["identical"]:
+        if not entry.get("identical", True):
             failures.append(
                 f"{name}: vector permutation/cost/metadata diverged "
                 f"from the scalar reference"

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._native import louvain as native_louvain
 from ..engine import resolve_engine
 from ..graph.builder import GraphBuilder
 from ..graph.csr import CSRGraph
@@ -102,24 +103,70 @@ class _LouvainState:
         self.total = graph.total_weight() + float(self_loops.sum())
         self.community = np.arange(n, dtype=np.int64)
         self.comm_tot = self.k.copy()
-        # Vector-engine scratch: adjacency as native lists, built lazily.
+        # Per-tier scratch, built lazily and reused across sweeps: the
+        # vector tier's adjacency lists, the native tier's CSR arrays.
         self._adj: list[list[int]] | None = None
         self._adj_w: list[list[float]] | None = None
+        self._csr: tuple[np.ndarray, ...] | None = None
 
     def sweep(
         self, order: np.ndarray
     ) -> tuple[int, int, int]:
         """One full vertex sweep; returns (moves, comms_scanned, edges).
 
-        The vector engine runs the same greedy on native Python containers
-        (one bulk CSR conversion, cached across sweeps); Python float and
-        numpy float64 arithmetic are the same IEEE operations, so moves,
-        gains, and community totals are bit-identical to the scalar loop.
+        The native engine runs the whole sweep in C
+        (:mod:`repro._native.louvain`); the vector engine runs the same
+        greedy on native Python containers.  Both keep the scalar loop's
+        accumulation order, candidate order and gain expression, so moves,
+        gains, and community totals are bit-identical to it.
         """
-        if resolve_engine() == "scalar":
+        engine = resolve_engine()
+        if engine == "scalar":
             return self._sweep_scalar(order)
         if self.total == 0:
             return 0, 0, 0
+        if engine == "native":
+            result = self._sweep_native(order)
+            if result is not None:
+                return result
+        return self._sweep_vector(order)
+
+    def _sweep_native(
+        self, order: np.ndarray
+    ) -> tuple[int, int, int] | None:
+        """The compiled sweep; None when the kernel cannot run it."""
+        graph = self.graph
+        n = graph.num_vertices
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        if order.size and (order.min() < 0 or order.max() >= n):
+            return None  # leave out-of-range ids to the Python tiers
+        if self._csr is None:
+            weights = (
+                graph.weights
+                if graph.weights is not None
+                else np.ones(graph.indices.size, dtype=np.float64)
+            )
+            self._csr = (
+                np.ascontiguousarray(graph.indptr, dtype=np.int64),
+                np.ascontiguousarray(graph.indices, dtype=np.int64),
+                np.ascontiguousarray(weights, dtype=np.float64),
+                np.zeros(n, dtype=np.float64),
+                np.zeros(n, dtype=np.uint8),
+                np.zeros(n, dtype=np.int64),
+            )
+        return native_louvain.sweep(
+            self._csr, order, self.k, self.total,
+            self.community, self.comm_tot,
+        )
+
+    def _sweep_vector(
+        self, order: np.ndarray
+    ) -> tuple[int, int, int]:
+        """Vector tier of :meth:`sweep` (one bulk CSR conversion).
+
+        Python float and numpy float64 arithmetic are the same IEEE
+        operations, so this is bit-identical to the scalar loop.
+        """
         graph = self.graph
         n = graph.num_vertices
         if self._adj is None:

@@ -93,7 +93,9 @@ def performance_profile(
     Every scheme must report a score for every instance.  Zero best scores
     are lifted by ``epsilon`` so the ratios stay finite (matters for
     bandwidth measures on tiny graphs where the best scheme achieves the
-    trivial lower bound).
+    trivial lower bound).  A non-finite score (a degraded cell renders as
+    NaN) is a failure in Dolan–Moré's sense: the best is taken over the
+    finite scores only and the failed scheme's ratio is ``inf``.
     """
     schemes = tuple(scores.keys())
     if not schemes:
@@ -110,9 +112,12 @@ def performance_profile(
         column = np.asarray([scores[s][inst] for s in schemes], dtype=float)
         if np.any(column < 0):
             raise ValueError("scores must be non-negative")
-        best = column.min()
+        finite = np.isfinite(column)
+        best = column[finite].min() if finite.any() else 0.0
         denom = best if best > 0 else epsilon
-        ratios[:, j] = np.maximum(column, epsilon) / denom
+        ratios[:, j] = np.where(
+            finite, np.maximum(column, epsilon) / denom, np.inf
+        )
     return PerformanceProfile(schemes, instances, ratios)
 
 

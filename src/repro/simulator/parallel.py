@@ -25,8 +25,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .._native import machine as native_machine
+from ..engine import resolve_engine
+from .batch import _as_line_array, run_exact_region
 from .counters import CounterReport, report_from_counters
-from .hierarchy import HierarchyConfig, MemoryHierarchy
+from .hierarchy import HierarchyConfig, MemoryHierarchy, ThreadCounters
 
 __all__ = [
     "WorkItem",
@@ -133,8 +136,6 @@ class SimulatedMachine:
             raise ValueError("one item list per thread required")
         if self.config.prefetch_next_line:
             return self.run_reference(per_thread_items)
-        from .batch import run_exact_region
-
         hierarchy = MemoryHierarchy(self.num_threads, self.config)
         cycles, compute = run_exact_region(hierarchy, per_thread_items)
         merged = hierarchy.merged_counters()
@@ -196,10 +197,74 @@ class SimulatedMachine:
         """Execute with dynamic chunk scheduling (OpenMP ``dynamic``).
 
         Chunks are handed to the thread with the lowest simulated clock,
-        which models work stealing's load-balancing effect.
+        which models work stealing's load-balancing effect.  Under the
+        native engine the whole region replays in one compiled call
+        (:mod:`repro._native.machine`), bit-identical to the Python
+        replay; the next-line prefetcher and negative line numbers keep
+        the Python path.
         """
         if chunk < 1:
             raise ValueError("chunk must be positive")
+        if resolve_engine() == "native" and not self.config.prefetch_next_line:
+            result = self._run_dynamic_native(items, chunk)
+            if result is not None:
+                return result
+        return self._run_dynamic_python(items, chunk)
+
+    def _run_dynamic_native(
+        self, items: Sequence[WorkItem], chunk: int
+    ) -> ExecutionResult | None:
+        """The compiled replay; None when the kernel cannot run it."""
+        # int64 arrays pass through without a copy
+        lines = [_as_line_array(item.lines) for item in items]
+        compute = [item.compute_cycles for item in items]
+        if not all(isinstance(c, (int, np.integer)) for c in compute):
+            return None  # non-integer cycles keep Python's arithmetic
+        cfg = self.config
+        geometry = np.array(
+            [
+                cfg.l1.num_sets, cfg.l1.associativity,
+                cfg.l2.num_sets, cfg.l2.associativity,
+                cfg.l3.num_sets, cfg.l3.associativity,
+            ],
+            dtype=np.int64,
+        )
+        latency = [cfg.latency_of(level) for level in range(4)]
+        out = native_machine.run_dynamic(
+            lines,
+            np.array(compute, dtype=np.int64),
+            chunk,
+            self.num_threads,
+            geometry,
+            np.array(latency, dtype=np.int64),
+        )
+        if out is None:
+            return None
+        clocks, busy, level_loads = out
+        loads = level_loads.sum(axis=0).tolist()
+        cycles = [count * lat for count, lat in zip(loads, latency)]
+        merged = ThreadCounters(
+            loads=sum(loads),
+            total_latency=sum(cycles),
+            level_cycles=cycles,
+            level_loads=loads,
+        )
+        return ExecutionResult(
+            num_threads=self.num_threads,
+            thread_cycles=tuple(clocks.tolist()),
+            thread_loads=tuple(level_loads.sum(axis=1).tolist()),
+            report=report_from_counters(merged, sum(busy.tolist())),
+        )
+
+    def _run_dynamic_python(
+        self, items: Sequence[WorkItem], chunk: int
+    ) -> ExecutionResult:
+        """Python replay of :meth:`run_dynamic`: one engine call per item.
+
+        Chunk assignment depends on the running clocks, so the schedule
+        is computed item by item and each item's loads replay through the
+        batched engine (:meth:`MemoryHierarchy.access_batch`) in turn.
+        """
         hierarchy = MemoryHierarchy(self.num_threads, self.config)
         latency = np.array(
             [self.config.latency_of(level) for level in range(4)],
@@ -208,9 +273,6 @@ class SimulatedMachine:
         clocks = [0] * self.num_threads
         compute = [0] * self.num_threads
         pos = 0
-        # Chunk assignment depends on the running clocks, so the schedule
-        # is computed item by item; the replay itself is batched (the
-        # whole globally-sequential item trace in one engine call).
         while pos < len(items):
             t = min(range(self.num_threads), key=lambda x: clocks[x])
             for item in items[pos: pos + chunk]:

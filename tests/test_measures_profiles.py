@@ -63,6 +63,23 @@ class TestProfileConstruction:
         p = performance_profile({"a": {"x": 0.0}, "b": {"x": 1.0}})
         assert p.rho("a", 1.0) == 1.0
 
+    def test_degraded_cell_counts_as_failure(self):
+        """A NaN score (degraded cell) fails its instance (Dolan–Moré):
+        it neither becomes the column's best nor inflates the others."""
+        p = performance_profile({
+            "a": {"x": 1.0, "y": 2.0},
+            "b": {"x": float("nan"), "y": 1.0},
+            "c": {"x": 3.0, "y": 4.0},
+        })
+        j_x = p.instances.index("x")
+        assert p.ratios[p.schemes.index("a")][j_x] == 1.0
+        assert p.ratios[p.schemes.index("b")][j_x] == np.inf
+        assert p.ratios[p.schemes.index("c")][j_x] == 3.0
+        auc = profile_dominance_score(p)
+        assert auc["b"] == pytest.approx(0.5)  # wins y, fails x
+        assert auc["a"] > auc["b"]
+        assert p.rho("b", 1e9) == 0.5
+
 
 class TestDominance:
     def test_dominant_scheme_has_max_auc(self):

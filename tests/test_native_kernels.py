@@ -29,9 +29,17 @@ from hypothesis import strategies as st
 from repro import _native
 from repro._native import core as native_core
 from repro.apps.delta_stepping import delta_stepping
+from repro.community.louvain import louvain, louvain_one_phase
 from repro.engine import strip_engine_metadata, use_engine
 from repro.graph import from_edges
 from repro.ordering import get_scheme
+from repro.simulator.counters import report_from_counters
+from repro.simulator.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.simulator.parallel import (
+    ExecutionResult,
+    SimulatedMachine,
+    WorkItem,
+)
 from tests.conftest import make_grid, make_two_cliques, random_graph
 
 KERNEL_NAMES = (
@@ -42,6 +50,8 @@ KERNEL_NAMES = (
     "rrr_sample",
     "counting_sort",
     "parse_edges",
+    "louvain_sweep",
+    "sim_dynamic",
 )
 
 #: kernels that fan work out over a pthread pool; each must declare a
@@ -245,6 +255,190 @@ def test_lru_kernel_matches_python_walk(monkeypatch):
     monkeypatch.setattr(lru.KERNEL, "lib", lambda: None)
     without_kernel = run()
     assert np.array_equal(with_kernel, without_kernel)
+
+
+# ---------------------------------------------------------------------------
+# Louvain sweep: native vs scalar, communities and every PhaseStats field
+# ---------------------------------------------------------------------------
+def louvain_with(graph, engine, **kwargs):
+    with use_engine(engine):
+        return louvain(graph, **kwargs)
+
+
+def assert_same_louvain(a, b):
+    assert np.array_equal(a.communities, b.communities)
+    assert a.modularity == b.modularity
+    assert a.phases == b.phases  # every IterationStats field, exactly
+
+
+WEIGHTED = from_edges(
+    60,
+    [(u, (u * 7 + 3) % 60) for u in range(60)]
+    + [(u, (u + 1) % 60) for u in range(60)],
+    weights=[0.25 + ((u * 13) % 9) / 4.0 for u in range(120)],
+)
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_native_louvain_matches_scalar(graph_name):
+    graph = GRAPHS[graph_name]
+    assert_same_louvain(
+        louvain_with(graph, "native"), louvain_with(graph, "scalar")
+    )
+
+
+def test_native_louvain_weighted_matches_scalar():
+    assert_same_louvain(
+        louvain_with(WEIGHTED, "native"), louvain_with(WEIGHTED, "scalar")
+    )
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_native_louvain_shuffled_order_matches_scalar(seed):
+    graph = GRAPHS["random"]
+    order = np.random.default_rng(seed).permutation(graph.num_vertices)
+    native = louvain_with(graph, "native", vertex_order=order)
+    assert_same_louvain(
+        native, louvain_with(graph, "scalar", vertex_order=order)
+    )
+    assert native.levels >= 2  # later phases sweep coarse graphs
+
+
+def test_native_louvain_phase_with_self_loops_matches_scalar():
+    """A coarse level: weighted graph plus per-vertex self-loop weight."""
+    from repro.community.louvain import compact_graph
+
+    graph = GRAPHS["random"]
+    with use_engine("scalar"):
+        first, _ = louvain_one_phase(graph)
+        coarse, loops = compact_graph(
+            graph, np.zeros(graph.num_vertices), first
+        )
+    assert loops.any()
+    runs = {}
+    for engine in ("native", "vector", "scalar"):
+        with use_engine(engine):
+            runs[engine] = louvain_one_phase(coarse, self_loops=loops)
+    for engine in ("native", "vector"):
+        assert np.array_equal(runs[engine][0], runs["scalar"][0])
+        assert runs[engine][1] == runs["scalar"][1]
+
+
+@given(
+    n=st.integers(1, 24),
+    edges=st.lists(
+        st.tuples(st.integers(0, 23), st.integers(0, 23)),
+        min_size=0,
+        max_size=80,
+    ),
+)
+@settings(max_examples=15, deadline=None)
+def test_native_louvain_random_shapes(n, edges):
+    graph = from_edges(n, [(u % n, v % n) for u, v in edges])
+    assert_same_louvain(
+        louvain_with(graph, "native"), louvain_with(graph, "scalar")
+    )
+
+
+# ---------------------------------------------------------------------------
+# Dynamic-schedule replay: native region vs the per-access model
+# ---------------------------------------------------------------------------
+def run_dynamic_per_access(machine, items, chunk):
+    """``run_dynamic`` spelled out one ``MemoryHierarchy.access`` at a time."""
+    threads = machine.num_threads
+    hierarchy = MemoryHierarchy(threads, machine.config)
+    clocks = [0] * threads
+    compute = [0] * threads
+    for pos in range(0, len(items), chunk):
+        t = min(range(threads), key=clocks.__getitem__)
+        for item in items[pos: pos + chunk]:
+            stall = sum(
+                machine.config.latency_of(hierarchy.access(t, int(line)))
+                for line in item.lines
+            )
+            clocks[t] += stall + item.compute_cycles
+            compute[t] += item.compute_cycles
+    return ExecutionResult(
+        num_threads=threads,
+        thread_cycles=tuple(clocks),
+        thread_loads=tuple(c.loads for c in hierarchy.counters),
+        report=report_from_counters(
+            hierarchy.merged_counters(), sum(compute)
+        ),
+    )
+
+
+def dynamic_items(seed, count=30, max_len=300, span=3000):
+    """Work items mixing line containers, lengths and reuse."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for i in range(count):
+        lines = rng.integers(0, span, size=int(rng.integers(0, max_len)))
+        if i % 5 == 1:
+            lines = np.repeat(lines, 2)  # consecutive duplicates
+        kind = i % 4
+        if kind == 1:
+            lines = lines.tolist()
+        elif kind == 2:
+            lines = lines.astype(np.int32)
+        elif kind == 3:
+            lines = np.repeat(lines, 2)[::2]  # strided view
+        items.append(WorkItem(lines, int(rng.integers(0, 500))))
+    return items
+
+
+def run_dynamic_with(machine, items, chunk, engine):
+    with use_engine(engine):
+        return machine.run_dynamic(items, chunk=chunk)
+
+
+@pytest.mark.parametrize("threads", range(1, 6))
+@pytest.mark.parametrize("chunk", range(1, 10))
+def test_native_run_dynamic_matches_per_access(threads, chunk):
+    machine = SimulatedMachine(threads, HierarchyConfig.for_scale(0.05))
+    items = dynamic_items(threads * 10 + chunk)
+    native = run_dynamic_with(machine, items, chunk, "native")
+    assert native == run_dynamic_per_access(machine, items, chunk)
+
+
+@pytest.mark.parametrize("scale", (0.01, 0.25, 1.0, 4.0))
+def test_native_run_dynamic_for_scale_geometries(scale):
+    machine = SimulatedMachine(3, HierarchyConfig.for_scale(scale))
+    items = dynamic_items(7, count=40, max_len=1500, span=40000)
+    native = run_dynamic_with(machine, items, 4, "native")
+    # long items take the batched engine on the Python path
+    python = run_dynamic_with(machine, items, 4, "vector")
+    assert native == python
+    assert native == run_dynamic_per_access(machine, items, 4)
+
+
+def test_native_run_dynamic_empty_items():
+    machine = SimulatedMachine(4)
+    empty = run_dynamic_with(machine, [], 8, "native")
+    assert empty == run_dynamic_with(machine, [], 8, "vector")
+    assert empty.thread_cycles == (0, 0, 0, 0)
+    blank = [WorkItem([], 5), WorkItem(np.zeros(0, np.int64), 0)]
+    assert run_dynamic_with(machine, blank, 1, "native") == (
+        run_dynamic_per_access(machine, blank, 1)
+    )
+
+
+def test_native_run_dynamic_negative_line_replays_in_python():
+    machine = SimulatedMachine(2, HierarchyConfig.for_scale(0.05))
+    items = dynamic_items(3, count=12)
+    items[5] = WorkItem(np.array([4, -9, 17, -1], dtype=np.int64), 3)
+    native = run_dynamic_with(machine, items, 2, "native")
+    assert native == run_dynamic_per_access(machine, items, 2)
+
+
+def test_native_run_dynamic_prefetch_keeps_python_path():
+    from dataclasses import replace
+
+    config = replace(HierarchyConfig.for_scale(0.05), prefetch_next_line=True)
+    machine = SimulatedMachine(3, config)
+    items = dynamic_items(4, count=20)
+    native = run_dynamic_with(machine, items, 3, "native")
+    assert native == run_dynamic_per_access(machine, items, 3)
 
 
 # ---------------------------------------------------------------------------
