@@ -2,12 +2,12 @@
 # Run a pytest leg with the native kernels rebuilt under a sanitizer
 # profile.  Usage:
 #
-#   sh scripts/native_sanitize.sh asan|ubsan|tsan [pytest args...]
+#   sh scripts/native_sanitize.sh asan|ubsan [pytest args...]
 #
 # The profile is exported as REPRO_NATIVE_SANITIZE so NativeKernel
 # recompiles every kernel with the instrumented flag set (cache-keyed
-# per profile, so -O3 builds are untouched).  asan/tsan additionally
-# need their runtime preloaded into the *python* process, because the
+# per profile, so -O3 builds are untouched).  asan additionally needs
+# its runtime preloaded into the *python* process, because the
 # instrumented .so is dlopen'd by ctypes after startup.  Sanitizer
 # output is steered to a scratch log_path directory and triaged by
 # `python -m repro.analysis --san-reports`, so a finding fails the leg
@@ -16,7 +16,7 @@ set -eu
 
 PROFILE="${1:-}"
 if [ -z "$PROFILE" ]; then
-    echo "usage: $0 asan|ubsan|tsan [pytest args...]" >&2
+    echo "usage: $0 asan|ubsan [pytest args...]" >&2
     exit 2
 fi
 shift
@@ -45,14 +45,8 @@ case "$PROFILE" in
         # libubsan is linked into the instrumented .so directly.
         export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1:log_path=$LOGDIR/report"
         ;;
-    tsan)
-        LIB="$($CC_BIN -print-file-name=libtsan.so)"
-        [ -f "$LIB" ] || { echo "libtsan.so not found via $CC_BIN" >&2; exit 3; }
-        export LD_PRELOAD="$LIB${LD_PRELOAD:+ $LD_PRELOAD}"
-        export TSAN_OPTIONS="log_path=$LOGDIR/report:exitcode=66:second_deadlock_stack=1"
-        ;;
     *)
-        echo "unknown sanitizer profile '$PROFILE' (want asan|ubsan|tsan)" >&2
+        echo "unknown sanitizer profile '$PROFILE' (want asan|ubsan)" >&2
         exit 2
         ;;
 esac
@@ -62,7 +56,7 @@ status=0
 "$PY" -m pytest "$@" || status=$?
 
 # Structured triage: any report file fails the leg even if pytest
-# exited 0 (a race in a passing test is still a race).
+# exited 0 (a finding in a passing test is still a finding).
 "$PY" -m repro.analysis --san-reports "$LOGDIR" || status=1
 
 exit $status

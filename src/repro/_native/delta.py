@@ -26,20 +26,6 @@ bit-identical to the scalar reference by the equivalence suite):
 * each frontier is the sorted unique set of still-valid members, the
   order ``np.unique`` produces.
 
-The relaxation is *threaded* for high-degree scans: one vertex's
-selected edge list is sharded across worker threads which collect
-``(target, candidate)`` pairs passing a read-only snapshot pre-filter
-(``c < dist[target]``; distances only decrease, so everything the
-serial loop would accept passes) into per-thread buffer regions, then a
-single thread replays the exact improve-only relaxation over the
-surviving candidates in original edge order.  The replay performs the
-identical sequence of state changes as the serial loop — same
-distances, same bucket moves, same arena appends — so results are
-bit-identical for every thread count.  Scans below ``par_min_edges``
-take the serial loop directly (the frontier scan itself is inherently
-sequential: each scan reads distances the previous scan may have
-lowered).
-
 On workspace overflow (pathological improvement counts) the kernel
 returns ``-1`` and the wrapper falls back to the vector engine.
 """
@@ -50,7 +36,7 @@ import ctypes
 
 import numpy as np
 
-from .core import MAX_THREADS, NativeKernel, guarded, native_threads
+from .core import NativeKernel, guarded
 
 __all__ = ["KERNEL", "run"]
 
@@ -86,43 +72,7 @@ typedef struct {
     uint8_t *scan_phase;
     int64_t scan_cap;
     int64_t scan_count;
-    int64_t *cand_t;       /* per-scan candidate buffers (max degree) */
-    double *cand_c;
-    int64_t nthreads;
-    int64_t par_min_edges;
 } state;
-
-typedef struct {
-    const phase_table *pt;
-    const double *dist;
-    double dv;
-    int64_t e_lo;
-    int64_t e_hi;
-    int64_t *cand_t;
-    double *cand_c;
-    int64_t counts[REPRO_MAX_THREADS];
-} relax_job;
-
-/* Collect this shard's improving candidates against the read-only
-   distance snapshot, compacted at the shard's own buffer offset. */
-static void relax_collect(void *argp, int64_t tid, int64_t nthreads)
-{
-    relax_job *job = (relax_job *)argp;
-    int64_t lo, hi;
-    repro_shard(job->e_hi - job->e_lo, tid, nthreads, &lo, &hi);
-    int64_t out = lo;
-    for (int64_t k = lo; k < hi; k++) {
-        const int64_t e = job->e_lo + k;
-        const int64_t t = job->pt->targets[e];
-        const double c = job->dv + job->pt->weights[e];
-        if (c < job->dist[t]) {
-            job->cand_t[out] = t;
-            job->cand_c[out] = c;
-            out++;
-        }
-    }
-    job->counts[tid] = out - lo;
-}
 
 static int append_member(state *st, int64_t bucket, int64_t v)
 {
@@ -150,40 +100,6 @@ static int scan_vertex(state *st, const phase_table *pt, int64_t v,
     const double dv = st->dist[v];
     const int64_t e_lo = pt->indptr[v];
     const int64_t e_hi = pt->indptr[v + 1];
-    const int64_t deg = e_hi - e_lo;
-    if (st->nthreads > 1 && deg >= st->par_min_edges) {
-        relax_job job;
-        job.pt = pt;
-        job.dist = st->dist;
-        job.dv = dv;
-        job.e_lo = e_lo;
-        job.e_hi = e_hi;
-        job.cand_t = st->cand_t;
-        job.cand_c = st->cand_c;
-        int64_t workers = st->nthreads;
-        if (workers > deg)
-            workers = deg;
-        repro_parallel_for(relax_collect, &job, workers);
-        /* ordered merge: exact serial improve-only replay over the
-           surviving candidates, shards in tid order = edge order */
-        for (int64_t w = 0; w < workers; w++) {
-            int64_t lo, hi;
-            repro_shard(deg, w, workers, &lo, &hi);
-            const int64_t end = lo + job.counts[w];
-            for (int64_t i = lo; i < end; i++) {
-                const int64_t t = st->cand_t[i];
-                const double c = st->cand_c[i];
-                if (c < st->dist[t]) {
-                    st->dist[t] = c;
-                    const int64_t nb_t = (int64_t)(c / st->delta);
-                    st->bucket_of[t] = nb_t;
-                    if (append_member(st, nb_t, t))
-                        return -1;
-                }
-            }
-        }
-        return 0;
-    }
     for (int64_t k = e_lo; k < e_hi; k++) {
         const int64_t t = pt->targets[k];
         const double c = dv + pt->weights[k];
@@ -245,23 +161,14 @@ int64_t delta_scan(const int64_t *l_indptr,
                    int64_t *settled_stamp, /* n, -1 filled */
                    int64_t *scan_v,        /* scan_cap */
                    uint8_t *scan_phase,    /* scan_cap */
-                   int64_t scan_cap,
-                   int64_t *cand_targets,  /* >= max selected degree */
-                   double *cand_costs,     /* >= max selected degree */
-                   int64_t nthreads,
-                   int64_t par_min_edges)
+                   int64_t scan_cap)
 {
-    if (nthreads > REPRO_MAX_THREADS)
-        nthreads = REPRO_MAX_THREADS;
-    if (nthreads < 1)
-        nthreads = 1;
     if (source < 0 || source >= n)
         return -1;
     state st = {
         dist, delta, nb, bucket_head, bucket_of,
         node_vertex, node_next, node_cap, 0, 0,
         scan_v, scan_phase, scan_cap, 0,
-        cand_targets, cand_costs, nthreads, par_min_edges,
     };
     const phase_table light = { l_indptr, l_targets, l_weights };
     const phase_table heavy = { h_indptr, h_targets, h_weights };
@@ -348,28 +255,17 @@ KERNEL = NativeKernel(
                 _P_I64,  # scan_v
                 _P_U8,  # scan_phase
                 ctypes.c_int64,  # scan_cap
-                _P_I64,  # cand_targets
-                _P_F64,  # cand_costs
-                ctypes.c_int64,  # nthreads
-                ctypes.c_int64,  # par_min_edges
             ],
             ctypes.c_int64,
         ),
     },
     scalar_twin="repro.apps.delta_stepping:_delta_stepping_scalar",
     vector_twin="repro.apps.delta_stepping:_delta_stepping_vector",
-    threaded=True,
-    serial_twin="repro.apps.delta_stepping:_delta_stepping_native",
 )
 
 #: circular-window slots beyond which we fall back to the vector engine
 #: (a pathologically small delta would ask for a huge window).
 MAX_WINDOW_SLOTS = 1 << 22
-
-#: scans narrower than this run the serial relaxation loop — below it
-#: fork-join overhead dwarfs the shard work (tests lower it to drive
-#: the parallel merge on small graphs).
-PAR_MIN_EDGES = 4096
 
 
 @guarded(KERNEL)
@@ -386,8 +282,6 @@ def run(
     delta: float,
     max_buckets: int,
     wmax: float,
-    nthreads: int | None = None,
-    par_min_edges: int = PAR_MIN_EDGES,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Run the bucket loop natively; None when unavailable or oversized.
 
@@ -397,9 +291,6 @@ def run(
     lib = KERNEL.lib()
     if lib is None:
         return None
-    if nthreads is None:
-        nthreads = native_threads()
-    nthreads = max(1, min(int(nthreads), MAX_THREADS))
     nb = int(wmax / delta) + 3
     if nb > MAX_WINDOW_SLOTS:
         return None
@@ -418,17 +309,6 @@ def run(
     settled_stamp = np.full(n, -1, dtype=np.int64)
     scan_v = np.empty(scan_cap, dtype=np.int64)
     scan_phase = np.empty(scan_cap, dtype=np.uint8)
-    max_deg = 0
-    if n > 0:
-        max_deg = int(
-            max(
-                np.diff(light_indptr).max(initial=0),
-                np.diff(heavy_indptr).max(initial=0),
-            )
-        )
-    cand_targets = np.empty(max(max_deg, 1), dtype=np.int64)
-    cand_costs = np.empty(max(max_deg, 1), dtype=np.float64)
-
     def i64(array: np.ndarray):
         return array.ctypes.data_as(_P_I64)
 
@@ -460,10 +340,6 @@ def run(
         i64(scan_v),
         scan_phase.ctypes.data_as(_P_U8),
         scan_cap,
-        i64(cand_targets),
-        f64(cand_costs),
-        nthreads,
-        int(par_min_edges),
     )
     if count < 0:  # pragma: no cover - generous workspace bound
         return None

@@ -7,12 +7,6 @@ the pure-Python set walk in :func:`repro.simulator.batch._replay_python`
 (the scalar twin) and to the grouped batch driver
 :func:`repro.simulator.batch.cache_access_batch` (the vector twin
 dispatching it).
-
-The kernel is *threaded*: cache sets are fully independent (disjoint
-state, disjoint ``miss_out`` regions), so groups are sharded across
-worker threads and the per-thread miss/writeback tallies are summed in
-thread order — exact int64 addition, so the totals are bit-identical
-for every thread count.
 """
 
 from __future__ import annotations
@@ -32,35 +26,28 @@ __all__ = ["KERNEL"]
 #: set's current MRU hits with no state change — the same collapse the
 #: Python engine applies.  ``miss_out`` is per *sorted* position.
 _SOURCE = r"""
-typedef struct {
-    const int64_t *sorted_tags;
-    const int64_t *group_off;
-    int64_t num_groups;
-    int64_t assoc;
-    int64_t *state_tags;
-    uint8_t *state_dirty;
-    int64_t *state_len;
-    uint8_t *miss_out;
-    int64_t miss_partial[REPRO_MAX_THREADS];
-    int64_t wb_partial[REPRO_MAX_THREADS];
-} lru_job;
+#include <stdint.h>
 
-static void lru_shard(void *argp, int64_t tid, int64_t nthreads)
+int64_t lru_replay(const int64_t *sorted_tags,
+                   const int64_t *group_off,
+                   int64_t num_groups,
+                   int64_t assoc,
+                   int64_t *state_tags,
+                   uint8_t *state_dirty,
+                   int64_t *state_len,
+                   uint8_t *miss_out,
+                   int64_t *writebacks_out)
 {
-    lru_job *job = (lru_job *)argp;
-    int64_t g_lo, g_hi;
-    repro_shard(job->num_groups, tid, nthreads, &g_lo, &g_hi);
-    const int64_t assoc = job->assoc;
     int64_t misses = 0;
     int64_t writebacks = 0;
-    for (int64_t gi = g_lo; gi < g_hi; gi++) {
-        int64_t *ways = job->state_tags + gi * assoc;
-        uint8_t *dirty = job->state_dirty + gi * assoc;
-        int64_t len = job->state_len[gi];
-        const int64_t lo = job->group_off[gi];
-        const int64_t hi = job->group_off[gi + 1];
+    for (int64_t gi = 0; gi < num_groups; gi++) {
+        int64_t *ways = state_tags + gi * assoc;
+        uint8_t *dirty = state_dirty + gi * assoc;
+        int64_t len = state_len[gi];
+        const int64_t lo = group_off[gi];
+        const int64_t hi = group_off[gi + 1];
         for (int64_t i = lo; i < hi; i++) {
-            const int64_t tag = job->sorted_tags[i];
+            const int64_t tag = sorted_tags[i];
             if (len && ways[len - 1] == tag)
                 continue; /* MRU hit: refresh is a no-op */
             int64_t j = len - 1;
@@ -77,7 +64,7 @@ static void lru_shard(void *argp, int64_t tid, int64_t nthreads)
                 dirty[len - 1] = was_dirty;
             } else {
                 misses++;
-                job->miss_out[i] = 1;
+                miss_out[i] = 1;
                 if (len >= assoc) {
                     if (dirty[0])
                         writebacks++;
@@ -94,48 +81,7 @@ static void lru_shard(void *argp, int64_t tid, int64_t nthreads)
                 }
             }
         }
-        job->state_len[gi] = len;
-    }
-    job->miss_partial[tid] = misses;
-    job->wb_partial[tid] = writebacks;
-}
-
-int64_t lru_replay(const int64_t *sorted_tags,
-                   const int64_t *group_off,
-                   int64_t num_groups,
-                   int64_t assoc,
-                   int64_t *state_tags,
-                   uint8_t *state_dirty,
-                   int64_t *state_len,
-                   uint8_t *miss_out,
-                   int64_t *writebacks_out,
-                   int64_t nthreads)
-{
-    lru_job job;
-    job.sorted_tags = sorted_tags;
-    job.group_off = group_off;
-    job.num_groups = num_groups;
-    job.assoc = assoc;
-    job.state_tags = state_tags;
-    job.state_dirty = state_dirty;
-    job.state_len = state_len;
-    job.miss_out = miss_out;
-    if (nthreads > num_groups)
-        nthreads = num_groups > 0 ? num_groups : 1;
-    if (nthreads > REPRO_MAX_THREADS)
-        nthreads = REPRO_MAX_THREADS;
-    if (nthreads < 1)
-        nthreads = 1;
-    for (int64_t t = 0; t < nthreads; t++) {
-        job.miss_partial[t] = 0;
-        job.wb_partial[t] = 0;
-    }
-    repro_parallel_for(lru_shard, &job, nthreads);
-    int64_t misses = 0;
-    int64_t writebacks = 0;
-    for (int64_t t = 0; t < nthreads; t++) {
-        misses += job.miss_partial[t];
-        writebacks += job.wb_partial[t];
+        state_len[gi] = len;
     }
     *writebacks_out = writebacks;
     return misses;
@@ -160,13 +106,10 @@ KERNEL = NativeKernel(
                 _P_I64,  # state_len
                 _P_U8,  # miss_out
                 _P_I64,  # writebacks_out
-                ctypes.c_int64,  # nthreads
             ],
             ctypes.c_int64,
         ),
     },
     scalar_twin="repro.simulator.batch:_replay_python",
     vector_twin="repro.simulator.batch:cache_access_batch",
-    threaded=True,
-    serial_twin="repro.simulator.batch:_replay_native",
 )

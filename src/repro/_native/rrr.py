@@ -7,11 +7,8 @@ index (:func:`repro.apps.influence_max._edge_coins`) — so cascades are a
 pure function of ``(graph content, sample index, seed)`` and totally
 independent of one another.
 
-That independence makes threading free: samples are sharded across
-worker threads with the shared contiguous-shard formula, each thread
-writes its cascades into a private region of the output arena, and the
-Python wrapper decodes regions with the same formula.  The decoded
-per-sample vertex arrays are bit-identical for every thread count.
+The kernel draws a chunk of cascades per call and writes them back to
+back into one output arena, which the Python wrapper slices per sample.
 
 Bit-identity with the scalar BFS (the scalar twin) relies on two exact
 equivalences: C's uint64 arithmetic wraps exactly like the masked
@@ -27,7 +24,7 @@ import ctypes
 
 import numpy as np
 
-from .core import MAX_THREADS, NativeKernel, guarded, native_threads
+from .core import NativeKernel, guarded
 
 __all__ = ["KERNEL", "run"]
 
@@ -37,45 +34,34 @@ __all__ = ["KERNEL", "run"]
 _ARENA_BUDGET = 1 << 22
 
 _SOURCE = r"""
-typedef struct {
-    const int64_t *indptr;
-    const int64_t *indices;
-    const int64_t *original_of;
-    int64_t n;
-    double probability;
-    const int64_t *roots;
-    const int64_t *sample_indices;
-    int64_t num_samples;
-    uint64_t seed;
-    int64_t slot_base;       /* global slot of sample 0 (stamp salt) */
-    int64_t *out_vertices;   /* nthreads * region_cap */
-    int64_t region_cap;
-    int64_t *out_sizes;      /* num_samples */
-    int64_t *out_edges;      /* num_samples */
-    int64_t *stamps;         /* nthreads * n, zeroed by the caller */
-    int64_t overflow[REPRO_MAX_THREADS];
-} rrr_job;
+#include <stdint.h>
 
-static void rrr_shard(void *argp, int64_t tid, int64_t nthreads)
+int64_t rrr_sample(const int64_t *indptr,
+                   const int64_t *indices,
+                   const int64_t *original_of,
+                   int64_t n,
+                   double probability,
+                   const int64_t *roots,
+                   const int64_t *sample_indices,
+                   int64_t num_samples,
+                   uint64_t seed,
+                   int64_t slot_base,   /* global slot of sample 0 */
+                   int64_t *out,        /* out_cap slots */
+                   int64_t out_cap,
+                   int64_t *out_sizes,  /* num_samples */
+                   int64_t *out_edges,  /* num_samples */
+                   int64_t *stamps)     /* n, zeroed by the caller */
 {
-    rrr_job *job = (rrr_job *)argp;
-    int64_t s_lo, s_hi;
-    repro_shard(job->num_samples, tid, nthreads, &s_lo, &s_hi);
-    int64_t *out = job->out_vertices + tid * job->region_cap;
-    int64_t *stamps = job->stamps + tid * job->n;
-    const double probability = job->probability;
     int64_t pos = 0;
-    for (int64_t s = s_lo; s < s_hi; s++) {
-        const int64_t stamp = job->slot_base + s + 1;
+    for (int64_t s = 0; s < num_samples; s++) {
+        const int64_t stamp = slot_base + s + 1;
         const uint64_t salt =
-            (uint64_t)job->sample_indices[s] * 0x94D049BB133111EBULL
-            + job->seed * 0xD6E8FEB86659FD93ULL;
+            (uint64_t)sample_indices[s] * 0x94D049BB133111EBULL
+            + seed * 0xD6E8FEB86659FD93ULL;
         const int64_t base = pos;
-        if (pos >= job->region_cap) {
-            job->overflow[tid] = 1;
-            return;
-        }
-        const int64_t root = job->roots[s];
+        if (pos >= out_cap)
+            return -1;
+        const int64_t root = roots[s];
         stamps[root] = stamp;
         out[pos++] = root;
         int64_t level_lo = 0;
@@ -84,13 +70,13 @@ static void rrr_shard(void *argp, int64_t tid, int64_t nthreads)
         while (level_lo < level_hi) {
             for (int64_t i = level_lo; i < level_hi; i++) {
                 const int64_t u = out[base + i];
-                const int64_t e_lo = job->indptr[u];
-                const int64_t e_hi = job->indptr[u + 1];
+                const int64_t e_lo = indptr[u];
+                const int64_t e_hi = indptr[u + 1];
                 edges += e_hi - e_lo;
-                const uint64_t ou = (uint64_t)job->original_of[u];
+                const uint64_t ou = (uint64_t)original_of[u];
                 for (int64_t e = e_lo; e < e_hi; e++) {
-                    const int64_t v = job->indices[e];
-                    const uint64_t ov = (uint64_t)job->original_of[v];
+                    const int64_t v = indices[e];
+                    const uint64_t ov = (uint64_t)original_of[v];
                     const uint64_t a = ou < ov ? ou : ov;
                     const uint64_t b = ou < ov ? ov : ou;
                     uint64_t x = a * 0x9E3779B97F4A7C15ULL
@@ -104,10 +90,8 @@ static void rrr_shard(void *argp, int64_t tid, int64_t nthreads)
                         (double)x / 18446744073709551616.0;
                     if (coin < probability && stamps[v] != stamp) {
                         stamps[v] = stamp;
-                        if (pos >= job->region_cap) {
-                            job->overflow[tid] = 1;
-                            return;
-                        }
+                        if (pos >= out_cap)
+                            return -1;
                         out[pos++] = v;
                     }
                 }
@@ -115,56 +99,9 @@ static void rrr_shard(void *argp, int64_t tid, int64_t nthreads)
             level_lo = level_hi;
             level_hi = pos - base;
         }
-        job->out_sizes[s] = pos - base;
-        job->out_edges[s] = edges;
+        out_sizes[s] = pos - base;
+        out_edges[s] = edges;
     }
-}
-
-int64_t rrr_sample(const int64_t *indptr,
-                   const int64_t *indices,
-                   const int64_t *original_of,
-                   int64_t n,
-                   double probability,
-                   const int64_t *roots,
-                   const int64_t *sample_indices,
-                   int64_t num_samples,
-                   uint64_t seed,
-                   int64_t slot_base,
-                   int64_t *out_vertices,
-                   int64_t region_cap,
-                   int64_t *out_sizes,
-                   int64_t *out_edges,
-                   int64_t *stamps,
-                   int64_t nthreads)
-{
-    rrr_job job;
-    job.indptr = indptr;
-    job.indices = indices;
-    job.original_of = original_of;
-    job.n = n;
-    job.probability = probability;
-    job.roots = roots;
-    job.sample_indices = sample_indices;
-    job.num_samples = num_samples;
-    job.seed = seed;
-    job.slot_base = slot_base;
-    job.out_vertices = out_vertices;
-    job.region_cap = region_cap;
-    job.out_sizes = out_sizes;
-    job.out_edges = out_edges;
-    job.stamps = stamps;
-    if (nthreads > num_samples)
-        nthreads = num_samples > 0 ? num_samples : 1;
-    if (nthreads > REPRO_MAX_THREADS)
-        nthreads = REPRO_MAX_THREADS;
-    if (nthreads < 1)
-        nthreads = 1;
-    for (int64_t t = 0; t < nthreads; t++)
-        job.overflow[t] = 0;
-    repro_parallel_for(rrr_shard, &job, nthreads);
-    for (int64_t t = 0; t < nthreads; t++)
-        if (job.overflow[t])
-            return -1;
     return 0;
 }
 """
@@ -187,33 +124,18 @@ KERNEL = NativeKernel(
                 ctypes.c_int64,  # num_samples
                 ctypes.c_uint64,  # seed
                 ctypes.c_int64,  # slot_base
-                _P_I64,  # out_vertices
-                ctypes.c_int64,  # region_cap
+                _P_I64,  # out
+                ctypes.c_int64,  # out_cap
                 _P_I64,  # out_sizes
                 _P_I64,  # out_edges
                 _P_I64,  # stamps
-                ctypes.c_int64,  # nthreads
             ],
             ctypes.c_int64,
         ),
     },
     scalar_twin="repro.apps.influence_max:sample_rrr_ic_pinned",
     vector_twin="repro.apps.batch:sample_rrr_ic_pinned_batch",
-    threaded=True,
-    serial_twin="repro.apps.batch:_sample_rrr_native",
 )
-
-
-def _shard_bounds(count: int, nthreads: int) -> list[tuple[int, int]]:
-    """Python mirror of the C ``repro_shard`` formula."""
-    base, extra = divmod(count, nthreads)
-    bounds = []
-    lo = 0
-    for tid in range(nthreads):
-        hi = lo + base + (1 if tid < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
 
 
 @guarded(KERNEL)
@@ -228,9 +150,9 @@ def run(
     """All cascades as ``(vertices, edges_examined)`` pairs, or None.
 
     Returns None when the kernel is unavailable so the caller falls
-    through to the batched vector sampler.  Output is independent of the
-    thread count: samples are processed in bounded-arena chunks, each
-    chunk sharded contiguously, each shard writing a private region.
+    through to the batched vector sampler.  Samples are processed in
+    bounded-arena chunks; a cascade visits each vertex at most once, so
+    ``count * n`` slots always hold a chunk of ``count`` samples.
     """
     native = KERNEL.lib()
     if native is None:
@@ -246,45 +168,40 @@ def run(
     original = np.ascontiguousarray(original_of, dtype=np.int64)
     roots_arr = np.ascontiguousarray(roots, dtype=np.int64)
     samples_arr = np.ascontiguousarray(sample_indices, dtype=np.int64)
-    nthreads = max(1, min(native_threads(), MAX_THREADS, num_samples))
-    chunk_size = max(nthreads, min(num_samples, _ARENA_BUDGET // n))
-    stamps = np.zeros(nthreads * n, dtype=np.int64)
-    p_i64 = ctypes.POINTER(ctypes.c_int64)
+    chunk_size = max(1, min(num_samples, _ARENA_BUDGET // n))
+    stamps = np.zeros(n, dtype=np.int64)
     results: list[tuple[np.ndarray, int]] = []
     for chunk_lo in range(0, num_samples, chunk_size):
         chunk_hi = min(chunk_lo + chunk_size, num_samples)
         count = chunk_hi - chunk_lo
-        workers = min(nthreads, count)
-        region_cap = -(-count // workers) * n
-        arena = np.empty(workers * region_cap, dtype=np.int64)
+        out_cap = count * n
+        arena = np.empty(out_cap, dtype=np.int64)
         sizes = np.zeros(count, dtype=np.int64)
         edges = np.zeros(count, dtype=np.int64)
         rc = native.rrr_sample(
-            indptr.ctypes.data_as(p_i64),
-            indices.ctypes.data_as(p_i64),
-            original.ctypes.data_as(p_i64),
+            indptr.ctypes.data_as(_P_I64),
+            indices.ctypes.data_as(_P_I64),
+            original.ctypes.data_as(_P_I64),
             n,
             float(probability),
-            roots_arr[chunk_lo:chunk_hi].ctypes.data_as(p_i64),
-            samples_arr[chunk_lo:chunk_hi].ctypes.data_as(p_i64),
+            roots_arr[chunk_lo:chunk_hi].ctypes.data_as(_P_I64),
+            samples_arr[chunk_lo:chunk_hi].ctypes.data_as(_P_I64),
             count,
             int(seed) & ((1 << 64) - 1),
             chunk_lo,
-            arena.ctypes.data_as(p_i64),
-            region_cap,
-            sizes.ctypes.data_as(p_i64),
-            edges.ctypes.data_as(p_i64),
-            stamps.ctypes.data_as(p_i64),
-            workers,
+            arena.ctypes.data_as(_P_I64),
+            out_cap,
+            sizes.ctypes.data_as(_P_I64),
+            edges.ctypes.data_as(_P_I64),
+            stamps.ctypes.data_as(_P_I64),
         )
-        if rc != 0:  # pragma: no cover - region_cap makes this unreachable
+        if rc != 0:  # pragma: no cover - out_cap makes this unreachable
             return None
-        for tid, (lo, hi) in enumerate(_shard_bounds(count, workers)):
-            offset = tid * region_cap
-            for s in range(lo, hi):
-                size = int(sizes[s])
-                results.append(
-                    (arena[offset : offset + size].copy(), int(edges[s]))
-                )
-                offset += size
+        offset = 0
+        for s in range(count):
+            size = int(sizes[s])
+            results.append(
+                (arena[offset : offset + size].copy(), int(edges[s]))
+            )
+            offset += size
     return results

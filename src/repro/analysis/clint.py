@@ -2,8 +2,8 @@
 
 reprolint (:mod:`repro.analysis.rules`) audits the Python tree, but PRs
 6–8 moved the hottest loops into ~2.5k lines of embedded C under
-:mod:`repro._native` — exactly where a data race or out-of-bounds write
-silently corrupts every bit-identity claim the engine contracts rest on.
+:mod:`repro._native` — exactly where an out-of-bounds write silently
+corrupts every bit-identity claim the engine contracts rest on.
 This module extends the lint gate down into that tier.
 
 Kernel discovery is double-entry so no kernel can hide: every
@@ -19,9 +19,6 @@ Rules (all prefixed ``c-``):
 
 * ``c-nondeterminism`` — calls into ``rand``/``time``/``clock``/
   ``getenv``-style sources of run-to-run variance;
-* ``c-uninitialized-read`` — scalar locals declared without an
-  initializer whose first use is a read (address-of out-params are
-  recognised as writes);
 * ``c-int-width`` — bare ``int``/``long`` loop induction variables
   instead of the fixed-width ``int64_t`` the ctypes prototypes assume;
 * ``c-malloc-leak`` — ``malloc``/``calloc``/``realloc`` results never
@@ -30,11 +27,6 @@ Rules (all prefixed ``c-``):
 * ``c-unchecked-write`` — stores indexed by a post-incremented cursor
   (``out[pos++] = ...``) in a function that never bounds-checks that
   cursor;
-* ``c-racy-store`` — thread discipline for ``threaded=True`` kernels:
-  every store inside a ``repro_parallel_for`` task body must target a
-  shard-private region, i.e. the lvalue must be a task-local scalar or
-  mention a value derived from the ``tid`` parameter or a
-  ``repro_shard(...)`` range;
 * ``c-unregistered-kernel`` — the AST/registry double-entry check
   itself.
 
@@ -80,10 +72,6 @@ _C_RULE_HELP = {
         "C source calls a run-to-run variance source (rand/time/clock/"
         "getenv); kernels must be deterministic functions of their inputs"
     ),
-    "c-uninitialized-read": (
-        "scalar local declared without an initializer is read before any "
-        "write (address-of out-params count as writes)"
-    ),
     "c-int-width": (
         "loop induction variable uses bare int/long instead of the "
         "fixed-width int64_t the ctypes prototypes assume"
@@ -95,11 +83,6 @@ _C_RULE_HELP = {
     "c-unchecked-write": (
         "store indexed by a post-incremented cursor with no bounds "
         "comparison on that cursor anywhere in the function"
-    ),
-    "c-racy-store": (
-        "store inside a repro_parallel_for task body does not target a "
-        "shard-private region (not derived from tid or a repro_shard "
-        "range) — possible cross-thread race"
     ),
     "c-unregistered-kernel": (
         "NativeKernel constructions and the runtime registry disagree; "
@@ -130,7 +113,6 @@ class CKernelSource:
     rel_path: str
     literal_line: int
     call_line: int
-    threaded: bool
     source: str
 
 
@@ -174,8 +156,7 @@ def discover_kernels(
 
     The C source is resolved from the second positional argument —
     either a string literal in place or a module-level ``_SOURCE``
-    binding — so the lint sees exactly what the build compiles (minus
-    the thread-pool helper, which is scanned separately).
+    binding — so the lint sees exactly what the build compiles.
     """
     root = Path(native_root) if native_root is not None else NATIVE_ROOT
     repo = (repo_root if repo_root is not None else REPO_ROOT).resolve()
@@ -215,50 +196,16 @@ def discover_kernels(
                     and src_node.id in strings
                 ):
                     source, literal_line = strings[src_node.id]
-            threaded = any(
-                kw.arg == "threaded"
-                and isinstance(kw.value, ast.Constant)
-                and bool(kw.value.value)
-                for kw in call.keywords
-            )
             kernels.append(
                 CKernelSource(
                     name=name,
                     rel_path=rel,
                     literal_line=literal_line,
                     call_line=call.lineno,
-                    threaded=threaded,
                     source=source or "",
                 )
             )
     return kernels
-
-
-def _helper_source(repo_root: Path | None = None) -> CKernelSource | None:
-    """The THREAD_POOL_HELPER literal from ``_native/core.py``."""
-    repo = (repo_root if repo_root is not None else REPO_ROOT).resolve()
-    path = NATIVE_ROOT / "core.py"
-    try:
-        tree = ast.parse(path.read_text(), filename=str(path))
-    except (OSError, SyntaxError):
-        # degrade: contract source unavailable; the check is skipped
-        return None
-    strings = _string_assignments(tree)
-    if "THREAD_POOL_HELPER" not in strings:
-        return None
-    source, line = strings["THREAD_POOL_HELPER"]
-    try:
-        rel = path.resolve().relative_to(repo).as_posix()
-    except ValueError:
-        rel = path.as_posix()
-    return CKernelSource(
-        name="thread_pool_helper",
-        rel_path=rel,
-        literal_line=line,
-        call_line=line,
-        threaded=False,  # the pool itself is not a task body
-        source=source,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -277,16 +224,9 @@ def linted_sources(
     *,
     repo_root: Path | None = None,
 ) -> list[CKernelSource]:
-    """The C sources :func:`check_native_sources` runs the rules over.
-
-    Every discovered kernel whose source resolved, plus — on the real
-    tree — the thread-pool helper.
-    """
+    """Every discovered kernel whose source resolved: the C sources
+    :func:`check_native_sources` runs the rules over."""
     kernels = discover_kernels(native_root, repo_root=repo_root)
-    if native_root is None:
-        helper = _helper_source(repo_root)
-        if helper is not None:
-            kernels.append(helper)
     return [kernel for kernel in kernels if kernel.source]
 
 
@@ -364,13 +304,11 @@ class CFunction:
     """One function definition in the stripped C text."""
 
     name: str
-    params: str
     body: str
     body_offset: int  # char offset of the body within the stripped text
     start_offset: int  # char offset of the function name
 
 
-_IDENT = re.compile(r"[A-Za-z_]\w*")
 _C_KEYWORDS = frozenset(
     "if for while switch do return sizeof else case".split()
 )
@@ -403,7 +341,6 @@ def _function_at(stripped: str, brace: int) -> CFunction | None:
         j -= 1
     if j < 0 or stripped[j] != ")":
         return None  # struct/enum/initializer brace
-    close = j
     depth = 0
     while j >= 0:
         if stripped[j] == ")":
@@ -415,7 +352,6 @@ def _function_at(stripped: str, brace: int) -> CFunction | None:
         j -= 1
     if j < 0:
         return None
-    params = stripped[j + 1:close]
     k = j - 1
     while k >= 0 and stripped[k].isspace():
         k -= 1
@@ -438,7 +374,6 @@ def _function_at(stripped: str, brace: int) -> CFunction | None:
         m += 1
     return CFunction(
         name=name,
-        params=params,
         body=stripped[brace + 1:m],
         body_offset=brace + 1,
         start_offset=k + 1,
@@ -458,17 +393,6 @@ _NARROW_FOR_RE = re.compile(
     r"|int|long|short)\s+[A-Za-z_]\w*"
 )
 
-_SCALAR_TYPES = (
-    "int64_t|uint64_t|int32_t|uint32_t|int16_t|uint16_t|int8_t|uint8_t|"
-    "size_t|ssize_t|ptrdiff_t|double|float|int|long|short|char"
-)
-
-_UNINIT_DECL_RE = re.compile(
-    r"(?<![\w.])(?:const\s+)?(?:unsigned\s+|signed\s+)?"
-    rf"(?:{_SCALAR_TYPES})\s+"
-    r"(?P<names>[A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*)\s*;"
-)
-
 _ALLOC_RE = re.compile(
     r"\b(?P<var>[A-Za-z_]\w*)\s*=\s*(?:\(\s*[\w\s*]+\s*\)\s*)?"
     r"(?P<fn>malloc|calloc|realloc)\s*\("
@@ -480,22 +404,6 @@ _SUBSCRIPT_STORE_RE = re.compile(
 
 _PTR_CURSOR_STORE_RE = re.compile(
     r"\*\s*(?P<var>[A-Za-z_]\w*)\s*\+\+\s*(?:=(?!=)|\+=|-=|\|=|&=|\^=)"
-)
-
-_LVALUE = (
-    r"(?:\*+\s*)?[A-Za-z_]\w*"
-    r"(?:\s*(?:->|\.)\s*[A-Za-z_]\w*"
-    r"|\s*\[[^][]*(?:\[[^][]*\][^][]*)*\])*"
-)
-
-_ASSIGN_STORE_RE = re.compile(
-    rf"(?P<lval>{_LVALUE})\s*"
-    r"(?P<op>=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=)"
-)
-
-_INCDEC_RE = re.compile(
-    rf"(?:(?P<pre>\+\+|--)\s*(?P<lval_pre>{_LVALUE})"
-    rf"|(?P<lval_post>{_LVALUE})\s*(?P<post>\+\+|--))"
 )
 
 
@@ -515,39 +423,6 @@ def _check_int_width(stripped: str) -> Iterator[tuple[int, str]]:
             f"loop index declared '{match.group(1)}'; use int64_t so the "
             "width matches the ctypes prototypes on every platform",
         )
-
-
-def _first_use_is_read(body: str, name: str, start: int) -> bool:
-    """Whether the first use of ``name`` after ``start`` reads it."""
-    for match in re.finditer(rf"\b{re.escape(name)}\b", body[start:]):
-        pos = start + match.start()
-        end = start + match.end()
-        before = body[:pos].rstrip()
-        after = body[end:].lstrip()
-        if before.endswith("&"):
-            return False  # address taken: out-param style write
-        if before.endswith(("++", "--")) or after.startswith(("++", "--")):
-            return True  # read-modify-write of garbage
-        if after.startswith("=") and not after.startswith("=="):
-            return False  # plain assignment
-        if after.startswith(
-            ("+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=")
-        ):
-            return True
-        return True
-    return False  # never used at all: not a read
-
-
-def _check_uninitialized(func: CFunction) -> Iterator[tuple[int, str]]:
-    for match in _UNINIT_DECL_RE.finditer(func.body):
-        for name in match.group("names").split(","):
-            name = name.strip()
-            if _first_use_is_read(func.body, name, match.end()):
-                yield (
-                    func.body_offset + match.start(),
-                    f"local '{name}' in {func.name}() has no initializer "
-                    "and may be read before first write",
-                )
 
 
 def _null_guarded(between: str, var: str) -> bool:
@@ -669,161 +544,6 @@ def _check_unchecked_write(func: CFunction) -> Iterator[tuple[int, str]]:
         )
 
 
-def _split_args(text: str) -> list[str]:
-    """Top-level comma split of an argument list."""
-    args, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            args.append(text[start:i].strip())
-            start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        args.append(tail)
-    return args
-
-
-_DECL_RE = re.compile(
-    r"(?<![\w.])(?:const\s+)?(?:unsigned\s+|signed\s+)?"
-    rf"(?:{_SCALAR_TYPES})(?!\s*\))\s*(?:\*+\s*)?(?P<name>[A-Za-z_]\w*)"
-)
-
-
-def _declared_names(body: str) -> set[str]:
-    """Every local declared in ``body`` (scalars, pointers, arrays)."""
-    names: set[str] = set()
-    for match in _DECL_RE.finditer(body):
-        names.add(match.group("name"))
-        # follow the declarator list: `int64_t lo, hi;` declares both
-        i, depth = match.end(), 0
-        while i < len(body):
-            ch = body[i]
-            if ch in "([{":
-                depth += 1
-            elif ch in ")]}":
-                depth -= 1
-                if depth < 0:
-                    break
-            elif depth == 0 and ch == ";":
-                break
-            elif depth == 0 and ch == ",":
-                j = i + 1
-                while j < len(body) and body[j].isspace():
-                    j += 1
-                rest = _IDENT.match(body, j)
-                if rest is not None:
-                    names.add(rest.group(0))
-                    i = rest.end()
-                    continue
-            i += 1
-    return names
-
-
-def _taint_set(func: CFunction) -> set[str]:
-    """Identifiers derived from the tid parameter or a shard range."""
-    params = _split_args(func.params)
-    taint: set[str] = set()
-    # task signature is (void *arg, int64_t tid, int64_t nthreads):
-    # everything after the payload pointer seeds the taint set
-    for param in params[1:]:
-        words = _IDENT.findall(param)
-        if words:
-            taint.add(words[-1])
-    for match in re.finditer(r"\brepro_shard\s*\(([^;]*)\)", func.body):
-        for arg in _split_args(match.group(1))[3:]:
-            words = _IDENT.findall(arg)
-            if words:
-                taint.add(words[-1])
-    assigns = [
-        (m.group(1), _IDENT.findall(m.group(2)))
-        for m in re.finditer(
-            r"\b([A-Za-z_]\w*)\s*=(?![=])\s*([^;]*)", func.body
-        )
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs_idents in assigns:
-            if lhs not in taint and any(w in taint for w in rhs_idents):
-                taint.add(lhs)
-                changed = True
-    return taint
-
-
-def _task_functions(stripped: str, funcs: list[CFunction]) -> list[CFunction]:
-    """Functions dispatched through ``repro_parallel_for``."""
-    by_name = {f.name: f for f in funcs}
-    tasks = []
-    for match in re.finditer(
-        r"\brepro_parallel_for\s*\(\s*&?\s*([A-Za-z_]\w*)", stripped
-    ):
-        func = by_name.get(match.group(1))
-        if func is not None and func not in tasks:
-            tasks.append(func)
-    return tasks
-
-
-_STMT_KEYWORDS = frozenset({"else", "do", "return"})
-
-
-def _is_declaration(body: str, lval_start: int) -> bool:
-    """Whether the assignment at ``lval_start`` is a declaration.
-
-    ``csort_job *job = ...`` initialises a local; the word before the
-    lvalue is its type.  A genuine store is preceded by punctuation or
-    a statement keyword, never by a type name.
-    """
-    j = lval_start - 1
-    while j >= 0 and body[j].isspace():
-        j -= 1
-    if j < 0 or not (body[j].isalnum() or body[j] == "_"):
-        return False
-    end = j + 1
-    while j >= 0 and (body[j].isalnum() or body[j] == "_"):
-        j -= 1
-    return body[j + 1:end] not in _STMT_KEYWORDS
-
-
-def _check_racy_stores(func: CFunction) -> Iterator[tuple[int, str]]:
-    body = func.body
-    taint = _taint_set(func)
-    locals_ = _declared_names(body)
-
-    def classify(lval: str, offset: int) -> tuple[int, str] | None:
-        idents = _IDENT.findall(lval)
-        if not idents:
-            return None
-        bare = re.fullmatch(r"[A-Za-z_]\w*", lval.strip()) is not None
-        if bare and idents[0] in locals_:
-            return None  # stack-private scalar
-        if any(word in taint for word in idents):
-            return None  # shard-/tid-derived region
-        return (
-            offset,
-            f"store to '{lval.strip()}' in parallel task {func.name}() "
-            "is not derived from repro_shard/tid ranges — possible "
-            "cross-thread race",
-        )
-
-    seen: set[tuple[int, str]] = set()
-    for match in _ASSIGN_STORE_RE.finditer(body):
-        if _is_declaration(body, match.start()):
-            continue  # local initialisation, not a store to shared state
-        hit = classify(match.group("lval"), func.body_offset + match.start())
-        if hit is not None and hit not in seen:
-            seen.add(hit)
-            yield hit
-    for match in _INCDEC_RE.finditer(body):
-        lval = match.group("lval_pre") or match.group("lval_post")
-        hit = classify(lval, func.body_offset + match.start())
-        if hit is not None and hit not in seen:
-            seen.add(hit)
-            yield hit
-
-
 # ----------------------------------------------------------------------
 # Per-kernel scan and tree-level entry points
 # ----------------------------------------------------------------------
@@ -831,7 +551,6 @@ def scan_kernel_source(
     name: str,
     source: str,
     *,
-    threaded: bool = False,
     rel_path: str = "<memory>",
     literal_line: int = 1,
 ) -> list[Finding]:
@@ -851,16 +570,10 @@ def scan_kernel_source(
     for offset, message in _check_int_width(stripped):
         raw.append(("c-int-width", offset, message))
     for func in funcs:
-        for offset, message in _check_uninitialized(func):
-            raw.append(("c-uninitialized-read", offset, message))
         for offset, message in _check_malloc(func):
             raw.append(("c-malloc-leak", offset, message))
         for offset, message in _check_unchecked_write(func):
             raw.append(("c-unchecked-write", offset, message))
-    if threaded:
-        for func in _task_functions(stripped, funcs):
-            for offset, message in _check_racy_stores(func):
-                raw.append(("c-racy-store", offset, message))
 
     findings: list[Finding] = []
     for rule_name, offset, message in raw:
@@ -931,9 +644,8 @@ def check_native_sources(
     """Lint every native kernel source; the ``--clint`` entry point.
 
     With no arguments this scans the real tree: all ``NativeKernel``
-    constructions under ``src/repro/_native``, the thread-pool helper,
-    and the registry cross-check against ``repro._native`` (imported
-    lazily).  Tests point ``native_root`` at synthetic trees and pass
+    constructions under ``src/repro/_native`` and the registry
+    cross-check against ``repro._native`` (imported lazily).  Tests point ``native_root`` at synthetic trees and pass
     ``registered`` explicitly; the cross-check is skipped when scanning
     a synthetic tree without an explicit registry.
     """
@@ -952,7 +664,6 @@ def check_native_sources(
             scan_kernel_source(
                 kernel.name,
                 kernel.source,
-                threaded=kernel.threaded,
                 rel_path=kernel.rel_path,
                 literal_line=kernel.literal_line,
             )

@@ -5,7 +5,7 @@ keeps a scalar reference implementation that is bit-identical under
 pinned seeds, enforced by equivalence tests.  This module makes the
 *wiring* of that invariant statically checkable, so a new scheme or
 kernel cannot silently ship an engine gate with no scalar twin and no
-test.  Seven contracts, each reported as a :class:`~.core.Finding`:
+test.  Six contracts, each reported as a :class:`~.core.Finding`:
 
 ``parity-scalar-twin``
     Every function branching on :func:`repro.engine.resolve_engine` /
@@ -37,18 +37,7 @@ test.  Seven contracts, each reported as a :class:`~.core.Finding`:
     methods) defined in the tree.  The C tier is the top of a
     three-tier tower — a kernel whose reference twins have drifted or
     vanished can no longer be bit-identity tested, which is the only
-    thing that licenses running it.  Thread-parallel kernels
-    (``threaded=True``) must additionally name a resolvable
-    ``serial_twin``: the single-thread entry point that anchors the
-    bit-identical-for-every-thread-count contract.
-``native-tsan-gate``
-    Every ``threaded=True`` kernel must be reachable from a test that
-    the Makefile's ``test-tsan`` leg executes — by kernel-name literal
-    in a listed test file, or through the import graph from one.  A
-    threaded kernel outside the ThreadSanitizer gate is exactly the
-    kernel whose races ship; the recipe itself must also run under the
-    ``tsan`` profile (``scripts/native_sanitize.sh tsan`` or
-    ``REPRO_NATIVE_SANITIZE=tsan``).
+    thing that licenses running it.
 ``bench-ordering-source``
     The paper experiments (``repro.bench.experiments``) get orderings
     only through ``runners.ordering_for`` or the ordering store
@@ -61,7 +50,6 @@ test.  Seven contracts, each reported as a :class:`~.core.Finding`:
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -77,7 +65,6 @@ __all__ = [
     "check_scheme_classes",
     "check_bench_floors",
     "check_native_twins",
-    "check_tsan_gate",
     "check_ordering_sources",
     "check_contracts",
     "ORDERING_SOURCE_MODULES",
@@ -635,12 +622,6 @@ def check_native_twins(index: dict[str, ModuleInfo]) -> list[Finding]:
     anchors: the equivalence suite imports them by these names.  The
     contract requires literal ``"module:qualname"`` strings pointing at
     a function (or ``Class.method``) defined in the indexed tree.
-
-    Thread-parallel kernels (``threaded=True``) additionally must name
-    a resolvable ``serial_twin`` — the single-thread entry point the
-    thread-invariance tests pin every ``REPRO_NATIVE_THREADS`` value
-    against.  The constructor enforces this at runtime; the contract
-    catches it before anything imports.
     """
 
     def resolves(target: str) -> str | None:
@@ -721,180 +702,11 @@ def check_native_twins(index: dict[str, ModuleInfo]) -> list[Finding]:
                             f"{error}",
                         )
                     )
-            threaded = keywords.get("threaded")
-            is_threaded = (
-                isinstance(threaded, ast.Constant)
-                and threaded.value is True
-            )
-            serial = keywords.get("serial_twin")
-            if is_threaded and serial is None:
-                findings.append(
-                    Finding(
-                        "native-twin", rel, node.lineno,
-                        node.col_offset,
-                        f"threaded NativeKernel in {info.module} "
-                        f"declares no serial_twin= keyword; every "
-                        f"thread-parallel kernel must name the "
-                        f"single-thread entry point its invariance "
-                        f"tests pin",
-                    )
-                )
-            elif serial is not None:
-                if not (
-                    isinstance(serial, ast.Constant)
-                    and isinstance(serial.value, str)
-                ):
-                    findings.append(
-                        Finding(
-                            "native-twin", rel, serial.lineno,
-                            serial.col_offset,
-                            f"NativeKernel serial_twin in "
-                            f"{info.module} must be a literal "
-                            f"'module:qualname' string",
-                        )
-                    )
-                else:
-                    error = resolves(serial.value)
-                    if error is not None:
-                        findings.append(
-                            Finding(
-                                "native-twin", rel, serial.lineno,
-                                serial.col_offset,
-                                f"NativeKernel serial_twin "
-                                f"{serial.value!r} {error}",
-                            )
-                        )
     return findings
 
 
 # ----------------------------------------------------------------------
-# Contract 6: threaded kernels inside the TSan race gate
-# ----------------------------------------------------------------------
-def _threaded_kernels(
-    index: dict[str, ModuleInfo],
-) -> list[tuple[str, ModuleInfo, int]]:
-    """``(kernel name, defining module, lineno)`` for threaded kernels."""
-    out: list[tuple[str, ModuleInfo, int]] = []
-    for info in index.values():
-        if not info.module.startswith("repro._native"):
-            continue
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            parts = _dotted(node.func)
-            if not parts or parts[-1] != "NativeKernel":
-                continue
-            threaded = any(
-                kw.arg == "threaded"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in node.keywords
-            )
-            if not threaded or not node.args:
-                continue
-            name_node = node.args[0]
-            if isinstance(name_node, ast.Constant) and isinstance(
-                name_node.value, str
-            ):
-                out.append((name_node.value, info, node.lineno))
-    return out
-
-
-def check_tsan_gate(
-    index: dict[str, ModuleInfo],
-    makefile_path: Path | None = None,
-    tests_root: Path | None = None,
-) -> list[Finding]:
-    """Every threaded kernel must be exercised by the ``test-tsan`` leg.
-
-    The leg's test files come from the Makefile recipe; a kernel counts
-    as covered when its name appears as a string literal in one of those
-    files, or when its defining module is reachable through the import
-    graph from one.  Applies only when the tree declares threaded
-    kernels, so partial trees under test stay quiet.
-    """
-    threaded = _threaded_kernels(index)
-    if not threaded:
-        return []
-    makefile = (
-        makefile_path if makefile_path is not None else REPO_ROOT / "Makefile"
-    )
-    root = tests_root if tests_root is not None else REPO_ROOT / "tests"
-    findings: list[Finding] = []
-    recipe = _make_target_recipe(makefile, "test-tsan")
-    if not recipe:
-        return [
-            Finding(
-                "native-tsan-gate", _rel(makefile), 1, 0,
-                "Makefile has no test-tsan target; threaded kernels "
-                "must run under ThreadSanitizer "
-                f"({', '.join(sorted(n for n, _, _ in threaded))})",
-            )
-        ]
-    recipe_text = " ".join(recipe)
-    if (
-        "native_sanitize.sh tsan" not in recipe_text
-        and "REPRO_NATIVE_SANITIZE=tsan" not in recipe_text
-    ):
-        findings.append(
-            Finding(
-                "native-tsan-gate", _rel(makefile), 1, 0,
-                "Makefile test-tsan recipe does not run under the tsan "
-                "profile (scripts/native_sanitize.sh tsan or "
-                "REPRO_NATIVE_SANITIZE=tsan)",
-            )
-        )
-    test_paths = re.findall(r"tests/[\w./-]+\.py", recipe_text)
-    literals: set[str] = set()
-    imported_modules: set[str] = set()
-    for rel in sorted(set(test_paths)):
-        path = root.parent / rel
-        if not path.exists():
-            findings.append(
-                Finding(
-                    "native-tsan-gate", _rel(makefile), 1, 0,
-                    f"test-tsan recipe names missing test file {rel}",
-                )
-            )
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported_modules.update(item.name for item in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                imported_modules.add(node.module)
-                imported_modules.update(
-                    f"{node.module}.{item.name}" for item in node.names
-                )
-            elif isinstance(node, ast.Constant) and isinstance(
-                node.value, str
-            ):
-                literals.add(node.value)
-    covered = {m for m in index if m in imported_modules}
-    frontier = sorted(covered)
-    while frontier:
-        current = frontier.pop()
-        for target in index[current].imports:
-            if target not in covered:
-                covered.add(target)
-                frontier.append(target)
-    for name, info, lineno in sorted(threaded, key=lambda t: t[0]):
-        if name in literals or info.module in covered:
-            continue
-        findings.append(
-            Finding(
-                "native-tsan-gate", _rel(info.path), lineno, 0,
-                f"threaded kernel {name!r} ({info.module}) is not "
-                f"reachable from any test the test-tsan leg runs; a "
-                f"thread-parallel kernel outside the race gate is "
-                f"untested where it matters most",
-            )
-        )
-    return findings
-
-
-# ----------------------------------------------------------------------
-# Contract 7: bench experiments get orderings through the store
+# Contract 6: bench experiments get orderings through the store
 # ----------------------------------------------------------------------
 #: modules whose orderings must come from the runner memo or the store.
 ORDERING_SOURCE_MODULES = ("repro.bench.experiments",)
@@ -971,7 +783,6 @@ def check_contracts(
     findings.extend(check_equivalence_coverage(index, tests_root))
     findings.extend(check_scheme_classes(index))
     findings.extend(check_native_twins(index))
-    findings.extend(check_tsan_gate(index, makefile_path, tests_root))
     findings.extend(check_ordering_sources(index))
     perf_default = (
         src_root / "bench" / "perf.py" if src_root is not None else None

@@ -23,8 +23,8 @@ Rules:
 ``env-read``
     ``os.environ`` / ``os.getenv`` outside the sanctioned config entry
     points (:data:`SANCTIONED_ENV_MODULES`: :mod:`repro.engine`,
-    :mod:`repro._native.core` — which owns the ``REPRO_NATIVE_THREADS``
-    and ``REPRO_NATIVE_SANITIZE`` knobs —
+    :mod:`repro._native.core` — which owns the ``REPRO_NATIVE_SANITIZE``
+    knob —
     :mod:`repro.analysis.sanitize`, :mod:`repro.resilience.faults` and
     :mod:`repro.resilience.store`, which owns ``REPRO_CACHE_DIR``).
     Scattered env reads make a run's configuration impossible to pin.

@@ -177,15 +177,12 @@ def _sample_rrr_native(
     sample_indices: np.ndarray,
     seed: int,
 ) -> list | None:
-    """Draw all cascades through the threaded ``rrr_sample`` C kernel.
+    """Draw all cascades through the ``rrr_sample`` C kernel.
 
-    The serial twin of the kernel: this is the dispatch the native tier
-    runs, and with one worker thread it is the kernel's serial path.
     Returns None when the kernel is unavailable (no compiler, or a
     build or runtime failure earlier in the process) so the caller
     falls through to the batched numpy sampler; otherwise the returned
-    ``RRRSet`` list is bit-identical to both Python engines for every
-    thread count.
+    ``RRRSet`` list is bit-identical to both Python engines.
     """
     from .._native import rrr as native_rrr
     from .influence_max import RRRSet
@@ -219,7 +216,7 @@ def sample_rrr_ic_pinned_batch(
     (same vertex discovery order, same ``edges_examined``), but sampled
     ``batch_size`` cascades at a time over an epoch-stamped visited
     array.  Under the native tier the whole draw goes through the
-    threaded ``rrr_sample`` C kernel (:func:`_sample_rrr_native`),
+    ``rrr_sample`` C kernel (:func:`_sample_rrr_native`),
     falling back here when it is unavailable.  With ``jobs > 1`` the
     pair list is split into contiguous chunks fanned out through
     :func:`repro.bench.pool.map_cells`; determinism per sample index

@@ -17,12 +17,7 @@ deterministic:
   cell retried at once; ``map_cells`` raises :class:`CellFailedError`
   only after a cell exhausts its retries,
   while :func:`map_cells_detailed` returns the structured per-cell
-  outcomes so supervised grids can degrade instead of aborting;
-* each worker's native-kernel thread pool is capped at
-  ``cores // jobs`` by the supervisor, so process fan-out and
-  thread-parallel kernels (``REPRO_NATIVE_THREADS``) compose without
-  oversubscribing — and without changing results, since threaded
-  kernels are bit-identical for every thread count.
+  outcomes so supervised grids can degrade instead of aborting.
 
 ``python -m repro.bench --jobs N [--timeout S] [--retries K]`` sets the
 process-wide defaults.

@@ -72,7 +72,9 @@ def format_profile(
     """Tabulate rho_s(tau) for every scheme at the standard tau grid.
 
     Schemes are sorted by area under the curve (best first), matching the
-    visual ordering of the paper's figures.
+    visual ordering of the paper's figures.  A scheme that failed on some
+    instances (an ``inf`` ratio: a degraded cell) is labelled
+    ``name [degraded k/n]`` so its zeros do not read as a real loss.
     """
     scores = {
         s: profile.area_under_curve(s, tau_max=max(taus))
@@ -82,7 +84,11 @@ def format_profile(
     headers = ["scheme"] + [f"t={t:g}" for t in taus] + ["auc"]
     rows: list[list[object]] = []
     for s in ranked:
-        row: list[object] = [s]
+        failed = int(np.isinf(profile.ratios[profile.schemes.index(s)]).sum())
+        label = s
+        if failed:
+            label = f"{s} [degraded {failed}/{len(profile.instances)}]"
+        row: list[object] = [label]
         for t in taus:
             row.append(f"{profile.rho(s, t):.2f}")
         row.append(f"{scores[s]:.3f}")

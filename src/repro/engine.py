@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "VECTOR_MIN_WORK",
     "ENGINE_METADATA_KEY",
-    "THREADS_METADATA_KEY",
     "resolve_engine",
     "engine_for_work",
     "use_engine",
@@ -69,12 +68,6 @@ VECTOR_MIN_WORK = 16384
 
 #: ordering-metadata key recording the tier that actually ran.
 ENGINE_METADATA_KEY = "engine"
-
-#: ordering-metadata key recording the native thread count that ran a
-#: threaded kernel.  Like the engine key, it is provenance only — results
-#: are bit-identical for every thread count — so identity comparisons
-#: strip it alongside :data:`ENGINE_METADATA_KEY`.
-THREADS_METADATA_KEY = "threads"
 
 #: context override installed by :func:`use_engine` (None = no override).
 _override: str | None = None
@@ -139,16 +132,11 @@ def strip_engine_metadata(metadata: dict) -> dict:
     """``metadata`` without the recorded execution tier.
 
     Orderings are bit-identical across tiers *except* for the
-    :data:`ENGINE_METADATA_KEY` entry recording which tier ran (and, for
-    threaded kernels, the :data:`THREADS_METADATA_KEY` thread count);
-    identity comparisons (equivalence tests, the perf harness, warm-cache
+    :data:`ENGINE_METADATA_KEY` entry recording which tier ran; identity
+    comparisons (equivalence tests, the perf harness, warm-cache
     checks) compare through this helper.
     """
-    return {
-        k: v
-        for k, v in metadata.items()
-        if k not in (ENGINE_METADATA_KEY, THREADS_METADATA_KEY)
-    }
+    return {k: v for k, v in metadata.items() if k != ENGINE_METADATA_KEY}
 
 
 def gather_ranges(

@@ -15,17 +15,15 @@ among frequently accessed hubs.
 Every scheme here reduces to one primitive — a *stable* sort of the
 vertex ids by a small non-negative integer key — so all four share the
 :func:`_stable_key_order` dispatcher.  The scalar and vector tiers share
-numpy's stable argsort; the native tier is the BOBA-style parallel
-counting sort (:mod:`repro._native.counting`), bit-identical to the
-argsort for every ``REPRO_NATIVE_THREADS`` value.
+numpy's stable argsort; the native tier is the BOBA-style counting
+sort (:mod:`repro._native.counting`), bit-identical to the argsort.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._native.core import native_threads
-from ..engine import ENGINE_METADATA_KEY, THREADS_METADATA_KEY, resolve_engine
+from ..engine import ENGINE_METADATA_KEY, resolve_engine
 from ..graph.csr import CSRGraph
 from ..graph.permute import ordering_from_sequence
 from .base import OperationCounter, OrderingScheme
@@ -58,7 +56,7 @@ def _stable_key_order_scalar(key: np.ndarray) -> np.ndarray:
 def _stable_key_order_native(
     key: np.ndarray, num_buckets: int
 ) -> np.ndarray | None:
-    """Parallel counting-sort tier; ``None`` when the kernel bows out."""
+    """Counting-sort tier; ``None`` when the kernel bows out."""
     from .._native import counting
 
     return counting.run(key, num_buckets)
@@ -70,8 +68,8 @@ def _stable_key_order(
     """Stable argsort of small-integer ``key`` through the engine tower.
 
     ``key`` must be int64 in ``[0, num_buckets)``.  When the native
-    counting-sort kernel actually runs, the tier and thread count are
-    recorded in ``metadata`` (:func:`repro.ordering.base.OrderingScheme.order`
+    counting-sort kernel actually runs, the tier is recorded in
+    ``metadata`` (:func:`repro.ordering.base.OrderingScheme.order`
     fills the engine key for the other tiers).
     """
     engine = resolve_engine()
@@ -79,7 +77,6 @@ def _stable_key_order(
         sequence = _stable_key_order_native(key, num_buckets)
         if sequence is not None:
             metadata[ENGINE_METADATA_KEY] = "native"
-            metadata[THREADS_METADATA_KEY] = native_threads()
             return sequence
     return _stable_key_order_scalar(key)
 

@@ -35,7 +35,6 @@ import collections
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
-import os
 import time
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -87,7 +86,6 @@ def _worker_loop(
     tasks,
     results,
     timeout_hint: float | None,
-    thread_cap: int | None = None,
 ) -> None:
     """One supervised worker: run cells from ``tasks`` until sentinel.
 
@@ -103,13 +101,6 @@ def _worker_loop(
     supervisor exercises true process-death recovery; injected timeouts
     stall past the supervisor's deadline when one is configured.
 
-    ``thread_cap`` bounds how many native-kernel threads this worker may
-    use (:func:`repro._native.core.set_thread_cap`): with ``width``
-    workers sharing the machine, each gets ``cores // width`` so the
-    process fan-out and the kernel thread pools do not oversubscribe.
-    Results are unaffected — threaded kernels are bit-identical for
-    every thread count.
-
     A worker is always a leaf of the fan-out: its default pool width is
     reset to 1 and its default timeout cleared (the supervisor already
     holds this cell's deadline), so a cell that would fan out on its own
@@ -117,10 +108,6 @@ def _worker_loop(
     :func:`repro.bench.pool.default_jobs`) runs in-process instead of
     trying to start a nested pool, which daemonic workers may not.
     """
-    if thread_cap is not None:
-        from repro._native.core import set_thread_cap
-
-        set_thread_cap(thread_cap)
     from repro.bench.pool import set_default_jobs, set_default_timeout
 
     set_default_jobs(1)
@@ -261,7 +248,6 @@ def _run_parallel(
 ) -> list[CellResult]:
     """The supervised pool proper (see :func:`run_supervised`)."""
     ctx = _context()
-    thread_cap = max(1, (os.cpu_count() or 1) // max(1, width))
 
     def spawn() -> _WorkerHandle:
         task_recv, task_send = ctx.Pipe(duplex=False)
@@ -273,7 +259,6 @@ def _run_parallel(
                 task_recv,
                 result_send,
                 timeout,
-                thread_cap,
             ),
             daemon=True,
         )

@@ -128,9 +128,6 @@ def _replay_native(
     The touched sets' dict state is flattened into LRU→MRU arrays, the C
     kernel replays every group in one call, and the dicts are rebuilt
     from the final state — identical transitions, identical counters.
-    Groups (cache sets) are independent, so the kernel shards them over
-    :func:`repro._native.core.native_threads` worker threads; results
-    are bit-identical for every thread count.
     """
     n = hits.size
     assoc = cache._assoc
@@ -168,7 +165,6 @@ def _replay_native(
             state_len.ctypes.data_as(p_i64),
             miss_out.ctypes.data_as(p_u8),
             ctypes.byref(writebacks),
-            native_core.native_threads(),
         )
     )
     lens = state_len.tolist()

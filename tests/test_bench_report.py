@@ -54,6 +54,19 @@ class TestFormatProfile:
         bad_idx = next(i for i, l in enumerate(lines) if "bad" in l)
         assert good_idx < bad_idx
 
+    def test_degraded_scheme_is_labelled(self):
+        scores = {
+            "good": {"x": 1.0, "y": 1.0},
+            "failed": {"x": float("nan"), "y": 2.0},
+        }
+        text = format_profile(performance_profile(scores))
+        assert "failed [degraded 1/2]" in text
+        assert "good [degraded" not in text
+
+    def test_clean_table_carries_no_label(self):
+        scores = {"good": {"x": 1.0}, "bad": {"x": 9.0}}
+        assert "degraded" not in format_profile(performance_profile(scores))
+
 
 class TestHeatRow:
     def test_marks_best(self):

@@ -110,19 +110,6 @@ def test_engines_bit_identical_random_shapes(scheme_name, n, edges):
     assert_same_ordering(vector, scalar)
 
 
-@pytest.mark.parametrize(
-    "scheme_name", ("degree_sort", "hub_sort", "hub_cluster", "dbg")
-)
-def test_degree_orderings_thread_invariant(scheme_name, monkeypatch):
-    """Native counting sort is bit-identical for every thread count."""
-    graph = GRAPHS["random"]
-    scalar = order_with(scheme_name, graph, "scalar")
-    for threads in ("1", "4"):
-        monkeypatch.setenv("REPRO_NATIVE_THREADS", threads)
-        tiered = order_with(scheme_name, graph, "native")
-        assert_same_ordering(tiered, scalar)
-
-
 def test_every_registered_scheme_runs_under_all_engines(medium_random):
     for scheme_name in available_schemes():
         scalar = order_with(scheme_name, medium_random, "scalar")

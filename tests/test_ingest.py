@@ -1,10 +1,9 @@
-"""Ingestion equivalence: parse tiers, builder engines, thread counts.
+"""Ingestion equivalence: parse tiers and builder engines.
 
-:func:`repro.graph.io.read_edge_list` is engine-gated and the
-``parse_edges`` kernel is thread-parallel, so the contract here is the
-strongest in the tree: the scalar per-line parse is ground truth, and
-the native byte scanner must either reproduce it *bit for bit* (arrays,
-weight flag, inferred ``n``) at every thread count, or decline the input
+:func:`repro.graph.io.read_edge_list` is engine-gated, so the contract
+here is the strongest in the tree: the scalar per-line parse is ground
+truth, and the native byte scanner must either reproduce it *bit for
+bit* (arrays, weight flag, inferred ``n``), or decline the input
 entirely so the caller falls back — never a third behaviour.  Malformed
 files must raise the scalar parse's exception type under every engine.
 
@@ -21,11 +20,8 @@ from hypothesis import strategies as st
 
 import repro.graph.io as gio
 from repro._native import parse as native_parse
-from repro._native.core import use_native_threads
 from repro.engine import use_engine
 from repro.graph.builder import GraphBuilder, from_edges
-
-THREAD_COUNTS = (1, 2, 4, 8)
 
 # Hand-picked bytes covering every grammar corner: comments and n=
 # headers (first/last/overlong), CR/CRLF/LF line breaks, blank and
@@ -111,11 +107,9 @@ def test_parse_tiers_bit_identical(raw, one_based):
     ref = parse_tuple(gio._parse_edge_text_scalar(raw, one_based))
     if native_parse.KERNEL.lib() is None:
         pytest.skip("parse kernel unavailable")
-    for threads in THREAD_COUNTS:
-        with use_native_threads(threads):
-            nat = native_parse.run(raw, one_based)
-        assert nat is not None
-        assert parse_tuple(nat) == ref
+    nat = native_parse.run(raw, one_based)
+    assert nat is not None
+    assert parse_tuple(nat) == ref
 
 
 @given(text=text_strategy, one_based=st.booleans())
@@ -125,10 +119,8 @@ def test_parse_tiers_bit_identical_property(text, one_based):
     if native_parse.KERNEL.lib() is None:
         pytest.skip("parse kernel unavailable")
     ref = parse_tuple(gio._parse_edge_text_scalar(raw, one_based))
-    for threads in (1, 3):
-        with use_native_threads(threads):
-            nat = native_parse.run(raw, one_based)
-        assert nat is not None and parse_tuple(nat) == ref
+    nat = native_parse.run(raw, one_based)
+    assert nat is not None and parse_tuple(nat) == ref
 
 
 @pytest.mark.parametrize("raw", MALFORMED_CASES)

@@ -6,11 +6,6 @@ static half is the reprolint ``native-twin`` check).  Each kernel is
 driven against its scalar twin over structured and random inputs, and
 the build-info reporting surface is pinned.
 
-Thread-parallel kernels carry the stronger contract that results are
-bit-identical for **every** ``REPRO_NATIVE_THREADS`` value; the
-invariance tests here pin 1 vs 4 threads (and the no-native fallback)
-byte for byte.
-
 ``make bench-native`` runs this file twice — once with the C tier and
 once with every kernel build failing
 (``REPRO_FAULTS=native-build-fail:p=1``, the stand-in for a host with
@@ -54,12 +49,6 @@ KERNEL_NAMES = (
     "sim_dynamic",
 )
 
-#: kernels that fan work out over a pthread pool; each must declare a
-#: serial twin and reproduce its single-thread result at any count.
-THREADED_KERNELS = (
-    "lru_replay", "delta_scan", "rrr_sample", "counting_sort", "parse_edges",
-)
-
 GRAPHS = {
     "grid": make_grid(7, 6),
     "cliques": make_two_cliques(6),
@@ -92,23 +81,10 @@ def test_build_info_fields(name):
     assert info["source_digest"]
     for role in ("scalar_twin", "vector_twin"):
         assert ":" in info[role]
-    assert isinstance(info["threaded"], bool)
-    if info["threaded"]:
-        assert ":" in info["serial_twin"]
-    else:
-        assert info["serial_twin"] is None
     if info["available"]:
         assert info["fallback"] is None
     else:
         assert info["fallback"] == info["status"]
-
-
-def test_threaded_kernel_set_is_pinned():
-    threaded = tuple(
-        name for name in KERNEL_NAMES
-        if native_core.get_kernel(name).build_info()["threaded"]
-    )
-    assert threaded == THREADED_KERNELS
 
 
 def test_build_info_all_covers_every_kernel():
@@ -123,10 +99,7 @@ def test_twins_resolve_dynamically():
 
     for name in KERNEL_NAMES:
         info = native_core.get_kernel(name).build_info()
-        targets = [info["scalar_twin"], info["vector_twin"]]
-        if info["serial_twin"] is not None:
-            targets.append(info["serial_twin"])
-        for target in targets:
+        for target in (info["scalar_twin"], info["vector_twin"]):
             mod_name, qualname = target.split(":")
             obj = importlib.import_module(mod_name)
             for part in qualname.split("."):
@@ -442,80 +415,18 @@ def test_native_run_dynamic_prefetch_keeps_python_path():
 
 
 # ---------------------------------------------------------------------------
-# Thread-count resolution (REPRO_NATIVE_THREADS / cap / override)
+# RRR sampling through the native tier
 # ---------------------------------------------------------------------------
-def test_native_threads_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
-    assert native_core.native_threads() >= 1
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
-    assert native_core.native_threads() == 3
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "0")
-    assert native_core.native_threads() == 1  # clamped up
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "100000")
-    assert native_core.native_threads() == native_core.MAX_THREADS
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "2")
-    with native_core.use_native_threads(5):
-        assert native_core.native_threads() == 5  # override beats env
-
-
-@pytest.mark.parametrize("value", ["bogus", "2x", "1.5"])
-def test_malformed_native_threads_fails_loudly(monkeypatch, value):
-    # a typo'd knob must not quietly run at the cpu_count default, and
-    # the kernel's fallback guard must not absorb it either
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", value)
-    with pytest.raises(ValueError, match="REPRO_NATIVE_THREADS"):
-        native_core.native_threads()
-    kernel = native_core.get_kernel("counting_sort")
-    kernel.reset()
-    try:
-        with pytest.raises(ValueError, match="REPRO_NATIVE_THREADS"):
-            kernel.lib()
-        with pytest.raises(ValueError, match="REPRO_NATIVE_THREADS"):
-            kernel.lib()  # not latched as unavailable by the first raise
-    finally:
-        kernel.reset()
-
-
-def test_thread_cap_bounds_only_the_default(monkeypatch):
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "6")
-    native_core.set_thread_cap(2)
-    try:
-        # an explicit env knob wins over the pool-worker cap...
-        assert native_core.native_threads() == 6
-        # ...but the cpu_count default is bounded by it.
-        monkeypatch.delenv("REPRO_NATIVE_THREADS")
-        assert native_core.native_threads() <= 2
-    finally:
-        native_core.set_thread_cap(None)
-
-
-# ---------------------------------------------------------------------------
-# Thread invariance: bit-identical results at every thread count
-# ---------------------------------------------------------------------------
-def test_lru_replay_thread_invariant(monkeypatch):
-    from repro.simulator import batch as sim_batch
-    from repro.simulator.cache import Cache, CacheConfig
-
-    rng = np.random.default_rng(3)
-    lines = rng.integers(0, 300, size=4000).astype(np.int64)
-    config = CacheConfig(size_bytes=8192, line_bytes=64, associativity=4)
-
-    def run():
-        cache = Cache(config)
-        hits = sim_batch.cache_access_batch(cache, lines)
-        return hits, cache.stats.hits, cache.stats.misses
-
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
-    hits_1, h1, m1 = run()
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
-    hits_4, h4, m4 = run()
-    assert np.array_equal(hits_1, hits_4)
-    assert (h1, m1) == (h4, m4)
-
-
-def test_rrr_sampling_thread_invariant(monkeypatch):
+@pytest.mark.parametrize("budget", (None, 5 * 120))
+def test_rrr_sampling_native_matches_scalar(budget, monkeypatch):
+    """Native cascades equal the scalar BFS, also when a small arena
+    budget splits the draw into several kernel calls."""
+    from repro._native import rrr as native_rrr
     from repro.apps.batch import sample_rrr_ic_pinned_batch
     from repro.apps.influence_max import sample_rrr_ic_pinned
+
+    if budget is not None:
+        monkeypatch.setattr(native_rrr, "_ARENA_BUDGET", budget)
 
     graph = GRAPHS["random"]
     n = graph.num_vertices
@@ -526,16 +437,10 @@ def test_rrr_sampling_thread_invariant(monkeypatch):
     ).astype(np.int64)
     sample_indices = np.arange(num_samples, dtype=np.int64)
 
-    def run():
-        with use_engine("native"):
-            return sample_rrr_ic_pinned_batch(
-                graph, 0.3, roots, original_of, sample_indices, 9
-            )
-
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
-    sets_1 = run()
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
-    sets_4 = run()
+    with use_engine("native"):
+        native = sample_rrr_ic_pinned_batch(
+            graph, 0.3, roots, original_of, sample_indices, 9
+        )
     scalar = [
         sample_rrr_ic_pinned(
             graph, 0.3, int(roots[i]), original_of,
@@ -543,38 +448,11 @@ def test_rrr_sampling_thread_invariant(monkeypatch):
         )
         for i in range(num_samples)
     ]
-    for a, b, c in zip(sets_1, sets_4, scalar):
-        assert a.root == b.root == c.root
-        assert np.array_equal(a.vertices, b.vertices)
+    assert len(native) == len(scalar)
+    for a, c in zip(native, scalar):
+        assert a.root == c.root
         assert np.array_equal(a.vertices, c.vertices)
-        assert a.edges_examined == b.edges_examined == c.edges_examined
-
-
-def test_delta_stepping_thread_invariant(monkeypatch):
-    graph = GRAPHS["random"]
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
-    one = delta_stepping(graph, 0, engine="native")
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
-    four = delta_stepping(graph, 0, engine="native")
-    scalar = delta_stepping(graph, 0, engine="scalar")
-    assert_same_sssp(one, four)
-    assert_same_sssp(one, scalar)
-
-
-@pytest.mark.parametrize(
-    "scheme_name", ("degree_sort", "hub_sort", "hub_cluster", "dbg")
-)
-def test_degree_orderings_thread_invariant(scheme_name, monkeypatch):
-    graph = GRAPHS["random"]
-    scalar = order_with(scheme_name, graph, "scalar")
-    for threads in ("1", "4"):
-        monkeypatch.setenv("REPRO_NATIVE_THREADS", threads)
-        native = order_with(scheme_name, graph, "native")
-        assert np.array_equal(native.permutation, scalar.permutation)
-        assert native.cost == scalar.cost
-        assert strip_engine_metadata(native.metadata) == (
-            strip_engine_metadata(scalar.metadata)
-        )
+        assert a.edges_examined == c.edges_examined
 
 
 def test_degree_ordering_under_build_failure(monkeypatch):
@@ -595,19 +473,15 @@ def test_degree_ordering_under_build_failure(monkeypatch):
 # ---------------------------------------------------------------------------
 # Counting-sort kernel: direct parity with the stable argsort
 # ---------------------------------------------------------------------------
-@given(
-    keys=st.lists(st.integers(0, 15), min_size=0, max_size=200),
-    threads=st.sampled_from((1, 2, 4, 8)),
-)
+@given(keys=st.lists(st.integers(0, 15), min_size=0, max_size=200))
 @settings(max_examples=20, deadline=None)
-def test_counting_sort_matches_stable_argsort(keys, threads):
+def test_counting_sort_matches_stable_argsort(keys):
     from repro._native import counting
 
     if counting.KERNEL.lib() is None:
         pytest.skip("counting kernel unavailable")
     arr = np.asarray(keys, dtype=np.int64)
-    with native_core.use_native_threads(threads):
-        out = counting.run(arr, 16)
+    out = counting.run(arr, 16)
     assert out is not None
     assert np.array_equal(out, np.argsort(arr, kind="stable"))
 
@@ -618,47 +492,6 @@ def test_counting_sort_declines_oversized_buckets():
     keys = np.zeros(4, dtype=np.int64)
     assert counting.run(keys, counting._MAX_BUCKETS + 1) is None
     assert counting.run(keys, 0) is None
-
-
-# ---------------------------------------------------------------------------
-# Delta-stepping parallel edge relaxation: force the merge path
-# ---------------------------------------------------------------------------
-def test_delta_parallel_merge_matches_serial():
-    """A hub scan over the edge threshold merges to the serial result.
-
-    The surrogate graphs never reach the production ``PAR_MIN_EDGES``
-    threshold, so this test lowers it and drives the sharded
-    collect-then-merge branch directly against the single-thread run on
-    a star-heavy weighted graph.
-    """
-    from repro._native import delta as native_delta
-    from repro.apps.delta_stepping import _build_phases
-
-    if native_delta.KERNEL.lib() is None:
-        pytest.skip("delta kernel unavailable")
-    n = 300
-    edges = [(0, v) for v in range(1, n)]
-    edges += [(v, (v % 37) + 1) for v in range(1, n)]
-    weights = [0.5 + ((u * 7 + v * 3) % 13) / 13.0 for u, v in edges]
-    graph = from_edges(n, edges, weights=weights)
-    delta_width = 0.75
-    light, heavy, _cycles, warr, _ = _build_phases(graph, delta_width)
-    wmax = float(warr.max()) if warr.size else 1.0
-
-    def run(nthreads, par_min_edges):
-        return native_delta.run(
-            light.indptr, light.targets, light.weights,
-            heavy.indptr, heavy.targets, heavy.weights,
-            n=n, source=0, delta=delta_width, max_buckets=64,
-            wmax=wmax, nthreads=nthreads, par_min_edges=par_min_edges,
-        )
-
-    serial = run(1, 2)
-    for nthreads in (2, 4, 8):
-        parallel = run(nthreads, 2)
-        assert parallel is not None and serial is not None
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +518,8 @@ def test_sanitize_profile_parsing(monkeypatch):
     assert native_core.sanitize_profile() is None
     monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "")
     assert native_core.sanitize_profile() is None
-    monkeypatch.setenv("REPRO_NATIVE_SANITIZE", " TSan ")
-    assert native_core.sanitize_profile() == "tsan"
+    monkeypatch.setenv("REPRO_NATIVE_SANITIZE", " UBSan ")
+    assert native_core.sanitize_profile() == "ubsan"
     monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "msan")
     with pytest.raises(ValueError, match="msan"):
         native_core.sanitize_profile()
@@ -709,7 +542,6 @@ def test_build_flags_per_profile():
     kernel = native_core.get_kernel("counting_sort")
     plain = kernel.build_flags(None)
     assert "-O3" in plain and "-Werror" not in plain
-    assert "-pthread" in plain  # counting_sort is threaded
     for profile, extra in native_core.SANITIZE_PROFILES.items():
         flags = kernel.build_flags(profile)
         for flag in extra:
