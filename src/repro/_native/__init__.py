@@ -12,8 +12,6 @@ Every kernel runs on the calling thread.
 
 Kernels:
 
-* ``lru_replay`` — set-associative LRU replay over set-grouped tag
-  runs (:mod:`.lru`);
 * ``gorder_greedy`` — the whole Gorder sliding-window greedy
   (:mod:`.gorder`);
 * ``partition_fm`` — FM boundary refinement and greedy region growing
@@ -27,9 +25,10 @@ Kernels:
 * ``louvain_sweep`` — one whole Louvain sweep on the CSR arrays,
   behind the Grappolo orderings and the community-detection
   application (:mod:`.louvain`);
-* ``sim_dynamic`` — a whole dynamically scheduled parallel region
-  replayed through per-thread L1/L2 and a shared L3, behind
-  :meth:`repro.simulator.parallel.SimulatedMachine.run_dynamic`
+* ``sim_region`` — a whole parallel region, statically or dynamically
+  scheduled, replayed through per-thread L1/L2 and a shared L3, behind
+  :meth:`repro.simulator.parallel.SimulatedMachine.run` and
+  :meth:`~repro.simulator.parallel.SimulatedMachine.run_dynamic`
   (:mod:`.machine`).
 """
 
@@ -47,7 +46,7 @@ from .core import (
     sanitize_profile,
 )
 from . import (  # noqa: F401  (register)
-    counting, delta, fm, gorder, louvain, lru, machine, parse, rrr,
+    counting, delta, fm, gorder, louvain, machine, parse, rrr,
 )
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "fm",
     "gorder",
     "louvain",
-    "lru",
     "machine",
     "parse",
     "rrr",

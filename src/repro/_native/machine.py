@@ -1,19 +1,24 @@
-"""Compiled dynamic-schedule replay: one whole parallel region in C.
+"""Compiled parallel-region replay: one whole region in C.
 
-:meth:`repro.simulator.parallel.SimulatedMachine.run_dynamic` hands each
-chunk of work items to the thread with the lowest simulated clock, so the
-schedule depends on every latency before it and the region replays item
-by item.  In Python that is one batched hierarchy call per item; the
-application study (Figures 9–12) issues thousands of them per cell.  The
-kernel replays the complete region in one call.
+:class:`repro.simulator.parallel.SimulatedMachine` executes a region
+under one of two schedules.  A static region (:meth:`run`) maps every
+work item to a thread up front and issues items round by round; a
+dynamic region (:meth:`run_dynamic`) hands each chunk of items to the
+thread with the lowest simulated clock, so its schedule depends on every
+latency before it.  The only difference is how an item picks its
+thread; the kernel replays either region in one call.
 
-Bit-identity argument against the Python replay (vector twin
+Bit-identity argument against the Python replays (vector twin
 ``SimulatedMachine._run_dynamic_python``, which drives the batched
-engine per item) and the per-access model it is exact to (scalar twin
-:meth:`repro.simulator.hierarchy.MemoryHierarchy.access`):
+engine per item) and the per-access model they are exact to (scalar
+twin :meth:`repro.simulator.hierarchy.MemoryHierarchy.access`, which
+:meth:`SimulatedMachine.run_reference` drives for static regions):
 
-* each chunk goes to the *first* thread with the lowest clock —
-  ``min(range(T), key=clocks.__getitem__)``;
+* with an ``item_thread`` array, item ``i`` runs on thread
+  ``item_thread[i]``, one item at a time, in the order the caller
+  passes them — ``run`` passes the round-robin issue order of
+  ``run_reference``; without it, each chunk goes to the *first* thread
+  with the lowest clock — ``min(range(T), key=clocks.__getitem__)``;
 * every load walks L1 → L2 → L3 with allocate-on-miss at each level it
   misses (inclusive fill); each cache set holds its tags in LRU → MRU
   order, a hit moves the tag to the MRU slot and a miss evicts slot 0
@@ -28,7 +33,7 @@ engine per item) and the per-access model it is exact to (scalar twin
   which the Python side rebuilds :class:`ThreadCounters` exactly.
 
 Items arrive as an array of pointers plus lengths — the trace is never
-concatenated.  Loads only: no store ever dirties a line in a dynamic
+concatenated.  Loads only: no store ever dirties a line in a simulated
 region, so writebacks cannot occur and are not modelled.  The next-line
 prefetcher is not supported; the caller keeps it on the Python path.
 """
@@ -42,7 +47,7 @@ import numpy as np
 
 from .core import NativeKernel, guarded
 
-__all__ = ["KERNEL", "run_dynamic"]
+__all__ = ["KERNEL", "run_region"]
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -77,17 +82,18 @@ static int64_t lru_touch(int64_t *ways, int64_t *len, int64_t assoc,
 
 /* Returns 0, -1 on a negative line (caller replays in Python) or -2
  * when the cache state cannot be allocated. */
-int64_t sim_dynamic(const int64_t *const *item_lines,
-                    const int64_t *item_len,
-                    const int64_t *item_compute,
-                    int64_t num_items,
-                    int64_t chunk,
-                    int64_t num_threads,
-                    const int64_t *geometry,  /* sets, ways: L1, L2, L3 */
-                    const int64_t *latency,   /* L1, L2, L3, DRAM */
-                    int64_t *clocks,          /* num_threads, zeroed */
-                    int64_t *compute,         /* num_threads, zeroed */
-                    int64_t *level_loads)     /* num_threads * 4, zeroed */
+int64_t sim_region(const int64_t *const *item_lines,
+                   const int64_t *item_len,
+                   const int64_t *item_compute,
+                   const int64_t *item_thread, /* NULL: dynamic chunks */
+                   int64_t num_items,
+                   int64_t chunk,
+                   int64_t num_threads,
+                   const int64_t *geometry,  /* sets, ways: L1, L2, L3 */
+                   const int64_t *latency,   /* L1, L2, L3, DRAM */
+                   int64_t *clocks,          /* num_threads, zeroed */
+                   int64_t *compute,         /* num_threads, zeroed */
+                   int64_t *level_loads)     /* num_threads * 4, zeroed */
 {
     const int64_t s1 = geometry[0], w1 = geometry[1];
     const int64_t s2 = geometry[2], w2 = geometry[3];
@@ -107,16 +113,20 @@ int64_t sim_dynamic(const int64_t *const *item_lines,
     int64_t pos = 0;
     while (pos < num_items) {
         int64_t t = 0;
-        for (int64_t x = 1; x < num_threads; x++)
-            if (clocks[x] < clocks[t])
-                t = x;
+        int64_t end = pos + 1;
+        if (item_thread) {
+            t = item_thread[pos];
+        } else {
+            for (int64_t x = 1; x < num_threads; x++)
+                if (clocks[x] < clocks[t])
+                    t = x;
+            end = num_items - pos > chunk ? pos + chunk : num_items;
+        }
         int64_t *l1_tags = state + t * (l1_size + l2_size);
         int64_t *l1_len = l1_tags + s1 * w1;
         int64_t *l2_tags = l1_tags + l1_size;
         int64_t *l2_len = l2_tags + s2 * w2;
         int64_t *loads = level_loads + t * 4;
-        const int64_t end = num_items - pos > chunk ? pos + chunk
-                                                    : num_items;
         for (int64_t i = pos; i < end; i++) {
             const int64_t *lines = item_lines[i];
             int64_t stall = 0;
@@ -159,14 +169,15 @@ _P_I64 = ctypes.POINTER(ctypes.c_int64)
 _P_PTR = ctypes.POINTER(ctypes.c_void_p)
 
 KERNEL = NativeKernel(
-    "sim_dynamic",
+    "sim_region",
     _SOURCE,
     symbols={
-        "sim_dynamic": (
+        "sim_region": (
             [
                 _P_PTR,  # item_lines
                 _P_I64,  # item_len
                 _P_I64,  # item_compute
+                _P_I64,  # item_thread (NULL for dynamic chunks)
                 ctypes.c_int64,  # num_items
                 ctypes.c_int64,  # chunk
                 ctypes.c_int64,  # num_threads
@@ -185,23 +196,26 @@ KERNEL = NativeKernel(
 
 
 @guarded(KERNEL)
-def run_dynamic(
+def run_region(
     lines: Sequence[np.ndarray],
     compute: np.ndarray,
+    item_thread: np.ndarray | None,
     chunk: int,
     num_threads: int,
     geometry: np.ndarray,
     latency: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Replay one dynamic region natively; None to replay in Python.
+    """Replay one parallel region natively; None to replay in Python.
 
     ``lines`` holds one contiguous int64 array per item (kept alive by
     the caller for the call), ``compute`` the items' compute cycles,
-    ``geometry`` the ``(sets, ways)`` pairs of L1, L2 and L3, and
-    ``latency`` the four service latencies.  Returns ``(clocks,
-    compute, level_loads)`` per thread, ``level_loads`` shaped
-    ``(num_threads, 4)``.  None also covers a negative line, which the
-    kernel declines.
+    ``item_thread`` each item's thread for a static region (items in
+    issue order; ``chunk`` is then unused) or None for dynamic chunks of
+    ``chunk`` items, ``geometry`` the ``(sets, ways)`` pairs of L1, L2
+    and L3, and ``latency`` the four service latencies.  Returns
+    ``(clocks, compute, level_loads)`` per thread, ``level_loads``
+    shaped ``(num_threads, 4)``.  None also covers a negative line,
+    which the kernel declines.
     """
     lib = KERNEL.lib()
     if lib is None:
@@ -217,10 +231,11 @@ def run_dynamic(
     clocks = np.zeros(num_threads, dtype=np.int64)
     busy = np.zeros(num_threads, dtype=np.int64)
     level_loads = np.zeros((num_threads, 4), dtype=np.int64)
-    status = lib.sim_dynamic(
+    status = lib.sim_region(
         pointers.ctypes.data_as(_P_PTR),
         lengths.ctypes.data_as(_P_I64),
         compute.ctypes.data_as(_P_I64),
+        None if item_thread is None else item_thread.ctypes.data_as(_P_I64),
         num_items,
         min(chunk, max(num_items, 1)),
         num_threads,

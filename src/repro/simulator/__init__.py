@@ -6,7 +6,6 @@ from .batch import (
     hit_ratio_curve,
     lru_stack_distances,
     miss_ratio_curve,
-    run_exact_region,
 )
 from .cache import Cache, CacheConfig, CacheStats
 from .counters import CounterReport, report_from_counters
@@ -31,7 +30,6 @@ __all__ = [
     "CacheStats",
     "cache_access_batch",
     "hierarchy_access_batch",
-    "run_exact_region",
     "lru_stack_distances",
     "hit_ratio_curve",
     "miss_ratio_curve",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .._native import machine as native_machine
 from ..engine import resolve_engine
-from .batch import _as_line_array, run_exact_region
+from .batch import _as_line_array
 from .counters import CounterReport, report_from_counters
 from .hierarchy import HierarchyConfig, MemoryHierarchy, ThreadCounters
 
@@ -116,6 +116,8 @@ class SimulatedMachine:
         num_threads: int,
         config: HierarchyConfig | None = None,
     ) -> None:
+        if num_threads < 1:
+            raise ValueError("num_threads must be positive")
         self.num_threads = num_threads
         self.config = config or HierarchyConfig()
 
@@ -127,25 +129,34 @@ class SimulatedMachine:
 
         Threads advance round-robin one item at a time, so L3 accesses of
         different threads interleave — the shared-cache contention model.
-        Replayed by the exact batched engine (bit-identical to
-        :meth:`run_reference`, which keeps the per-access loop for
-        verification); the next-line prefetcher forces the scalar path
-        because its installs couple neighbouring accesses.
+        Under the native engine the whole region replays in one compiled
+        call (:mod:`repro._native.machine`) in the issue order of
+        :meth:`run_reference`, bit-identical to it; other engines, the
+        next-line prefetcher, negative lines and non-integer compute
+        cycles replay through :meth:`run_reference` itself.
         """
         if len(per_thread_items) != self.num_threads:
             raise ValueError("one item list per thread required")
-        if self.config.prefetch_next_line:
-            return self.run_reference(per_thread_items)
-        hierarchy = MemoryHierarchy(self.num_threads, self.config)
-        cycles, compute = run_exact_region(hierarchy, per_thread_items)
-        merged = hierarchy.merged_counters()
-        report = report_from_counters(merged, sum(compute))
-        return ExecutionResult(
-            num_threads=self.num_threads,
-            thread_cycles=tuple(cycles),
-            thread_loads=tuple(c.loads for c in hierarchy.counters),
-            report=report,
-        )
+        # listed once: the fallback must not get iterators the kernel
+        # attempt has already consumed
+        per_thread = [list(items) for items in per_thread_items]
+        if resolve_engine() == "native" and not self.config.prefetch_next_line:
+            counts = np.array([len(items) for items in per_thread], np.int64)
+            thread_of = np.repeat(
+                np.arange(self.num_threads, dtype=np.int64), counts
+            )
+            round_of = np.arange(thread_of.size, dtype=np.int64) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            # run_reference's issue order: by round, then thread id
+            issue = np.lexsort((thread_of, round_of))
+            flat = [item for items in per_thread for item in items]
+            result = self._run_native(
+                [flat[i] for i in issue.tolist()], thread_of[issue], 1
+            )
+            if result is not None:
+                return result
+        return self.run_reference(per_thread)
 
     def run_reference(
         self,
@@ -153,9 +164,10 @@ class SimulatedMachine:
     ) -> ExecutionResult:
         """Per-access reference replay of :meth:`run` (same results).
 
-        Kept as the ground truth the batched engine is property-tested
-        against, as the fallback when the next-line prefetcher is enabled,
-        and as the baseline the perf-regression harness times.
+        Kept as the ground truth the compiled replay is property-tested
+        against, as :meth:`run`'s fallback whenever the kernel cannot
+        replay the region, and as the baseline the perf-regression
+        harness times.
         """
         if len(per_thread_items) != self.num_threads:
             raise ValueError("one item list per thread required")
@@ -206,15 +218,22 @@ class SimulatedMachine:
         if chunk < 1:
             raise ValueError("chunk must be positive")
         if resolve_engine() == "native" and not self.config.prefetch_next_line:
-            result = self._run_dynamic_native(items, chunk)
+            result = self._run_native(items, None, chunk)
             if result is not None:
                 return result
         return self._run_dynamic_python(items, chunk)
 
-    def _run_dynamic_native(
-        self, items: Sequence[WorkItem], chunk: int
+    def _run_native(
+        self,
+        items: Sequence[WorkItem],
+        item_thread: np.ndarray | None,
+        chunk: int,
     ) -> ExecutionResult | None:
-        """The compiled replay; None when the kernel cannot run it."""
+        """The compiled replay; None when the kernel cannot run it.
+
+        ``item_thread`` pins each item to a thread (a static region, items
+        in issue order); None hands out dynamic chunks of ``chunk`` items.
+        """
         # int64 arrays pass through without a copy
         lines = [_as_line_array(item.lines) for item in items]
         compute = [item.compute_cycles for item in items]
@@ -230,9 +249,10 @@ class SimulatedMachine:
             dtype=np.int64,
         )
         latency = [cfg.latency_of(level) for level in range(4)]
-        out = native_machine.run_dynamic(
+        out = native_machine.run_region(
             lines,
             np.array(compute, dtype=np.int64),
+            item_thread,
             chunk,
             self.num_threads,
             geometry,

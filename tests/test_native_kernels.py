@@ -34,11 +34,12 @@ from repro.simulator.parallel import (
     ExecutionResult,
     SimulatedMachine,
     WorkItem,
+    static_block_schedule,
+    static_interleaved_schedule,
 )
 from tests.conftest import make_grid, make_two_cliques, random_graph
 
 KERNEL_NAMES = (
-    "lru_replay",
     "gorder_greedy",
     "partition_fm",
     "delta_scan",
@@ -46,7 +47,7 @@ KERNEL_NAMES = (
     "counting_sort",
     "parse_edges",
     "louvain_sweep",
-    "sim_dynamic",
+    "sim_region",
 )
 
 GRAPHS = {
@@ -207,27 +208,6 @@ def test_native_delta_stepping_weighted_random(n, edges, source):
     native = delta_stepping(graph, source % n, engine="native")
     scalar = delta_stepping(graph, source % n, engine="scalar")
     assert_same_sssp(native, scalar)
-
-
-# ---------------------------------------------------------------------------
-# LRU replay through the batched engine (kernel vs pure-Python walk)
-# ---------------------------------------------------------------------------
-def test_lru_kernel_matches_python_walk(monkeypatch):
-    from repro._native import lru
-    from repro.simulator import batch as sim_batch
-    from repro.simulator.cache import Cache, CacheConfig
-
-    rng = np.random.default_rng(11)
-    lines = rng.integers(0, 200, size=2000).astype(np.int64)
-    config = CacheConfig(size_bytes=4096, line_bytes=64, associativity=4)
-
-    def run():
-        return sim_batch.cache_access_batch(Cache(config), lines)
-
-    with_kernel = run()
-    monkeypatch.setattr(lru.KERNEL, "lib", lambda: None)
-    without_kernel = run()
-    assert np.array_equal(with_kernel, without_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +392,80 @@ def test_native_run_dynamic_prefetch_keeps_python_path():
     items = dynamic_items(4, count=20)
     native = run_dynamic_with(machine, items, 3, "native")
     assert native == run_dynamic_per_access(machine, items, 3)
+
+
+# ---------------------------------------------------------------------------
+# Static-schedule replay: native region vs the per-access reference
+# ---------------------------------------------------------------------------
+def run_with(machine, per_thread, engine):
+    with use_engine(engine):
+        return machine.run(per_thread)
+
+
+def static_region(items, threads, schedule=static_block_schedule):
+    return [[items[i] for i in idx] for idx in schedule(len(items), threads)]
+
+
+@pytest.mark.parametrize(
+    "schedule", (static_block_schedule, static_interleaved_schedule)
+)
+@pytest.mark.parametrize("threads", range(1, 9))
+def test_native_run_matches_reference(threads, schedule):
+    machine = SimulatedMachine(threads, HierarchyConfig.for_scale(0.05))
+    per_thread = static_region(dynamic_items(threads), threads, schedule)
+    native = run_with(machine, per_thread, "native")
+    assert native == machine.run_reference(per_thread)
+
+
+@pytest.mark.parametrize("scale", (0.01, 0.25, 1.0, 4.0))
+def test_native_run_for_scale_geometries(scale):
+    machine = SimulatedMachine(3, HierarchyConfig.for_scale(scale))
+    # items longer than 1,024 lines, the batched engine's scalar cutoff
+    items = dynamic_items(8, count=40, max_len=1500, span=40000)
+    per_thread = static_region(items, 3)
+    native = run_with(machine, per_thread, "native")
+    assert native == machine.run_reference(per_thread)
+
+
+def test_native_run_empty_thread_and_items():
+    machine = SimulatedMachine(3)
+    per_thread = [
+        [WorkItem([], 5), WorkItem(np.zeros(0, np.int64), 0),
+         WorkItem([1, 2, 3], 2)],
+        [],
+        [WorkItem([], 0)],
+    ]
+    native = run_with(machine, per_thread, "native")
+    assert native == machine.run_reference(per_thread)
+    assert run_with(machine, [[], [], []], "native").thread_cycles == (
+        0, 0, 0,
+    )
+
+
+def test_native_run_declines_to_reference():
+    """A negative line and float compute cycles replay per access."""
+    machine = SimulatedMachine(2, HierarchyConfig.for_scale(0.05))
+    items = dynamic_items(3, count=12)
+    negative = list(items)
+    negative[5] = WorkItem(np.array([4, -9, 17, -1], dtype=np.int64), 3)
+    fractional = list(items)
+    fractional[7] = WorkItem(items[7].lines, 2.5)
+    for region in (negative, fractional):
+        per_thread = static_region(region, 2, static_interleaved_schedule)
+        native = run_with(machine, per_thread, "native")
+        assert native == machine.run_reference(per_thread)
+
+
+def test_native_run_decline_replays_consumed_iterators():
+    """After a decline the fallback sees every item of a generator input."""
+    machine = SimulatedMachine(2, HierarchyConfig.for_scale(0.05))
+    items = dynamic_items(5, count=10)
+    items[8] = WorkItem([3, -2], 1)
+    first, second = items[:5], items[5:]
+    native = run_with(machine, [iter(first), iter(second)], "native")
+    reference = machine.run_reference([first, second])
+    assert native == reference
+    assert sum(native.thread_loads) == sum(len(i.lines) for i in items)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The batched engine (`repro.simulator.batch`) must be *bit-identical* to
 the scalar `Cache`/`MemoryHierarchy` replay — same hits, same misses,
 same writebacks, same final resident state — on arbitrary traces and
-cache geometries, through both the compiled kernel and the pure-Python
-fallback.  The reuse-distance engine must agree with brute force and
-with an actual fully-associative cache.
+cache geometries.  A static parallel region (`SimulatedMachine.run`)
+must equal its per-access reference through the compiled region kernel
+and through the fallback.  The reuse-distance engine must agree with
+brute force and with an actual fully-associative cache.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from repro.simulator import (
     lru_stack_distances,
     miss_ratio_curve,
 )
-from repro._native import lru as native_lru
+from repro._native import machine as native_machine
 from repro.engine import use_engine
 from repro.simulator import batch
 from repro.simulator.parallel import (
@@ -63,10 +64,22 @@ def assert_same_state(a, b):
     assert a.writebacks == b.writebacks
 
 
+def random_region(rng, num_threads, num_items=60, lines_per_item=40):
+    items = [
+        WorkItem(
+            lines=rng.integers(0, 800, size=rng.integers(1, lines_per_item)),
+            compute_cycles=int(rng.integers(0, 20)),
+        )
+        for _ in range(num_items)
+    ]
+    schedule = static_block_schedule(len(items), num_threads)
+    return [[items[i] for i in idx] for idx in schedule]
+
+
 @pytest.fixture
 def python_fallback(monkeypatch):
-    """Force the pure-Python replay path regardless of the toolchain."""
-    monkeypatch.setattr(native_lru.KERNEL, "lib", lambda: None)
+    """Force the Python replay path regardless of the toolchain."""
+    monkeypatch.setattr(native_machine.KERNEL, "lib", lambda: None)
 
 
 class TestCacheAccessBatch:
@@ -88,7 +101,7 @@ class TestCacheAccessBatch:
         assert_same_state(a, b)
 
     @pytest.mark.parametrize("config", GEOMETRIES)
-    def test_python_path_matches_scalar(self, config, python_fallback):
+    def test_python_path_matches_scalar(self, config):
         rng = np.random.default_rng(7)
         for _ in range(10):
             warmup = rng.integers(0, 150, size=40)
@@ -105,38 +118,26 @@ class TestCacheAccessBatch:
         assert got.size == 0
         assert cache.stats.accesses == 0
 
-    def test_native_and_python_paths_agree(self, monkeypatch):
-        if native_lru.KERNEL.lib() is None:
-            pytest.skip("no compiler available for the native kernel")
-        rng = np.random.default_rng(11)
-        trace = rng.integers(0, 400, size=2000)
-        native_cache = Cache(GEOMETRIES[4])
-        native_hits = cache_access_batch(native_cache, trace)
-        monkeypatch.setattr(native_lru.KERNEL, "lib", lambda: None)
-        python_cache = Cache(GEOMETRIES[4])
-        python_hits = cache_access_batch(python_cache, trace)
-        assert np.array_equal(native_hits, python_hits)
-        assert_same_state(native_cache, python_cache)
-
     @pytest.mark.parametrize("engine", ["vector", "scalar"])
     def test_non_native_engines_never_ask_for_the_kernel(
         self, monkeypatch, engine
     ):
+        """Non-native engines replay regions in Python, never in C."""
         rng = np.random.default_rng(13)
-        warmup = rng.integers(0, 400, size=200)
-        trace = rng.integers(0, 400, size=2000)
-        native_cache, engine_cache = warmed_pair(GEOMETRIES[4], warmup)
+        per_thread = random_region(rng, 3)
+        items = [item for items in per_thread for item in items]
+        machine = SimulatedMachine(3)
         with use_engine("native"):
-            native_hits = cache_access_batch(native_cache, trace)
+            native = machine.run(per_thread)
+            native_dynamic = machine.run_dynamic(items, chunk=2)
 
         def refuse():
-            raise AssertionError(f"LRU kernel requested under {engine!r}")
+            raise AssertionError(f"region kernel requested under {engine!r}")
 
-        monkeypatch.setattr(native_lru.KERNEL, "lib", refuse)
+        monkeypatch.setattr(native_machine.KERNEL, "lib", refuse)
         with use_engine(engine):
-            engine_hits = cache_access_batch(engine_cache, trace)
-        assert np.array_equal(engine_hits, native_hits)
-        assert_same_state(engine_cache, native_cache)
+            assert machine.run(per_thread) == native
+            assert machine.run_dynamic(items, chunk=2) == native_dynamic
 
 
 class TestHierarchyAccessBatch:
@@ -193,19 +194,9 @@ class TestHierarchyAccessBatch:
         assert scalar.merged_counters() == batched.merged_counters()
 
 
-def random_region(rng, num_threads, num_items=60, lines_per_item=40):
-    items = [
-        WorkItem(
-            lines=rng.integers(0, 800, size=rng.integers(1, lines_per_item)),
-            compute_cycles=int(rng.integers(0, 20)),
-        )
-        for _ in range(num_items)
-    ]
-    schedule = static_block_schedule(len(items), num_threads)
-    return [[items[i] for i in idx] for idx in schedule]
-
-
 class TestRunExactRegion:
+    """A static region replays exactly: ``run`` equals ``run_reference``."""
+
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_run_matches_reference(self, threads):
         rng = np.random.default_rng(threads)
@@ -221,10 +212,7 @@ class TestRunExactRegion:
         rng = np.random.default_rng(3)
         per_thread = random_region(rng, 4)
         machine = SimulatedMachine(4)
-        assert (
-            machine.run(per_thread).report
-            == machine.run_reference(per_thread).report
-        )
+        assert machine.run(per_thread) == machine.run_reference(per_thread)
 
     def test_prefetch_config_still_exact(self):
         rng = np.random.default_rng(5)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import use_engine
 from repro.simulator import (
     CacheConfig,
     HierarchyConfig,
@@ -148,6 +149,17 @@ class TestSimulatedMachine:
         machine = SimulatedMachine(1, tiny_config())
         with pytest.raises(ValueError):
             machine.run_dynamic([], chunk=0)
+
+    @pytest.mark.parametrize("engine", ["native", "vector"])
+    def test_zero_threads_rejected(self, engine):
+        # no thread to run the work on: refused up front under every
+        # engine, instead of a region that silently drops every load
+        with use_engine(engine), pytest.raises(
+            ValueError, match="num_threads must be positive"
+        ):
+            SimulatedMachine(0).run_dynamic(
+                [WorkItem([1, 2, 3], 5)] * 3, chunk=1
+            )
 
     def test_empty_run(self):
         machine = SimulatedMachine(2, tiny_config())
