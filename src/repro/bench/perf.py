@@ -755,7 +755,7 @@ def measure_ingest(
     * **parse** — the dataset serialised as edge-list text, re-read
       through the scalar and native parse tiers;
     * **build** — CSR finalisation from raw edge arrays through each
-      engine (lexsort vs the counting-sort kernel);
+      engine (the keyed stable argsort vs the counting-sort kernel);
     * **store** — a cold ``.rgr`` save then warm mmap loads, priced
       against the scalar text re-parse they replace.
     """

@@ -6,7 +6,6 @@ from .louvain import (
     IterationStats,
     LouvainResult,
     PhaseStats,
-    compact_graph,
     louvain,
     louvain_one_phase,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "LouvainResult",
     "louvain",
     "louvain_one_phase",
-    "compact_graph",
     "CommunityHierarchy",
     "build_hierarchy",
     "greedy_coloring",

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .louvain import compact_graph, louvain_one_phase
+from ..partition.coarsen import contract_by_labels
+from .louvain import louvain_one_phase
 
 __all__ = ["CommunityHierarchy", "build_hierarchy"]
 
@@ -78,7 +79,10 @@ def build_hierarchy(
         if num_comms >= current.num_vertices:
             break
         levels.append(communities)
-        current, loops = compact_graph(current, loops, communities)
+        level = contract_by_labels(
+            current, communities, vertex_weights=loops, keep_self_loops=True
+        )
+        current, loops = level.graph, level.vertex_weights
         graphs.append(current)
         if current.num_vertices <= 1:
             break

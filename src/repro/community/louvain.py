@@ -24,8 +24,8 @@ import numpy as np
 
 from .._native import louvain as native_louvain
 from ..engine import resolve_engine
-from ..graph.builder import GraphBuilder
 from ..graph.csr import CSRGraph
+from ..partition.coarsen import contract_by_labels
 from .modularity import modularity_with_loops, weighted_degrees
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "LouvainResult",
     "louvain",
     "louvain_one_phase",
-    "compact_graph",
 ]
 
 #: a sweep must improve modularity by at least this much to continue.
@@ -275,86 +274,6 @@ def _renumber(labels: np.ndarray) -> np.ndarray:
     return dense.astype(np.int64)
 
 
-def compact_graph(
-    graph: CSRGraph,
-    self_loops: np.ndarray,
-    communities: np.ndarray,
-) -> tuple[CSRGraph, np.ndarray]:
-    """Collapse communities into coarse vertices (the phase transition).
-
-    Returns the coarse graph plus the coarse self-loop weights (each
-    community's internal weight, including member self-loops).
-    """
-    communities = _renumber(communities)
-    num_coarse = int(communities.max()) + 1 if communities.size else 0
-    indptr, indices = graph.indptr, graph.indices
-    weights = graph.weights
-
-    if resolve_engine() != "scalar":
-        # Vector path: one pass of array ops.  All accumulations go through
-        # np.bincount, which sums its input sequentially — member
-        # self-loops first (vertex order), then intra-community edges in
-        # scan order — exactly the scalar accumulation order.
-        n = graph.num_vertices
-        srcs = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(indptr)
-        )
-        upper = indices >= srcs
-        uu, vv = srcs[upper], indices[upper]
-        w_up = (
-            weights[upper]
-            if weights is not None
-            else np.ones(uu.size, dtype=np.float64)
-        )
-        cu, cv = communities[uu], communities[vv]
-        same = cu == cv
-        coarse_loops = np.bincount(
-            np.concatenate((communities, cu[same])),
-            weights=np.concatenate((self_loops, w_up[same])),
-            minlength=num_coarse,
-        ).astype(np.float64)
-        if num_coarse and coarse_loops.size < num_coarse:
-            coarse_loops = np.pad(
-                coarse_loops, (0, num_coarse - coarse_loops.size)
-            )
-        diff = ~same
-        lo = np.minimum(cu[diff], cv[diff])
-        hi = np.maximum(cu[diff], cv[diff])
-        key = lo * np.int64(max(num_coarse, 1)) + hi
-        uniq, inverse = np.unique(key, return_inverse=True)
-        merged = np.bincount(
-            inverse, weights=w_up[diff], minlength=uniq.size
-        )
-        builder = GraphBuilder(num_coarse)
-        builder.add_edge_array(
-            uniq // max(num_coarse, 1), uniq % max(num_coarse, 1), merged
-        )
-        return builder.build(weighted=True), coarse_loops
-
-    coarse_loops = np.zeros(num_coarse, dtype=np.float64)
-    np.add.at(coarse_loops, communities, self_loops)
-
-    edge_acc: dict[tuple[int, int], float] = {}
-    for u in range(graph.num_vertices):
-        cu = int(communities[u])
-        for idx in range(indptr[u], indptr[u + 1]):
-            v = int(indices[idx])
-            if v < u:
-                continue
-            w = float(weights[idx]) if weights is not None else 1.0
-            cv = int(communities[v])
-            if cu == cv:
-                coarse_loops[cu] += w
-            else:
-                key = (min(cu, cv), max(cu, cv))
-                edge_acc[key] = edge_acc.get(key, 0.0) + w
-
-    builder = GraphBuilder(num_coarse)
-    for (cu, cv), w in edge_acc.items():
-        builder.add_edge(cu, cv, w)
-    return builder.build(weighted=True), coarse_loops
-
-
 def louvain_one_phase(
     graph: CSRGraph,
     *,
@@ -456,7 +375,10 @@ def louvain(
             mapping = communities[mapping]
             break
         mapping = communities[mapping]
-        current, loops = compact_graph(current, loops, communities)
+        level = contract_by_labels(
+            current, communities, vertex_weights=loops, keep_self_loops=True
+        )
+        current, loops = level.graph, level.vertex_weights
         if current.num_vertices <= 1:
             break
         # Converged when the last phase made no moves beyond the first sweep.

@@ -13,7 +13,8 @@ Loads consult two layers before building:
 
 Store entries are content-addressed by :func:`dataset_store_key`, which
 digests the dataset name together with the *source bytes* of the
-generator and catalog modules: editing either recipe invalidates every
+generator and catalog modules and of the builder and relabel modules
+every surrogate passes through: editing any of them invalidates every
 stale entry automatically, so the store can never serve a graph built
 by a previous version of the code.  Every layer is only an
 optimisation — any failure falls back to building, and freshly built
@@ -61,11 +62,13 @@ def _recipe_source_digest() -> str:
     """sha256 over the modules whose code determines every surrogate."""
     global _recipe_digest
     if _recipe_digest is None:
-        from ..graph import generators as _generators_module
+        from ..graph import builder, generators, permute
 
         digest = hashlib.sha256()
         digest.update(f"rgr{graph_store.FORMAT_VERSION}:".encode())
-        for module in (_generators_module, _catalog_module):
+        # Every surrogate passes through GraphBuilder.build, and the
+        # label shuffle through apply_ordering.
+        for module in (generators, _catalog_module, builder, permute):
             with open(module.__file__, "rb") as handle:
                 digest.update(handle.read())
             digest.update(b":")
@@ -76,8 +79,8 @@ def _recipe_source_digest() -> str:
 def dataset_store_key(name: str) -> str:
     """The graph-store key for ``name`` (content-addressed by recipe).
 
-    Any edit to the generator or catalog source — or a store format
-    bump — changes the key, so stale entries are never loaded (they age
+    Any edit to the generator, catalog, builder or relabel source — or
+    a store format bump — changes the key, so stale entries are never loaded (they age
     out as unreferenced files rather than being served).
     """
     return f"{name}-{_recipe_source_digest()[:16]}"

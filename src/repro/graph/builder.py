@@ -17,11 +17,14 @@ Internally edges accumulate in *chunked numpy buffers*: per-edge
 archived when full, and bulk :meth:`GraphBuilder.add_edge_array` calls
 archive their arrays directly — no Python lists, no ``tolist()`` round
 trips.  :meth:`GraphBuilder.build` finalises with two stable pair sorts
-that are engine-gated (:mod:`repro.engine`): the scalar/vector tiers run
-``np.lexsort`` and the native tier runs two passes of the BOBA-style
-``counting_sort`` kernel (an O(m) LSD radix sort over the vertex-id
-buckets), every tier bit-identical — including the float summation order
-of merged duplicate weights.
+by :func:`pair_order`, which is engine-gated (:mod:`repro.engine`): the
+scalar/vector tiers run one stable ``np.argsort`` of a combined
+``(major, minor)`` key and the native tier runs two passes of the
+BOBA-style ``counting_sort`` kernel (an O(m) LSD radix sort over the
+vertex-id buckets), every tier bit-identical — including the float
+summation order of merged duplicate weights.
+:func:`repro.graph.permute.apply_ordering` sorts its relabelled rows
+with the same :func:`pair_order`.
 
 The builder also counts what canonicalisation removed (self-loops
 dropped, duplicate edges merged) and records the tallies on the built
@@ -38,47 +41,36 @@ import numpy as np
 from ..engine import engine_for_work
 from .csr import CSRGraph
 
-__all__ = ["GraphBuilder", "from_edges", "empty_graph"]
+__all__ = ["GraphBuilder", "from_edges", "empty_graph", "pair_order"]
 
 #: edges per head chunk for the scalar append path.
 _CHUNK = 1 << 15
 
 
-def _pair_order_scalar(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """Stable sort of pairs by ``(major, minor)`` (scalar and vector tiers)."""
-    return np.lexsort((minor, major))
-
-
-def _pair_order_native(
-    major: np.ndarray, minor: np.ndarray, num_buckets: int
-) -> np.ndarray | None:
-    """Native pair sort: two stable counting-sort passes (LSD radix).
-
-    ``counting_sort`` equals ``np.argsort(key, kind="stable")``, so
-    sorting by ``minor`` then stably by ``major`` composes to exactly
-    ``np.lexsort((minor, major))``.  Returns ``None`` on kernel
-    fallback (no compiler, too many buckets).
-    """
-    from .._native import counting
-
-    inner = counting.run(np.ascontiguousarray(minor), num_buckets)
-    if inner is None:
-        return None
-    outer = counting.run(np.ascontiguousarray(major[inner]), num_buckets)
-    if outer is None:
-        return None
-    return inner[outer]
-
-
-def _pair_order(
+def pair_order(
     major: np.ndarray, minor: np.ndarray, num_buckets: int, engine: str
 ) -> np.ndarray:
-    """Stable sort permutation over pairs — all tiers bit-identical."""
+    """Stable sort permutation over pairs by ``(major, minor)``.
+
+    The one place that decides how CSR rows are ordered: ids lie in
+    ``[0, num_buckets)`` and ties keep input order, every tier
+    bit-identical.  The native tier runs two passes of the stable
+    ``counting_sort`` kernel (LSD radix: by ``minor``, then stably by
+    ``major``); the other tiers, and the kernel's fallback, run one
+    stable argsort of the key ``major * num_buckets + minor``, the same
+    total order.  The key needs ``num_buckets**2 < 2**63``.
+    """
     if engine == "native":
-        order = _pair_order_native(major, minor, num_buckets)
-        if order is not None:
-            return order
-    return _pair_order_scalar(major, minor)
+        from .._native import counting
+
+        inner = counting.run(np.ascontiguousarray(minor), num_buckets)
+        if inner is not None:
+            outer = counting.run(
+                np.ascontiguousarray(major[inner]), num_buckets
+            )
+            if outer is not None:
+                return inner[outer]
+    return np.argsort(major * np.int64(num_buckets) + minor, kind="stable")
 
 
 class GraphBuilder:
@@ -311,7 +303,7 @@ class GraphBuilder:
         # float sums are bit-identical across engines.
         lo = np.minimum(src, dst)
         hi = np.maximum(src, dst)
-        order = _pair_order(lo, hi, n, resolved)
+        order = pair_order(lo, hi, n, resolved)
         lo, hi, wgt = lo[order], hi[order], wgt[order]
         uniq_mask = np.ones(lo.size, dtype=bool)
         uniq_mask[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
@@ -325,7 +317,7 @@ class GraphBuilder:
         all_src = np.concatenate((lo, hi))
         all_dst = np.concatenate((hi, lo))
         all_w = np.concatenate((merged_w, merged_w))
-        order = _pair_order(all_src, all_dst, n, resolved)
+        order = pair_order(all_src, all_dst, n, resolved)
         all_src, all_dst, all_w = all_src[order], all_dst[order], all_w[order]
 
         counts = np.bincount(all_src, minlength=n)

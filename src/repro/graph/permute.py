@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import sanitize
+from ..engine import engine_for_work
+from .builder import pair_order
 from .csr import CSRGraph
 
 __all__ = [
@@ -101,34 +103,18 @@ def apply_ordering(graph: CSRGraph, pi: np.ndarray) -> CSRGraph:
     The returned graph has identical structure (Section II of the paper:
     "the overall structure of the graph remains unchanged with reordering")
     but its CSR arrays are laid out in the new rank order, which is what
-    changes the memory-access behaviour of traversals.
+    changes the memory-access behaviour of traversals.  The relabelled
+    ``(row, neighbour)`` pairs go through the builder's one stable pair
+    sort, so each row keeps its neighbours (and weights) in id order.
     """
     pi = validate_ordering(pi, graph.num_vertices)
     n = graph.num_vertices
-    inv = invert_ordering(pi)
-
-    old_degrees = graph.degrees()
-    new_degrees = old_degrees[inv]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(new_degrees, out=indptr[1:])
-
-    indices = np.empty(graph.num_directed_edges, dtype=np.int64)
-    weights = (
-        np.empty(graph.num_directed_edges, dtype=np.float64)
-        if graph.is_weighted
-        else None
+    src = np.repeat(pi, graph.degrees())
+    dst = pi[graph.indices]
+    order = pair_order(
+        src, dst, n, engine_for_work(graph.num_directed_edges)
     )
-    old_indptr = graph.indptr
-    old_indices = graph.indices
-    old_weights = graph.weights
-    for new_id in range(n):
-        old_id = inv[new_id]
-        start, end = old_indptr[old_id], old_indptr[old_id + 1]
-        nbrs = pi[old_indices[start:end]]
-        order = np.argsort(nbrs, kind="stable")
-        dst_start = indptr[new_id]
-        dst_end = indptr[new_id + 1]
-        indices[dst_start:dst_end] = nbrs[order]
-        if weights is not None:
-            weights[dst_start:dst_end] = old_weights[start:end][order]
-    return CSRGraph(indptr, indices, weights)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    weights = graph.weights[order] if graph.is_weighted else None
+    return CSRGraph(indptr, dst[order], weights)

@@ -16,10 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..community.louvain import louvain
-from ..engine import resolve_engine
-from ..graph.builder import GraphBuilder
 from ..graph.csr import CSRGraph
 from ..graph.permute import ordering_from_sequence
+from ..partition.coarsen import contract_by_labels
 from .base import OperationCounter, OrderingScheme
 from .rcm import cuthill_mckee_sequence
 
@@ -31,49 +30,13 @@ def community_coarse_graph(
 ) -> CSRGraph:
     """The coarse graph whose vertices are communities.
 
-    Edge weights aggregate the inter-community edge multiplicity; intra
+    Edge weights count the inter-community edges, whatever the input's
+    weights (the contraction runs on the unweighted view); intra
     community edges are dropped (the coarse graph only routes the
     *relative* ordering of communities).
     """
-    communities = np.asarray(communities, dtype=np.int64)
-    num_comms = int(communities.max()) + 1 if communities.size else 0
-    indptr, indices = graph.indptr, graph.indices
-    if resolve_engine() != "scalar":
-        # Vector path: edge multiplicities are integer counts, so one
-        # unique + bincount reproduces the dict accumulation exactly.
-        srcs = np.repeat(
-            np.arange(graph.num_vertices, dtype=np.int64),
-            np.diff(indptr),
-        )
-        upper = indices > srcs
-        cu, cv = communities[srcs[upper]], communities[indices[upper]]
-        diff = cu != cv
-        lo = np.minimum(cu[diff], cv[diff])
-        hi = np.maximum(cu[diff], cv[diff])
-        key = lo * np.int64(max(num_comms, 1)) + hi
-        uniq, counts = np.unique(key, return_counts=True)
-        builder = GraphBuilder(num_comms)
-        builder.add_edge_array(
-            uniq // max(num_comms, 1),
-            uniq % max(num_comms, 1),
-            counts.astype(np.float64),
-        )
-        return builder.build(weighted=True)
-    acc: dict[tuple[int, int], float] = {}
-    for u in range(graph.num_vertices):
-        cu = int(communities[u])
-        for k in range(indptr[u], indptr[u + 1]):
-            v = int(indices[k])
-            if v <= u:
-                continue
-            cv = int(communities[v])
-            if cu != cv:
-                key = (min(cu, cv), max(cu, cv))
-                acc[key] = acc.get(key, 0.0) + 1.0
-    builder = GraphBuilder(num_comms)
-    for (cu, cv), w in acc.items():
-        builder.add_edge(cu, cv, w)
-    return builder.build(weighted=True)
+    unweighted = CSRGraph(graph.indptr, graph.indices)
+    return contract_by_labels(unweighted, communities).graph
 
 
 def _sequence_by_community_rank(

@@ -2,8 +2,9 @@
 
 Edges between coarse vertices aggregate the fine edge weights; vertex
 weights (number of original vertices represented) are summed.  Coarsening
-is used both by the multilevel partitioner and (conceptually) by Louvain's
-between-phase compaction in :mod:`repro.community.louvain`.
+is used by the multilevel partitioner, by Louvain's between-phase
+compaction in :mod:`repro.community.louvain` and by the Grappolo-RCM
+community graph in :mod:`repro.ordering.community`.
 """
 
 from __future__ import annotations
@@ -47,17 +48,17 @@ def contract_by_labels(
         Fine vertex weights (defaults to all ones).
     keep_self_loops:
         Intra-class edge weight is dropped by default (partitioners do not
-        need it); Louvain's compaction keeps it as coarse self-loop weight,
-        which ``GraphBuilder`` would drop — so when requested we return it
-        via the builder path that preserves loops in the weights of a
-        separate accounting array. For simplicity we instead fold
-        intra-class weight into the coarse vertex weight when this flag is
-        set.
+        need it).  When set, each class's intra-class edge weight is
+        added to its coarse vertex weight, after the member weights and
+        in edge-scan order: with member self-loop weights passed as
+        ``vertex_weights`` this is Louvain's coarse self-loop weight.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = graph.num_vertices
     if labels.size != n:
         raise ValueError("labels must cover every vertex")
+    if n and int(labels.min()) < 0:
+        raise ValueError("labels must be non-negative")
     num_coarse = int(labels.max()) + 1 if n else 0
     if vertex_weights is None:
         vertex_weights = np.ones(n, dtype=np.float64)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.community import (
     build_hierarchy,
-    compact_graph,
     community_degrees,
     community_internal_weights,
     louvain,
@@ -16,6 +15,7 @@ from repro.community import (
 from repro.community.modularity import modularity_with_loops
 from repro.graph import from_edges
 from repro.graph.generators import planted_partition
+from repro.partition import contract_by_labels
 from tests.conftest import make_clique, make_path, make_two_cliques
 
 
@@ -97,9 +97,11 @@ class TestLouvainOnePhase:
 class TestCompaction:
     def test_compact_two_cliques(self, two_cliques):
         communities = np.asarray([0] * 5 + [1] * 5)
-        coarse, loops = compact_graph(
-            two_cliques, np.zeros(10), communities
+        level = contract_by_labels(
+            two_cliques, communities,
+            vertex_weights=np.zeros(10), keep_self_loops=True,
         )
+        coarse, loops = level.graph, level.vertex_weights
         assert coarse.num_vertices == 2
         assert coarse.total_weight() == 1.0
         assert list(loops) == [10.0, 10.0]
@@ -107,9 +109,11 @@ class TestCompaction:
     def test_modularity_preserved_under_compaction(self, two_cliques):
         """Q(coarse under identity) == Q(fine under communities)."""
         communities = np.asarray([0] * 5 + [1] * 5)
-        coarse, loops = compact_graph(
-            two_cliques, np.zeros(10), communities
+        level = contract_by_labels(
+            two_cliques, communities,
+            vertex_weights=np.zeros(10), keep_self_loops=True,
         )
+        coarse, loops = level.graph, level.vertex_weights
         q_fine = modularity(two_cliques, communities)
         q_coarse = modularity_with_loops(
             coarse, loops, np.arange(2)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from repro.community import (
     build_hierarchy,
-    compact_graph,
     louvain,
     louvain_one_phase,
     modularity,
 )
 from repro.community.modularity import modularity_with_loops
 from repro.graph import from_edges
+from repro.partition import contract_by_labels
 
 
 def build_graph(n, edges):
@@ -101,9 +101,12 @@ class TestCompactionProperties:
     @settings(max_examples=25, deadline=None)
     def test_compaction_preserves_modularity(self, graph):
         communities, _ = louvain_one_phase(graph)
-        coarse, loops = compact_graph(
-            graph, np.zeros(graph.num_vertices), communities
+        level = contract_by_labels(
+            graph, communities,
+            vertex_weights=np.zeros(graph.num_vertices),
+            keep_self_loops=True,
         )
+        coarse, loops = level.graph, level.vertex_weights
         q_fine = modularity(graph, communities)
         num_coarse = coarse.num_vertices
         q_coarse = modularity_with_loops(
@@ -115,9 +118,12 @@ class TestCompactionProperties:
     @settings(max_examples=25, deadline=None)
     def test_total_weight_preserved(self, graph):
         communities, _ = louvain_one_phase(graph)
-        coarse, loops = compact_graph(
-            graph, np.zeros(graph.num_vertices), communities
+        level = contract_by_labels(
+            graph, communities,
+            vertex_weights=np.zeros(graph.num_vertices),
+            keep_self_loops=True,
         )
+        coarse, loops = level.graph, level.vertex_weights
         assert coarse.total_weight() + float(loops.sum()) == (
             pytest.approx(graph.total_weight())
         )

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import registry
-from repro.graph import from_edges
+from repro.graph import builder, from_edges, permute
 from repro.graph import store as gstore
 
 
@@ -187,6 +187,21 @@ def test_registry_store_key_is_recipe_addressed():
     assert key.startswith("euroroad-")
     assert key == registry.dataset_store_key("euroroad")
     assert key != registry.dataset_store_key("chicago_road")
+
+
+@pytest.mark.parametrize("module", [builder, permute])
+def test_registry_store_key_covers_builder_and_relabel(
+    module, tmp_path, monkeypatch
+):
+    """Every surrogate passes through these modules, so an edit to
+    either must change the key."""
+    key = registry.dataset_store_key("euroroad")
+    edited = tmp_path / "edited.py"
+    with open(module.__file__, "rb") as handle:
+        edited.write_bytes(handle.read() + b"\n# edited\n")
+    monkeypatch.setattr(module, "__file__", str(edited))
+    monkeypatch.setattr(registry, "_recipe_digest", None)
+    assert registry.dataset_store_key("euroroad") != key
 
 
 def test_registry_survives_corrupt_store_entry():

@@ -7,10 +7,11 @@ bit* (arrays, weight flag, inferred ``n``), or decline the input
 entirely so the caller falls back — never a third behaviour.  Malformed
 files must raise the scalar parse's exception type under every engine.
 
-The builder half pins the counting-sort finalisation
-(:func:`repro.graph.builder._pair_order`) against the retained lexsort:
-identical CSR arrays, *bitwise* identical merged weights (stable order
-preserves float summation order), identical ingest-audit tallies.
+The builder half pins the pair sort (:func:`repro.graph.builder.pair_order`:
+two counting-sort passes under the native engine, one keyed stable
+argsort otherwise) against ``np.lexsort`` and across engines: identical
+CSR arrays, *bitwise* identical merged weights (stable order preserves
+float summation order), identical ingest-audit tallies.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import repro.graph.io as gio
 from repro._native import parse as native_parse
 from repro.engine import use_engine
-from repro.graph.builder import GraphBuilder, from_edges
+from repro.graph.builder import GraphBuilder, from_edges, pair_order
 
 # Hand-picked bytes covering every grammar corner: comments and n=
 # headers (first/last/overlong), CR/CRLF/LF line breaks, blank and
@@ -199,7 +200,7 @@ def test_read_edge_list_one_based_and_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Builder finalisation equivalence (counting sort vs lexsort)
+# Builder finalisation equivalence (counting sort vs keyed argsort)
 # ---------------------------------------------------------------------------
 @given(
     n=st.integers(1, 40),
@@ -231,6 +232,24 @@ def test_builder_engines_bit_identical(n, edges, weighted):
         if weighted:
             assert np.array_equal(graph.weights, ref.weights)
         assert graph.meta["ingest_audit"] == ref.meta["ingest_audit"]
+
+
+@given(
+    num_buckets=st.integers(1, 60),
+    size=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_pair_order_is_lexsort_on_every_tier(num_buckets, size, seed):
+    """Both tiers give np.lexsort's stable (major, minor) order,
+    duplicate pairs keeping input order."""
+    rng = np.random.default_rng(seed)
+    major = rng.integers(0, num_buckets, size)
+    minor = rng.integers(0, num_buckets, size)
+    expected = np.lexsort((minor, major))
+    for engine in ("scalar", "native"):
+        order = pair_order(major, minor, num_buckets, engine)
+        assert np.array_equal(order, expected)
 
 
 def test_builder_mixed_chunked_and_bulk_paths():

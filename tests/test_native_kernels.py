@@ -259,14 +259,17 @@ def test_native_louvain_shuffled_order_matches_scalar(seed):
 
 def test_native_louvain_phase_with_self_loops_matches_scalar():
     """A coarse level: weighted graph plus per-vertex self-loop weight."""
-    from repro.community.louvain import compact_graph
+    from repro.partition import contract_by_labels
 
     graph = GRAPHS["random"]
     with use_engine("scalar"):
         first, _ = louvain_one_phase(graph)
-        coarse, loops = compact_graph(
-            graph, np.zeros(graph.num_vertices), first
+        level = contract_by_labels(
+            graph, first,
+            vertex_weights=np.zeros(graph.num_vertices),
+            keep_self_loops=True,
         )
+    coarse, loops = level.graph, level.vertex_weights
     assert loops.any()
     runs = {}
     for engine in ("native", "vector", "scalar"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import use_engine
 from repro.graph import from_edges
 from repro.partition import (
     coarsen_graph,
@@ -81,6 +82,14 @@ class TestCoarsening:
         g = make_path(4)
         with pytest.raises(ValueError, match="cover"):
             contract_by_labels(g, np.asarray([0, 1]))
+
+    @pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+    def test_negative_label_rejected(self, engine):
+        g = from_edges(4, [(0, 1), (1, 2)])
+        with use_engine(engine), pytest.raises(
+            ValueError, match="non-negative"
+        ):
+            contract_by_labels(g, np.asarray([0, 0, 1, -1]))
 
     def test_total_vertex_weight_conserved(self, medium_random):
         rng = np.random.default_rng(5)
