@@ -33,6 +33,10 @@ test-sanitize:
 		tests/test_engine_equivalence.py tests/test_apps_equivalence.py \
 		tests/test_simulator_batch.py tests/test_analysis_sanitize.py
 
+# Chaos leg: the exported REPRO_FAULTS is the suites' ambient knob.
+# repro.config reads it once per process; the tests' `knobs` fixture
+# re-parses it around every test, so each test starts from a fresh
+# fault plan (fresh counters) and ends on the ambient one.
 test-faults:
 	REPRO_FAULTS="worker-crash:p=0.2:seed=1" REPRO_SANITIZE=1 \
 		PYTHONPATH=src python -m pytest -x -q \
@@ -40,7 +44,8 @@ test-faults:
 		tests/test_resilience_supervisor.py \
 		tests/test_resilience_faults.py
 	# degradation-ladder suite: each test pins its own REPRO_FAULTS
-	# (an ambient disk-full would break the clean-write assertions)
+	# through `knobs` (an ambient disk-full would break the clean-write
+	# assertions)
 	PYTHONPATH=src python -m pytest -x -q tests/test_resilience_degrade.py
 	sh scripts/kill_rerun_check.sh
 	sh scripts/degrade_grid_check.sh

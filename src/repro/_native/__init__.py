@@ -43,7 +43,6 @@ from .core import (
     collect_sanitizer_reports,
     get_kernel,
     kernel_names,
-    sanitize_profile,
 )
 from . import (  # noqa: F401  (register)
     counting, delta, fm, gorder, louvain, machine, parse, rrr,
@@ -57,7 +56,6 @@ __all__ = [
     "collect_sanitizer_reports",
     "get_kernel",
     "kernel_names",
-    "sanitize_profile",
     "SANITIZE_PROFILES",
     "counting",
     "delta",

@@ -32,8 +32,8 @@ per process.
 
 Sanitizer build profiles
 ------------------------
-``REPRO_NATIVE_SANITIZE=asan|ubsan`` (read through
-:func:`sanitize_profile`, the single sanctioned accessor) switches every
+``REPRO_NATIVE_SANITIZE=asan|ubsan`` (parsed, like ``CC`` and
+``XDG_CACHE_HOME``, into the :mod:`repro.config` snapshot) switches every
 kernel to an instrumented build: ``-fsanitize=... -g -O1
 -fno-omit-frame-pointer`` with ``-Wall -Wextra -Werror`` so compiler
 warnings become hard findings.  Instrumented and ``-O3`` shared objects
@@ -57,6 +57,7 @@ import subprocess
 import tempfile
 from typing import Callable, Mapping, Sequence, TypeVar
 
+from .. import config
 from ..resilience import degrade, faults
 
 __all__ = [
@@ -68,7 +69,6 @@ __all__ = [
     "kernel_names",
     "build_info_all",
     "cache_dir",
-    "sanitize_profile",
     "collect_sanitizer_reports",
     "SANITIZE_PROFILES",
 ]
@@ -78,7 +78,7 @@ _KERNELS: dict[str, "NativeKernel"] = {}
 
 def cache_dir() -> str:
     """Directory holding the compiled shared objects."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    base = config.get().xdg_cache_home or os.path.expanduser("~/.cache")
     path = os.path.join(base, "repro-native")
     try:
         os.makedirs(path, exist_ok=True)
@@ -88,7 +88,8 @@ def cache_dir() -> str:
 
 
 #: sanitizer profiles: extra flags appended to the instrumented build.
-#: ``REPRO_NATIVE_SANITIZE`` selects one; the profile name participates
+#: ``REPRO_NATIVE_SANITIZE`` selects one (an unknown name fails the
+#: :mod:`repro.config` parse); the profile name participates
 #: in the ``.so`` cache key so instrumented builds never shadow ``-O3``.
 SANITIZE_PROFILES: dict[str, tuple[str, ...]] = {
     "asan": ("-fsanitize=address",),
@@ -104,24 +105,6 @@ class NativeBuildError(RuntimeError):
         self.stderr = stderr
 
 
-def sanitize_profile() -> str | None:
-    """The active sanitizer profile, or None for the plain -O3 build.
-
-    Single sanctioned read of ``REPRO_NATIVE_SANITIZE``.  An unknown
-    value raises immediately — a typo'd sanitizer knob silently running
-    uninstrumented builds would defeat the whole gate.
-    """
-    value = os.environ.get("REPRO_NATIVE_SANITIZE", "").strip().lower()
-    if not value:
-        return None
-    if value not in SANITIZE_PROFILES:
-        raise ValueError(
-            f"REPRO_NATIVE_SANITIZE={value!r} is not a known profile; "
-            f"expected one of {sorted(SANITIZE_PROFILES)}"
-        )
-    return value
-
-
 def _compiler() -> list[str] | None:
     """The first available C compiler as an argv prefix, or None.
 
@@ -130,7 +113,7 @@ def _compiler() -> list[str] | None:
     word, so wrapper invocations survive instead of failing a bare
     ``shutil.which("ccache gcc")`` lookup.
     """
-    for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
+    for cand in (config.get().cc, "cc", "gcc", "clang"):
         if not cand:
             continue
         try:
@@ -334,7 +317,7 @@ class NativeKernel:
         # resolved outside the fallback guard (and before the latch): a
         # malformed sanitizer knob must fail loudly on every call, never
         # silently run uninstrumented
-        profile = sanitize_profile()
+        profile = config.get().native_sanitize
         self._tried = True
         try:
             self._lib = self._build(profile)

@@ -9,9 +9,8 @@ test.  Six contracts, each reported as a :class:`~.core.Finding`:
 
 ``parity-scalar-twin``
     Every function branching on :func:`repro.engine.resolve_engine` /
-    :func:`use_engine` / ``REPRO_ORDERING_ENGINE`` / ``REPRO_SANITIZE``
-    must have its scalar reference resolvable: any ``*scalar*``-named
-    callee inside the gated function must exist in scope (module,
+    :func:`use_engine` must have its scalar reference resolvable: any
+    ``*scalar*``-named callee inside the gated function must exist in scope (module,
     class, nested, or imported).  The scalar path runs rarely — the
     default engine is ``vector`` — so a broken name there is latent
     until an equivalence run.
@@ -69,14 +68,11 @@ __all__ = [
     "check_contracts",
     "ORDERING_SOURCE_MODULES",
     "GATE_CALLS",
-    "GATE_STRINGS",
     "GATE_EXEMPT_PREFIXES",
 ]
 
 #: callables whose presence marks a function as engine-gated.
 GATE_CALLS = frozenset({"resolve_engine", "use_engine"})
-#: env switches whose presence marks a function as engine-gated.
-GATE_STRINGS = frozenset({"REPRO_ORDERING_ENGINE", "REPRO_SANITIZE"})
 #: modules exempt from gating contracts: the gate definition itself,
 #: the measurement harness, and this analysis package.
 GATE_EXEMPT_PREFIXES = ("repro.engine", "repro.bench", "repro.analysis")
@@ -218,8 +214,6 @@ def _is_gated(fn: ast.FunctionDef) -> bool:
             parts = _dotted(node.func)
             if parts and parts[-1] in GATE_CALLS:
                 return True
-        elif isinstance(node, ast.Constant) and node.value in GATE_STRINGS:
-            return True
     return False
 
 

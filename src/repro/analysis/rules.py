@@ -21,12 +21,9 @@ Rules:
     iteration order is an implementation detail; hot paths must sort
     first or keep an explicit order.
 ``env-read``
-    ``os.environ`` / ``os.getenv`` outside the sanctioned config entry
-    points (:data:`SANCTIONED_ENV_MODULES`: :mod:`repro.engine`,
-    :mod:`repro._native.core` — which owns the ``REPRO_NATIVE_SANITIZE``
-    knob —
-    :mod:`repro.analysis.sanitize`, :mod:`repro.resilience.faults` and
-    :mod:`repro.resilience.store`, which owns ``REPRO_CACHE_DIR``).
+    Environment reads (``environ`` / ``getenv``) outside
+    :mod:`repro.config`, the one module that parses the run's knobs
+    (:data:`SANCTIONED_ENV_MODULES`).
     Scattered env reads make a run's configuration impossible to pin.
 ``mutable-default``
     Mutable default arguments — shared state across calls breaks replay
@@ -53,16 +50,8 @@ __all__ = [
     "LEGACY_NUMPY_RANDOM",
 ]
 
-#: modules allowed to read os.environ (config/engine entry points).
-SANCTIONED_ENV_MODULES = frozenset(
-    {
-        "repro.engine",
-        "repro._native.core",
-        "repro.analysis.sanitize",
-        "repro.resilience.faults",
-        "repro.resilience.store",
-    }
-)
+#: modules allowed to read the environment: the configuration snapshot.
+SANCTIONED_ENV_MODULES = frozenset({"repro.config"})
 
 #: module prefixes where wall-clock readings are the point (timing
 #: harnesses) or supervision plumbing (per-cell deadlines), not a
@@ -364,7 +353,7 @@ def check_unordered_iter(ctx: FileContext) -> Iterator[Finding]:
 
 
 def env_accesses(tree: ast.AST) -> Iterator[tuple[ast.AST, list[str]]]:
-    """Every ``os.environ`` / ``os.getenv`` / ``os.putenv`` reference.
+    """Every ``environ`` / ``getenv`` / ``putenv`` reference off ``os``.
 
     Yields the referencing node with its dotted name; aliased ``os``
     imports and ``from os import environ`` bindings are followed.
@@ -390,22 +379,18 @@ def env_accesses(tree: ast.AST) -> Iterator[tuple[ast.AST, list[str]]]:
 
 @rule(
     "env-read",
-    "os.environ access outside the sanctioned config entry points",
+    "environment access outside the configuration snapshot module",
 )
 def check_env_read(ctx: FileContext) -> Iterator[Finding]:
-    """Flag environment reads scattered outside the config modules."""
-    if (
-        ctx.module in SANCTIONED_ENV_MODULES
-        or ctx.module.startswith("repro.analysis")
-    ):
+    """Flag environment reads scattered outside :mod:`repro.config`."""
+    if ctx.module in SANCTIONED_ENV_MODULES:
         return
     for node, parts in env_accesses(ctx.tree):
         yield ctx.finding(
             "env-read", node,
-            f"environment access ({'.'.join(parts)}) outside the "
-            f"sanctioned entry points "
-            f"({', '.join(sorted(SANCTIONED_ENV_MODULES))}); route "
-            f"configuration through one of them",
+            f"environment access ({'.'.join(parts)}) outside "
+            f"{', '.join(sorted(SANCTIONED_ENV_MODULES))}; add the knob "
+            f"to the configuration snapshot and read its field",
         )
 
 

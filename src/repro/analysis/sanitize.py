@@ -11,7 +11,8 @@ the hot paths stay unperturbed in production runs.
 Knobs
 -----
 ``REPRO_SANITIZE=1``
-    Master switch.  ``0`` / empty / unset disables every check.
+    Master switch.  ``0`` / empty / unset disables every check.  Read
+    once per process into the :mod:`repro.config` snapshot.
 
 Entry points
 ------------
@@ -35,14 +36,14 @@ equivalence legs run this way).
 from __future__ import annotations
 
 import functools
-import os
 from contextlib import nullcontext
 from typing import Callable, ContextManager, TypeVar
 
 import numpy as np
 
+from .. import config
+
 __all__ = [
-    "ENV_SWITCH",
     "SanitizerError",
     "enabled",
     "sanitized",
@@ -55,9 +56,6 @@ __all__ = [
 
 _F = TypeVar("_F", bound=Callable)
 
-#: environment switch; any value other than "" / "0" arms the sanitizer.
-ENV_SWITCH = "REPRO_SANITIZE"
-
 
 class SanitizerError(AssertionError):
     """A numeric invariant the sanitizer guards was violated."""
@@ -65,7 +63,7 @@ class SanitizerError(AssertionError):
 
 def enabled() -> bool:
     """Whether ``REPRO_SANITIZE`` arms the runtime checks."""
-    return os.environ.get(ENV_SWITCH, "") not in ("", "0")
+    return config.get().sanitize
 
 
 def sanitized() -> ContextManager[object]:
@@ -78,8 +76,9 @@ def sanitized() -> ContextManager[object]:
 def guarded(fn: _F) -> _F:
     """Decorator form of :func:`sanitized` for whole hot-path kernels.
 
-    The switch is read per call, not at decoration time, so setting
-    ``REPRO_SANITIZE=1`` after import still arms the wrapped kernels.
+    The switch is checked per call, not at decoration time, so a
+    :func:`repro.config.reload` after import still re-arms (or disarms)
+    the wrapped kernels.
     """
 
     @functools.wraps(fn)

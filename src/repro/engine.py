@@ -24,7 +24,8 @@ The active engine is resolved per call:
 1. an explicit ``engine=`` argument wins,
 2. then a :func:`use_engine` context override (what the equivalence tests
    and the perf harness use),
-3. then the ``REPRO_ORDERING_ENGINE`` environment variable,
+3. then ``REPRO_ORDERING_ENGINE`` as parsed once per process by
+   :mod:`repro.config`,
 4. then the default, ``"native"``.
 
 Trivial schemes additionally short-circuit through
@@ -40,11 +41,12 @@ primitive shared by every frontier-at-a-time traversal.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
+
+from . import config
 
 __all__ = [
     "ENGINES",
@@ -74,13 +76,9 @@ _override: str | None = None
 
 
 def resolve_engine(engine: str | None = None) -> str:
-    """The engine a hot path should run: explicit > context > env > default."""
+    """The engine a hot path runs: explicit > context > config > default."""
     if engine is None:
-        engine = (
-            _override
-            if _override is not None
-            else os.environ.get("REPRO_ORDERING_ENGINE", DEFAULT_ENGINE)
-        )
+        return _override or config.get().engine or DEFAULT_ENGINE
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"

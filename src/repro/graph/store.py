@@ -32,7 +32,7 @@ mismatch quarantines the file to ``<entry>.bad`` and reports a miss, so
 callers rebuild and rewrite.  Writes are atomic (temp + ``os.replace``)
 and the ``cache-corrupt`` injected fault tears fresh entries to keep
 the recovery path property-tested.  The store always lives at
-``$REPRO_CACHE_DIR/graphs`` (:func:`repro.resilience.store.cache_root`).
+``$REPRO_CACHE_DIR/graphs`` (:attr:`repro.config.Config.cache_dir`).
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from .degrade import format_health, health_report
 from .faults import (
-    ENV_FAULTS,
     FaultPlan,
     FaultSpec,
     InjectedFault,
@@ -54,7 +53,6 @@ __all__ = [
     "InjectedFault",
     "active_plan",
     "parse_spec",
-    "ENV_FAULTS",
     "health_report",
     "format_health",
 ]

@@ -2,8 +2,9 @@
 
 ``REPRO_FAULTS=<spec>`` plants faults inside the execution substrate so
 the recovery paths (retry, respawn, quarantine, fallback) are exercised by
-tests instead of waiting for production to exercise them.  The schedule
-is a pure function of the spec: decisions are derived by hashing
+tests instead of waiting for production to exercise them.  The spec is
+parsed once per process, into the :mod:`repro.config` snapshot.  The
+schedule is a pure function of the spec: decisions are derived by hashing
 ``(seed, site key)`` through sha256, so the same spec and seed always
 reproduce the same fault schedule — no RNG state, no wall-clock jitter —
 satisfying the reprolint determinism rules.
@@ -69,8 +70,9 @@ import hashlib
 import os
 import time
 
+from .. import config
+
 __all__ = [
-    "ENV_FAULTS",
     "KINDS",
     "CRASH_EXIT_CODE",
     "FaultSpec",
@@ -86,8 +88,6 @@ __all__ = [
     "maybe_disk_full",
     "maybe_store_torn_read",
 ]
-
-ENV_FAULTS = "REPRO_FAULTS"
 
 #: the recognised fault kinds (see module docstring for their seams).
 KINDS = (
@@ -211,24 +211,14 @@ class FaultPlan:
         return nth
 
 
-_PLANS: dict[str, FaultPlan] = {}
-
-
 def active_plan() -> FaultPlan | None:
     """The plan parsed from ``$REPRO_FAULTS``, or ``None`` when unset.
 
-    Re-reads the environment on every call (tests repoint it); the plan
-    instance is cached per spec string so per-process injection state
-    (corruption and dispatch counters) survives between calls.
+    The plan lives in the :mod:`repro.config` snapshot, so its
+    per-process injection state (corruption and dispatch counters)
+    lasts until :func:`repro.config.reload` builds a fresh one.
     """
-    text = os.environ.get(ENV_FAULTS, "").strip()
-    if not text:
-        return None
-    plan = _PLANS.get(text)
-    if plan is None:
-        plan = FaultPlan(parse_spec(text))
-        _PLANS[text] = plan
-    return plan
+    return config.get().faults
 
 
 # ---------------------------------------------------------------------------

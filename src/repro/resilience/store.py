@@ -21,8 +21,8 @@ implemented once here:
   which keeps every recovery path above tested.
 
 Every store lives in its own directory under one cache root,
-``$REPRO_CACHE_DIR`` (default ``.repro-cache/``); :func:`cache_root` is
-the only reader of that variable.  Because every store is
+``$REPRO_CACHE_DIR`` (default ``.repro-cache/``), read from the
+:mod:`repro.config` snapshot.  Because every store is
 content-addressed, re-running a killed command is how it resumes: the
 entries it committed before the kill come back as hits.
 
@@ -36,22 +36,12 @@ import os
 import tempfile
 from typing import TypeVar
 
+from .. import config
 from . import degrade, faults
 
-__all__ = ["EntryStore", "cache_root"]
-
-DEFAULT_CACHE_DIR = ".repro-cache"
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
+__all__ = ["EntryStore"]
 
 _S = TypeVar("_S", bound="EntryStore")
-
-
-def cache_root() -> str:
-    """The directory every persistent store lives under.
-
-    Re-read on every call (tests repoint it per test).
-    """
-    return os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
 
 
 class EntryStore:
@@ -67,19 +57,21 @@ class EntryStore:
     directory: str
 
     def __init__(self, root: str | None = None) -> None:
-        self.root = os.path.join(root or cache_root(), self.directory)
+        self.root = os.path.join(
+            root or config.get().cache_dir, self.directory
+        )
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
 
     @classmethod
     def default(cls: type[_S]) -> _S:
-        """The process-wide store of this kind under :func:`cache_root`.
+        """The process-wide store of this kind under the cache root.
 
-        The root is re-resolved on every call; hit/miss counters persist
-        per (store kind, root) for the life of the process.
+        Hit/miss counters persist per (store kind, root) for the life of
+        the process, across :func:`repro.config.reload` repoints.
         """
-        root = cache_root()
+        root = config.get().cache_dir
         store = _DEFAULTS.get((cls, root))
         if store is None:
             store = _DEFAULTS[(cls, root)] = cls(root)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import config
 from repro.analysis import sanitize
 from repro.graph import CSRGraph, from_edges
 
@@ -49,14 +50,38 @@ def run_bench(
     )
 
 
+@pytest.fixture
+def knobs():
+    """Repoint environment knobs: ``knobs(REPRO_FAULTS="disk-full")``.
+
+    A string sets a knob and ``None`` unsets it; every call re-parses
+    :mod:`repro.config`.  Teardown restores the environment and then
+    reloads, so every test ends on the ambient snapshot (the one
+    ``make test-faults`` exports its ``REPRO_FAULTS`` into).
+    """
+    patch = pytest.MonkeyPatch()
+
+    def set_knobs(**values: str | None) -> None:
+        for name, value in values.items():
+            if value is None:
+                patch.delenv(name, raising=False)
+            else:
+                patch.setenv(name, value)
+        config.reload()
+
+    yield set_knobs
+    patch.undo()
+    config.reload()
+
+
 @pytest.fixture(autouse=True)
-def _isolated_ordering_cache(tmp_path, monkeypatch):
+def _isolated_ordering_cache(tmp_path, knobs):
     """Route the persistent ordering cache into each test's tmp dir.
 
     Keeps test runs from writing `.repro-cache/` into the repo and from
     seeing entries persisted by other tests or earlier runs.
     """
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+    knobs(REPRO_CACHE_DIR=str(tmp_path / "repro-cache"))
 
 
 @pytest.fixture(autouse=True)
@@ -66,6 +91,7 @@ def _reset_resilience_state():
     Deliberately leaves ``REPRO_FAULTS`` alone: the chaos CI leg
     (``make test-faults``) exports it so the equivalence suites run with
     injected faults active — clearing it here would neuter that leg.
+    (:func:`knobs` gives each test a fresh plan built from it.)
     """
     from repro.bench import pool, runners
     from repro.resilience import degrade

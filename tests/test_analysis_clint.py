@@ -142,12 +142,12 @@ def test_int_width_fires_on_bare_int_index():
     assert "'int'" in findings[0].message
 
 
-def test_compiler_rejects_uninitialized_read(monkeypatch):
+def test_compiler_rejects_uninitialized_read(knobs):
     """The ubsan build (``-Wall -Wextra -Werror``) refuses the seeded
     uninitialized read, so no clint rule needs to find it."""
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)  # a real compile
+    knobs(REPRO_FAULTS=None)  # a real compile
     kernel = native_core.NativeKernel(
         "clint_uninit_fixture",
         UNINIT_SRC,

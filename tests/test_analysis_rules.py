@@ -235,6 +235,18 @@ class TestUnorderedIter:
 # ----------------------------------------------------------------------
 # env-read
 # ----------------------------------------------------------------------
+# modules that take a knob's value from the ``repro.config`` snapshot
+KNOB_READERS = frozenset(
+    {
+        "repro._native.core",
+        "repro.analysis.sanitize",
+        "repro.engine",
+        "repro.resilience.faults",
+        "repro.resilience.store",
+    }
+)
+
+
 class TestEnvRead:
     SOURCE = """
         import os
@@ -247,11 +259,12 @@ class TestEnvRead:
         assert rules_of(findings) == {"env-read"}
         assert len(findings) == 2
 
-    def test_sanctioned_engine_module_clean(self):
-        assert not lint(self.SOURCE, module="repro.engine")
+    def test_sanctioned_config_module_clean(self):
+        assert not lint(self.SOURCE, module="repro.config")
 
-    def test_sanctioned_store_module_clean(self):
-        assert not lint(self.SOURCE, module="repro.resilience.store")
+    def test_analysis_package_not_exempt(self):
+        findings = lint(self.SOURCE, module="repro.analysis.sanitize")
+        assert rules_of(findings) == {"env-read"}
 
     def test_from_import_flagged(self):
         findings = lint(
@@ -271,22 +284,36 @@ class TestEnvRead:
         )
 
     @pytest.mark.parametrize(
-        "module", sorted(rules.SANCTIONED_ENV_MODULES)
+        "module", sorted(rules.SANCTIONED_ENV_MODULES | KNOB_READERS)
     )
     def test_sanctioned_module_exists_and_reads_env(self, module):
         # a stale entry (deleted module, or one that no longer reads
-        # the environment) silently widens the rule's exemption
+        # the environment) silently widens the rule's exemption; a knob
+        # reader outside it must take its value from the config snapshot
         spec = importlib.util.find_spec(module)
         assert spec is not None and spec.origin, module
         with open(spec.origin, encoding="utf-8") as handle:
             tree = ast.parse(handle.read())
-        assert any(
+        nodes = list(ast.walk(tree))
+        reads_os = any(
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id == "os"
             and node.attr in ("environ", "getenv")
-            for node in ast.walk(tree)
-        ), f"{module} reads no environment variable"
+            for node in nodes
+        )
+        if module in rules.SANCTIONED_ENV_MODULES:
+            assert reads_os, f"{module} reads no environment variable"
+            return
+        assert not reads_os, f"{module} reads the environment directly"
+        assert any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "config"
+            for node in nodes
+        ), f"{module} reads no knob from the config snapshot"
 
 
 # ----------------------------------------------------------------------

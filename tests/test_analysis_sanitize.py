@@ -14,13 +14,13 @@ from repro.simulator.batch import lru_stack_distances
 
 
 @pytest.fixture
-def armed(monkeypatch):
-    monkeypatch.setenv(sanitize.ENV_SWITCH, "1")
+def armed(knobs):
+    knobs(REPRO_SANITIZE="1")
 
 
 @pytest.fixture
-def disarmed(monkeypatch):
-    monkeypatch.delenv(sanitize.ENV_SWITCH, raising=False)
+def disarmed(knobs):
+    knobs(REPRO_SANITIZE=None)
 
 
 # ----------------------------------------------------------------------
@@ -35,8 +35,8 @@ def test_disabled_by_default(disarmed):
     sanitize.check_dtype(np.zeros(2, np.int32), np.int64)
 
 
-def test_zero_means_disabled(monkeypatch):
-    monkeypatch.setenv(sanitize.ENV_SWITCH, "0")
+def test_zero_means_disabled(knobs):
+    knobs(REPRO_SANITIZE=" 0 ")
     assert not sanitize.enabled()
 
 
@@ -65,17 +65,17 @@ def test_guarded_decorator(armed):
         overflowing()
 
 
-def test_guarded_reads_switch_per_call(monkeypatch):
+def test_guarded_reads_switch_per_call(knobs):
     @sanitize.guarded
     def overflowing():
         return np.float64(1e308) * np.float64(10.0)
 
-    monkeypatch.delenv(sanitize.ENV_SWITCH, raising=False)
+    knobs(REPRO_SANITIZE=None)
     # Neutralise any ambient errstate (e.g. the suite-wide sanitizer
     # fixture when the whole run is armed) so only guarded() decides.
     with np.errstate(over="ignore"):
         assert np.isinf(overflowing())
-    monkeypatch.setenv(sanitize.ENV_SWITCH, "1")
+    knobs(REPRO_SANITIZE="1")
     with pytest.raises(FloatingPointError):
         overflowing()
 

@@ -33,7 +33,7 @@ from repro.bench.cells import (
 )
 from repro.bench.experiments import _cd_cell
 from repro.ordering import get_scheme
-from repro.resilience import degrade, faults
+from repro.resilience import degrade
 from repro.simulator.counters import CounterReport
 from repro.simulator.parallel import ExecutionResult
 from tests.conftest import make_grid, run_bench, strip_stamps
@@ -43,13 +43,11 @@ INF = float("inf")
 
 
 @pytest.fixture(autouse=True)
-def _fresh_state(monkeypatch):
+def _fresh_state(knobs):
     """No inherited fault plan; fresh degrade counters."""
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    faults._PLANS.clear()
+    knobs(REPRO_FAULTS=None)
     degrade.reset()
     yield
-    faults._PLANS.clear()
     degrade.reset()
 
 
@@ -276,27 +274,27 @@ def test_clear_and_counts(store):
 # ---------------------------------------------------------------------------
 # Injected faults reach the store
 # ---------------------------------------------------------------------------
-def test_disk_full_degrades_to_compute(store, monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "disk-full:p=1")
+def test_disk_full_degrades_to_compute(store, knobs):
+    knobs(REPRO_FAULTS="disk-full:p=1")
     report = store.get_or_compute(KIND, "k", _cd_report)
     assert report == _cd_report()
     assert store.entry_count() == 0
     assert degrade.counters()["cell-store.write:disk-full"] == 1
 
 
-def test_cache_corrupt_is_caught_on_the_next_load(store, monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "cache-corrupt:p=1")
+def test_cache_corrupt_is_caught_on_the_next_load(store, knobs):
+    knobs(REPRO_FAULTS="cache-corrupt:p=1")
     path = store.store(KIND, "k", _cd_report())
     assert path is not None
-    monkeypatch.delenv("REPRO_FAULTS")
+    knobs(REPRO_FAULTS=None)
     assert store.load(KIND, "k") is None
     assert os.path.isfile(path + ".bad")
     assert degrade.counters()["cell-store:quarantined"] == 1
 
 
-def test_torn_read_quarantines(store, monkeypatch):
+def test_torn_read_quarantines(store, knobs):
     path = store.store(KIND, "k", _cd_report())
-    monkeypatch.setenv("REPRO_FAULTS", "store-torn-read:p=1")
+    knobs(REPRO_FAULTS="store-torn-read:p=1")
     assert store.load(KIND, "k") is None
     assert os.path.isfile(path + ".bad")
     assert store.misses == 1
@@ -356,10 +354,12 @@ def test_run_under_torn_reads_exits_zero(clean_fig9, tmp_path):
 # ---------------------------------------------------------------------------
 # Wiring
 # ---------------------------------------------------------------------------
-def test_refused_writes_compute_every_cell(monkeypatch, tmp_path):
+def test_refused_writes_compute_every_cell(knobs, tmp_path):
     """A cache volume refusing every write computes every cell."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_FAULTS", "disk-full:p=1")
+    knobs(
+        REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        REPRO_FAULTS="disk-full:p=1",
+    )
     graph = make_grid(5, 4)
     ordering = get_scheme("rcm").order(graph)
     calls = []
@@ -374,8 +374,8 @@ def test_refused_writes_compute_every_cell(monkeypatch, tmp_path):
     assert not (tmp_path / "cache" / "cells").exists()
 
 
-def test_default_store_lives_under_the_cache_dir(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
+def test_default_store_lives_under_the_cache_dir(knobs, tmp_path):
+    knobs(REPRO_CACHE_DIR=str(tmp_path / "alt"))
     store = CellStore.default()
     assert store.root == os.path.join(str(tmp_path / "alt"), "cells")
     assert CellStore.default() is store

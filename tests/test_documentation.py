@@ -165,8 +165,6 @@ def test_readme_knob_table_matches_the_code():
     )
 
 
-def test_cache_dir_has_one_reader():
-    readers = [
-        file for file, name in _env_reads() if name == "REPRO_CACHE_DIR"
-    ]
-    assert readers == ["repro/resilience/store.py"], readers
+def test_every_knob_is_read_in_config():
+    readers = {file for file, _name in _env_reads()}
+    assert readers == {"repro/config.py"}, readers

@@ -132,15 +132,15 @@ def test_explicit_argument_wins():
         assert resolve_engine("vector") == "vector"
 
 
-def test_context_override_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_ORDERING_ENGINE", "vector")
+def test_context_override_beats_env(knobs):
+    knobs(REPRO_ORDERING_ENGINE="vector")
     with use_engine("scalar"):
         assert resolve_engine() == "scalar"
     assert resolve_engine() == "vector"
 
 
-def test_env_variable_selects_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_ORDERING_ENGINE", "scalar")
+def test_env_variable_selects_engine(knobs):
+    knobs(REPRO_ORDERING_ENGINE="scalar")
     assert resolve_engine() == "scalar"
 
 

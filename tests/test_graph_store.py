@@ -216,9 +216,9 @@ def test_registry_survives_corrupt_store_entry():
     assert os.path.exists(path)  # rewritten after the rebuild
 
 
-def test_refused_writes_leave_the_registry_building(monkeypatch):
+def test_refused_writes_leave_the_registry_building(knobs):
     """A cache volume refusing every write leaves the registry building."""
-    monkeypatch.setenv("REPRO_FAULTS", "disk-full:p=1")
+    knobs(REPRO_FAULTS="disk-full:p=1")
     store = gstore.GraphStore.default()
     for _ in range(2):
         registry._graph_cache.clear()

@@ -13,7 +13,6 @@ no C compiler) — so a kernel regression and a fallback regression are
 both loud.
 """
 
-import os
 import shutil
 
 import numpy as np
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import _native
+from repro import _native, config
 from repro._native import core as native_core
 from repro.apps.delta_stepping import delta_stepping
 from repro.community.louvain import louvain, louvain_one_phase
@@ -512,16 +511,16 @@ def test_rrr_sampling_native_matches_scalar(budget, monkeypatch):
         assert a.edges_examined == c.edges_examined
 
 
-def test_degree_ordering_under_build_failure(monkeypatch):
+def test_degree_ordering_under_build_failure(knobs):
     kernel = native_core.get_kernel("counting_sort")
     graph = GRAPHS["random"]
     scalar = order_with("hub_sort", graph, "scalar")
-    monkeypatch.setenv("REPRO_FAULTS", "native-build-fail:p=1")
+    knobs(REPRO_FAULTS="native-build-fail:p=1")
     kernel.reset()
     try:
         degraded = order_with("hub_sort", graph, "native")
     finally:
-        monkeypatch.delenv("REPRO_FAULTS")
+        knobs(REPRO_FAULTS=None)
         kernel.reset()
     assert np.array_equal(degraded.permutation, scalar.permutation)
     assert degraded.metadata["engine"] != "native"  # vector fallback ran
@@ -570,28 +569,25 @@ def test_build_info_reports_compiler_on_cache_hit():
 # ---------------------------------------------------------------------------
 # Sanitizer build profiles: knob parsing, flags, and per-profile caching
 # ---------------------------------------------------------------------------
-def test_sanitize_profile_parsing(monkeypatch):
-    monkeypatch.delenv("REPRO_NATIVE_SANITIZE", raising=False)
-    assert native_core.sanitize_profile() is None
-    monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "")
-    assert native_core.sanitize_profile() is None
-    monkeypatch.setenv("REPRO_NATIVE_SANITIZE", " UBSan ")
-    assert native_core.sanitize_profile() == "ubsan"
-    monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "msan")
-    with pytest.raises(ValueError, match="msan"):
-        native_core.sanitize_profile()
+def test_sanitize_profile_parsing(knobs):
+    for unset in (None, "", "  "):
+        knobs(REPRO_NATIVE_SANITIZE=unset)
+        assert config.get().native_sanitize is None
+    knobs(REPRO_NATIVE_SANITIZE=" UBSan ")
+    assert config.get().native_sanitize == "ubsan"
 
 
-def test_malformed_sanitize_knob_fails_loudly(monkeypatch):
+def test_malformed_sanitize_knob_fails_loudly(knobs):
     """A typo'd knob must raise, never silently build uninstrumented."""
     kernel = native_core.get_kernel("counting_sort")
     kernel.reset()
-    monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "nope")
     try:
+        with pytest.raises(ValueError, match="nope"):
+            knobs(REPRO_NATIVE_SANITIZE="nope")
+        # the snapshot stays unparsed: every later read raises again
         with pytest.raises(ValueError, match="nope"):
             kernel.lib()
     finally:
-        monkeypatch.delenv("REPRO_NATIVE_SANITIZE", raising=False)
         kernel.reset()
 
 
@@ -619,18 +615,18 @@ def test_so_cache_keyed_per_profile():
     assert all(kernel.source_digest in p for p in paths)
 
 
-def test_ubsan_profile_builds_and_reports():
+def test_ubsan_profile_builds_and_reports(knobs):
     """REPRO_NATIVE_SANITIZE=ubsan recompiles with the sanitizer flags
     (ubsan needs no runtime preload, so it can run inside this suite).
 
-    The ambient knob is restored by hand — not via monkeypatch — so the
-    kernel is rebuilt under whatever profile the enclosing leg runs
-    (the sanitize legs execute this very test with the knob set)."""
+    The ambient profile is restored inside the test, so the kernel is
+    rebuilt under whatever profile the enclosing leg runs (the sanitize
+    legs execute this very test with the knob set)."""
     kernel = native_core.get_kernel("counting_sort")
     if kernel.lib() is None:
         pytest.skip("no C toolchain")
-    ambient = os.environ.get("REPRO_NATIVE_SANITIZE")
-    os.environ["REPRO_NATIVE_SANITIZE"] = "ubsan"
+    ambient = config.get().native_sanitize
+    knobs(REPRO_NATIVE_SANITIZE="ubsan")
     kernel.reset()
     try:
         info = kernel.build_info()
@@ -639,13 +635,10 @@ def test_ubsan_profile_builds_and_reports():
         assert "-fsanitize=undefined" in info["flags"]
         assert "-Werror" in info["flags"]
     finally:
-        if ambient is None:
-            os.environ.pop("REPRO_NATIVE_SANITIZE", None)
-        else:
-            os.environ["REPRO_NATIVE_SANITIZE"] = ambient
+        knobs(REPRO_NATIVE_SANITIZE=ambient)
         kernel.reset()
     assert kernel.lib() is not None
-    assert kernel.build_info()["profile"] == native_core.sanitize_profile()
+    assert kernel.build_info()["profile"] == ambient
 
 
 # ---------------------------------------------------------------------------
@@ -668,15 +661,15 @@ def test_sidecar_records_version_and_flags():
     assert cached["flags"] == info["flags"]
 
 
-def test_compiler_honors_cc_wrapper_with_args(monkeypatch):
+def test_compiler_honors_cc_wrapper_with_args(knobs):
     if not shutil.which("cc"):
         pytest.skip("no cc on PATH")
-    monkeypatch.setenv("CC", "cc -pipe")
+    knobs(CC="cc -pipe")
     assert native_core._compiler() == ["cc", "-pipe"]
 
 
-def test_compiler_falls_back_past_a_bogus_cc(monkeypatch):
-    monkeypatch.setenv("CC", "definitely-not-a-compiler --fast")
+def test_compiler_falls_back_past_a_bogus_cc(knobs):
+    knobs(CC="definitely-not-a-compiler --fast")
     argv = native_core._compiler()
     assert argv is None or argv[0] != "definitely-not-a-compiler"
 
@@ -698,11 +691,11 @@ BROKEN_SRC = (
 )
 
 
-def test_compile_failure_surfaces_stderr(monkeypatch):
+def test_compile_failure_surfaces_stderr(knobs):
     if native_core._compiler() is None:
         pytest.skip("no C compiler")
     # a real compiler diagnosis, not the injected build failure
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    knobs(REPRO_FAULTS=None)
     kernel = native_core.NativeKernel(
         "test_broken_fixture",
         BROKEN_SRC,

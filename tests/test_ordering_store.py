@@ -142,8 +142,8 @@ def test_clear_removes_everything(store):
 # ---------------------------------------------------------------------------
 # Environment wiring
 # ---------------------------------------------------------------------------
-def test_default_store_honours_cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
+def test_default_store_honours_cache_dir(tmp_path, knobs):
+    knobs(REPRO_CACHE_DIR=str(tmp_path / "alt"))
     store = OrderingStore.default()
     assert store.root == os.path.join(str(tmp_path / "alt"), "orderings")
     # Singleton per root: a second call reuses the same counters.
@@ -211,10 +211,10 @@ def test_cold_fan_out_builds_each_graph_in_the_parent(
 
 
 def test_refused_writes_leave_the_runner_computing(
-    clean_runner_caches, monkeypatch
+    clean_runner_caches, knobs
 ):
     """A cache volume refusing every write degrades to computing."""
-    monkeypatch.setenv("REPRO_FAULTS", "disk-full:p=1")
+    knobs(REPRO_FAULTS="disk-full:p=1")
     ordering = runners.ordering_for("rcm", "euroroad")
     fresh = get_scheme("rcm").order(load("euroroad"))
     assert same_ordering(ordering, fresh)

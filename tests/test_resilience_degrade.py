@@ -16,22 +16,16 @@ from repro._native import fm as native_fm
 from repro.engine import ENGINE_METADATA_KEY, VECTOR_MIN_WORK
 from repro.graph.store import GraphStore
 from repro.ordering import OrderingStore, get_scheme
-from repro.resilience import degrade, faults
+from repro.resilience import degrade
 from tests.conftest import random_graph
 
 
-def _set_faults(monkeypatch, spec):
-    monkeypatch.setenv("REPRO_FAULTS", spec)
-
-
 @pytest.fixture(autouse=True)
-def _fresh_state(monkeypatch):
-    """Fresh fault plans and degrade state around every test."""
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    faults._PLANS.clear()
+def _fresh_state(knobs):
+    """No inherited fault plan; fresh degrade state around every test."""
+    knobs(REPRO_FAULTS=None)
     degrade.reset()
     yield
-    faults._PLANS.clear()
     degrade.reset()
 
 
@@ -106,16 +100,16 @@ EXPECTED = np.array([1, 4, 0, 3, 7, 2, 5, 6], dtype=np.int64)
 
 class TestKernelFaults:
     def test_build_fail_latches_and_falls_back(
-        self, monkeypatch, counting_kernel
+        self, knobs, counting_kernel
     ):
-        _set_faults(monkeypatch, "native-build-fail:p=1")
+        knobs(REPRO_FAULTS="native-build-fail:p=1")
         assert counting_kernel.lib() is None
         assert native_counting.run(KEYS, 3) is None  # caller's twin runs
         assert degrade.counters() == {
             f"kernel.{counting_kernel.name}:native-build-fail": 1
         }
         # the schedule is gone, but the kernel stays off for the process
-        monkeypatch.delenv("REPRO_FAULTS")
+        knobs(REPRO_FAULTS=None)
         assert native_counting.run(KEYS, 3) is None
         counting_kernel.reset()
         if counting_kernel.lib() is None:
@@ -123,9 +117,9 @@ class TestKernelFaults:
         assert np.array_equal(native_counting.run(KEYS, 3), EXPECTED)
 
     def test_build_info_reports_degraded(
-        self, monkeypatch, counting_kernel
+        self, knobs, counting_kernel
     ):
-        _set_faults(monkeypatch, "native-build-fail:p=1")
+        knobs(REPRO_FAULTS="native-build-fail:p=1")
         info = counting_kernel.build_info()
         assert info["available"] is False
         assert info["status"].startswith("degraded: native-build-fail: ")
@@ -136,12 +130,12 @@ class TestKernelFaults:
         info = counting_kernel.build_info()
         assert not info["status"].startswith("degraded")
 
-    def test_runtime_fault_latches(self, monkeypatch, counting_kernel):
+    def test_runtime_fault_latches(self, knobs, counting_kernel):
         if counting_kernel.lib() is None:
             pytest.skip("native kernel unavailable")
-        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        knobs(REPRO_FAULTS="native-runtime-fault:p=1")
         assert native_counting.run(KEYS, 3) is None  # fault -> fallback
-        monkeypatch.delenv("REPRO_FAULTS")
+        knobs(REPRO_FAULTS=None)
         assert native_counting.run(KEYS, 3) is None  # still off
         assert counting_kernel.lib() is None
         info = counting_kernel.build_info()
@@ -153,16 +147,16 @@ class TestKernelFaults:
         assert np.array_equal(native_counting.run(KEYS, 3), EXPECTED)
 
     def test_runtime_gate_routes_injected_fault(
-        self, monkeypatch, counting_kernel
+        self, knobs, counting_kernel
     ):
-        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        knobs(REPRO_FAULTS="native-runtime-fault:p=1")
         assert not native_core.runtime_gate(counting_kernel)
         assert counting_kernel.lib() is None
         assert degrade.counters() == {
             f"kernel.{counting_kernel.name}:native-runtime-fault": 1
         }
 
-    def test_metis_under_runtime_fault_records_vector(self, monkeypatch):
+    def test_metis_under_runtime_fault_records_vector(self, knobs):
         kernel = native_fm.KERNEL
         kernel.reset()
         if kernel.lib() is None:
@@ -172,7 +166,7 @@ class TestKernelFaults:
         scheme = get_scheme("metis")
         clean = scheme.order(graph)
         assert clean.metadata[ENGINE_METADATA_KEY] == "native"
-        _set_faults(monkeypatch, "native-runtime-fault:p=1")
+        knobs(REPRO_FAULTS="native-runtime-fault:p=1")
         try:
             faulted = get_scheme("metis").order(graph)
         finally:
@@ -191,14 +185,14 @@ class TestKernelFaults:
 # ---------------------------------------------------------------------------
 class TestResourcePressure:
     def test_ordering_store_disk_full_computes_without_cache(
-        self, monkeypatch, tmp_path
+        self, knobs, tmp_path
     ):
         graph = random_graph(50, 120, seed=2)
         scheme = get_scheme("bfs")
         clean = OrderingStore(str(tmp_path / "clean"))
         expected = clean.get_or_compute(graph, scheme)
 
-        _set_faults(monkeypatch, "disk-full:p=1")
+        knobs(REPRO_FAULTS="disk-full:p=1")
         store = OrderingStore(str(tmp_path / "full"))
         ordering = store.get_or_compute(graph, scheme)
         assert np.array_equal(ordering.permutation, expected.permutation)
@@ -206,35 +200,35 @@ class TestResourcePressure:
         assert degrade.counters()["ordering-store.write:disk-full"] >= 1
 
     def test_graph_store_disk_full_returns_none(
-        self, monkeypatch, tmp_path
+        self, knobs, tmp_path
     ):
         graph = random_graph(30, 60, seed=1)
-        _set_faults(monkeypatch, "disk-full:p=1")
+        knobs(REPRO_FAULTS="disk-full:p=1")
         store = GraphStore(str(tmp_path))
         assert store.save("entry", graph) is None
         assert degrade.counters()["graph-store.write:disk-full"] == 1
 
     def test_torn_read_quarantines_and_recomputes(
-        self, monkeypatch, tmp_path
+        self, knobs, tmp_path
     ):
         graph = random_graph(50, 120, seed=9)
         scheme = get_scheme("rcm")
         store = OrderingStore(str(tmp_path / "store"))
         expected = store.get_or_compute(graph, scheme)  # clean write
 
-        _set_faults(monkeypatch, "store-torn-read:p=1")
+        knobs(REPRO_FAULTS="store-torn-read:p=1")
         again = store.get_or_compute(graph, scheme)
         assert np.array_equal(again.permutation, expected.permutation)
         assert store.quarantined >= 1
         assert degrade.counters()["ordering-store:quarantined"] >= 1
 
     def test_graph_store_torn_read_quarantines(
-        self, monkeypatch, tmp_path
+        self, knobs, tmp_path
     ):
         graph = random_graph(30, 60, seed=4)
         store = GraphStore(str(tmp_path))
         assert store.save("entry", graph) is not None
-        _set_faults(monkeypatch, "store-torn-read:p=1")
+        knobs(REPRO_FAULTS="store-torn-read:p=1")
         assert store.load("entry") is None
         assert store.quarantined == 1
         assert degrade.counters()["graph-store:quarantined"] == 1

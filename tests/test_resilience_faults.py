@@ -9,6 +9,7 @@ the values a fault-free sequential run computes.
 import numpy as np
 import pytest
 
+from repro import config
 from repro.ordering import OrderingStore, get_scheme
 from repro.resilience import faults
 from repro.resilience.faults import (
@@ -23,19 +24,6 @@ from tests.conftest import random_graph, run_bench
 
 def _square(x):
     return x * x
-
-
-def _set_faults(monkeypatch, spec):
-    monkeypatch.setenv("REPRO_FAULTS", spec)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_plans():
-    """Drop cached plans so per-process state (corruption and dispatch
-    counters) never leaks between tests sharing a spec string."""
-    faults._PLANS.clear()
-    yield
-    faults._PLANS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +64,14 @@ class TestParseSpec:
         with pytest.raises(ValueError, match="not in"):
             parse_spec("worker-crash:p=1.5")
 
-    def test_active_plan_fails_loud_on_bad_spec(self, monkeypatch):
-        _set_faults(monkeypatch, "nonsense")
-        with pytest.raises(ValueError):
+    def test_active_plan_fails_loud_on_bad_spec(self, knobs):
+        with pytest.raises(ValueError, match="REPRO_FAULTS"):
+            knobs(REPRO_FAULTS="nonsense")
+        with pytest.raises(ValueError, match="unknown fault kind"):
             faults.active_plan()
 
-    def test_empty_env_means_no_plan(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "  ")
+    def test_empty_env_means_no_plan(self, knobs):
+        knobs(REPRO_FAULTS="  ")
         assert faults.active_plan() is None
 
 
@@ -140,10 +129,10 @@ FAULT_MODES = [
 
 class TestEquivalenceUnderFaults:
     @pytest.mark.parametrize("spec", FAULT_MODES)
-    def test_sequential_values_match_fault_free(self, monkeypatch, spec):
+    def test_sequential_values_match_fault_free(self, knobs, spec):
         cells = list(range(24))
         baseline = [_square(c) for c in cells]
-        _set_faults(monkeypatch, spec)
+        knobs(REPRO_FAULTS=spec)
         results = run_supervised(_square, cells, jobs=1, retries=4)
         for cell, result in zip(cells, results):
             if result.ok:
@@ -153,17 +142,17 @@ class TestEquivalenceUnderFaults:
         assert [r.value for r in results] == baseline
 
     @pytest.mark.parametrize("spec", FAULT_MODES[:1])
-    def test_parallel_values_match_fault_free(self, monkeypatch, spec):
+    def test_parallel_values_match_fault_free(self, knobs, spec):
         cells = list(range(24))
-        _set_faults(monkeypatch, spec)
+        knobs(REPRO_FAULTS=spec)
         results = run_supervised(
             _square, cells, jobs=4, retries=3, timeout=10.0
         )
         assert all(r.ok for r in results)
         assert [r.value for r in results] == [_square(c) for c in cells]
 
-    def test_retry_attempts_follow_schedule(self, monkeypatch):
-        _set_faults(monkeypatch, "worker-crash:p=0.3:seed=5")
+    def test_retry_attempts_follow_schedule(self, knobs):
+        knobs(REPRO_FAULTS="worker-crash:p=0.3:seed=5")
         plan = faults.active_plan()
         results = run_supervised(_square, range(24), jobs=1, retries=3)
         for index, result in enumerate(results):
@@ -176,11 +165,11 @@ class TestEquivalenceUnderFaults:
             assert result.attempts == expected, index
 
     def test_always_crashing_cell_degrades_others_identical(
-        self, monkeypatch
+        self, knobs
     ):
         cells = list(range(10))
         baseline = [_square(c) for c in cells]
-        _set_faults(monkeypatch, "worker-crash:p=1:cells=4")
+        knobs(REPRO_FAULTS="worker-crash:p=1:cells=4")
         results = run_supervised(_square, cells, jobs=2, retries=2)
         assert not results[4].ok
         assert results[4].attempts == 3
@@ -189,9 +178,8 @@ class TestEquivalenceUnderFaults:
             if index != 4:
                 assert result.ok and result.value == baseline[index]
 
-    def test_sequential_injection_is_soft(self, monkeypatch):
-        _set_faults(
-            monkeypatch, "worker-crash:p=1:cells=0;cell-timeout:p=1:cells=0"
+    def test_sequential_injection_is_soft(self, knobs):
+        knobs(REPRO_FAULTS="worker-crash:p=1:cells=0;cell-timeout:p=1:cells=0"
         )
         with pytest.raises(InjectedFault):
             faults.maybe_worker_crash(0, 1, hard=False)
@@ -208,11 +196,11 @@ class TestEquivalenceUnderFaults:
 class TestDegradedCells:
     GRID = ["fig1", "--datasets", "euroroad", "--schemes", "natural,random"]
 
-    def test_degraded_cell_renders_nan(self, monkeypatch):
+    def test_degraded_cell_renders_nan(self, knobs):
         from repro.bench import runners
 
         runners.reset_caches()
-        _set_faults(monkeypatch, "worker-crash:p=1:cells=0")
+        knobs(REPRO_FAULTS="worker-crash:p=1:cells=0")
         scores = runners.collect_scores(
             ["natural", "random"], ["euroroad"], lambda m: m.average_gap,
         )
@@ -245,14 +233,14 @@ class TestDegradedCells:
 # ---------------------------------------------------------------------------
 class TestCacheCorrupt:
     def test_torn_write_quarantined_and_recomputed(
-        self, monkeypatch, tmp_path
+        self, knobs, tmp_path
     ):
         graph = random_graph(60, 150, seed=3)
         scheme = get_scheme("rcm")
         clean = OrderingStore(str(tmp_path / "clean"))
         expected = clean.get_or_compute(graph, scheme)
 
-        _set_faults(monkeypatch, "cache-corrupt")
+        knobs(REPRO_FAULTS="cache-corrupt")
         store = OrderingStore(str(tmp_path / "torn"))
         first = store.get_or_compute(graph, scheme)  # write is torn
         second = store.get_or_compute(graph, scheme)  # heals, recomputes
@@ -267,14 +255,14 @@ class TestCacheCorrupt:
         assert store.hits == 0
 
     def test_corruption_schedule_is_deterministic(
-        self, monkeypatch, tmp_path
+        self, knobs, tmp_path
     ):
         graph = random_graph(40, 90, seed=4)
         scheme = get_scheme("bfs")
-        _set_faults(monkeypatch, "cache-corrupt:p=0.5:seed=2")
+        knobs(REPRO_FAULTS="cache-corrupt:p=0.5:seed=2")
         outcomes = []
         for round_index in range(2):
-            faults._PLANS.clear()  # fresh per-process counters
+            config.reload()  # fresh per-process counters
             store = OrderingStore(str(tmp_path / f"round{round_index}"))
             for _ in range(6):
                 store.get_or_compute(graph, scheme)
@@ -300,23 +288,22 @@ class TestDegradationComposition:
     ]
 
     @staticmethod
-    def _reset_world(tmp_path, monkeypatch, leg):
+    def _reset_world(tmp_path, knobs, leg):
         from repro._native.core import get_kernel, kernel_names
         from repro.bench import runners
         from repro.datasets import registry
         from repro.resilience import degrade
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / leg))
+        knobs(REPRO_CACHE_DIR=str(tmp_path / leg))
         for name in kernel_names():
             get_kernel(name).reset()
         runners.reset_caches()
         runners.reset_degraded()
         registry._graph_cache.clear()
         degrade.reset()
-        faults._PLANS.clear()
 
     def test_faulted_run_matches_clean_degraded_run(
-        self, monkeypatch, tmp_path, capsys
+        self, knobs, tmp_path, capsys
     ):
         import re
 
@@ -327,16 +314,14 @@ class TestDegradationComposition:
 
         # Leg A: full ladder active, every native build failing via an
         # injected fault.
-        self._reset_world(tmp_path, monkeypatch, "faulted")
-        monkeypatch.setenv("REPRO_FAULTS", "native-build-fail:p=1")
-        monkeypatch.delenv("REPRO_ORDERING_ENGINE", raising=False)
+        self._reset_world(tmp_path, knobs, "faulted")
+        knobs(REPRO_FAULTS="native-build-fail:p=1", REPRO_ORDERING_ENGINE=None)
         assert main(list(self.ARGV)) == 0
         faulted = capsys.readouterr()
 
         # Leg B: the tier the fault knocked out, disabled up front.
-        self._reset_world(tmp_path, monkeypatch, "clean")
-        monkeypatch.delenv("REPRO_FAULTS")
-        monkeypatch.setenv("REPRO_ORDERING_ENGINE", "vector")
+        self._reset_world(tmp_path, knobs, "clean")
+        knobs(REPRO_FAULTS=None, REPRO_ORDERING_ENGINE="vector")
         assert main(list(self.ARGV)) == 0
         clean = capsys.readouterr()
 

@@ -21,10 +21,10 @@ from repro.resilience.supervisor import CellResult, run_supervised
 
 
 @pytest.fixture(autouse=True)
-def _no_injected_faults(monkeypatch):
+def _no_injected_faults(knobs):
     """This file tests genuine failures; keep injected ones out even
     when the chaos CI leg exports ``REPRO_FAULTS``."""
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    knobs(REPRO_FAULTS=None)
 
 
 def _double(x):
