@@ -2,8 +2,8 @@
 # Degradation-ladder grid check (the `make test-faults` leg):
 #   1. the ordering bench grid with every native kernel build failing
 #      (injected `native-build-fail`) must exit 0 — each kernel is
-#      disabled for the process and the vector/scalar twins carry the
-#      run,
+#      disabled for the process and the Python tiers (for most kernels
+#      the scalar twin) carry the run,
 #   2. the same grid runs clean with the native tier skipped up front
 #      (REPRO_ORDERING_ENGINE=vector),
 #   3. stdout (timings normalised) and every cached ordering entry —

@@ -1,12 +1,15 @@
 """Lazily compiled C kernels for hot loops that resist vectorisation.
 
-Every kernel follows the three-tier engine contract
-(:mod:`repro.engine`): the scalar Python loop is ground truth, the numpy
-engine is the tested middle tier, and the native kernel — run only
+Every kernel follows the engine contract (:mod:`repro.engine`): the
+scalar Python loop is ground truth, and the native kernel — run only
 under the native engine and when a C compiler is available — is a
-bit-identical escalation.  Kernels declare their scalar and vector twins
+bit-identical escalation of it.  Kernels declare their scalar twin
 (verified statically by :mod:`repro.analysis.contracts`) and report
-their build status through :func:`build_info_all`.
+their build status through :func:`build_info_all`.  Most kernels
+leave no Python middle tier: when the kernel cannot run, dispatch
+falls straight to the scalar twin.  Only the Gorder greedy and the
+simulator's dynamic-region replay (which alone models the prefetcher)
+keep a vector tier beside their kernel.
 
 Every kernel runs on the calling thread.
 

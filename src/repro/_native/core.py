@@ -13,9 +13,10 @@ surface:
   process).  Whether C runs at all is the engine's call
   (:func:`repro.engine.resolve_engine`): dispatch sites ask for the
   library only under the ``"native"`` engine;
-* every kernel must name its **scalar and vector twins** — the Python
-  implementations it is bit-identical to — which the reprolint contracts
-  checker verifies statically;
+* every kernel must name its **scalar twin** — the Python reference it
+  is bit-identical to, and the loop dispatch falls back to when the
+  kernel cannot run — which the reprolint contracts checker verifies
+  statically;
 * every kernel runs on the calling thread;
 * :func:`build_info_all` reports per-kernel status (compiler, cache hit,
   fallback reason) for ``python -m repro.bench --version`` and the perf
@@ -142,7 +143,7 @@ def _compiler_version(cc: Sequence[str]) -> str | None:
 
 
 class NativeKernel:
-    """One lazily compiled C kernel with declared Python twins.
+    """One lazily compiled C kernel with a declared Python twin.
 
     Parameters
     ----------
@@ -153,11 +154,11 @@ class NativeKernel:
     symbols:
         ``{symbol: (argtypes, restype)}`` ctypes prototypes applied after
         loading.
-    scalar_twin / vector_twin:
-        ``"module:function"`` references naming the pure-Python ground
-        truth and the numpy middle tier this kernel is bit-identical to.
-        The contracts checker (:mod:`repro.analysis.contracts`) resolves
-        both statically, so a kernel cannot ship without its fallbacks.
+    scalar_twin:
+        ``"module:function"`` reference naming the pure-Python ground
+        truth this kernel is bit-identical to and falls back to.  The
+        contracts checker (:mod:`repro.analysis.contracts`) resolves it
+        statically, so a kernel cannot ship without its fallback.
     """
 
     def __init__(
@@ -167,7 +168,6 @@ class NativeKernel:
         *,
         symbols: Mapping[str, tuple[Sequence[object], object]],
         scalar_twin: str,
-        vector_twin: str,
     ) -> None:
         if name in _KERNELS:
             raise ValueError(f"native kernel {name!r} already registered")
@@ -175,7 +175,6 @@ class NativeKernel:
         self.source = source
         self.symbols = dict(symbols)
         self.scalar_twin = scalar_twin
-        self.vector_twin = vector_twin
         self._lib: ctypes.CDLL | None = None
         self._tried = False
         self._status = "not built"
@@ -335,7 +334,8 @@ class NativeKernel:
         The kernels are deterministic: a failed build stays failed and a
         runtime fault recurs on the same input, so there is nothing to
         retry.  Every later :meth:`lib` call answers ``None`` and
-        dispatch runs the bit-identical twin; :meth:`reset` re-arms.
+        dispatch runs the bit-identical Python tier; :meth:`reset`
+        re-arms.
         """
         reason = f"{exc.__class__.__name__}: {exc}"
         self._lib = None
@@ -380,7 +380,6 @@ class NativeKernel:
             "fallback": None if available else self._status,
             "source_digest": self.source_digest,
             "scalar_twin": self.scalar_twin,
-            "vector_twin": self.vector_twin,
         }
 
 

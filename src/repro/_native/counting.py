@@ -8,8 +8,8 @@ prefix sum to give every key a placement window, then scatter the ids
 in input order.  Within a key, output order is input order, so the
 result equals ``np.argsort(key, kind="stable")``.
 
-The scalar and vector twins in :mod:`repro.ordering.degree` are that
-argsort; the kernel is bit-identical to both by construction.
+The scalar twin in :mod:`repro.ordering.degree` is that argsort; the
+kernel is bit-identical to it by construction.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.ordering.degree:_stable_key_order_scalar",
-    vector_twin="repro.ordering.degree:_stable_key_order_scalar",
 )
 
 

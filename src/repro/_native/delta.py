@@ -1,8 +1,7 @@
 """Compiled delta-stepping bucket relaxation.
 
 The bucket loop of :func:`repro.apps.delta_stepping.delta_stepping`
-(scalar twin :func:`repro.apps.delta_stepping._delta_stepping_scalar`,
-vector twin :func:`repro.apps.delta_stepping._delta_stepping_vector`)
+(scalar twin :func:`repro.apps.delta_stepping._delta_stepping_scalar`)
 settles one bucket at a time: light edges to a fixpoint, then heavy
 edges once.  Every round depends on the previous round's distances, so
 the loop cannot batch — the native tier runs the whole relaxation in C
@@ -10,24 +9,23 @@ and emits the *scan stream* ``(vertex, phase)`` in execution order; the
 Python wrapper assembles the replay trace (`WorkItem`s) from its
 precomputed phase tables.
 
-Bit-identity argument (against the vector engine, which is already
-bit-identical to the scalar reference by the equivalence suite):
+Bit-identity argument against the scalar reference:
 
 * relaxations use the same IEEE double ``dist[v] + w`` candidates and
   the same ``(int64)(c / delta)`` bucket truncation;
-* sequential improve-only relaxation yields the per-target minimum the
-  vector engine computes explicitly for parallel edges;
+* relaxations are sequential and improve-only in adjacency order, as
+  the scalar ``relax`` is, so parallel edges leave the same minimum;
 * buckets are processed in strictly increasing index order (light
   relaxations from bucket ``b`` land in ``>= b``, heavy in ``> b``), so
   a circular window of ``ceil(wmax / delta) + 3`` bucket slots holds
   every live bucket, and stale-only buckets are skipped without
-  counting toward ``max_buckets`` — exactly the lazy-membership
-  semantics of the vector engine;
+  counting toward ``max_buckets`` — the scalar loop discards a vertex
+  from its old bucket on improvement, so it never visits them either;
 * each frontier is the sorted unique set of still-valid members, the
-  order ``np.unique`` produces.
+  ``sorted(frontier)`` order of the scalar loop.
 
 On workspace overflow (pathological improvement counts) the kernel
-returns ``-1`` and the wrapper falls back to the vector engine.
+returns ``-1`` and the wrapper falls back to the scalar loop.
 """
 
 from __future__ import annotations
@@ -260,10 +258,9 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.apps.delta_stepping:_delta_stepping_scalar",
-    vector_twin="repro.apps.delta_stepping:_delta_stepping_vector",
 )
 
-#: circular-window slots beyond which we fall back to the vector engine
+#: circular-window slots beyond which we fall back to the scalar loop
 #: (a pathologically small delta would ask for a huge window).
 MAX_WINDOW_SLOTS = 1 << 22
 
@@ -286,7 +283,7 @@ def run(
     """Run the bucket loop natively; None when unavailable or oversized.
 
     Returns ``(dist, scan_vertices, scan_phases)`` with phases 0=light,
-    1=heavy, in the exact scan order of both Python engines.
+    1=heavy, in the exact scan order of the scalar loop.
     """
     lib = KERNEL.lib()
     if lib is None:

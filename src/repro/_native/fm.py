@@ -4,9 +4,8 @@ Nested dissection and METIS spend their time in two loops that resist
 vectorisation because every step depends on the previous one:
 
 * :func:`repro.partition.refine._one_pass` — the FM boundary pass
-  (scalar twin; :func:`repro.partition.refine._one_pass_vector` is the
-  vector twin): a lazy max-heap over ``(-gain, v)`` with balance checks,
-  hill-climbing, and best-prefix rollback.  The native kernel escalates
+  (the scalar twin): a lazy max-heap over ``(-gain, v)`` with balance
+  checks, hill-climbing, and best-prefix rollback.  The native kernel escalates
   the *whole* :func:`repro.partition.refine.fm_refine` pass loop —
   per-pass gains, part weights, and starting cut included — so a refine
   call is a single library call instead of hundreds of round-trips;
@@ -432,7 +431,6 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.partition.refine:_one_pass",
-    vector_twin="repro.partition.refine:_one_pass_vector",
 )
 
 
@@ -477,7 +475,9 @@ def refine(
     """Full native FM refinement mutating ``part``; None when unavailable.
 
     Runs the whole pass loop — gain / weight / cut recomputation included
-    — in one library call.  ``vertex_weights`` must be contiguous float64.
+    — in one library call.  ``vertex_weights`` must be contiguous float64
+    and ``part`` must hold one 0/1 label per vertex
+    (:func:`repro.partition.refine.fm_refine` checks).
     """
     lib = KERNEL.lib()
     if lib is None:

@@ -1,8 +1,8 @@
 """Compiled Gorder greedy: the whole sliding-window priority scan in C.
 
 The GO greedy (:class:`repro.ordering.gorder.GorderOrder`, scalar twin
-``compute`` under the scalar engine, vector twin the list-based engine in
-the same method) spends its time in the ``O(sum of squared degrees)``
+``compute`` under the scalar engine; the list-based vector engine lives
+in the same method) spends its time in the ``O(sum of squared degrees)``
 score-update loop and the lazy max-heap.  Neither vectorises — every
 update depends on the vertex just placed — so the native tier runs the
 complete greedy in C.
@@ -201,7 +201,6 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.ordering.gorder:GorderOrder.compute",
-    vector_twin="repro.ordering.gorder:GorderOrder.compute",
 )
 
 

@@ -9,8 +9,7 @@ community totals the next vertex sees), so the kernel stays serial and
 runs the complete sweep on the CSR arrays.
 
 Bit-identity argument against the scalar twin
-(``_LouvainState._sweep_scalar``) and the vector twin (the list-based
-``_LouvainState._sweep_vector``):
+(``_LouvainState._sweep_scalar``):
 
 * neighbour-community weights accumulate in a dense ``n``-sized
   ``link`` scratch in neighbour order, so every link sum is the same
@@ -25,7 +24,9 @@ Bit-identity argument against the scalar twin
 
 ``link``, ``in_list`` and ``cand`` are caller-owned scratch of size
 ``n``; ``in_list`` must be all zero on entry and is all zero on return.
-The caller guarantees every ``order`` entry lies in ``[0, n)``.
+Every ``order`` entry lies in ``[0, n)``:
+:func:`repro.community.louvain.louvain_one_phase` rejects any
+``vertex_order`` that is not a permutation of ``[0, n)``.
 """
 
 from __future__ import annotations
@@ -135,7 +136,6 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.community.louvain:_LouvainState._sweep_scalar",
-    vector_twin="repro.community.louvain:_LouvainState._sweep_vector",
 )
 
 

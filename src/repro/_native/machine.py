@@ -8,10 +8,11 @@ thread with the lowest simulated clock, so its schedule depends on every
 latency before it.  The only difference is how an item picks its
 thread; the kernel replays either region in one call.
 
-Bit-identity argument against the Python replays (vector twin
-``SimulatedMachine._run_dynamic_python``, which drives the batched
-engine per item) and the per-access model they are exact to (scalar
-twin :meth:`repro.simulator.hierarchy.MemoryHierarchy.access`, which
+Bit-identity argument against the Python replays
+(``SimulatedMachine._run_dynamic_python``, which drives the batched
+engine per item and is the only path with the prefetcher) and the
+per-access model they are exact to (scalar twin
+:meth:`repro.simulator.hierarchy.MemoryHierarchy.access`, which
 :meth:`SimulatedMachine.run_reference` drives for static regions):
 
 * with an ``item_thread`` array, item ``i`` runs on thread
@@ -191,7 +192,6 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.simulator.hierarchy:MemoryHierarchy.access",
-    vector_twin="repro.simulator.parallel:SimulatedMachine._run_dynamic_python",
 )
 
 

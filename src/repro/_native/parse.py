@@ -18,8 +18,8 @@ and ``n=<count>`` headers follow the reader's rules, and anything else
 numbers — makes the pass return -1 and the wrapper return
 ``None`` so the caller falls back to the scalar parse for the whole
 file.  The fallback therefore also reproduces the scalar parse's
-*exceptions* on malformed files, not just its results.  The kernel has
-no vector twin: both twin slots name the scalar parse.
+*exceptions* on malformed files, not just its results.  The kernel's
+twin is the scalar parse; the reader has no vector tier.
 """
 
 from __future__ import annotations
@@ -262,7 +262,6 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.graph.io:_parse_edge_text_scalar",
-    vector_twin="repro.graph.io:_parse_edge_text_scalar",
 )
 
 

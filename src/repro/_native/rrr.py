@@ -134,7 +134,6 @@ KERNEL = NativeKernel(
         ),
     },
     scalar_twin="repro.apps.influence_max:sample_rrr_ic_pinned",
-    vector_twin="repro.apps.batch:sample_rrr_ic_pinned_batch",
 )
 
 
@@ -150,9 +149,11 @@ def run(
     """All cascades as ``(vertices, edges_examined)`` pairs, or None.
 
     Returns None when the kernel is unavailable so the caller falls
-    through to the batched vector sampler.  Samples are processed in
-    bounded-arena chunks; a cascade visits each vertex at most once, so
-    ``count * n`` slots always hold a chunk of ``count`` samples.
+    through to the scalar sampler.  Every root must lie in ``[0, n)``
+    (:func:`repro.apps.batch.sample_rrr_ic_pinned_batch` checks).
+    Samples are processed in bounded-arena chunks; a cascade visits each
+    vertex at most once, so ``count * n`` slots always hold a chunk of
+    ``count`` samples.
     """
     native = KERNEL.lib()
     if native is None:

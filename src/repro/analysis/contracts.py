@@ -31,12 +31,11 @@ test.  Six contracts, each reported as a :class:`~.core.Finding`:
     ``--check``.
 ``native-twin``
     Every :class:`~repro._native.core.NativeKernel` declaration must
-    name its ``scalar_twin`` and ``vector_twin`` as literal
-    ``"module:qualname"`` strings that resolve to functions (or
-    methods) defined in the tree.  The C tier is the top of a
-    three-tier tower — a kernel whose reference twins have drifted or
-    vanished can no longer be bit-identity tested, which is the only
-    thing that licenses running it.
+    name its ``scalar_twin`` as a literal ``"module:qualname"`` string
+    that resolves to a function (or method) defined in the tree.  The
+    C tier escalates that scalar reference — a kernel whose reference
+    twin has drifted or vanished can no longer be bit-identity tested,
+    which is the only thing that licenses running it.
 ``bench-ordering-source``
     The paper experiments (``repro.bench.experiments``) get orderings
     only through ``runners.ordering_for`` or the ordering store
@@ -610,12 +609,12 @@ def check_bench_floors(
 # Contract 5: native kernels name resolvable twins
 # ----------------------------------------------------------------------
 def check_native_twins(index: dict[str, ModuleInfo]) -> list[Finding]:
-    """Every ``NativeKernel(...)`` must declare resolvable twins.
+    """Every ``NativeKernel(...)`` must declare a resolvable scalar twin.
 
-    A kernel's ``scalar_twin`` / ``vector_twin`` are its bit-identity
-    anchors: the equivalence suite imports them by these names.  The
-    contract requires literal ``"module:qualname"`` strings pointing at
-    a function (or ``Class.method``) defined in the indexed tree.
+    A kernel's ``scalar_twin`` is its bit-identity anchor and its
+    fallback.  The contract requires a literal ``"module:qualname"``
+    string pointing at a function (or ``Class.method``) defined in the
+    indexed tree.
     """
 
     def resolves(target: str) -> str | None:
@@ -660,42 +659,38 @@ def check_native_twins(index: dict[str, ModuleInfo]) -> list[Finding]:
             keywords = {
                 kw.arg: kw.value for kw in node.keywords if kw.arg
             }
-            for role in ("scalar_twin", "vector_twin"):
-                value = keywords.get(role)
-                if value is None:
-                    findings.append(
-                        Finding(
-                            "native-twin", rel, node.lineno,
-                            node.col_offset,
-                            f"NativeKernel in {info.module} declares no "
-                            f"{role}= keyword; every native kernel must "
-                            f"name its reference implementations",
-                        )
+            value = keywords.get("scalar_twin")
+            if value is None:
+                findings.append(
+                    Finding(
+                        "native-twin", rel, node.lineno, node.col_offset,
+                        f"NativeKernel in {info.module} declares no "
+                        f"scalar_twin= keyword; every native kernel must "
+                        f"name its reference implementation",
                     )
-                    continue
-                if not (
-                    isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)
-                ):
-                    findings.append(
-                        Finding(
-                            "native-twin", rel, value.lineno,
-                            value.col_offset,
-                            f"NativeKernel {role} in {info.module} must "
-                            f"be a literal 'module:qualname' string",
-                        )
+                )
+                continue
+            if not (
+                isinstance(value, ast.Constant)
+                and isinstance(value.value, str)
+            ):
+                findings.append(
+                    Finding(
+                        "native-twin", rel, value.lineno, value.col_offset,
+                        f"NativeKernel scalar_twin in {info.module} must "
+                        f"be a literal 'module:qualname' string",
                     )
-                    continue
-                error = resolves(value.value)
-                if error is not None:
-                    findings.append(
-                        Finding(
-                            "native-twin", rel, value.lineno,
-                            value.col_offset,
-                            f"NativeKernel {role} {value.value!r} "
-                            f"{error}",
-                        )
+                )
+                continue
+            error = resolves(value.value)
+            if error is not None:
+                findings.append(
+                    Finding(
+                        "native-twin", rel, value.lineno, value.col_offset,
+                        f"NativeKernel scalar_twin {value.value!r} "
+                        f"{error}",
                     )
+                )
     return findings
 
 

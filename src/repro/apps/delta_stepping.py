@@ -12,16 +12,14 @@ memory profile.  Included for the kernel study's SSSP axis:
 * each bucket phase is a parallel region in the real algorithm, so the
   work items here are per-vertex relaxations grouped by phase.
 
-Three engine-gated implementations (:mod:`repro.engine`): the scalar
-reference keeps the original per-vertex sorted loops over dict-of-set
-buckets; the vector engine runs *bucketed array* delta-stepping —
-light/heavy edge partitions, trace lines, and per-scan relaxations are
-all precomputed or applied as whole-array operations, with lazy-deleted
-bucket membership chunks replacing the eager set bookkeeping; and the
+Two implementations (:mod:`repro.engine`): the scalar reference keeps
+the original per-vertex sorted loops over dict-of-set buckets, and the
 native tier escalates the whole bucket loop to a compiled kernel
 (:mod:`repro._native.delta`) that emits the scan stream from which the
-work items are assembled.  All produce bit-identical distances and
-work-item streams.
+work items are assembled, using light/heavy phase tables whose trace
+lines are precomputed as whole arrays.  Both produce bit-identical
+distances and work-item streams; every engine other than ``"native"``,
+and a native engine whose kernel cannot run, takes the scalar loop.
 """
 
 from __future__ import annotations
@@ -68,6 +66,9 @@ def delta_stepping(
     dist = np.full(n, np.inf)
     if n == 0:
         return dist, []
+    # the kernel indexes dist and the bucket arrays with the source
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} is not a vertex of [0, {n})")
     if delta is None:
         if graph.is_weighted and graph.num_edges:
             delta = float(graph.weights.mean())
@@ -75,14 +76,11 @@ def delta_stepping(
             delta = 1.0
     if delta <= 0:
         raise ValueError("delta must be positive")
-    resolved = resolve_engine(engine)
-    if resolved == "scalar":
-        return _delta_stepping_scalar(graph, source, delta, max_buckets)
-    if resolved == "native":
+    if resolve_engine(engine) == "native":
         result = _delta_stepping_native(graph, source, delta, max_buckets)
         if result is not None:
             return result
-    return _delta_stepping_vector(graph, source, delta, max_buckets)
+    return _delta_stepping_scalar(graph, source, delta, max_buckets)
 
 
 class _PhaseTable:
@@ -138,9 +136,9 @@ class _PhaseTable:
 
 def _build_phases(
     graph: CSRGraph, delta: float
-) -> tuple[_PhaseTable, _PhaseTable, list[int], np.ndarray, bool]:
-    """Light/heavy phase tables, per-vertex cycles, edge weights, and the
-    parallel-edge flag shared by the vector and native engines."""
+) -> tuple[_PhaseTable, _PhaseTable, list[int], np.ndarray]:
+    """Light/heavy phase tables, per-vertex cycles and edge weights for
+    the native engine."""
     n = graph.num_vertices
     indptr = np.asarray(graph.indptr, dtype=np.int64)
     indices = np.asarray(graph.indices, dtype=np.int64)
@@ -152,11 +150,6 @@ def _build_phases(
     )
     deg = indptr[1:] - indptr[:-1]
     src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    # Parallel edges make per-scan relaxations order-sensitive; the
-    # canonical builder dedupes, so the min-reduction slow path is rare.
-    has_parallel_edges = bool(
-        np.any((src[1:] == src[:-1]) & (indices[1:] == indices[:-1]))
-    )
 
     layout = csr_layout(n, m)
     vertex_ids = np.arange(n, dtype=np.int64)
@@ -177,7 +170,7 @@ def _build_phases(
     cycles = (
         VERTEX_COMPUTE_CYCLES + EDGE_COMPUTE_CYCLES * deg
     ).tolist()
-    return light, heavy, cycles, weights, has_parallel_edges
+    return light, heavy, cycles, weights
 
 
 def _delta_stepping_native(
@@ -190,12 +183,12 @@ def _delta_stepping_native(
 
     The kernel returns the distances and the ``(vertex, phase)`` scan
     stream in execution order; the work items are assembled here from
-    the same phase tables the vector engine scans.
+    the phase tables.
     """
     if _native_delta.KERNEL.lib() is None:
         return None
     n = graph.num_vertices
-    light, heavy, cycles, weights, _ = _build_phases(graph, delta)
+    light, heavy, cycles, weights = _build_phases(graph, delta)
     wmax = float(weights.max()) if weights.size else 1.0
     result = _native_delta.run(
         light.indptr,
@@ -218,97 +211,6 @@ def _delta_stepping_native(
         WorkItem(lines=tables[p].lines(v), compute_cycles=cycles[v])
         for v, p in zip(scan_vs.tolist(), scan_phases.tolist())
     ]
-    return dist, items
-
-
-def _delta_stepping_vector(
-    graph: CSRGraph,
-    source: int,
-    delta: float,
-    max_buckets: int,
-) -> tuple[np.ndarray, list[WorkItem]]:
-    """Bucketed-array engine: vectorized scans, lazy bucket membership.
-
-    Bucket membership lives in ``bucket_of`` (the authoritative bucket of
-    every vertex, ``-1`` when unreached/settled-stale) plus per-bucket
-    lists of pending member chunks.  Insertions append whole arrays;
-    deletions are lazy — a chunk entry counts only while ``bucket_of``
-    still agrees — and ``np.unique`` both dedupes and yields the sorted
-    frontier the scalar ``sorted(set)`` iteration produces.
-    """
-    n = graph.num_vertices
-    dist = np.full(n, np.inf)
-    light, heavy, cycles, _, has_parallel_edges = _build_phases(
-        graph, delta
-    )
-    phases = {True: light, False: heavy}
-
-    items: list[WorkItem] = []
-    bucket_of = np.full(n, -1, dtype=np.int64)
-    pending: dict[int, list[np.ndarray]] = {
-        0: [np.asarray([source], dtype=np.int64)]
-    }
-    bucket_of[source] = 0
-    dist[source] = 0.0
-
-    def scan(v: int, table: _PhaseTable) -> None:
-        items.append(WorkItem(
-            lines=table.lines(v), compute_cycles=cycles[v]
-        ))
-        a, b = table.indptr[v], table.indptr[v + 1]
-        if a == b:
-            return
-        targets = table.targets[a:b]
-        candidates = dist[v] + table.weights[a:b]
-        improving = candidates < dist[targets]
-        if not improving.any():
-            return
-        t = targets[improving]
-        c = candidates[improving]
-        if has_parallel_edges and t.size > 1:
-            # Keep the per-target minimum — the scalar sequential
-            # relaxations' final state.
-            order = np.lexsort((c, t))
-            t, c = t[order], c[order]
-            keep = np.ones(t.size, dtype=bool)
-            keep[1:] = t[1:] != t[:-1]
-            t, c = t[keep], c[keep]
-        dist[t] = c
-        new_buckets = (c / delta).astype(np.int64)
-        bucket_of[t] = new_buckets
-        for b_val in np.unique(new_buckets):
-            pending.setdefault(int(b_val), []).append(
-                t[new_buckets == b_val]
-            )
-
-    def valid_members(bucket: int) -> np.ndarray | None:
-        """Pop ``bucket``'s chunks; sorted unique still-valid members."""
-        chunks = pending.pop(bucket, None)
-        if chunks is None:
-            return None
-        members = np.concatenate(chunks)
-        members = members[bucket_of[members] == bucket]
-        if members.size == 0:
-            return None
-        return np.unique(members)
-
-    light, heavy = phases[True], phases[False]
-    processed_buckets = 0
-    while processed_buckets < max_buckets and pending:
-        bucket_index = min(pending)
-        frontier = valid_members(bucket_index)
-        if frontier is None:
-            continue  # every member moved on — never a live bucket
-        settled_parts: list[np.ndarray] = []
-        while frontier is not None:
-            settled_parts.append(frontier)
-            for v in frontier.tolist():
-                scan(v, light)
-            frontier = valid_members(bucket_index)
-        settled = np.unique(np.concatenate(settled_parts))
-        for v in settled.tolist():
-            scan(v, heavy)
-        processed_buckets += 1
     return dist, items
 
 

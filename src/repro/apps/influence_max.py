@@ -108,11 +108,16 @@ def sample_rrr_ic_pinned(
     """IC RRR set with hash-pinned coins (ordering-invariant cascades).
 
     ``original_of[x]`` maps a (possibly relabelled) vertex back to its
-    original identity, which keys the per-edge coins.  Under the vector
-    engine the cascade is drawn through the batched sampler
-    (:mod:`repro.apps.batch`); the scalar path below is the retained
-    ground truth.
+    original identity, which keys the per-edge coins.  ``root`` must be
+    a vertex of ``[0, n)`` (``ValueError`` otherwise).  Under the native
+    and vector engines the cascade is drawn through the batch sampler
+    (:mod:`repro.apps.batch`, the ``rrr_sample`` kernel when it can
+    run); the scalar path below is the retained ground truth.
     """
+    if not 0 <= root < graph.num_vertices:
+        raise ValueError(
+            f"root {root} is not a vertex of [0, {graph.num_vertices})"
+        )
     if resolve_engine(engine) != "scalar":
         from .batch import sample_rrr_ic_pinned_batch
 
@@ -432,8 +437,9 @@ def run_influence_maximization(
     The IMM estimation loop halves the OPT guess until the greedy coverage
     certifies a lower bound, then ``theta`` samples are drawn (both stages
     capped at ``max_samples``), seeds selected, and the sampling trace
-    replayed on the simulated machine.  Under the vector engine the IC
-    samples are drawn through the batched sampler; ``jobs > 1``
+    replayed on the simulated machine.  Under the native and vector
+    engines the IC samples are drawn through the batch sampler (the
+    ``rrr_sample`` kernel when it can run); ``jobs > 1``
     additionally fans sample blocks out across pool workers
     (bit-identical either way — pinned cascades are deterministic per
     sample index).
@@ -455,7 +461,7 @@ def run_influence_maximization(
 
     def draw(count: int, existing: list[RRRSet]) -> None:
         if model == "ic" and resolve_engine() != "scalar":
-            # Batched draw: roots come off the dedicated stream one at a
+            # Batch draw: roots come off the dedicated stream one at a
             # time (same rng call sequence as the scalar loop), then the
             # whole block of pending sample indices is cascaded at once.
             from .batch import sample_rrr_ic_pinned_batch

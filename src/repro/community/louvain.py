@@ -25,6 +25,7 @@ import numpy as np
 from .._native import louvain as native_louvain
 from ..engine import resolve_engine
 from ..graph.csr import CSRGraph
+from ..graph.permute import is_valid_ordering
 from ..partition.coarsen import contract_by_labels
 from .modularity import modularity_with_loops, weighted_degrees
 
@@ -102,10 +103,8 @@ class _LouvainState:
         self.total = graph.total_weight() + float(self_loops.sum())
         self.community = np.arange(n, dtype=np.int64)
         self.comm_tot = self.k.copy()
-        # Per-tier scratch, built lazily and reused across sweeps: the
-        # vector tier's adjacency lists, the native tier's CSR arrays.
-        self._adj: list[list[int]] | None = None
-        self._adj_w: list[list[float]] | None = None
+        # The native tier's CSR arrays and scratch, built lazily and
+        # reused across sweeps.
         self._csr: tuple[np.ndarray, ...] | None = None
 
     def sweep(
@@ -114,21 +113,17 @@ class _LouvainState:
         """One full vertex sweep; returns (moves, comms_scanned, edges).
 
         The native engine runs the whole sweep in C
-        (:mod:`repro._native.louvain`); the vector engine runs the same
-        greedy on native Python containers.  Both keep the scalar loop's
+        (:mod:`repro._native.louvain`), keeping the scalar loop's
         accumulation order, candidate order and gain expression, so moves,
-        gains, and community totals are bit-identical to it.
+        gains, and community totals are bit-identical to it.  Every other
+        engine, and a native engine whose kernel cannot run, takes the
+        scalar loop.
         """
-        engine = resolve_engine()
-        if engine == "scalar":
-            return self._sweep_scalar(order)
-        if self.total == 0:
-            return 0, 0, 0
-        if engine == "native":
+        if resolve_engine() == "native" and self.total != 0:
             result = self._sweep_native(order)
             if result is not None:
                 return result
-        return self._sweep_vector(order)
+        return self._sweep_scalar(order)
 
     def _sweep_native(
         self, order: np.ndarray
@@ -137,8 +132,6 @@ class _LouvainState:
         graph = self.graph
         n = graph.num_vertices
         order = np.ascontiguousarray(order, dtype=np.int64)
-        if order.size and (order.min() < 0 or order.max() >= n):
-            return None  # leave out-of-range ids to the Python tiers
         if self._csr is None:
             weights = (
                 graph.weights
@@ -157,69 +150,6 @@ class _LouvainState:
             self._csr, order, self.k, self.total,
             self.community, self.comm_tot,
         )
-
-    def _sweep_vector(
-        self, order: np.ndarray
-    ) -> tuple[int, int, int]:
-        """Vector tier of :meth:`sweep` (one bulk CSR conversion).
-
-        Python float and numpy float64 arithmetic are the same IEEE
-        operations, so this is bit-identical to the scalar loop.
-        """
-        graph = self.graph
-        n = graph.num_vertices
-        if self._adj is None:
-            indptr = graph.indptr.tolist()
-            flat = graph.indices.tolist()
-            self._adj = [
-                flat[indptr[v]: indptr[v + 1]] for v in range(n)
-            ]
-            flat_w = (
-                graph.weights.tolist()
-                if graph.weights is not None
-                else [1.0] * len(flat)
-            )
-            self._adj_w = [
-                flat_w[indptr[v]: indptr[v + 1]] for v in range(n)
-            ]
-        adj, adj_w = self._adj, self._adj_w
-        community = self.community.tolist()
-        comm_tot = self.comm_tot.tolist()
-        k = self.k.tolist()
-        m = self.total
-        moves = 0
-        comms_scanned = 0
-        edges_scanned = 0
-        for v in order.tolist():
-            cv = community[v]
-            nbrs = adj[v]
-            edges_scanned += len(nbrs)
-            # Weight from v to each neighbouring community.
-            link: dict[int, float] = {cv: 0.0}
-            for u, w in zip(nbrs, adj_w[v]):
-                cu = community[u]
-                link[cu] = link.get(cu, 0.0) + w
-            comms_scanned += len(link)
-            # Remove v from its community.
-            kv = k[v]
-            comm_tot[cv] -= kv
-            base = link[cv] - comm_tot[cv] * kv / (2.0 * m)
-            best_c, best_gain = cv, 0.0
-            for c, w_vc in link.items():
-                if c == cv:
-                    continue
-                gain = (w_vc - comm_tot[c] * kv / (2.0 * m)) - base
-                if gain > best_gain + 1e-15 or (
-                    abs(gain - best_gain) <= 1e-15 and c < best_c
-                ):
-                    best_c, best_gain = c, gain
-            community[v] = best_c
-            comm_tot[best_c] += kv
-            if best_c != cv:
-                moves += 1
-        self.community = np.asarray(community, dtype=np.int64)
-        self.comm_tot = np.asarray(comm_tot, dtype=np.float64)
-        return moves, comms_scanned, edges_scanned
 
     def _sweep_scalar(
         self, order: np.ndarray
@@ -287,10 +217,11 @@ def louvain_one_phase(
     Parameters
     ----------
     vertex_order:
-        The order in which vertices are visited within a sweep.  Natural
-        order by default; the application study passes the order induced by
-        a reordering scheme, because that is exactly the mechanism by which
-        vertex ordering affects Grappolo.
+        The order in which vertices are visited within a sweep: a
+        permutation of ``[0, n)`` (anything else raises ``ValueError``).
+        Natural order by default; the application study passes the order
+        induced by a reordering scheme, because that is exactly the
+        mechanism by which vertex ordering affects Grappolo.
 
     Returns
     -------
@@ -299,12 +230,16 @@ def louvain_one_phase(
     n = graph.num_vertices
     if self_loops is None:
         self_loops = np.zeros(n, dtype=np.float64)
+    if vertex_order is None:
+        order = np.arange(n, dtype=np.int64)
+    else:
+        order = np.asarray(vertex_order, dtype=np.int64)
+        # the native sweep indexes every CSR array with these ids
+        if not is_valid_ordering(order, n):
+            raise ValueError(
+                f"vertex_order must be a permutation of [0, {n})"
+            )
     state = _LouvainState(graph, self_loops)
-    order = (
-        np.arange(n, dtype=np.int64)
-        if vertex_order is None
-        else np.asarray(vertex_order, dtype=np.int64)
-    )
     iterations: list[IterationStats] = []
     prev_q = (
         modularity_with_loops(graph, self_loops, state.community)

@@ -1,18 +1,24 @@
 """Engine selection for the vectorized ordering/partition hot paths.
 
 Mirroring the batched trace-replay engine of :mod:`repro.simulator.batch`,
-every expensive ordering construction keeps a **tiered** implementation:
+every expensive ordering construction keeps a **tiered** implementation,
+two tiers per loop:
 
 * a *scalar* reference — the original per-vertex/per-edge Python loops,
   kept as ground truth and exercised by the equivalence tests;
-* a *vector* engine — numpy frontier-at-a-time traversals and array-based
-  aggregation, required to be **bit-identical** to the scalar path: same
-  permutation, same operation counts, same metadata;
-* a *native* tier — lazily compiled C kernels (:mod:`repro._native`) for
-  the few loops that resist vectorisation, equally bit-identical.  A hot
-  path with no native kernel (or whose kernel failed to build, or no C
-  compiler available) simply runs its vector engine under the native
-  tier, so ``"native"`` is always safe to request.
+* one faster tier, required to be **bit-identical** to the scalar path
+  (same permutation, same operation counts, same metadata) — either
+  the *vector* engine (numpy frontier-at-a-time traversals and
+  array-based aggregation) or, for the few loops that resist
+  vectorisation, a *native* lazily compiled C kernel
+  (:mod:`repro._native`).
+
+A loop with no native kernel runs its vector engine under the native
+tier, so ``"native"`` is always safe to request.  A loop with a kernel
+has no vector tier: under ``"vector"``, or when its kernel failed to
+build or no C compiler is available, it runs its scalar reference.
+Gorder and the simulator's dynamic-region replay are the two loops that
+keep a vector tier beside their kernel.
 
 This resolution is the one switch that decides whether C runs: every
 native dispatch site asks for its kernel only when the engine resolves

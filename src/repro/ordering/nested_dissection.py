@@ -83,7 +83,7 @@ class NestedDissectionOrder(OrderingScheme):
         counter.count_vertices(n)
         engine = resolve_engine()
         if engine == "native" and _native_fm.KERNEL.lib() is None:
-            engine = "vector"  # partition kernels unavailable/degraded: numpy ran
+            engine = "vector"  # partition kernels unavailable/degraded: Python ran
         return ordering_from_sequence(sequence), {
             "max_depth": max_depth,
             "leaf_size": self._leaf_size,

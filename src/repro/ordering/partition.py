@@ -97,7 +97,7 @@ class MetisOrder(OrderingScheme):
         sequence = np.argsort(assignment, kind="stable")
         engine = resolve_engine()
         if engine == "native" and _native_fm.KERNEL.lib() is None:
-            engine = "vector"  # partition kernels unavailable/degraded: numpy ran
+            engine = "vector"  # partition kernels unavailable/degraded: Python ran
         return ordering_from_sequence(sequence), {
             "num_parts": num_parts,
             "edge_cut": result.cut,

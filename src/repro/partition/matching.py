@@ -47,8 +47,7 @@ def heavy_edge_matching(
     """
     n = graph.num_vertices
     visit_order = rng.permutation(n)
-    engine = resolve_engine()
-    if engine == "native":
+    if resolve_engine() == "native":
         match = _native_fm.hem_match(
             graph.indptr,
             graph.indices,
@@ -59,10 +58,6 @@ def heavy_edge_matching(
         )
         if match is not None:
             return match
-    if engine != "scalar":
-        return _heavy_edge_matching_vector(
-            graph, visit_order, vertex_weights, max_vertex_weight
-        )
     match = np.full(n, -1, dtype=np.int64)
     for u in visit_order:
         u = int(u)
@@ -92,49 +87,6 @@ def heavy_edge_matching(
     return match
 
 
-def _heavy_edge_matching_vector(
-    graph: CSRGraph,
-    visit_order: np.ndarray,
-    vertex_weights: np.ndarray | None,
-    max_vertex_weight: float | None,
-) -> np.ndarray:
-    """HEM with pre-sorted candidate lists.
-
-    One global lexsort orders each adjacency row by (weight desc, id asc);
-    the scalar max-scan picks exactly the first still-eligible entry of
-    that row, so scanning the sorted row and stopping at the first
-    eligible candidate yields the identical matching.
-    """
-    n = graph.num_vertices
-    srcs = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    if graph.weights is None:
-        sorted_nbrs = graph.indices.tolist()  # rows already sorted by id
-    else:
-        order = np.lexsort((graph.indices, -graph.weights, srcs))
-        sorted_nbrs = graph.indices[order].tolist()
-    indptr = graph.indptr.tolist()
-    vw = vertex_weights.tolist() if vertex_weights is not None else None
-    constrained = vw is not None and max_vertex_weight is not None
-    match = [-1] * n
-    for u in visit_order.tolist():
-        if match[u] != -1:
-            continue
-        best = -1
-        for v in sorted_nbrs[indptr[u]: indptr[u + 1]]:
-            if v == u or match[v] != -1:
-                continue
-            if constrained and vw[u] + vw[v] > max_vertex_weight:
-                continue
-            best = v
-            break
-        if best == -1:
-            match[u] = u
-        else:
-            match[u] = best
-            match[best] = u
-    return np.asarray(match, dtype=np.int64)
-
-
 def matching_to_coarse_map(match: np.ndarray) -> tuple[np.ndarray, int]:
     """Convert a matching into a fine-to-coarse vertex map.
 
@@ -144,20 +96,18 @@ def matching_to_coarse_map(match: np.ndarray) -> tuple[np.ndarray, int]:
     deterministic given the matching.
     """
     n = match.size
-    engine = resolve_engine()
-    if engine == "native":
+    # the kernel writes coarse_of[match[v]]: a partner outside [0, n)
+    # would land outside the map
+    if n and (match.min() < 0 or match.max() >= n):
+        raise ValueError(
+            f"matching_to_coarse_map: partners must lie in [0, {n})"
+        )
+    if resolve_engine() == "native":
         mapped = _native_fm.coarse_map(
             np.ascontiguousarray(match, dtype=np.int64)
         )
         if mapped is not None:
             return mapped
-    if engine != "scalar":
-        # Each pair's representative is its lower fine id; the scalar scan
-        # assigns ids in ascending representative order, which is exactly
-        # np.unique's sorted inverse.
-        reps = np.minimum(np.arange(n, dtype=np.int64), match)
-        uniq, inverse = np.unique(reps, return_inverse=True)
-        return inverse.astype(np.int64), int(uniq.size)
     coarse_of = np.full(n, -1, dtype=np.int64)
     next_id = 0
     for v in range(n):

@@ -88,6 +88,13 @@ def fm_refine(
     """
     part = np.asarray(part, dtype=np.int64).copy()
     n = graph.num_vertices
+    # the kernel indexes part weights by label: anything but one 0/1
+    # label per vertex would write outside them
+    if part.shape != (n,) or (n and (part.min() < 0 or part.max() > 1)):
+        raise ValueError(
+            f"fm_refine: part must hold one 0/1 label per vertex "
+            f"(n = {n})"
+        )
     if n == 0:
         return part
     total = float(vertex_weights.sum())
@@ -128,14 +135,10 @@ def _one_pass(
 ) -> bool:
     """One FM pass; mutates ``part``; returns whether the cut improved.
 
-    The native tier never reaches here when its kernel is available —
-    :func:`fm_refine` escalates the whole pass loop to C — so a
-    non-scalar engine always means the vector pass.
+    The scalar reference of the ``fm_refine`` kernel, which runs the
+    whole pass loop in C.  Every engine but ``"native"`` runs this pass,
+    and so does the native engine when the kernel cannot run.
     """
-    if resolve_engine() != "scalar":
-        return _one_pass_vector(
-            graph, part, vertex_weights, limits, max_negative_moves
-        )
     n = graph.num_vertices
     gains = move_gains(graph, part)
     weights = partition_weights(part, vertex_weights)
@@ -195,82 +198,3 @@ def _one_pass(
         part[v] = 1 - part[v]
     return best_cut < start_cut - 1e-12
 
-
-def _one_pass_vector(
-    graph: CSRGraph,
-    part: np.ndarray,
-    vertex_weights: np.ndarray,
-    limits: tuple[float, float],
-    max_negative_moves: int,
-) -> bool:
-    """`_one_pass` on native containers: same heap traffic, same floats.
-
-    Python float and numpy float64 arithmetic are the same IEEE
-    operations, so every gain, balance, and cut value — and therefore
-    every heap pop and the returned partition — matches the scalar pass
-    bit-exactly.
-    """
-    n = graph.num_vertices
-    gains = move_gains(graph, part).tolist()
-    weights = partition_weights(part, vertex_weights).tolist()
-    start_cut = edge_cut(graph, part)
-
-    part_l = part.tolist()
-    vw_l = vertex_weights.tolist()
-    indptr = graph.indptr.tolist()
-    flat = graph.indices.tolist()
-    flat_w = (
-        graph.weights.tolist()
-        if graph.weights is not None
-        else None
-    )
-
-    locked = [False] * n
-    heap = [(-gains[v], v) for v in range(n)]
-    heapq.heapify(heap)
-
-    moves: list[int] = []
-    cut = start_cut
-    best_cut = start_cut
-    best_prefix = 0
-    negatives = 0
-
-    while heap and negatives <= max_negative_moves:
-        neg_gain, v = heapq.heappop(heap)
-        if locked[v] or -neg_gain != gains[v]:
-            continue
-        src = part_l[v]
-        dst = 1 - src
-        vw = vw_l[v]
-        if weights[dst] + vw > limits[dst]:
-            continue  # would unbalance; skip this vertex this pass
-        # Commit the move.
-        locked[v] = True
-        part_l[v] = dst
-        weights[src] -= vw
-        weights[dst] += vw
-        cut -= gains[v]
-        moves.append(v)
-        if cut < best_cut - 1e-12:
-            best_cut = cut
-            best_prefix = len(moves)
-            negatives = 0
-        else:
-            negatives += 1
-        # Update neighbour gains.
-        for k in range(indptr[v], indptr[v + 1]):
-            u = flat[k]
-            if locked[u]:
-                continue
-            w = flat_w[k] if flat_w is not None else 1.0
-            if part_l[u] == dst:
-                gains[u] -= 2.0 * w
-            else:
-                gains[u] += 2.0 * w
-            heapq.heappush(heap, (-gains[u], u))
-
-    # Roll back moves after the best prefix.
-    for v in moves[best_prefix:]:
-        part_l[v] = 1 - part_l[v]
-    part[:] = part_l
-    return best_cut < start_cut - 1e-12

@@ -7,7 +7,8 @@ bounded event log.  Two families feed it:
 * **Native kernels.**  A kernel that fails its build or raises at
   dispatch is turned off for the rest of the process
   (:meth:`repro._native.core.NativeKernel.disable`); every later call
-  runs its declared ``vector_twin``/``scalar_twin``.  The kernels are
+  runs the Python tier — for most kernels their declared
+  ``scalar_twin``.  The kernels are
   deterministic, so a failed build stays failed and a runtime fault
   recurs on the same input — there is nothing to retry.  Twins are
   bit-identical by contract, so the downgrade never changes results,

@@ -153,7 +153,6 @@ def test_compiler_rejects_uninitialized_read(knobs):
         UNINIT_SRC,
         symbols={},
         scalar_twin="builtins:sum",
-        vector_twin="builtins:sum",
     )
     try:
         with pytest.raises(native_core.NativeBuildError) as excinfo:
@@ -303,9 +302,9 @@ def test_discovery_on_a_synthetic_tree(tmp_path):
         """
 
         ONE = NativeKernel("one", _SOURCE, symbols={},
-                           scalar_twin="a:b", vector_twin="a:b")
+                           scalar_twin="a:b")
         TWO = NativeKernel("two", "int x;", symbols={},
-                           scalar_twin="a:b", vector_twin="a:b")
+                           scalar_twin="a:b")
         '''
     )
     (tmp_path / "mod.py").write_text(module)

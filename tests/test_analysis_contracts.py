@@ -432,16 +432,12 @@ def test_real_bench_wiring_passes():
 
 
 # ----------------------------------------------------------------------
-# Native-twin contract: kernels name resolvable twins
+# Native-twin contract: kernels name a resolvable scalar twin
 # ----------------------------------------------------------------------
 NATIVE_TREE_BASE = {
     "repro/__init__.py": "",
     "repro/ref.py": """
         def scalar_k(x):
-            return x
-
-
-        def vector_k(x):
             return x
         """,
     "repro/_native/__init__.py": "",
@@ -453,7 +449,7 @@ NATIVE_TREE_BASE = {
 }
 
 
-def _native_tree(tmp_path, vector_twin: str = "repro.ref:vector_k"):
+def _native_tree(tmp_path, scalar_twin: str = "repro.ref:scalar_k"):
     files = dict(NATIVE_TREE_BASE)
     files["repro/_native/foo.py"] = f"""
         from .core import NativeKernel
@@ -463,8 +459,7 @@ def _native_tree(tmp_path, vector_twin: str = "repro.ref:vector_k"):
             "k",
             "int x;",
             symbols={{}},
-            scalar_twin="repro.ref:scalar_k",
-            vector_twin="{vector_twin}",
+            scalar_twin="{scalar_twin}",
         )
         """
     src = write_tree(tmp_path, files)
@@ -476,7 +471,7 @@ def test_kernel_with_resolvable_twins_passes(tmp_path):
 
 
 def test_kernel_with_unresolvable_twin_detected(tmp_path):
-    findings = _native_tree(tmp_path, vector_twin="repro.ref:missing")
+    findings = _native_tree(tmp_path, scalar_twin="repro.ref:missing")
     assert [f.rule for f in findings] == ["native-twin"]
     assert "'repro.ref:missing'" in findings[0].message
 

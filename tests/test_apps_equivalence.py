@@ -1,11 +1,13 @@
-"""The vector app engines are bit-identical to the scalar references.
+"""The app engines are bit-identical to the scalar references.
 
 Mirror of ``test_engine_equivalence.py`` for the application workloads
 (:mod:`repro.apps`) and the locality measures: every engine-gated path
 keeps its original Python loop as executable ground truth, and these
 tests require the *exact* same outputs — RRR vertex visit order, seeds
 and tie-breaks, operation counts, distances, work-item line streams —
-not approximate agreement.
+not approximate agreement.  RRR sampling and delta-stepping have no
+vector tier (their C kernels fall back to the scalar loop), so those
+tests compare the native engine with the scalar one.
 """
 
 import numpy as np
@@ -14,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.batch import (
-    edge_coins_bulk,
     greedy_seed_selection_vector,
     sample_rrr_ic_pinned_batch,
 )
@@ -22,7 +23,6 @@ from repro.apps.community_detection import build_sweep_items
 from repro.apps.delta_stepping import delta_stepping
 from repro.apps.influence_max import (
     RRRSet,
-    _edge_coins,
     greedy_seed_selection,
     sample_rrr_ic,
     sample_rrr_ic_pinned,
@@ -61,23 +61,6 @@ def assert_items_equal(a, b) -> None:
         assert x.compute_cycles == y.compute_cycles
 
 
-class TestEdgeCoinsBulk:
-    def test_matches_scalar_per_sample(self):
-        rng = np.random.default_rng(0)
-        orig_u = rng.integers(0, 500, size=400).astype(np.int64)
-        orig_v = rng.integers(0, 500, size=400).astype(np.int64)
-        idx = rng.integers(0, 32, size=400).astype(np.int64)
-        for seed in (0, 7, 12345):
-            bulk = edge_coins_bulk(orig_u, orig_v, idx, seed)
-            for i in range(orig_u.size):
-                scalar = _edge_coins(
-                    int(orig_u[i]),
-                    np.asarray([int(orig_v[i])], dtype=np.int64),
-                    int(idx[i]), seed,
-                )[0]
-                assert bulk[i] == scalar
-
-
 class TestPinnedBatch:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     @pytest.mark.parametrize("probability", [0.05, 0.3, 1.0])
@@ -90,7 +73,6 @@ class TestPinnedBatch:
         indices = np.arange(20, dtype=np.int64)
         batched = sample_rrr_ic_pinned_batch(
             graph, probability, roots, original_of, indices, 7,
-            batch_size=6,
         )
         for i in range(20):
             scalar = sample_rrr_ic_pinned(
@@ -142,10 +124,9 @@ class TestPinnedBatch:
         n=st.integers(2, 30),
         m=st.integers(0, 90),
         seed=st.integers(0, 2**16),
-        batch_size=st.integers(1, 9),
         probability=st.floats(0.05, 0.95),
     )
-    def test_random_graphs(self, n, m, seed, batch_size, probability):
+    def test_random_graphs(self, n, m, seed, probability):
         graph = random_graph(n, m, seed=seed)
         original_of = np.arange(n, dtype=np.int64)
         roots = np.random.default_rng(seed + 1).integers(
@@ -154,7 +135,6 @@ class TestPinnedBatch:
         indices = np.arange(8, dtype=np.int64)
         batched = sample_rrr_ic_pinned_batch(
             graph, probability, roots, original_of, indices, seed,
-            batch_size=batch_size,
         )
         for i in range(8):
             scalar = sample_rrr_ic_pinned(
@@ -243,18 +223,18 @@ class TestDeltaStepping:
     def test_unweighted_matches_scalar(self, name):
         graph = GRAPHS[name]
         d_s, i_s = delta_stepping(graph, 0, engine="scalar")
-        d_v, i_v = delta_stepping(graph, 0, engine="vector")
-        assert np.array_equal(d_s, d_v)
-        assert_items_equal(i_s, i_v)
+        d_n, i_n = delta_stepping(graph, 0, engine="native")
+        assert np.array_equal(d_s, d_n)
+        assert_items_equal(i_s, i_n)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 5.0, None])
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_weighted_matches_scalar(self, delta, seed):
         graph = _weighted_graph(35, 120, seed)
         d_s, i_s = delta_stepping(graph, 0, delta=delta, engine="scalar")
-        d_v, i_v = delta_stepping(graph, 0, delta=delta, engine="vector")
-        assert np.array_equal(d_s, d_v)
-        assert_items_equal(i_s, i_v)
+        d_n, i_n = delta_stepping(graph, 0, delta=delta, engine="native")
+        assert np.array_equal(d_s, d_n)
+        assert_items_equal(i_s, i_n)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -267,9 +247,9 @@ class TestDeltaStepping:
         graph = _weighted_graph(n, m, seed)
         source = source % n
         d_s, i_s = delta_stepping(graph, source, engine="scalar")
-        d_v, i_v = delta_stepping(graph, source, engine="vector")
-        assert np.array_equal(d_s, d_v)
-        assert_items_equal(i_s, i_v)
+        d_n, i_n = delta_stepping(graph, source, engine="native")
+        assert np.array_equal(d_s, d_n)
+        assert_items_equal(i_s, i_n)
 
 
 class TestSweepItems:
@@ -327,10 +307,10 @@ class TestEngineContextDispatch:
         graph = GRAPHS["random"]
         with use_engine("scalar"):
             d_s, i_s = delta_stepping(graph, 0)
-        with use_engine("vector"):
-            d_v, i_v = delta_stepping(graph, 0)
-        assert np.array_equal(d_s, d_v)
-        assert_items_equal(i_s, i_v)
+        with use_engine("native"):
+            d_n, i_n = delta_stepping(graph, 0)
+        assert np.array_equal(d_s, d_n)
+        assert_items_equal(i_s, i_n)
 
 
 class TestEndToEndInfluenceMax:
@@ -343,12 +323,12 @@ class TestEndToEndInfluenceMax:
         kwargs = dict(k=4, probability=0.2, max_samples=120, seed=3)
         with use_engine("scalar"):
             base = run_influence_maximization(graph, ordering, **kwargs)
-        with use_engine("vector"):
-            vec = run_influence_maximization(graph, ordering, **kwargs)
+        with use_engine("native"):
+            nat = run_influence_maximization(graph, ordering, **kwargs)
             par = run_influence_maximization(
                 graph, ordering, jobs=2, **kwargs
             )
-        for other in (vec, par):
+        for other in (nat, par):
             assert base.seeds == other.seeds
             assert base.num_samples == other.num_samples
             assert base.estimated_spread == other.estimated_spread

@@ -1,7 +1,7 @@
 """The native (C) tier is bit-identical to its scalar ground truth.
 
-Every :class:`repro._native.core.NativeKernel` declares scalar and
-vector twins; this suite is the dynamic half of that contract (the
+Every :class:`repro._native.core.NativeKernel` declares a scalar
+twin; this suite is the dynamic half of that contract (the
 static half is the reprolint ``native-twin`` check).  Each kernel is
 driven against its scalar twin over structured and random inputs, and
 the build-info reporting surface is pinned.
@@ -79,8 +79,7 @@ def test_build_info_fields(name):
     assert isinstance(info["available"], bool)
     assert isinstance(info["status"], str) and info["status"]
     assert info["source_digest"]
-    for role in ("scalar_twin", "vector_twin"):
-        assert ":" in info[role]
+    assert ":" in info["scalar_twin"]
     if info["available"]:
         assert info["fallback"] is None
     else:
@@ -99,12 +98,11 @@ def test_twins_resolve_dynamically():
 
     for name in KERNEL_NAMES:
         info = native_core.get_kernel(name).build_info()
-        for target in (info["scalar_twin"], info["vector_twin"]):
-            mod_name, qualname = target.split(":")
-            obj = importlib.import_module(mod_name)
-            for part in qualname.split("."):
-                obj = getattr(obj, part)
-            assert callable(obj)
+        mod_name, qualname = info["scalar_twin"].split(":")
+        obj = importlib.import_module(mod_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj)
 
 
 def test_reset_forgets_build_state():
@@ -271,12 +269,11 @@ def test_native_louvain_phase_with_self_loops_matches_scalar():
     coarse, loops = level.graph, level.vertex_weights
     assert loops.any()
     runs = {}
-    for engine in ("native", "vector", "scalar"):
+    for engine in ("native", "scalar"):
         with use_engine(engine):
             runs[engine] = louvain_one_phase(coarse, self_loops=loops)
-    for engine in ("native", "vector"):
-        assert np.array_equal(runs[engine][0], runs["scalar"][0])
-        assert runs[engine][1] == runs["scalar"][1]
+    assert np.array_equal(runs["native"][0], runs["scalar"][0])
+    assert runs["native"][1] == runs["scalar"][1]
 
 
 @given(
@@ -511,6 +508,96 @@ def test_rrr_sampling_native_matches_scalar(budget, monkeypatch):
         assert a.edges_examined == c.edges_examined
 
 
+# ---------------------------------------------------------------------------
+# Ids the kernels index with: every tier rejects the same bad ids
+# ---------------------------------------------------------------------------
+ENGINES = ("native", "vector", "scalar")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("root", ("minus_one", "n"))
+def test_rrr_roots_outside_vertex_range_rejected(engine, root):
+    from repro.apps.batch import sample_rrr_ic_pinned_batch
+
+    graph = GRAPHS["random"]
+    n = graph.num_vertices
+    roots = np.asarray([0, -1 if root == "minus_one" else n, 3])
+    with use_engine(engine), pytest.raises(ValueError, match="roots"):
+        sample_rrr_ic_pinned_batch(
+            graph, 0.3, roots, np.arange(n, dtype=np.int64),
+            np.arange(3, dtype=np.int64), 9, jobs=1,
+        )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_rrr_original_of_must_map_every_vertex(engine):
+    from repro.apps.batch import sample_rrr_ic_pinned_batch
+
+    graph = GRAPHS["random"]
+    n = graph.num_vertices
+    with use_engine(engine), pytest.raises(ValueError, match="original_of"):
+        sample_rrr_ic_pinned_batch(
+            graph, 0.3, np.asarray([0, 3]), np.arange(n // 2),
+            np.arange(2, dtype=np.int64), 9, jobs=1,
+        )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("labels", ("minus_one", "two", "short"))
+def test_fm_refine_rejects_labels_outside_the_bisection(engine, labels):
+    from repro.partition import fm_refine
+
+    graph = GRAPHS["random"]
+    n = graph.num_vertices
+    part = np.arange(n, dtype=np.int64) % 2
+    if labels == "minus_one":
+        part[7] = -1
+    elif labels == "two":
+        part[7] = 2
+    else:
+        part = part[:-1]
+    with use_engine(engine), pytest.raises(ValueError, match="0/1"):
+        fm_refine(graph, part, np.ones(n))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("source", ("minus_one", "n"))
+def test_delta_stepping_rejects_source_outside_vertex_range(engine, source):
+    graph = GRAPHS["random"]
+    n = graph.num_vertices
+    with pytest.raises(ValueError, match="source"):
+        delta_stepping(
+            graph, -1 if source == "minus_one" else n, engine=engine
+        )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("order", ("minus_one", "repeat", "short"))
+def test_louvain_rejects_vertex_order_that_is_no_permutation(engine, order):
+    graph = GRAPHS["random"]
+    n = graph.num_vertices
+    vertex_order = np.arange(n, dtype=np.int64)
+    if order == "minus_one":
+        vertex_order[5] = -1
+    elif order == "repeat":
+        vertex_order[5] = vertex_order[6]
+    else:
+        vertex_order = vertex_order[:-1]
+    with use_engine(engine), pytest.raises(ValueError, match="permutation"):
+        louvain(graph, vertex_order=vertex_order)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("partner", ("minus_one", "n"))
+def test_coarse_map_rejects_partner_outside_vertex_range(engine, partner):
+    from repro.partition import matching_to_coarse_map
+
+    match = np.arange(10, dtype=np.int64)
+    match[4] = -1 if partner == "minus_one" else 10
+    with use_engine(engine), pytest.raises(ValueError, match="partners"):
+        matching_to_coarse_map(match)
+
+
 def test_degree_ordering_under_build_failure(knobs):
     kernel = native_core.get_kernel("counting_sort")
     graph = GRAPHS["random"]
@@ -701,7 +788,6 @@ def test_compile_failure_surfaces_stderr(knobs):
         BROKEN_SRC,
         symbols={},
         scalar_twin="builtins:sum",
-        vector_twin="builtins:sum",
     )
     try:
         with pytest.raises(native_core.NativeBuildError) as excinfo:
