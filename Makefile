@@ -19,15 +19,20 @@ clint:
 # Sanitizer legs: rebuild every native kernel under an instrumented
 # profile (cache-keyed separately from the -O3 builds) and run the
 # bit-identity suites (the apps suite drives the RRR and delta kernels
-# over random graphs); any sanitizer report fails the leg with its
-# SUMMARY line (scripts/native_sanitize.sh).
+# over random graphs, the partition suites drive partition_bisect);
+# any sanitizer report fails the leg with its SUMMARY line
+# (scripts/native_sanitize.sh).
 test-asan:
 	sh scripts/native_sanitize.sh asan -x -q tests/test_native_kernels.py \
-		tests/test_ingest.py tests/test_apps_equivalence.py
+		tests/test_ingest.py tests/test_apps_equivalence.py \
+		tests/test_partition_multilevel.py \
+		tests/test_partition_properties.py
 
 test-ubsan:
 	sh scripts/native_sanitize.sh ubsan -x -q tests/test_native_kernels.py \
-		tests/test_ingest.py tests/test_apps_equivalence.py
+		tests/test_ingest.py tests/test_apps_equivalence.py \
+		tests/test_partition_multilevel.py \
+		tests/test_partition_properties.py
 
 test-sanitize:
 	REPRO_SANITIZE=1 PYTHONPATH=src python -m pytest -x -q \

@@ -1,26 +1,56 @@
-"""Compiled partition kernels: FM refinement and region growing.
+"""Compiled multilevel bisection: one library call per ``bisect``.
 
-Nested dissection and METIS spend their time in two loops that resist
-vectorisation because every step depends on the previous one:
+METIS and nested dissection spend their time in
+:func:`repro.partition.multilevel.bisect`.  Under the native engine the
+whole bisection runs in the ``partition_bisect`` symbol, one call on
+the CSR arrays:
 
-* :func:`repro.partition.refine._one_pass` — the FM boundary pass
-  (the scalar twin): a lazy max-heap over ``(-gain, v)`` with balance
-  checks, hill-climbing, and best-prefix rollback.  The native kernel escalates
-  the *whole* :func:`repro.partition.refine.fm_refine` pass loop —
-  per-pass gains, part weights, and starting cut included — so a refine
-  call is a single library call instead of hundreds of round-trips;
-* :func:`repro.partition.initial._grow_one` — greedy graph growing
-  (scalar twin ``_grow_one_scalar``): absorb the frontier vertex with
-  the best accumulated cut gain until half the weight is inside.
+* coarsening — heavy-edge matching on a Fisher–Yates visit order, the
+  coarse map, the 0.95 stall test, and contraction into a sorted,
+  merged coarse CSR with summed vertex weights;
+* the greedy-growing tries, with the disconnected top-up and a strict
+  best-cut pick;
+* FM refinement of the coarsest bisection, then projection and FM at
+  every finer level, and the final edge cut.
 
-Bit-identity argument: both kernels run the exact same IEEE double
-operations in the exact same order as the Python loops (Python ``float``
-arithmetic *is* C ``double`` arithmetic), the FM heap pops the multiset
-minimum ``(-gain, v)`` exactly as ``heapq`` does, the per-pass gain /
-weight / cut recomputations follow the scalar engine's row order (which
-the vector engine's ``bincount`` / ``cumsum`` folds reproduce), and the
-growth scan picks ``max(frontier, key=(gain, -x))`` by scanning
-vertices in ascending order with a strict-greater test.
+Its scalar twin is :func:`repro.partition.multilevel._bisect_python`,
+the same pipeline in Python.  The matching, growing and FM routines are
+``static`` helpers shared with the per-piece symbols (``fm_refine``,
+``grow_region``, ``hem_match``, ``coarse_map_from_matching``), which
+still serve :func:`~repro.partition.refine.fm_refine`,
+:func:`~repro.partition.initial.greedy_bisection` and the matching
+functions when those are called on their own.
+
+Bit-identity argument against the twin:
+
+* **Draws.** The kernel draws from the caller's
+  :class:`numpy.random.Generator` through ``bit_generator.ctypes``
+  (``next_uint32`` on ``state_address``) with ``bit_generator.lock``
+  held, in the order the pipeline draws.  ``permutation(n)`` is
+  numpy's Fisher–Yates from the top with ``random_interval``;
+  ``integers(m)`` is numpy's 32-bit Lemire draw and makes no draw for
+  ``m == 1``.  Parts, cut and the generator's state after the call
+  match the pipeline.  numpy does not promise this stream across
+  versions: ``tests/test_native_kernels.py`` checks the C draws against
+  ``Generator.permutation``/``integers`` directly.
+* **Sums.** Every ``vertex_weights.sum()`` of the pipeline (the
+  matching cap, the growing target, the FM limits) is numpy's pairwise
+  sum: blocks of at most 128 with 8 accumulators, longer runs split at
+  ``n/2`` rounded down to a multiple of 8.  Every other sum is
+  sequential in the scalar scan order, which the vector engine's
+  ``bincount``/``cumsum`` folds reproduce, and ``(1 + imbalance) *
+  target_fraction * total`` keeps Python's left-to-right order.
+* **Loops.** Python ``float`` arithmetic *is* C ``double`` arithmetic;
+  the FM heap pops the multiset minimum ``(-gain, v)`` exactly as
+  ``heapq`` does, and the growth scan picks ``max(frontier, key=(gain,
+  -x))`` by scanning vertices in ascending order with a strict-greater
+  test.
+* **No draws before a decline.** :func:`bisect` declines (returns
+  ``None``, so the twin runs) only before its first draw: an
+  unavailable or faulted kernel, weights that are not finite float64,
+  or a graph too large for 32-bit draws.  Once the kernel has drawn,
+  the generator has moved, so a failed allocation raises
+  :class:`MemoryError` instead of falling back.
 """
 
 from __future__ import annotations
@@ -29,13 +59,145 @@ import ctypes
 
 import numpy as np
 
-from .core import NativeKernel, guarded
+from .core import NativeKernel, guarded, runtime_gate
 
-__all__ = ["KERNEL", "refine", "grow_region", "hem_match", "coarse_map"]
+__all__ = [
+    "KERNEL", "bisect", "refine", "grow_region", "hem_match", "coarse_map",
+]
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <math.h>
+
+/* A CSR graph; w == NULL means every edge weighs 1.0. */
+typedef struct {
+    const int64_t *indptr;
+    const int64_t *indices;
+    const double *w;
+    int64_t n;
+} csr_t;
+
+static double edge_weight(const csr_t *g, int64_t k)
+{
+    return g->w ? g->w[k] : 1.0;
+}
+
+/* Total weight of edges crossing the bisection, summed in row order
+   (repro.partition.initial.edge_cut). */
+static double cut_of(const csr_t *g, const int64_t *part)
+{
+    double cut = 0.0;
+    for (int64_t u = 0; u < g->n; u++) {
+        int64_t pu = part[u];
+        for (int64_t k = g->indptr[u]; k < g->indptr[u + 1]; k++) {
+            int64_t v = g->indices[k];
+            if (v > u && part[v] != pu)
+                cut += edge_weight(g, k);
+        }
+    }
+    return cut;
+}
+
+/* numpy's pairwise float64 sum (np.sum on a contiguous array): blocks
+   of at most 128 summed with 8 accumulators, larger runs split at n/2
+   rounded down to a multiple of 8. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int64_t j = 0; j < 8; j++)
+            r[j] = a[j];
+        int64_t i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int64_t j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* ------------------------------------------------------------------
+   Draws from the caller's numpy bit generator, in numpy's own order.
+   ------------------------------------------------------------------ */
+typedef uint32_t (*next_uint32_fn)(void *state);
+
+typedef struct {
+    next_uint32_fn next;
+    void *state;
+} draws_t;
+
+/* numpy's random_interval for max < 2**32: uniform in [0, max] by
+   masked rejection. */
+static uint64_t draw_interval(const draws_t *d, uint64_t max)
+{
+    if (max == 0)
+        return 0;
+    uint64_t mask = max;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    uint64_t value;
+    while ((value = (d->next(d->state) & mask)) > max)
+        ;
+    return value;
+}
+
+/* Generator.integers(m) for 1 <= m <= 2**32: numpy's 32-bit Lemire
+   draw; m == 1 draws nothing. */
+static int64_t draw_below(const draws_t *d, int64_t m)
+{
+    uint32_t rng = (uint32_t)(m - 1);
+    if (rng == 0)
+        return 0;
+    if (rng == UINT32_MAX)
+        return (int64_t)d->next(d->state);
+    uint32_t rng_excl = rng + 1;
+    uint64_t prod = (uint64_t)d->next(d->state) * rng_excl;
+    uint32_t leftover = (uint32_t)prod;
+    if (leftover < rng_excl) {
+        uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            prod = (uint64_t)d->next(d->state) * rng_excl;
+            leftover = (uint32_t)prod;
+        }
+    }
+    return (int64_t)(prod >> 32);
+}
+
+/* Generator.permutation(n): Fisher-Yates from the top, j drawn with
+   random_interval(i). */
+static void draw_permutation(const draws_t *d, int64_t *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = i;
+    for (int64_t i = n - 1; i >= 1; i--) {
+        int64_t j = (int64_t)draw_interval(d, (uint64_t)i);
+        int64_t t = out[i];
+        out[i] = out[j];
+        out[j] = t;
+    }
+}
+
+/* ------------------------------------------------------------------
+   FM refinement
+   ------------------------------------------------------------------ */
 
 /* binary min-heap over (-gain, v): pops max gain, ties lowest vertex.
    Entries are (gain, v) pairs; less(a, b) == (-ga, va) < (-gb, vb). */
@@ -94,31 +256,33 @@ static void heap_pop(double *hg, int64_t *hv, int64_t *size,
     hv[i] = lv;
 }
 
-/* One FM pass: mutates part/gains/part_weights; returns 1 when the cut
-   improved, 0 otherwise, -1 on heap overflow (cannot happen under the
-   caller's n + num_edges bound). */
-static int64_t fm_one_pass(const int64_t *indptr,
-                    const int64_t *indices,
-                    const double *edge_w,
-                    int64_t has_edge_w,
-                    int64_t n,
-                    double *gains,
-                    int64_t *part,
-                    const double *vertex_weights,
-                    double *part_weights,     /* 2 */
-                    const double *limits,     /* 2 */
-                    int64_t max_negative_moves,
-                    double start_cut,
-                    double *heap_g,
-                    int64_t *heap_v,
-                    int64_t heap_cap,
-                    uint8_t *locked,          /* n, zeroed */
-                    int64_t *moves,           /* n */
-                    double *best_cut_out)
+/* Caller-owned FM scratch: gains, locked and moves hold n entries, the
+   heap heap_cap >= n + num_edges + 1. */
+typedef struct {
+    double *gains;
+    double *heap_g;
+    int64_t *heap_v;
+    int64_t heap_cap;
+    uint8_t *locked;
+    int64_t *moves;
+} fm_scratch_t;
+
+/* One FM pass (repro.partition.refine._one_pass): mutates part, the
+   gains and part_weights; returns 1 when the cut improved, 0
+   otherwise, -1 on heap overflow (cannot happen under the heap_cap
+   bound). */
+static int64_t fm_one_pass(const csr_t *g, int64_t *part,
+                           const double *vertex_weights,
+                           double *part_weights,     /* 2 */
+                           const double *limits,     /* 2 */
+                           int64_t max_negative_moves,
+                           double start_cut,
+                           const fm_scratch_t *s)
 {
+    double *gains = s->gains;
     int64_t heap_size = 0;
-    for (int64_t v = 0; v < n; v++)
-        heap_push(heap_g, heap_v, &heap_size, gains[v], v);
+    for (int64_t v = 0; v < g->n; v++)
+        heap_push(s->heap_g, s->heap_v, &heap_size, gains[v], v);
 
     int64_t num_moves = 0;
     double cut = start_cut;
@@ -127,22 +291,22 @@ static int64_t fm_one_pass(const int64_t *indptr,
     int64_t negatives = 0;
 
     while (heap_size > 0 && negatives <= max_negative_moves) {
-        double g;
+        double gv;
         int64_t v;
-        heap_pop(heap_g, heap_v, &heap_size, &g, &v);
-        if (locked[v] || g != gains[v])
+        heap_pop(s->heap_g, s->heap_v, &heap_size, &gv, &v);
+        if (s->locked[v] || gv != gains[v])
             continue; /* stale entry */
         int64_t src = part[v];
         int64_t dst = 1 - src;
         double vw = vertex_weights[v];
         if (part_weights[dst] + vw > limits[dst])
             continue; /* would unbalance; skip this vertex this pass */
-        locked[v] = 1;
+        s->locked[v] = 1;
         part[v] = dst;
         part_weights[src] -= vw;
         part_weights[dst] += vw;
         cut -= gains[v];
-        moves[num_moves++] = v;
+        s->moves[num_moves++] = v;
         if (cut < best_cut - 1e-12) {
             best_cut = cut;
             best_prefix = num_moves;
@@ -150,84 +314,59 @@ static int64_t fm_one_pass(const int64_t *indptr,
         } else {
             negatives++;
         }
-        for (int64_t k = indptr[v]; k < indptr[v + 1]; k++) {
-            int64_t u = indices[k];
-            if (locked[u])
+        for (int64_t k = g->indptr[v]; k < g->indptr[v + 1]; k++) {
+            int64_t u = g->indices[k];
+            if (s->locked[u])
                 continue;
-            double w = has_edge_w ? edge_w[k] : 1.0;
+            double w = edge_weight(g, k);
             if (part[u] == dst)
                 gains[u] -= 2.0 * w;
             else
                 gains[u] += 2.0 * w;
-            if (heap_size >= heap_cap)
+            if (heap_size >= s->heap_cap)
                 return -1;
-            heap_push(heap_g, heap_v, &heap_size, gains[u], u);
+            heap_push(s->heap_g, s->heap_v, &heap_size, gains[u], u);
         }
     }
     for (int64_t i = best_prefix; i < num_moves; i++)
-        part[moves[i]] = 1 - part[moves[i]];
-    *best_cut_out = best_cut;
+        part[s->moves[i]] = 1 - part[s->moves[i]];
     return best_cut < start_cut - 1e-12;
 }
 
-/* Full FM refinement: up to max_passes passes, recomputing gains, part
-   weights, and the starting cut before each pass exactly as the Python
-   driver does (scalar row order; the vector engine's bincount/cumsum
-   folds reproduce the same sums).  Mutates part; returns 1, or -1 on
-   heap overflow. */
-int64_t fm_refine(const int64_t *indptr,
-                  const int64_t *indices,
-                  const double *edge_w,
-                  int64_t has_edge_w,
-                  int64_t n,
-                  int64_t *part,
-                  const double *vertex_weights,
-                  const double *limits,     /* 2 */
-                  int64_t max_negative_moves,
-                  int64_t max_passes,
-                  double *gains,            /* n scratch */
-                  double *part_weights,     /* 2 scratch */
-                  double *heap_g,
-                  int64_t *heap_v,
-                  int64_t heap_cap,
-                  uint8_t *locked,          /* n scratch */
-                  int64_t *moves)           /* n scratch */
+/* Full FM refinement (repro.partition.refine.fm_refine's pass loop):
+   up to max_passes passes, recomputing gains, part weights and the
+   starting cut before each pass in the scalar row order.  Mutates
+   part; returns 1, or -1 on heap overflow. */
+static int64_t refine_passes(const csr_t *g, int64_t *part,
+                             const double *vertex_weights,
+                             const double *limits,
+                             int64_t max_negative_moves,
+                             int64_t max_passes,
+                             const fm_scratch_t *s)
 {
+    int64_t n = g->n;
     for (int64_t pass = 0; pass < max_passes; pass++) {
         for (int64_t u = 0; u < n; u++) {
             int64_t pu = part[u];
-            double g = 0.0;
-            for (int64_t k = indptr[u]; k < indptr[u + 1]; k++) {
-                double w = has_edge_w ? edge_w[k] : 1.0;
-                if (part[indices[k]] == pu)
-                    g -= w;
+            double gu = 0.0;
+            for (int64_t k = g->indptr[u]; k < g->indptr[u + 1]; k++) {
+                double w = edge_weight(g, k);
+                if (part[g->indices[k]] == pu)
+                    gu -= w;
                 else
-                    g += w;
+                    gu += w;
             }
-            gains[u] = g;
+            s->gains[u] = gu;
         }
-        part_weights[0] = 0.0;
-        part_weights[1] = 0.0;
+        double part_weights[2] = {0.0, 0.0};
         for (int64_t v = 0; v < n; v++)
             part_weights[part[v]] += vertex_weights[v];
-        double cut = 0.0;
-        for (int64_t u = 0; u < n; u++) {
-            int64_t pu = part[u];
-            for (int64_t k = indptr[u]; k < indptr[u + 1]; k++) {
-                int64_t v = indices[k];
-                if (v > u && part[v] != pu)
-                    cut += has_edge_w ? edge_w[k] : 1.0;
-            }
-        }
+        double cut = cut_of(g, part);
         if (n > 0)  /* tells the compiler the cast below cannot wrap */
-            memset(locked, 0, (size_t)n);
-        double best_cut;
-        int64_t improved = fm_one_pass(indptr, indices, edge_w, has_edge_w,
-                                       n, gains, part, vertex_weights,
+            memset(s->locked, 0, (size_t)n);
+        int64_t improved = fm_one_pass(g, part, vertex_weights,
                                        part_weights, limits,
-                                       max_negative_moves, cut,
-                                       heap_g, heap_v, heap_cap,
-                                       locked, moves, &best_cut);
+                                       max_negative_moves, cut, s);
         if (improved < 0)
             return -1;
         if (!improved)
@@ -236,22 +375,17 @@ int64_t fm_refine(const int64_t *indptr,
     return 1;
 }
 
-/* Greedy region growing: absorb the frontier vertex with the best
-   accumulated gain (ties: lowest id) until grown >= target. */
-void grow_region(const int64_t *indptr,
-                 const int64_t *indices,
-                 const double *edge_w,
-                 int64_t has_edge_w,
-                 int64_t n,
-                 const double *vertex_weights,
-                 int64_t seed,
-                 double target,
-                 int64_t *part,        /* all ones on entry; mutated */
-                 uint8_t *in_frontier, /* n scratch */
-                 double *fgain,        /* n scratch */
-                 double *grown_out)
+/* Greedy region growing (repro.partition.initial._grow_one_scalar):
+   absorb the frontier vertex with the best accumulated gain (ties:
+   lowest id) until grown >= target.  part is all ones on entry; the
+   grown weight is returned. */
+static double grow_from(const csr_t *g, const double *vertex_weights,
+                        int64_t seed, double target, int64_t *part,
+                        uint8_t *in_frontier, double *fgain)
 {
-    memset(in_frontier, 0, (size_t)n);
+    int64_t n = g->n;
+    if (n > 0)
+        memset(in_frontier, 0, (size_t)n);
     double grown = 0.0;
     int64_t frontier_count = 1;
     in_frontier[seed] = 1;
@@ -273,11 +407,11 @@ void grow_region(const int64_t *indptr,
             continue; /* parity guard; frontier never holds absorbed */
         part[v] = 0;
         grown += vertex_weights[v];
-        for (int64_t k = indptr[v]; k < indptr[v + 1]; k++) {
-            int64_t u = indices[k];
+        for (int64_t k = g->indptr[v]; k < g->indptr[v + 1]; k++) {
+            int64_t u = g->indices[k];
             if (part[u] == 0)
                 continue;
-            double w = has_edge_w ? edge_w[k] : 1.0;
+            double w = edge_weight(g, k);
             if (in_frontier[u]) {
                 fgain[u] += w;
             } else {
@@ -287,25 +421,19 @@ void grow_region(const int64_t *indptr,
             }
         }
     }
-    *grown_out = grown;
+    return grown;
 }
 
-/* Randomised heavy-edge matching: visit vertices in visit_order, match
-   each unmatched vertex with its unmatched neighbour of maximum edge
-   weight (ties: lowest id), optionally subject to a combined vertex
-   weight cap.  Exact replica of the scalar scan in
-   repro.partition.matching.heavy_edge_matching. */
-void hem_match(const int64_t *indptr,
-               const int64_t *indices,
-               const double *edge_w,
-               int64_t has_edge_w,
-               int64_t n,
-               const int64_t *visit_order,
-               const double *vertex_weights, /* NULL-able via constrained */
-               int64_t constrained,
-               double max_vertex_weight,
-               int64_t *match)               /* n out */
+/* Randomised heavy-edge matching (repro.partition.matching.
+   heavy_edge_matching's scalar scan): visit vertices in visit_order,
+   match each unmatched vertex with its unmatched neighbour of maximum
+   edge weight (ties: lowest id), optionally subject to a combined
+   vertex weight cap. */
+static void hem(const csr_t *g, const int64_t *visit_order,
+                const double *vertex_weights, int64_t constrained,
+                double max_vertex_weight, int64_t *match)
 {
+    int64_t n = g->n;
     for (int64_t v = 0; v < n; v++)
         match[v] = -1;
     for (int64_t i = 0; i < n; i++) {
@@ -314,14 +442,14 @@ void hem_match(const int64_t *indptr,
             continue;
         int64_t best = -1;
         double best_w = -1.0;
-        for (int64_t k = indptr[u]; k < indptr[u + 1]; k++) {
-            int64_t v = indices[k];
+        for (int64_t k = g->indptr[u]; k < g->indptr[u + 1]; k++) {
+            int64_t v = g->indices[k];
             if (v == u || match[v] != -1)
                 continue;
             if (constrained &&
                 vertex_weights[u] + vertex_weights[v] > max_vertex_weight)
                 continue;
-            double w = has_edge_w ? edge_w[k] : 1.0;
+            double w = edge_weight(g, k);
             if (w > best_w || (w == best_w && v < best)) {
                 best = v;
                 best_w = w;
@@ -336,12 +464,10 @@ void hem_match(const int64_t *indptr,
     }
 }
 
-/* Matching -> fine-to-coarse map: coarse ids assigned in ascending order
-   of the pair's lower fine id (repro.partition.matching.
-   matching_to_coarse_map's scalar scan).  Returns the coarse count. */
-int64_t coarse_map_from_matching(const int64_t *match,
-                                 int64_t n,
-                                 int64_t *coarse_of) /* n out */
+/* Matching -> fine-to-coarse map: coarse ids in ascending order of the
+   pair's lower fine id.  Returns the coarse count. */
+static int64_t coarse_ids(const int64_t *match, int64_t n,
+                          int64_t *coarse_of)
 {
     for (int64_t v = 0; v < n; v++)
         coarse_of[v] = -1;
@@ -357,16 +483,497 @@ int64_t coarse_map_from_matching(const int64_t *match,
     }
     return next_id;
 }
+
+/* ------------------------------------------------------------------
+   Exported per-piece kernels (one library call per piece)
+   ------------------------------------------------------------------ */
+int64_t fm_refine(const int64_t *indptr,
+                  const int64_t *indices,
+                  const double *edge_w,
+                  int64_t has_edge_w,
+                  int64_t n,
+                  int64_t *part,
+                  const double *vertex_weights,
+                  const double *limits,     /* 2 */
+                  int64_t max_negative_moves,
+                  int64_t max_passes,
+                  double *gains,            /* n scratch */
+                  double *heap_g,
+                  int64_t *heap_v,
+                  int64_t heap_cap,
+                  uint8_t *locked,          /* n scratch */
+                  int64_t *moves)           /* n scratch */
+{
+    csr_t g = {indptr, indices, has_edge_w ? edge_w : NULL, n};
+    fm_scratch_t s = {gains, heap_g, heap_v, heap_cap, locked, moves};
+    return refine_passes(&g, part, vertex_weights, limits,
+                         max_negative_moves, max_passes, &s);
+}
+
+void grow_region(const int64_t *indptr,
+                 const int64_t *indices,
+                 const double *edge_w,
+                 int64_t has_edge_w,
+                 int64_t n,
+                 const double *vertex_weights,
+                 int64_t seed,
+                 double target,
+                 int64_t *part,        /* all ones on entry; mutated */
+                 uint8_t *in_frontier, /* n scratch */
+                 double *fgain,        /* n scratch */
+                 double *grown_out)
+{
+    csr_t g = {indptr, indices, has_edge_w ? edge_w : NULL, n};
+    *grown_out = grow_from(&g, vertex_weights, seed, target, part,
+                           in_frontier, fgain);
+}
+
+void hem_match(const int64_t *indptr,
+               const int64_t *indices,
+               const double *edge_w,
+               int64_t has_edge_w,
+               int64_t n,
+               const int64_t *visit_order,
+               const double *vertex_weights, /* NULL-able via constrained */
+               int64_t constrained,
+               double max_vertex_weight,
+               int64_t *match)               /* n out */
+{
+    csr_t g = {indptr, indices, has_edge_w ? edge_w : NULL, n};
+    hem(&g, visit_order, vertex_weights, constrained, max_vertex_weight,
+        match);
+}
+
+int64_t coarse_map_from_matching(const int64_t *match,
+                                 int64_t n,
+                                 int64_t *coarse_of) /* n out */
+{
+    return coarse_ids(match, n, coarse_of);
+}
+
+/* Test hooks for the draw and sum helpers. */
+void draw_permutation_into(next_uint32_fn next, void *state, int64_t n,
+                           int64_t *out)
+{
+    draws_t d = {next, state};
+    draw_permutation(&d, out, n);
+}
+
+void draw_integers_into(next_uint32_fn next, void *state, int64_t m,
+                        int64_t count, int64_t *out)
+{
+    draws_t d = {next, state};
+    for (int64_t i = 0; i < count; i++)
+        out[i] = draw_below(&d, m);
+}
+
+double pairwise_sum_f64(const double *a, int64_t n)
+{
+    return pairwise_sum(a, n);
+}
+
+/* ------------------------------------------------------------------
+   One whole multilevel bisection (repro.partition.multilevel.
+   _bisect_python)
+   ------------------------------------------------------------------ */
+
+/* One coarsening level; level 0 is the caller's graph. */
+typedef struct {
+    csr_t g;
+    const double *vw;
+    const int64_t *map;   /* previous level's vertex -> this level's */
+    void *block;          /* owns every array of a coarse level */
+} level_t;
+
+/* Contraction scratch, every array sized for the finest level's
+   directed edge count (no level has more upper-triangle entries). */
+typedef struct {
+    int64_t *t_lo;
+    int64_t *t_hi;
+    double *t_w;
+    int64_t *perm_a;
+    int64_t *perm_b;
+    int64_t *p_hi;
+    double *p_w;
+    int64_t *counts;      /* n + 1 */
+} contract_scratch_t;
+
+/* First half of repro.partition.coarsen.contract_by_labels: the
+   distinct coarse pairs (lo < hi) sorted by (lo, hi), each weight
+   summed over its fine edges in fine scan order (u ascending, row
+   order; entries with v < u and intra-class edges skipped).  The pairs
+   land in perm_a (lo), p_hi and p_w; returns their count. */
+static int64_t contract_pairs(const csr_t *g, const int64_t *cmap,
+                              int64_t nc, const contract_scratch_t *s)
+{
+    int64_t t = 0;
+    for (int64_t u = 0; u < g->n; u++) {
+        int64_t cu = cmap[u];
+        for (int64_t k = g->indptr[u]; k < g->indptr[u + 1]; k++) {
+            int64_t v = g->indices[k];
+            if (v < u)
+                continue;
+            int64_t cv = cmap[v];
+            if (cu == cv)
+                continue;
+            s->t_lo[t] = cu < cv ? cu : cv;
+            s->t_hi[t] = cu < cv ? cv : cu;
+            s->t_w[t] = edge_weight(g, k);
+            t++;
+        }
+    }
+    /* stable LSD counting sort: by hi into perm_b, then by lo into
+       perm_a */
+    memset(s->counts, 0, (size_t)(nc + 1) * sizeof(int64_t));
+    for (int64_t i = 0; i < t; i++)
+        s->counts[s->t_hi[i] + 1]++;
+    for (int64_t c = 0; c < nc; c++)
+        s->counts[c + 1] += s->counts[c];
+    for (int64_t i = 0; i < t; i++) {
+        int64_t pos = s->counts[s->t_hi[i]];
+        s->counts[s->t_hi[i]] = pos + 1;
+        s->perm_b[pos] = i;
+    }
+    memset(s->counts, 0, (size_t)(nc + 1) * sizeof(int64_t));
+    for (int64_t i = 0; i < t; i++)
+        s->counts[s->t_lo[i] + 1]++;
+    for (int64_t c = 0; c < nc; c++)
+        s->counts[c + 1] += s->counts[c];
+    for (int64_t i = 0; i < t; i++) {
+        int64_t e = s->perm_b[i];
+        int64_t pos = s->counts[s->t_lo[e]];
+        s->counts[s->t_lo[e]] = pos + 1;
+        s->perm_a[pos] = e;
+    }
+    /* merge runs of equal pairs; perm_a is rewritten in place with the
+       pair's lo, never ahead of the run being read */
+    int64_t num_pairs = 0;
+    int64_t i = 0;
+    while (i < t) {
+        int64_t e = s->perm_a[i];
+        int64_t lo = s->t_lo[e];
+        int64_t hi = s->t_hi[e];
+        double acc = 0.0;
+        while (i < t && s->t_lo[s->perm_a[i]] == lo &&
+               s->t_hi[s->perm_a[i]] == hi) {
+            acc += s->t_w[s->perm_a[i]];
+            i++;
+        }
+        s->perm_a[num_pairs] = lo;
+        s->p_hi[num_pairs] = hi;
+        s->p_w[num_pairs] = acc;
+        num_pairs++;
+    }
+    return num_pairs;
+}
+
+/* Second half: the coarse CSR (rows sorted by neighbour id, as
+   GraphBuilder.build leaves them), coarse vertex weights summed in fine
+   vertex order, and a copy of the fine-to-coarse map, all carved from
+   out->block. */
+static void contract_emit(const csr_t *fine, const double *fine_vw,
+                          const int64_t *cmap, int64_t nc,
+                          int64_t num_pairs,
+                          const contract_scratch_t *s, level_t *out)
+{
+    int64_t *indptr = (int64_t *)out->block;
+    int64_t *indices = indptr + nc + 1;
+    int64_t *map = indices + 2 * num_pairs;
+    double *w = (double *)(map + fine->n);
+    double *vw = w + 2 * num_pairs;
+
+    for (int64_t c = 0; c < nc; c++)
+        vw[c] = 0.0;
+    for (int64_t v = 0; v < fine->n; v++)
+        vw[cmap[v]] += fine_vw[v];
+    memcpy(map, cmap, (size_t)fine->n * sizeof(int64_t));
+
+    for (int64_t c = 0; c <= nc; c++)
+        indptr[c] = 0;
+    for (int64_t p = 0; p < num_pairs; p++) {
+        indptr[s->perm_a[p] + 1]++;
+        indptr[s->p_hi[p] + 1]++;
+    }
+    for (int64_t c = 0; c < nc; c++)
+        indptr[c + 1] += indptr[c];
+    int64_t *cursor = s->counts;
+    memcpy(cursor, indptr, (size_t)nc * sizeof(int64_t));
+    /* lower neighbours first (pairs arrive by ascending lo), then the
+       upper ones (by ascending hi): every row comes out sorted */
+    for (int64_t p = 0; p < num_pairs; p++) {
+        int64_t row = s->p_hi[p];
+        int64_t pos = cursor[row];
+        cursor[row] = pos + 1;
+        indices[pos] = s->perm_a[p];
+        w[pos] = s->p_w[p];
+    }
+    for (int64_t p = 0; p < num_pairs; p++) {
+        int64_t row = s->perm_a[p];
+        int64_t pos = cursor[row];
+        cursor[row] = pos + 1;
+        indices[pos] = s->p_hi[p];
+        w[pos] = s->p_w[p];
+    }
+    out->g.indptr = indptr;
+    out->g.indices = indices;
+    out->g.w = w;
+    out->g.n = nc;
+    out->vw = vw;
+    out->map = map;
+}
+
+/* One greedy-growing trial (repro.partition.initial._grow_one): a
+   drawn seed, the grown region, the degenerate fix-up and the
+   disconnected top-up, which draws from the ascending list of part-1
+   vertices. */
+static void grow_trial(const csr_t *g, const double *vw, const draws_t *d,
+                       double target, int64_t *part, uint8_t *in_frontier,
+                       double *fgain, int64_t *remaining)
+{
+    int64_t n = g->n;
+    for (int64_t v = 0; v < n; v++)
+        part[v] = 1;
+    int64_t seed = draw_below(d, n);
+    double grown = grow_from(g, vw, seed, target, part, in_frontier,
+                             fgain);
+    int64_t any_zero = 0;
+    for (int64_t v = 0; v < n && !any_zero; v++)
+        any_zero = part[v] == 0;
+    if (!any_zero || grown == 0.0)
+        part[seed] = 0;
+    if (!(grown < target))
+        return;
+    int64_t left = 0;
+    for (int64_t v = 0; v < n; v++)
+        if (part[v] == 1)
+            remaining[left++] = v;
+    while (grown < target) {
+        if (left <= 1)
+            break;
+        int64_t j = draw_below(d, left);
+        int64_t v = remaining[j];
+        part[v] = 0;
+        grown += vw[v];
+        memmove(remaining + j, remaining + j + 1,
+                (size_t)(left - j - 1) * sizeof(int64_t));
+        left--;
+    }
+}
+
+/* FM-refine one level against the (1 + imbalance) * target limits,
+   the total weight summed as np.sum does. */
+static int64_t refine_level(const csr_t *g, int64_t *part, const double *vw,
+                            double target_fraction, double imbalance,
+                            int64_t max_negative_moves, int64_t max_passes,
+                            const fm_scratch_t *s)
+{
+    double total = pairwise_sum(vw, g->n);
+    double limits[2] = {
+        (1.0 + imbalance) * target_fraction * total,
+        (1.0 + imbalance) * (1.0 - target_fraction) * total,
+    };
+    return refine_passes(g, part, vw, limits, max_negative_moves,
+                         max_passes, s);
+}
+
+/* The whole multilevel bisection: coarsen by heavy-edge matching on
+   drawn visit orders until coarsest_size or a 0.95 stall, keep the
+   best cut of `trials` greedy-growing tries (a strictly lower cut
+   wins), FM-refine it, then project and refine at every level.  Writes
+   part and the final edge cut; returns 0, -1 when memory ran out, -2
+   when a cannot-happen bound was hit (heap or level capacity) or no
+   trial produced a comparable cut.  Every draw comes from (next, state)
+   in the order the Python pipeline draws; n < 2 draws nothing. */
+int64_t partition_bisect(const int64_t *indptr,
+                         const int64_t *indices,
+                         const double *edge_w,
+                         int64_t has_edge_w,
+                         int64_t n,
+                         const double *vertex_weights,
+                         double target_fraction,
+                         double imbalance,
+                         int64_t trials,
+                         int64_t coarsest_size,
+                         int64_t max_negative_moves,
+                         int64_t max_passes,
+                         next_uint32_fn next,
+                         void *state,
+                         int64_t *part_out,        /* n out */
+                         double *cut_out)
+{
+    draws_t d = {next, state};
+    if (n < 2) {
+        for (int64_t v = 0; v < n; v++)
+            part_out[v] = 0;
+        *cut_out = 0.0;
+        return 0;
+    }
+    int64_t m = indptr[n];
+    /* every stored level has fewer than 0.95x its parent's vertices,
+       so this bounds the ladder (plus slack for rounding) */
+    int64_t max_levels = 2;
+    for (double x = (double)n; x > (double)coarsest_size; x *= 0.95)
+        max_levels++;
+    int64_t heap_cap = n + 2 * m + 1;
+    size_t n8 = (size_t)n * 8;
+    size_t m8 = (size_t)(m > 0 ? m : 1) * 8;
+    size_t bytes = 11 * n8 + 8                  /* 11 n-arrays, counts n+1 */
+                   + (size_t)heap_cap * 16      /* heap */
+                   + 7 * m8                     /* contraction */
+                   + 2 * (size_t)n;             /* two u8 n-arrays */
+    int64_t status = -1;
+    int64_t nlev = 0;
+    level_t *levels = calloc((size_t)max_levels, sizeof(level_t));
+    unsigned char *scratch = malloc(bytes);
+    if (!levels || !scratch)
+        goto done;
+
+    int64_t *visit = (int64_t *)scratch;
+    int64_t *match = visit + n;
+    int64_t *cmap = match + n;
+    int64_t *part = cmap + n;
+    int64_t *fine_part = part + n;
+    int64_t *best = fine_part + n;
+    int64_t *remaining = best + n;
+    int64_t *moves = remaining + n;
+    int64_t *counts = moves + n;          /* n + 1 */
+    int64_t *heap_v = counts + n + 1;
+    int64_t *t_lo = heap_v + heap_cap;
+    int64_t *t_hi = t_lo + m8 / 8;
+    int64_t *perm_a = t_hi + m8 / 8;
+    int64_t *perm_b = perm_a + m8 / 8;
+    int64_t *p_hi = perm_b + m8 / 8;
+    double *gains = (double *)(p_hi + m8 / 8);
+    double *heap_g = gains + n;
+    double *t_w = heap_g + heap_cap;
+    double *p_w = t_w + m8 / 8;
+    double *fgain = p_w + m8 / 8;
+    uint8_t *locked = (uint8_t *)(fgain + n);
+    uint8_t *in_frontier = locked + n;
+
+    fm_scratch_t fm = {gains, heap_g, heap_v, heap_cap, locked, moves};
+    contract_scratch_t cs = {t_lo, t_hi, t_w, perm_a, perm_b, p_hi, p_w,
+                             counts};
+
+    levels[0].g.indptr = indptr;
+    levels[0].g.indices = indices;
+    levels[0].g.w = has_edge_w ? edge_w : NULL;
+    levels[0].g.n = n;
+    levels[0].vw = vertex_weights;
+
+    /* coarsening (repro.partition.multilevel._coarsening_hierarchy) */
+    double max_vw = pairwise_sum(vertex_weights, n) / (double)coarsest_size;
+    if (!(max_vw > 1.0))
+        max_vw = 1.0;
+    while (levels[nlev].g.n > coarsest_size) {
+        const csr_t *cur = &levels[nlev].g;
+        draw_permutation(&d, visit, cur->n);
+        hem(cur, visit, levels[nlev].vw, 1, max_vw, match);
+        int64_t nc = coarse_ids(match, cur->n, cmap);
+        if ((double)nc >= (double)cur->n * 0.95)
+            break; /* matching stalled */
+        if (nlev + 1 >= max_levels) {
+            status = -2;
+            goto done;
+        }
+        int64_t num_pairs = contract_pairs(cur, cmap, nc, &cs);
+        size_t level_bytes = ((size_t)(nc + 1) + 4 * (size_t)num_pairs +
+                              (size_t)cur->n + (size_t)nc) * 8;
+        levels[nlev + 1].block = malloc(level_bytes);
+        if (!levels[nlev + 1].block)
+            goto done;
+        contract_emit(cur, levels[nlev].vw, cmap, nc, num_pairs, &cs,
+                      &levels[nlev + 1]);
+        nlev++;
+    }
+
+    /* greedy growing on the coarsest graph, best of `trials` */
+    const csr_t *coarsest = &levels[nlev].g;
+    const double *cvw = levels[nlev].vw;
+    double target = target_fraction * pairwise_sum(cvw, coarsest->n);
+    double best_cut = INFINITY;
+    int64_t have_best = 0;
+    for (int64_t t = 0; t < (trials > 1 ? trials : 1); t++) {
+        grow_trial(coarsest, cvw, &d, target, part, in_frontier, fgain,
+                   remaining);
+        double cut = cut_of(coarsest, part);
+        if (cut < best_cut) {
+            best_cut = cut;
+            have_best = 1;
+            memcpy(best, part, (size_t)coarsest->n * sizeof(int64_t));
+        }
+    }
+    if (!have_best) {
+        status = -2;
+        goto done;
+    }
+
+    /* refine the coarsest, then project and refine every finer level */
+    if (refine_level(coarsest, best, cvw, target_fraction, imbalance,
+                     max_negative_moves, max_passes, &fm) < 0) {
+        status = -2;
+        goto done;
+    }
+    int64_t *cur_part = best;
+    for (int64_t lvl = nlev; lvl >= 1; lvl--) {
+        const level_t *fine = &levels[lvl - 1];
+        int64_t *out = cur_part == part ? fine_part : part;
+        for (int64_t v = 0; v < fine->g.n; v++)
+            out[v] = cur_part[levels[lvl].map[v]];
+        cur_part = out;
+        if (refine_level(&fine->g, cur_part, fine->vw, target_fraction,
+                         imbalance, max_negative_moves, max_passes,
+                         &fm) < 0) {
+            status = -2;
+            goto done;
+        }
+    }
+    memcpy(part_out, cur_part, n8);
+    *cut_out = cut_of(&levels[0].g, cur_part);
+    status = 0;
+
+done:
+    for (int64_t i = 1; levels && i <= nlev + 1 && i < max_levels; i++) {
+        void *block = levels[i].block;
+        free(block);
+    }
+    free(scratch);
+    free(levels);
+    return status;
+}
 """
 
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
 _P_F64 = ctypes.POINTER(ctypes.c_double)
 _P_U8 = ctypes.POINTER(ctypes.c_uint8)
+#: numpy's ``bitgen_t.next_uint32``, as ``bit_generator.ctypes`` hands it out.
+_NEXT_U32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
 
 KERNEL = NativeKernel(
     "partition_fm",
     _SOURCE,
     symbols={
+        "partition_bisect": (
+            [
+                _P_I64,  # indptr
+                _P_I64,  # indices
+                _P_F64,  # edge_w
+                ctypes.c_int64,  # has_edge_w
+                ctypes.c_int64,  # n
+                _P_F64,  # vertex_weights
+                ctypes.c_double,  # target_fraction
+                ctypes.c_double,  # imbalance
+                ctypes.c_int64,  # trials
+                ctypes.c_int64,  # coarsest_size
+                ctypes.c_int64,  # max_negative_moves
+                ctypes.c_int64,  # max_passes
+                _NEXT_U32,  # next
+                ctypes.c_void_p,  # state
+                _P_I64,  # part_out
+                _P_F64,  # cut_out
+            ],
+            ctypes.c_int64,
+        ),
         "fm_refine": (
             [
                 _P_I64,  # indptr
@@ -380,7 +987,6 @@ KERNEL = NativeKernel(
                 ctypes.c_int64,  # max_negative_moves
                 ctypes.c_int64,  # max_passes
                 _P_F64,  # gains
-                _P_F64,  # part_weights
                 _P_F64,  # heap_g
                 _P_I64,  # heap_v
                 ctypes.c_int64,  # heap_cap
@@ -429,8 +1035,20 @@ KERNEL = NativeKernel(
             ],
             ctypes.c_int64,
         ),
+        "draw_permutation_into": (
+            [_NEXT_U32, ctypes.c_void_p, ctypes.c_int64, _P_I64],
+            None,
+        ),
+        "draw_integers_into": (
+            [
+                _NEXT_U32, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                _P_I64,
+            ],
+            None,
+        ),
+        "pairwise_sum_f64": ([_P_F64, ctypes.c_int64], ctypes.c_double),
     },
-    scalar_twin="repro.partition.refine:_one_pass",
+    scalar_twin="repro.partition.multilevel:_bisect_python",
 )
 
 
@@ -460,6 +1078,108 @@ def _scratch(key: str, size: int, dtype) -> np.ndarray:
 
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
 
+#: the largest vertex count whose draws stay within numpy's 32-bit paths.
+_MAX_DRAW_N = 1 << 32
+
+
+def bisect(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    edge_w: np.ndarray | None,
+    vertex_weights: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    target_fraction: float,
+    imbalance: float,
+    trials: int,
+    coarsest_size: int,
+    max_negative_moves: int,
+    max_passes: int,
+) -> tuple[np.ndarray, float] | None:
+    """One whole multilevel bisection in C; None when declined.
+
+    Returns ``(part, cut)``, drawing from ``rng`` exactly as
+    :func:`repro.partition.multilevel._bisect_python` does.
+    ``vertex_weights`` must hold one weight per vertex
+    (:func:`repro.partition.multilevel.bisect` checks).  Every decline
+    happens before the first draw; a failure after it raises instead
+    (see the module docstring).
+    """
+    n = indptr.size - 1
+    if (
+        vertex_weights.dtype != np.float64
+        or n >= _MAX_DRAW_N
+        or not np.isfinite(vertex_weights).all()
+        or (edge_w is not None and not np.isfinite(edge_w).all())
+    ):
+        return None  # the twin's float and draw paths differ here
+    lib = KERNEL.lib()
+    if lib is None or not runtime_gate(KERNEL):
+        return None
+    vw = np.ascontiguousarray(vertex_weights)
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    has_w = edge_w is not None
+    weights = np.ascontiguousarray(edge_w) if has_w else _EMPTY_F64
+    part = np.empty(n, dtype=np.int64)
+    cut = np.empty(1, dtype=np.float64)
+    bit_generator = rng.bit_generator
+    iface = bit_generator.ctypes
+    with bit_generator.lock:
+        status = lib.partition_bisect(
+            _i64(indptr),
+            _i64(indices),
+            _f64(weights),
+            int(has_w),
+            n,
+            _f64(vw),
+            float(target_fraction),
+            float(imbalance),
+            int(trials),
+            int(coarsest_size),
+            int(max_negative_moves),
+            int(max_passes),
+            iface.next_uint32,
+            iface.state_address,
+            _i64(part),
+            _f64(cut),
+        )
+    if status == -1:
+        raise MemoryError(
+            f"partition_bisect: out of memory bisecting {n} vertices"
+        )
+    if status != 0:
+        raise RuntimeError(f"partition_bisect failed with status {status}")
+    return part, float(cut[0])
+
+
+def draw_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The kernel's ``permutation(n)`` draw on ``rng`` (test hook)."""
+    out = np.empty(n, dtype=np.int64)
+    iface = rng.bit_generator.ctypes
+    with rng.bit_generator.lock:
+        KERNEL.lib().draw_permutation_into(
+            iface.next_uint32, iface.state_address, n, _i64(out)
+        )
+    return out
+
+
+def draw_integers(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
+    """``count`` of the kernel's ``integers(m)`` draws on ``rng`` (test hook)."""
+    out = np.empty(count, dtype=np.int64)
+    iface = rng.bit_generator.ctypes
+    with rng.bit_generator.lock:
+        KERNEL.lib().draw_integers_into(
+            iface.next_uint32, iface.state_address, m, count, _i64(out)
+        )
+    return out
+
+
+def pairwise_sum(values: np.ndarray) -> float:
+    """The kernel's float64 sum of ``values`` (test hook)."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    return float(KERNEL.lib().pairwise_sum_f64(_f64(values), values.size))
+
 
 @guarded(KERNEL)
 def refine(
@@ -476,8 +1196,8 @@ def refine(
 
     Runs the whole pass loop — gain / weight / cut recomputation included
     — in one library call.  ``vertex_weights`` must be contiguous float64
-    and ``part`` must hold one 0/1 label per vertex
-    (:func:`repro.partition.refine.fm_refine` checks).
+    with one entry per vertex and ``part`` must hold one 0/1 label per
+    vertex (:func:`repro.partition.refine.fm_refine` checks).
     """
     lib = KERNEL.lib()
     if lib is None:
@@ -487,7 +1207,6 @@ def refine(
     heap_g = _scratch("heap_g", heap_cap, np.float64)
     heap_v = _scratch("heap_v", heap_cap, np.int64)
     gains = _scratch("gains", n, np.float64)
-    part_weights = _scratch("part_weights", 2, np.float64)
     locked = _scratch("locked", n, np.uint8)
     moves = _scratch("moves", n, np.int64)
     limits_arr = np.asarray(limits, dtype=np.float64)
@@ -507,7 +1226,6 @@ def refine(
         int(max_negative_moves),
         int(max_passes),
         _f64(gains),
-        _f64(part_weights),
         _f64(heap_g),
         _i64(heap_v),
         heap_cap,

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._native import fm as _native_fm
-from ..engine import ENGINE_METADATA_KEY, resolve_engine
+from ..engine import ENGINE_METADATA_KEY
 from ..graph.csr import CSRGraph
 from ..graph.permute import ordering_from_sequence
 from ..graph.subgraph import induced_subgraph
+from ..partition.multilevel import joint_tier
 from ..partition.separator import vertex_separator
 from .base import OperationCounter, OrderingScheme
 
@@ -54,6 +54,7 @@ class NestedDissectionOrder(OrderingScheme):
         sequence = np.empty(n, dtype=np.int64)
         pos = 0
         max_depth = 0
+        tiers: set[str] = set()
 
         def emit(vertices: np.ndarray) -> None:
             nonlocal pos
@@ -70,6 +71,7 @@ class NestedDissectionOrder(OrderingScheme):
             counter.count_edges(int(graph.degrees()[vertices].sum()))
             sub = induced_subgraph(graph, vertices, keep_weights=False).graph
             split = vertex_separator(sub, seed=rng)
+            tiers.add(split.engine)
             if split.left.size == 0 or split.right.size == 0:
                 # Separator failed to split (e.g. a clique): stop recursing.
                 emit(vertices)
@@ -81,11 +83,8 @@ class NestedDissectionOrder(OrderingScheme):
 
         dissect(np.arange(n, dtype=np.int64), 0)
         counter.count_vertices(n)
-        engine = resolve_engine()
-        if engine == "native" and _native_fm.KERNEL.lib() is None:
-            engine = "vector"  # partition kernels unavailable/degraded: Python ran
         return ordering_from_sequence(sequence), {
             "max_depth": max_depth,
             "leaf_size": self._leaf_size,
-            ENGINE_METADATA_KEY: engine,
+            ENGINE_METADATA_KEY: joint_tier(tiers),
         }

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._native import fm as _native_fm
-from ..engine import ENGINE_METADATA_KEY, resolve_engine
+from ..engine import ENGINE_METADATA_KEY
 from ..graph.csr import CSRGraph
 from ..graph.permute import ordering_from_sequence
 from ..partition.multilevel import partition_graph
@@ -95,12 +94,9 @@ class MetisOrder(OrderingScheme):
             assignment = remap[assignment]
         # Stable sort by part: contiguous parts, natural order within.
         sequence = np.argsort(assignment, kind="stable")
-        engine = resolve_engine()
-        if engine == "native" and _native_fm.KERNEL.lib() is None:
-            engine = "vector"  # partition kernels unavailable/degraded: Python ran
         return ordering_from_sequence(sequence), {
             "num_parts": num_parts,
             "edge_cut": result.cut,
             "part_order": self._part_order,
-            ENGINE_METADATA_KEY: engine,
+            ENGINE_METADATA_KEY: result.engine,
         }

@@ -14,7 +14,34 @@ from .._native import fm as _native_fm
 from ..engine import resolve_engine
 from ..graph.csr import CSRGraph
 
-__all__ = ["greedy_bisection", "edge_cut", "partition_weights"]
+__all__ = [
+    "GROW_TRIALS",
+    "check_vertex_weights",
+    "greedy_bisection",
+    "edge_cut",
+    "partition_weights",
+]
+
+#: greedy-growing tries per initial bisection (the best cut is kept).
+GROW_TRIALS = 4
+
+
+def check_vertex_weights(
+    vertex_weights: np.ndarray, n: int, where: str
+) -> np.ndarray:
+    """``vertex_weights`` as an array holding one weight per vertex.
+
+    The partition kernels read ``vertex_weights[v]`` for every vertex
+    ``v`` unchecked, so anything but a 1-D array of length ``n`` is
+    rejected before a kernel runs.
+    """
+    weights = np.asarray(vertex_weights)
+    if weights.shape != (n,):
+        raise ValueError(
+            f"{where}: vertex_weights must be 1-D with one weight per "
+            f"vertex (n = {n}), got shape {weights.shape}"
+        )
+    return weights
 
 
 def edge_cut(graph: CSRGraph, part: np.ndarray) -> float:
@@ -63,13 +90,16 @@ def greedy_bisection(
     rng: np.random.Generator,
     *,
     target_fraction: float = 0.5,
-    trials: int = 4,
+    trials: int = GROW_TRIALS,
 ) -> np.ndarray:
     """Bisect into parts {0, 1} targeting ``target_fraction`` weight in 0.
 
     Returns the best (lowest-cut) assignment over ``trials`` random seeds.
     """
     n = graph.num_vertices
+    vertex_weights = check_vertex_weights(
+        vertex_weights, n, "greedy_bisection"
+    )
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     total_weight = float(vertex_weights.sum())

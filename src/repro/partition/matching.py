@@ -15,6 +15,7 @@ import numpy as np
 from .._native import fm as _native_fm
 from ..engine import resolve_engine
 from ..graph.csr import CSRGraph
+from .initial import check_vertex_weights
 
 __all__ = ["heavy_edge_matching", "matching_to_coarse_map"]
 
@@ -46,6 +47,10 @@ def heavy_edge_matching(
     itself when unmatched).
     """
     n = graph.num_vertices
+    if vertex_weights is not None:
+        vertex_weights = check_vertex_weights(
+            vertex_weights, n, "heavy_edge_matching"
+        )
     visit_order = rng.permutation(n)
     if resolve_engine() == "native":
         match = _native_fm.hem_match(

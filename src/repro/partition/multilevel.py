@@ -19,11 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._native import fm as _native_fm
+from ..engine import resolve_engine
 from ..graph.csr import CSRGraph
 from .coarsen import CoarseLevel, coarsen_graph
-from .initial import edge_cut, greedy_bisection
+from .initial import (
+    GROW_TRIALS,
+    check_vertex_weights,
+    edge_cut,
+    greedy_bisection,
+)
 from .matching import heavy_edge_matching, matching_to_coarse_map
-from .refine import fm_refine
+from .refine import MAX_NEGATIVE_MOVES, MAX_PASSES, fm_refine
 
 __all__ = ["PartitionResult", "bisect", "partition_graph"]
 
@@ -33,11 +40,19 @@ COARSEST_SIZE = 32
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """A k-way partition of a graph."""
+    """A k-way partition of a graph.
+
+    ``engine`` is the tier that ran the bisections: ``"native"`` only
+    when every one of them was a ``partition_bisect`` kernel call,
+    ``"vector"`` or ``"scalar"`` when the Python pipeline ran (under the
+    native engine, a kernel that could not run), and ``"scalar"`` when
+    there was nothing to bisect.
+    """
 
     assignment: np.ndarray
     num_parts: int
     cut: float
+    engine: str
 
     def part_sizes(self) -> np.ndarray:
         """Number of vertices in each part."""
@@ -79,7 +94,14 @@ def bisect(
     imbalance: float = 0.1,
     seed: int | np.random.Generator | None = 0,
 ) -> PartitionResult:
-    """Multilevel bisection of ``graph`` into parts {0, 1}."""
+    """Multilevel bisection of ``graph`` into parts {0, 1}.
+
+    Under the native engine the whole bisection is one
+    ``partition_bisect`` kernel call (:func:`repro._native.fm.bisect`)
+    drawing from the same generator; its scalar twin
+    :func:`_bisect_python` runs otherwise, with bit-identical parts,
+    cut and generator state.
+    """
     rng = (
         seed
         if isinstance(seed, np.random.Generator)
@@ -88,11 +110,46 @@ def bisect(
     n = graph.num_vertices
     if vertex_weights is None:
         vertex_weights = np.ones(n, dtype=np.float64)
-    if n == 0:
-        return PartitionResult(np.zeros(0, dtype=np.int64), 2, 0.0)
-    if n == 1:
-        return PartitionResult(np.zeros(1, dtype=np.int64), 2, 0.0)
+    vertex_weights = check_vertex_weights(vertex_weights, n, "bisect")
+    if n <= 1:
+        return PartitionResult(np.zeros(n, dtype=np.int64), 2, 0.0, "scalar")
+    engine = resolve_engine()
+    if engine == "native":
+        done = _native_fm.bisect(
+            graph.indptr,
+            graph.indices,
+            graph.weights,
+            vertex_weights,
+            rng,
+            target_fraction=target_fraction,
+            imbalance=imbalance,
+            trials=GROW_TRIALS,
+            coarsest_size=COARSEST_SIZE,
+            max_negative_moves=MAX_NEGATIVE_MOVES,
+            max_passes=MAX_PASSES,
+        )
+        if done is not None:
+            return PartitionResult(done[0], 2, done[1], "native")
+        engine = "vector"  # the kernel declined: the Python pipeline runs
+    part, cut = _bisect_python(
+        graph, vertex_weights, target_fraction, imbalance, rng
+    )
+    return PartitionResult(part, 2, cut, engine)
 
+
+def _bisect_python(
+    graph: CSRGraph,
+    vertex_weights: np.ndarray,
+    target_fraction: float,
+    imbalance: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, float]:
+    """The multilevel pipeline in Python, returning ``(part, cut)``.
+
+    The scalar twin of the ``partition_bisect`` kernel: coarsen, grow,
+    refine at the coarsest level, then project and refine at every
+    level.
+    """
     levels = _coarsening_hierarchy(graph, vertex_weights, rng)
     coarsest = levels[-1].graph if levels else graph
     coarsest_vw = levels[-1].vertex_weights if levels else vertex_weights
@@ -120,7 +177,7 @@ def bisect(
             target_fraction=target_fraction, imbalance=imbalance,
         )
 
-    return PartitionResult(part, 2, edge_cut(graph, part))
+    return part, edge_cut(graph, part)
 
 
 def partition_graph(
@@ -147,9 +204,13 @@ def partition_graph(
     n = graph.num_vertices
     if vertex_weights is None:
         vertex_weights = np.ones(n, dtype=np.float64)
+    vertex_weights = check_vertex_weights(
+        vertex_weights, n, "partition_graph"
+    )
     assignment = np.zeros(n, dtype=np.int64)
     if num_parts == 1 or n == 0:
-        return PartitionResult(assignment, num_parts, 0.0)
+        return PartitionResult(assignment, num_parts, 0.0, "scalar")
+    tiers: set[str] = set()
 
     def recurse(
         vertices: np.ndarray, parts_lo: int, parts_hi: int
@@ -172,6 +233,7 @@ def partition_graph(
             imbalance=imbalance,
             seed=rng,
         )
+        tiers.add(result.engine)
         left = vertices[result.assignment == 0]
         right = vertices[result.assignment == 1]
         if left.size == 0 or right.size == 0:
@@ -183,8 +245,20 @@ def partition_graph(
 
     recurse(np.arange(n, dtype=np.int64), 0, num_parts)
     return PartitionResult(
-        assignment, num_parts, edge_cut(graph, assignment)
+        assignment, num_parts, edge_cut(graph, assignment),
+        joint_tier(tiers),
     )
+
+
+def joint_tier(tiers: set[str]) -> str:
+    """The tier label for a run of bisections that reported ``tiers``.
+
+    ``"native"`` only when every bisection ran in C; otherwise the
+    Python tier that ran, and ``"scalar"`` when nothing was bisected.
+    """
+    if tiers == {"native"}:
+        return "native"
+    return "vector" if "vector" in tiers else "scalar"
 
 
 def _induced_subgraph(

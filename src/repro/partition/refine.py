@@ -17,9 +17,15 @@ import numpy as np
 from .._native import fm as _native_fm
 from ..engine import resolve_engine
 from ..graph.csr import CSRGraph
-from .initial import edge_cut, partition_weights
+from .initial import check_vertex_weights, edge_cut, partition_weights
 
-__all__ = ["fm_refine", "move_gains"]
+__all__ = ["MAX_NEGATIVE_MOVES", "MAX_PASSES", "fm_refine", "move_gains"]
+
+#: full FM passes per refinement, at most.
+MAX_PASSES = 4
+
+#: non-improving moves a pass may make before it rolls back.
+MAX_NEGATIVE_MOVES = 32
 
 
 def move_gains(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
@@ -68,8 +74,8 @@ def fm_refine(
     *,
     target_fraction: float = 0.5,
     imbalance: float = 0.1,
-    max_passes: int = 4,
-    max_negative_moves: int = 32,
+    max_passes: int = MAX_PASSES,
+    max_negative_moves: int = MAX_NEGATIVE_MOVES,
 ) -> np.ndarray:
     """Refine a bisection in place-style (returns a new array).
 
@@ -95,6 +101,7 @@ def fm_refine(
             f"fm_refine: part must hold one 0/1 label per vertex "
             f"(n = {n})"
         )
+    vertex_weights = check_vertex_weights(vertex_weights, n, "fm_refine")
     if n == 0:
         return part
     total = float(vertex_weights.sum())

@@ -24,11 +24,16 @@ __all__ = ["Separation", "vertex_separator"]
 
 @dataclass(frozen=True)
 class Separation:
-    """A vertex separator split: left / right / separator vertex sets."""
+    """A vertex separator split: left / right / separator vertex sets.
+
+    ``engine`` is the tier of the underlying edge bisection
+    (:attr:`repro.partition.multilevel.PartitionResult.engine`).
+    """
 
     left: np.ndarray
     right: np.ndarray
     separator: np.ndarray
+    engine: str
 
 
 def vertex_separator(
@@ -44,7 +49,7 @@ def vertex_separator(
     n = graph.num_vertices
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return Separation(empty, empty, empty)
+        return Separation(empty, empty, empty, "scalar")
     result = bisect(graph, seed=seed)
     part = result.assignment
 
@@ -56,7 +61,7 @@ def vertex_separator(
     left = np.flatnonzero((part == 0) & ~in_separator)
     right = np.flatnonzero((part == 1) & ~in_separator)
     separator = np.flatnonzero(in_separator)
-    return Separation(left, right, separator)
+    return Separation(left, right, separator, result.engine)
 
 
 def _greedy_cover_scalar(

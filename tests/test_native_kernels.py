@@ -614,6 +614,273 @@ def test_degree_ordering_under_build_failure(knobs):
 
 
 # ---------------------------------------------------------------------------
+# Vertex weights: every partition entry point rejects a wrong length
+# ---------------------------------------------------------------------------
+def _call_with_weights(entry, graph, weights):
+    from repro.partition import (
+        bisect,
+        fm_refine,
+        greedy_bisection,
+        heavy_edge_matching,
+        partition_graph,
+    )
+
+    n = graph.num_vertices
+    rng = np.random.default_rng(0)
+    if entry == "bisect":
+        bisect(graph, vertex_weights=weights, seed=rng)
+    elif entry == "partition_graph":
+        partition_graph(graph, 4, vertex_weights=weights, seed=rng)
+    elif entry == "greedy_bisection":
+        greedy_bisection(graph, weights, rng)
+    elif entry == "fm_refine":
+        fm_refine(graph, np.arange(n, dtype=np.int64) % 2, weights)
+    else:
+        heavy_edge_matching(
+            graph, rng, vertex_weights=weights, max_vertex_weight=2.0
+        )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "entry",
+    (
+        "bisect", "partition_graph", "greedy_bisection", "fm_refine",
+        "heavy_edge_matching",
+    ),
+)
+@pytest.mark.parametrize("length", (10, 150))
+def test_vertex_weights_of_wrong_length_rejected(engine, entry, length):
+    graph = random_graph(200, 800)
+    with use_engine(engine), pytest.raises(ValueError, match="vertex_weights"):
+        _call_with_weights(entry, graph, np.ones(length))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_vertex_weights_must_be_one_dimensional(engine):
+    graph = random_graph(200, 800)
+    with use_engine(engine), pytest.raises(ValueError, match="vertex_weights"):
+        _call_with_weights("bisect", graph, np.ones((200, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Multilevel bisection: one partition_bisect call against _bisect_python
+# ---------------------------------------------------------------------------
+def native_bisect(graph, vertex_weights, target_fraction, rng):
+    from repro._native import fm as native_fm
+    from repro.partition.initial import GROW_TRIALS
+    from repro.partition.multilevel import COARSEST_SIZE
+    from repro.partition.refine import MAX_NEGATIVE_MOVES, MAX_PASSES
+
+    return native_fm.bisect(
+        graph.indptr, graph.indices, graph.weights, vertex_weights, rng,
+        target_fraction=target_fraction, imbalance=0.1,
+        trials=GROW_TRIALS, coarsest_size=COARSEST_SIZE,
+        max_negative_moves=MAX_NEGATIVE_MOVES, max_passes=MAX_PASSES,
+    )
+
+
+def assert_bisect_matches_twin(
+    graph, vertex_weights=None, target_fraction=0.5, seed=0
+):
+    """Parts, cut and the generator's next draw match the Python twin."""
+    from repro._native import fm as native_fm
+    from repro.partition.multilevel import _bisect_python
+
+    if native_fm.KERNEL.lib() is None:
+        pytest.skip("partition kernel unavailable")
+    n = graph.num_vertices
+    if vertex_weights is None:
+        vertex_weights = np.ones(n, dtype=np.float64)
+    rng_native = np.random.default_rng(seed)
+    rng_twin = np.random.default_rng(seed)
+    native = native_bisect(graph, vertex_weights, target_fraction, rng_native)
+    with use_engine("scalar"):
+        part, cut = _bisect_python(
+            graph, vertex_weights, target_fraction, 0.1, rng_twin
+        )
+    assert native is not None
+    assert np.array_equal(native[0], part)
+    assert native[1] == cut
+    assert rng_native.random() == rng_twin.random()
+
+
+@given(
+    n=st.integers(2, 90),
+    edges=st.lists(
+        st.tuples(st.integers(0, 89), st.integers(0, 89)),
+        min_size=0,
+        max_size=300,
+    ),
+    seed=st.integers(0, 2**16),
+    target_fraction=st.sampled_from((1 / 3, 1 / 2, 3 / 4)),
+)
+@settings(max_examples=25, deadline=None)
+def test_partition_bisect_matches_twin_random_graphs(
+    n, edges, seed, target_fraction
+):
+    graph = from_edges(n, [(u % n, v % n) for u, v in edges])
+    assert_bisect_matches_twin(
+        graph, target_fraction=target_fraction, seed=seed
+    )
+
+
+@pytest.mark.parametrize("target_fraction", (1 / 3, 1 / 2, 3 / 4))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_partition_bisect_matches_twin_non_integral_weights(
+    target_fraction, seed
+):
+    rng = np.random.default_rng(seed)
+    n, m = 300, 1500
+    edges = np.column_stack((rng.integers(n, size=m), rng.integers(n, size=m)))
+    graph = from_edges(n, edges, weights=rng.random(m) * 3.0 + 0.1)
+    vertex_weights = rng.random(n) * 2.0 + 0.25
+    assert_bisect_matches_twin(
+        graph, vertex_weights, target_fraction=target_fraction, seed=seed
+    )
+
+
+@pytest.mark.parametrize("target_fraction", (1 / 3, 1 / 2, 3 / 4))
+def test_partition_bisect_matches_twin_on_disconnected_graph(target_fraction):
+    """Small components and isolated vertices: growth runs out of
+    frontier and the top-up draws the rest."""
+    edges = [(i, i + 1) for i in range(0, 60, 3)] + [(70, 71), (71, 72)]
+    graph = from_edges(120, edges)
+    assert_bisect_matches_twin(graph, target_fraction=target_fraction)
+    assert_bisect_matches_twin(from_edges(20, [(0, 1)]), seed=4)
+
+
+@pytest.mark.parametrize("target_fraction", (1 / 3, 1 / 2, 3 / 4))
+def test_partition_bisect_matches_twin_on_star(target_fraction):
+    """A star stalls the matching at the first level."""
+    graph = from_edges(200, [(0, i) for i in range(1, 200)])
+    assert_bisect_matches_twin(graph, target_fraction=target_fraction)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3))
+@pytest.mark.parametrize("target_fraction", (1 / 3, 1 / 2, 3 / 4))
+def test_partition_bisect_matches_twin_on_tiny_graphs(n, target_fraction):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert_bisect_matches_twin(
+        from_edges(n, edges), target_fraction=target_fraction, seed=n
+    )
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_partition_bisect_matches_twin_on_fixtures(graph_name):
+    assert_bisect_matches_twin(GRAPHS[graph_name], seed=7)
+    assert_bisect_matches_twin(random_graph(3000, 12000, seed=9), seed=7)
+
+
+def test_partition_bisect_declines_before_drawing():
+    """Weights the twin sums differently decline with the generator
+    untouched, and bisect labels the Python run."""
+    from repro._native import fm as native_fm
+    from repro.partition import bisect
+
+    graph = random_graph(200, 800)
+    for weights in (
+        np.ones(200, dtype=np.float32),
+        np.where(np.arange(200) == 3, np.nan, 1.0),
+    ):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        assert native_bisect(graph, weights, 0.5, rng) is None
+        assert rng.bit_generator.state == before
+    with use_engine("native"):
+        result = bisect(
+            graph, vertex_weights=np.ones(200, dtype=np.float32), seed=1
+        )
+    assert result.engine == "vector"
+    if native_fm.KERNEL.lib() is not None:
+        with use_engine("native"):
+            assert bisect(graph, seed=1).engine == "native"
+
+
+def test_partition_bisect_out_of_memory_raises(monkeypatch):
+    """After the kernel has drawn there is no fallback: status -1 is a
+    MemoryError, not a silent rerun on a moved generator."""
+    from repro._native import fm as native_fm
+
+    class OutOfMemory:
+        def partition_bisect(self, *args):
+            return -1
+
+    monkeypatch.setattr(native_fm.KERNEL, "lib", lambda: OutOfMemory())
+    with pytest.raises(MemoryError):
+        native_bisect(random_graph(50, 120), np.ones(50), 0.5,
+                      np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("scheme_name", ("metis", "nested_dissection"))
+def test_partition_orderings_report_the_tier_that_ran(scheme_name, knobs):
+    from repro._native import fm as native_fm
+
+    graph = GRAPHS["random"]
+    native = order_with(scheme_name, graph, "native")
+    expected = "native" if native_fm.KERNEL.lib() is not None else "vector"
+    assert native.metadata["engine"] == expected
+    assert order_with(scheme_name, graph, "vector").metadata["engine"] == (
+        "vector"
+    )
+    knobs(REPRO_FAULTS="native-build-fail:p=1")
+    native_fm.KERNEL.reset()
+    try:
+        degraded = order_with(scheme_name, graph, "native")
+    finally:
+        knobs(REPRO_FAULTS=None)
+        native_fm.KERNEL.reset()
+    assert degraded.metadata["engine"] == "vector"
+    assert np.array_equal(degraded.permutation, native.permutation)
+
+
+# ---------------------------------------------------------------------------
+# The kernel's draws and sums against numpy's own
+# ---------------------------------------------------------------------------
+def _fm_kernel():
+    from repro._native import fm as native_fm
+
+    if native_fm.KERNEL.lib() is None:
+        pytest.skip("partition kernel unavailable")
+    return native_fm
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_permutation_matches_numpy(seed):
+    native_fm = _fm_kernel()
+    for n in (0, 1, 2, 3, 7, 33, 100, 1000, 5000):
+        ours = np.random.default_rng(seed + n)
+        theirs = np.random.default_rng(seed + n)
+        assert np.array_equal(
+            native_fm.draw_permutation(ours, n), theirs.permutation(n)
+        )
+        assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize(
+    "m", (1, 2, 3, 5, 31, 32, 33, 1000, 2**31 - 1, 2**31 + 1, 2**32)
+)
+def test_kernel_integers_match_numpy(m):
+    native_fm = _fm_kernel()
+    ours = np.random.default_rng(m)
+    theirs = np.random.default_rng(m)
+    expected = np.array([theirs.integers(m) for _ in range(200)])
+    assert np.array_equal(native_fm.draw_integers(ours, m, 200), expected)
+    assert ours.random() == theirs.random()
+
+
+def test_kernel_pairwise_sum_matches_np_sum():
+    native_fm = _fm_kernel()
+    rng = np.random.default_rng(11)
+    for length in range(0, 1001):
+        values = rng.random(length) * rng.choice((1.0, 1e-3, 1e6))
+        assert native_fm.pairwise_sum(values) == float(values.sum())
+    for length in (4096, 8191, 8192, 8193, 65537, 100_000):
+        values = rng.standard_normal(length)
+        assert native_fm.pairwise_sum(values) == float(values.sum())
+
+
+# ---------------------------------------------------------------------------
 # Counting-sort kernel: direct parity with the stable argsort
 # ---------------------------------------------------------------------------
 @given(keys=st.lists(st.integers(0, 15), min_size=0, max_size=200))
