@@ -1,9 +1,23 @@
-"""Compiled multilevel bisection: one library call per ``bisect``.
+"""Compiled multilevel partitioning: one library call per partition tree.
 
-METIS and nested dissection spend their time in
-:func:`repro.partition.multilevel.bisect`.  Under the native engine the
-whole bisection runs in the ``partition_bisect`` symbol, one call on
-the CSR arrays:
+METIS and nested dissection spend their time in recursive multilevel
+bisection.  Under the native engine each ordering is one call:
+
+* ``partition_tree`` runs the whole k-way recursion of
+  :func:`repro.partition.multilevel.partition_graph`;
+* ``dissect_tree`` runs the whole recursion of
+  :class:`repro.ordering.nested_dissection.NestedDissectionOrder`,
+  with the greedy vertex cover of
+  :func:`repro.partition.separator._greedy_cover_vector` at every node
+  and the original graph's degrees counted as edge operations.
+
+Both walk the tree depth-first, left subtree first, on the canonical
+root Python builds once (``induced_subgraph(graph, arange(n))``, as
+the recursions do).  A node's vertices stay ascending, so its subgraph
+is a row filter of the root through a global-to-local array: no sort,
+no merge, one node subgraph alive at a time.  Every node is bisected by
+the helper behind the ``partition_bisect`` symbol, which runs one whole
+:func:`repro.partition.multilevel.bisect` on the CSR arrays:
 
 * coarsening — heavy-edge matching on a Fisher–Yates visit order, the
   coarse map, the 0.95 stall test, and contraction into a sorted,
@@ -14,10 +28,12 @@ the CSR arrays:
   every finer level, and the final edge cut.
 
 Its scalar twin is :func:`repro.partition.multilevel._bisect_python`,
-the same pipeline in Python.  The matching, growing and FM routines are
-``static`` helpers shared with the per-piece symbols (``fm_refine``,
-``grow_region``, ``hem_match``, ``coarse_map_from_matching``), which
-still serve :func:`~repro.partition.refine.fm_refine`,
+the same pipeline in Python; the recursions in ``partition_graph`` and
+``NestedDissectionOrder.compute`` are the twins of the two tree
+symbols.  The matching, growing and FM routines are ``static`` helpers
+shared with the per-piece symbols (``fm_refine``, ``grow_region``,
+``hem_match``, ``coarse_map_from_matching``), which still serve
+:func:`~repro.partition.refine.fm_refine`,
 :func:`~repro.partition.initial.greedy_bisection` and the matching
 functions when those are called on their own.
 
@@ -44,11 +60,18 @@ Bit-identity argument against the twin:
   the FM heap pops the multiset minimum ``(-gain, v)`` exactly as
   ``heapq`` does, and the growth scan picks ``max(frontier, key=(gain,
   -x))`` by scanning vertices in ascending order with a strict-greater
-  test.
-* **No draws before a decline.** :func:`bisect` declines (returns
-  ``None``, so the twin runs) only before its first draw: an
-  unavailable or faulted kernel, weights that are not finite float64,
-  or a graph too large for 32-bit draws.  Once the kernel has drawn,
+  test.  The separator's cover heap holds unique ``(-count, x)`` keys
+  (a count only falls), so it pops what ``heapq`` pops.
+* **Trees.** A node's target fraction is ``left_parts / span``, one
+  correctly rounded division in both languages; a one-sided bisection
+  splits at ``max(1, round(size * fraction))`` with Python's
+  half-to-even rounding.
+* **No draws before a decline.** :func:`bisect`, :func:`partition_tree`
+  and :func:`dissect_tree` decline (return ``None``, so the twin runs)
+  only before their first draw: an unavailable or faulted kernel,
+  weights that are not finite float64, or a graph too large for 32-bit
+  draws.  Every node of a tree inherits the root's finite weights and
+  size bound, so one check covers the tree.  Once the kernel has drawn,
   the generator has moved, so a failed allocation raises
   :class:`MemoryError` instead of falling back.
 """
@@ -56,13 +79,16 @@ Bit-identity argument against the twin:
 from __future__ import annotations
 
 import ctypes
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
 from .core import NativeKernel, guarded, runtime_gate
 
 __all__ = [
-    "KERNEL", "bisect", "refine", "grow_region", "hem_match", "coarse_map",
+    "KERNEL", "bisect", "partition_tree", "dissect_tree", "refine",
+    "grow_region", "hem_match", "coarse_map",
 ]
 
 _SOURCE = r"""
@@ -782,33 +808,28 @@ static int64_t refine_level(const csr_t *g, int64_t *part, const double *vw,
    wins), FM-refine it, then project and refine at every level.  Writes
    part and the final edge cut; returns 0, -1 when memory ran out, -2
    when a cannot-happen bound was hit (heap or level capacity) or no
-   trial produced a comparable cut.  Every draw comes from (next, state)
-   in the order the Python pipeline draws; n < 2 draws nothing. */
-int64_t partition_bisect(const int64_t *indptr,
-                         const int64_t *indices,
-                         const double *edge_w,
-                         int64_t has_edge_w,
-                         int64_t n,
-                         const double *vertex_weights,
-                         double target_fraction,
-                         double imbalance,
-                         int64_t trials,
-                         int64_t coarsest_size,
-                         int64_t max_negative_moves,
-                         int64_t max_passes,
-                         next_uint32_fn next,
-                         void *state,
-                         int64_t *part_out,        /* n out */
-                         double *cut_out)
+   trial produced a comparable cut.  Every draw comes from d in the
+   order the Python pipeline draws; n < 2 draws nothing. */
+static int64_t bisect_csr(const csr_t *g0,
+                          const double *vertex_weights,
+                          double target_fraction,
+                          double imbalance,
+                          int64_t trials,
+                          int64_t coarsest_size,
+                          int64_t max_negative_moves,
+                          int64_t max_passes,
+                          const draws_t *d,
+                          int64_t *part_out,        /* n out */
+                          double *cut_out)
 {
-    draws_t d = {next, state};
+    int64_t n = g0->n;
     if (n < 2) {
         for (int64_t v = 0; v < n; v++)
             part_out[v] = 0;
         *cut_out = 0.0;
         return 0;
     }
-    int64_t m = indptr[n];
+    int64_t m = g0->indptr[n];
     /* every stored level has fewer than 0.95x its parent's vertices,
        so this bounds the ladder (plus slack for rounding) */
     int64_t max_levels = 2;
@@ -855,10 +876,7 @@ int64_t partition_bisect(const int64_t *indptr,
     contract_scratch_t cs = {t_lo, t_hi, t_w, perm_a, perm_b, p_hi, p_w,
                              counts};
 
-    levels[0].g.indptr = indptr;
-    levels[0].g.indices = indices;
-    levels[0].g.w = has_edge_w ? edge_w : NULL;
-    levels[0].g.n = n;
+    levels[0].g = *g0;
     levels[0].vw = vertex_weights;
 
     /* coarsening (repro.partition.multilevel._coarsening_hierarchy) */
@@ -867,7 +885,7 @@ int64_t partition_bisect(const int64_t *indptr,
         max_vw = 1.0;
     while (levels[nlev].g.n > coarsest_size) {
         const csr_t *cur = &levels[nlev].g;
-        draw_permutation(&d, visit, cur->n);
+        draw_permutation(d, visit, cur->n);
         hem(cur, visit, levels[nlev].vw, 1, max_vw, match);
         int64_t nc = coarse_ids(match, cur->n, cmap);
         if ((double)nc >= (double)cur->n * 0.95)
@@ -894,7 +912,7 @@ int64_t partition_bisect(const int64_t *indptr,
     double best_cut = INFINITY;
     int64_t have_best = 0;
     for (int64_t t = 0; t < (trials > 1 ? trials : 1); t++) {
-        grow_trial(coarsest, cvw, &d, target, part, in_frontier, fgain,
+        grow_trial(coarsest, cvw, d, target, part, in_frontier, fgain,
                    remaining);
         double cut = cut_of(coarsest, part);
         if (cut < best_cut) {
@@ -941,6 +959,418 @@ done:
     free(levels);
     return status;
 }
+
+int64_t partition_bisect(const int64_t *indptr,
+                         const int64_t *indices,
+                         const double *edge_w,
+                         int64_t has_edge_w,
+                         int64_t n,
+                         const double *vertex_weights,
+                         double target_fraction,
+                         double imbalance,
+                         int64_t trials,
+                         int64_t coarsest_size,
+                         int64_t max_negative_moves,
+                         int64_t max_passes,
+                         next_uint32_fn next,
+                         void *state,
+                         int64_t *part_out,        /* n out */
+                         double *cut_out)
+{
+    csr_t g = {indptr, indices, has_edge_w ? edge_w : NULL, n};
+    draws_t d = {next, state};
+    return bisect_csr(&g, vertex_weights, target_fraction, imbalance,
+                      trials, coarsest_size, max_negative_moves,
+                      max_passes, &d, part_out, cut_out);
+}
+
+/* ------------------------------------------------------------------
+   Whole recursion trees (repro.partition.multilevel.partition_graph's
+   recursion and repro.ordering.nested_dissection's dissect)
+   ------------------------------------------------------------------ */
+
+/* A pending tree node: its vertices are slots [lo, hi) of the tree's
+   work array, ascending; a and b are the part range (k-way), a alone
+   the depth (dissection). */
+typedef struct {
+    int64_t lo;
+    int64_t hi;
+    int64_t a;
+    int64_t b;
+} node_t;
+
+/* One node subgraph at a time, every array sized for the root: a row
+   filter never grows a graph. */
+typedef struct {
+    int64_t *local_of;    /* root n; -1 outside the current node */
+    int64_t *indptr;      /* root n + 1 */
+    int64_t *indices;     /* root nnz */
+    double *w;            /* root nnz; unused for an unweighted root */
+} induce_scratch_t;
+
+/* The subgraph of the canonical root induced by the ascending vertex
+   list verts[0, size): each root row filtered through local_of.  Local
+   ids ascend with the global ones, so every filtered row is already
+   sorted, unique and free of self-loops -- the CSR GraphBuilder.build
+   makes of the same induced edges. */
+static void induce(const csr_t *root, const int64_t *verts, int64_t size,
+                   const induce_scratch_t *s, csr_t *out)
+{
+    for (int64_t i = 0; i < size; i++)
+        s->local_of[verts[i]] = i;
+    int64_t t = 0;
+    s->indptr[0] = 0;
+    for (int64_t i = 0; i < size; i++) {
+        int64_t v = verts[i];
+        for (int64_t k = root->indptr[v]; k < root->indptr[v + 1]; k++) {
+            int64_t j = s->local_of[root->indices[k]];
+            if (j < 0 || j == i)
+                continue;
+            s->indices[t] = j;
+            if (root->w)
+                s->w[t] = root->w[k];
+            t++;
+        }
+        s->indptr[i + 1] = t;
+    }
+    for (int64_t i = 0; i < size; i++)
+        s->local_of[verts[i]] = -1;
+    out->indptr = s->indptr;
+    out->indices = s->indices;
+    out->w = root->w ? s->w : NULL;
+    out->n = size;
+}
+
+/* Reorder verts[0, size) stably by label: every label-0 vertex, then
+   label 1, then label 2, each run keeping its ascending order.  counts
+   holds the three label counts. */
+static void stable_split(int64_t *verts, int64_t size, const int64_t *label,
+                         const int64_t *counts, int64_t *tmp)
+{
+    int64_t start[3] = {0, counts[0], counts[0] + counts[1]};
+    for (int64_t i = 0; i < size; i++) {
+        int64_t pos = start[label[i]];
+        start[label[i]] = pos + 1;
+        tmp[pos] = verts[i];
+    }
+    memcpy(verts, tmp, (size_t)size * sizeof(int64_t));
+}
+
+/* Python's round(x) for 0 <= x < 2**53: the nearest integer, ties to
+   even (nearbyint under the default rounding mode, without libm).
+   x - trunc(x) is exact in this range. */
+static int64_t round_half_even(double x)
+{
+    int64_t r = (int64_t)x;
+    double frac = x - (double)r;
+    if (frac > 0.5 || (frac == 0.5 && (r & 1)))
+        r++;
+    return r;
+}
+
+/* Recursive-bisection k-way partition of the canonical root: nodes
+   depth-first, left subtree first, each bisected by bisect_csr towards
+   left_parts / span of its weight.  A one-sided bisection splits the
+   node at max(1, round(size * fraction)), rounding half to even as
+   Python's round does.  Writes the part of every vertex; returns 0, -1 when memory ran out,
+   -2 on a cannot-happen bound. */
+int64_t partition_tree(const int64_t *indptr,
+                       const int64_t *indices,
+                       const double *edge_w,
+                       int64_t has_edge_w,
+                       int64_t n,
+                       const double *vertex_weights,
+                       int64_t num_parts,
+                       double imbalance,
+                       int64_t trials,
+                       int64_t coarsest_size,
+                       int64_t max_negative_moves,
+                       int64_t max_passes,
+                       next_uint32_fn next,
+                       void *state,
+                       int64_t *assignment)      /* n out */
+{
+    csr_t root = {indptr, indices, has_edge_w ? edge_w : NULL, n};
+    draws_t d = {next, state};
+    int64_t m = indptr[n];
+    /* every child is a proper, non-empty subset of its node, so the
+       depth and the pending stack stay below n + 1 */
+    int64_t stack_cap = n + 1;
+    size_t n8 = (size_t)n * 8;
+    size_t bytes = 6 * n8 + 8 + 2 * (size_t)(m > 0 ? m : 1) * 8
+                   + (size_t)stack_cap * sizeof(node_t);
+    unsigned char *block = malloc(bytes);
+    if (!block)
+        return -1;
+    int64_t *order = (int64_t *)block;
+    int64_t *part = order + n;
+    int64_t *tmp = part + n;
+    int64_t *local_of = tmp + n;
+    int64_t *sub_indptr = local_of + n;          /* n + 1 */
+    int64_t *sub_indices = sub_indptr + n + 1;
+    double *sub_w = (double *)(sub_indices + (m > 0 ? m : 1));
+    double *sub_vw = sub_w + (m > 0 ? m : 1);
+    node_t *stack = (node_t *)(sub_vw + n);
+    induce_scratch_t is = {local_of, sub_indptr, sub_indices, sub_w};
+
+    for (int64_t v = 0; v < n; v++) {
+        order[v] = v;
+        local_of[v] = -1;
+    }
+    int64_t status = 0;
+    int64_t top = 0;
+    stack[top++] = (node_t){0, n, 0, num_parts};
+    while (top > 0) {
+        node_t node = stack[--top];
+        int64_t *verts = order + node.lo;
+        int64_t size = node.hi - node.lo;
+        int64_t span = node.b - node.a;
+        if (span == 1 || size <= 1) {
+            for (int64_t i = 0; i < size; i++)
+                assignment[verts[i]] = node.a;
+            continue;
+        }
+        int64_t left_parts = span / 2;
+        double fraction = (double)left_parts / (double)span;
+        csr_t sub;
+        induce(&root, verts, size, &is, &sub);
+        for (int64_t i = 0; i < size; i++)
+            sub_vw[i] = vertex_weights[verts[i]];
+        double cut;
+        status = bisect_csr(&sub, sub_vw, fraction, imbalance, trials,
+                            coarsest_size, max_negative_moves, max_passes,
+                            &d, part, &cut);
+        if (status != 0)
+            break;
+        int64_t counts[3] = {0, 0, 0};
+        for (int64_t i = 0; i < size; i++)
+            counts[part[i]]++;
+        int64_t half = counts[0];
+        if (counts[0] == 0 || counts[1] == 0) {
+            /* degenerate bisection: split the ascending list */
+            half = round_half_even((double)size * fraction);
+            if (half < 1)
+                half = 1;
+        } else {
+            stable_split(verts, size, part, counts, tmp);
+        }
+        if (top + 2 > stack_cap) {
+            status = -2;
+            break;
+        }
+        stack[top++] = (node_t){node.lo + half, node.hi,
+                                node.a + left_parts, node.b};
+        stack[top++] = (node_t){node.lo, node.lo + half,
+                                node.a, node.a + left_parts};
+    }
+    free(block);
+    return status;
+}
+
+/* Caller-owned scratch of greedy_cover, sized for the root. */
+typedef struct {
+    int64_t *count;       /* n: uncovered cut edges per vertex */
+    int64_t *inc_ptr;     /* n + 1 */
+    int64_t *cursor;      /* n */
+    int64_t *inc_edge;    /* 2 nnz: two incidences per cut edge */
+    int64_t *cut_u;       /* nnz */
+    int64_t *cut_v;       /* nnz */
+    uint8_t *covered;     /* nnz */
+    double *heap_g;       /* heap_cap */
+    int64_t *heap_v;      /* heap_cap */
+    int64_t heap_cap;     /* >= n + nnz + 1 */
+} cover_scratch_t;
+
+/* The greedy vertex cover of the bisection's cut edges
+   (repro.partition.separator._greedy_cover_vector): pop (-count, x)
+   from a lazy max-heap, skip stale entries, take x and decrement the
+   other end of every edge it newly covers.  A vertex's count only
+   falls, so every key in the heap is unique and any correct heap pops
+   the sequence heapq pops.  Marks in_sep; returns 0, or -1 on heap
+   overflow (cannot happen under the heap_cap bound). */
+static int64_t greedy_cover(const csr_t *g, const int64_t *part,
+                            uint8_t *in_sep, const cover_scratch_t *s)
+{
+    int64_t n = g->n;
+    for (int64_t x = 0; x < n; x++) {
+        s->count[x] = 0;
+        in_sep[x] = 0;
+    }
+    int64_t m_cut = 0;
+    for (int64_t u = 0; u < n; u++) {
+        for (int64_t k = g->indptr[u]; k < g->indptr[u + 1]; k++) {
+            int64_t v = g->indices[k];
+            if (v > u && part[u] != part[v]) {
+                s->cut_u[m_cut] = u;
+                s->cut_v[m_cut] = v;
+                s->covered[m_cut] = 0;
+                m_cut++;
+                s->count[u]++;
+                s->count[v]++;
+            }
+        }
+    }
+    s->inc_ptr[0] = 0;
+    for (int64_t x = 0; x < n; x++) {
+        s->inc_ptr[x + 1] = s->inc_ptr[x] + s->count[x];
+        s->cursor[x] = s->inc_ptr[x];
+    }
+    for (int64_t e = 0; e < m_cut; e++) {
+        int64_t pu = s->cursor[s->cut_u[e]];
+        s->cursor[s->cut_u[e]] = pu + 1;
+        s->inc_edge[pu] = e;
+        int64_t pv = s->cursor[s->cut_v[e]];
+        s->cursor[s->cut_v[e]] = pv + 1;
+        s->inc_edge[pv] = e;
+    }
+    int64_t heap_size = 0;
+    for (int64_t x = 0; x < n; x++)
+        if (s->count[x] > 0)
+            heap_push(s->heap_g, s->heap_v, &heap_size,
+                      (double)s->count[x], x);
+    int64_t remaining = m_cut;
+    while (remaining > 0 && heap_size > 0) {
+        double c;
+        int64_t x;
+        heap_pop(s->heap_g, s->heap_v, &heap_size, &c, &x);
+        if (in_sep[x] || c != (double)s->count[x])
+            continue; /* stale entry */
+        in_sep[x] = 1;
+        for (int64_t k = s->inc_ptr[x]; k < s->inc_ptr[x + 1]; k++) {
+            int64_t e = s->inc_edge[k];
+            if (s->covered[e])
+                continue;
+            s->covered[e] = 1;
+            remaining--;
+            int64_t other = s->cut_u[e] == x ? s->cut_v[e] : s->cut_u[e];
+            if (in_sep[other])
+                continue;
+            s->count[other]--;
+            if (heap_size >= s->heap_cap)
+                return -1;
+            heap_push(s->heap_g, s->heap_v, &heap_size,
+                      (double)s->count[other], other);
+        }
+    }
+    return 0;
+}
+
+/* Nested dissection of the canonical unweighted root: nodes depth-first,
+   left subtree first.  A node of more than leaf_size vertices counts
+   the original graph's degrees of its vertices, is bisected by
+   bisect_csr (unit vertex weights), and splits into left, right and a
+   greedy-cover separator; the node's slice of sequence becomes left ++
+   right ++ separator and the two sides recurse.  Leaves, and nodes
+   whose separator leaves a side empty, keep their ascending slice.
+   Writes the elimination sequence, stats[0] = the deepest node's depth
+   and stats[1] = the edge operations; returns 0, -1 when memory ran
+   out, -2 on a cannot-happen bound. */
+int64_t dissect_tree(const int64_t *indptr,
+                     const int64_t *indices,
+                     int64_t n,
+                     const int64_t *degrees,
+                     int64_t leaf_size,
+                     double target_fraction,
+                     double imbalance,
+                     int64_t trials,
+                     int64_t coarsest_size,
+                     int64_t max_negative_moves,
+                     int64_t max_passes,
+                     next_uint32_fn next,
+                     void *state,
+                     int64_t *sequence,        /* n out */
+                     int64_t *stats)           /* 2 out */
+{
+    csr_t root = {indptr, indices, NULL, n};
+    draws_t d = {next, state};
+    int64_t m = indptr[n];
+    int64_t m1 = m > 0 ? m : 1;
+    int64_t stack_cap = n + 1;
+    int64_t heap_cap = n + m1 + 1;
+    size_t n8 = (size_t)n * 8;
+    size_t bytes = 8 * n8 + 16                     /* n-arrays, two n + 1 */
+                   + 5 * (size_t)m1 * 8            /* nnz arrays */
+                   + (size_t)heap_cap * 16         /* heap */
+                   + (size_t)stack_cap * sizeof(node_t)
+                   + (size_t)n + (size_t)m1;       /* in_sep, covered */
+    unsigned char *block = malloc(bytes);
+    if (!block)
+        return -1;
+    node_t *stack = (node_t *)block;
+    int64_t *part = (int64_t *)(stack + stack_cap);
+    int64_t *tmp = part + n;
+    int64_t *local_of = tmp + n;
+    int64_t *sub_indptr = local_of + n;          /* n + 1 */
+    int64_t *sub_indices = sub_indptr + n + 1;
+    int64_t *count = sub_indices + m1;
+    int64_t *inc_ptr = count + n;                /* n + 1 */
+    int64_t *cursor = inc_ptr + n + 1;
+    int64_t *inc_edge = cursor + n;
+    int64_t *cut_u = inc_edge + 2 * m1;
+    int64_t *cut_v = cut_u + m1;
+    int64_t *heap_v = cut_v + m1;
+    double *heap_g = (double *)(heap_v + heap_cap);
+    double *ones = heap_g + heap_cap;
+    uint8_t *in_sep = (uint8_t *)(ones + n);
+    uint8_t *covered = in_sep + n;
+    induce_scratch_t is = {local_of, sub_indptr, sub_indices, NULL};
+    cover_scratch_t cs = {count, inc_ptr, cursor, inc_edge, cut_u, cut_v,
+                          covered, heap_g, heap_v, heap_cap};
+
+    for (int64_t v = 0; v < n; v++) {
+        sequence[v] = v;
+        local_of[v] = -1;
+        ones[v] = 1.0;
+    }
+    int64_t status = 0;
+    int64_t max_depth = 0;
+    int64_t edge_ops = 0;
+    int64_t top = 0;
+    stack[top++] = (node_t){0, n, 0, 0};
+    while (top > 0) {
+        node_t node = stack[--top];
+        int64_t *verts = sequence + node.lo;
+        int64_t size = node.hi - node.lo;
+        if (node.a > max_depth)
+            max_depth = node.a;
+        if (size <= leaf_size)
+            continue;
+        for (int64_t i = 0; i < size; i++)
+            edge_ops += degrees[verts[i]];
+        csr_t sub;
+        induce(&root, verts, size, &is, &sub);
+        double cut;
+        status = bisect_csr(&sub, ones, target_fraction, imbalance, trials,
+                            coarsest_size, max_negative_moves, max_passes,
+                            &d, part, &cut);
+        if (status != 0)
+            break;
+        if (greedy_cover(&sub, part, in_sep, &cs) < 0) {
+            status = -2;
+            break;
+        }
+        int64_t counts[3] = {0, 0, 0};
+        for (int64_t i = 0; i < size; i++) {
+            if (in_sep[i])
+                part[i] = 2;
+            counts[part[i]]++;
+        }
+        if (counts[0] == 0 || counts[1] == 0)
+            continue; /* the separator did not split the node */
+        stable_split(verts, size, part, counts, tmp);
+        if (top + 2 > stack_cap) {
+            status = -2;
+            break;
+        }
+        int64_t mid = node.lo + counts[0];
+        stack[top++] = (node_t){mid, mid + counts[1], node.a + 1, 0};
+        stack[top++] = (node_t){node.lo, mid, node.a + 1, 0};
+    }
+    stats[0] = max_depth;
+    stats[1] = edge_ops;
+    free(block);
+    return status;
+}
 """
 
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
@@ -971,6 +1401,46 @@ KERNEL = NativeKernel(
                 ctypes.c_void_p,  # state
                 _P_I64,  # part_out
                 _P_F64,  # cut_out
+            ],
+            ctypes.c_int64,
+        ),
+        "partition_tree": (
+            [
+                _P_I64,  # indptr
+                _P_I64,  # indices
+                _P_F64,  # edge_w
+                ctypes.c_int64,  # has_edge_w
+                ctypes.c_int64,  # n
+                _P_F64,  # vertex_weights
+                ctypes.c_int64,  # num_parts
+                ctypes.c_double,  # imbalance
+                ctypes.c_int64,  # trials
+                ctypes.c_int64,  # coarsest_size
+                ctypes.c_int64,  # max_negative_moves
+                ctypes.c_int64,  # max_passes
+                _NEXT_U32,  # next
+                ctypes.c_void_p,  # state
+                _P_I64,  # assignment
+            ],
+            ctypes.c_int64,
+        ),
+        "dissect_tree": (
+            [
+                _P_I64,  # indptr
+                _P_I64,  # indices
+                ctypes.c_int64,  # n
+                _P_I64,  # degrees
+                ctypes.c_int64,  # leaf_size
+                ctypes.c_double,  # target_fraction
+                ctypes.c_double,  # imbalance
+                ctypes.c_int64,  # trials
+                ctypes.c_int64,  # coarsest_size
+                ctypes.c_int64,  # max_negative_moves
+                ctypes.c_int64,  # max_passes
+                _NEXT_U32,  # next
+                ctypes.c_void_p,  # state
+                _P_I64,  # sequence
+                _P_I64,  # stats
             ],
             ctypes.c_int64,
         ),
@@ -1082,6 +1552,56 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 _MAX_DRAW_N = 1 << 32
 
 
+def _kernel_for(
+    n: int, vertex_weights: np.ndarray | None, edge_w: np.ndarray | None
+) -> ctypes.CDLL | None:
+    """The library when the kernel may run on these arrays, else None.
+
+    Every decline happens here, before the first draw: weights that are
+    not finite float64 (the twin's float paths differ there), a graph
+    too large for 32-bit draws, or a kernel that is unavailable or
+    faulted.  ``vertex_weights`` None means unit weights.
+    """
+    if (
+        n >= _MAX_DRAW_N
+        or (
+            vertex_weights is not None
+            and (
+                vertex_weights.dtype != np.float64
+                or not np.isfinite(vertex_weights).all()
+            )
+        )
+        or (edge_w is not None and not np.isfinite(edge_w).all())
+    ):
+        return None
+    lib = KERNEL.lib()
+    if lib is None or not runtime_gate(KERNEL):
+        return None
+    return lib
+
+
+@contextmanager
+def _drawing_from(rng: np.random.Generator) -> Iterator[tuple]:
+    """``(next_uint32, state_address)`` of ``rng``, its lock held."""
+    bit_generator = rng.bit_generator
+    iface = bit_generator.ctypes
+    with bit_generator.lock:
+        yield iface.next_uint32, iface.state_address
+
+
+def _check_status(name: str, status: int, n: int) -> None:
+    """Raise on a failed kernel call.
+
+    The kernel has drawn by the time it fails, so there is no fallback:
+    status -1 raises :class:`MemoryError`, any other failure
+    :class:`RuntimeError`.
+    """
+    if status == -1:
+        raise MemoryError(f"{name}: out of memory on {n} vertices")
+    if status != 0:
+        raise RuntimeError(f"{name} failed with status {status}")
+
+
 def bisect(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -1106,15 +1626,8 @@ def bisect(
     (see the module docstring).
     """
     n = indptr.size - 1
-    if (
-        vertex_weights.dtype != np.float64
-        or n >= _MAX_DRAW_N
-        or not np.isfinite(vertex_weights).all()
-        or (edge_w is not None and not np.isfinite(edge_w).all())
-    ):
-        return None  # the twin's float and draw paths differ here
-    lib = KERNEL.lib()
-    if lib is None or not runtime_gate(KERNEL):
+    lib = _kernel_for(n, vertex_weights, edge_w)
+    if lib is None:
         return None
     vw = np.ascontiguousarray(vertex_weights)
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -1123,54 +1636,122 @@ def bisect(
     weights = np.ascontiguousarray(edge_w) if has_w else _EMPTY_F64
     part = np.empty(n, dtype=np.int64)
     cut = np.empty(1, dtype=np.float64)
-    bit_generator = rng.bit_generator
-    iface = bit_generator.ctypes
-    with bit_generator.lock:
+    with _drawing_from(rng) as (next_u32, state):
         status = lib.partition_bisect(
-            _i64(indptr),
-            _i64(indices),
-            _f64(weights),
-            int(has_w),
-            n,
-            _f64(vw),
-            float(target_fraction),
-            float(imbalance),
-            int(trials),
-            int(coarsest_size),
-            int(max_negative_moves),
-            int(max_passes),
-            iface.next_uint32,
-            iface.state_address,
-            _i64(part),
-            _f64(cut),
+            _i64(indptr), _i64(indices), _f64(weights), int(has_w), n,
+            _f64(vw), float(target_fraction), float(imbalance),
+            int(trials), int(coarsest_size), int(max_negative_moves),
+            int(max_passes), next_u32, state, _i64(part), _f64(cut),
         )
-    if status == -1:
-        raise MemoryError(
-            f"partition_bisect: out of memory bisecting {n} vertices"
-        )
-    if status != 0:
-        raise RuntimeError(f"partition_bisect failed with status {status}")
+    _check_status("partition_bisect", status, n)
     return part, float(cut[0])
+
+
+def partition_tree(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    edge_w: np.ndarray | None,
+    vertex_weights: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    num_parts: int,
+    imbalance: float,
+    trials: int,
+    coarsest_size: int,
+    max_negative_moves: int,
+    max_passes: int,
+) -> np.ndarray | None:
+    """The whole recursive-bisection k-way partition in C; None when declined.
+
+    The graph must be canonical (sorted, merged rows without self-loops,
+    as :class:`~repro.graph.builder.GraphBuilder` builds them) so that
+    every node's subgraph is a row filter of it.  Returns the part of
+    every vertex, drawing from ``rng`` exactly as the recursion in
+    :func:`repro.partition.multilevel.partition_graph` does.  Declines
+    and failures as for :func:`bisect`.
+    """
+    n = indptr.size - 1
+    if vertex_weights.shape != (n,):
+        raise ValueError("partition_tree: one vertex weight per vertex")
+    lib = _kernel_for(n, vertex_weights, edge_w)
+    if lib is None:
+        return None
+    vw = np.ascontiguousarray(vertex_weights)
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    has_w = edge_w is not None
+    weights = np.ascontiguousarray(edge_w) if has_w else _EMPTY_F64
+    assignment = np.empty(n, dtype=np.int64)
+    with _drawing_from(rng) as (next_u32, state):
+        status = lib.partition_tree(
+            _i64(indptr), _i64(indices), _f64(weights), int(has_w), n,
+            _f64(vw), int(num_parts), float(imbalance), int(trials),
+            int(coarsest_size), int(max_negative_moves), int(max_passes),
+            next_u32, state, _i64(assignment),
+        )
+    _check_status("partition_tree", status, n)
+    return assignment
+
+
+def dissect_tree(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    degrees: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    leaf_size: int,
+    target_fraction: float,
+    imbalance: float,
+    trials: int,
+    coarsest_size: int,
+    max_negative_moves: int,
+    max_passes: int,
+) -> tuple[np.ndarray, int, int] | None:
+    """The whole nested dissection in C; None when declined.
+
+    The unweighted graph must be canonical, as for
+    :func:`partition_tree`; ``degrees`` are the degrees the edge
+    operations count (the original graph's, one per vertex).  Returns
+    ``(sequence, max_depth, edge_ops)``, drawing from ``rng`` exactly
+    as :class:`repro.ordering.nested_dissection.NestedDissectionOrder`'s
+    recursion does.  Declines and failures as for :func:`bisect`.
+    """
+    n = indptr.size - 1
+    if degrees.shape != (n,):
+        raise ValueError("dissect_tree: one degree per vertex")
+    lib = _kernel_for(n, None, None)
+    if lib is None:
+        return None
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(indices, dtype=np.int64)
+    degrees = np.ascontiguousarray(degrees, dtype=np.int64)
+    sequence = np.empty(n, dtype=np.int64)
+    stats = np.zeros(2, dtype=np.int64)
+    with _drawing_from(rng) as (next_u32, state):
+        status = lib.dissect_tree(
+            _i64(indptr), _i64(indices), n, _i64(degrees), int(leaf_size),
+            float(target_fraction), float(imbalance), int(trials),
+            int(coarsest_size), int(max_negative_moves), int(max_passes),
+            next_u32, state, _i64(sequence), _i64(stats),
+        )
+    _check_status("dissect_tree", status, n)
+    return sequence, int(stats[0]), int(stats[1])
 
 
 def draw_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     """The kernel's ``permutation(n)`` draw on ``rng`` (test hook)."""
     out = np.empty(n, dtype=np.int64)
-    iface = rng.bit_generator.ctypes
-    with rng.bit_generator.lock:
-        KERNEL.lib().draw_permutation_into(
-            iface.next_uint32, iface.state_address, n, _i64(out)
-        )
+    with _drawing_from(rng) as (next_u32, state):
+        KERNEL.lib().draw_permutation_into(next_u32, state, n, _i64(out))
     return out
 
 
 def draw_integers(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     """``count`` of the kernel's ``integers(m)`` draws on ``rng`` (test hook)."""
     out = np.empty(count, dtype=np.int64)
-    iface = rng.bit_generator.ctypes
-    with rng.bit_generator.lock:
+    with _drawing_from(rng) as (next_u32, state):
         KERNEL.lib().draw_integers_into(
-            iface.next_uint32, iface.state_address, m, count, _i64(out)
+            next_u32, state, m, count, _i64(out)
         )
     return out
 

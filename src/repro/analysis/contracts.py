@@ -12,7 +12,7 @@ test.  Six contracts, each reported as a :class:`~.core.Finding`:
     :func:`use_engine` must have its scalar reference resolvable: any
     ``*scalar*``-named callee inside the gated function must exist in scope (module,
     class, nested, or imported).  The scalar path runs rarely — the
-    default engine is ``vector`` — so a broken name there is latent
+    default engine is ``native`` — so a broken name there is latent
     until an equivalence run.
 ``parity-equivalence-test``
     Every module containing a gated function must be exercised by at

@@ -183,8 +183,16 @@ def greedy_seed_selection_vector(
     ).astype(np.int64)
 
     # vertex -> sets CSR (stable sort keeps set ids ascending per vertex,
-    # matching the scalar builder's insertion order).
-    by_vertex = np.argsort(member_verts, kind="stable")
+    # matching the scalar builder's insertion order).  The keys are
+    # vertex ids, so under the native engine the stable counting-sort
+    # kernel gives the same order.
+    by_vertex = None
+    if resolve_engine() == "native":
+        from .._native import counting
+
+        by_vertex = counting.run(member_verts, num_vertices)
+    if by_vertex is None:
+        by_vertex = np.argsort(member_verts, kind="stable")
     vertex_sets = set_ids[by_vertex]
     vertex_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=vertex_indptr[1:])

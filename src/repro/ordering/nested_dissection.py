@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine import ENGINE_METADATA_KEY
+from ..engine import ENGINE_METADATA_KEY, resolve_engine
 from ..graph.csr import CSRGraph
 from ..graph.permute import ordering_from_sequence
 from ..graph.subgraph import induced_subgraph
 from ..partition.multilevel import joint_tier
-from ..partition.separator import vertex_separator
+from ..partition.separator import dissect_native, vertex_separator
 from .base import OperationCounter, OrderingScheme
 
 __all__ = ["NestedDissectionOrder"]
@@ -51,6 +51,19 @@ class NestedDissectionOrder(OrderingScheme):
         # scheme instance must be reusable and its cache_token must not
         # depend on what it ordered before.
         n = graph.num_vertices
+        if n > self._leaf_size and resolve_engine() == "native":
+            # The whole recursion below (its scalar twin) in one
+            # dissect_tree kernel call.
+            done = dissect_native(graph, rng, self._leaf_size)
+            if done is not None:
+                sequence, max_depth, edge_ops = done
+                counter.count_edges(edge_ops)
+                counter.count_vertices(n)
+                return ordering_from_sequence(sequence), {
+                    "max_depth": max_depth,
+                    "leaf_size": self._leaf_size,
+                    ENGINE_METADATA_KEY: "native",
+                }
         sequence = np.empty(n, dtype=np.int64)
         pos = 0
         max_depth = 0

@@ -42,11 +42,12 @@ COARSEST_SIZE = 32
 class PartitionResult:
     """A k-way partition of a graph.
 
-    ``engine`` is the tier that ran the bisections: ``"native"`` only
-    when every one of them was a ``partition_bisect`` kernel call,
-    ``"vector"`` or ``"scalar"`` when the Python pipeline ran (under the
-    native engine, a kernel that could not run), and ``"scalar"`` when
-    there was nothing to bisect.
+    ``engine`` is the tier that ran the bisections: ``"native"`` when
+    the kernel ran them (the whole ``partition_tree`` of
+    :func:`partition_graph`, or a :func:`bisect`'s ``partition_bisect``
+    call), ``"vector"`` or ``"scalar"`` when the Python pipeline ran
+    (under the native engine, a kernel that declined or could not run),
+    and ``"scalar"`` when there was nothing to bisect.
     """
 
     assignment: np.ndarray
@@ -193,6 +194,12 @@ def partition_graph(
     Parts are numbered so that part ids increase along the recursive
     splitting order, which is the property the METIS-based *ordering*
     exploits (contiguous ranks within a part, parts in id order).
+
+    Under the native engine the whole recursion is one
+    ``partition_tree`` kernel call (:func:`repro._native.fm.
+    partition_tree`) drawing from the same generator; the recursion
+    below is its scalar twin, with bit-identical parts and generator
+    state.
     """
     if num_parts < 1:
         raise ValueError("num_parts must be positive")
@@ -210,6 +217,30 @@ def partition_graph(
     assignment = np.zeros(n, dtype=np.int64)
     if num_parts == 1 or n == 0:
         return PartitionResult(assignment, num_parts, 0.0, "scalar")
+    if n >= 2 and resolve_engine() == "native":
+        # The whole tree is one partition_tree call on the root the
+        # recursion below builds first; every node subgraph is a row
+        # filter of it.
+        root, root_vw = _induced_subgraph(
+            graph, np.arange(n, dtype=np.int64), vertex_weights
+        )
+        done = _native_fm.partition_tree(
+            root.indptr,
+            root.indices,
+            root.weights,
+            root_vw,
+            rng,
+            num_parts=num_parts,
+            imbalance=imbalance,
+            trials=GROW_TRIALS,
+            coarsest_size=COARSEST_SIZE,
+            max_negative_moves=MAX_NEGATIVE_MOVES,
+            max_passes=MAX_PASSES,
+        )
+        if done is not None:
+            return PartitionResult(
+                done, num_parts, edge_cut(graph, done), "native"
+            )
     tiers: set[str] = set()
 
     def recurse(

@@ -15,11 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._native import fm as _native_fm
 from ..engine import resolve_engine
 from ..graph.csr import CSRGraph
-from .multilevel import bisect
+from ..graph.subgraph import induced_subgraph
+from .initial import GROW_TRIALS
+from .multilevel import COARSEST_SIZE, bisect
+from .refine import MAX_NEGATIVE_MOVES, MAX_PASSES
 
-__all__ = ["Separation", "vertex_separator"]
+__all__ = ["Separation", "vertex_separator", "dissect_native"]
+
+#: target fraction and imbalance of the edge bisection under a separator.
+BISECT_FRACTION = 0.5
+BISECT_IMBALANCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,12 @@ def vertex_separator(
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return Separation(empty, empty, empty, "scalar")
-    result = bisect(graph, seed=seed)
+    result = bisect(
+        graph,
+        target_fraction=BISECT_FRACTION,
+        imbalance=BISECT_IMBALANCE,
+        seed=seed,
+    )
     part = result.assignment
 
     if resolve_engine() != "scalar":
@@ -62,6 +75,37 @@ def vertex_separator(
     right = np.flatnonzero((part == 1) & ~in_separator)
     separator = np.flatnonzero(in_separator)
     return Separation(left, right, separator, result.engine)
+
+
+def dissect_native(
+    graph: CSRGraph, rng: np.random.Generator, leaf_size: int
+) -> tuple[np.ndarray, int, int] | None:
+    """A whole nested dissection of ``graph`` in one kernel call.
+
+    Returns ``(sequence, max_depth, edge_ops)`` of the recursion in
+    :class:`repro.ordering.nested_dissection.NestedDissectionOrder`,
+    every separator a :func:`vertex_separator` under the vector cover,
+    or None when the ``dissect_tree`` kernel declines (before any
+    draw).  The kernel starts from the root that recursion builds
+    first.
+    """
+    n = graph.num_vertices
+    root = induced_subgraph(
+        graph, np.arange(n, dtype=np.int64), keep_weights=False
+    ).graph
+    return _native_fm.dissect_tree(
+        root.indptr,
+        root.indices,
+        graph.degrees(),
+        rng,
+        leaf_size=leaf_size,
+        target_fraction=BISECT_FRACTION,
+        imbalance=BISECT_IMBALANCE,
+        trials=GROW_TRIALS,
+        coarsest_size=COARSEST_SIZE,
+        max_negative_moves=MAX_NEGATIVE_MOVES,
+        max_passes=MAX_PASSES,
+    )
 
 
 def _greedy_cover_scalar(

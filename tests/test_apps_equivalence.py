@@ -187,6 +187,18 @@ class TestGreedySeeding:
         vector = greedy_seed_selection_vector(sets, n, k)
         assert scalar == vector
 
+    @pytest.mark.parametrize("engine", ["vector", "native"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_engines_agree(self, seed, engine):
+        """The native engine orders the membership by vertex with the
+        counting-sort kernel, the vector engine with a stable argsort."""
+        rng = np.random.default_rng(seed)
+        n = 40
+        sets = _random_rrr_sets(rng, n, 25)
+        scalar = greedy_seed_selection(sets, n, 16, engine="scalar")
+        with use_engine(engine):
+            assert greedy_seed_selection_vector(sets, n, 16) == scalar
+
     def test_empty_sets(self):
         assert greedy_seed_selection(
             [], 10, 4, engine="scalar"

@@ -91,6 +91,17 @@ def test_engines_bit_identical(scheme_name, graph_name, engine):
     assert_same_ordering(tiered, scalar)
 
 
+@pytest.mark.parametrize("scheme_name", ("metis", "nested_dissection"))
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_partition_schemes_native_matches_vector(scheme_name, graph_name):
+    """Under the native engine each ordering is one partition_tree or
+    dissect_tree kernel call; the vector engine runs the recursion."""
+    graph = GRAPHS[graph_name]
+    native = order_with(scheme_name, graph, "native")
+    vector = order_with(scheme_name, graph, "vector")
+    assert_same_ordering(native, vector)
+
+
 @pytest.mark.parametrize(
     "scheme_name", ("rcm", "bfs", "slashburn", "rabbit")
 )

@@ -36,7 +36,12 @@ from repro.simulator.parallel import (
     static_block_schedule,
     static_interleaved_schedule,
 )
-from tests.conftest import make_grid, make_two_cliques, random_graph
+from tests.conftest import (
+    make_clique,
+    make_grid,
+    make_two_cliques,
+    random_graph,
+)
 
 KERNEL_NAMES = (
     "gorder_greedy",
@@ -832,6 +837,311 @@ def test_partition_orderings_report_the_tier_that_ran(scheme_name, knobs):
         native_fm.KERNEL.reset()
     assert degraded.metadata["engine"] == "vector"
     assert np.array_equal(degraded.permutation, native.permutation)
+
+
+# ---------------------------------------------------------------------------
+# Whole partition trees: partition_tree / dissect_tree against the
+# recursions they replace
+# ---------------------------------------------------------------------------
+def assert_tree_matches_twin(graph, num_parts, vertex_weights=None, seed=0):
+    """Assignment, cut, tier and the generator's next draw match the
+    recursion in partition_graph."""
+    from repro._native import fm as native_fm
+    from repro.partition import partition_graph
+
+    rng_native = np.random.default_rng(seed)
+    rng_twin = np.random.default_rng(seed)
+    with use_engine("native"):
+        native = partition_graph(
+            graph, num_parts, vertex_weights=vertex_weights, seed=rng_native
+        )
+    with use_engine("vector"):
+        twin = partition_graph(
+            graph, num_parts, vertex_weights=vertex_weights, seed=rng_twin
+        )
+    assert np.array_equal(native.assignment, twin.assignment)
+    assert native.cut == twin.cut
+    assert rng_native.random() == rng_twin.random()
+    bisected = num_parts > 1 and graph.num_vertices >= 2
+    if not bisected:
+        assert native.engine == twin.engine == "scalar"
+    elif native_fm.KERNEL.lib() is not None:
+        assert (native.engine, twin.engine) == ("native", "vector")
+
+
+TREE_PARTS = (1, 2, 3, 5, 8, 32, 256)
+
+
+@given(
+    n=st.integers(2, 90),
+    edges=st.lists(
+        st.tuples(st.integers(0, 89), st.integers(0, 89)),
+        min_size=0,
+        max_size=300,
+    ),
+    seed=st.integers(0, 2**16),
+    num_parts=st.sampled_from(TREE_PARTS),
+)
+@settings(max_examples=30, deadline=None)
+def test_partition_tree_matches_twin_random_graphs(n, edges, seed, num_parts):
+    graph = from_edges(n, [(u % n, v % n) for u, v in edges])
+    assert_tree_matches_twin(graph, num_parts, seed=seed)
+
+
+@pytest.mark.parametrize("num_parts", TREE_PARTS)
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_partition_tree_matches_twin_on_fixtures(graph_name, num_parts):
+    assert_tree_matches_twin(GRAPHS[graph_name], num_parts, seed=3)
+
+
+@pytest.mark.parametrize("num_parts", (2, 9, 200))
+def test_partition_tree_matches_twin_with_more_parts_than_vertices(
+    num_parts,
+):
+    assert_tree_matches_twin(random_graph(7, 12, seed=1), num_parts)
+    assert_tree_matches_twin(from_edges(2, [(0, 1)]), num_parts)
+
+
+@pytest.mark.parametrize("num_parts", TREE_PARTS)
+def test_partition_tree_matches_twin_without_edges(num_parts):
+    """No edges, or isolated vertices around a few: growth runs out of
+    frontier at every node."""
+    assert_tree_matches_twin(from_edges(40, []), num_parts, seed=2)
+    edges = [(0, 1), (1, 2), (5, 6), (30, 31)]
+    assert_tree_matches_twin(from_edges(60, edges), num_parts, seed=5)
+
+
+@pytest.mark.parametrize("num_parts", (2, 3, 5, 8, 32))
+def test_partition_tree_matches_twin_on_degenerate_splits(num_parts):
+    """Zero vertex weights let FM pull every vertex of a clique to one
+    side, so nodes of 13, 7, 5 and 3 vertices take the arbitrary split
+    at round(size * fraction): 6.5, 3.5, 2.5 and 1.5 round half to
+    even."""
+    from repro.partition import multilevel
+
+    graph = from_edges(13, make_clique(13))
+    weights = np.zeros(13)
+    one_sided = []
+    bisect = multilevel.bisect
+
+    def spy(sub, **kwargs):
+        result = bisect(sub, **kwargs)
+        if np.ptp(result.assignment) == 0:
+            one_sided.append(sub.num_vertices)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multilevel, "bisect", spy)
+        with use_engine("vector"):
+            multilevel.partition_graph(graph, num_parts, vertex_weights=weights)
+    assert 13 in one_sided  # the twin takes the degenerate path
+    assert_tree_matches_twin(graph, num_parts, vertex_weights=weights)
+
+
+@pytest.mark.parametrize("num_parts", (2, 3, 8, 32))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_partition_tree_matches_twin_non_integral_weights(num_parts, seed):
+    rng = np.random.default_rng(seed)
+    n, m = 300, 1500
+    edges = np.column_stack((rng.integers(n, size=m), rng.integers(n, size=m)))
+    graph = from_edges(n, edges, weights=rng.random(m) * 3.0 + 0.1)
+    vertex_weights = rng.random(n) * 2.0 + 0.25
+    assert_tree_matches_twin(graph, num_parts, vertex_weights, seed=seed)
+
+
+def raw_csr_graph():
+    """A CSR no builder made: a duplicate weighted entry (0-1 twice),
+    self-loops (2-2, 5-5), one-sided entries (3 lists 4 and 7 lists 6,
+    neither listed back) and an unsorted row."""
+    from repro.graph.csr import CSRGraph
+
+    rows = {
+        0: [(1, 0.5), (1, 1.25), (2, 2.0), (8, 1.0)],
+        1: [(0, 0.75), (3, 1.5)],
+        2: [(2, 4.0), (0, 2.0), (9, 0.5)],
+        3: [(4, 3.0), (1, 1.5)],
+        4: [(5, 1.0)],
+        5: [(5, 1.0), (4, 1.0), (6, 2.5)],
+        6: [(5, 2.5)],
+        7: [(6, 1.0), (8, 0.25)],
+        8: [(7, 0.25), (0, 1.0), (9, 2.0)],
+        9: [(8, 2.0), (2, 0.5)],
+    }
+    indptr = np.zeros(11, dtype=np.int64)
+    indices, weights = [], []
+    for v in range(10):
+        indptr[v + 1] = indptr[v] + len(rows[v])
+        for u, w in rows[v]:
+            indices.append(u)
+            weights.append(w)
+    return CSRGraph(indptr, np.asarray(indices), np.asarray(weights))
+
+
+@pytest.mark.parametrize("num_parts", (2, 3, 4))
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_partition_tree_canonicalises_a_raw_csr(num_parts, seed):
+    """The kernel starts from the root the recursion builds, so a CSR
+    with duplicates, self-loops and one-sided entries partitions the
+    same under both."""
+    graph = raw_csr_graph()
+    assert_tree_matches_twin(graph, num_parts, seed=seed)
+    assert_tree_matches_twin(
+        graph, num_parts, vertex_weights=np.arange(1.0, 11.0), seed=seed
+    )
+
+
+def dissect_with(graph, engine, seed=0, leaf_size=16):
+    """(sequence, metadata, counter totals, next draw) of one ND run."""
+    from repro.ordering.base import OperationCounter
+    from repro.ordering.nested_dissection import NestedDissectionOrder
+
+    counter = OperationCounter()
+    rng = np.random.default_rng(seed)
+    with use_engine(engine):
+        permutation, metadata = NestedDissectionOrder(
+            leaf_size=leaf_size
+        ).compute(graph, counter, rng)
+    counts = (counter.vertex_ops, counter.edge_ops, counter.compare_ops)
+    return permutation, metadata, counts, rng.random()
+
+
+def assert_dissection_matches_twin(graph, seed=0, leaf_size=16):
+    from repro._native import fm as native_fm
+
+    native = dissect_with(graph, "native", seed, leaf_size)
+    twin = dissect_with(graph, "vector", seed, leaf_size)
+    assert np.array_equal(native[0], twin[0])
+    assert strip_engine_metadata(native[1]) == strip_engine_metadata(twin[1])
+    assert native[2:] == twin[2:]
+    if graph.num_vertices <= leaf_size:
+        assert native[1]["engine"] == twin[1]["engine"] == "scalar"
+    elif native_fm.KERNEL.lib() is not None:
+        assert (native[1]["engine"], twin[1]["engine"]) == ("native", "vector")
+
+
+@given(
+    n=st.integers(2, 120),
+    edges=st.lists(
+        st.tuples(st.integers(0, 119), st.integers(0, 119)),
+        min_size=0,
+        max_size=400,
+    ),
+    seed=st.integers(0, 2**16),
+    leaf_size=st.sampled_from((1, 4, 16)),
+)
+@settings(max_examples=30, deadline=None)
+def test_dissect_tree_matches_twin_random_graphs(n, edges, seed, leaf_size):
+    graph = from_edges(n, [(u % n, v % n) for u, v in edges])
+    assert_dissection_matches_twin(graph, seed, leaf_size)
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("leaf_size", (1, 3, 16))
+def test_dissect_tree_matches_twin_on_fixtures(graph_name, leaf_size):
+    assert_dissection_matches_twin(GRAPHS[graph_name], 4, leaf_size)
+
+
+def test_dissect_tree_matches_twin_on_shapes():
+    """A clique the separator cannot split, a star, components with
+    isolated vertices, a larger random graph, and a raw CSR whose
+    duplicate and one-sided entries count in the original degrees."""
+    assert_dissection_matches_twin(from_edges(30, make_clique(30)))
+    assert_dissection_matches_twin(
+        from_edges(100, [(0, i) for i in range(1, 100)]), seed=1
+    )
+    edges = [(i, i + 1) for i in range(0, 60, 3)] + [(70, 71), (71, 72)]
+    assert_dissection_matches_twin(from_edges(120, edges), seed=2)
+    assert_dissection_matches_twin(random_graph(3000, 12000, seed=9), 7)
+    assert_dissection_matches_twin(raw_csr_graph(), leaf_size=2)
+
+
+def test_partition_trees_decline_before_drawing():
+    """Non-finite weights or no kernel decline with the generator
+    untouched; the recursion then runs and labels the Python tier."""
+    from repro._native import fm as native_fm
+    from repro.partition import partition_graph
+
+    graph = random_graph(200, 800)
+    root = graph.indptr, graph.indices
+    nan_weights = np.where(np.arange(200) == 3, np.nan, 1.0)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert native_fm.partition_tree(
+        *root, None, nan_weights, rng, num_parts=4, imbalance=0.1,
+        trials=4, coarsest_size=32, max_negative_moves=50, max_passes=4,
+    ) is None
+    assert native_fm.partition_tree(
+        *root, np.full(graph.indices.size, np.inf), np.ones(200), rng,
+        num_parts=4, imbalance=0.1, trials=4, coarsest_size=32,
+        max_negative_moves=50, max_passes=4,
+    ) is None
+    assert rng.bit_generator.state == before
+    with use_engine("native"):
+        result = partition_graph(graph, 4, vertex_weights=nan_weights)
+    assert result.engine == "vector"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native_fm.KERNEL, "lib", lambda: None)
+        assert native_fm.dissect_tree(
+            *root, graph.degrees(), rng, leaf_size=16, target_fraction=0.5,
+            imbalance=0.1, trials=4, coarsest_size=32,
+            max_negative_moves=50, max_passes=4,
+        ) is None
+    assert rng.bit_generator.state == before
+
+
+def test_partition_trees_reject_per_vertex_arrays_of_wrong_length():
+    """The kernels index vertex weights and degrees unchecked."""
+    from repro._native import fm as native_fm
+
+    graph = random_graph(50, 120)
+    params = dict(
+        imbalance=0.1, trials=4, coarsest_size=32, max_negative_moves=50,
+        max_passes=4,
+    )
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="vertex weight"):
+        native_fm.partition_tree(
+            graph.indptr, graph.indices, None, np.ones(49), rng,
+            num_parts=4, **params,
+        )
+    with pytest.raises(ValueError, match="degree"):
+        native_fm.dissect_tree(
+            graph.indptr, graph.indices, graph.degrees()[:-1], rng,
+            leaf_size=16, target_fraction=0.5, **params,
+        )
+
+
+@pytest.mark.parametrize("symbol", ("partition_tree", "dissect_tree"))
+def test_partition_trees_out_of_memory_raise(symbol, monkeypatch):
+    """Status -1 is a MemoryError, never a rerun on a moved generator."""
+    from repro._native import fm as native_fm
+
+    class OutOfMemory:
+        def partition_tree(self, *args):
+            return -1
+
+        def dissect_tree(self, *args):
+            return -1
+
+    monkeypatch.setattr(native_fm.KERNEL, "lib", lambda: OutOfMemory())
+    graph = random_graph(50, 120)
+    rng = np.random.default_rng(0)
+    params = dict(
+        imbalance=0.1, trials=4, coarsest_size=32, max_negative_moves=50,
+        max_passes=4,
+    )
+    with pytest.raises(MemoryError):
+        if symbol == "partition_tree":
+            native_fm.partition_tree(
+                graph.indptr, graph.indices, None, np.ones(50), rng,
+                num_parts=4, **params,
+            )
+        else:
+            native_fm.dissect_tree(
+                graph.indptr, graph.indices, graph.degrees(), rng,
+                leaf_size=16, target_fraction=0.5, **params,
+            )
 
 
 # ---------------------------------------------------------------------------
