@@ -19,20 +19,23 @@ clint:
 # Sanitizer legs: rebuild every native kernel under an instrumented
 # profile (cache-keyed separately from the -O3 builds) and run the
 # bit-identity suites (the apps suite drives the RRR and delta kernels
-# over random graphs, the partition suites drive partition_bisect);
+# over random graphs, the partition suites drive partition_bisect, the
+# simulator suite drives sim_region over block-indexed traces);
 # any sanitizer report fails the leg with its SUMMARY line
 # (scripts/native_sanitize.sh).
 test-asan:
 	sh scripts/native_sanitize.sh asan -x -q tests/test_native_kernels.py \
 		tests/test_ingest.py tests/test_apps_equivalence.py \
 		tests/test_partition_multilevel.py \
-		tests/test_partition_properties.py
+		tests/test_partition_properties.py \
+		tests/test_simulator_trace_parallel.py
 
 test-ubsan:
 	sh scripts/native_sanitize.sh ubsan -x -q tests/test_native_kernels.py \
 		tests/test_ingest.py tests/test_apps_equivalence.py \
 		tests/test_partition_multilevel.py \
-		tests/test_partition_properties.py
+		tests/test_partition_properties.py \
+		tests/test_simulator_trace_parallel.py
 
 test-sanitize:
 	REPRO_SANITIZE=1 PYTHONPATH=src python -m pytest -x -q \

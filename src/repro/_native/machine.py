@@ -33,16 +33,22 @@ per-access model they are exact to (scalar twin
   the per-thread counters are reported as loads per service level, from
   which the Python side rebuilds :class:`ThreadCounters` exactly.
 
-Items arrive as an array of pointers plus lengths — the trace is never
-concatenated.  Loads only: no store ever dirties a line in a simulated
-region, so writebacks cannot occur and are not modelled.  The next-line
-prefetcher is not supported; the caller keeps it on the Python path.
+Items arrive block-indexed (:class:`repro.simulator.parallel.BlockTrace`):
+one int64 line stream cut into blocks by ``block_offsets``, and per item
+a run of block ids — item ``i`` issues blocks
+``item_blocks[item_offsets[i]:item_offsets[i + 1]]`` in order.  A
+per-vertex table (the Louvain sweep's blocks, the RRR sampler's
+adjacency blocks) is passed once and items name the vertices they
+visit, so no item's trace is ever materialised.  The caller validates
+every id and offset the kernel indexes with before the call.  Loads
+only: no store ever dirties a line in a simulated region, so writebacks
+cannot occur and are not modelled.  The next-line prefetcher is not
+supported; the caller keeps it on the Python path.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Sequence
 
 import numpy as np
 
@@ -83,8 +89,10 @@ static int64_t lru_touch(int64_t *ways, int64_t *len, int64_t assoc,
 
 /* Returns 0, -1 on a negative line (caller replays in Python) or -2
  * when the cache state cannot be allocated. */
-int64_t sim_region(const int64_t *const *item_lines,
-                   const int64_t *item_len,
+int64_t sim_region(const int64_t *blocks,        /* line stream */
+                   const int64_t *block_offsets, /* num_blocks + 1 */
+                   const int64_t *item_blocks,   /* block ids per item */
+                   const int64_t *item_offsets,  /* num_items + 1 */
                    const int64_t *item_compute,
                    const int64_t *item_thread, /* NULL: dynamic chunks */
                    int64_t num_items,
@@ -129,31 +137,34 @@ int64_t sim_region(const int64_t *const *item_lines,
         int64_t *l2_len = l2_tags + s2 * w2;
         int64_t *loads = level_loads + t * 4;
         for (int64_t i = pos; i < end; i++) {
-            const int64_t *lines = item_lines[i];
             int64_t stall = 0;
-            for (int64_t a = 0; a < item_len[i]; a++) {
-                const int64_t line = lines[a];
-                if (line < 0) {
-                    status = -1;
-                    goto done;
-                }
-                int64_t level = 0;
-                const int64_t set1 = line % s1;
-                if (!lru_touch(l1_tags + set1 * w1, l1_len + set1, w1,
-                               line / s1)) {
-                    const int64_t set2 = line % s2;
-                    level = 1;
-                    if (!lru_touch(l2_tags + set2 * w2, l2_len + set2, w2,
-                                   line / s2)) {
-                        const int64_t set3 = line % s3;
-                        level = 2;
-                        if (!lru_touch(l3_tags + set3 * w3, l3_len + set3,
-                                       w3, line / s3))
-                            level = 3;
+            for (int64_t b = item_offsets[i]; b < item_offsets[i + 1]; b++) {
+                const int64_t block = item_blocks[b];
+                const int64_t a_hi = block_offsets[block + 1];
+                for (int64_t a = block_offsets[block]; a < a_hi; a++) {
+                    const int64_t line = blocks[a];
+                    if (line < 0) {
+                        status = -1;
+                        goto done;
                     }
+                    int64_t level = 0;
+                    const int64_t set1 = line % s1;
+                    if (!lru_touch(l1_tags + set1 * w1, l1_len + set1, w1,
+                                   line / s1)) {
+                        const int64_t set2 = line % s2;
+                        level = 1;
+                        if (!lru_touch(l2_tags + set2 * w2, l2_len + set2,
+                                       w2, line / s2)) {
+                            const int64_t set3 = line % s3;
+                            level = 2;
+                            if (!lru_touch(l3_tags + set3 * w3,
+                                           l3_len + set3, w3, line / s3))
+                                level = 3;
+                        }
+                    }
+                    stall += latency[level];
+                    loads[level]++;
                 }
-                stall += latency[level];
-                loads[level]++;
             }
             clocks[t] += stall + item_compute[i];
             compute[t] += item_compute[i];
@@ -167,7 +178,6 @@ done:
 """
 
 _P_I64 = ctypes.POINTER(ctypes.c_int64)
-_P_PTR = ctypes.POINTER(ctypes.c_void_p)
 
 KERNEL = NativeKernel(
     "sim_region",
@@ -175,8 +185,10 @@ KERNEL = NativeKernel(
     symbols={
         "sim_region": (
             [
-                _P_PTR,  # item_lines
-                _P_I64,  # item_len
+                _P_I64,  # blocks
+                _P_I64,  # block_offsets
+                _P_I64,  # item_blocks
+                _P_I64,  # item_offsets
                 _P_I64,  # item_compute
                 _P_I64,  # item_thread (NULL for dynamic chunks)
                 ctypes.c_int64,  # num_items
@@ -197,8 +209,7 @@ KERNEL = NativeKernel(
 
 @guarded(KERNEL)
 def run_region(
-    lines: Sequence[np.ndarray],
-    compute: np.ndarray,
+    trace,
     item_thread: np.ndarray | None,
     chunk: int,
     num_threads: int,
@@ -207,8 +218,8 @@ def run_region(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Replay one parallel region natively; None to replay in Python.
 
-    ``lines`` holds one contiguous int64 array per item (kept alive by
-    the caller for the call), ``compute`` the items' compute cycles,
+    ``trace`` is a validated :class:`repro.simulator.parallel.BlockTrace`
+    (contiguous int64 arrays, every block id and offset in range),
     ``item_thread`` each item's thread for a static region (items in
     issue order; ``chunk`` is then unused) or None for dynamic chunks of
     ``chunk`` items, ``geometry`` the ``(sets, ways)`` pairs of L1, L2
@@ -220,21 +231,16 @@ def run_region(
     lib = KERNEL.lib()
     if lib is None:
         return None
-    num_items = len(lines)
-    pointers = np.fromiter(
-        (item.ctypes.data for item in lines), dtype=np.uintp,
-        count=num_items,
-    )
-    lengths = np.fromiter(
-        (item.size for item in lines), dtype=np.int64, count=num_items
-    )
+    num_items = trace.num_items
     clocks = np.zeros(num_threads, dtype=np.int64)
     busy = np.zeros(num_threads, dtype=np.int64)
     level_loads = np.zeros((num_threads, 4), dtype=np.int64)
     status = lib.sim_region(
-        pointers.ctypes.data_as(_P_PTR),
-        lengths.ctypes.data_as(_P_I64),
-        compute.ctypes.data_as(_P_I64),
+        trace.blocks.ctypes.data_as(_P_I64),
+        trace.block_offsets.ctypes.data_as(_P_I64),
+        trace.item_blocks.ctypes.data_as(_P_I64),
+        trace.item_offsets.ctypes.data_as(_P_I64),
+        trace.compute.ctypes.data_as(_P_I64),
         None if item_thread is None else item_thread.ctypes.data_as(_P_I64),
         num_items,
         min(chunk, max(num_items, 1)),

@@ -8,7 +8,9 @@ pure function of ``(graph content, sample index, seed)`` and totally
 independent of one another.
 
 The kernel draws a chunk of cascades per call and writes them back to
-back into one output arena, which the Python wrapper slices per sample.
+back into one output arena; the wrapper hands the filled prefix on as
+one member array, the CSR :class:`repro.apps.influence_max.RRRSets`
+keeps all the way to the simulated replay.
 
 Bit-identity with the scalar BFS (the scalar twin) relies on two exact
 equivalences: C's uint64 arithmetic wraps exactly like the masked
@@ -62,6 +64,8 @@ int64_t rrr_sample(const int64_t *indptr,
         if (pos >= out_cap)
             return -1;
         const int64_t root = roots[s];
+        if (root < 0 || root >= n)
+            return -1;
         stamps[root] = stamp;
         out[pos++] = root;
         int64_t level_lo = 0;
@@ -145,12 +149,14 @@ def run(
     original_of: np.ndarray,
     sample_indices: np.ndarray,
     seed: int,
-) -> list[tuple[np.ndarray, int]] | None:
-    """All cascades as ``(vertices, edges_examined)`` pairs, or None.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """All cascades as ``(members, sizes, edges_examined)``, or None.
 
+    ``members`` holds every cascade back to back (sample ``s`` owns the
+    next ``sizes[s]`` entries); ``edges_examined`` is per sample.
     Returns None when the kernel is unavailable so the caller falls
     through to the scalar sampler.  Every root must lie in ``[0, n)``
-    (:func:`repro.apps.batch.sample_rrr_ic_pinned_batch` checks).
+    (:func:`repro.apps.batch.sample_rrr_ic_pinned_sets` checks).
     Samples are processed in bounded-arena chunks; a cascade visits each
     vertex at most once, so ``count * n`` slots always hold a chunk of
     ``count`` samples.
@@ -159,8 +165,10 @@ def run(
     if native is None:
         return None
     num_samples = int(len(roots))
+    sizes = np.zeros(num_samples, dtype=np.int64)
+    edges = np.zeros(num_samples, dtype=np.int64)
     if num_samples == 0:
-        return []
+        return np.zeros(0, dtype=np.int64), sizes, edges
     n = int(graph.num_vertices)
     if n == 0:
         return None
@@ -171,14 +179,12 @@ def run(
     samples_arr = np.ascontiguousarray(sample_indices, dtype=np.int64)
     chunk_size = max(1, min(num_samples, _ARENA_BUDGET // n))
     stamps = np.zeros(n, dtype=np.int64)
-    results: list[tuple[np.ndarray, int]] = []
+    parts: list[np.ndarray] = []
     for chunk_lo in range(0, num_samples, chunk_size):
         chunk_hi = min(chunk_lo + chunk_size, num_samples)
         count = chunk_hi - chunk_lo
         out_cap = count * n
         arena = np.empty(out_cap, dtype=np.int64)
-        sizes = np.zeros(count, dtype=np.int64)
-        edges = np.zeros(count, dtype=np.int64)
         rc = native.rrr_sample(
             indptr.ctypes.data_as(_P_I64),
             indices.ctypes.data_as(_P_I64),
@@ -192,17 +198,14 @@ def run(
             chunk_lo,
             arena.ctypes.data_as(_P_I64),
             out_cap,
-            sizes.ctypes.data_as(_P_I64),
-            edges.ctypes.data_as(_P_I64),
+            sizes[chunk_lo:chunk_hi].ctypes.data_as(_P_I64),
+            edges[chunk_lo:chunk_hi].ctypes.data_as(_P_I64),
             stamps.ctypes.data_as(_P_I64),
         )
-        if rc != 0:  # pragma: no cover - out_cap makes this unreachable
+        if rc != 0:  # pragma: no cover - out_cap and the root check
+            # in sample_rrr_ic_pinned_sets make this unreachable
             return None
-        offset = 0
-        for s in range(count):
-            size = int(sizes[s])
-            results.append(
-                (arena[offset : offset + size].copy(), int(edges[s]))
-            )
-            offset += size
-    return results
+        # copied out: the arena's unused tail must not stay alive
+        parts.append(arena[: int(sizes[chunk_lo:chunk_hi].sum())].copy())
+    members = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return members, sizes, edges

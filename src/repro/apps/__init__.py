@@ -3,12 +3,14 @@
 from .batch import (
     greedy_seed_selection_vector,
     sample_rrr_ic_pinned_batch,
+    sample_rrr_ic_pinned_sets,
 )
 from .delta_stepping import delta_stepping
 from .community_detection import (
     CLOCK_HZ,
     CommunityDetectionReport,
     build_sweep_items,
+    build_sweep_trace,
     run_community_detection,
 )
 from .kernels import (
@@ -26,6 +28,7 @@ from .kernels import (
 from .influence_max import (
     InfluenceMaxReport,
     RRRSet,
+    RRRSets,
     greedy_seed_selection,
     imm_theta,
     run_influence_maximization,
@@ -39,10 +42,13 @@ __all__ = [
     "CommunityDetectionReport",
     "run_community_detection",
     "build_sweep_items",
+    "build_sweep_trace",
     "RRRSet",
+    "RRRSets",
     "sample_rrr_ic",
     "sample_rrr_ic_pinned",
     "sample_rrr_ic_pinned_batch",
+    "sample_rrr_ic_pinned_sets",
     "sample_rrr_lt",
     "greedy_seed_selection",
     "greedy_seed_selection_vector",

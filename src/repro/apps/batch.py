@@ -7,8 +7,11 @@ selection.  This module holds the batch entry points of both, required
 to be **bit-identical** to the scalar reference loops retained in
 :mod:`repro.apps.influence_max`:
 
-* :func:`sample_rrr_ic_pinned_batch` — many hash-pinned IC cascades in
-  one call.  Under the native engine the whole draw runs through the
+* :func:`sample_rrr_ic_pinned_sets` — many hash-pinned IC cascades in
+  one call, returned as one CSR
+  (:class:`repro.apps.influence_max.RRRSets`;
+  :func:`sample_rrr_ic_pinned_batch` lists them as ``RRRSet`` objects).
+  Under the native engine the whole draw runs through the
   ``rrr_sample`` C kernel (:mod:`repro._native.rrr`); every other
   engine, and a native engine whose kernel cannot run, loops the scalar
   reference :func:`repro.apps.influence_max.sample_rrr_ic_pinned`.
@@ -30,52 +33,25 @@ import numpy as np
 from ..analysis import sanitize
 from ..engine import gather_ranges, resolve_engine
 from ..graph.csr import CSRGraph
+from .influence_max import RRRSet, RRRSets, sample_rrr_ic_pinned
 
 __all__ = [
+    "sample_rrr_ic_pinned_sets",
     "sample_rrr_ic_pinned_batch",
     "greedy_seed_selection_vector",
 ]
 
 
-def _pinned_batch_cell(cell: tuple) -> list:
+def _pinned_batch_cell(cell: tuple) -> RRRSets:
     """Picklable pool worker: run the batch sampler on one chunk."""
     graph, probability, roots, original_of, sample_indices, seed = cell
-    return sample_rrr_ic_pinned_batch(
+    return sample_rrr_ic_pinned_sets(
         graph, probability, roots, original_of, sample_indices, seed,
         jobs=1,
     )
 
 
-def _sample_rrr_native(
-    graph: CSRGraph,
-    probability: float,
-    roots: np.ndarray,
-    original_of: np.ndarray,
-    sample_indices: np.ndarray,
-    seed: int,
-) -> list | None:
-    """Draw all cascades through the ``rrr_sample`` C kernel.
-
-    Returns None when the kernel is unavailable (no compiler, or a
-    build or runtime failure earlier in the process) so the caller
-    falls through to the scalar loop; otherwise the returned ``RRRSet``
-    list is bit-identical to it.
-    """
-    from .._native import rrr as native_rrr
-    from .influence_max import RRRSet
-
-    pairs = native_rrr.run(
-        graph, probability, roots, original_of, sample_indices, seed
-    )
-    if pairs is None:
-        return None
-    return [
-        RRRSet(root=int(root), vertices=vertices, edges_examined=edges)
-        for root, (vertices, edges) in zip(roots.tolist(), pairs)
-    ]
-
-
-def sample_rrr_ic_pinned_batch(
+def sample_rrr_ic_pinned_sets(
     graph: CSRGraph,
     probability: float,
     roots,
@@ -84,24 +60,24 @@ def sample_rrr_ic_pinned_batch(
     seed: int,
     *,
     jobs: int | None = None,
-) -> list:
-    """Hash-pinned IC RRR sets for many (root, sample index) pairs.
+) -> RRRSets:
+    """Hash-pinned IC RRR sets for many (root, sample index) pairs, as CSR.
 
     Bit-identical to calling
     :func:`repro.apps.influence_max.sample_rrr_ic_pinned` once per pair
     (same vertex discovery order, same ``edges_examined``).  Under the
-    native tier the whole draw goes through the ``rrr_sample`` C kernel
-    (:func:`_sample_rrr_native`); otherwise, or when the kernel is
-    unavailable, the scalar reference runs once per pair.  Every root
-    must be a vertex of ``[0, n)`` (``ValueError`` otherwise).  With
-    ``jobs > 1`` the pair list is split into contiguous chunks fanned
-    out through :func:`repro.bench.pool.map_cells`; determinism per
-    sample index makes the parallel result identical to the sequential
-    one.
+    native tier the whole draw goes through the ``rrr_sample`` C kernel,
+    whose arena becomes the collection's member array; otherwise, or
+    when the kernel is unavailable, the scalar reference runs once per
+    pair.  Every root must be a vertex of ``[0, n)`` (``ValueError``
+    otherwise).  With ``jobs > 1`` the pair list is split into
+    contiguous chunks fanned out through
+    :func:`repro.bench.pool.map_cells`; determinism per sample index
+    makes the parallel result identical to the sequential one.
     """
-    sanitize.check_integral(roots, where="sample_rrr_ic_pinned_batch(roots)")
+    sanitize.check_integral(roots, where="sample_rrr_ic_pinned_sets(roots)")
     sanitize.check_integral(
-        sample_indices, where="sample_rrr_ic_pinned_batch(sample_indices)"
+        sample_indices, where="sample_rrr_ic_pinned_sets(sample_indices)"
     )
     roots = np.asarray(roots, dtype=np.int64)
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
@@ -109,7 +85,7 @@ def sample_rrr_ic_pinned_batch(
         raise ValueError("roots and sample_indices must align")
     total = roots.size
     if total == 0:
-        return []
+        return RRRSets.from_sets([])
     n = graph.num_vertices
     # the kernel indexes its visited stamps and the CSR with every root,
     # and original_of with every vertex it reaches
@@ -129,30 +105,51 @@ def sample_rrr_ic_pinned_batch(
             )
             for a, b in chunk_evenly(total, width)
         ]
-        parts = map_cells(_pinned_batch_cell, cells, jobs=width)
-        return [rrr for part in parts for rrr in part]
+        return RRRSets.concat(
+            map_cells(_pinned_batch_cell, cells, jobs=width)
+        )
 
     if resolve_engine() == "native":
-        native_sets = _sample_rrr_native(
+        from .._native import rrr as native_rrr
+
+        drawn = native_rrr.run(
             graph, probability, roots, original_of, sample_indices, seed
         )
-        if native_sets is not None:
-            return native_sets
+        if drawn is not None:
+            members, sizes, edges = drawn
+            offsets = np.zeros(total + 1, dtype=np.int64)
+            np.cumsum(sizes, out=offsets[1:])
+            return RRRSets(members, offsets, edges)
 
-    from .influence_max import sample_rrr_ic_pinned
-
-    return [
+    return RRRSets.from_sets([
         sample_rrr_ic_pinned(
             graph, probability, root, original_of, index, seed,
             engine="scalar",
         )
         for root, index in zip(roots.tolist(), sample_indices.tolist())
-    ]
+    ])
+
+
+def sample_rrr_ic_pinned_batch(
+    graph: CSRGraph,
+    probability: float,
+    roots,
+    original_of: np.ndarray,
+    sample_indices,
+    seed: int,
+    *,
+    jobs: int | None = None,
+) -> list[RRRSet]:
+    """:func:`sample_rrr_ic_pinned_sets` as a list of :class:`RRRSet`."""
+    return list(sample_rrr_ic_pinned_sets(
+        graph, probability, roots, original_of, sample_indices, seed,
+        jobs=jobs,
+    ))
 
 
 @sanitize.guarded
 def greedy_seed_selection_vector(
-    rrr_sets: list,
+    rrr_sets: "list[RRRSet] | RRRSets",
     num_vertices: int,
     k: int,
 ) -> tuple[list[int], float, int]:
@@ -162,21 +159,17 @@ def greedy_seed_selection_vector(
     :func:`repro.apps.influence_max.greedy_seed_selection`: identical
     seeds (including ``argmax`` tie-breaking), covered fraction, and
     operation count.  RRR membership is held in two CSR encodings —
-    vertex → containing sets and set → member vertices — so each seed
+    vertex → containing sets and set → member vertices (an
+    :class:`RRRSets` collection is the latter already) — so each seed
     costs one ``argmax`` plus one segmented gather and ``bincount``
     instead of a Python rescan of every newly covered set.
     """
+    if not isinstance(rrr_sets, RRRSets):
+        rrr_sets = RRRSets.from_sets(rrr_sets)
     num_sets = len(rrr_sets)
-    sizes = np.asarray(
-        [rrr.vertices.size for rrr in rrr_sets], dtype=np.int64
-    )
-    member_verts = (
-        np.concatenate(
-            [np.asarray(rrr.vertices, dtype=np.int64) for rrr in rrr_sets]
-        )
-        if num_sets
-        else np.empty(0, dtype=np.int64)
-    )
+    member_verts = rrr_sets.members
+    set_offsets = rrr_sets.offsets
+    sizes = np.diff(set_offsets)
     set_ids = np.repeat(np.arange(num_sets, dtype=np.int64), sizes)
     counts = np.bincount(
         member_verts, minlength=num_vertices
@@ -196,10 +189,6 @@ def greedy_seed_selection_vector(
     vertex_sets = set_ids[by_vertex]
     vertex_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=vertex_indptr[1:])
-    # set -> vertices CSR.
-    set_offsets = np.zeros(num_sets + 1, dtype=np.int64)
-    np.cumsum(sizes, out=set_offsets[1:])
-
     covered = np.zeros(num_sets, dtype=bool)
     seeds: list[int] = []
     operations = int(counts.sum())

@@ -35,6 +35,7 @@ from ..ordering.base import Ordering
 from ..simulator.counters import CounterReport
 from ..simulator.hierarchy import HierarchyConfig
 from ..simulator.parallel import (
+    BlockTrace,
     ExecutionResult,
     SimulatedMachine,
     WorkItem,
@@ -46,6 +47,7 @@ __all__ = [
     "CommunityDetectionReport",
     "run_community_detection",
     "build_sweep_items",
+    "build_sweep_trace",
     "CLOCK_HZ",
 ]
 
@@ -148,13 +150,36 @@ def build_sweep_items(
     ``communities`` supplies the community id of each vertex at sweep time
     (defaults to singleton communities — the first iteration's state, where
     ``community[u] == u``, which is also the most ordering-sensitive
-    configuration).  The vector engine assembles every block with
-    whole-array layout conversions; the scalar reference
+    configuration).  The vector engine cuts the items out of
+    :func:`build_sweep_trace`'s flat table; the scalar reference
     (:func:`_build_sweep_items_scalar`) emits the same streams one
     ``layout.line`` call at a time.
     """
     if resolve_engine(engine) == "scalar":
         return _build_sweep_items_scalar(graph, communities, line_bytes)
+    return build_sweep_trace(
+        graph, communities, line_bytes=line_bytes, engine=engine
+    ).work_items()
+
+
+def build_sweep_trace(
+    graph: CSRGraph,
+    communities: np.ndarray | None = None,
+    *,
+    line_bytes: int = 64,
+    engine: str | None = None,
+) -> BlockTrace:
+    """:func:`build_sweep_items` as one :class:`BlockTrace`.
+
+    Block ``v`` is vertex ``v``'s stream and item ``v`` issues block
+    ``v``; the table is assembled with whole-array layout conversions,
+    so no per-vertex object is built.  Under the scalar engine the
+    scalar builder's items are flattened instead.
+    """
+    if resolve_engine(engine) == "scalar":
+        return BlockTrace.from_items(
+            _build_sweep_items_scalar(graph, communities, line_bytes)
+        )
     n = graph.num_vertices
     layout = csr_layout(
         n,
@@ -212,22 +237,18 @@ def build_sweep_items(
             "map_region", tail_comm % MAP_SLOTS
         )
     flat.setflags(write=False)
-    off = offsets.tolist()
-    deg_list = deg.tolist()
-    return [
-        WorkItem(
-            lines=flat[off[v]: off[v + 1]],
-            compute_cycles=(
-                VERTEX_COMPUTE_CYCLES + EDGE_COMPUTE_CYCLES * deg_list[v]
-            ),
-        )
-        for v in range(n)
-    ]
+    return BlockTrace(
+        flat,
+        offsets,
+        np.arange(n, dtype=np.int64),
+        np.arange(n + 1, dtype=np.int64),
+        VERTEX_COMPUTE_CYCLES + EDGE_COMPUTE_CYCLES * deg,
+    )
 
 
 def _run_colored(
     relabelled: CSRGraph,
-    items: list[WorkItem],
+    trace: BlockTrace,
     machine: SimulatedMachine,
     num_threads: int,
 ):
@@ -249,10 +270,9 @@ def _run_colored(
     total_all = 0
     memory_all = 0
     for batch in color_classes(colors):
-        batch_items = [items[int(v)] for v in batch]
-        if not batch_items:
+        if not len(batch):
             continue
-        region = machine.run_dynamic(batch_items, chunk=8)
+        region = machine.run_dynamic(trace.select(batch), chunk=8)
         makespan_sum += region.makespan
         for t in range(num_threads):
             total_cycles[t] += region.thread_cycles[t]
@@ -332,15 +352,18 @@ def run_community_detection(
     first_phase = result.phases[0]
     iteration_count = first_phase.iteration_count
 
-    items = build_sweep_items(relabelled)
+    trace = build_sweep_trace(relabelled)
     machine = SimulatedMachine(num_threads, hierarchy)
     if schedule == "block":
-        blocks = static_block_schedule(len(items), num_threads)
-        per_thread = [[items[i] for i in idx] for idx in blocks]
-        execution = machine.run(per_thread)
+        blocks = static_block_schedule(trace.num_items, num_threads)
+        thread = np.repeat(
+            np.arange(num_threads, dtype=np.int64),
+            [idx.size for idx in blocks],
+        )
+        execution = machine.run(trace, item_thread=thread)
     else:
         execution = _run_colored(
-            relabelled, items, machine, num_threads
+            relabelled, trace, machine, num_threads
         )
 
     iteration_seconds = execution.makespan / CLOCK_HZ

@@ -31,13 +31,14 @@ from ..graph.permute import apply_ordering
 from ..ordering.base import Ordering
 from ..simulator.counters import CounterReport
 from ..simulator.hierarchy import HierarchyConfig
-from ..simulator.parallel import ExecutionResult, SimulatedMachine, WorkItem
+from ..simulator.parallel import BlockTrace, ExecutionResult, SimulatedMachine
 from ..simulator.trace import csr_layout
 from .community_detection import CLOCK_HZ
 from .tracegen import SweepBlockTable
 
 __all__ = [
     "RRRSet",
+    "RRRSets",
     "sample_rrr_ic",
     "sample_rrr_ic_pinned",
     "sample_rrr_lt",
@@ -59,6 +60,87 @@ class RRRSet:
     root: int
     vertices: np.ndarray
     edges_examined: int
+
+
+@dataclass(frozen=True, eq=False)
+class RRRSets:
+    """A collection of RRR sets as one CSR.
+
+    Set ``i`` reached ``members[offsets[i]:offsets[i + 1]]`` (root
+    first, then discovery order) after examining ``edges[i]`` edges.
+    The IMM runner keeps its samples in this form from the sampler's
+    arena through seed selection and the line-budget cut to the
+    simulated replay.  Indexing and iteration yield :class:`RRRSet`
+    views (root = first member, -1 for an empty set), so the scalar
+    references accept a collection as a list.
+    """
+
+    members: np.ndarray
+    offsets: np.ndarray
+    edges: np.ndarray
+
+    @classmethod
+    def from_sets(cls, sets) -> "RRRSets":
+        """The CSR of a sequence of :class:`RRRSet`."""
+        sizes = np.fromiter(
+            (rrr.vertices.size for rrr in sets), np.int64, len(sets)
+        )
+        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        members = (
+            np.concatenate(
+                [np.asarray(rrr.vertices, dtype=np.int64) for rrr in sets]
+            )
+            if len(sets) else np.zeros(0, dtype=np.int64)
+        )
+        edges = np.fromiter(
+            (rrr.edges_examined for rrr in sets), np.int64, len(sets)
+        )
+        return cls(members, offsets, edges)
+
+    @classmethod
+    def concat(cls, parts) -> "RRRSets":
+        """The sets of ``parts``, one collection after another."""
+        parts = [part for part in parts if len(part)]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.from_sets([])
+        starts = np.cumsum([0] + [part.members.size for part in parts])
+        return cls(
+            np.concatenate([part.members for part in parts]),
+            np.concatenate(
+                [np.zeros(1, dtype=np.int64)]
+                + [part.offsets[1:] + start
+                   for part, start in zip(parts, starts.tolist())]
+            ),
+            np.concatenate([part.edges for part in parts]),
+        )
+
+    def __len__(self) -> int:
+        return self.edges.size
+
+    def __getitem__(self, i: int) -> RRRSet:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        vertices = self.members[self.offsets[i]: self.offsets[i + 1]]
+        return RRRSet(
+            root=int(vertices[0]) if vertices.size else -1,
+            vertices=vertices,
+            edges_examined=int(self.edges[i]),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def head(self, count: int) -> "RRRSets":
+        """The first ``count`` sets."""
+        count = min(count, len(self))
+        return RRRSets(
+            self.members[: self.offsets[count]],
+            self.offsets[: count + 1],
+            self.edges[:count],
+        )
 
 
 def _edge_coins(
@@ -361,39 +443,45 @@ def imm_theta(
     return max(1, int(math.ceil(lam_star / lb)))
 
 
-def _sampling_work_items(
+def _sampling_trace(
     graph: CSRGraph,
-    rrr_sets: list[RRRSet],
+    rrr_sets: RRRSets,
     *,
     line_budget: int = 1_000_000,
-) -> tuple[list[WorkItem], int]:
+) -> tuple[BlockTrace, int]:
     """Replayable memory trace of the sampling hot-spot.
 
     Each RRR set's generation reads, per visited vertex: its ``indptr``
     slot, the CSR ``indices`` span, and the visited-flag of every examined
-    neighbour (vertex-indexed — the ordering-sensitive stream).
+    neighbour (vertex-indexed — the ordering-sensitive stream).  That is
+    the vertex's block of a :class:`SweepBlockTable`, so item ``i`` of
+    the trace is set ``i``'s member list over the table.
 
-    The replay is steady-state: once ``line_budget`` total lines have been
-    emitted the remaining sets are skipped, and the caller extrapolates
-    wall time from the traced prefix.  Returns ``(items, sets_traced)``.
+    The replay is steady-state: sets are traced until ``line_budget``
+    total lines have been emitted (the set crossing it included), and
+    the caller extrapolates wall time from the traced prefix.  Returns
+    ``(trace, sets_traced)``.
     """
     layout = csr_layout(graph.num_vertices, graph.num_directed_edges)
     table = SweepBlockTable(graph, layout)
-    items: list[WorkItem] = []
-    emitted = 0
-    traced = 0
-    for rrr in rrr_sets:
-        lines = table.concat(rrr.vertices)
-        compute = (
-            VERTEX_COMPUTE_CYCLES * rrr.vertices.size
-            + EDGE_COMPUTE_CYCLES * rrr.edges_examined
-        )
-        items.append(WorkItem(lines=lines, compute_cycles=compute))
-        emitted += len(lines)
-        traced += 1
-        if emitted >= line_budget:
-            break
-    return items, traced
+    members, offsets = rrr_sets.members, rrr_sets.offsets
+    emitted = np.zeros(members.size + 1, dtype=np.int64)
+    np.cumsum(table.block_lengths[members], out=emitted[1:])
+    traced = min(
+        len(rrr_sets),
+        int(np.searchsorted(emitted[offsets[1:]], line_budget)) + 1,
+    )
+    sizes = offsets[1: traced + 1] - offsets[:traced]
+    compute = (
+        VERTEX_COMPUTE_CYCLES * sizes
+        + EDGE_COMPUTE_CYCLES * rrr_sets.edges[:traced]
+    )
+    return (
+        table.trace(
+            members[: offsets[traced]], offsets[: traced + 1], compute
+        ),
+        traced,
+    )
 
 
 @dataclass(frozen=True)
@@ -459,43 +547,38 @@ def run_influence_maximization(
 
     original_of = invert_ordering(perm)
 
-    def draw(count: int, existing: list[RRRSet]) -> None:
-        if model == "ic" and resolve_engine() != "scalar":
-            # Batch draw: roots come off the dedicated stream one at a
-            # time (same rng call sequence as the scalar loop), then the
-            # whole block of pending sample indices is cascaded at once.
-            from .batch import sample_rrr_ic_pinned_batch
+    batch = resolve_engine() != "scalar"
 
-            start = len(existing)
-            if count <= start:
-                return
-            roots = np.asarray(
-                [
-                    int(perm[int(root_rng.integers(n))]) if n else 0
-                    for _ in range(count - start)
-                ],
-                dtype=np.int64,
-            )
-            existing.extend(sample_rrr_ic_pinned_batch(
+    def draw(count: int, existing: RRRSets) -> RRRSets:
+        # Roots come off the dedicated stream in one call (the same
+        # values and stream state as one scalar call per root), then
+        # the whole block of pending sample indices is cascaded at once.
+        start = len(existing)
+        if count <= start:
+            return existing
+        roots = (
+            perm[root_rng.integers(n, size=count - start)] if n
+            else np.zeros(count - start, dtype=np.int64)
+        )
+        if model == "ic":
+            # Hash-pinned coins: the cascade realisation is identical
+            # under every ordering of the same graph.
+            from .batch import sample_rrr_ic_pinned_sets
+
+            fresh = sample_rrr_ic_pinned_sets(
                 relabelled, probability, roots, original_of,
                 np.arange(start, count, dtype=np.int64), seed,
-                jobs=jobs,
-            ))
-            return
-        while len(existing) < count:
-            root = int(perm[int(root_rng.integers(n))]) if n else 0
-            if model == "ic":
-                # Hash-pinned coins: the cascade realisation is identical
-                # under every ordering of the same graph.
-                existing.append(sample_rrr_ic_pinned(
-                    relabelled, probability, root,
-                    original_of, len(existing), seed,
-                ))
-            else:
-                existing.append(sample_rrr_lt(relabelled, rng, root=root))
+                jobs=jobs if batch else 1,
+            )
+        else:
+            fresh = RRRSets.from_sets([
+                sample_rrr_lt(relabelled, rng, root=root)
+                for root in roots.tolist()
+            ])
+        return RRRSets.concat([existing, fresh])
 
     # ---- IMM estimation loop (Algorithm 2, with the sample cap).
-    rrr_sets: list[RRRSet] = []
+    rrr_sets = RRRSets.from_sets([])
     eps_prime = math.sqrt(2.0) * epsilon
     lb = float(max(1, k))
     log_n = math.log(max(2, n))
@@ -509,7 +592,7 @@ def run_influence_maximization(
     for i in range(1, max_rounds + 1):
         x = n / (2.0 ** i)
         theta_i = min(max_samples, max(1, int(math.ceil(lam_prime / x))))
-        draw(theta_i, rrr_sets)
+        rrr_sets = draw(theta_i, rrr_sets)
         _, fraction, _ = greedy_seed_selection(rrr_sets, n, k)
         if n * fraction >= (1.0 + eps_prime) * x:
             lb = n * fraction / (1.0 + eps_prime)
@@ -521,16 +604,15 @@ def run_influence_maximization(
     theta = min(max_samples, imm_theta(
         n, k, epsilon=epsilon, opt_lower_bound=lb
     ))
-    draw(theta, rrr_sets)
-    rrr_sets = rrr_sets[:max(theta, 1)]
+    rrr_sets = draw(theta, rrr_sets).head(max(theta, 1))
 
     seeds, fraction, select_ops = greedy_seed_selection(rrr_sets, n, k)
     estimated_spread = n * fraction
 
     # ---- Replay the sampling hot-spot on the simulated machine.
-    items, traced = _sampling_work_items(relabelled, rrr_sets)
+    trace, traced = _sampling_trace(relabelled, rrr_sets)
     machine = SimulatedMachine(num_threads, hierarchy)
-    execution = machine.run_dynamic(items, chunk=4)
+    execution = machine.run_dynamic(trace, chunk=4)
     # Extrapolate from the traced prefix when the line budget truncated
     # the replay (steady-state cache behaviour is reached long before).
     scale = len(rrr_sets) / max(1, traced)

@@ -9,9 +9,10 @@ trace-building half of the replay pipeline.
 
 :class:`SweepBlockTable` builds the whole table of per-vertex blocks in a
 handful of numpy operations (one :meth:`MemoryLayout.lines` call per
-array) and hands out zero-copy views per vertex.  The emitted streams are
-element-for-element identical to the scalar builders; the app modules
-only swap how the ``lines`` sequence is materialised.
+array) and hands out zero-copy views per vertex, or a block-indexed
+trace over the whole table.  The emitted streams are element-for-element
+identical to the scalar builders; the app modules only swap how the
+``lines`` sequence is materialised.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..simulator.parallel import WorkItem
+from ..simulator.parallel import BlockTrace, WorkItem
 from ..simulator.trace import MemoryLayout
 
 __all__ = ["SweepBlockTable"]
@@ -81,20 +82,21 @@ class SweepBlockTable:
         """The line stream of one vertex's sweep (read-only view)."""
         return self._flat[self._off_list[v]: self._off_list[v + 1]]
 
-    def concat(self, vertices) -> np.ndarray:
-        """One stream visiting ``vertices`` in order (e.g. an RRR set)."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        starts = self._offsets[vertices]
-        lens = 1 + 2 * self._deg[vertices]
-        total = int(lens.sum())
-        out_starts = np.zeros(vertices.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=out_starts[1:])
-        gather = np.repeat(starts - out_starts, lens) + np.arange(
-            total, dtype=np.int64
+    @property
+    def block_lengths(self) -> np.ndarray:
+        """Lines per vertex block (``1 + 2 * degree``)."""
+        return np.diff(self._offsets)
+
+    def trace(self, item_vertices, item_offsets, compute) -> BlockTrace:
+        """A :class:`BlockTrace` over this table, without copying it.
+
+        Item ``i`` visits the vertex blocks
+        ``item_vertices[item_offsets[i]:item_offsets[i + 1]]`` in order
+        (e.g. the members of an RRR set) and burns ``compute[i]`` cycles.
+        """
+        return BlockTrace(
+            self._flat, self._offsets, item_vertices, item_offsets, compute
         )
-        return self._flat[gather]
 
     def work_items(
         self,

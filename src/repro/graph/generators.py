@@ -260,12 +260,15 @@ def planted_partition(
     rng = _rng(seed)
     n = num_communities * community_size
     builder = GraphBuilder(n)
-    for ci in range(num_communities):
-        base = ci * community_size
-        for i in range(community_size):
-            for j in range(i + 1, community_size):
-                if rng.random() < p_in:
-                    builder.add_edge(base + i, base + j)
+    # One coin per intra-community pair, communities in turn and pairs
+    # in (i, j) order: the stream one rng.random() per pair would draw.
+    first, second = np.triu_indices(community_size, 1)
+    coins = rng.random(num_communities * first.size).reshape(
+        num_communities, first.size
+    )
+    community, pair = np.nonzero(coins < p_in)
+    base = community * community_size
+    builder.add_edge_array(base + first[pair], base + second[pair])
     # Sparse inter-community edges sampled by expected count.
     for ci in range(num_communities):
         for cj in range(ci + 1, num_communities):

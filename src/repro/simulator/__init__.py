@@ -16,6 +16,7 @@ from .hierarchy import (
     ThreadCounters,
 )
 from .parallel import (
+    BlockTrace,
     ExecutionResult,
     SimulatedMachine,
     WorkItem,
@@ -43,6 +44,7 @@ __all__ = [
     "MemoryLayout",
     "csr_layout",
     "WorkItem",
+    "BlockTrace",
     "ExecutionResult",
     "SimulatedMachine",
     "static_block_schedule",

@@ -47,8 +47,10 @@ __all__ = [
 
 def _as_line_array(lines) -> np.ndarray:
     """The line stream as a contiguous one-dimensional int64 array."""
-    sanitize.check_integral(lines, where="simulator line stream")
-    return np.ascontiguousarray(np.asarray(lines, dtype=np.int64).ravel())
+    lines = np.asarray(lines)
+    if lines.size:  # an empty list reads as float64 but holds no value
+        sanitize.check_integral(lines, where="simulator line stream")
+    return np.ascontiguousarray(lines.astype(np.int64, copy=False).ravel())
 
 
 #: Below this many lines, :func:`hierarchy_access_batch` replays through

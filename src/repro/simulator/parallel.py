@@ -15,7 +15,10 @@ machine.  We model the aspects that its analysis actually uses:
   divergence between orderings.
 
 A *work item* is ``(lines, compute_cycles)``: the cache-line trace the
-item issues plus the cycles it burns in the core.
+item issues plus the cycles it burns in the core.  A region reaches the
+machine either as :class:`WorkItem` lists or as one
+:class:`BlockTrace`, whose items name blocks of a shared line table
+instead of carrying their own streams.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .._native import machine as native_machine
-from ..engine import resolve_engine
-from .batch import _as_line_array
+from ..analysis import sanitize
+from ..engine import gather_ranges, resolve_engine
 from .counters import CounterReport, report_from_counters
 from .hierarchy import HierarchyConfig, MemoryHierarchy, ThreadCounters
 
 __all__ = [
     "WorkItem",
+    "BlockTrace",
     "ExecutionResult",
     "SimulatedMachine",
     "static_block_schedule",
@@ -46,6 +50,170 @@ class WorkItem:
 
     lines: Sequence[int]
     compute_cycles: int = 0
+
+
+def _index_array(values, where: str) -> np.ndarray:
+    """``values`` as a contiguous one-dimensional int64 array."""
+    values = np.asarray(values)
+    if values.size:
+        sanitize.check_integral(values, where=where)
+    array = np.ascontiguousarray(values, dtype=np.int64)
+    if array.ndim != 1:
+        raise ValueError(f"{where} must be one-dimensional")
+    return array
+
+
+def _check_offsets(offsets: np.ndarray, length: int, where: str) -> None:
+    """``offsets`` must rise from 0 to ``length`` without a step down."""
+    if (
+        offsets.size == 0
+        or offsets[0] != 0
+        or offsets[-1] != length
+        or bool((np.diff(offsets) < 0).any())
+    ):
+        raise ValueError(
+            f"{where} must be non-decreasing from 0 to {length}"
+        )
+
+
+class BlockTrace:
+    """A region's work items over one shared table of line blocks.
+
+    ``blocks`` is one line stream cut into blocks by ``block_offsets``:
+    block ``b`` is ``blocks[block_offsets[b]:block_offsets[b + 1]]``.
+    Item ``i`` issues the blocks
+    ``item_blocks[item_offsets[i]:item_offsets[i + 1]]`` in order, then
+    burns ``compute[i]`` core cycles.  Blocks may be empty, shared
+    between items and repeated within one, so a sweep over a per-vertex
+    table costs one block id per visited vertex rather than a copy of
+    its lines.
+
+    Every array the replay kernel indexes with is checked here, under
+    every engine: block ids must lie in ``[0, num_blocks)``, both
+    offset arrays must rise from 0 to the length they index, and
+    compute cycles must be integral (``ValueError`` otherwise).  Lines
+    themselves are not range-checked: a negative line replays in
+    Python.
+    """
+
+    __slots__ = (
+        "blocks", "block_offsets", "item_blocks", "item_offsets", "compute",
+    )
+
+    def __init__(
+        self,
+        blocks,
+        block_offsets,
+        item_blocks,
+        item_offsets,
+        compute,
+    ) -> None:
+        self.blocks = _index_array(blocks, "BlockTrace.blocks")
+        self.block_offsets = _index_array(
+            block_offsets, "BlockTrace.block_offsets"
+        )
+        self.item_blocks = _index_array(
+            item_blocks, "BlockTrace.item_blocks"
+        )
+        self.item_offsets = _index_array(
+            item_offsets, "BlockTrace.item_offsets"
+        )
+        cycles = np.asarray(compute)
+        if cycles.size and not np.issubdtype(cycles.dtype, np.integer):
+            raise ValueError(
+                f"compute cycles must be integral, got dtype {cycles.dtype}"
+            )
+        self.compute = _index_array(cycles, "BlockTrace.compute")
+        _check_offsets(
+            self.block_offsets, self.blocks.size, "block_offsets"
+        )
+        _check_offsets(
+            self.item_offsets, self.item_blocks.size, "item_offsets"
+        )
+        num_blocks = self.block_offsets.size - 1
+        if self.item_blocks.size and (
+            int(self.item_blocks.min()) < 0
+            or int(self.item_blocks.max()) >= num_blocks
+        ):
+            raise ValueError(
+                f"block ids must lie in [0, {num_blocks})"
+            )
+        if self.compute.size != self.num_items:
+            raise ValueError(
+                f"{self.num_items} items need as many compute cycles, "
+                f"got {self.compute.size}"
+            )
+
+    @classmethod
+    def from_items(cls, items: Sequence[WorkItem]) -> "BlockTrace | None":
+        """One block per item, flattened once; None for fractional cycles.
+
+        Non-integral compute cycles keep Python's arithmetic, so the
+        callers replay such a region through the Python twins instead.
+        """
+        count = len(items)
+        compute = np.asarray([item.compute_cycles for item in items])
+        if count and not np.issubdtype(compute.dtype, np.integer):
+            return None
+        parts = [np.asarray(item.lines).ravel() for item in items]
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter((p.size for p in parts), np.int64, count),
+            out=offsets[1:],
+        )
+        filled = [part for part in parts if part.size]
+        # one integrality check per distinct dtype, not per item
+        for sample in {part.dtype: part for part in filled}.values():
+            sanitize.check_integral(sample, where="simulator line stream")
+        blocks = (
+            np.concatenate(filled, dtype=np.int64, casting="unsafe")
+            if filled else np.zeros(0, dtype=np.int64)
+        )
+        ids = np.arange(count, dtype=np.int64)
+        return cls(blocks, offsets, ids, np.arange(count + 1), compute)
+
+    @property
+    def num_items(self) -> int:
+        """Number of work items in the region."""
+        return self.item_offsets.size - 1
+
+    def select(self, items) -> "BlockTrace":
+        """The trace of ``items`` (item indices, in the order given)."""
+        items = np.asarray(items, dtype=np.int64)
+        if items.size and (
+            int(items.min()) < 0 or int(items.max()) >= self.num_items
+        ):
+            raise ValueError(f"items must lie in [0, {self.num_items})")
+        starts = self.item_offsets[items]
+        ends = self.item_offsets[items + 1]
+        offsets = np.zeros(items.size + 1, dtype=np.int64)
+        np.cumsum(ends - starts, out=offsets[1:])
+        return BlockTrace(
+            self.blocks,
+            self.block_offsets,
+            gather_ranges(self.item_blocks, starts, ends),
+            offsets,
+            self.compute[items],
+        )
+
+    def work_items(self) -> list[WorkItem]:
+        """The region as :class:`WorkItem` lists (one gather, then views).
+
+        Feeds the Python replays and the per-access reference.
+        """
+        block_starts = self.block_offsets[self.item_blocks]
+        block_ends = self.block_offsets[self.item_blocks + 1]
+        lines = gather_ranges(self.blocks, block_starts, block_ends)
+        lines.setflags(write=False)
+        ends = np.zeros(self.item_blocks.size + 1, dtype=np.int64)
+        np.cumsum(block_ends - block_starts, out=ends[1:])
+        bounds = ends[self.item_offsets].tolist()
+        cycles = self.compute.tolist()
+        return [
+            WorkItem(lines=lines[bounds[i]: bounds[i + 1]],
+                     compute_cycles=cycles[i])
+            for i in range(self.num_items)
+        ]
 
 
 @dataclass(frozen=True)
@@ -123,10 +291,16 @@ class SimulatedMachine:
 
     def run(
         self,
-        per_thread_items: Sequence[Iterable[WorkItem]],
+        per_thread_items: Sequence[Iterable[WorkItem]] | BlockTrace,
+        *,
+        item_thread=None,
     ) -> ExecutionResult:
         """Execute a pre-scheduled region (items already mapped to threads).
 
+        ``per_thread_items`` is one :class:`WorkItem` iterable per
+        thread, or a :class:`BlockTrace` whose item ``i`` runs on thread
+        ``item_thread[i]`` (each thread's items in trace order; a
+        thread outside ``[0, num_threads)`` is a ``ValueError``).
         Threads advance round-robin one item at a time, so L3 accesses of
         different threads interleave — the shared-cache contention model.
         Under the native engine the whole region replays in one compiled
@@ -135,28 +309,62 @@ class SimulatedMachine:
         next-line prefetcher, negative lines and non-integer compute
         cycles replay through :meth:`run_reference` itself.
         """
+        native = (
+            resolve_engine() == "native" and not self.config.prefetch_next_line
+        )
+        if isinstance(per_thread_items, BlockTrace):
+            trace = per_thread_items
+            thread = _index_array(
+                [] if item_thread is None else item_thread, "item_thread"
+            )
+            if thread.size != trace.num_items:
+                raise ValueError("item_thread must give every item a thread")
+            if thread.size and (
+                int(thread.min()) < 0 or int(thread.max()) >= self.num_threads
+            ):
+                raise ValueError(
+                    f"item threads must lie in [0, {self.num_threads})"
+                )
+            if native:
+                result = self._run_static_native(trace, thread)
+                if result is not None:
+                    return result
+            items = trace.work_items()
+            return self.run_reference([
+                [items[i] for i in np.flatnonzero(thread == t).tolist()]
+                for t in range(self.num_threads)
+            ])
         if len(per_thread_items) != self.num_threads:
             raise ValueError("one item list per thread required")
         # listed once: the fallback must not get iterators the kernel
         # attempt has already consumed
         per_thread = [list(items) for items in per_thread_items]
-        if resolve_engine() == "native" and not self.config.prefetch_next_line:
-            counts = np.array([len(items) for items in per_thread], np.int64)
-            thread_of = np.repeat(
-                np.arange(self.num_threads, dtype=np.int64), counts
+        if native:
+            trace = BlockTrace.from_items(
+                [item for items in per_thread for item in items]
             )
-            round_of = np.arange(thread_of.size, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            # run_reference's issue order: by round, then thread id
-            issue = np.lexsort((thread_of, round_of))
-            flat = [item for items in per_thread for item in items]
-            result = self._run_native(
-                [flat[i] for i in issue.tolist()], thread_of[issue], 1
-            )
-            if result is not None:
-                return result
+            if trace is not None:
+                counts = [len(items) for items in per_thread]
+                result = self._run_static_native(trace, np.repeat(
+                    np.arange(self.num_threads, dtype=np.int64), counts
+                ))
+                if result is not None:
+                    return result
         return self.run_reference(per_thread)
+
+    def _run_static_native(
+        self, trace: BlockTrace, thread: np.ndarray
+    ) -> ExecutionResult | None:
+        """The compiled static replay, items reordered to issue order."""
+        counts = np.bincount(thread, minlength=self.num_threads)
+        by_thread = np.argsort(thread, kind="stable")
+        round_of = np.empty(thread.size, dtype=np.int64)
+        round_of[by_thread] = np.arange(thread.size, dtype=np.int64) - (
+            np.repeat(np.cumsum(counts) - counts, counts)
+        )
+        # run_reference's issue order: by round, then thread id
+        issue = np.lexsort((thread, round_of))
+        return self._run_native(trace.select(issue), thread[issue], 1)
 
     def run_reference(
         self,
@@ -202,30 +410,39 @@ class SimulatedMachine:
 
     def run_dynamic(
         self,
-        items: Sequence[WorkItem],
+        items: Sequence[WorkItem] | BlockTrace,
         *,
         chunk: int = 8,
     ) -> ExecutionResult:
         """Execute with dynamic chunk scheduling (OpenMP ``dynamic``).
 
-        Chunks are handed to the thread with the lowest simulated clock,
-        which models work stealing's load-balancing effect.  Under the
-        native engine the whole region replays in one compiled call
-        (:mod:`repro._native.machine`), bit-identical to the Python
-        replay; the next-line prefetcher and negative line numbers keep
-        the Python path.
+        ``items`` is a :class:`WorkItem` sequence or a
+        :class:`BlockTrace`.  Chunks are handed to the thread with the
+        lowest simulated clock, which models work stealing's
+        load-balancing effect.  Under the native engine the whole region
+        replays in one compiled call (:mod:`repro._native.machine`),
+        bit-identical to the Python replay; the next-line prefetcher,
+        negative line numbers and non-integer compute cycles keep the
+        Python path.
         """
         if chunk < 1:
             raise ValueError("chunk must be positive")
         if resolve_engine() == "native" and not self.config.prefetch_next_line:
-            result = self._run_native(items, None, chunk)
-            if result is not None:
-                return result
+            trace = (
+                items if isinstance(items, BlockTrace)
+                else BlockTrace.from_items(items)
+            )
+            if trace is not None:
+                result = self._run_native(trace, None, chunk)
+                if result is not None:
+                    return result
+        if isinstance(items, BlockTrace):
+            items = items.work_items()
         return self._run_dynamic_python(items, chunk)
 
     def _run_native(
         self,
-        items: Sequence[WorkItem],
+        trace: BlockTrace,
         item_thread: np.ndarray | None,
         chunk: int,
     ) -> ExecutionResult | None:
@@ -234,11 +451,6 @@ class SimulatedMachine:
         ``item_thread`` pins each item to a thread (a static region, items
         in issue order); None hands out dynamic chunks of ``chunk`` items.
         """
-        # int64 arrays pass through without a copy
-        lines = [_as_line_array(item.lines) for item in items]
-        compute = [item.compute_cycles for item in items]
-        if not all(isinstance(c, (int, np.integer)) for c in compute):
-            return None  # non-integer cycles keep Python's arithmetic
         cfg = self.config
         geometry = np.array(
             [
@@ -250,8 +462,7 @@ class SimulatedMachine:
         )
         latency = [cfg.latency_of(level) for level in range(4)]
         out = native_machine.run_region(
-            lines,
-            np.array(compute, dtype=np.int64),
+            trace,
             item_thread,
             chunk,
             self.num_threads,

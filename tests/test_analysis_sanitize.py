@@ -192,6 +192,24 @@ def test_simulator_line_stream_rejects_float_when_armed(armed):
         lru_stack_distances(np.array([0.5, 1.5]))
 
 
+@pytest.mark.parametrize("engine", ["native", "vector"])
+def test_simulated_region_line_checks_when_armed(armed, engine):
+    """An empty line list is no float stream; a float one is, on every
+    engine."""
+    from repro.engine import use_engine
+    from repro.simulator import SimulatedMachine, WorkItem
+
+    machine = SimulatedMachine(2)
+    with use_engine(engine):
+        result = machine.run_dynamic(
+            [WorkItem([], 5), WorkItem([1, 2], 3)], chunk=1
+        )
+        assert result.thread_cycles[0] == 5
+        assert sum(result.thread_loads) == 2
+        with pytest.raises(SanitizerError):
+            machine.run_dynamic([WorkItem([1, 2], 3), WorkItem([0.5], 1)])
+
+
 def test_count_sort_batch_rejects_float_sizes():
     counter = OperationCounter()
     with pytest.raises(TypeError, match="integer sizes"):

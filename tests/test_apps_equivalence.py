@@ -344,3 +344,143 @@ class TestEndToEndInfluenceMax:
             assert base.seeds == other.seeds
             assert base.num_samples == other.num_samples
             assert base.estimated_spread == other.estimated_spread
+
+
+class TestApplicationTraces:
+    """The application studies replay block-indexed traces: the same
+    reports under every engine, through the machine's entry points."""
+
+    @staticmethod
+    def per_set_items(graph, rrr_sets, line_budget):
+        """The sampling trace built one set at a time, as WorkItems."""
+        from repro.apps.influence_max import (
+            EDGE_COMPUTE_CYCLES,
+            VERTEX_COMPUTE_CYCLES,
+        )
+        from repro.apps.tracegen import SweepBlockTable
+        from repro.simulator.parallel import WorkItem
+        from repro.simulator.trace import csr_layout
+
+        table = SweepBlockTable(
+            graph, csr_layout(graph.num_vertices, graph.num_directed_edges)
+        )
+        items, emitted = [], 0
+        for rrr in rrr_sets:
+            lines = [
+                line for v in rrr.vertices.tolist()
+                for line in table.block(v).tolist()
+            ]
+            items.append(WorkItem(
+                lines,
+                VERTEX_COMPUTE_CYCLES * rrr.vertices.size
+                + EDGE_COMPUTE_CYCLES * rrr.edges_examined,
+            ))
+            emitted += len(lines)
+            if emitted >= line_budget:
+                break
+        return items
+
+    @pytest.mark.parametrize("budget", [1, 700, 2000, 10**9])
+    def test_sampling_trace_matches_per_set_items(self, budget):
+        from repro.apps.batch import sample_rrr_ic_pinned_sets
+        from repro.apps.influence_max import _sampling_trace
+
+        graph = random_graph(50, 160, seed=12)
+        n = graph.num_vertices
+        sets = sample_rrr_ic_pinned_sets(
+            graph, 0.3, np.arange(40) % n, np.arange(n), np.arange(40), 3,
+        )
+        trace, traced = _sampling_trace(graph, sets, line_budget=budget)
+        expected = self.per_set_items(graph, sets, budget)
+        assert traced == trace.num_items == len(expected)
+        assert_items_equal(trace.work_items(), expected)
+        if budget == 10**9:
+            assert traced == len(sets)
+        elif budget > 1:
+            assert 1 < traced < len(sets)
+
+    def test_truncated_influence_max_identical_across_engines(
+        self, monkeypatch
+    ):
+        import functools
+
+        from repro.apps import influence_max
+        from repro.ordering import get_scheme
+
+        traced_counts = []
+        original = influence_max._sampling_trace
+
+        def small_budget(graph, rrr_sets):
+            trace, traced = original(graph, rrr_sets, line_budget=2000)
+            traced_counts.append((traced, len(rrr_sets)))
+            return trace, traced
+
+        monkeypatch.setattr(influence_max, "_sampling_trace", small_budget)
+        graph = random_graph(50, 160, seed=12)
+        ordering = get_scheme("rcm").order(graph)
+        run = functools.partial(
+            influence_max.run_influence_maximization, graph, ordering,
+            k=4, probability=0.2, max_samples=120, seed=3,
+        )
+        reports = {}
+        for engine in ("native", "vector", "scalar"):
+            with use_engine(engine):
+                reports[engine] = run()
+        assert reports["native"] == reports["vector"] == reports["scalar"]
+        # the budget cut the replay mid-run on every engine
+        assert all(0 < traced < total for traced, total in traced_counts)
+
+    @pytest.mark.parametrize("schedule", ["block", "colored"])
+    def test_community_detection_identical_across_engines(self, schedule):
+        from repro.apps.community_detection import run_community_detection
+        from repro.ordering import get_scheme
+
+        graph = random_graph(60, 200, seed=3)
+        ordering = get_scheme("degree_sort").order(graph)
+        reports = {}
+        for engine in ("native", "vector", "scalar"):
+            with use_engine(engine):
+                reports[engine] = run_community_detection(
+                    graph, ordering, num_threads=3, schedule=schedule,
+                )
+        assert reports["native"] == reports["vector"] == reports["scalar"]
+
+    def test_studies_replay_through_the_machine_entry_points(
+        self, monkeypatch
+    ):
+        """The layer trace wraps ``SimulatedMachine.run``/``run_dynamic``
+        by name: both studies must keep replaying through them."""
+        from repro.apps.community_detection import run_community_detection
+        from repro.apps.influence_max import run_influence_maximization
+        from repro.ordering import get_scheme
+        from repro.simulator.parallel import SimulatedMachine
+
+        calls = []
+
+        def spy(name):
+            method = getattr(SimulatedMachine, name)
+
+            def wrapped(self, *args, **kwargs):
+                result = method(self, *args, **kwargs)
+                calls.append((name, sum(result.thread_loads)))
+                return result
+
+            return wrapped
+
+        for name in ("run", "run_dynamic"):
+            monkeypatch.setattr(SimulatedMachine, name, spy(name))
+        graph = random_graph(60, 200, seed=3)
+        ordering = get_scheme("natural").order(graph)
+        block = run_community_detection(graph, ordering)
+        assert calls == [("run", sum(block.execution.thread_loads))]
+        calls.clear()
+        colored = run_community_detection(graph, ordering,
+                                          schedule="colored")
+        assert calls and {name for name, _ in calls} == {"run_dynamic"}
+        assert sum(loads for _, loads in calls) == sum(
+            colored.execution.thread_loads
+        )
+        calls.clear()
+        imm = run_influence_maximization(graph, ordering, k=4,
+                                         max_samples=60)
+        assert calls == [("run_dynamic", sum(imm.execution.thread_loads))]

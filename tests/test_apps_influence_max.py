@@ -171,3 +171,61 @@ class TestRunInfluenceMaximization:
         )
         assert a.seeds == b.seeds
         assert a.estimated_spread == b.estimated_spread
+
+
+class TestRootDraw:
+    """IMM draws each block of cascade roots with one ``integers`` call;
+    that must be the scalar loop's draw, value for value."""
+
+    @pytest.mark.parametrize("n", [
+        1, 2, 3, 7, 255, 256, 1000, 2**31 - 1, 2**31, 2**32 - 1, 2**32,
+        2**32 + 5,
+    ])
+    @pytest.mark.parametrize("count", [1, 17])
+    def test_bulk_draw_matches_scalar_draws(self, n, count):
+        bulk_rng = np.random.default_rng(8)
+        loop_rng = np.random.default_rng(8)
+        bulk = bulk_rng.integers(n, size=count)
+        loop = [int(loop_rng.integers(n)) for _ in range(count)]
+        assert bulk.tolist() == loop
+        assert bulk_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    @pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_runner_roots_follow_the_scalar_stream(
+        self, engine, model, monkeypatch
+    ):
+        """The runner's roots are the dedicated stream's scalar draws,
+        mapped through the permutation, on every tier."""
+        from repro.apps import batch, influence_max
+        from repro.engine import use_engine
+
+        seen = []
+        sets_of, lt_of = (
+            batch.sample_rrr_ic_pinned_sets, influence_max.sample_rrr_lt
+        )
+
+        def record_sets(graph, probability, roots, *args, **kwargs):
+            seen.extend(np.asarray(roots).tolist())
+            return sets_of(graph, probability, roots, *args, **kwargs)
+
+        def record_lt(graph, rng, *, root):
+            seen.append(root)
+            return lt_of(graph, rng, root=root)
+
+        monkeypatch.setattr(batch, "sample_rrr_ic_pinned_sets", record_sets)
+        monkeypatch.setattr(influence_max, "sample_rrr_lt", record_lt)
+        graph = make_two_cliques(6)
+        ordering = get_scheme("random").order(graph)
+        with use_engine(engine):
+            report = run_influence_maximization(
+                graph, ordering, k=2, model=model, max_samples=90, seed=5,
+            )
+        stream = np.random.default_rng(5 + 1)
+        perm = ordering.permutation
+        expected = [
+            int(perm[int(stream.integers(graph.num_vertices))])
+            for _ in seen
+        ]
+        assert seen == expected
+        assert len(seen) >= report.num_samples

@@ -109,3 +109,52 @@ class TestShapes:
         g = random_graph(40, 100, seed=10)
         assert g.num_vertices == 40
         assert g.num_edges <= 100
+
+
+def planted_partition_per_pair(num_communities, community_size, *,
+                               p_in, p_out, shuffle, rng):
+    """``planted_partition`` with one ``rng.random()`` per vertex pair."""
+    from repro.graph.builder import GraphBuilder
+    from repro.graph.generators import _shuffle_labels
+
+    builder = GraphBuilder(num_communities * community_size)
+    for ci in range(num_communities):
+        base = ci * community_size
+        for i in range(community_size):
+            for j in range(i + 1, community_size):
+                if rng.random() < p_in:
+                    builder.add_edge(base + i, base + j)
+    for ci in range(num_communities):
+        for cj in range(ci + 1, num_communities):
+            count = rng.poisson(p_out * community_size * community_size)
+            for _ in range(count):
+                u = ci * community_size + int(rng.integers(community_size))
+                v = cj * community_size + int(rng.integers(community_size))
+                builder.add_edge(u, v)
+    graph = builder.build()
+    return _shuffle_labels(graph, rng) if shuffle else graph
+
+
+@pytest.mark.parametrize("communities, size, p_in, p_out, shuffle, seed", [
+    (31, 60, 0.19, 0.0009, True, 109),
+    (89, 60, 0.076, 0.0002, True, 111),
+    (6, 11, 0.5, 0.05, False, 3),
+    (5, 1, 0.5, 0.2, True, 4),
+    (0, 7, 0.5, 0.1, True, 5),
+    (3, 2, 1.0, 0.0, False, 6),
+])
+def test_planted_partition_matches_per_pair_coins(
+    communities, size, p_in, p_out, shuffle, seed
+):
+    """The bulk coin draw builds the per-pair loop's graph and leaves
+    the generator where the loop leaves it."""
+    bulk_rng = np.random.default_rng(seed)
+    loop_rng = np.random.default_rng(seed)
+    bulk = planted_partition(communities, size, p_in=p_in, p_out=p_out,
+                             shuffle=shuffle, seed=bulk_rng)
+    loop = planted_partition_per_pair(communities, size, p_in=p_in,
+                                      p_out=p_out, shuffle=shuffle,
+                                      rng=loop_rng)
+    assert np.array_equal(bulk.indptr, loop.indptr)
+    assert np.array_equal(bulk.indices, loop.indices)
+    assert bulk_rng.random() == loop_rng.random()

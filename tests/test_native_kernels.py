@@ -91,6 +91,17 @@ def test_build_info_fields(name):
         assert info["fallback"] == info["status"]
 
 
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_kernel_source_compiles_under_the_active_profile(name):
+    """A compiler that rejects a kernel (the sanitizer profiles add
+    ``-Werror``) must fail here, not fall back to Python unnoticed."""
+    kernel = native_core.get_kernel(name)
+    kernel.lib()
+    assert kernel.build_info()["compile_stderr"] is None, (
+        kernel.build_info()["compile_stderr"]
+    )
+
+
 def test_build_info_all_covers_every_kernel():
     infos = _native.build_info_all()
     assert set(KERNEL_NAMES) <= set(infos)

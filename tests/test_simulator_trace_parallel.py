@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine import use_engine
 from repro.simulator import (
+    BlockTrace,
     CacheConfig,
     HierarchyConfig,
     MemoryLayout,
@@ -166,3 +167,233 @@ class TestSimulatedMachine:
         result = machine.run([[], []])
         assert result.makespan == 0
         assert result.work_fraction == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Block-indexed traces: the same regions as WorkItem lists and as the
+# per-access twins, at the native and vector engines
+# ---------------------------------------------------------------------------
+def block_trace(seed, count=25, num_blocks=12, max_blocks=6, span=3000):
+    """A random trace over a shared block table: empty blocks, repeated
+    block ids within an item, items with no block at all."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, 120, size=num_blocks)
+    lengths[::5] = 0
+    block_offsets = np.concatenate(([0], np.cumsum(lengths)))
+    blocks = rng.integers(0, span, size=int(block_offsets[-1]))
+    per_item = rng.integers(0, max_blocks + 1, size=count)
+    item_offsets = np.concatenate(([0], np.cumsum(per_item)))
+    item_blocks = rng.integers(0, num_blocks, size=int(item_offsets[-1]))
+    compute = rng.integers(0, 400, size=count)
+    return BlockTrace(blocks, block_offsets, item_blocks, item_offsets,
+                      compute)
+
+
+def spelled_out(trace):
+    """The trace's items with each stream concatenated by hand."""
+    out = []
+    for i in range(trace.num_items):
+        ids = trace.item_blocks[
+            trace.item_offsets[i]: trace.item_offsets[i + 1]
+        ]
+        lines = [
+            int(line) for b in ids
+            for line in trace.blocks[
+                trace.block_offsets[b]: trace.block_offsets[b + 1]
+            ]
+        ]
+        out.append(WorkItem(lines, int(trace.compute[i])))
+    return out
+
+
+def per_thread(items, thread, num_threads):
+    return [
+        [items[i] for i in range(len(items)) if thread[i] == t]
+        for t in range(num_threads)
+    ]
+
+
+def as_lists(items):
+    return [(list(map(int, item.lines)), item.compute_cycles)
+            for item in items]
+
+
+def test_block_trace_work_items_spell_out_the_blocks():
+    trace = block_trace(1)
+    expected = as_lists(spelled_out(trace))
+    assert as_lists(trace.work_items()) == expected
+    flat = BlockTrace.from_items(spelled_out(trace))
+    assert as_lists(flat.work_items()) == expected
+    picked = [4, 0, 4, 17]
+    assert as_lists(trace.select(picked).work_items()) == [
+        expected[i] for i in picked
+    ]
+
+
+@pytest.mark.parametrize("engine", ["native", "vector"])
+@pytest.mark.parametrize("threads", [1, 3, 5])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_block_trace_static_matches_reference(engine, threads, seed):
+    trace = block_trace(seed)
+    rng = np.random.default_rng(seed + 10)
+    thread = rng.integers(0, threads, size=trace.num_items)
+    machine = SimulatedMachine(threads, HierarchyConfig.for_scale(0.05))
+    items = spelled_out(trace)
+    reference = machine.run_reference(per_thread(items, thread, threads))
+    with use_engine(engine):
+        assert machine.run(trace, item_thread=thread) == reference
+        assert machine.run(per_thread(items, thread, threads)) == reference
+
+
+def test_block_trace_replays_without_the_python_twins(monkeypatch):
+    """Under the native engine a block trace never reaches Python."""
+    from tests.test_native_kernels import native_available
+
+    if not native_available():
+        pytest.skip("no C compiler: the Python twins replay instead")
+    trace = block_trace(7)
+    machine = SimulatedMachine(3, HierarchyConfig.for_scale(0.05))
+    expected_static = machine.run_reference(
+        per_thread(spelled_out(trace), np.arange(25) % 3, 3)
+    )
+    with use_engine("vector"):
+        expected_dynamic = machine.run_dynamic(trace, chunk=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("replayed in Python")
+
+    monkeypatch.setattr(SimulatedMachine, "run_reference", refuse)
+    monkeypatch.setattr(SimulatedMachine, "_run_dynamic_python", refuse)
+    with use_engine("native"):
+        assert machine.run(
+            trace, item_thread=np.arange(25) % 3
+        ) == expected_static
+        assert machine.run_dynamic(trace, chunk=4) == expected_dynamic
+
+
+@pytest.mark.parametrize("engine", ["native", "vector"])
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+@pytest.mark.parametrize("seed", [4, 5])
+def test_block_trace_dynamic_matches_per_access(engine, chunk, seed):
+    from tests.test_native_kernels import run_dynamic_per_access
+
+    trace = block_trace(seed)
+    machine = SimulatedMachine(3, HierarchyConfig.for_scale(0.05))
+    items = spelled_out(trace)
+    expected = run_dynamic_per_access(machine, items, chunk)
+    with use_engine(engine):
+        assert machine.run_dynamic(trace, chunk=chunk) == expected
+        assert machine.run_dynamic(items, chunk=chunk) == expected
+
+
+@pytest.mark.parametrize("engine", ["native", "vector"])
+def test_block_trace_edge_shapes(engine):
+    """Empty traces, zero-length blocks, one item spanning many blocks."""
+    from tests.test_native_kernels import run_dynamic_per_access
+
+    machine = SimulatedMachine(2, HierarchyConfig.for_scale(0.05))
+    empty = BlockTrace([], [0], [], [0], [])
+    one_block_table = dict(blocks=np.arange(40), block_offsets=[0, 0, 40])
+    zero_length = BlockTrace(item_blocks=[0, 0, 0], item_offsets=[0, 1, 3],
+                             compute=[5, 7], **one_block_table)
+    spanning = BlockTrace(item_blocks=[1, 0, 1, 1] * 50,
+                          item_offsets=[0, 200], compute=[3],
+                          **one_block_table)
+    with use_engine(engine):
+        for trace in (empty, zero_length, spanning):
+            items = spelled_out(trace)
+            assert machine.run_dynamic(trace, chunk=2) == (
+                run_dynamic_per_access(machine, items, 2)
+            )
+            thread = np.arange(trace.num_items) % 2
+            assert machine.run(trace, item_thread=thread) == (
+                machine.run_reference(per_thread(items, thread, 2))
+            )
+        assert machine.run_dynamic(empty).thread_cycles == (0, 0)
+        assert sum(machine.run_dynamic(spanning).thread_loads) == 6000
+
+
+@pytest.mark.parametrize("engine", ["native", "vector"])
+def test_block_trace_negative_line_replays_in_python(engine):
+    from tests.test_native_kernels import run_dynamic_per_access
+
+    trace = block_trace(6)
+    blocks = trace.blocks.copy()
+    blocks[blocks.size // 2] = -7
+    negative = BlockTrace(blocks, trace.block_offsets, trace.item_blocks,
+                          trace.item_offsets, trace.compute)
+    machine = SimulatedMachine(3, HierarchyConfig.for_scale(0.05))
+    items = spelled_out(negative)
+    with use_engine(engine):
+        assert machine.run_dynamic(negative, chunk=2) == (
+            run_dynamic_per_access(machine, items, 2)
+        )
+
+
+# ---------------------------------------------------------------------------
+# Every id and offset the replay kernel indexes with is checked up front
+# ---------------------------------------------------------------------------
+TRACE_TABLE = dict(blocks=np.arange(30), block_offsets=[0, 10, 10, 30])
+
+
+@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+@pytest.mark.parametrize("bad", [[0, 3], [-1, 2], [2, 99]])
+def test_block_ids_outside_the_table_rejected(engine, bad):
+    with use_engine(engine), pytest.raises(ValueError, match="block ids"):
+        SimulatedMachine(2).run_dynamic(BlockTrace(
+            item_blocks=bad, item_offsets=[0, 1, 2], compute=[1, 1],
+            **TRACE_TABLE,
+        ))
+
+
+@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+@pytest.mark.parametrize("block_offsets", [
+    [1, 10, 10, 30],    # does not start at 0
+    [0, 10, 10, 29],    # does not end at len(blocks)
+    [0, 12, 10, 30],    # steps down
+    [],                 # no offsets at all
+])
+def test_block_offsets_must_rise_from_zero_to_the_stream(
+    engine, block_offsets
+):
+    with use_engine(engine), pytest.raises(
+        ValueError, match="block_offsets must be non-decreasing"
+    ):
+        SimulatedMachine(2).run_dynamic(BlockTrace(
+            np.arange(30), block_offsets, [0, 1], [0, 1, 2], [1, 1],
+        ))
+
+
+@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+@pytest.mark.parametrize("item_offsets", [
+    [1, 1, 2], [0, 1, 3], [0, 2, 1], [0, 1, 1, 0],
+])
+def test_item_offsets_must_rise_from_zero_to_the_block_ids(
+    engine, item_offsets
+):
+    with use_engine(engine), pytest.raises(
+        ValueError, match="item_offsets must be non-decreasing"
+    ):
+        SimulatedMachine(2).run_dynamic(BlockTrace(
+            item_blocks=[0, 2], item_offsets=item_offsets,
+            compute=[1] * (len(item_offsets) - 1), **TRACE_TABLE,
+        ))
+
+
+@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+@pytest.mark.parametrize("thread", [[0, 2], [-1, 0], [0]])
+def test_item_threads_outside_the_machine_rejected(engine, thread):
+    trace = BlockTrace(item_blocks=[0, 2], item_offsets=[0, 1, 2],
+                       compute=[1, 1], **TRACE_TABLE)
+    with use_engine(engine), pytest.raises(ValueError, match="thread"):
+        SimulatedMachine(2).run(trace, item_thread=thread)
+
+
+@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+@pytest.mark.parametrize("compute", [[1.5, 2], [1.0, 2.0], [1]])
+def test_fractional_or_missing_compute_cycles_rejected(engine, compute):
+    with use_engine(engine), pytest.raises(ValueError, match="compute"):
+        SimulatedMachine(2).run_dynamic(BlockTrace(
+            item_blocks=[0, 2], item_offsets=[0, 1, 2], compute=compute,
+            **TRACE_TABLE,
+        ))
