@@ -19,8 +19,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .graph.io import (
     read_edge_list,
     read_matrix_market,
@@ -52,6 +50,12 @@ def _read(path: Path):
 def _write(graph, path: Path) -> None:
     writer = _WRITERS.get(path.suffix.lower(), write_edge_list)
     writer(graph, path)
+
+
+def _write_permutation(permutation, path: Path) -> None:
+    """One rank per line, the bytes ``np.savetxt(..., fmt="%d")`` writes."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(map("{}\n".format, permutation.tolist())))
 
 
 def _print_measures(label: str, measures) -> None:
@@ -112,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         _write(ordering.apply(graph), args.output)
         print(f"wrote reordered graph: {args.output}")
     if args.permutation:
-        np.savetxt(args.permutation, ordering.permutation, fmt="%d")
+        _write_permutation(ordering.permutation, args.permutation)
         print(f"wrote permutation: {args.permutation}")
     return 0
 

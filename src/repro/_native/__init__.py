@@ -28,6 +28,9 @@ Kernels:
 * ``louvain_sweep`` — one whole Louvain sweep on the CSR arrays,
   behind the Grappolo orderings and the community-detection
   application (:mod:`.louvain`);
+* ``rabbit_aggregate`` — the whole Rabbit-Order incremental
+  aggregation, adjacency load to merge-forest DFS
+  (:mod:`.rabbit`);
 * ``sim_region`` — a whole parallel region, statically or dynamically
   scheduled, replayed through per-thread L1/L2 and a shared L3, behind
   :meth:`repro.simulator.parallel.SimulatedMachine.run` and
@@ -48,7 +51,7 @@ from .core import (
     kernel_names,
 )
 from . import (  # noqa: F401  (register)
-    counting, delta, fm, gorder, louvain, machine, parse, rrr,
+    counting, delta, fm, gorder, louvain, machine, parse, rabbit, rrr,
 )
 
 __all__ = [
@@ -67,5 +70,6 @@ __all__ = [
     "louvain",
     "machine",
     "parse",
+    "rabbit",
     "rrr",
 ]

@@ -158,7 +158,6 @@ ORDERING_FLOORS: dict[str, float] = {
     "dfs": 1.5,
     "cdfs": 1.5,
     "slashburn": 1.8,
-    "rabbit": 1.2,
     "gorder": 1.2,
 }
 
@@ -197,6 +196,7 @@ NATIVE_ORDERING_SCHEMES: dict[str, str] = {
     "dbg": "counting_sort",
     "grappolo": "louvain_sweep",
     "grappolo_rcm": "louvain_sweep",
+    "rabbit": "rabbit_aggregate",
 }
 
 #: schemes whose vector and scalar engines run one code path: timing
@@ -205,9 +205,12 @@ NATIVE_ORDERING_SCHEMES: dict[str, str] = {
 SINGLE_TIER_SCHEMES = frozenset({"natural", "random", "degree_sort"})
 
 #: schemes whose hot loop runs its scalar reference under the vector
-#: engine (the Louvain sweep has no vector tier): the stage times their
-#: scalar and native tiers only, since a vector row would measure noise.
-SCALAR_UNDER_VECTOR_SCHEMES = frozenset({"grappolo", "grappolo_rcm"})
+#: engine (the Louvain sweep and Rabbit's aggregation have no vector
+#: tier): the stage times their scalar and native tiers only, since a
+#: vector row would measure noise.
+SCALAR_UNDER_VECTOR_SCHEMES = frozenset(
+    {"grappolo", "grappolo_rcm", "rabbit"}
+)
 
 #: native/scalar speedup floors — roughly half the measured ratios —
 #: enforced only when the kernel actually compiled (an unavailable
@@ -218,6 +221,7 @@ NATIVE_ORDERING_FLOORS: dict[str, float] = {
     "nested_dissection": 10.0,
     "grappolo": 20.0,
     "grappolo_rcm": 20.0,
+    "rabbit": 18.0,
 }
 
 #: wall-clock ceiling (seconds) for native nested dissection on the

@@ -17,13 +17,18 @@ outside it.  Every other engine, and every declined file, runs the
 per-line Python loop, which is the ground truth.  Both tiers — at every
 thread count — produce bit-identical graphs, and malformed input raises
 the scalar loop's exceptions.
+
+The writers have no per-edge Python loop: each selects its edges with
+one mask over the CSR arrays and formats them in blocks of
+``_WRITE_CHUNK`` lines with ``str.format`` (weights with ``:g``), the
+bytes a per-edge f-string loop writes.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -48,6 +53,40 @@ _Parsed = tuple[np.ndarray, np.ndarray, np.ndarray, bool, int, "int | None"]
 
 def _open_text(path: str | Path, mode: str) -> TextIO:
     return open(Path(path), mode, encoding="utf-8")
+
+
+#: lines (for METIS, rows and entries) formatted per write: keeps the
+#: transient strings small next to the graph itself.
+_WRITE_CHUNK = 1 << 16
+
+
+def _row_ids(graph: CSRGraph) -> np.ndarray:
+    """The source vertex of every CSR entry, in CSR order."""
+    return np.repeat(
+        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees()
+    )
+
+
+def _write_edge_lines(
+    handle: TextIO,
+    keep: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: np.ndarray | None,
+) -> None:
+    """One ``u v`` (or ``u v w``) line per kept CSR entry, in CSR order.
+
+    Weights use the ``:g`` spec, so every line matches a per-edge
+    ``f"{u} {v} {w:g}"``.
+    """
+    columns = [src[keep], dst[keep]]
+    line = "{} {}\n"
+    if weights is not None:
+        columns.append(weights[keep])
+        line = "{} {} {:g}\n"
+    for lo in range(0, columns[0].size, _WRITE_CHUNK):
+        chunk = [col[lo: lo + _WRITE_CHUNK].tolist() for col in columns]
+        handle.write("".join(map(line.format, *chunk)))
 
 
 def read_edge_list(
@@ -155,18 +194,12 @@ def _graph_from_parsed(
 
 def write_edge_list(graph: CSRGraph, path: str | Path) -> None:
     """Write the graph as ``u v`` (or ``u v w``) lines, one per edge."""
+    src = _row_ids(graph)
     with _open_text(path, "w") as handle:
         handle.write(f"# n={graph.num_vertices} m={graph.num_edges}\n")
-        indptr, indices = graph.indptr, graph.indices
-        weights = graph.weights
-        for u in range(graph.num_vertices):
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                if u <= v:
-                    if weights is not None:
-                        handle.write(f"{u} {v} {weights[k]:g}\n")
-                    else:
-                        handle.write(f"{u} {v}\n")
+        _write_edge_lines(
+            handle, src <= graph.indices, src, graph.indices, graph.weights
+        )
 
 
 def read_metis(path: str | Path) -> CSRGraph:
@@ -216,19 +249,37 @@ def read_metis(path: str | Path) -> CSRGraph:
     return builder.build(weighted=has_edge_weights or None)
 
 
+def _row_blocks(indptr: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges ``[first, stop)``, each holding at most
+    :data:`_WRITE_CHUNK` rows and entries (or one longer row)."""
+    n = indptr.size - 1
+    first = 0
+    while first < n:
+        budget = indptr[first] + _WRITE_CHUNK
+        stop = int(np.searchsorted(indptr, budget, side="right")) - 1
+        stop = min(max(stop, first + 1), first + _WRITE_CHUNK, n)
+        yield first, stop
+        first = stop
+
+
 def write_metis(graph: CSRGraph, path: str | Path) -> None:
     """Write the graph in METIS ``.graph`` format (1-based ids)."""
     fmt = "001" if graph.is_weighted else "000"
     with _open_text(path, "w") as handle:
         handle.write(f"{graph.num_vertices} {graph.num_edges} {fmt}\n")
-        for u in range(graph.num_vertices):
-            nbrs = graph.neighbors(u)
+        for first, stop in _row_blocks(graph.indptr):
+            offsets = graph.indptr[first: stop + 1].tolist()
+            lo, hi = offsets[0], offsets[-1]
+            ids = (graph.indices[lo:hi] + 1).tolist()
             if graph.is_weighted:
-                wts = graph.neighbor_weights(u)
-                parts = [f"{v + 1} {w:g}" for v, w in zip(nbrs, wts)]
+                weights = graph.weights[lo:hi].tolist()
+                parts = list(map("{} {:g}".format, ids, weights))
             else:
-                parts = [str(v + 1) for v in nbrs]
-            handle.write(" ".join(parts) + "\n")
+                parts = list(map(str, ids))
+            handle.write("".join(
+                " ".join(parts[start - lo: end - lo]) + "\n"
+                for start, end in zip(offsets, offsets[1:])
+            ))
 
 
 def read_matrix_market(path: str | Path) -> CSRGraph:
@@ -266,17 +317,15 @@ def read_matrix_market(path: str | Path) -> CSRGraph:
 def write_matrix_market(graph: CSRGraph, path: str | Path) -> None:
     """Write the graph as a symmetric MatrixMarket coordinate file."""
     kind = "real" if graph.is_weighted else "pattern"
+    src = _row_ids(graph)
     with _open_text(path, "w") as handle:
         handle.write(f"%%MatrixMarket matrix coordinate {kind} symmetric\n")
         n = graph.num_vertices
         handle.write(f"{n} {n} {graph.num_edges}\n")
-        indptr, indices = graph.indptr, graph.indices
-        weights = graph.weights
-        for u in range(n):
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                if v <= u:
-                    if weights is not None:
-                        handle.write(f"{u + 1} {v + 1} {weights[k]:g}\n")
-                    else:
-                        handle.write(f"{u + 1} {v + 1}\n")
+        _write_edge_lines(
+            handle,
+            graph.indices <= src,
+            src + 1,
+            graph.indices + 1,
+            graph.weights,
+        )

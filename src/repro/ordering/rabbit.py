@@ -8,20 +8,21 @@ the merge trees, so vertices merged together early (deep in the dendrogram,
 i.e. the tightest micro-communities) receive the closest ranks — mapping
 the community hierarchy onto the cache hierarchy.
 
-The aggregation is inherently sequential (every merge feeds the next), so
-the vector engine keeps the algorithm but swaps the numpy-scalar hot loop
-for native Python containers built from one bulk CSR conversion: the
-union-find, aggregated degrees, and small-into-large adjacency merges all
-run on plain ints and floats.  Identical operations in identical order
-make it bit-identical to the scalar reference (same merges, same
-permutation, same operation counts).
+The aggregation is inherently sequential (every merge feeds the next).
+Under the native engine it runs whole in the ``rabbit_aggregate`` C
+kernel (:mod:`repro._native.rabbit`): one call loads the adjacency,
+merges and emits the DFS sequence, bit-identical to the scalar
+reference (same merges, same permutation, same operation counts).
+Under the vector or scalar engine, or when the kernel cannot run, the
+scalar reference loop runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine import resolve_engine
+from .._native import rabbit as _native_rabbit
+from ..engine import ENGINE_METADATA_KEY, resolve_engine
 from ..graph.csr import CSRGraph
 from ..graph.permute import ordering_from_sequence
 from .base import OperationCounter, OrderingScheme
@@ -41,125 +42,30 @@ class RabbitOrder(OrderingScheme):
         counter: OperationCounter,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, dict]:
-        if resolve_engine() == "scalar":
-            return self._compute_scalar(graph, counter)
         n = graph.num_vertices
-        if n == 0:
-            return np.zeros(0, dtype=np.int64), {"merges": 0}
-        total = graph.total_weight()
-        degrees = graph.degrees().astype(np.float64)
-
-        # Union-find over super-vertices, with aggregated degree and lazily
-        # merged adjacency dictionaries (small-into-large) — all native
-        # Python containers, filled from one bulk CSR conversion.
-        parent = list(range(n))
-        agg_degree = degrees.tolist()
-        indptr = graph.indptr.tolist()
-        flat_nbrs = graph.indices.tolist()
-        flat_wts = (
-            graph.weights.tolist()
-            if graph.weights is not None
-            else [1.0] * len(flat_nbrs)
-        )
-        adjacency: list[dict[int, float]] = [
-            {
-                u: w
-                for u, w in zip(
-                    flat_nbrs[indptr[v]: indptr[v + 1]],
-                    flat_wts[indptr[v]: indptr[v + 1]],
-                )
-                if u != v
-            }
-            for v in range(n)
-        ]
-        counter.count_edges(len(flat_nbrs))
-        children: list[list[int]] = [[] for _ in range(n)]
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        merges = 0
-        # Scan vertices in increasing original degree (Rabbit's heuristic:
-        # absorb leaves into hubs first).
-        scan = np.argsort(degrees, kind="stable").tolist()
-        counter.count_sort(n)
-        for v in scan:
-            rv = find(v)
-            if rv != v:
-                continue  # already absorbed into another super-vertex
-            if total == 0:
-                break
-            # Best neighbouring super-vertex by modularity gain of merging:
-            # dQ = w(v, u) / M - (deg(v) * deg(u)) / (2 M^2)
-            best_u = -1
-            best_gain = 0.0
-            # Consolidate edges to current super-vertex roots.
-            consolidated: dict[int, float] = {}
-            for u, w in adjacency[v].items():
-                ru = find(u)
-                if ru != v:
-                    consolidated[ru] = consolidated.get(ru, 0.0) + w
-            adjacency[v] = consolidated
-            counter.count_edges(len(consolidated))
-            deg_v = agg_degree[v]
-            for ru, w in consolidated.items():
-                gain = w / total - (
-                    deg_v * agg_degree[ru]
-                ) / (2.0 * total * total)
-                if gain > best_gain or (
-                    gain == best_gain and best_u != -1 and ru < best_u
-                ):
-                    best_u, best_gain = ru, gain
-            if best_u == -1 or best_gain <= 0.0:
-                continue  # v stays a top-level community
-            # Merge v into best_u (v becomes a child in the dendrogram).
-            parent[v] = best_u
-            children[best_u].append(v)
-            agg_degree[best_u] += agg_degree[v]
-            # small-into-large adjacency merge
-            if len(adjacency[v]) > len(adjacency[best_u]):
-                adjacency[v], adjacency[best_u] = (
-                    adjacency[best_u],
-                    adjacency[v],
-                )
-            target = adjacency[best_u]
-            for u, w in adjacency[v].items():
-                if u != best_u:
-                    target[u] = target.get(u, 0.0) + w
-            target.pop(v, None)
-            target.pop(best_u, None)
-            adjacency[v] = {}
-            merges += 1
-
-        # DFS over merge trees: roots in ascending id, children in merge
-        # order (earliest merges closest to the parent).
-        sequence = np.empty(n, dtype=np.int64)
-        pos = 0
-        visited = [False] * n
-        for root in range(n):
-            if parent[root] != root or visited[root]:
-                continue
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if visited[node]:
-                    continue
-                visited[node] = True
-                sequence[pos] = node
-                pos += 1
-                # reversed so the first-merged child is visited first
-                stack.extend(reversed(children[node]))
-        counter.count_vertices(n)
-        num_roots = sum(1 for v in range(n) if parent[v] == v)
-        return ordering_from_sequence(sequence), {
-            "merges": merges,
-            "num_communities": num_roots,
-        }
+        if n and resolve_engine() == "native":
+            # The whole aggregation (its scalar twin below) in one
+            # rabbit_aggregate kernel call.
+            degrees = graph.degrees().astype(np.float64)
+            done = _native_rabbit.aggregate(
+                graph.indptr,
+                graph.indices,
+                graph.weights,
+                degrees,
+                np.argsort(degrees, kind="stable"),
+                graph.total_weight(),
+            )
+            if done is not None:
+                sequence, merges, num_communities, consolidated = done
+                counter.count_edges(graph.indices.size + consolidated)
+                counter.count_sort(n)
+                counter.count_vertices(n)
+                return ordering_from_sequence(sequence), {
+                    "merges": merges,
+                    "num_communities": num_communities,
+                    ENGINE_METADATA_KEY: "native",
+                }
+        return self._compute_scalar(graph, counter)
 
     def _compute_scalar(
         self, graph: CSRGraph, counter: OperationCounter
@@ -167,7 +73,10 @@ class RabbitOrder(OrderingScheme):
         """Scalar reference: the original numpy-scalar aggregation loop."""
         n = graph.num_vertices
         if n == 0:
-            return np.zeros(0, dtype=np.int64), {"merges": 0}
+            return np.zeros(0, dtype=np.int64), {
+                "merges": 0,
+                "num_communities": 0,
+            }
         total = graph.total_weight()
         degrees = graph.degrees().astype(np.float64)
 

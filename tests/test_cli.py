@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _write_permutation, main
 from repro.graph.io import read_edge_list, write_edge_list, write_metis
 from tests.conftest import random_graph
 
@@ -54,3 +54,21 @@ class TestCli:
         assert main([str(src), "--scheme", "natural", "-o", str(dst)]) == 0
         from repro.graph.io import read_metis
         assert read_metis(dst) == g
+
+
+@pytest.mark.parametrize("size", (0, 1, 17, 5000))
+def test_permutation_file_has_the_savetxt_bytes(size, tmp_path):
+    perm = np.random.default_rng(size).permutation(size).astype(np.int64)
+    _write_permutation(perm, tmp_path / "bulk.txt")
+    np.savetxt(tmp_path / "savetxt.txt", perm, fmt="%d")
+    bulk = (tmp_path / "bulk.txt").read_bytes()
+    assert bulk == (tmp_path / "savetxt.txt").read_bytes()
+
+
+def test_empty_graph_writes_an_empty_permutation(tmp_path, capsys):
+    src = tmp_path / "empty.txt"
+    src.write_text("")
+    perm = tmp_path / "perm.txt"
+    assert main([str(src), "--scheme", "rabbit",
+                 "--permutation", str(perm)]) == 0
+    assert perm.read_bytes() == b""

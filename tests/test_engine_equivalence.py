@@ -116,9 +116,11 @@ def test_partition_schemes_native_matches_vector(scheme_name, graph_name):
 @settings(max_examples=12, deadline=None)
 def test_engines_bit_identical_random_shapes(scheme_name, n, edges):
     graph = from_edges(n, [(u % n, v % n) for u, v in edges])
-    vector = order_with(scheme_name, graph, "vector")
+    # Rabbit's one tier beside its scalar loop is the C kernel.
+    engine = "native" if scheme_name == "rabbit" else "vector"
+    tiered = order_with(scheme_name, graph, engine)
     scalar = order_with(scheme_name, graph, "scalar")
-    assert_same_ordering(vector, scalar)
+    assert_same_ordering(tiered, scalar)
 
 
 def test_every_registered_scheme_runs_under_all_engines(medium_random):

@@ -1,8 +1,11 @@
 """Round-trip tests for the three supported graph file formats."""
 
+import numpy as np
 import pytest
 
 from repro.graph import from_edges
+from repro.graph import io as graph_io
+from repro.graph.csr import CSRGraph
 from repro.graph.io import (
     read_edge_list,
     read_matrix_market,
@@ -110,3 +113,125 @@ class TestCrossFormat:
         write_metis(g, p2)
         write_matrix_market(g, p3)
         assert read_edge_list(p1) == read_metis(p2) == read_matrix_market(p3)
+
+
+# ---------------------------------------------------------------------------
+# The bulk writers write the bytes of the per-edge loops they replace
+# ---------------------------------------------------------------------------
+def loop_write_edge_list(graph, path):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"# n={graph.num_vertices} m={graph.num_edges}\n")
+        indptr, indices = graph.indptr, graph.indices
+        weights = graph.weights
+        for u in range(graph.num_vertices):
+            for k in range(indptr[u], indptr[u + 1]):
+                v = indices[k]
+                if u <= v:
+                    if weights is not None:
+                        handle.write(f"{u} {v} {weights[k]:g}\n")
+                    else:
+                        handle.write(f"{u} {v}\n")
+
+
+def loop_write_metis(graph, path):
+    fmt = "001" if graph.is_weighted else "000"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"{graph.num_vertices} {graph.num_edges} {fmt}\n")
+        for u in range(graph.num_vertices):
+            nbrs = graph.neighbors(u)
+            if graph.is_weighted:
+                wts = graph.neighbor_weights(u)
+                parts = [f"{v + 1} {w:g}" for v, w in zip(nbrs, wts)]
+            else:
+                parts = [str(v + 1) for v in nbrs]
+            handle.write(" ".join(parts) + "\n")
+
+
+def loop_write_matrix_market(graph, path):
+    kind = "real" if graph.is_weighted else "pattern"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"%%MatrixMarket matrix coordinate {kind} symmetric\n")
+        n = graph.num_vertices
+        handle.write(f"{n} {n} {graph.num_edges}\n")
+        indptr, indices = graph.indptr, graph.indices
+        weights = graph.weights
+        for u in range(n):
+            for k in range(indptr[u], indptr[u + 1]):
+                v = indices[k]
+                if v <= u:
+                    if weights is not None:
+                        handle.write(f"{u + 1} {v + 1} {weights[k]:g}\n")
+                    else:
+                        handle.write(f"{u + 1} {v + 1}\n")
+
+
+def raw_graph(n, entries, weighted):
+    """A CSR no builder made: ``(u, v, w)`` stored both ways (a
+    self-loop once), so weights the builder rejects can be written."""
+    rows = {u: [] for u in range(n)}
+    for u, v, w in entries:
+        rows[u].append((v, w))
+        if u != v:
+            rows[v].append((u, w))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices, weights = [], []
+    for u in range(n):
+        indptr[u + 1] = indptr[u] + len(rows[u])
+        for v, w in rows[u]:
+            indices.append(v)
+            weights.append(w)
+    return CSRGraph(
+        indptr,
+        np.asarray(indices, dtype=np.int64),
+        np.asarray(weights, dtype=np.float64) if weighted else None,
+    )
+
+
+ODD_WEIGHTS = (1e-5, 1e16, float("nan"), float("inf"), -0.0, 0.1 + 0.2)
+
+WRITER_GRAPHS = {
+    "odd_weights": raw_graph(
+        9,
+        [(0, 1, ODD_WEIGHTS[0]), (1, 2, ODD_WEIGHTS[1]),
+         (2, 3, ODD_WEIGHTS[2]), (0, 3, ODD_WEIGHTS[3]),
+         (3, 4, ODD_WEIGHTS[4]), (4, 5, ODD_WEIGHTS[5]),
+         (5, 5, 2.5), (1, 1, 0.75)],
+        weighted=True,
+    ),
+    "self_loops_unweighted": raw_graph(
+        8, [(0, 0, 1.0), (0, 3, 1.0), (3, 3, 1.0), (2, 5, 1.0)],
+        weighted=False,
+    ),
+    "trailing_isolated": from_edges(12, [(0, 1), (1, 2), (2, 0)]),
+    "weighted": from_edges(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)],
+        weights=[0.5, 1.25, 3.0, 1 / 3, 7.0],
+    ),
+    "random": random_graph(60, 300, seed=4),
+    "no_edges": from_edges(5, []),
+    "empty": from_edges(0, []),
+}
+
+WRITERS = (
+    (write_edge_list, loop_write_edge_list),
+    (write_metis, loop_write_metis),
+    (write_matrix_market, loop_write_matrix_market),
+)
+
+
+@pytest.mark.parametrize("chunk", (3, None))
+@pytest.mark.parametrize(
+    "writer,loop", WRITERS, ids=lambda f: getattr(f, "__name__", "")
+)
+@pytest.mark.parametrize("graph_name", sorted(WRITER_GRAPHS))
+def test_bulk_writer_matches_per_edge_loop(
+    graph_name, writer, loop, chunk, tmp_path, monkeypatch
+):
+    """``chunk`` 3 splits every graph across many formatted blocks."""
+    if chunk is not None:
+        monkeypatch.setattr(graph_io, "_WRITE_CHUNK", chunk)
+    graph = WRITER_GRAPHS[graph_name]
+    writer(graph, tmp_path / "bulk")
+    loop(graph, tmp_path / "loop")
+    assert (tmp_path / "bulk").read_bytes() == (tmp_path / "loop").read_bytes()
+

@@ -24,9 +24,11 @@ from repro import _native, config
 from repro._native import core as native_core
 from repro.apps.delta_stepping import delta_stepping
 from repro.community.louvain import louvain, louvain_one_phase
+from repro.datasets import dataset_names, load
 from repro.engine import strip_engine_metadata, use_engine
 from repro.graph import from_edges
-from repro.ordering import get_scheme
+from repro.ordering import RabbitOrder, get_scheme
+from repro.ordering.base import OperationCounter
 from repro.simulator.counters import report_from_counters
 from repro.simulator.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.simulator.parallel import (
@@ -39,6 +41,7 @@ from repro.simulator.parallel import (
 from tests.conftest import (
     make_clique,
     make_grid,
+    make_star,
     make_two_cliques,
     random_graph,
 )
@@ -51,6 +54,7 @@ KERNEL_NAMES = (
     "counting_sort",
     "parse_edges",
     "louvain_sweep",
+    "rabbit_aggregate",
     "sim_region",
 )
 
@@ -177,6 +181,184 @@ def test_native_ordering_metadata_records_tier():
         else "vector"
     )
     assert native.metadata["engine"] == expected
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity: Rabbit-Order's aggregation through the native tier
+# ---------------------------------------------------------------------------
+def rabbit_counts(counter):
+    return counter.vertex_ops, counter.edge_ops, counter.compare_ops
+
+
+def assert_rabbit_matches_twin(graph):
+    """The kernel (under the native engine) against
+    ``RabbitOrder._compute_scalar``: permutation, metadata and every
+    counter total."""
+    scheme = RabbitOrder()
+    native_counter = OperationCounter()
+    with use_engine("native"):
+        perm, meta = scheme.compute(
+            graph, native_counter, np.random.default_rng(0)
+        )
+    twin_counter = OperationCounter()
+    twin_perm, twin_meta = scheme._compute_scalar(graph, twin_counter)
+    assert np.array_equal(perm, twin_perm)
+    assert strip_engine_metadata(meta) == twin_meta
+    assert rabbit_counts(native_counter) == rabbit_counts(twin_counter)
+    kernel_ran = (
+        graph.num_vertices > 0
+        and native_core.get_kernel("rabbit_aggregate").lib() is not None
+    )
+    assert (meta.get("engine") == "native") == kernel_ran
+
+
+def weighted_edges_graph(n, edges, seed):
+    """``edges`` with non-integral weights: unit weights sum exactly in
+    any order and would hide a summation-order bug."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(len(edges)) * 3.0 + 0.05
+    return from_edges(n, edges, weights=weights)
+
+
+@pytest.mark.parametrize("name", dataset_names())
+def test_native_rabbit_matches_twin_on_catalog(name):
+    assert_rabbit_matches_twin(load(name))
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+def test_native_rabbit_matches_twin_on_fixtures(graph_name):
+    assert_rabbit_matches_twin(GRAPHS[graph_name])
+
+
+@given(
+    n=st.integers(2, 40),
+    edges=st.lists(
+        st.tuples(st.integers(0, 39), st.integers(0, 39)),
+        min_size=0,
+        max_size=160,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_native_rabbit_matches_twin_non_integral_weights(n, edges, seed):
+    edges = [(u % n, v % n) for u, v in edges]
+    assert_rabbit_matches_twin(weighted_edges_graph(n, edges, seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_native_rabbit_matches_twin_on_weighted_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    n, m = 400, 2400
+    edges = np.column_stack((rng.integers(n, size=m), rng.integers(n, size=m)))
+    assert_rabbit_matches_twin(weighted_edges_graph(n, edges, seed))
+
+
+@pytest.mark.parametrize("leaves", (1, 7, 300))
+def test_native_rabbit_matches_twin_on_star(leaves):
+    """One hub absorbs every leaf: its adjacency grows and pops."""
+    star = make_star(leaves)
+    assert_rabbit_matches_twin(star)
+    # leaves wired in a ring give the hub's merged adjacency weights
+    # that are summed, popped and re-inserted
+    ring = [(0, i + 1) for i in range(leaves)]
+    ring += [(i + 1, (i + 1) % leaves + 1) for i in range(leaves)]
+    assert_rabbit_matches_twin(weighted_edges_graph(leaves + 1, ring, 1))
+
+
+@pytest.mark.parametrize("size", (2, 3, 9))
+def test_native_rabbit_matches_twin_on_clique(size):
+    edges = make_clique(size)
+    assert_rabbit_matches_twin(from_edges(size, edges))
+    assert_rabbit_matches_twin(weighted_edges_graph(size, edges, size))
+
+
+def test_native_rabbit_matches_twin_on_isolated_vertices():
+    assert_rabbit_matches_twin(from_edges(7, []))
+    assert_rabbit_matches_twin(from_edges(9, [(2, 5), (5, 6)]))
+
+
+def test_native_rabbit_matches_twin_with_zero_total_weight():
+    """``total == 0`` stops the scan at its first vertex."""
+    graph = from_edges(6, [(0, 1), (1, 2), (3, 4)], weights=np.zeros(3))
+    assert graph.total_weight() == 0.0
+    assert_rabbit_matches_twin(graph)
+
+
+def test_native_rabbit_matches_twin_on_raw_csr():
+    """Duplicate neighbours keep their first position and last weight,
+    and self-loops are dropped, exactly as the twin's dicts do."""
+    assert_rabbit_matches_twin(raw_csr_graph())
+
+
+def summation_order_graph():
+    """A graph whose permutation turns on the order of two float sums.
+
+    Hubs S1 < S2 mirror each other (twelve pendants, three connectors
+    each, weight 3).  R's connectors to S2 weigh 0.1, 0.2, 0.3 in
+    insertion order; to S1 only 0.2 and 0.3, while 0.1 reaches S1
+    through v, which merges into R before R is scanned.  Three pendant
+    merges leave R with 6 live entries and 3 tombstones; v holds 7 live
+    entries (R, S1 and five z hubs), so R adopts v's adjacency and
+    appends its own: R then sums S1 as (0.1 + 0.2) + 0.3, the same
+    bits as S2's sum, ties, and joins the lower hub S1.  Summing in key
+    order (x2, x3 sort before S1) or comparing slot counts (9 > 7, no
+    adoption) sums S1 as (0.2 + 0.3) + 0.1, one ulp lower, and R joins
+    S2 instead.  A heavy separate edge keeps the merge gains positive.
+    """
+    names = ["x1", "x2", "x3", "S1", "S2", "R", "v", "y1", "y2", "y3"]
+    names += [f"p{i}" for i in range(3)] + ["h1", "h2"]
+    names += [f"s{i}" for i in range(12)] + [f"t{i}" for i in range(12)]
+    names += [f"z{j}" for j in range(5)]
+    names += [f"z{j}_{i}" for j in range(5) for i in range(8)]
+    ids = {name: i for i, name in enumerate(names)}
+    edges = [("R", f"p{i}", 4.0) for i in range(3)]
+    edges += [("R", "v", 3.0), ("h1", "h2", 2000.0)]
+    for i in range(12):
+        edges += [("S1", f"s{i}", 4.0), ("S2", f"t{i}", 4.0)]
+    for i in (1, 2, 3):
+        edges += [("S1", f"x{i}", 3.0), ("S2", f"y{i}", 3.0)]
+    edges += [("v", "x1", 0.1), ("R", "x2", 0.2), ("R", "x3", 0.3)]
+    edges += [("R", "y1", 0.1), ("R", "y2", 0.2), ("R", "y3", 0.3)]
+    for j in range(5):
+        edges += [("v", f"z{j}", 0.1)]
+        edges += [(f"z{j}", f"z{j}_{i}", 4.0) for i in range(8)]
+    return from_edges(
+        len(names),
+        [(ids[u], ids[v]) for u, v, _ in edges],
+        weights=np.array([w for *_, w in edges]),
+    )
+
+
+def test_native_rabbit_sums_in_insertion_order_and_counts_live_entries():
+    assert_rabbit_matches_twin(summation_order_graph())
+
+
+@pytest.mark.parametrize("engine", ("native", "vector", "scalar"))
+def test_rabbit_metadata_on_the_empty_graph(engine):
+    with use_engine(engine):
+        ordering = get_scheme("rabbit").order(from_edges(0, []))
+    assert ordering.permutation.size == 0
+    assert strip_engine_metadata(ordering.metadata) == {
+        "merges": 0,
+        "num_communities": 0,
+    }
+
+
+def test_native_rabbit_out_of_memory_runs_the_twin(monkeypatch):
+    from repro._native import rabbit as native_rabbit
+
+    class OutOfMemory:
+        def rabbit_aggregate(self, *args):
+            return -1
+
+    monkeypatch.setattr(native_rabbit.KERNEL, "lib", lambda: OutOfMemory())
+    graph = GRAPHS["random"]
+    with use_engine("native"):
+        ordering = get_scheme("rabbit").order(graph)
+    with use_engine("scalar"):
+        scalar = get_scheme("rabbit").order(graph)
+    assert np.array_equal(ordering.permutation, scalar.permutation)
+    assert ordering.metadata["engine"] != "native"
 
 
 # ---------------------------------------------------------------------------
