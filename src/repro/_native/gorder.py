@@ -1,11 +1,10 @@
 """Compiled Gorder greedy: the whole sliding-window priority scan in C.
 
 The GO greedy (:class:`repro.ordering.gorder.GorderOrder`, scalar twin
-``compute`` under the scalar engine; the list-based vector engine lives
-in the same method) spends its time in the ``O(sum of squared degrees)``
-score-update loop and the lazy max-heap.  Neither vectorises — every
-update depends on the vertex just placed — so the native tier runs the
-complete greedy in C.
+``_compute_scalar``, its only Python tier) spends its time in the
+``O(sum of squared degrees)`` score-update loop and the lazy max-heap.
+Neither vectorises — every update depends on the vertex just placed —
+so the native tier runs the complete greedy in C.
 
 Bit-identity argument:
 
@@ -14,10 +13,10 @@ Bit-identity argument:
   heap pops the exact multiset minimum ``(-key, vertex)`` pair that
   ``heapq`` pops (pop order over identical entries is indistinguishable);
 * score updates apply the same ``±1`` increments in the same neighbour
-  order as both Python engines;
+  order as the scalar twin;
 * ``compare_ops`` counts one per push and one per pop (including stale
   pops) and ``edge_ops`` counts ``deg(e) + sum of two-hop degrees``
-  per window entry/exit, matching both Python engines' totals;
+  per window entry/exit, matching the scalar twin's totals;
 * the empty-heap fallback picks the first unplaced vertex of maximum
   degree — ``np.argmax``'s first-occurrence semantics.
 
@@ -25,7 +24,7 @@ The caller allocates the heap with capacity ``sum(deg) +
 sum over edges (u,v) of deg(v) + 1`` — an upper bound on pushes, since
 only window *entries* (not exits) push.  The kernel returns ``-1`` if the
 heap would overflow (cannot happen under that bound; kept as a hard
-guard) and the wrapper falls back to the vector engine.
+guard) and the wrapper falls back to the scalar twin.
 """
 
 from __future__ import annotations
@@ -200,7 +199,7 @@ KERNEL = NativeKernel(
             ctypes.c_int64,
         ),
     },
-    scalar_twin="repro.ordering.gorder:GorderOrder.compute",
+    scalar_twin="repro.ordering.gorder:GorderOrder._compute_scalar",
 )
 
 
@@ -213,8 +212,8 @@ def run(
 ) -> tuple[np.ndarray, int, int] | None:
     """Run the full greedy natively; None when the kernel is unavailable.
 
-    Returns ``(sequence, edge_ops, compare_ops)`` matching the Python
-    engines bit-for-bit.
+    Returns ``(sequence, edge_ops, compare_ops)`` matching the scalar
+    twin bit-for-bit.
     """
     lib = KERNEL.lib()
     if lib is None:

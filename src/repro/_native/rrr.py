@@ -137,7 +137,7 @@ KERNEL = NativeKernel(
             ctypes.c_int64,
         ),
     },
-    scalar_twin="repro.apps.influence_max:sample_rrr_ic_pinned",
+    scalar_twin="repro.apps.influence_max:_sample_rrr_ic_pinned_scalar",
 )
 
 

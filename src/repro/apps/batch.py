@@ -14,7 +14,7 @@ to be **bit-identical** to the scalar reference loops retained in
   Under the native engine the whole draw runs through the
   ``rrr_sample`` C kernel (:mod:`repro._native.rrr`); every other
   engine, and a native engine whose kernel cannot run, loops the scalar
-  reference :func:`repro.apps.influence_max.sample_rrr_ic_pinned`.
+  reference :func:`repro.apps.influence_max._sample_rrr_ic_pinned_scalar`.
 * :func:`greedy_seed_selection_vector` — max-coverage seed selection
   over a CSR encoding of RRR-set membership: one ``argmax`` plus one
   ``bincount`` per seed instead of per-seed Python rescans of every set.
@@ -33,7 +33,7 @@ import numpy as np
 from ..analysis import sanitize
 from ..engine import gather_ranges, resolve_engine
 from ..graph.csr import CSRGraph
-from .influence_max import RRRSet, RRRSets, sample_rrr_ic_pinned
+from .influence_max import RRRSet, RRRSets, _sample_rrr_ic_pinned_scalar
 
 __all__ = [
     "sample_rrr_ic_pinned_sets",
@@ -122,9 +122,8 @@ def sample_rrr_ic_pinned_sets(
             return RRRSets(members, offsets, edges)
 
     return RRRSets.from_sets([
-        sample_rrr_ic_pinned(
-            graph, probability, root, original_of, index, seed,
-            engine="scalar",
+        _sample_rrr_ic_pinned_scalar(
+            graph, probability, root, original_of, index, seed
         )
         for root, index in zip(roots.tolist(), sample_indices.tolist())
     ])

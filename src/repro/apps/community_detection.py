@@ -143,7 +143,6 @@ def build_sweep_items(
     communities: np.ndarray | None = None,
     *,
     line_bytes: int = 64,
-    engine: str | None = None,
 ) -> list[WorkItem]:
     """One work item per vertex: the hot-routine trace of one sweep.
 
@@ -155,10 +154,10 @@ def build_sweep_items(
     (:func:`_build_sweep_items_scalar`) emits the same streams one
     ``layout.line`` call at a time.
     """
-    if resolve_engine(engine) == "scalar":
+    if resolve_engine() == "scalar":
         return _build_sweep_items_scalar(graph, communities, line_bytes)
     return build_sweep_trace(
-        graph, communities, line_bytes=line_bytes, engine=engine
+        graph, communities, line_bytes=line_bytes
     ).work_items()
 
 
@@ -167,7 +166,6 @@ def build_sweep_trace(
     communities: np.ndarray | None = None,
     *,
     line_bytes: int = 64,
-    engine: str | None = None,
 ) -> BlockTrace:
     """:func:`build_sweep_items` as one :class:`BlockTrace`.
 
@@ -176,7 +174,7 @@ def build_sweep_trace(
     so no per-vertex object is built.  Under the scalar engine the
     scalar builder's items are flattened instead.
     """
-    if resolve_engine(engine) == "scalar":
+    if resolve_engine() == "scalar":
         return BlockTrace.from_items(
             _build_sweep_items_scalar(graph, communities, line_bytes)
         )

@@ -44,7 +44,6 @@ def delta_stepping(
     *,
     delta: float | None = None,
     max_buckets: int = 100_000,
-    engine: str | None = None,
 ) -> tuple[np.ndarray, list[WorkItem]]:
     """Delta-stepping shortest paths with a replayable trace.
 
@@ -54,9 +53,6 @@ def delta_stepping(
         Bucket width; defaults to the mean edge weight (1.0 for
         unweighted graphs, where delta-stepping degenerates to BFS-like
         level processing).
-    engine:
-        Explicit engine override (``"native"``/``"vector"``/``"scalar"``);
-        defaults to the :func:`repro.engine.resolve_engine` resolution.
 
     Returns
     -------
@@ -76,7 +72,7 @@ def delta_stepping(
             delta = 1.0
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if resolve_engine(engine) == "native":
+    if resolve_engine() == "native":
         result = _delta_stepping_native(graph, source, delta, max_buckets)
         if result is not None:
             return result

@@ -184,8 +184,6 @@ def sample_rrr_ic_pinned(
     original_of: np.ndarray,
     sample_index: int,
     seed: int,
-    *,
-    engine: str | None = None,
 ) -> RRRSet:
     """IC RRR set with hash-pinned coins (ordering-invariant cascades).
 
@@ -194,19 +192,34 @@ def sample_rrr_ic_pinned(
     a vertex of ``[0, n)`` (``ValueError`` otherwise).  Under the native
     and vector engines the cascade is drawn through the batch sampler
     (:mod:`repro.apps.batch`, the ``rrr_sample`` kernel when it can
-    run); the scalar path below is the retained ground truth.
+    run); :func:`_sample_rrr_ic_pinned_scalar` is the retained ground
+    truth.
     """
     if not 0 <= root < graph.num_vertices:
         raise ValueError(
             f"root {root} is not a vertex of [0, {graph.num_vertices})"
         )
-    if resolve_engine(engine) != "scalar":
+    if resolve_engine() != "scalar":
         from .batch import sample_rrr_ic_pinned_batch
 
         return sample_rrr_ic_pinned_batch(
             graph, probability, [root], original_of, [sample_index],
             seed, jobs=1,
         )[0]
+    return _sample_rrr_ic_pinned_scalar(
+        graph, probability, root, original_of, sample_index, seed
+    )
+
+
+def _sample_rrr_ic_pinned_scalar(
+    graph: CSRGraph,
+    probability: float,
+    root: int,
+    original_of: np.ndarray,
+    sample_index: int,
+    seed: int,
+) -> RRRSet:
+    """Scalar reference for :func:`sample_rrr_ic_pinned` (BFS loop)."""
     visited = {root}
     frontier = [root]
     order = [root]
@@ -284,7 +297,6 @@ def sample_rrr_ic(
     rng: np.random.Generator,
     *,
     root: int | None = None,
-    engine: str | None = None,
 ) -> RRRSet:
     """One RRR set under the Independent Cascade model.
 
@@ -295,7 +307,7 @@ def sample_rrr_ic(
     n = graph.num_vertices
     if root is None:
         root = int(rng.integers(n))
-    if resolve_engine(engine) != "scalar":
+    if resolve_engine() != "scalar":
         return _sample_rrr_ic_vector(graph, probability, rng, root)
     visited = {root}
     frontier = [root]
@@ -363,8 +375,6 @@ def greedy_seed_selection(
     rrr_sets: list[RRRSet],
     num_vertices: int,
     k: int,
-    *,
-    engine: str | None = None,
 ) -> tuple[list[int], float, int]:
     """Greedy max-coverage seed selection.
 
@@ -376,7 +386,7 @@ def greedy_seed_selection(
     (:func:`repro.apps.batch.greedy_seed_selection_vector`); the loop
     below is the retained scalar ground truth.
     """
-    if resolve_engine(engine) != "scalar":
+    if resolve_engine() != "scalar":
         from .batch import greedy_seed_selection_vector
 
         return greedy_seed_selection_vector(rrr_sets, num_vertices, k)

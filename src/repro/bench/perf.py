@@ -158,7 +158,6 @@ ORDERING_FLOORS: dict[str, float] = {
     "dfs": 1.5,
     "cdfs": 1.5,
     "slashburn": 1.8,
-    "gorder": 1.2,
 }
 
 #: the headline guarantee: summed over all paper schemes, ordering
@@ -205,11 +204,11 @@ NATIVE_ORDERING_SCHEMES: dict[str, str] = {
 SINGLE_TIER_SCHEMES = frozenset({"natural", "random", "degree_sort"})
 
 #: schemes whose hot loop runs its scalar reference under the vector
-#: engine (the Louvain sweep and Rabbit's aggregation have no vector
-#: tier): the stage times their scalar and native tiers only, since a
-#: vector row would measure noise.
+#: engine (the Louvain sweep, Gorder's greedy and Rabbit's aggregation
+#: have no vector tier): the stage times their scalar and native tiers
+#: only, since a vector row would measure noise.
 SCALAR_UNDER_VECTOR_SCHEMES = frozenset(
-    {"grappolo", "grappolo_rcm", "rabbit"}
+    {"grappolo", "grappolo_rcm", "gorder", "rabbit"}
 )
 
 #: native/scalar speedup floors — roughly half the measured ratios —
@@ -600,16 +599,17 @@ def measure_apps(
             f"{prefix}identical": identical,
         }
 
-    t_sca, scalar_sets = _best_of(
-        lambda: [
-            sample_rrr_ic_pinned(
-                graph, probability, int(roots[i]), original_of,
-                int(sample_indices[i]), seed, engine="scalar",
-            )
-            for i in range(num_samples)
-        ],
-        repeats,
-    )
+    with use_engine("scalar"):
+        t_sca, scalar_sets = _best_of(
+            lambda: [
+                sample_rrr_ic_pinned(
+                    graph, probability, int(roots[i]), original_of,
+                    int(sample_indices[i]), seed,
+                )
+                for i in range(num_samples)
+            ],
+            repeats,
+        )
     with use_engine("native"):
         t_nat, native_sets = _best_of(
             lambda: sample_rrr_ic_pinned_batch(
@@ -623,36 +623,34 @@ def measure_apps(
         _rrr_identical(scalar_sets, native_sets),
     )
 
-    t_sca, g_sca = _best_of(
-        lambda: greedy_seed_selection(
-            scalar_sets, n, k, engine="scalar"
-        ),
-        repeats,
-    )
+    with use_engine("scalar"):
+        t_sca, g_sca = _best_of(
+            lambda: greedy_seed_selection(scalar_sets, n, k), repeats
+        )
     t_vec, g_vec = _best_of(
         lambda: greedy_seed_selection_vector(scalar_sets, n, k),
         repeats,
     )
     record("greedy_seeding", "vector", t_vec, t_sca, g_sca == g_vec)
 
-    t_sca, (d_sca, i_sca) = _best_of(
-        lambda: delta_stepping(graph, 0, engine="scalar"), repeats
-    )
-    t_nat, (d_nat, i_nat) = _best_of(
-        lambda: delta_stepping(graph, 0, engine="native"), repeats
-    )
+    with use_engine("scalar"):
+        t_sca, (d_sca, i_sca) = _best_of(
+            lambda: delta_stepping(graph, 0), repeats
+        )
+    with use_engine("native"):
+        t_nat, (d_nat, i_nat) = _best_of(
+            lambda: delta_stepping(graph, 0), repeats
+        )
     record(
         "delta_stepping", "native", t_nat, t_sca,
         bool(np.array_equal(d_sca, d_nat))
         and _items_identical(i_sca, i_nat),
     )
 
-    t_sca, s_sca = _best_of(
-        lambda: build_sweep_items(graph, engine="scalar"), repeats
-    )
-    t_vec, s_vec = _best_of(
-        lambda: build_sweep_items(graph, engine="vector"), repeats
-    )
+    with use_engine("scalar"):
+        t_sca, s_sca = _best_of(lambda: build_sweep_items(graph), repeats)
+    with use_engine("vector"):
+        t_vec, s_vec = _best_of(lambda: build_sweep_items(graph), repeats)
     record(
         "sweep_items", "vector", t_vec, t_sca,
         _items_identical(s_sca, s_vec),
@@ -764,12 +762,10 @@ def measure_ingest(
 
         parsed: dict[str, object] = {}
         for engine in ("scalar", "native"):
-            timings[f"parse_{engine}"], parsed[engine] = _best_of(
-                lambda e=engine: graph_io.read_edge_list(
-                    text_path, engine=e
-                ),
-                repeats,
-            )
+            with use_engine(engine):
+                timings[f"parse_{engine}"], parsed[engine] = _best_of(
+                    lambda: graph_io.read_edge_list(text_path), repeats
+                )
         checks["parse_native_identical"] = _graphs_identical(
             parsed["scalar"], parsed["native"]
         )
@@ -780,15 +776,16 @@ def measure_ingest(
         )
         dst = graph.indices.copy()
         built: dict[str, object] = {}
-        for engine in ("scalar", "vector", "native"):
-            def build_once(e=engine):
-                builder = GraphBuilder(graph.num_vertices)
-                builder.add_edge_array(src, dst)
-                return builder.build(engine=e)
+        def build_once():
+            builder = GraphBuilder(graph.num_vertices)
+            builder.add_edge_array(src, dst)
+            return builder.build()
 
-            timings[f"build_{engine}"], built[engine] = _best_of(
-                build_once, repeats
-            )
+        for engine in ("scalar", "vector", "native"):
+            with use_engine(engine):
+                timings[f"build_{engine}"], built[engine] = _best_of(
+                    build_once, repeats
+                )
         checks["build_vector_identical"] = _graphs_identical(
             built["scalar"], built["vector"]
         )

@@ -17,29 +17,25 @@ A loop with no native kernel runs its vector engine under the native
 tier, so ``"native"`` is always safe to request.  A loop with a kernel
 has no vector tier: under ``"vector"``, or when its kernel failed to
 build or no C compiler is available, it runs its scalar reference.
-Gorder and the simulator's dynamic-region replay are the two loops that
-keep a vector tier beside their kernel.
+The simulator's dynamic-region replay is the one loop that keeps a
+vector tier beside its kernel, because only that replay supports the
+next-line prefetcher.
 
-This resolution is the one switch that decides whether C runs: every
-native dispatch site asks for its kernel only when the engine resolves
-to ``"native"``, so ``REPRO_ORDERING_ENGINE=vector`` (or ``scalar``)
-keeps the whole process in Python.
+This resolution is the one switch that decides which tier runs: every
+dispatch site asks :func:`resolve_engine`, and nothing else (no
+argument, no workload size) overrides it, so
+``REPRO_ORDERING_ENGINE=vector`` (or ``scalar``) keeps the whole
+process in Python.  The engine is resolved per call:
 
-The active engine is resolved per call:
-
-1. an explicit ``engine=`` argument wins,
-2. then a :func:`use_engine` context override (what the equivalence tests
+1. a :func:`use_engine` context override (what the equivalence tests
    and the perf harness use),
-3. then ``REPRO_ORDERING_ENGINE`` as parsed once per process by
+2. then ``REPRO_ORDERING_ENGINE`` as parsed once per process by
    :mod:`repro.config`,
-4. then the default, ``"native"``.
+3. then the default, ``"native"``.
 
-Trivial schemes additionally short-circuit through
-:func:`engine_for_work`: below :data:`VECTOR_MIN_WORK` abstract
-operations the vector/native dispatch overhead exceeds the loop itself,
-so tiny workloads drop to the scalar path.  The tier that actually ran
-is recorded under :data:`ENGINE_METADATA_KEY` in ordering metadata;
-identity comparisons must ignore it (:func:`strip_engine_metadata`).
+The tier that actually ran is recorded under
+:data:`ENGINE_METADATA_KEY` in ordering metadata; identity comparisons
+must ignore it (:func:`strip_engine_metadata`).
 
 The module also hosts :func:`gather_neighbors`, the multi-range CSR gather
 primitive shared by every frontier-at-a-time traversal.
@@ -57,10 +53,8 @@ from . import config
 __all__ = [
     "ENGINES",
     "DEFAULT_ENGINE",
-    "VECTOR_MIN_WORK",
     "ENGINE_METADATA_KEY",
     "resolve_engine",
-    "engine_for_work",
     "use_engine",
     "strip_engine_metadata",
     "gather_ranges",
@@ -70,10 +64,6 @@ __all__ = [
 ENGINES = ("native", "vector", "scalar")
 DEFAULT_ENGINE = "native"
 
-#: below this much estimated work (abstract operations), vector/native
-#: dispatch overhead dominates and trivial schemes run scalar.
-VECTOR_MIN_WORK = 16384
-
 #: ordering-metadata key recording the tier that actually ran.
 ENGINE_METADATA_KEY = "engine"
 
@@ -81,43 +71,16 @@ ENGINE_METADATA_KEY = "engine"
 _override: str | None = None
 
 
-def resolve_engine(engine: str | None = None) -> str:
-    """The engine a hot path runs: explicit > context > config > default."""
-    if engine is None:
-        return _override or config.get().engine or DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
-
-
-def engine_for_work(
-    work: int | None, engine: str | None = None
-) -> str:
-    """Resolve the engine, short-circuiting trivial workloads to scalar.
-
-    ``work`` is the scheme's own estimate of its abstract operation
-    count (``None`` = unknown: never short-circuit).  Schemes whose
-    entire computation is a handful of array ops pay more in vector
-    dispatch than the loop costs on small graphs — the BENCH regressions
-    this threshold exists for.
-    """
-    resolved = resolve_engine(engine)
-    if (
-        work is not None
-        and resolved != "scalar"
-        and work < VECTOR_MIN_WORK
-    ):
-        return "scalar"
-    return resolved
+def resolve_engine() -> str:
+    """The engine a hot path runs: context > config > default."""
+    return _override or config.get().engine or DEFAULT_ENGINE
 
 
 @contextmanager
 def use_engine(engine: str) -> Iterator[None]:
     """Force ``engine`` for every hot path in the ``with`` block.
 
-    Nested contexts stack; an explicit ``engine=`` argument still wins.
+    Nested contexts stack; the innermost wins.
     """
     global _override
     if engine not in ENGINES:

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import engine_for_work
+from ..engine import resolve_engine
 from .csr import CSRGraph
 
 __all__ = ["GraphBuilder", "from_edges", "empty_graph", "pair_order"]
@@ -48,7 +48,7 @@ _CHUNK = 1 << 15
 
 
 def pair_order(
-    major: np.ndarray, minor: np.ndarray, num_buckets: int, engine: str
+    major: np.ndarray, minor: np.ndarray, num_buckets: int
 ) -> np.ndarray:
     """Stable sort permutation over pairs by ``(major, minor)``.
 
@@ -60,7 +60,7 @@ def pair_order(
     stable argsort of the key ``major * num_buckets + minor``, the same
     total order.  The key needs ``num_buckets**2 < 2**63``.
     """
-    if engine == "native":
+    if resolve_engine() == "native":
         from .._native import counting
 
         inner = counting.run(np.ascontiguousarray(minor), num_buckets)
@@ -255,9 +255,7 @@ class GraphBuilder:
         graph.meta["ingest_audit"] = audit
         return graph
 
-    def build(
-        self, weighted: bool | None = None, engine: str | None = None
-    ) -> CSRGraph:
+    def build(self, weighted: bool | None = None) -> CSRGraph:
         """Finalise the canonical undirected CSR graph.
 
         Parameters
@@ -265,36 +263,28 @@ class GraphBuilder:
         weighted:
             Force the output to carry (or not carry) a weights array.
             Defaults to carrying weights only when a non-unit weight was
-            added.
-        engine:
-            Tier for the two stable pair sorts (default: the ambient
-            engine).  Every tier is bit-identical; tiny edge sets
-            short-circuit to the scalar path.
+            added.  An unweighted build carries no weight array at all.
+
+        Each intermediate is dropped as soon as the next one exists, so
+        the peak stays a small multiple of the edge arrays.
         """
         if weighted is None:
             weighted = self._weighted
         n = self._num_vertices
         src, dst, wgt = self._edge_arrays()
-        if src.size == 0:
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            indices = np.zeros(0, dtype=np.int64)
-            wts = np.zeros(0, dtype=np.float64) if weighted else None
-            return self._finish(
-                indptr, indices, wts, added=0, self_loops=0, duplicates=0
-            )
         added = int(src.size)
-        resolved = engine_for_work(2 * added, engine)
 
         # Drop self-loops.
         keep = src != dst
-        src, dst, wgt = src[keep], dst[keep], wgt[keep]
+        src, dst = src[keep], dst[keep]
+        wgt = wgt[keep] if weighted else None
+        del keep
         self_loops = added - int(src.size)
         if src.size == 0:
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            indices = np.zeros(0, dtype=np.int64)
-            wts = np.zeros(0, dtype=np.float64) if weighted else None
             return self._finish(
-                indptr, indices, wts,
+                np.zeros(n + 1, dtype=np.int64),
+                np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.float64) if weighted else None,
                 added=added, self_loops=self_loops, duplicates=0,
             )
 
@@ -303,27 +293,35 @@ class GraphBuilder:
         # float sums are bit-identical across engines.
         lo = np.minimum(src, dst)
         hi = np.maximum(src, dst)
-        order = pair_order(lo, hi, n, resolved)
-        lo, hi, wgt = lo[order], hi[order], wgt[order]
+        del src, dst
+        order = pair_order(lo, hi, n)
+        lo, hi = lo[order], hi[order]
+        if weighted:
+            wgt = wgt[order]
+        del order
         uniq_mask = np.ones(lo.size, dtype=bool)
         uniq_mask[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        group_ids = np.cumsum(uniq_mask) - 1
-        merged_w = np.zeros(int(group_ids[-1]) + 1, dtype=np.float64)
-        np.add.at(merged_w, group_ids, wgt)
-        duplicates = int(lo.size) - int(merged_w.size)
+        merged_w = None
+        if weighted:
+            group_ids = np.cumsum(uniq_mask) - 1
+            merged_w = np.zeros(int(group_ids[-1]) + 1, dtype=np.float64)
+            np.add.at(merged_w, group_ids, wgt)
+            del group_ids, wgt
+        duplicates = int(lo.size - np.count_nonzero(uniq_mask))
         lo, hi = lo[uniq_mask], hi[uniq_mask]
 
         # Symmetrise and sort into CSR.
         all_src = np.concatenate((lo, hi))
         all_dst = np.concatenate((hi, lo))
-        all_w = np.concatenate((merged_w, merged_w))
-        order = pair_order(all_src, all_dst, n, resolved)
-        all_src, all_dst, all_w = all_src[order], all_dst[order], all_w[order]
-
-        counts = np.bincount(all_src, minlength=n)
+        del lo, hi, uniq_mask
+        order = pair_order(all_src, all_dst, n)
+        all_dst = all_dst[order]
+        wts = None
+        if weighted:
+            wts = np.concatenate((merged_w, merged_w))[order]
+        del order
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        wts = all_w if weighted else None
+        np.cumsum(np.bincount(all_src, minlength=n), out=indptr[1:])
         return self._finish(
             indptr, all_dst, wts,
             added=added, self_loops=self_loops, duplicates=duplicates,

@@ -94,7 +94,6 @@ def read_edge_list(
     *,
     num_vertices: int | None = None,
     one_based: bool = False,
-    engine: str | None = None,
 ) -> CSRGraph:
     """Read a whitespace edge list (``u v [weight]`` per line).
 
@@ -103,21 +102,22 @@ def read_edge_list(
     ``# n=<count> ...`` comment (as written by :func:`write_edge_list`) is
     present, which preserves trailing isolated vertices.
 
-    ``engine`` (default: the ambient engine, see
-    :func:`repro.engine.resolve_engine`) decides whether the native
-    parser is tried; both tiers are bit-identical.  The tier that
-    actually parsed is recorded as ``graph.meta["parse_engine"]``.
+    The engine (:func:`repro.engine.resolve_engine`) decides whether
+    the native parser is tried; both tiers are bit-identical.  The tier
+    that actually parsed is recorded as ``graph.meta["parse_engine"]``.
     """
-    resolved = resolve_engine(engine)
     raw = Path(path).read_bytes()
     parsed: _Parsed | None = None
     parse_engine = "native"
-    if resolved == "native":
+    if resolve_engine() == "native":
         parsed = _parse_kernel.run(raw, one_based)
     if parsed is None:
         parsed = _parse_edge_text_scalar(raw, one_based)
         parse_engine = "scalar"
-    graph = _graph_from_parsed(parsed, num_vertices, resolved)
+    del raw
+    builder, weighted = _builder_from_parsed(parsed, num_vertices)
+    del parsed  # the builder holds its own copies
+    graph = builder.build(weighted=weighted)
     graph.meta["parse_engine"] = parse_engine
     return graph
 
@@ -169,10 +169,10 @@ def _parse_edge_text_scalar(raw: bytes, one_based: bool) -> _Parsed:
     )
 
 
-def _graph_from_parsed(
-    parsed: _Parsed, num_vertices: int | None, engine: str
-) -> CSRGraph:
-    """Finish a parsed edge array into a canonical graph.
+def _builder_from_parsed(
+    parsed: _Parsed, num_vertices: int | None
+) -> tuple[GraphBuilder, bool | None]:
+    """A builder holding a parsed edge array, and its ``weighted`` flag.
 
     Infers ``n`` (explicit count, else ``max(header n, max id + 1)``),
     then routes the arrays through the builder's bulk path.
@@ -187,9 +187,7 @@ def _graph_from_parsed(
     builder = GraphBuilder(n)
     builder.add_edge_array(src, dst, wgt if saw_weight_column else None)
     # explicit weight columns force a weighted graph even if all 1.0
-    return builder.build(
-        weighted=saw_weight_column or None, engine=engine
-    )
+    return builder, saw_weight_column or None
 
 
 def write_edge_list(graph: CSRGraph, path: str | Path) -> None:

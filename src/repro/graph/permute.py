@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import sanitize
-from ..engine import engine_for_work
 from .builder import pair_order
 from .csr import CSRGraph
 
@@ -111,9 +110,7 @@ def apply_ordering(graph: CSRGraph, pi: np.ndarray) -> CSRGraph:
     n = graph.num_vertices
     src = np.repeat(pi, graph.degrees())
     dst = pi[graph.indices]
-    order = pair_order(
-        src, dst, n, engine_for_work(graph.num_directed_edges)
-    )
+    order = pair_order(src, dst, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     weights = graph.weights[order] if graph.is_weighted else None

@@ -77,8 +77,6 @@ def average_gap(graph: CSRGraph, pi: np.ndarray | None = None) -> float:
 def vertex_bandwidths(
     graph: CSRGraph,
     pi: np.ndarray | None = None,
-    *,
-    engine: str | None = None,
 ) -> np.ndarray:
     """Per-vertex bandwidth ``beta_i``: max gap from ``i`` to a neighbour.
 
@@ -93,7 +91,7 @@ def vertex_bandwidths(
         ranks = validate_ordering(pi, n)
     beta = np.zeros(n, dtype=np.int64)
     indptr, indices = graph.indptr, graph.indices
-    if resolve_engine(engine) != "scalar":
+    if resolve_engine() != "scalar":
         if indices.size == 0:
             return beta
         degrees = np.diff(indptr)

@@ -42,7 +42,6 @@ def vertex_line_fragmentation(
     pi: np.ndarray | None = None,
     *,
     entries_per_line: int = ENTRIES_PER_LINE,
-    engine: str | None = None,
 ) -> np.ndarray:
     """Per-vertex ratio of touched to minimal cache lines.
 
@@ -59,7 +58,7 @@ def vertex_line_fragmentation(
     )
     out = np.ones(n, dtype=np.float64)
     indptr, indices = graph.indptr, graph.indices
-    if resolve_engine(engine) != "scalar":
+    if resolve_engine() != "scalar":
         if indices.size == 0:
             return out
         degrees = np.asarray(

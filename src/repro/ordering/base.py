@@ -17,12 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ..engine import (
-    ENGINE_METADATA_KEY,
-    engine_for_work,
-    resolve_engine,
-    use_engine,
-)
+from ..engine import ENGINE_METADATA_KEY, resolve_engine
 from ..graph.csr import CSRGraph
 from ..graph.permute import apply_ordering, validate_ordering
 
@@ -197,36 +192,24 @@ class OrderingScheme(abc.ABC):
             params.append(f"{key}={value!r}")
         return f"{self.name}:v{self.version}:{','.join(params)}"
 
-    def estimated_work(self, graph: CSRGraph) -> int | None:
-        """Rough abstract-operation estimate, for tier short-circuiting.
-
-        Trivial schemes (a couple of array ops) return an estimate so
-        :func:`repro.engine.engine_for_work` can drop tiny workloads to
-        the scalar tier, where vector dispatch overhead would dominate.
-        ``None`` (the default) never short-circuits.
-        """
-        return None
-
     def order(self, graph: CSRGraph) -> Ordering:
         """Run the scheme and package the result.
 
         The tier that actually ran is recorded in the metadata under
-        :data:`repro.engine.ENGINE_METADATA_KEY`; schemes with a native
-        kernel refine the value themselves (a kernel may be
-        unavailable), everything else is labelled with the dispatched
-        tier — ``"vector"`` when the native tier was requested, since a
-        scheme without a kernel runs its vector engine there.
+        :data:`repro.engine.ENGINE_METADATA_KEY`.  A scheme records
+        ``"native"`` itself when its kernel ran, and Rabbit and Gorder,
+        whose only Python tier is the scalar twin, record ``"scalar"``
+        whenever that twin ran (any engine but a kernel that ran).
+        Everything else is labelled with the resolved engine —
+        ``"vector"`` under the native engine, since a scheme without a
+        kernel runs its vector tier there.
         """
         counter = OperationCounter()
         rng = np.random.default_rng(self._seed)
-        ran = engine_for_work(self.estimated_work(graph))
-        if ran != resolve_engine():
-            with use_engine(ran):
-                permutation, metadata = self.compute(graph, counter, rng)
-        else:
-            permutation, metadata = self.compute(graph, counter, rng)
+        permutation, metadata = self.compute(graph, counter, rng)
+        engine = resolve_engine()
         metadata.setdefault(
-            ENGINE_METADATA_KEY, "vector" if ran == "native" else ran
+            ENGINE_METADATA_KEY, "vector" if engine == "native" else engine
         )
         return Ordering(
             scheme=self.name,

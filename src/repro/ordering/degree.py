@@ -98,9 +98,6 @@ class DegreeSort(OrderingScheme):
         super().__init__(seed=seed)
         self._descending = descending
 
-    def estimated_work(self, graph: CSRGraph) -> int:
-        return graph.num_vertices
-
     def compute(
         self,
         graph: CSRGraph,

@@ -87,15 +87,12 @@ class GorderOrder(OrderingScheme):
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, dict]:
         n = graph.num_vertices
-        if n == 0:
-            return np.zeros(0, dtype=np.int64), {"window": self._window}
-        degrees = graph.degrees()
-        engine = resolve_engine()
-        if engine == "native":
-            # Whole-greedy C kernel (repro._native.gorder): identical
-            # heap traffic, score updates, and operation totals.
+        if n and resolve_engine() == "native":
+            # Whole-greedy C kernel (repro._native.gorder), its scalar
+            # twin below: identical heap traffic, score updates, and
+            # operation totals.
             native = _native_gorder.run(
-                graph.indptr, graph.indices, degrees, self._window
+                graph.indptr, graph.indices, graph.degrees(), self._window
             )
             if native is not None:
                 sequence_arr, edge_ops, compare_ops = native
@@ -106,24 +103,22 @@ class GorderOrder(OrderingScheme):
                     "window": self._window,
                     ENGINE_METADATA_KEY: "native",
                 }
+        return self._compute_scalar(graph, counter)
+
+    def _compute_scalar(
+        self, graph: CSRGraph, counter: OperationCounter
+    ) -> tuple[np.ndarray, dict]:
+        """Scalar reference: the per-vertex greedy over a lazy heap."""
+        n = graph.num_vertices
+        metadata = {"window": self._window, ENGINE_METADATA_KEY: "scalar"}
+        if n == 0:
+            return np.zeros(0, dtype=np.int64), metadata
+        degrees = graph.degrees()
         placed = np.zeros(n, dtype=bool)
+        key = np.zeros(n, dtype=np.int64)
         sequence: list[int] = []
         # Lazy max-heap of (-key, vertex); stale entries are skipped on pop.
         heap: list[tuple[int, int]] = []
-
-        if engine == "scalar":
-            key: object = np.zeros(n, dtype=np.int64)
-            neighbor_lists = None
-        else:
-            # Array engine: one bulk CSR conversion, then the O(sum of
-            # squared degrees) update loop runs on native ints — same
-            # heap pushes in the same order as the scalar reference.
-            key = [0] * n
-            flat = graph.indices.tolist()
-            offsets = graph.indptr.tolist()
-            neighbor_lists = [
-                flat[offsets[v]: offsets[v + 1]] for v in range(n)
-            ]
 
         def adjust(vertex: int, delta: int) -> None:
             """Shift a vertex's score and (on increase) refresh the heap."""
@@ -132,7 +127,7 @@ class GorderOrder(OrderingScheme):
                 heapq.heappush(heap, (-key[vertex], vertex))
                 counter.count_compares()
 
-        def update_for_scalar(entering: int, delta: int) -> None:
+        def update_for(entering: int, delta: int) -> None:
             """Apply the +/-1 score updates for a window entry/exit."""
             nbrs = graph.neighbors(entering)
             counter.count_edges(nbrs.size)
@@ -145,23 +140,6 @@ class GorderOrder(OrderingScheme):
                     t = int(t)
                     if t != entering:
                         adjust(t, delta)  # S_s term via shared neighbour u
-
-        def update_for_vector(entering: int, delta: int) -> None:
-            """`update_for_scalar` on the pre-extracted adjacency lists."""
-            nbrs = neighbor_lists[entering]
-            edge_ops = len(nbrs)
-            for u in nbrs:
-                adjust(u, delta)  # S_n term
-                two_hop = neighbor_lists[u]
-                edge_ops += len(two_hop)
-                for t in two_hop:
-                    if t != entering:
-                        adjust(t, delta)  # S_s term via shared neighbour u
-            counter.count_edges(edge_ops)
-
-        update_for = (
-            update_for_scalar if neighbor_lists is None else update_for_vector
-        )
 
         start = int(np.argmax(degrees))
         placed[start] = True
@@ -191,9 +169,7 @@ class GorderOrder(OrderingScheme):
             update_for(chosen, +1)
 
         counter.count_vertices(n)
-        return ordering_from_sequence(np.asarray(sequence, dtype=np.int64)), {
-            "window": self._window,
-            ENGINE_METADATA_KEY: (
-                "scalar" if engine == "scalar" else "vector"
-            ),
-        }
+        return (
+            ordering_from_sequence(np.asarray(sequence, dtype=np.int64)),
+            metadata,
+        )

@@ -22,9 +22,6 @@ class NaturalOrder(OrderingScheme):
     name = "natural"
     category = "baseline"
 
-    def estimated_work(self, graph: CSRGraph) -> int:
-        return graph.num_vertices
-
     def compute(
         self,
         graph: CSRGraph,
@@ -40,9 +37,6 @@ class RandomOrder(OrderingScheme):
 
     name = "random"
     category = "baseline"
-
-    def estimated_work(self, graph: CSRGraph) -> int:
-        return graph.num_vertices
 
     def compute(
         self,

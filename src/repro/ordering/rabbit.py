@@ -14,7 +14,7 @@ kernel (:mod:`repro._native.rabbit`): one call loads the adjacency,
 merges and emits the DFS sequence, bit-identical to the scalar
 reference (same merges, same permutation, same operation counts).
 Under the vector or scalar engine, or when the kernel cannot run, the
-scalar reference loop runs.
+scalar reference loop runs and records ``engine: "scalar"``.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ class RabbitOrder(OrderingScheme):
             return np.zeros(0, dtype=np.int64), {
                 "merges": 0,
                 "num_communities": 0,
+                ENGINE_METADATA_KEY: "scalar",
             }
         total = graph.total_weight()
         degrees = graph.degrees().astype(np.float64)
@@ -178,4 +179,5 @@ class RabbitOrder(OrderingScheme):
         return ordering_from_sequence(sequence), {
             "merges": merges,
             "num_communities": num_roots,
+            ENGINE_METADATA_KEY: "scalar",
         }

@@ -19,6 +19,7 @@ per-vertex queue loops retained as the scalar ground truth; see
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 import numpy as np
 
@@ -34,20 +35,32 @@ def pseudo_peripheral_vertex(
     graph: CSRGraph,
     start: int,
     counter: OperationCounter | None = None,
-    *,
-    engine: str | None = None,
 ) -> int:
     """Find a pseudo-peripheral vertex of ``start``'s component.
 
     George–Liu iteration: repeatedly BFS from the current candidate and hop
     to a minimum-degree vertex in the last (deepest) level, until the
-    eccentricity stops growing.
+    eccentricity stops growing.  The BFS is the scalar queue loop under
+    the scalar engine and frontier-at-a-time otherwise.
     """
+    levels_of = (
+        _bfs_levels_scalar if resolve_engine() == "scalar" else _bfs_levels
+    )
+    return _george_liu(graph, start, counter, levels_of)
+
+
+def _george_liu(
+    graph: CSRGraph,
+    start: int,
+    counter: OperationCounter | None,
+    levels_of: Callable[..., np.ndarray],
+) -> int:
+    """:func:`pseudo_peripheral_vertex` with the BFS tier ``levels_of``."""
     degrees = graph.degrees()
     current = start
     current_depth = -1
     while True:
-        levels = _bfs_levels(graph, current, counter, engine=engine)
+        levels = levels_of(graph, current, counter)
         depth = levels.max(initial=0)
         if depth <= current_depth:
             return current
@@ -57,15 +70,12 @@ def pseudo_peripheral_vertex(
 
 
 def _bfs_levels(
-    graph: CSRGraph,
-    start: int,
-    counter: OperationCounter | None,
-    *,
-    engine: str | None = None,
+    graph: CSRGraph, start: int, counter: OperationCounter | None
 ) -> np.ndarray:
-    """BFS levels within ``start``'s component; other vertices get -1."""
-    if resolve_engine(engine) == "scalar":
-        return _bfs_levels_scalar(graph, start, counter)
+    """BFS levels within ``start``'s component; other vertices get -1.
+
+    Frontier-at-a-time: each level is one CSR gather.
+    """
     n = graph.num_vertices
     levels = np.full(n, -1, dtype=np.int64)
     levels[start] = 0
@@ -113,13 +123,10 @@ def _bfs_levels_scalar(
 
 
 def cuthill_mckee_sequence(
-    graph: CSRGraph,
-    counter: OperationCounter | None = None,
-    *,
-    engine: str | None = None,
+    graph: CSRGraph, counter: OperationCounter | None = None
 ) -> np.ndarray:
     """The (un-reversed) Cuthill–McKee visit sequence over all components."""
-    if resolve_engine(engine) == "scalar":
+    if resolve_engine() == "scalar":
         return _cuthill_mckee_scalar(graph, counter)
     n = graph.num_vertices
     degrees = graph.degrees()
@@ -134,9 +141,7 @@ def cuthill_mckee_sequence(
     for candidate in order_by_degree:
         if visited[candidate]:
             continue
-        root = pseudo_peripheral_vertex(
-            graph, int(candidate), counter, engine="vector"
-        )
+        root = _george_liu(graph, int(candidate), counter, _bfs_levels)
         visited[root] = True
         chunks.append(np.asarray([root], dtype=np.int64))
         frontier = chunks[-1]
@@ -190,8 +195,8 @@ def _cuthill_mckee_scalar(
     for candidate in order_by_degree:
         if visited[candidate]:
             continue
-        root = pseudo_peripheral_vertex(
-            graph, int(candidate), counter, engine="scalar"
+        root = _george_liu(
+            graph, int(candidate), counter, _bfs_levels_scalar
         )
         visited[root] = True
         sequence.append(root)

@@ -105,9 +105,11 @@ class SlashBurnOrder(OrderingScheme):
             front.extend(int(v) for v in top)
 
             # ---- Burn: find components of the remaining graph.
-            comp_label, comp_sizes = self._components(
-                graph, alive, counter, engine
+            components = (
+                self._components_scalar if engine == "scalar"
+                else self._components
             )
+            comp_label, comp_sizes = components(graph, alive, counter)
             if not comp_sizes:
                 continue
             giant = max(comp_sizes, key=comp_sizes.get)
@@ -141,11 +143,8 @@ class SlashBurnOrder(OrderingScheme):
         graph: CSRGraph,
         alive: np.ndarray,
         counter: OperationCounter,
-        engine: str = "vector",
     ) -> tuple[np.ndarray, dict[int, int]]:
         """Connected components of the alive-induced subgraph."""
-        if engine == "scalar":
-            return SlashBurnOrder._components_scalar(graph, alive, counter)
         n = graph.num_vertices
         indptr, indices = graph.indptr, graph.indices
         full_degrees = graph.degrees()

@@ -32,17 +32,15 @@ from ..engine import gather_neighbors, resolve_engine
 from ..graph.csr import CSRGraph
 from ..graph.permute import ordering_from_sequence
 from .base import OperationCounter, OrderingScheme
-from .rcm import pseudo_peripheral_vertex
+from .rcm import _bfs_levels, _bfs_levels_scalar, _george_liu
 
 __all__ = ["BFSOrder", "DFSOrder", "ChildrenDFSOrder"]
 
 
 def _component_roots(
-    graph: CSRGraph, counter: OperationCounter, engine: str
+    graph: CSRGraph, counter: OperationCounter
 ) -> list[int]:
     """One pseudo-peripheral root per connected component, by min id."""
-    if engine == "scalar":
-        return _component_roots_scalar(graph, counter)
     n = graph.num_vertices
     indptr, indices = graph.indptr, graph.indices
     visited = np.zeros(n, dtype=bool)
@@ -50,9 +48,7 @@ def _component_roots(
     for start in range(n):
         if visited[start]:
             continue
-        root = pseudo_peripheral_vertex(
-            graph, start, counter, engine="vector"
-        )
+        root = _george_liu(graph, start, counter, _bfs_levels)
         roots.append(root)
         # mark the whole component visited so the scan skips it
         visited[root] = True
@@ -77,9 +73,7 @@ def _component_roots_scalar(
     for start in range(n):
         if visited[start]:
             continue
-        root = pseudo_peripheral_vertex(
-            graph, start, counter, engine="scalar"
-        )
+        root = _george_liu(graph, start, counter, _bfs_levels_scalar)
         roots.append(root)
         visited[root] = True
         queue = deque([root])
@@ -104,15 +98,14 @@ class BFSOrder(OrderingScheme):
         counter: OperationCounter,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, dict]:
-        engine = resolve_engine()
-        if engine == "scalar":
+        if resolve_engine() == "scalar":
             return self._compute_scalar(graph, counter)
         n = graph.num_vertices
         indptr, indices = graph.indptr, graph.indices
         degrees = graph.degrees()
         visited = np.zeros(n, dtype=bool)
         chunks: list[np.ndarray] = []
-        for root in _component_roots(graph, counter, engine):
+        for root in _component_roots(graph, counter):
             if visited[root]:
                 continue
             visited[root] = True
@@ -150,7 +143,7 @@ class BFSOrder(OrderingScheme):
         n = graph.num_vertices
         visited = np.zeros(n, dtype=bool)
         sequence: list[int] = []
-        for root in _component_roots(graph, counter, "scalar"):
+        for root in _component_roots_scalar(graph, counter):
             if visited[root]:
                 continue
             visited[root] = True
@@ -183,8 +176,7 @@ class DFSOrder(OrderingScheme):
         counter: OperationCounter,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, dict]:
-        engine = resolve_engine()
-        if engine == "scalar":
+        if resolve_engine() == "scalar":
             return self._compute_scalar(graph, counter)
         n = graph.num_vertices
         indptr = graph.indptr
@@ -192,7 +184,7 @@ class DFSOrder(OrderingScheme):
         visited = np.zeros(n, dtype=bool)
         sequence: list[int] = []
         edge_ops = 0
-        for root in _component_roots(graph, counter, engine):
+        for root in _component_roots(graph, counter):
             if visited[root]:
                 continue
             stack = [root]
@@ -218,7 +210,7 @@ class DFSOrder(OrderingScheme):
         n = graph.num_vertices
         visited = np.zeros(n, dtype=bool)
         sequence: list[int] = []
-        for root in _component_roots(graph, counter, "scalar"):
+        for root in _component_roots_scalar(graph, counter):
             if visited[root]:
                 continue
             stack = [root]
@@ -258,8 +250,7 @@ class ChildrenDFSOrder(OrderingScheme):
         counter: OperationCounter,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, dict]:
-        engine = resolve_engine()
-        if engine == "scalar":
+        if resolve_engine() == "scalar":
             return self._compute_scalar(graph, counter)
         n = graph.num_vertices
         indptr = graph.indptr
@@ -267,7 +258,7 @@ class ChildrenDFSOrder(OrderingScheme):
         visited = np.zeros(n, dtype=bool)
         sequence: list[int] = []
         edge_ops = 0
-        for root in _component_roots(graph, counter, engine):
+        for root in _component_roots(graph, counter):
             if visited[root]:
                 continue
             visited[root] = True
@@ -312,7 +303,7 @@ class ChildrenDFSOrder(OrderingScheme):
                 # descend into children, first child's subtree first
                 stack.extend(reversed(children))
 
-        for root in _component_roots(graph, counter, "scalar"):
+        for root in _component_roots_scalar(graph, counter):
             if visited[root]:
                 continue
             visited[root] = True

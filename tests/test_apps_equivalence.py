@@ -48,6 +48,12 @@ GRAPHS = {
 }
 
 
+def run_under(engine, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with ``engine`` forced."""
+    with use_engine(engine):
+        return fn(*args, **kwargs)
+
+
 def assert_rrr_equal(a: RRRSet, b: RRRSet) -> None:
     assert a.root == b.root
     assert np.array_equal(a.vertices, b.vertices)
@@ -75,9 +81,9 @@ class TestPinnedBatch:
             graph, probability, roots, original_of, indices, 7,
         )
         for i in range(20):
-            scalar = sample_rrr_ic_pinned(
-                graph, probability, int(roots[i]), original_of,
-                int(indices[i]), 7, engine="scalar",
+            scalar = run_under(
+                "scalar", sample_rrr_ic_pinned, graph, probability,
+                int(roots[i]), original_of, int(indices[i]), 7,
             )
             assert_rrr_equal(scalar, batched[i])
 
@@ -113,9 +119,9 @@ class TestPinnedBatch:
             relabelled, 0.25, roots, original_of, indices, 9
         )
         for i, root in enumerate(roots):
-            scalar = sample_rrr_ic_pinned(
-                relabelled, 0.25, int(root), original_of,
-                int(indices[i]), 9, engine="scalar",
+            scalar = run_under(
+                "scalar", sample_rrr_ic_pinned, relabelled, 0.25,
+                int(root), original_of, int(indices[i]), 9,
             )
             assert_rrr_equal(scalar, batched[i])
 
@@ -137,9 +143,9 @@ class TestPinnedBatch:
             graph, probability, roots, original_of, indices, seed,
         )
         for i in range(8):
-            scalar = sample_rrr_ic_pinned(
-                graph, probability, int(roots[i]), original_of,
-                int(indices[i]), seed, engine="scalar",
+            scalar = run_under(
+                "scalar", sample_rrr_ic_pinned, graph, probability,
+                int(roots[i]), original_of, int(indices[i]), seed,
             )
             assert_rrr_equal(scalar, batched[i])
 
@@ -152,8 +158,8 @@ class TestRngSampler:
         rng_s = np.random.default_rng(13)
         rng_v = np.random.default_rng(13)
         for _ in range(12):
-            scalar = sample_rrr_ic(graph, 0.3, rng_s, engine="scalar")
-            vector = sample_rrr_ic(graph, 0.3, rng_v, engine="vector")
+            scalar = run_under("scalar", sample_rrr_ic, graph, 0.3, rng_s)
+            vector = run_under("vector", sample_rrr_ic, graph, 0.3, rng_v)
             assert_rrr_equal(scalar, vector)
         # both generators must land in the same state
         assert rng_s.integers(1 << 30) == rng_v.integers(1 << 30)
@@ -183,7 +189,7 @@ class TestGreedySeeding:
         rng = np.random.default_rng(seed)
         n = 40
         sets = _random_rrr_sets(rng, n, 25)
-        scalar = greedy_seed_selection(sets, n, k, engine="scalar")
+        scalar = run_under("scalar", greedy_seed_selection, sets, n, k)
         vector = greedy_seed_selection_vector(sets, n, k)
         assert scalar == vector
 
@@ -195,13 +201,13 @@ class TestGreedySeeding:
         rng = np.random.default_rng(seed)
         n = 40
         sets = _random_rrr_sets(rng, n, 25)
-        scalar = greedy_seed_selection(sets, n, 16, engine="scalar")
+        scalar = run_under("scalar", greedy_seed_selection, sets, n, 16)
         with use_engine(engine):
             assert greedy_seed_selection_vector(sets, n, 16) == scalar
 
     def test_empty_sets(self):
-        assert greedy_seed_selection(
-            [], 10, 4, engine="scalar"
+        assert run_under(
+            "scalar", greedy_seed_selection, [], 10, 4
         ) == greedy_seed_selection_vector([], 10, 4)
 
     @settings(max_examples=25, deadline=None)
@@ -214,7 +220,7 @@ class TestGreedySeeding:
     def test_random_sets(self, n, count, k, seed):
         rng = np.random.default_rng(seed)
         sets = _random_rrr_sets(rng, n, count)
-        scalar = greedy_seed_selection(sets, n, k, engine="scalar")
+        scalar = run_under("scalar", greedy_seed_selection, sets, n, k)
         vector = greedy_seed_selection_vector(sets, n, k)
         assert scalar == vector
 
@@ -234,8 +240,8 @@ class TestDeltaStepping:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_unweighted_matches_scalar(self, name):
         graph = GRAPHS[name]
-        d_s, i_s = delta_stepping(graph, 0, engine="scalar")
-        d_n, i_n = delta_stepping(graph, 0, engine="native")
+        d_s, i_s = run_under("scalar", delta_stepping, graph, 0)
+        d_n, i_n = run_under("native", delta_stepping, graph, 0)
         assert np.array_equal(d_s, d_n)
         assert_items_equal(i_s, i_n)
 
@@ -243,8 +249,8 @@ class TestDeltaStepping:
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_weighted_matches_scalar(self, delta, seed):
         graph = _weighted_graph(35, 120, seed)
-        d_s, i_s = delta_stepping(graph, 0, delta=delta, engine="scalar")
-        d_n, i_n = delta_stepping(graph, 0, delta=delta, engine="native")
+        d_s, i_s = run_under("scalar", delta_stepping, graph, 0, delta=delta)
+        d_n, i_n = run_under("native", delta_stepping, graph, 0, delta=delta)
         assert np.array_equal(d_s, d_n)
         assert_items_equal(i_s, i_n)
 
@@ -258,8 +264,8 @@ class TestDeltaStepping:
     def test_random_weighted(self, n, m, seed, source):
         graph = _weighted_graph(n, m, seed)
         source = source % n
-        d_s, i_s = delta_stepping(graph, source, engine="scalar")
-        d_n, i_n = delta_stepping(graph, source, engine="native")
+        d_s, i_s = run_under("scalar", delta_stepping, graph, source)
+        d_n, i_n = run_under("native", delta_stepping, graph, source)
         assert np.array_equal(d_s, d_n)
         assert_items_equal(i_s, i_n)
 
@@ -276,8 +282,8 @@ class TestSweepItems:
             ).astype(np.int64)
             if with_communities else None
         )
-        scalar = build_sweep_items(graph, communities, engine="scalar")
-        vector = build_sweep_items(graph, communities, engine="vector")
+        scalar = run_under("scalar", build_sweep_items, graph, communities)
+        vector = run_under("vector", build_sweep_items, graph, communities)
         assert_items_equal(scalar, vector)
 
 
@@ -291,8 +297,8 @@ class TestMeasures:
             np.random.default_rng(6).permutation(n).astype(np.int64)
             if use_pi else None
         )
-        scalar = vertex_bandwidths(graph, pi, engine="scalar")
-        vector = vertex_bandwidths(graph, pi, engine="vector")
+        scalar = run_under("scalar", vertex_bandwidths, graph, pi)
+        vector = run_under("vector", vertex_bandwidths, graph, pi)
         assert np.array_equal(scalar, vector)
         assert scalar.dtype == vector.dtype
 
@@ -302,20 +308,20 @@ class TestMeasures:
         graph = GRAPHS[name]
         n = graph.num_vertices
         pi = np.random.default_rng(8).permutation(n).astype(np.int64)
-        scalar = vertex_line_fragmentation(
-            graph, pi, entries_per_line=entries_per_line,
-            engine="scalar",
+        scalar = run_under(
+            "scalar", vertex_line_fragmentation, graph, pi,
+            entries_per_line=entries_per_line,
         )
-        vector = vertex_line_fragmentation(
-            graph, pi, entries_per_line=entries_per_line,
-            engine="vector",
+        vector = run_under(
+            "vector", vertex_line_fragmentation, graph, pi,
+            entries_per_line=entries_per_line,
         )
         assert np.array_equal(scalar, vector)
 
 
 class TestEngineContextDispatch:
     def test_use_engine_drives_apps(self):
-        """The context manager selects the path, same as explicit args."""
+        """The context manager selects the path."""
         graph = GRAPHS["random"]
         with use_engine("scalar"):
             d_s, i_s = delta_stepping(graph, 0)

@@ -221,9 +221,10 @@ def test_builder_engines_bit_identical(n, edges, weighted):
     for engine in ("scalar", "vector", "native"):
         builder = GraphBuilder(n)
         builder.add_edges(edges, weights=weights)
-        graphs[engine] = builder.build(
-            weighted=True if weighted else None, engine=engine
-        )
+        with use_engine(engine):
+            graphs[engine] = builder.build(
+                weighted=True if weighted else None
+            )
     ref = graphs["scalar"]
     for engine in ("vector", "native"):
         graph = graphs[engine]
@@ -248,8 +249,76 @@ def test_pair_order_is_lexsort_on_every_tier(num_buckets, size, seed):
     minor = rng.integers(0, num_buckets, size)
     expected = np.lexsort((minor, major))
     for engine in ("scalar", "native"):
-        order = pair_order(major, minor, num_buckets, engine)
+        with use_engine(engine):
+            order = pair_order(major, minor, num_buckets)
         assert np.array_equal(order, expected)
+
+
+@pytest.mark.parametrize("engine", ("scalar", "vector", "native"))
+def test_builder_forced_weighted_all_ones(engine):
+    """``weighted=True`` keeps a unit weight array; the default drops it."""
+    edges = [(0, 1), (1, 2), (2, 0), (1, 0), (3, 3)]
+    with use_engine(engine):
+        builder = GraphBuilder(4)
+        builder.add_edges(edges, weights=[1.0] * len(edges))
+        forced = builder.build(weighted=True)
+        default = builder.build()
+    assert forced.is_weighted and not default.is_weighted
+    assert np.array_equal(forced.indptr, default.indptr)
+    assert np.array_equal(forced.indices, default.indices)
+    # (0, 1) appears twice, so its merged weight is 2.0
+    assert forced.weights.tolist() == [2.0, 1.0, 2.0, 1.0, 1.0, 1.0]
+    assert forced.meta["ingest_audit"] == default.meta["ingest_audit"] == {
+        "edges_added": 5,
+        "self_loops_dropped": 1,
+        "duplicate_edges_merged": 1,
+    }
+
+
+@pytest.mark.parametrize("engine", ("scalar", "vector", "native"))
+def test_builder_merges_duplicate_weights_in_insertion_order(engine):
+    """Duplicates of one edge, in either direction, sum their weights in
+    the order they were added — bitwise, not just approximately."""
+    weights = [0.1, 1e16, 0.2, -1e16, 0.3]
+    edges = [(2, 5), (5, 2), (0, 1), (2, 5), (5, 2)]
+    expected = 0.0
+    for (u, v), w in zip(edges, weights):
+        if {u, v} == {2, 5}:
+            expected += w
+    with use_engine(engine):
+        builder = GraphBuilder(6)
+        builder.add_edges(edges, weights=weights)
+        graph = builder.build()
+    assert graph.meta["ingest_audit"]["duplicate_edges_merged"] == 3
+    row = slice(graph.indptr[2], graph.indptr[3])
+    assert graph.indices[row].tolist() == [5]
+    assert graph.weights[row].tolist() == [expected]
+    assert graph.weights[graph.indptr[5]: graph.indptr[6]].tolist() == [
+        expected
+    ]
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+def test_builder_peak_memory_is_a_small_multiple_of_the_edges(weighted):
+    """The build drops each intermediate once it is used: its traced
+    peak stays under 9 x 16 bytes per added edge (one src/dst pair)."""
+    import tracemalloc
+
+    m, n = 200_000, 50_000
+    rng = np.random.default_rng(0)
+    builder = GraphBuilder(n)
+    builder.add_edge_array(
+        rng.integers(0, n, m), rng.integers(0, n, m),
+        rng.random(m) if weighted else None,
+    )
+    builder.build()  # compile the kernels outside the measurement
+    tracemalloc.start()
+    try:
+        builder.build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 16 * m
 
 
 def test_builder_mixed_chunked_and_bulk_paths():

@@ -178,9 +178,39 @@ def test_native_ordering_metadata_records_tier():
     expected = (
         "native"
         if native_core.get_kernel("gorder_greedy").lib() is not None
+        else "scalar"
+    )
+    assert native.metadata["engine"] == expected
+
+
+def test_native_degree_sort_on_a_small_graph_records_native():
+    """Small inputs reach the counting-sort kernel: no work-size
+    threshold sends them to a Python tier."""
+    graph = random_graph(50, 120, seed=4)
+    native = order_with("degree_sort", graph, "native")
+    expected = (
+        "native"
+        if native_core.get_kernel("counting_sort").lib() is not None
         else "vector"
     )
     assert native.metadata["engine"] == expected
+
+
+def test_gorder_without_its_kernel_runs_the_twin(knobs):
+    kernel = native_core.get_kernel("gorder_greedy")
+    graph = GRAPHS["random"]
+    scalar = order_with("gorder", graph, "scalar")
+    knobs(REPRO_FAULTS="native-build-fail:p=1")
+    kernel.reset()
+    try:
+        degraded = order_with("gorder", graph, "native")
+    finally:
+        knobs(REPRO_FAULTS=None)
+        kernel.reset()
+    assert np.array_equal(degraded.permutation, scalar.permutation)
+    assert degraded.cost == scalar.cost
+    assert degraded.metadata == scalar.metadata
+    assert degraded.metadata["engine"] == "scalar"
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +233,8 @@ def assert_rabbit_matches_twin(graph):
     twin_counter = OperationCounter()
     twin_perm, twin_meta = scheme._compute_scalar(graph, twin_counter)
     assert np.array_equal(perm, twin_perm)
-    assert strip_engine_metadata(meta) == twin_meta
+    assert strip_engine_metadata(meta) == strip_engine_metadata(twin_meta)
+    assert twin_meta["engine"] == "scalar"
     assert rabbit_counts(native_counter) == rabbit_counts(twin_counter)
     kernel_ran = (
         graph.num_vertices > 0
@@ -358,7 +389,7 @@ def test_native_rabbit_out_of_memory_runs_the_twin(monkeypatch):
     with use_engine("scalar"):
         scalar = get_scheme("rabbit").order(graph)
     assert np.array_equal(ordering.permutation, scalar.permutation)
-    assert ordering.metadata["engine"] != "native"
+    assert ordering.metadata["engine"] == "scalar"
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +405,16 @@ def assert_same_sssp(a, b):
         assert x.compute_cycles == y.compute_cycles
 
 
+def delta_stepping_with(graph, source, engine):
+    with use_engine(engine):
+        return delta_stepping(graph, source)
+
+
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 def test_native_delta_stepping_matches_scalar(graph_name):
     graph = GRAPHS[graph_name]
-    native = delta_stepping(graph, 0, engine="native")
-    scalar = delta_stepping(graph, 0, engine="scalar")
+    native = delta_stepping_with(graph, 0, "native")
+    scalar = delta_stepping_with(graph, 0, "scalar")
     assert_same_sssp(native, scalar)
 
 
@@ -400,8 +436,8 @@ def test_native_delta_stepping_weighted_random(n, edges, source):
     pairs = [(u % n, v % n) for u, v, _w in edges]
     weights = [round(w, 3) for _u, _v, w in edges]
     graph = from_edges(n, pairs, weights=weights)
-    native = delta_stepping(graph, source % n, engine="native")
-    scalar = delta_stepping(graph, source % n, engine="scalar")
+    native = delta_stepping_with(graph, source % n, "native")
+    scalar = delta_stepping_with(graph, source % n, "scalar")
     assert_same_sssp(native, scalar)
 
 
@@ -692,13 +728,14 @@ def test_rrr_sampling_native_matches_scalar(budget, monkeypatch):
         native = sample_rrr_ic_pinned_batch(
             graph, 0.3, roots, original_of, sample_indices, 9
         )
-    scalar = [
-        sample_rrr_ic_pinned(
-            graph, 0.3, int(roots[i]), original_of,
-            int(sample_indices[i]), 9, engine="scalar",
-        )
-        for i in range(num_samples)
-    ]
+    with use_engine("scalar"):
+        scalar = [
+            sample_rrr_ic_pinned(
+                graph, 0.3, int(roots[i]), original_of,
+                int(sample_indices[i]), 9,
+            )
+            for i in range(num_samples)
+        ]
     assert len(native) == len(scalar)
     for a, c in zip(native, scalar):
         assert a.root == c.root
@@ -763,10 +800,8 @@ def test_fm_refine_rejects_labels_outside_the_bisection(engine, labels):
 def test_delta_stepping_rejects_source_outside_vertex_range(engine, source):
     graph = GRAPHS["random"]
     n = graph.num_vertices
-    with pytest.raises(ValueError, match="source"):
-        delta_stepping(
-            graph, -1 if source == "minus_one" else n, engine=engine
-        )
+    with use_engine(engine), pytest.raises(ValueError, match="source"):
+        delta_stepping(graph, -1 if source == "minus_one" else n)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
