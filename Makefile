@@ -20,7 +20,9 @@ clint:
 # profile (cache-keyed separately from the -O3 builds) and run the
 # bit-identity suites (the apps suite drives the RRR and delta kernels
 # over random graphs, the partition suites drive partition_bisect, the
-# simulator suite drives sim_region over block-indexed traces);
+# simulator suite drives sim_region over block-indexed traces, the
+# graph io/permute and CSR-kernel suites drive csr_build, csr_relabel
+# and format_lines);
 # any sanitizer report fails the leg with its SUMMARY line
 # (scripts/native_sanitize.sh).
 test-asan:
@@ -28,14 +30,18 @@ test-asan:
 		tests/test_ingest.py tests/test_apps_equivalence.py \
 		tests/test_partition_multilevel.py \
 		tests/test_partition_properties.py \
-		tests/test_simulator_trace_parallel.py
+		tests/test_simulator_trace_parallel.py \
+		tests/test_graph_io.py tests/test_graph_permute.py \
+		tests/test_csr_kernels.py
 
 test-ubsan:
 	sh scripts/native_sanitize.sh ubsan -x -q tests/test_native_kernels.py \
 		tests/test_ingest.py tests/test_apps_equivalence.py \
 		tests/test_partition_multilevel.py \
 		tests/test_partition_properties.py \
-		tests/test_simulator_trace_parallel.py
+		tests/test_simulator_trace_parallel.py \
+		tests/test_graph_io.py tests/test_graph_permute.py \
+		tests/test_csr_kernels.py
 
 test-sanitize:
 	REPRO_SANITIZE=1 PYTHONPATH=src python -m pytest -x -q \

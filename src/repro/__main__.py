@@ -26,6 +26,7 @@ from .graph.io import (
     write_edge_list,
     write_matrix_market,
     write_metis,
+    write_permutation,
 )
 from .measures.gaps import gap_measures
 from .ordering import available_schemes, get_scheme
@@ -50,12 +51,6 @@ def _read(path: Path):
 def _write(graph, path: Path) -> None:
     writer = _WRITERS.get(path.suffix.lower(), write_edge_list)
     writer(graph, path)
-
-
-def _write_permutation(permutation, path: Path) -> None:
-    """One rank per line, the bytes ``np.savetxt(..., fmt="%d")`` writes."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("".join(map("{}\n".format, permutation.tolist())))
 
 
 def _print_measures(label: str, measures) -> None:
@@ -116,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         _write(ordering.apply(graph), args.output)
         print(f"wrote reordered graph: {args.output}")
     if args.permutation:
-        _write_permutation(ordering.permutation, args.permutation)
+        write_permutation(ordering.permutation, args.permutation)
         print(f"wrote permutation: {args.permutation}")
     return 0
 

@@ -25,6 +25,10 @@ Kernels:
   degree-driven lightweight orderings (:mod:`.counting`);
 * ``parse_edges`` — two-pass edge-list byte parser behind
   :func:`repro.graph.io.read_edge_list` (:mod:`.parse`);
+* ``csr_build``, ``csr_relabel`` and ``format_lines`` — CSR assembly
+  behind :meth:`repro.graph.builder.GraphBuilder.build`, relabelling
+  behind :func:`repro.graph.permute.apply_ordering`, and the text of
+  the :mod:`repro.graph.io` writers (:mod:`.csr`);
 * ``louvain_sweep`` — one whole Louvain sweep on the CSR arrays,
   behind the Grappolo orderings and the community-detection
   application (:mod:`.louvain`);
@@ -51,7 +55,7 @@ from .core import (
     kernel_names,
 )
 from . import (  # noqa: F401  (register)
-    counting, delta, fm, gorder, louvain, machine, parse, rabbit, rrr,
+    counting, csr, delta, fm, gorder, louvain, machine, parse, rabbit, rrr,
 )
 
 __all__ = [
@@ -64,6 +68,7 @@ __all__ = [
     "kernel_names",
     "SANITIZE_PROFILES",
     "counting",
+    "csr",
     "delta",
     "fm",
     "gorder",

@@ -21,39 +21,8 @@ Plus the opt-in runtime half, :mod:`repro.analysis.sanitize`
 invariants, and dtype-downcast guards inside the batched engines.
 
 Run the whole pass with ``python -m repro.analysis`` (``make lint``).
+
+The package re-exports nothing: the runtime modules import
+:mod:`~repro.analysis.sanitize` alone, so a CLI start does not load the
+linter.  Import the submodules by name.
 """
-
-from .core import (
-    DEFAULT_BASELINE,
-    Finding,
-    available_rules,
-    load_baseline,
-    render_json,
-    render_text,
-    rule_help,
-    scan_paths,
-    scan_source,
-    split_by_baseline,
-)
-from .clint import c_rule_help, check_native_sources, scan_kernel_source
-from .contracts import check_contracts
-from . import rules  # noqa: F401  (rule registration side effect)
-from . import sanitize
-
-__all__ = [
-    "DEFAULT_BASELINE",
-    "Finding",
-    "available_rules",
-    "c_rule_help",
-    "check_contracts",
-    "check_native_sources",
-    "scan_kernel_source",
-    "load_baseline",
-    "render_json",
-    "render_text",
-    "rule_help",
-    "sanitize",
-    "scan_paths",
-    "scan_source",
-    "split_by_baseline",
-]

@@ -30,10 +30,11 @@ native time where it has a kernel, its vector time otherwise.
 
 **Ingest stage** (``--ingest``) times the zero-parse ingestion path:
 edge-list text parsing through the scalar and native
-(``parse_edges``) tiers, the builder's counting-sort finalisation per
-engine, and a cold-save/warm-load cycle of the mmap-backed graph store
-(:mod:`repro.graph.store`), verifying every path reproduces the scalar
-graph bit for bit, and writes ``BENCH_ingest.json``.
+(``parse_edges``) tiers, the builder's finalisation per engine (its
+numpy twin and the ``csr_build`` kernel), and a cold-save/warm-load
+cycle of the mmap-backed graph store (:mod:`repro.graph.store`),
+verifying every path reproduces the scalar graph bit for bit, and
+writes ``BENCH_ingest.json``.
 
 * ``--write`` measures and (re)writes the stage's JSON file;
 * ``--check`` measures and fails (exit 1) if bit-identity broke or a
@@ -747,7 +748,7 @@ def measure_ingest(
     * **parse** — the dataset serialised as edge-list text, re-read
       through the scalar and native parse tiers;
     * **build** — CSR finalisation from raw edge arrays through each
-      engine (the keyed stable argsort vs the counting-sort kernel);
+      engine (the numpy twin vs the ``csr_build`` kernel);
     * **store** — a cold ``.rgr`` save then warm mmap loads, priced
       against the scalar text re-parse they replace.
     """
@@ -937,7 +938,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--ingest", action="store_true",
-        help="run the ingest stage (parse tiers, counting-sort build, "
+        help="run the ingest stage (parse tiers, CSR build, "
              "mmap store cold/warm cycle) instead of trace replay",
     )
     parser.add_argument(

@@ -62,6 +62,9 @@ class PhaseStats:
     num_edges: int
     iterations: tuple[IterationStats, ...]
     modularity: float
+    #: whether every sweep of the phase ran in the ``louvain_sweep``
+    #: kernel; the tier, not a result, so equality ignores it.
+    native: bool = field(default=False, compare=False)
 
     @property
     def iteration_count(self) -> int:
@@ -89,6 +92,11 @@ class LouvainResult:
         """Number of phases executed."""
         return len(self.phases)
 
+    @property
+    def native(self) -> bool:
+        """Whether every sweep of every phase ran in C."""
+        return bool(self.phases) and all(p.native for p in self.phases)
+
 
 class _LouvainState:
     """Mutable state for sweeps on one compaction level."""
@@ -106,6 +114,8 @@ class _LouvainState:
         # The native tier's CSR arrays and scratch, built lazily and
         # reused across sweeps.
         self._csr: tuple[np.ndarray, ...] | None = None
+        #: whether every sweep so far ran in the kernel.
+        self.native = True
 
     def sweep(
         self, order: np.ndarray
@@ -123,6 +133,7 @@ class _LouvainState:
             result = self._sweep_native(order)
             if result is not None:
                 return result
+        self.native = False
         return self._sweep_scalar(order)
 
     def _sweep_native(
@@ -269,6 +280,7 @@ def louvain_one_phase(
         num_edges=graph.num_edges,
         iterations=tuple(iterations),
         modularity=final_q,
+        native=state.native and bool(iterations),
     )
     return communities, stats
 

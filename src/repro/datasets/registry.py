@@ -14,9 +14,9 @@ Loads consult two layers before building:
 Store entries are content-addressed by :func:`dataset_store_key`, which
 digests the dataset name together with the *source bytes* of the
 generator and catalog modules and of the builder and relabel modules
-every surrogate passes through: editing any of them invalidates every
-stale entry automatically, so the store can never serve a graph built
-by a previous version of the code.  Every layer is only an
+(and their kernels) every surrogate passes through: editing any of them
+invalidates every stale entry automatically, so the store can never
+serve a graph built by a previous version of the code.  Every layer is only an
 optimisation — any failure falls back to building, and freshly built
 graphs are audited (:func:`repro.datasets.catalog.audit_graph`) and
 written back to the store.
@@ -62,13 +62,16 @@ def _recipe_source_digest() -> str:
     """sha256 over the modules whose code determines every surrogate."""
     global _recipe_digest
     if _recipe_digest is None:
+        from .._native import csr as csr_kernels
         from ..graph import builder, generators, permute
 
         digest = hashlib.sha256()
         digest.update(f"rgr{graph_store.FORMAT_VERSION}:".encode())
         # Every surrogate passes through GraphBuilder.build, and the
-        # label shuffle through apply_ordering.
-        for module in (generators, _catalog_module, builder, permute):
+        # label shuffle through apply_ordering: their Python twins and
+        # their kernels.
+        modules = (generators, _catalog_module, builder, permute, csr_kernels)
+        for module in modules:
             with open(module.__file__, "rb") as handle:
                 digest.update(handle.read())
             digest.update(b":")

@@ -16,15 +16,14 @@ Internally edges accumulate in *chunked numpy buffers*: per-edge
 :meth:`GraphBuilder.add_edge` calls fill a fixed-size head chunk that is
 archived when full, and bulk :meth:`GraphBuilder.add_edge_array` calls
 archive their arrays directly — no Python lists, no ``tolist()`` round
-trips.  :meth:`GraphBuilder.build` finalises with two stable pair sorts
-by :func:`pair_order`, which is engine-gated (:mod:`repro.engine`): the
-scalar/vector tiers run one stable ``np.argsort`` of a combined
-``(major, minor)`` key and the native tier runs two passes of the
-BOBA-style ``counting_sort`` kernel (an O(m) LSD radix sort over the
-vertex-id buckets), every tier bit-identical — including the float
-summation order of merged duplicate weights.
-:func:`repro.graph.permute.apply_ordering` sorts its relabelled rows
-with the same :func:`pair_order`.
+trips.  :meth:`GraphBuilder.build` is engine-gated
+(:mod:`repro.engine`): under the native engine the whole finalisation
+is one call of the ``csr_build`` kernel (:mod:`repro._native.csr`);
+every other engine, and a native engine whose kernel cannot run, takes
+its scalar twin :meth:`GraphBuilder._build_python`, two stable pair
+sorts by :func:`pair_order` (one stable ``np.argsort`` of a combined
+``(major, minor)`` key each).  Both tiers are bit-identical, including
+the float summation order of merged duplicate weights.
 
 The builder also counts what canonicalisation removed (self-loops
 dropped, duplicate edges merged) and records the tallies on the built
@@ -38,6 +37,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
+from .._native import csr as csr_kernel
 from ..engine import resolve_engine
 from .csr import CSRGraph
 
@@ -52,24 +52,12 @@ def pair_order(
 ) -> np.ndarray:
     """Stable sort permutation over pairs by ``(major, minor)``.
 
-    The one place that decides how CSR rows are ordered: ids lie in
-    ``[0, num_buckets)`` and ties keep input order, every tier
-    bit-identical.  The native tier runs two passes of the stable
-    ``counting_sort`` kernel (LSD radix: by ``minor``, then stably by
-    ``major``); the other tiers, and the kernel's fallback, run one
-    stable argsort of the key ``major * num_buckets + minor``, the same
-    total order.  The key needs ``num_buckets**2 < 2**63``.
+    How the scalar twins of ``csr_build`` and ``csr_relabel``
+    (:mod:`repro._native.csr`) order CSR rows: ids lie in
+    ``[0, num_buckets)`` and ties keep input order.  One stable argsort
+    of the key ``major * num_buckets + minor``, which needs
+    ``num_buckets**2 < 2**63``.
     """
-    if resolve_engine() == "native":
-        from .._native import counting
-
-        inner = counting.run(np.ascontiguousarray(minor), num_buckets)
-        if inner is not None:
-            outer = counting.run(
-                np.ascontiguousarray(major[inner]), num_buckets
-            )
-            if outer is not None:
-                return inner[outer]
     return np.argsort(major * np.int64(num_buckets) + minor, kind="stable")
 
 
@@ -91,7 +79,9 @@ class GraphBuilder:
             raise ValueError("num_vertices must be non-negative")
         self._num_vertices = int(num_vertices)
         #: archived (src, dst, wgt) array triples, in insertion order.
-        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._chunks: list[
+            tuple[np.ndarray, np.ndarray, np.ndarray | None]
+        ] = []
         self._head_src: np.ndarray | None = None
         self._head_dst: np.ndarray | None = None
         self._head_wgt: np.ndarray | None = None
@@ -190,10 +180,23 @@ class GraphBuilder:
         """
         src = np.array(src, dtype=np.int64)  # private copies: the chunk
         dst = np.array(dst, dtype=np.int64)  # list keeps references
+        if weights is not None:
+            weights = np.array(weights, dtype=np.float64)
+        self._take_arrays(src, dst, weights)
+
+    def _take_arrays(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weights: np.ndarray | None,
+    ) -> None:
+        """:meth:`add_edge_array` on arrays the builder may keep as they
+        are: int64 ids and float64 weights (None: unit weights) that
+        nobody else will write to."""
         if src.shape != dst.shape or src.ndim != 1:
             raise ValueError("src and dst must be aligned 1-d arrays")
         if src.size == 0:
-            if weights is not None and np.asarray(weights).size != 0:
+            if weights is not None and weights.size != 0:
                 raise ValueError("weights must align with src/dst")
             return
         n = self._num_vertices
@@ -201,20 +204,20 @@ class GraphBuilder:
         hi = max(int(src.max()), int(dst.max()))
         if lo < 0 or hi >= n:
             raise ValueError(f"edge endpoints out of range for n={n}")
-        if weights is None:
-            wgt = np.ones(src.size, dtype=np.float64)
-        else:
-            wgt = np.array(weights, dtype=np.float64)
-            if wgt.shape != src.shape:
+        if weights is not None:
+            if weights.shape != src.shape:
                 raise ValueError("weights must align with src/dst")
-            if np.any(wgt != 1.0):
+            if np.any(weights != 1.0):
                 self._weighted = True
         self._flush_head()  # keep insertion order across mixed appends
-        self._chunks.append((src, dst, wgt))
+        self._chunks.append((src, dst, weights))
         self._total += src.size
 
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All recorded edges as flat arrays, in insertion order."""
+    def _edge_arrays(
+        self, weighted: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """All recorded edges as flat arrays, in insertion order; the
+        weights (unit where none were given) only when ``weighted``."""
         parts = list(self._chunks)
         if self._fill:
             parts.append(
@@ -226,13 +229,22 @@ class GraphBuilder:
             )
         if not parts:
             empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i, np.empty(0, dtype=np.float64)
+            return (
+                empty_i, empty_i,
+                np.empty(0, dtype=np.float64) if weighted else None,
+            )
+        wgt = None
+        if weighted:
+            wgt = [
+                np.ones(p[0].size) if p[2] is None else p[2] for p in parts
+            ]
+            wgt = wgt[0] if len(wgt) == 1 else np.concatenate(wgt)
         if len(parts) == 1:
-            return parts[0]
+            return parts[0][0], parts[0][1], wgt
         return (
             np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
+            wgt,
         )
 
     def _finish(
@@ -265,19 +277,39 @@ class GraphBuilder:
             Defaults to carrying weights only when a non-unit weight was
             added.  An unweighted build carries no weight array at all.
 
-        Each intermediate is dropped as soon as the next one exists, so
-        the peak stays a small multiple of the edge arrays.
+        Under the native engine the ``csr_build`` kernel runs the whole
+        finalisation; every other engine, and a native engine whose
+        kernel cannot run, takes :meth:`_build_python`.
         """
         if weighted is None:
             weighted = self._weighted
+        if resolve_engine() == "native":
+            src, dst, wgt = self._edge_arrays(weighted)
+            built = csr_kernel.csr_build(src, dst, wgt, self._num_vertices)
+            if built is not None:
+                indptr, indices, wts, self_loops, duplicates = built
+                return self._finish(
+                    indptr, indices, wts, added=src.size,
+                    self_loops=self_loops, duplicates=duplicates,
+                )
+        return self._build_python(weighted)
+
+    def _build_python(self, weighted: bool) -> CSRGraph:
+        """Scalar twin of the ``csr_build`` kernel: numpy masks, two
+        :func:`pair_order` sorts and an ``np.add.at`` merge.
+
+        Each intermediate is dropped as soon as the next one exists, so
+        the peak stays a small multiple of the edge arrays.
+        """
         n = self._num_vertices
-        src, dst, wgt = self._edge_arrays()
+        src, dst, wgt = self._edge_arrays(weighted)
         added = int(src.size)
 
         # Drop self-loops.
         keep = src != dst
         src, dst = src[keep], dst[keep]
-        wgt = wgt[keep] if weighted else None
+        if weighted:
+            wgt = wgt[keep]
         del keep
         self_loops = added - int(src.size)
         if src.size == 0:

@@ -18,21 +18,26 @@ per-line Python loop, which is the ground truth.  Both tiers — at every
 thread count — produce bit-identical graphs, and malformed input raises
 the scalar loop's exceptions.
 
-The writers have no per-edge Python loop: each selects its edges with
-one mask over the CSR arrays and formats them in blocks of
-``_WRITE_CHUNK`` lines with ``str.format`` (weights with ``:g``), the
-bytes a per-edge f-string loop writes.
+The writers have no per-edge Python loop.  Under the native engine the
+``format_lines`` kernel (:mod:`repro._native.csr`) formats their text
+block by block into one reused buffer; every other engine, and a
+native engine whose kernel cannot run, takes the scalar twin
+:func:`_format_lines_python`, which selects the edges with one mask
+over the CSR arrays and formats blocks of ``_WRITE_CHUNK`` lines with
+``str.format`` (weights with ``:g``).  Both write the bytes a per-edge
+f-string loop writes.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
 from ..engine import resolve_engine
+from .._native import csr as _csr_kernel
 from .._native import parse as _parse_kernel
 from .builder import GraphBuilder
 from .csr import CSRGraph
@@ -44,6 +49,7 @@ __all__ = [
     "write_metis",
     "read_matrix_market",
     "write_matrix_market",
+    "write_permutation",
 ]
 
 #: (src, dst, wgt, saw_weight_column, max_id, header_n) — what both
@@ -55,38 +61,84 @@ def _open_text(path: str | Path, mode: str) -> TextIO:
     return open(Path(path), mode, encoding="utf-8")
 
 
-#: lines (for METIS, rows and entries) formatted per write: keeps the
-#: transient strings small next to the graph itself.
+#: lines (for METIS, rows and entries) the scalar twin formats per
+#: block: keeps the transient strings small next to the graph itself.
 _WRITE_CHUNK = 1 << 16
 
 
-def _row_ids(graph: CSRGraph) -> np.ndarray:
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
     """The source vertex of every CSR entry, in CSR order."""
     return np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees()
+        np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)
     )
 
 
-def _write_edge_lines(
-    handle: TextIO,
-    keep: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    weights: np.ndarray | None,
+def _write_lines(
+    handle: BinaryIO,
+    kind: str,
+    indptr: np.ndarray | None,
+    indices: np.ndarray,
+    weights: np.ndarray | None = None,
+    base: int = 0,
 ) -> None:
-    """One ``u v`` (or ``u v w``) line per kept CSR entry, in CSR order.
+    """Write the text :func:`_format_lines_python` describes.
 
-    Weights use the ``:g`` spec, so every line matches a per-edge
-    ``f"{u} {v} {w:g}"``.
+    The engine decides whether the ``format_lines`` kernel formats it;
+    both tiers write the same bytes.
     """
-    columns = [src[keep], dst[keep]]
-    line = "{} {}\n"
-    if weights is not None:
-        columns.append(weights[keep])
-        line = "{} {} {:g}\n"
-    for lo in range(0, columns[0].size, _WRITE_CHUNK):
-        chunk = [col[lo: lo + _WRITE_CHUNK].tolist() for col in columns]
-        handle.write("".join(map(line.format, *chunk)))
+    blocks = None
+    if resolve_engine() == "native":
+        blocks = _csr_kernel.format_lines(kind, indptr, indices, weights, base)
+    if blocks is None:
+        blocks = _format_lines_python(kind, indptr, indices, weights, base)
+    for block in blocks:
+        handle.write(block)
+
+
+def _format_lines_python(
+    kind: str,
+    indptr: np.ndarray | None,
+    indices: np.ndarray,
+    weights: np.ndarray | None,
+    base: int,
+) -> Iterator[bytes]:
+    """Scalar twin of the ``format_lines`` kernel: blocks of text.
+
+    ``"upper"``/``"lower"``: one ``u v`` (or ``u v w``) line per CSR
+    entry with ``u <= v`` (``v <= u``), ids plus ``base``, in CSR order;
+    ``"rows"``: one METIS line per row, its ids plus ``base`` (each as
+    ``id w`` when weighted) joined by spaces; ``"values"``: ``indices``
+    one per line.  Weights use the ``:g`` spec.
+    """
+    if kind == "values":
+        for lo in range(0, indices.size, _WRITE_CHUNK):
+            chunk = indices[lo: lo + _WRITE_CHUNK].tolist()
+            yield "".join(map("{}\n".format, chunk)).encode()
+    elif kind == "rows":
+        for first, stop in _row_blocks(indptr):
+            offsets = indptr[first: stop + 1].tolist()
+            lo, hi = offsets[0], offsets[-1]
+            ids = (indices[lo:hi] + base).tolist()
+            if weights is not None:
+                wts = weights[lo:hi].tolist()
+                parts = list(map("{} {:g}".format, ids, wts))
+            else:
+                parts = list(map(str, ids))
+            yield "".join(
+                " ".join(parts[start - lo: end - lo]) + "\n"
+                for start, end in zip(offsets, offsets[1:])
+            ).encode()
+    else:
+        src = _row_ids(indptr)
+        keep = src <= indices if kind == "upper" else indices <= src
+        columns = [src[keep] + base, indices[keep] + base]
+        line = "{} {}\n"
+        if weights is not None:
+            columns.append(weights[keep])
+            line = "{} {} {:g}\n"
+        for lo in range(0, columns[0].size, _WRITE_CHUNK):
+            chunk = [col[lo: lo + _WRITE_CHUNK].tolist() for col in columns]
+            yield "".join(map(line.format, *chunk)).encode()
 
 
 def read_edge_list(
@@ -116,7 +168,7 @@ def read_edge_list(
         parse_engine = "scalar"
     del raw
     builder, weighted = _builder_from_parsed(parsed, num_vertices)
-    del parsed  # the builder holds its own copies
+    del parsed  # the builder holds the arrays now
     graph = builder.build(weighted=weighted)
     graph.meta["parse_engine"] = parse_engine
     return graph
@@ -175,7 +227,9 @@ def _builder_from_parsed(
     """A builder holding a parsed edge array, and its ``weighted`` flag.
 
     Infers ``n`` (explicit count, else ``max(header n, max id + 1)``),
-    then routes the arrays through the builder's bulk path.
+    then hands the parsed arrays to the builder without copying them
+    (the range check still runs); a file with no weight column hands
+    over no weights.
     """
     src, dst, wgt, saw_weight_column, max_id, header_n = parsed
     if num_vertices is not None:
@@ -185,19 +239,26 @@ def _builder_from_parsed(
     else:
         n = max_id + 1
     builder = GraphBuilder(n)
-    builder.add_edge_array(src, dst, wgt if saw_weight_column else None)
+    builder._take_arrays(src, dst, wgt if saw_weight_column else None)
     # explicit weight columns force a weighted graph even if all 1.0
     return builder, saw_weight_column or None
 
 
 def write_edge_list(graph: CSRGraph, path: str | Path) -> None:
     """Write the graph as ``u v`` (or ``u v w``) lines, one per edge."""
-    src = _row_ids(graph)
-    with _open_text(path, "w") as handle:
-        handle.write(f"# n={graph.num_vertices} m={graph.num_edges}\n")
-        _write_edge_lines(
-            handle, src <= graph.indices, src, graph.indices, graph.weights
+    with open(Path(path), "wb") as handle:
+        handle.write(
+            f"# n={graph.num_vertices} m={graph.num_edges}\n".encode()
         )
+        _write_lines(
+            handle, "upper", graph.indptr, graph.indices, graph.weights
+        )
+
+
+def write_permutation(permutation: np.ndarray, path: str | Path) -> None:
+    """One rank per line, the bytes ``np.savetxt(..., fmt="%d")`` writes."""
+    with open(Path(path), "wb") as handle:
+        _write_lines(handle, "values", None, np.asarray(permutation))
 
 
 def read_metis(path: str | Path) -> CSRGraph:
@@ -263,21 +324,13 @@ def _row_blocks(indptr: np.ndarray) -> Iterator[tuple[int, int]]:
 def write_metis(graph: CSRGraph, path: str | Path) -> None:
     """Write the graph in METIS ``.graph`` format (1-based ids)."""
     fmt = "001" if graph.is_weighted else "000"
-    with _open_text(path, "w") as handle:
-        handle.write(f"{graph.num_vertices} {graph.num_edges} {fmt}\n")
-        for first, stop in _row_blocks(graph.indptr):
-            offsets = graph.indptr[first: stop + 1].tolist()
-            lo, hi = offsets[0], offsets[-1]
-            ids = (graph.indices[lo:hi] + 1).tolist()
-            if graph.is_weighted:
-                weights = graph.weights[lo:hi].tolist()
-                parts = list(map("{} {:g}".format, ids, weights))
-            else:
-                parts = list(map(str, ids))
-            handle.write("".join(
-                " ".join(parts[start - lo: end - lo]) + "\n"
-                for start, end in zip(offsets, offsets[1:])
-            ))
+    with open(Path(path), "wb") as handle:
+        handle.write(
+            f"{graph.num_vertices} {graph.num_edges} {fmt}\n".encode()
+        )
+        _write_lines(
+            handle, "rows", graph.indptr, graph.indices, graph.weights, 1
+        )
 
 
 def read_matrix_market(path: str | Path) -> CSRGraph:
@@ -315,15 +368,12 @@ def read_matrix_market(path: str | Path) -> CSRGraph:
 def write_matrix_market(graph: CSRGraph, path: str | Path) -> None:
     """Write the graph as a symmetric MatrixMarket coordinate file."""
     kind = "real" if graph.is_weighted else "pattern"
-    src = _row_ids(graph)
-    with _open_text(path, "w") as handle:
-        handle.write(f"%%MatrixMarket matrix coordinate {kind} symmetric\n")
-        n = graph.num_vertices
-        handle.write(f"{n} {n} {graph.num_edges}\n")
-        _write_edge_lines(
-            handle,
-            graph.indices <= src,
-            src + 1,
-            graph.indices + 1,
-            graph.weights,
+    n = graph.num_vertices
+    with open(Path(path), "wb") as handle:
+        handle.write(
+            f"%%MatrixMarket matrix coordinate {kind} symmetric\n"
+            f"{n} {n} {graph.num_edges}\n".encode()
+        )
+        _write_lines(
+            handle, "lower", graph.indptr, graph.indices, graph.weights, 1
         )

@@ -9,13 +9,23 @@ This module provides validation, inversion, composition, and the relabelling
 operation that produces the reordered graph on which all downstream
 computation happens — exactly the workflow described in Section III of the
 paper.
+
+:func:`apply_ordering` is engine-gated (:mod:`repro.engine`): under the
+native engine one call of the ``csr_relabel`` kernel
+(:mod:`repro._native.csr`) moves every row and sorts it; every other
+engine, and a native engine whose kernel cannot run, takes the scalar
+twin :func:`_apply_ordering_python`, one stable
+:func:`~repro.graph.builder.pair_order` sort of the relabelled
+``(row, neighbour)`` pairs.  Both give the same arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .._native import csr as csr_kernel
 from ..analysis import sanitize
+from ..engine import resolve_engine
 from .builder import pair_order
 from .csr import CSRGraph
 
@@ -102,11 +112,23 @@ def apply_ordering(graph: CSRGraph, pi: np.ndarray) -> CSRGraph:
     The returned graph has identical structure (Section II of the paper:
     "the overall structure of the graph remains unchanged with reordering")
     but its CSR arrays are laid out in the new rank order, which is what
-    changes the memory-access behaviour of traversals.  The relabelled
-    ``(row, neighbour)`` pairs go through the builder's one stable pair
-    sort, so each row keeps its neighbours (and weights) in id order.
+    changes the memory-access behaviour of traversals.  Each row keeps
+    its relabelled neighbours (and weights) in id order, ties in their
+    original order.
     """
     pi = validate_ordering(pi, graph.num_vertices)
+    if resolve_engine() == "native":
+        relabelled = csr_kernel.csr_relabel(
+            graph.indptr, graph.indices, graph.weights, pi
+        )
+        if relabelled is not None:
+            return CSRGraph(*relabelled)
+    return _apply_ordering_python(graph, pi)
+
+
+def _apply_ordering_python(graph: CSRGraph, pi: np.ndarray) -> CSRGraph:
+    """Scalar twin of the ``csr_relabel`` kernel: the relabelled
+    ``(row, neighbour)`` pairs through one stable :func:`pair_order`."""
     n = graph.num_vertices
     src = np.repeat(pi, graph.degrees())
     dst = pi[graph.indices]

@@ -197,9 +197,11 @@ class OrderingScheme(abc.ABC):
 
         The tier that actually ran is recorded in the metadata under
         :data:`repro.engine.ENGINE_METADATA_KEY`.  A scheme records
-        ``"native"`` itself when its kernel ran, and Rabbit and Gorder,
-        whose only Python tier is the scalar twin, record ``"scalar"``
-        whenever that twin ran (any engine but a kernel that ran).
+        ``"native"`` itself when its kernel ran, and Rabbit, Gorder,
+        Grappolo and Grappolo-RCM, whose only Python tier is the scalar
+        twin, record ``"scalar"`` whenever that twin ran (any engine but
+        a kernel that ran; for the Grappolo pair, any Louvain sweep the
+        ``louvain_sweep`` kernel did not run).
         Everything else is labelled with the resolved engine —
         ``"vector"`` under the native engine, since a scheme without a
         kernel runs its vector tier there.

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..community.louvain import louvain
+from ..community.louvain import LouvainResult, louvain
+from ..engine import ENGINE_METADATA_KEY
 from ..graph.csr import CSRGraph
 from ..graph.permute import ordering_from_sequence
 from ..partition.coarsen import contract_by_labels
@@ -37,6 +38,16 @@ def community_coarse_graph(
     """
     unweighted = CSRGraph(graph.indptr, graph.indices)
     return contract_by_labels(unweighted, communities).graph
+
+
+def _louvain_metadata(result: LouvainResult) -> dict:
+    """Community metadata, with the tier the Louvain sweeps ran on:
+    ``native`` when every sweep ran in C, else ``scalar``."""
+    return {
+        "num_communities": result.num_communities,
+        "modularity": result.modularity,
+        ENGINE_METADATA_KEY: "native" if result.native else "scalar",
+    }
 
 
 def _sequence_by_community_rank(
@@ -76,10 +87,7 @@ class GrappoloOrder(OrderingScheme):
         num_comms = result.num_communities
         identity_rank = np.arange(max(num_comms, 1), dtype=np.int64)
         sequence = _sequence_by_community_rank(communities, identity_rank)
-        return ordering_from_sequence(sequence), {
-            "num_communities": num_comms,
-            "modularity": result.modularity,
-        }
+        return ordering_from_sequence(sequence), _louvain_metadata(result)
 
 
 class GrappoloRcmOrder(OrderingScheme):
@@ -115,7 +123,4 @@ class GrappoloRcmOrder(OrderingScheme):
         )
         counter.count_sort(graph.num_vertices)
         sequence = _sequence_by_community_rank(communities, community_rank)
-        return ordering_from_sequence(sequence), {
-            "num_communities": result.num_communities,
-            "modularity": result.modularity,
-        }
+        return ordering_from_sequence(sequence), _louvain_metadata(result)

@@ -197,3 +197,29 @@ def grid5x4() -> CSRGraph:
 @pytest.fixture
 def medium_random() -> CSRGraph:
     return random_graph(120, 400, seed=5)
+
+
+def raw_csr_graph():
+    """A CSR no builder made: a duplicate weighted entry (0-1 twice),
+    self-loops (2-2, 5-5), one-sided entries (3 lists 4 and 7 lists 6,
+    neither listed back) and an unsorted row."""
+    rows = {
+        0: [(1, 0.5), (1, 1.25), (2, 2.0), (8, 1.0)],
+        1: [(0, 0.75), (3, 1.5)],
+        2: [(2, 4.0), (0, 2.0), (9, 0.5)],
+        3: [(4, 3.0), (1, 1.5)],
+        4: [(5, 1.0)],
+        5: [(5, 1.0), (4, 1.0), (6, 2.5)],
+        6: [(5, 2.5)],
+        7: [(6, 1.0), (8, 0.25)],
+        8: [(7, 0.25), (0, 1.0), (9, 2.0)],
+        9: [(8, 2.0), (2, 0.5)],
+    }
+    indptr = np.zeros(11, dtype=np.int64)
+    indices, weights = [], []
+    for v in range(10):
+        indptr[v + 1] = indptr[v] + len(rows[v])
+        for u, w in rows[v]:
+            indices.append(u)
+            weights.append(w)
+    return CSRGraph(indptr, np.asarray(indices), np.asarray(weights))

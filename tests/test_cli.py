@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.__main__ import _write_permutation, main
-from repro.graph.io import read_edge_list, write_edge_list, write_metis
+from repro.__main__ import main
+from repro.engine import use_engine
+from repro.graph.io import (
+    read_edge_list,
+    write_edge_list,
+    write_metis,
+    write_permutation,
+)
 from tests.conftest import random_graph
 
 
@@ -56,13 +62,15 @@ class TestCli:
         assert read_metis(dst) == g
 
 
-@pytest.mark.parametrize("size", (0, 1, 17, 5000))
+@pytest.mark.parametrize("size", (0, 1, 17, 5000, 250_000))
 def test_permutation_file_has_the_savetxt_bytes(size, tmp_path):
     perm = np.random.default_rng(size).permutation(size).astype(np.int64)
-    _write_permutation(perm, tmp_path / "bulk.txt")
     np.savetxt(tmp_path / "savetxt.txt", perm, fmt="%d")
-    bulk = (tmp_path / "bulk.txt").read_bytes()
-    assert bulk == (tmp_path / "savetxt.txt").read_bytes()
+    for engine in ("native", "scalar"):
+        with use_engine(engine):
+            write_permutation(perm, tmp_path / "bulk.txt")
+        bulk = (tmp_path / "bulk.txt").read_bytes()
+        assert bulk == (tmp_path / "savetxt.txt").read_bytes(), engine
 
 
 def test_empty_graph_writes_an_empty_permutation(tmp_path, capsys):
@@ -72,3 +80,26 @@ def test_empty_graph_writes_an_empty_permutation(tmp_path, capsys):
     assert main([str(src), "--scheme", "rabbit",
                  "--permutation", str(perm)]) == 0
     assert perm.read_bytes() == b""
+
+
+def test_cli_start_does_not_load_the_linter():
+    """The runtime imports ``repro.analysis.sanitize`` alone; the lint
+    engine, its rules, contracts and C lint stay unloaded."""
+    import os
+    import subprocess
+    import sys
+
+    from tests.conftest import REPO_ROOT
+
+    probe = (
+        "import sys, repro.__main__\n"
+        "print(sorted(m for m in sys.modules if m in {"
+        "'repro.analysis.core', 'repro.analysis.rules', "
+        "'repro.analysis.contracts', 'repro.analysis.clint'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+    )
+    assert proc.stdout.strip() == "[]"

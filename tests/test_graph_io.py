@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import use_engine
 from repro.graph import from_edges
 from repro.graph import io as graph_io
 from repro.graph.csr import CSRGraph
@@ -14,7 +15,7 @@ from repro.graph.io import (
     write_matrix_market,
     write_metis,
 )
-from tests.conftest import make_two_cliques, random_graph
+from tests.conftest import make_two_cliques, random_graph, raw_csr_graph
 
 
 @pytest.fixture
@@ -189,6 +190,19 @@ def raw_graph(n, entries, weighted):
 
 ODD_WEIGHTS = (1e-5, 1e16, float("nan"), float("inf"), -0.0, 0.1 + 0.2)
 
+#: where C's %g and Python's {:g} could part: a NaN with its sign bit
+#: set, exact ties at the sixth digit (half to even), values rounding
+#: into the next exponent, subnormals, the largest double, and normal
+#: draws over thirty decades.
+G_WEIGHTS = (
+    -float("nan"), -float("inf"), 1234565.0, 1234575.0, 2.5,
+    999999.5, 9999995.0, 0.000123456789, 1e-310, 5e-324,
+    1.7976931348623157e308, 100000.0, 1e6, -123.456789, 0.0001,
+) + tuple(
+    (np.random.default_rng(9).standard_normal(300)
+     * 10.0 ** np.random.default_rng(10).integers(-12, 18, 300)).tolist()
+)
+
 WRITER_GRAPHS = {
     "odd_weights": raw_graph(
         9,
@@ -207,6 +221,12 @@ WRITER_GRAPHS = {
         6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)],
         weights=[0.5, 1.25, 3.0, 1 / 3, 7.0],
     ),
+    "g_weights": raw_graph(
+        40,
+        [(i % 40, (7 * i + 3) % 40, w) for i, w in enumerate(G_WEIGHTS)],
+        weighted=True,
+    ),
+    "raw_csr": raw_csr_graph(),
     "random": random_graph(60, 300, seed=4),
     "no_edges": from_edges(5, []),
     "empty": from_edges(0, []),
@@ -227,11 +247,16 @@ WRITERS = (
 def test_bulk_writer_matches_per_edge_loop(
     graph_name, writer, loop, chunk, tmp_path, monkeypatch
 ):
-    """``chunk`` 3 splits every graph across many formatted blocks."""
+    """Both tiers (the ``format_lines`` kernel and its ``str.format``
+    twin) write the loop's bytes; ``chunk`` 3 splits every graph across
+    many of the twin's formatted blocks."""
     if chunk is not None:
         monkeypatch.setattr(graph_io, "_WRITE_CHUNK", chunk)
     graph = WRITER_GRAPHS[graph_name]
-    writer(graph, tmp_path / "bulk")
     loop(graph, tmp_path / "loop")
-    assert (tmp_path / "bulk").read_bytes() == (tmp_path / "loop").read_bytes()
+    expected = (tmp_path / "loop").read_bytes()
+    for engine in ("native", "scalar"):
+        with use_engine(engine):
+            writer(graph, tmp_path / "bulk")
+        assert (tmp_path / "bulk").read_bytes() == expected, engine
 

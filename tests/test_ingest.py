@@ -7,9 +7,10 @@ bit* (arrays, weight flag, inferred ``n``), or decline the input
 entirely so the caller falls back — never a third behaviour.  Malformed
 files must raise the scalar parse's exception type under every engine.
 
-The builder half pins the pair sort (:func:`repro.graph.builder.pair_order`:
-two counting-sort passes under the native engine, one keyed stable
-argsort otherwise) against ``np.lexsort`` and across engines: identical
+The builder half pins the twin's pair sort
+(:func:`repro.graph.builder.pair_order`, one keyed stable argsort)
+against ``np.lexsort``, and the build across engines (the ``csr_build``
+kernel under the native engine, the numpy twin otherwise): identical
 CSR arrays, *bitwise* identical merged weights (stable order preserves
 float summation order), identical ingest-audit tallies.
 """
@@ -200,23 +201,27 @@ def test_read_edge_list_one_based_and_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Builder finalisation equivalence (counting sort vs keyed argsort)
+# Builder finalisation equivalence (csr_build kernel vs numpy twin)
 # ---------------------------------------------------------------------------
 @given(
     n=st.integers(1, 40),
     edges=st.lists(
         st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=120
     ),
-    weighted=st.booleans(),
+    weighted=st.sampled_from((None, "increasing", "normal", "ones")),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_builder_engines_bit_identical(n, edges, weighted):
+    """``ones`` forces a weighted build of all-unit weights; ``normal``
+    mixes signs, so a merge in another order shows."""
     edges = [(u % n, v % n) for u, v in edges]
-    weights = (
-        [round(0.1 + 0.37 * i, 3) for i in range(len(edges))]
-        if weighted
-        else None
-    )
+    weights = {
+        None: None,
+        "increasing": [round(0.1 + 0.37 * i, 3) for i in range(len(edges))],
+        "normal": np.random.default_rng(len(edges))
+        .standard_normal(len(edges)).tolist(),
+        "ones": [1.0] * len(edges),
+    }[weighted]
     graphs = {}
     for engine in ("scalar", "vector", "native"):
         builder = GraphBuilder(n)

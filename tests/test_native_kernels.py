@@ -44,6 +44,7 @@ from tests.conftest import (
     make_star,
     make_two_cliques,
     random_graph,
+    raw_csr_graph,
 )
 
 KERNEL_NAMES = (
@@ -56,6 +57,9 @@ KERNEL_NAMES = (
     "louvain_sweep",
     "rabbit_aggregate",
     "sim_region",
+    "csr_build",
+    "csr_relabel",
+    "format_lines",
 )
 
 GRAPHS = {
@@ -524,6 +528,36 @@ def test_native_louvain_random_shapes(n, edges):
     assert_same_louvain(
         louvain_with(graph, "native"), louvain_with(graph, "scalar")
     )
+
+
+@pytest.mark.parametrize("scheme_name", ("grappolo", "grappolo_rcm"))
+def test_grappolo_records_the_sweep_tier(scheme_name):
+    """``native`` only when every Louvain sweep ran in the kernel; the
+    vector engine runs the scalar sweep and records ``scalar``."""
+    graph = GRAPHS["random"]
+    built = native_core.get_kernel("louvain_sweep").lib() is not None
+    native = order_with(scheme_name, graph, "native")
+    assert native.metadata["engine"] == ("native" if built else "scalar")
+    vector = order_with(scheme_name, graph, "vector")
+    assert vector.metadata["engine"] == "scalar"
+    assert np.array_equal(native.permutation, vector.permutation)
+
+
+@pytest.mark.parametrize("scheme_name", ("grappolo", "grappolo_rcm"))
+def test_grappolo_without_its_kernel_records_scalar(scheme_name, knobs):
+    kernel = native_core.get_kernel("louvain_sweep")
+    graph = GRAPHS["random"]
+    scalar = order_with(scheme_name, graph, "scalar")
+    knobs(REPRO_FAULTS="native-build-fail:p=1")
+    kernel.reset()
+    try:
+        degraded = order_with(scheme_name, graph, "native")
+    finally:
+        knobs(REPRO_FAULTS=None)
+        kernel.reset()
+    assert np.array_equal(degraded.permutation, scalar.permutation)
+    assert degraded.metadata == scalar.metadata
+    assert degraded.metadata["engine"] == "scalar"
 
 
 # ---------------------------------------------------------------------------
@@ -1175,34 +1209,6 @@ def test_partition_tree_matches_twin_non_integral_weights(num_parts, seed):
     graph = from_edges(n, edges, weights=rng.random(m) * 3.0 + 0.1)
     vertex_weights = rng.random(n) * 2.0 + 0.25
     assert_tree_matches_twin(graph, num_parts, vertex_weights, seed=seed)
-
-
-def raw_csr_graph():
-    """A CSR no builder made: a duplicate weighted entry (0-1 twice),
-    self-loops (2-2, 5-5), one-sided entries (3 lists 4 and 7 lists 6,
-    neither listed back) and an unsorted row."""
-    from repro.graph.csr import CSRGraph
-
-    rows = {
-        0: [(1, 0.5), (1, 1.25), (2, 2.0), (8, 1.0)],
-        1: [(0, 0.75), (3, 1.5)],
-        2: [(2, 4.0), (0, 2.0), (9, 0.5)],
-        3: [(4, 3.0), (1, 1.5)],
-        4: [(5, 1.0)],
-        5: [(5, 1.0), (4, 1.0), (6, 2.5)],
-        6: [(5, 2.5)],
-        7: [(6, 1.0), (8, 0.25)],
-        8: [(7, 0.25), (0, 1.0), (9, 2.0)],
-        9: [(8, 2.0), (2, 0.5)],
-    }
-    indptr = np.zeros(11, dtype=np.int64)
-    indices, weights = [], []
-    for v in range(10):
-        indptr[v + 1] = indptr[v] + len(rows[v])
-        for u, w in rows[v]:
-            indices.append(u)
-            weights.append(w)
-    return CSRGraph(indptr, np.asarray(indices), np.asarray(weights))
 
 
 @pytest.mark.parametrize("num_parts", (2, 3, 4))
