@@ -19,10 +19,10 @@ clint:
 # Sanitizer legs: rebuild every native kernel under an instrumented
 # profile (cache-keyed separately from the -O3 builds) and run the
 # bit-identity suites (the apps suite drives the RRR and delta kernels
-# over random graphs, the partition suites drive partition_bisect, the
-# simulator suite drives sim_region over block-indexed traces, the
-# graph io/permute and CSR-kernel suites drive csr_build, csr_relabel
-# and format_lines);
+# over random graphs, the partition suites drive partition_tree and
+# the per-piece FM symbols, the simulator suite drives sim_region over
+# block-indexed traces, the graph io/permute and CSR-kernel suites
+# drive csr_build, csr_relabel and format_lines);
 # any sanitizer report fails the leg with its SUMMARY line
 # (scripts/native_sanitize.sh).
 test-asan:

@@ -5,11 +5,9 @@ scalar Python loop is ground truth, and the native kernel — run only
 under the native engine and when a C compiler is available — is a
 bit-identical escalation of it.  Kernels declare their scalar twin
 (verified statically by :mod:`repro.analysis.contracts`) and report
-their build status through :func:`build_info_all`.  Most kernels
-leave no Python middle tier: when the kernel cannot run, dispatch
-falls straight to the scalar twin.  Only the Gorder greedy and the
-simulator's dynamic-region replay (which alone models the prefetcher)
-keep a vector tier beside their kernel.
+their build status through :func:`build_info_all`.  No kernel leaves
+a Python middle tier: when the kernel cannot run, dispatch falls
+straight to the scalar twin.
 
 Every kernel runs on the calling thread.
 
@@ -17,8 +15,9 @@ Kernels:
 
 * ``gorder_greedy`` — the whole Gorder sliding-window greedy
   (:mod:`.gorder`);
-* ``partition_fm`` — FM boundary refinement and greedy region growing
-  for nested dissection / METIS (:mod:`.fm`);
+* ``partition_fm`` — a whole METIS partition tree or nested
+  dissection per call, plus per-piece FM refinement, region growing
+  and matching (:mod:`.fm`);
 * ``delta_scan`` — delta-stepping bucket relaxation (:mod:`.delta`);
 * ``rrr_sample`` — hash-pinned IC reverse-BFS cascades (:mod:`.rrr`);
 * ``counting_sort`` — BOBA-style stable counting sort behind the

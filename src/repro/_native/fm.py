@@ -8,7 +8,7 @@ bisection.  Under the native engine each ordering is one call:
 * ``dissect_tree`` runs the whole recursion of
   :class:`repro.ordering.nested_dissection.NestedDissectionOrder`,
   with the greedy vertex cover of
-  :func:`repro.partition.separator._greedy_cover_vector` at every node
+  :func:`repro.partition.separator._greedy_cover_scalar` at every node
   and the original graph's degrees counted as edge operations.
 
 Both walk the tree depth-first, left subtree first, on the canonical
@@ -16,7 +16,7 @@ root Python builds once (``induced_subgraph(graph, arange(n))``, as
 the recursions do).  A node's vertices stay ascending, so its subgraph
 is a row filter of the root through a global-to-local array: no sort,
 no merge, one node subgraph alive at a time.  Every node is bisected by
-the helper behind the ``partition_bisect`` symbol, which runs one whole
+one helper, ``bisect_csr``, which runs one whole
 :func:`repro.partition.multilevel.bisect` on the CSR arrays:
 
 * coarsening — heavy-edge matching on a Fisher–Yates visit order, the
@@ -61,13 +61,13 @@ Bit-identity argument against the twin:
   ``heapq`` does, and the growth scan picks ``max(frontier, key=(gain,
   -x))`` by scanning vertices in ascending order with a strict-greater
   test.  The separator's cover heap holds unique ``(-count, x)`` keys
-  (a count only falls), so it pops what ``heapq`` pops.
+  (a count only falls), so it pops what the twin's max-rescan picks.
 * **Trees.** A node's target fraction is ``left_parts / span``, one
   correctly rounded division in both languages; a one-sided bisection
   splits at ``max(1, round(size * fraction))`` with Python's
   half-to-even rounding.
-* **No draws before a decline.** :func:`bisect`, :func:`partition_tree`
-  and :func:`dissect_tree` decline (return ``None``, so the twin runs)
+* **No draws before a decline.** :func:`partition_tree` and
+  :func:`dissect_tree` decline (return ``None``, so the twin runs)
   only before their first draw: an unavailable or faulted kernel,
   weights that are not finite float64, or a graph too large for 32-bit
   draws.  Every node of a tree inherits the root's finite weights and
@@ -87,8 +87,8 @@ import numpy as np
 from .core import NativeKernel, guarded, runtime_gate
 
 __all__ = [
-    "KERNEL", "bisect", "partition_tree", "dissect_tree", "refine",
-    "grow_region", "hem_match", "coarse_map",
+    "KERNEL", "partition_tree", "dissect_tree", "refine", "grow_region",
+    "hem_match", "coarse_map",
 ]
 
 _SOURCE = r"""
@@ -960,30 +960,6 @@ done:
     return status;
 }
 
-int64_t partition_bisect(const int64_t *indptr,
-                         const int64_t *indices,
-                         const double *edge_w,
-                         int64_t has_edge_w,
-                         int64_t n,
-                         const double *vertex_weights,
-                         double target_fraction,
-                         double imbalance,
-                         int64_t trials,
-                         int64_t coarsest_size,
-                         int64_t max_negative_moves,
-                         int64_t max_passes,
-                         next_uint32_fn next,
-                         void *state,
-                         int64_t *part_out,        /* n out */
-                         double *cut_out)
-{
-    csr_t g = {indptr, indices, has_edge_w ? edge_w : NULL, n};
-    draws_t d = {next, state};
-    return bisect_csr(&g, vertex_weights, target_fraction, imbalance,
-                      trials, coarsest_size, max_negative_moves,
-                      max_passes, &d, part_out, cut_out);
-}
-
 /* ------------------------------------------------------------------
    Whole recursion trees (repro.partition.multilevel.partition_graph's
    recursion and repro.ordering.nested_dissection's dissect)
@@ -1182,12 +1158,13 @@ typedef struct {
 } cover_scratch_t;
 
 /* The greedy vertex cover of the bisection's cut edges
-   (repro.partition.separator._greedy_cover_vector): pop (-count, x)
+   (repro.partition.separator._greedy_cover_scalar): pop (-count, x)
    from a lazy max-heap, skip stale entries, take x and decrement the
    other end of every edge it newly covers.  A vertex's count only
    falls, so every key in the heap is unique and any correct heap pops
-   the sequence heapq pops.  Marks in_sep; returns 0, or -1 on heap
-   overflow (cannot happen under the heap_cap bound). */
+   the sequence of the twin's max-rescan (most uncovered edges, lower
+   id on a tie).  Marks in_sep; returns 0, or -1 on heap overflow
+   (cannot happen under the heap_cap bound). */
 static int64_t greedy_cover(const csr_t *g, const int64_t *part,
                             uint8_t *in_sep, const cover_scratch_t *s)
 {
@@ -1383,27 +1360,6 @@ KERNEL = NativeKernel(
     "partition_fm",
     _SOURCE,
     symbols={
-        "partition_bisect": (
-            [
-                _P_I64,  # indptr
-                _P_I64,  # indices
-                _P_F64,  # edge_w
-                ctypes.c_int64,  # has_edge_w
-                ctypes.c_int64,  # n
-                _P_F64,  # vertex_weights
-                ctypes.c_double,  # target_fraction
-                ctypes.c_double,  # imbalance
-                ctypes.c_int64,  # trials
-                ctypes.c_int64,  # coarsest_size
-                ctypes.c_int64,  # max_negative_moves
-                ctypes.c_int64,  # max_passes
-                _NEXT_U32,  # next
-                ctypes.c_void_p,  # state
-                _P_I64,  # part_out
-                _P_F64,  # cut_out
-            ],
-            ctypes.c_int64,
-        ),
         "partition_tree": (
             [
                 _P_I64,  # indptr
@@ -1602,51 +1558,6 @@ def _check_status(name: str, status: int, n: int) -> None:
         raise RuntimeError(f"{name} failed with status {status}")
 
 
-def bisect(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    edge_w: np.ndarray | None,
-    vertex_weights: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    target_fraction: float,
-    imbalance: float,
-    trials: int,
-    coarsest_size: int,
-    max_negative_moves: int,
-    max_passes: int,
-) -> tuple[np.ndarray, float] | None:
-    """One whole multilevel bisection in C; None when declined.
-
-    Returns ``(part, cut)``, drawing from ``rng`` exactly as
-    :func:`repro.partition.multilevel._bisect_python` does.
-    ``vertex_weights`` must hold one weight per vertex
-    (:func:`repro.partition.multilevel.bisect` checks).  Every decline
-    happens before the first draw; a failure after it raises instead
-    (see the module docstring).
-    """
-    n = indptr.size - 1
-    lib = _kernel_for(n, vertex_weights, edge_w)
-    if lib is None:
-        return None
-    vw = np.ascontiguousarray(vertex_weights)
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(indices, dtype=np.int64)
-    has_w = edge_w is not None
-    weights = np.ascontiguousarray(edge_w) if has_w else _EMPTY_F64
-    part = np.empty(n, dtype=np.int64)
-    cut = np.empty(1, dtype=np.float64)
-    with _drawing_from(rng) as (next_u32, state):
-        status = lib.partition_bisect(
-            _i64(indptr), _i64(indices), _f64(weights), int(has_w), n,
-            _f64(vw), float(target_fraction), float(imbalance),
-            int(trials), int(coarsest_size), int(max_negative_moves),
-            int(max_passes), next_u32, state, _i64(part), _f64(cut),
-        )
-    _check_status("partition_bisect", status, n)
-    return part, float(cut[0])
-
-
 def partition_tree(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -1668,7 +1579,7 @@ def partition_tree(
     every node's subgraph is a row filter of it.  Returns the part of
     every vertex, drawing from ``rng`` exactly as the recursion in
     :func:`repro.partition.multilevel.partition_graph` does.  Declines
-    and failures as for :func:`bisect`.
+    and failures as in the module docstring.
     """
     n = indptr.size - 1
     if vertex_weights.shape != (n,):
@@ -1714,7 +1625,8 @@ def dissect_tree(
     operations count (the original graph's, one per vertex).  Returns
     ``(sequence, max_depth, edge_ops)``, drawing from ``rng`` exactly
     as :class:`repro.ordering.nested_dissection.NestedDissectionOrder`'s
-    recursion does.  Declines and failures as for :func:`bisect`.
+    recursion does.  Declines and failures as for
+    :func:`partition_tree`.
     """
     n = indptr.size - 1
     if degrees.shape != (n,):

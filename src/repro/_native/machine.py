@@ -8,12 +8,10 @@ thread with the lowest simulated clock, so its schedule depends on every
 latency before it.  The only difference is how an item picks its
 thread; the kernel replays either region in one call.
 
-Bit-identity argument against the Python replays
-(``SimulatedMachine._run_dynamic_python``, which drives the batched
-engine per item and is the only path with the prefetcher) and the
-per-access model they are exact to (scalar twin
+Bit-identity argument against the per-access model (scalar twin
 :meth:`repro.simulator.hierarchy.MemoryHierarchy.access`, which
-:meth:`SimulatedMachine.run_reference` drives for static regions):
+:meth:`SimulatedMachine.run_reference` drives for static regions and
+``SimulatedMachine._run_dynamic_python`` for dynamic ones):
 
 * with an ``item_thread`` array, item ``i`` runs on thread
   ``item_thread[i]``, one item at a time, in the order the caller

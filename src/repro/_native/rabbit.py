@@ -27,8 +27,9 @@ super-vertex:
 * small-into-large compares *live* entry counts (the dict ``len``);
 * the DFS emits roots ascending and children in merge order.
 
-The caller owns the scan order (the stable degree argsort) and the
-totals the counter sees; the kernel returns ``merges``, the number of
+The caller owns the starting degrees (the weighted degrees), the scan
+order (the stable argsort of the neighbour counts) and the totals the
+counter sees; the kernel returns ``merges``, the number of
 communities and the consolidated-edge count.
 """
 
@@ -375,8 +376,9 @@ def aggregate(
 ) -> tuple[np.ndarray, int, int, int] | None:
     """Run the whole aggregation natively; None when it cannot run.
 
-    ``degrees`` are the float64 starting degrees and ``scan`` their
-    stable argsort; ``weights`` None means unit weights.  Returns
+    ``degrees`` are the float64 starting degrees (the weighted
+    degrees) and ``scan`` the visit order (the stable argsort of the
+    neighbour counts); ``weights`` None means unit weights.  Returns
     ``(sequence, merges, num_communities, consolidated_edges)``.  Out
     of memory also returns None, so the scalar twin runs instead.
     """

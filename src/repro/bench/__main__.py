@@ -17,7 +17,7 @@ Resilient execution (:mod:`repro.resilience`):
   attempts)`` line on stderr, and makes the run exit 1;
 * ``--health`` prints the degradation health report after the run —
   one counter per fallback site: native kernels disabled after a build
-  or runtime fault (their vector/scalar twins ran instead) and
+  or runtime fault (their scalar twins ran instead) and
   resource-pressure fallbacks (:mod:`repro.resilience.degrade`).
 """
 

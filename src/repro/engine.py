@@ -17,9 +17,6 @@ A loop with no native kernel runs its vector engine under the native
 tier, so ``"native"`` is always safe to request.  A loop with a kernel
 has no vector tier: under ``"vector"``, or when its kernel failed to
 build or no C compiler is available, it runs its scalar reference.
-The simulator's dynamic-region replay is the one loop that keeps a
-vector tier beside its kernel, because only that replay supports the
-next-line prefetcher.
 
 This resolution is the one switch that decides which tier runs: every
 dispatch site asks :func:`resolve_engine`, and nothing else (no

@@ -3,10 +3,13 @@
 Rabbit-Order builds communities by *incremental aggregation*: vertices are
 scanned in increasing degree order and each is merged into the neighbouring
 (super-)vertex giving the best modularity gain, building a merge forest as
-it goes.  The final permutation is obtained by a depth-first traversal of
-the merge trees, so vertices merged together early (deep in the dendrogram,
-i.e. the tightest micro-communities) receive the closest ranks — mapping
-the community hierarchy onto the cache hierarchy.
+it goes.  Both terms of the gain are edge weight (the aggregated degrees
+start from the weighted degrees), so scaling every weight by a power of
+two leaves the permutation unchanged; the scan order counts neighbours.
+The final permutation is obtained by a depth-first traversal of the merge
+trees, so vertices merged together early (deep in the dendrogram, i.e. the
+tightest micro-communities) receive the closest ranks — mapping the
+community hierarchy onto the cache hierarchy.
 
 The aggregation is inherently sequential (every merge feeds the next).
 Under the native engine it runs whole in the ``rabbit_aggregate`` C
@@ -22,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._native import rabbit as _native_rabbit
+from ..community.modularity import weighted_degrees
 from ..engine import ENGINE_METADATA_KEY, resolve_engine
 from ..graph.csr import CSRGraph
 from ..graph.permute import ordering_from_sequence
@@ -35,6 +39,8 @@ class RabbitOrder(OrderingScheme):
 
     name = "rabbit"
     category = "partitioning"
+    #: v2: the aggregated degrees start from the weighted degrees.
+    version = 2
 
     def compute(
         self,
@@ -46,13 +52,12 @@ class RabbitOrder(OrderingScheme):
         if n and resolve_engine() == "native":
             # The whole aggregation (its scalar twin below) in one
             # rabbit_aggregate kernel call.
-            degrees = graph.degrees().astype(np.float64)
             done = _native_rabbit.aggregate(
                 graph.indptr,
                 graph.indices,
                 graph.weights,
-                degrees,
-                np.argsort(degrees, kind="stable"),
+                weighted_degrees(graph),
+                np.argsort(graph.degrees(), kind="stable"),
                 graph.total_weight(),
             )
             if done is not None:
@@ -79,12 +84,12 @@ class RabbitOrder(OrderingScheme):
                 ENGINE_METADATA_KEY: "scalar",
             }
         total = graph.total_weight()
-        degrees = graph.degrees().astype(np.float64)
 
-        # Union-find over super-vertices, with aggregated degree and lazily
-        # merged adjacency dictionaries (small-into-large).
+        # Union-find over super-vertices, with aggregated (weighted)
+        # degree and lazily merged adjacency dictionaries
+        # (small-into-large).
         parent = np.arange(n, dtype=np.int64)
-        agg_degree = degrees.copy()
+        agg_degree = weighted_degrees(graph).copy()
         adjacency: list[dict[int, float]] = []
         for v in range(n):
             nbrs = graph.neighbors(v)
@@ -106,7 +111,7 @@ class RabbitOrder(OrderingScheme):
         merges = 0
         # Scan vertices in increasing original degree (Rabbit's heuristic:
         # absorb leaves into hubs first).
-        scan = np.argsort(degrees, kind="stable")
+        scan = np.argsort(graph.degrees(), kind="stable")
         counter.count_sort(n)
         for v in scan:
             v = int(v)

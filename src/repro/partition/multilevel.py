@@ -44,10 +44,9 @@ class PartitionResult:
 
     ``engine`` is the tier that ran the bisections: ``"native"`` when
     the kernel ran them (the whole ``partition_tree`` of
-    :func:`partition_graph`, or a :func:`bisect`'s ``partition_bisect``
-    call), ``"vector"`` or ``"scalar"`` when the Python pipeline ran
-    (under the native engine, a kernel that declined or could not run),
-    and ``"scalar"`` when there was nothing to bisect.
+    :func:`partition_graph`), ``"vector"`` or ``"scalar"`` when the
+    Python pipeline ran (``"vector"`` under the native engine), and
+    ``"scalar"`` when there was nothing to bisect.
     """
 
     assignment: np.ndarray
@@ -97,11 +96,10 @@ def bisect(
 ) -> PartitionResult:
     """Multilevel bisection of ``graph`` into parts {0, 1}.
 
-    Under the native engine the whole bisection is one
-    ``partition_bisect`` kernel call (:func:`repro._native.fm.bisect`)
-    drawing from the same generator; its scalar twin
-    :func:`_bisect_python` runs otherwise, with bit-identical parts,
-    cut and generator state.
+    Runs the Python pipeline :func:`_bisect_python` on every engine
+    (its refining, growing and matching steps call their per-piece
+    kernels under the native engine).  Whole recursions run in one C
+    call instead: :func:`partition_graph` and nested dissection.
     """
     rng = (
         seed
@@ -114,28 +112,13 @@ def bisect(
     vertex_weights = check_vertex_weights(vertex_weights, n, "bisect")
     if n <= 1:
         return PartitionResult(np.zeros(n, dtype=np.int64), 2, 0.0, "scalar")
-    engine = resolve_engine()
-    if engine == "native":
-        done = _native_fm.bisect(
-            graph.indptr,
-            graph.indices,
-            graph.weights,
-            vertex_weights,
-            rng,
-            target_fraction=target_fraction,
-            imbalance=imbalance,
-            trials=GROW_TRIALS,
-            coarsest_size=COARSEST_SIZE,
-            max_negative_moves=MAX_NEGATIVE_MOVES,
-            max_passes=MAX_PASSES,
-        )
-        if done is not None:
-            return PartitionResult(done[0], 2, done[1], "native")
-        engine = "vector"  # the kernel declined: the Python pipeline runs
     part, cut = _bisect_python(
         graph, vertex_weights, target_fraction, imbalance, rng
     )
-    return PartitionResult(part, 2, cut, engine)
+    engine = resolve_engine()
+    return PartitionResult(
+        part, 2, cut, "vector" if engine == "native" else engine
+    )
 
 
 def _bisect_python(
@@ -147,9 +130,9 @@ def _bisect_python(
 ) -> tuple[np.ndarray, float]:
     """The multilevel pipeline in Python, returning ``(part, cut)``.
 
-    The scalar twin of the ``partition_bisect`` kernel: coarsen, grow,
-    refine at the coarsest level, then project and refine at every
-    level.
+    The scalar twin of the ``partition_fm`` kernel, whose trees bisect
+    every node this way: coarsen, grow, refine at the coarsest level,
+    then project and refine at every level.
     """
     levels = _coarsening_hierarchy(graph, vertex_weights, rng)
     coarsest = levels[-1].graph if levels else graph

@@ -32,33 +32,21 @@ def move_gains(graph: CSRGraph, part: np.ndarray) -> np.ndarray:
     """Cut-gain of moving each vertex to the opposite part.
 
     ``gain[v] = external weight - internal weight`` with respect to ``v``'s
-    current side; positive gain moves reduce the cut.
-
-    The vector path signs each adjacency entry and folds per vertex with
-    ``np.bincount``, whose sequential accumulation reproduces the scalar
-    per-row summation order bit-exactly.
+    current side, summed in row order; positive gain moves reduce the
+    cut.
     """
-    n = graph.num_vertices
-    indptr, indices = graph.indptr, graph.indices
-    weights = graph.weights
-    part = np.asarray(part)
-    if resolve_engine() != "scalar":
-        srcs = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        w = (
-            weights
-            if weights is not None
-            else np.ones(indices.size, dtype=np.float64)
-        )
-        signed = np.where(part[indices] == part[srcs], -w, w)
-        return np.bincount(srcs, weights=signed, minlength=n).astype(
-            np.float64
-        )
-    gains = np.zeros(n, dtype=np.float64)
-    for u in range(n):
+    # Python lists: this loop runs about twice as slow indexing the
+    # numpy arrays element by element
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    weights = None if graph.weights is None else graph.weights.tolist()
+    part = np.asarray(part).tolist()
+    gains = np.zeros(graph.num_vertices, dtype=np.float64)
+    for u in range(graph.num_vertices):
         pu = part[u]
         g = 0.0
         for k in range(indptr[u], indptr[u + 1]):
-            w = float(weights[k]) if weights is not None else 1.0
+            w = weights[k] if weights is not None else 1.0
             if part[indices[k]] == pu:
                 g -= w
             else:

@@ -10,13 +10,11 @@ uncovered cut edges (a 2-approximation in cut size, matching what METIS's
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .._native import fm as _native_fm
-from ..engine import resolve_engine
 from ..graph.csr import CSRGraph
 from ..graph.subgraph import induced_subgraph
 from .initial import GROW_TRIALS
@@ -66,11 +64,7 @@ def vertex_separator(
     )
     part = result.assignment
 
-    if resolve_engine() != "scalar":
-        in_separator = _greedy_cover_vector(graph, part)
-    else:
-        in_separator = _greedy_cover_scalar(graph, part)
-
+    in_separator = _greedy_cover_scalar(graph, part)
     left = np.flatnonzero((part == 0) & ~in_separator)
     right = np.flatnonzero((part == 1) & ~in_separator)
     separator = np.flatnonzero(in_separator)
@@ -84,10 +78,9 @@ def dissect_native(
 
     Returns ``(sequence, max_depth, edge_ops)`` of the recursion in
     :class:`repro.ordering.nested_dissection.NestedDissectionOrder`,
-    every separator a :func:`vertex_separator` under the vector cover,
-    or None when the ``dissect_tree`` kernel declines (before any
-    draw).  The kernel starts from the root that recursion builds
-    first.
+    every separator a :func:`vertex_separator`, or None when the
+    ``dissect_tree`` kernel declines (before any draw).  The kernel
+    starts from the root that recursion builds first.
     """
     n = graph.num_vertices
     root = induced_subgraph(
@@ -111,7 +104,12 @@ def dissect_native(
 def _greedy_cover_scalar(
     graph: CSRGraph, part: np.ndarray
 ) -> np.ndarray:
-    """Scalar reference: full max-rescan per separator vertex."""
+    """Greedy cover of the cut edges, one full max-rescan per pick.
+
+    Takes the endpoint with the most uncovered cut edges, the lower id
+    on a tie.  The ``dissect_tree`` kernel's lazy max-heap pops the
+    same sequence (a vertex's count only falls).
+    """
     n = graph.num_vertices
     # Collect cut edges.
     cut_edges: list[tuple[int, int]] = []
@@ -139,54 +137,4 @@ def _greedy_cover_scalar(
                 break
             in_separator[best] = True
             uncovered -= covering
-    return in_separator
-
-
-def _greedy_cover_vector(
-    graph: CSRGraph, part: np.ndarray
-) -> np.ndarray:
-    """Greedy vertex cover with a lazy max-heap.
-
-    Uncovered-incidence counts only ever decrease, so a lazy-deletion heap
-    over ``(-count, vertex)`` pops exactly the vertex the scalar
-    ``max(..., key=(count, -x))`` rescan would pick, covered edges
-    decrement their other endpoint as they disappear.  Selection order —
-    and therefore the separator — is identical.
-    """
-    n = graph.num_vertices
-    srcs = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    indices = graph.indices
-    crossing = (indices > srcs) & (part[indices] != part[srcs])
-    cut_u = srcs[crossing].tolist()
-    cut_v = indices[crossing].tolist()
-
-    in_separator = np.zeros(n, dtype=bool)
-    m = len(cut_u)
-    if m == 0:
-        return in_separator
-    incident: dict[int, list[int]] = {}
-    for idx in range(m):
-        incident.setdefault(cut_u[idx], []).append(idx)
-        incident.setdefault(cut_v[idx], []).append(idx)
-    count = {x: len(es) for x, es in incident.items()}
-    heap = [(-c, x) for x, c in count.items()]
-    heapq.heapify(heap)
-    edge_covered = [False] * m
-    remaining = m
-    chosen: set[int] = set()
-    while remaining and heap:
-        neg_c, x = heapq.heappop(heap)
-        if x in chosen or -neg_c != count[x]:
-            continue  # stale entry
-        chosen.add(x)
-        in_separator[x] = True
-        for e in incident[x]:
-            if edge_covered[e]:
-                continue
-            edge_covered[e] = True
-            remaining -= 1
-            other = cut_v[e] if cut_u[e] == x else cut_u[e]
-            if other not in chosen:
-                count[other] -= 1
-                heapq.heappush(heap, (-count[other], other))
     return in_separator

@@ -44,14 +44,13 @@ Fault kinds and their seams:
     :class:`repro._native.core.NativeKernel` compilation, including warm
     ``.so`` cache hits — the kernel raises
     :class:`~repro._native.core.NativeBuildError` as if ``cc`` failed, so
-    the kernel is disabled for the process and its vector/scalar twin
-    runs (:meth:`repro._native.core.NativeKernel.disable`).
+    the kernel is disabled for the process and its scalar twin runs
+    (:meth:`repro._native.core.NativeKernel.disable`).
 ``native-runtime-fault``
     The guarded native dispatch wrappers — the call raises
     :class:`InjectedFault` *instead of* entering the C kernel (never
     mid-kernel, so no partially-mutated buffers), disabling the kernel
-    for the process; this and every later call run the vector/scalar
-    twin.
+    for the process; this and every later call run the scalar twin.
 ``disk-full``
     The cache write seams (:mod:`repro.resilience.store`, shared by the
     ordering and cell caches, and :mod:`repro.graph.store`) — the write

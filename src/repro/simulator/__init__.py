@@ -2,7 +2,6 @@
 
 from .batch import (
     cache_access_batch,
-    hierarchy_access_batch,
     hit_ratio_curve,
     lru_stack_distances,
     miss_ratio_curve,
@@ -30,7 +29,6 @@ __all__ = [
     "CacheConfig",
     "CacheStats",
     "cache_access_batch",
-    "hierarchy_access_batch",
     "lru_stack_distances",
     "hit_ratio_curve",
     "miss_ratio_curve",

@@ -1,22 +1,16 @@
 """Batched trace-replay engines: vectorised cache simulation.
 
-The per-access path (:meth:`Cache.access` / :meth:`MemoryHierarchy.access`)
-pays full Python call overhead per simulated load.  This module replays
-whole numpy line streams instead, two ways (a whole parallel region under
-the native engine replays in C instead, :mod:`repro._native.machine`):
+The per-access path (:meth:`Cache.access`) pays full Python call
+overhead per simulated load.  This module replays whole numpy line
+streams instead, two ways (a whole parallel region under the native
+engine replays in C instead, :mod:`repro._native.machine`):
 
-**Exact chunked replay** (:func:`cache_access_batch`,
-:func:`hierarchy_access_batch`).  Accesses are grouped by cache set with
-numpy (stable argsort), consecutive duplicate lines are collapsed into
-guaranteed hits, and only each set's short run of tags is walked through
-the per-set dict LRU.  Sets are independent and misses are forwarded to
-the next level in original temporal order, so the results are
-**bit-identical** to the per-access model (property-tested in
-``tests/test_simulator_batch.py``).  This is the engine behind the
-Python replay of a dynamic region under the non-native engines.  The
-only unsupported feature is the next-line prefetcher, whose installs
-couple neighbouring accesses; with ``prefetch_next_line`` the callers
-fall back to the scalar path.
+**Exact chunked replay** (:func:`cache_access_batch`).  Accesses to one
+cache level are grouped by set with numpy (stable argsort), consecutive
+duplicate lines are collapsed into guaranteed hits, and only each set's
+short run of tags is walked through the per-set dict LRU.  Sets are
+independent, so the results are **bit-identical** to the per-access
+model (property-tested in ``tests/test_simulator_batch.py``).
 
 **Reuse-distance replay** (:func:`lru_stack_distances`,
 :func:`hit_ratio_curve`).  LRU stack distances are computed once per trace
@@ -34,11 +28,9 @@ import numpy as np
 
 from ..analysis import sanitize
 from .cache import Cache
-from .hierarchy import MemoryHierarchy, ThreadCounters
 
 __all__ = [
     "cache_access_batch",
-    "hierarchy_access_batch",
     "lru_stack_distances",
     "hit_ratio_curve",
     "miss_ratio_curve",
@@ -51,13 +43,6 @@ def _as_line_array(lines) -> np.ndarray:
     if lines.size:  # an empty list reads as float64 but holds no value
         sanitize.check_integral(lines, where="simulator line stream")
     return np.ascontiguousarray(lines.astype(np.int64, copy=False).ravel())
-
-
-#: Below this many lines, :func:`hierarchy_access_batch` replays through
-#: the scalar per-access path: the batched engine's fixed per-call cost
-#: (set grouping) only amortises on streams of roughly a thousand
-#: accesses (measured crossover ~1k).
-SCALAR_CUTOFF = 1024
 
 
 def cache_access_batch(cache: Cache, lines: np.ndarray) -> np.ndarray:
@@ -145,78 +130,6 @@ def cache_access_batch(cache: Cache, lines: np.ndarray) -> np.ndarray:
     cache.stats.hits += n - misses_total
     cache.stats.misses += misses_total
     return hits
-
-
-def _latency_table(config) -> np.ndarray:
-    """Per-level service latencies as an indexable array."""
-    return np.array(
-        [
-            config.latency_l1,
-            config.latency_l2,
-            config.latency_l3,
-            config.latency_dram,
-        ],
-        dtype=np.int64,
-    )
-
-
-def _tally_levels(
-    counters: ThreadCounters, levels: np.ndarray, lat: np.ndarray
-) -> None:
-    """Accumulate a chunk's serviced levels into one thread's counters."""
-    counts = np.bincount(levels, minlength=4)
-    counters.loads += int(levels.size)
-    for i in range(4):
-        c = int(counts[i])
-        cyc = c * int(lat[i])
-        counters.level_loads[i] += c
-        counters.level_cycles[i] += cyc
-        counters.total_latency += cyc
-
-
-def hierarchy_access_batch(
-    hierarchy: MemoryHierarchy, thread: int, lines
-) -> np.ndarray:
-    """Replay one thread's contiguous load chunk; serviced level per load.
-
-    Bit-identical to calling :meth:`MemoryHierarchy.access` per line,
-    provided no *other* thread's accesses interleave inside the chunk
-    (the shared L3 sees the chunk as one contiguous run).  Consecutive
-    duplicate lines are guaranteed L1 hits and are collapsed before the
-    set-grouped replay.  With the next-line prefetcher enabled the scalar
-    path is used (prefetch installs couple neighbouring accesses).
-    """
-    lines = _as_line_array(lines)
-    n = lines.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    cfg = hierarchy.config
-    if cfg.prefetch_next_line or n < SCALAR_CUTOFF:
-        return np.fromiter(
-            (hierarchy.access(thread, int(line)) for line in lines),
-            dtype=np.int64,
-            count=n,
-        )
-    levels = np.zeros(n, dtype=np.int64)
-    # A load to the line just loaded is an L1 hit with no state change.
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    uniq = lines[keep]
-    pos = np.flatnonzero(keep)
-    l1 = hierarchy.l1[thread]
-    hits1 = cache_access_batch(l1, uniq)
-    l1.stats.hits += n - uniq.size
-    miss_pos = pos[~hits1]
-    miss_lines = uniq[~hits1]
-    hits2 = cache_access_batch(hierarchy.l2[thread], miss_lines)
-    levels[miss_pos[hits2]] = 1
-    l3_pos = miss_pos[~hits2]
-    hits3 = cache_access_batch(hierarchy.l3, miss_lines[~hits2])
-    levels[l3_pos[hits3]] = 2
-    levels[l3_pos[~hits3]] = 3
-    _tally_levels(hierarchy.counters[thread], levels, _latency_table(cfg))
-    return levels
 
 
 # ---------------------------------------------------------------------------

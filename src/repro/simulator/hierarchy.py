@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cache import Cache, CacheConfig
 
 __all__ = ["HierarchyConfig", "ThreadCounters", "MemoryHierarchy", "LEVELS"]
@@ -156,18 +154,6 @@ class MemoryHierarchy:
         counters.level_cycles[level] += latency
         counters.level_loads[level] += 1
         return level
-
-    def access_batch(self, thread: int, lines) -> np.ndarray:
-        """Replay a contiguous chunk of loads for one thread.
-
-        Returns the serviced level (0..3) per access.  Delegates to the
-        exact batched engine (:mod:`repro.simulator.batch`): bit-identical
-        to calling :meth:`access` per line as long as no other thread's
-        accesses interleave inside the chunk.
-        """
-        from .batch import hierarchy_access_batch
-
-        return hierarchy_access_batch(self, thread, lines)
 
     def total_writebacks(self) -> int:
         """Dirty evictions across every cache in the hierarchy."""

@@ -148,13 +148,13 @@ class BlockTrace:
     def from_items(cls, items: Sequence[WorkItem]) -> "BlockTrace | None":
         """One block per item, flattened once; None for fractional cycles.
 
-        Non-integral compute cycles keep Python's arithmetic, so the
-        callers replay such a region through the Python twins instead.
+        The line streams are checked first (once per distinct dtype), so
+        a float stream fails here under an armed sanitizer whatever the
+        cycles.  Non-integral compute cycles keep Python's arithmetic,
+        so the callers replay such a region through the Python twins
+        instead.
         """
         count = len(items)
-        compute = np.asarray([item.compute_cycles for item in items])
-        if count and not np.issubdtype(compute.dtype, np.integer):
-            return None
         parts = [np.asarray(item.lines).ravel() for item in items]
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(
@@ -165,6 +165,9 @@ class BlockTrace:
         # one integrality check per distinct dtype, not per item
         for sample in {part.dtype: part for part in filled}.values():
             sanitize.check_integral(sample, where="simulator line stream")
+        compute = np.asarray([item.compute_cycles for item in items])
+        if count and not np.issubdtype(compute.dtype, np.integer):
+            return None
         blocks = (
             np.concatenate(filled, dtype=np.int64, casting="unsafe")
             if filled else np.zeros(0, dtype=np.int64)
@@ -300,7 +303,8 @@ class SimulatedMachine:
         ``per_thread_items`` is one :class:`WorkItem` iterable per
         thread, or a :class:`BlockTrace` whose item ``i`` runs on thread
         ``item_thread[i]`` (each thread's items in trace order; a
-        thread outside ``[0, num_threads)`` is a ``ValueError``).
+        thread outside ``[0, num_threads)`` is a ``ValueError``, and so
+        is an ``item_thread`` given with per-thread lists).
         Threads advance round-robin one item at a time, so L3 accesses of
         different threads interleave — the shared-cache contention model.
         Under the native engine the whole region replays in one compiled
@@ -334,22 +338,24 @@ class SimulatedMachine:
                 [items[i] for i in np.flatnonzero(thread == t).tolist()]
                 for t in range(self.num_threads)
             ])
+        if item_thread is not None:
+            raise ValueError("item_thread applies only to a BlockTrace")
         if len(per_thread_items) != self.num_threads:
             raise ValueError("one item list per thread required")
         # listed once: the fallback must not get iterators the kernel
         # attempt has already consumed
         per_thread = [list(items) for items in per_thread_items]
-        if native:
-            trace = BlockTrace.from_items(
-                [item for items in per_thread for item in items]
-            )
-            if trace is not None:
-                counts = [len(items) for items in per_thread]
-                result = self._run_static_native(trace, np.repeat(
-                    np.arange(self.num_threads, dtype=np.int64), counts
-                ))
-                if result is not None:
-                    return result
+        # flattened on every engine: from_items checks the line streams
+        trace = BlockTrace.from_items(
+            [item for items in per_thread for item in items]
+        )
+        if native and trace is not None:
+            counts = [len(items) for items in per_thread]
+            result = self._run_static_native(trace, np.repeat(
+                np.arange(self.num_threads, dtype=np.int64), counts
+            ))
+            if result is not None:
+                return result
         return self.run_reference(per_thread)
 
     def _run_static_native(
@@ -391,22 +397,12 @@ class SimulatedMachine:
                 if item is None:
                     finished.append(t)
                     continue
-                stall = 0
-                for line in item.lines:
-                    level = hierarchy.access(t, int(line))
-                    stall += hierarchy.config.latency_of(level)
+                stall = _stall(hierarchy, t, item.lines)
                 cycles[t] += stall + item.compute_cycles
                 compute[t] += item.compute_cycles
             for t in finished:
                 live.discard(t)
-        merged = hierarchy.merged_counters()
-        report = report_from_counters(merged, sum(compute))
-        return ExecutionResult(
-            num_threads=self.num_threads,
-            thread_cycles=tuple(cycles),
-            thread_loads=tuple(c.loads for c in hierarchy.counters),
-            report=report,
-        )
+        return _python_result(hierarchy, cycles, compute)
 
     def run_dynamic(
         self,
@@ -427,15 +423,19 @@ class SimulatedMachine:
         """
         if chunk < 1:
             raise ValueError("chunk must be positive")
-        if resolve_engine() == "native" and not self.config.prefetch_next_line:
-            trace = (
-                items if isinstance(items, BlockTrace)
-                else BlockTrace.from_items(items)
-            )
-            if trace is not None:
-                result = self._run_native(trace, None, chunk)
-                if result is not None:
-                    return result
+        # flattened on every engine: from_items checks the line streams
+        trace = (
+            items if isinstance(items, BlockTrace)
+            else BlockTrace.from_items(items)
+        )
+        if (
+            trace is not None
+            and resolve_engine() == "native"
+            and not self.config.prefetch_next_line
+        ):
+            result = self._run_native(trace, None, chunk)
+            if result is not None:
+                return result
         if isinstance(items, BlockTrace):
             items = items.work_items()
         return self._run_dynamic_python(items, chunk)
@@ -490,33 +490,44 @@ class SimulatedMachine:
     def _run_dynamic_python(
         self, items: Sequence[WorkItem], chunk: int
     ) -> ExecutionResult:
-        """Python replay of :meth:`run_dynamic`: one engine call per item.
+        """Per-access replay of :meth:`run_dynamic` (its scalar twin).
 
-        Chunk assignment depends on the running clocks, so the schedule
-        is computed item by item and each item's loads replay through the
-        batched engine (:meth:`MemoryHierarchy.access_batch`) in turn.
+        Each chunk goes to the thread with the lowest clock, and each of
+        its loads walks :meth:`MemoryHierarchy.access` in turn, the
+        prefetcher included.
         """
         hierarchy = MemoryHierarchy(self.num_threads, self.config)
-        latency = np.array(
-            [self.config.latency_of(level) for level in range(4)],
-            dtype=np.int64,
-        )
         clocks = [0] * self.num_threads
         compute = [0] * self.num_threads
-        pos = 0
-        while pos < len(items):
-            t = min(range(self.num_threads), key=lambda x: clocks[x])
+        for pos in range(0, len(items), chunk):
+            t = min(range(self.num_threads), key=clocks.__getitem__)
             for item in items[pos: pos + chunk]:
-                levels = hierarchy.access_batch(t, item.lines)
-                stall = int(latency[levels].sum()) if levels.size else 0
+                stall = _stall(hierarchy, t, item.lines)
                 clocks[t] += stall + item.compute_cycles
                 compute[t] += item.compute_cycles
-            pos += chunk
-        merged = hierarchy.merged_counters()
-        report = report_from_counters(merged, sum(compute))
-        return ExecutionResult(
-            num_threads=self.num_threads,
-            thread_cycles=tuple(clocks),
-            thread_loads=tuple(c.loads for c in hierarchy.counters),
-            report=report,
-        )
+        return _python_result(hierarchy, clocks, compute)
+
+
+def _stall(hierarchy: MemoryHierarchy, thread: int, lines) -> int:
+    """Replay one item's loads on ``thread``; the latency they were
+    charged."""
+    counters = hierarchy.counters[thread]
+    before = counters.total_latency
+    access = hierarchy.access
+    for line in lines:
+        access(thread, int(line))
+    return counters.total_latency - before
+
+
+def _python_result(
+    hierarchy: MemoryHierarchy, cycles: list[int], compute: list[int]
+) -> ExecutionResult:
+    """The result of a Python replay that has run on ``hierarchy``."""
+    return ExecutionResult(
+        num_threads=hierarchy.num_threads,
+        thread_cycles=tuple(cycles),
+        thread_loads=tuple(c.loads for c in hierarchy.counters),
+        report=report_from_counters(
+            hierarchy.merged_counters(), sum(compute)
+        ),
+    )

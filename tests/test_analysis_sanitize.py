@@ -210,6 +210,21 @@ def test_simulated_region_line_checks_when_armed(armed, engine):
             machine.run_dynamic([WorkItem([1, 2], 3), WorkItem([0.5], 1)])
 
 
+@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+def test_static_region_line_checks_when_armed(armed, engine):
+    """Per-thread lists replayed by ``run`` are checked on every engine,
+    not only where the kernel flattens them."""
+    from repro.engine import use_engine
+    from repro.simulator import SimulatedMachine, WorkItem
+
+    machine = SimulatedMachine(2)
+    with use_engine(engine):
+        result = machine.run([[WorkItem([], 5)], [WorkItem([1, 2], 3)]])
+        assert result.thread_loads == (0, 2)
+        with pytest.raises(SanitizerError):
+            machine.run([[WorkItem([1, 2], 3)], [WorkItem([0.5], 1)]])
+
+
 def test_count_sort_batch_rejects_float_sizes():
     counter = OperationCounter()
     with pytest.raises(TypeError, match="integer sizes"):

@@ -347,7 +347,7 @@ def summation_order_graph():
     names += [f"z{j}_{i}" for j in range(5) for i in range(8)]
     ids = {name: i for i, name in enumerate(names)}
     edges = [("R", f"p{i}", 4.0) for i in range(3)]
-    edges += [("R", "v", 3.0), ("h1", "h2", 2000.0)]
+    edges += [("R", "v", 3.0), ("h1", "h2", 4000.0)]
     for i in range(12):
         edges += [("S1", f"s{i}", 4.0), ("S2", f"t{i}", 4.0)]
     for i in (1, 2, 3):
@@ -366,6 +366,28 @@ def summation_order_graph():
 
 def test_native_rabbit_sums_in_insertion_order_and_counts_live_entries():
     assert_rabbit_matches_twin(summation_order_graph())
+
+
+@pytest.mark.parametrize("engine", ("native", "scalar"))
+def test_rabbit_is_invariant_under_uniform_weight_scaling(engine):
+    """Both terms of the merge gain are edge weight: scaling every
+    weight by a power of two scales every sum exactly, so each gain
+    keeps its bits and the permutation stays the same."""
+    rng = np.random.default_rng(0)
+    n, m = 400, 2400
+    edges = np.column_stack((rng.integers(n, size=m), rng.integers(n, size=m)))
+    weights = rng.random(m) * 3.0 + 0.05
+    with use_engine(engine):
+        orders = [
+            get_scheme("rabbit").order(
+                from_edges(n, edges, weights=weights * scale)
+            )
+            for scale in (2.0 ** -7, 1.0, 2.0 ** 7)
+        ]
+    assert orders[1].metadata["merges"] > 0
+    for ordering in (orders[0], orders[2]):
+        assert np.array_equal(ordering.permutation, orders[1].permutation)
+        assert ordering.metadata == orders[1].metadata
 
 
 @pytest.mark.parametrize("engine", ("native", "vector", "scalar"))
@@ -930,155 +952,6 @@ def test_vertex_weights_must_be_one_dimensional(engine):
         _call_with_weights("bisect", graph, np.ones((200, 1)))
 
 
-# ---------------------------------------------------------------------------
-# Multilevel bisection: one partition_bisect call against _bisect_python
-# ---------------------------------------------------------------------------
-def native_bisect(graph, vertex_weights, target_fraction, rng):
-    from repro._native import fm as native_fm
-    from repro.partition.initial import GROW_TRIALS
-    from repro.partition.multilevel import COARSEST_SIZE
-    from repro.partition.refine import MAX_NEGATIVE_MOVES, MAX_PASSES
-
-    return native_fm.bisect(
-        graph.indptr, graph.indices, graph.weights, vertex_weights, rng,
-        target_fraction=target_fraction, imbalance=0.1,
-        trials=GROW_TRIALS, coarsest_size=COARSEST_SIZE,
-        max_negative_moves=MAX_NEGATIVE_MOVES, max_passes=MAX_PASSES,
-    )
-
-
-def assert_bisect_matches_twin(
-    graph, vertex_weights=None, target_fraction=0.5, seed=0
-):
-    """Parts, cut and the generator's next draw match the Python twin."""
-    from repro._native import fm as native_fm
-    from repro.partition.multilevel import _bisect_python
-
-    if native_fm.KERNEL.lib() is None:
-        pytest.skip("partition kernel unavailable")
-    n = graph.num_vertices
-    if vertex_weights is None:
-        vertex_weights = np.ones(n, dtype=np.float64)
-    rng_native = np.random.default_rng(seed)
-    rng_twin = np.random.default_rng(seed)
-    native = native_bisect(graph, vertex_weights, target_fraction, rng_native)
-    with use_engine("scalar"):
-        part, cut = _bisect_python(
-            graph, vertex_weights, target_fraction, 0.1, rng_twin
-        )
-    assert native is not None
-    assert np.array_equal(native[0], part)
-    assert native[1] == cut
-    assert rng_native.random() == rng_twin.random()
-
-
-@given(
-    n=st.integers(2, 90),
-    edges=st.lists(
-        st.tuples(st.integers(0, 89), st.integers(0, 89)),
-        min_size=0,
-        max_size=300,
-    ),
-    seed=st.integers(0, 2**16),
-    target_fraction=st.sampled_from((1 / 3, 1 / 2, 3 / 4)),
-)
-@settings(max_examples=25, deadline=None)
-def test_partition_bisect_matches_twin_random_graphs(
-    n, edges, seed, target_fraction
-):
-    graph = from_edges(n, [(u % n, v % n) for u, v in edges])
-    assert_bisect_matches_twin(
-        graph, target_fraction=target_fraction, seed=seed
-    )
-
-
-@pytest.mark.parametrize("target_fraction", (1 / 3, 1 / 2, 3 / 4))
-@pytest.mark.parametrize("seed", (0, 1, 2))
-def test_partition_bisect_matches_twin_non_integral_weights(
-    target_fraction, seed
-):
-    rng = np.random.default_rng(seed)
-    n, m = 300, 1500
-    edges = np.column_stack((rng.integers(n, size=m), rng.integers(n, size=m)))
-    graph = from_edges(n, edges, weights=rng.random(m) * 3.0 + 0.1)
-    vertex_weights = rng.random(n) * 2.0 + 0.25
-    assert_bisect_matches_twin(
-        graph, vertex_weights, target_fraction=target_fraction, seed=seed
-    )
-
-
-@pytest.mark.parametrize("target_fraction", (1 / 3, 1 / 2, 3 / 4))
-def test_partition_bisect_matches_twin_on_disconnected_graph(target_fraction):
-    """Small components and isolated vertices: growth runs out of
-    frontier and the top-up draws the rest."""
-    edges = [(i, i + 1) for i in range(0, 60, 3)] + [(70, 71), (71, 72)]
-    graph = from_edges(120, edges)
-    assert_bisect_matches_twin(graph, target_fraction=target_fraction)
-    assert_bisect_matches_twin(from_edges(20, [(0, 1)]), seed=4)
-
-
-@pytest.mark.parametrize("target_fraction", (1 / 3, 1 / 2, 3 / 4))
-def test_partition_bisect_matches_twin_on_star(target_fraction):
-    """A star stalls the matching at the first level."""
-    graph = from_edges(200, [(0, i) for i in range(1, 200)])
-    assert_bisect_matches_twin(graph, target_fraction=target_fraction)
-
-
-@pytest.mark.parametrize("n", (0, 1, 2, 3))
-@pytest.mark.parametrize("target_fraction", (1 / 3, 1 / 2, 3 / 4))
-def test_partition_bisect_matches_twin_on_tiny_graphs(n, target_fraction):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    assert_bisect_matches_twin(
-        from_edges(n, edges), target_fraction=target_fraction, seed=n
-    )
-
-
-@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-def test_partition_bisect_matches_twin_on_fixtures(graph_name):
-    assert_bisect_matches_twin(GRAPHS[graph_name], seed=7)
-    assert_bisect_matches_twin(random_graph(3000, 12000, seed=9), seed=7)
-
-
-def test_partition_bisect_declines_before_drawing():
-    """Weights the twin sums differently decline with the generator
-    untouched, and bisect labels the Python run."""
-    from repro._native import fm as native_fm
-    from repro.partition import bisect
-
-    graph = random_graph(200, 800)
-    for weights in (
-        np.ones(200, dtype=np.float32),
-        np.where(np.arange(200) == 3, np.nan, 1.0),
-    ):
-        rng = np.random.default_rng(5)
-        before = rng.bit_generator.state
-        assert native_bisect(graph, weights, 0.5, rng) is None
-        assert rng.bit_generator.state == before
-    with use_engine("native"):
-        result = bisect(
-            graph, vertex_weights=np.ones(200, dtype=np.float32), seed=1
-        )
-    assert result.engine == "vector"
-    if native_fm.KERNEL.lib() is not None:
-        with use_engine("native"):
-            assert bisect(graph, seed=1).engine == "native"
-
-
-def test_partition_bisect_out_of_memory_raises(monkeypatch):
-    """After the kernel has drawn there is no fallback: status -1 is a
-    MemoryError, not a silent rerun on a moved generator."""
-    from repro._native import fm as native_fm
-
-    class OutOfMemory:
-        def partition_bisect(self, *args):
-            return -1
-
-    monkeypatch.setattr(native_fm.KERNEL, "lib", lambda: OutOfMemory())
-    with pytest.raises(MemoryError):
-        native_bisect(random_graph(50, 120), np.ones(50), 0.5,
-                      np.random.default_rng(0))
-
-
 @pytest.mark.parametrize("scheme_name", ("metis", "nested_dissection"))
 def test_partition_orderings_report_the_tier_that_ran(scheme_name, knobs):
     from repro._native import fm as native_fm
@@ -1211,6 +1084,31 @@ def test_partition_tree_matches_twin_non_integral_weights(num_parts, seed):
     assert_tree_matches_twin(graph, num_parts, vertex_weights, seed=seed)
 
 
+# k = 2 is one bisection of the root: the shapes below exercise its
+# coarsening, growth and refinement on their own.
+def test_partition_tree_matches_twin_at_two_parts_on_disconnected_graph():
+    """Small components and isolated vertices: growth runs out of
+    frontier and the top-up draws the rest."""
+    edges = [(i, i + 1) for i in range(0, 60, 3)] + [(70, 71), (71, 72)]
+    assert_tree_matches_twin(from_edges(120, edges), 2)
+    assert_tree_matches_twin(from_edges(20, [(0, 1)]), 2, seed=4)
+
+
+def test_partition_tree_matches_twin_at_two_parts_on_star():
+    """A star stalls the matching at the first level."""
+    star = from_edges(200, [(0, i) for i in range(1, 200)])
+    assert_tree_matches_twin(star, 2)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3))
+def test_partition_tree_matches_twin_at_two_parts_on_tiny_graphs(n):
+    assert_tree_matches_twin(from_edges(n, make_clique(n)), 2, seed=n)
+
+
+def test_partition_tree_matches_twin_at_two_parts_on_a_large_graph():
+    assert_tree_matches_twin(random_graph(3000, 12000, seed=9), 2, seed=7)
+
+
 @pytest.mark.parametrize("num_parts", (2, 3, 4))
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_partition_tree_canonicalises_a_raw_csr(num_parts, seed):
@@ -1309,6 +1207,11 @@ def test_partition_trees_decline_before_drawing():
         num_parts=4, imbalance=0.1, trials=4, coarsest_size=32,
         max_negative_moves=50, max_passes=4,
     ) is None
+    assert native_fm.partition_tree(
+        *root, None, np.ones(200, dtype=np.float32), rng, num_parts=2,
+        imbalance=0.1, trials=4, coarsest_size=32, max_negative_moves=50,
+        max_passes=4,
+    ) is None
     assert rng.bit_generator.state == before
     with use_engine("native"):
         result = partition_graph(graph, 4, vertex_weights=nan_weights)
@@ -1346,8 +1249,11 @@ def test_partition_trees_reject_per_vertex_arrays_of_wrong_length():
         )
 
 
-@pytest.mark.parametrize("symbol", ("partition_tree", "dissect_tree"))
-def test_partition_trees_out_of_memory_raise(symbol, monkeypatch):
+@pytest.mark.parametrize(
+    "symbol, num_parts",
+    (("partition_tree", 2), ("partition_tree", 4), ("dissect_tree", 2)),
+)
+def test_partition_trees_out_of_memory_raise(symbol, num_parts, monkeypatch):
     """Status -1 is a MemoryError, never a rerun on a moved generator."""
     from repro._native import fm as native_fm
 
@@ -1369,7 +1275,7 @@ def test_partition_trees_out_of_memory_raise(symbol, monkeypatch):
         if symbol == "partition_tree":
             native_fm.partition_tree(
                 graph.indptr, graph.indices, None, np.ones(50), rng,
-                num_parts=4, **params,
+                num_parts=num_parts, **params,
             )
         else:
             native_fm.dissect_tree(

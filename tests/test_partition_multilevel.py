@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import ENGINES, use_engine
 from repro.graph import from_edges
 from repro.partition import (
     bisect,
@@ -67,6 +68,14 @@ class TestBisect:
         result = bisect(g, target_fraction=0.25, imbalance=0.2, seed=2)
         share = (result.assignment == 0).mean()
         assert 0.1 < share < 0.45
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_labels_the_python_pipeline(self, engine):
+        """No kernel bisects one graph: the pipeline runs on every
+        engine, labelled ``vector`` under the native one."""
+        with use_engine(engine):
+            result = bisect(random_graph(100, 300, seed=7), seed=1)
+        assert result.engine == ("scalar" if engine == "scalar" else "vector")
 
 
 class TestFMRefine:

@@ -1,11 +1,11 @@
 """Property tests: the batched replay engines vs the per-access model.
 
 The batched engine (`repro.simulator.batch`) must be *bit-identical* to
-the scalar `Cache`/`MemoryHierarchy` replay — same hits, same misses,
-same writebacks, same final resident state — on arbitrary traces and
-cache geometries.  A static parallel region (`SimulatedMachine.run`)
-must equal its per-access reference through the compiled region kernel
-and through the fallback.  The reuse-distance engine must agree with
+the scalar `Cache` replay — same hits, same misses, same writebacks,
+same final resident state — on arbitrary traces and cache geometries.
+A static parallel region (`SimulatedMachine.run`) must equal its
+per-access reference through the compiled region kernel and through
+the fallback.  The reuse-distance engine must agree with
 brute force and with an actual fully-associative cache.
 """
 
@@ -18,16 +18,13 @@ from repro.simulator import (
     Cache,
     CacheConfig,
     HierarchyConfig,
-    MemoryHierarchy,
     cache_access_batch,
-    hierarchy_access_batch,
     hit_ratio_curve,
     lru_stack_distances,
     miss_ratio_curve,
 )
 from repro._native import machine as native_machine
 from repro.engine import use_engine
-from repro.simulator import batch
 from repro.simulator.parallel import (
     SimulatedMachine,
     WorkItem,
@@ -138,60 +135,6 @@ class TestCacheAccessBatch:
         with use_engine(engine):
             assert machine.run(per_thread) == native
             assert machine.run_dynamic(items, chunk=2) == native_dynamic
-
-
-class TestHierarchyAccessBatch:
-    @given(
-        trace=st.lists(st.integers(0, 600), min_size=1, max_size=400),
-        threads=st.integers(1, 3),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_matches_scalar(self, trace, threads):
-        scalar = MemoryHierarchy(threads)
-        batched = MemoryHierarchy(threads)
-        lines = np.asarray(trace, dtype=np.int64)
-        t = threads - 1
-        expected = np.array(
-            [scalar.access(t, int(x)) for x in lines], dtype=np.int64
-        )
-        # force the batched path even for tiny hypothesis traces
-        saved = batch.SCALAR_CUTOFF
-        batch.SCALAR_CUTOFF = 0
-        try:
-            got = hierarchy_access_batch(batched, t, lines)
-        finally:
-            batch.SCALAR_CUTOFF = saved
-        assert np.array_equal(got, expected)
-        for l1a, l1b in zip(scalar.l1, batched.l1):
-            assert_same_state(l1a, l1b)
-        for l2a, l2b in zip(scalar.l2, batched.l2):
-            assert_same_state(l2a, l2b)
-        assert_same_state(scalar.l3, batched.l3)
-        assert scalar.merged_counters() == batched.merged_counters()
-
-    def test_short_trace_uses_scalar_path(self):
-        # below the cutoff the scalar loop runs; results stay identical
-        trace = np.arange(batch.SCALAR_CUTOFF - 1, dtype=np.int64) % 97
-        scalar = MemoryHierarchy(1)
-        batched = MemoryHierarchy(1)
-        expected = np.array(
-            [scalar.access(0, int(x)) for x in trace], dtype=np.int64
-        )
-        assert np.array_equal(
-            hierarchy_access_batch(batched, 0, trace), expected
-        )
-
-    def test_prefetcher_falls_back_to_scalar(self):
-        cfg = HierarchyConfig(prefetch_next_line=True)
-        trace = np.arange(3000, dtype=np.int64) % 511
-        scalar = MemoryHierarchy(1, cfg)
-        batched = MemoryHierarchy(1, cfg)
-        expected = np.array(
-            [scalar.access(0, int(x)) for x in trace], dtype=np.int64
-        )
-        got = hierarchy_access_batch(batched, 0, trace)
-        assert np.array_equal(got, expected)
-        assert scalar.merged_counters() == batched.merged_counters()
 
 
 class TestRunExactRegion:

@@ -1,5 +1,7 @@
 """Unit tests for memory layouts and the simulated parallel machine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,11 +175,12 @@ class TestSimulatedMachine:
 # Block-indexed traces: the same regions as WorkItem lists and as the
 # per-access twins, at the native and vector engines
 # ---------------------------------------------------------------------------
-def block_trace(seed, count=25, num_blocks=12, max_blocks=6, span=3000):
+def block_trace(seed, count=25, num_blocks=12, max_blocks=6, span=3000,
+                max_len=120):
     """A random trace over a shared block table: empty blocks, repeated
     block ids within an item, items with no block at all."""
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(0, 120, size=num_blocks)
+    lengths = rng.integers(0, max_len, size=num_blocks)
     lengths[::5] = 0
     block_offsets = np.concatenate(([0], np.cumsum(lengths)))
     blocks = rng.integers(0, span, size=int(block_offsets[-1]))
@@ -271,14 +274,31 @@ def test_block_trace_replays_without_the_python_twins(monkeypatch):
         assert machine.run_dynamic(trace, chunk=4) == expected_dynamic
 
 
+#: the shapes a dynamic region is replayed in: short items, items
+#: longer than 1024 lines (several thousand loads each), and short
+#: items under the next-line prefetcher, which only Python replays.
+DYNAMIC_SHAPES = {
+    "short": (dict(), False),
+    "long": (dict(count=12, max_len=1500), False),
+    "prefetch": (dict(), True),
+}
+
+
 @pytest.mark.parametrize("engine", ["native", "vector"])
 @pytest.mark.parametrize("chunk", [1, 3, 8])
 @pytest.mark.parametrize("seed", [4, 5])
-def test_block_trace_dynamic_matches_per_access(engine, chunk, seed):
+@pytest.mark.parametrize("shape", sorted(DYNAMIC_SHAPES))
+def test_block_trace_dynamic_matches_per_access(engine, chunk, seed, shape):
+    """Equal to the per-access loop on the lowest-clock chunk schedule,
+    which the ``sim_region`` kernel equals wherever it runs."""
     from tests.test_native_kernels import run_dynamic_per_access
 
-    trace = block_trace(seed)
-    machine = SimulatedMachine(3, HierarchyConfig.for_scale(0.05))
+    sizes, prefetch = DYNAMIC_SHAPES[shape]
+    trace = block_trace(seed, **sizes)
+    config = dataclasses.replace(
+        HierarchyConfig.for_scale(0.05), prefetch_next_line=prefetch
+    )
+    machine = SimulatedMachine(3, config)
     items = spelled_out(trace)
     expected = run_dynamic_per_access(machine, items, chunk)
     with use_engine(engine):
@@ -387,6 +407,15 @@ def test_item_threads_outside_the_machine_rejected(engine, thread):
                        compute=[1, 1], **TRACE_TABLE)
     with use_engine(engine), pytest.raises(ValueError, match="thread"):
         SimulatedMachine(2).run(trace, item_thread=thread)
+
+
+@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+def test_item_threads_with_per_thread_lists_rejected(engine):
+    """Per-thread lists already place every item: a thread map beside
+    them would be ignored."""
+    items = [[WorkItem([1, 2], 3)], [WorkItem([4], 1)]]
+    with use_engine(engine), pytest.raises(ValueError, match="item_thread"):
+        SimulatedMachine(2).run(items, item_thread=[7, 9])
 
 
 @pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
