@@ -4,15 +4,16 @@
 structure, written once in C, compiled on first use with the system
 compiler, cached by source hash, and loaded through :mod:`ctypes` —
 with the pure-Python path kept as bit-identical ground truth.  Every
-kernel shares one build cache, one fallback gate, and one reporting
-surface:
+kernel shares one build cache and one reporting surface:
 
 * :class:`NativeKernel` wraps a C source string plus its symbol
   prototypes; ``kernel.lib()`` returns the loaded library or ``None``
-  (no compiler, build failure, or a runtime fault earlier in the
-  process).  Whether C runs at all is the engine's call
-  (:func:`repro.engine.resolve_engine`): dispatch sites ask for the
-  library only under the ``"native"`` engine;
+  (no compiler, or a failed build).  Whether C runs at all is the
+  engine's call (:func:`repro.engine.resolve_engine`): dispatch sites
+  ask for the library only under the ``"native"`` engine, and answer
+  ``None`` themselves when it is missing or the input leaves the
+  kernel's domain.  Nothing catches an exception a dispatch raises: a
+  broken wrapper is a bug, and it fails the call that found it;
 * every kernel must name its **scalar twin** — the Python reference it
   is bit-identical to, and the loop dispatch falls back to when the
   kernel cannot run — which the reprolint contracts checker verifies
@@ -48,7 +49,6 @@ profile and turn any sanitizer report into a structured failure via
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import json
 import os
@@ -56,7 +56,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 from .. import config
 from ..resilience import degrade, faults
@@ -64,8 +64,6 @@ from ..resilience import degrade, faults
 __all__ = [
     "NativeKernel",
     "NativeBuildError",
-    "guarded",
-    "runtime_gate",
     "get_kernel",
     "kernel_names",
     "build_info_all",
@@ -177,7 +175,10 @@ class NativeKernel:
         self.scalar_twin = scalar_twin
         self._lib: ctypes.CDLL | None = None
         self._tried = False
-        self._status = "not built"
+        #: ``"not built"``, ``"cached"``, ``"compiled"``,
+        #: ``"unavailable (<error>)"`` or ``"degraded: native-build-fail:
+        #: <reason>"``; read without triggering a build.
+        self.status = "not built"
         self._compiler_used: str | None = None
         self._compiler_version: str | None = None
         self._flags_used: list[str] | None = None
@@ -310,7 +311,7 @@ class NativeKernel:
         return lib
 
     def lib(self) -> ctypes.CDLL | None:
-        """The compiled kernel, or None when unavailable or disabled."""
+        """The compiled kernel, or None when it could not be built."""
         if self._tried:
             return self._lib
         # resolved outside the fallback guard (and before the latch): a
@@ -320,34 +321,23 @@ class NativeKernel:
         self._tried = True
         try:
             self._lib = self._build(profile)
-            self._status = "cached" if self._cache_hit else "compiled"
+            self.status = "cached" if self._cache_hit else "compiled"
         except NativeBuildError as exc:
-            self.disable("native-build-fail", exc)
+            # a failed build stays failed, so the kernel is off for the
+            # rest of the process and the bit-identical Python tier runs;
+            # :meth:`reset` re-arms
+            reason = f"{exc.__class__.__name__}: {exc}"
+            self.status = f"degraded: native-build-fail: {reason}"
+            degrade.record(f"kernel.{self.name}", "native-build-fail", reason)
         except Exception as exc:  # pragma: no cover - toolchain dependent
-            self._lib = None
-            self._status = f"unavailable ({exc.__class__.__name__})"
+            self.status = f"unavailable ({exc.__class__.__name__})"
         return self._lib
-
-    def disable(self, kind: str, exc: BaseException) -> None:
-        """Turn the kernel off for the rest of the process and record why.
-
-        The kernels are deterministic: a failed build stays failed and a
-        runtime fault recurs on the same input, so there is nothing to
-        retry.  Every later :meth:`lib` call answers ``None`` and
-        dispatch runs the bit-identical Python tier; :meth:`reset`
-        re-arms.
-        """
-        reason = f"{exc.__class__.__name__}: {exc}"
-        self._lib = None
-        self._tried = True
-        self._status = f"degraded: {kind}: {reason}"
-        degrade.record(f"kernel.{self.name}", kind, reason)
 
     def reset(self) -> None:
         """Forget the build attempt (tests re-run with env changes)."""
         self._lib = None
         self._tried = False
-        self._status = "not built"
+        self.status = "not built"
         self._compiler_used = None
         self._compiler_version = None
         self._flags_used = None
@@ -359,8 +349,8 @@ class NativeKernel:
     def build_info(self) -> dict:
         """Status of this kernel after (attempting) the build.
 
-        A kernel turned off by :meth:`disable` reports ``status:
-        "degraded: <kind>: <reason>"`` — never a stale
+        A kernel whose build failed reports ``status: "degraded:
+        native-build-fail: <reason>"`` — never a stale
         ``"cached"``/``"compiled"`` from the sidecar: the build cache
         knows how the ``.so`` was produced, not whether this process is
         actually dispatching to it.
@@ -369,7 +359,7 @@ class NativeKernel:
         available = self._lib is not None
         return {
             "kernel": self.name,
-            "status": self._status,
+            "status": self.status,
             "available": available,
             "compiler": self._compiler_used,
             "compiler_version": self._compiler_version,
@@ -377,62 +367,10 @@ class NativeKernel:
             "profile": self._profile,
             "compile_stderr": self._compile_stderr,
             "cache_hit": self._cache_hit,
-            "fallback": None if available else self._status,
+            "fallback": None if available else self.status,
             "source_digest": self.source_digest,
             "scalar_twin": self.scalar_twin,
         }
-
-
-_F = TypeVar("_F", bound=Callable)
-
-
-def runtime_gate(kernel: NativeKernel) -> bool:
-    """Fire the injected runtime fault for ``kernel``, if scheduled.
-
-    For dispatch sites that call library symbols directly instead of
-    going through a :func:`guarded` wrapper.  Returns ``True`` to
-    proceed natively; an injected fault disables the kernel and returns
-    ``False`` so the caller drops to its twin.
-    """
-    try:
-        faults.maybe_native_runtime_fault(kernel.name)
-    except faults.InjectedFault as exc:
-        kernel.disable("native-runtime-fault", exc)
-        return False
-    return True
-
-
-def guarded(kernel: NativeKernel) -> Callable[[_F], _F]:
-    """Wrap a native dispatch function with ``kernel``'s fallback gate.
-
-    The decorated function keeps its ``-> result | None`` contract
-    (``None`` = fall back to the twin):
-
-    * a kernel that is unavailable or disabled returns ``None`` without
-      touching the native tier;
-    * the injected ``native-runtime-fault`` seam fires *before* the
-      call, never mid-kernel;
-    * any exception escaping the native dispatch **disables the kernel**
-      for the rest of the process (:meth:`NativeKernel.disable`) and
-      returns ``None`` — the caller's twin fallback runs and the
-      degradation is counted.
-    """
-
-    def decorate(fn: _F) -> _F:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if kernel.lib() is None:
-                return None
-            try:
-                faults.maybe_native_runtime_fault(kernel.name)
-                return fn(*args, **kwargs)
-            except Exception as exc:
-                kernel.disable("native-runtime-fault", exc)
-                return None
-
-        return wrapper  # type: ignore[return-value]
-
-    return decorate
 
 
 def get_kernel(name: str) -> NativeKernel:

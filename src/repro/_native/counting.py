@@ -18,7 +18,7 @@ import ctypes
 
 import numpy as np
 
-from .core import NativeKernel, guarded
+from .core import NativeKernel
 
 __all__ = ["KERNEL", "run"]
 
@@ -76,7 +76,6 @@ KERNEL = NativeKernel(
 )
 
 
-@guarded(KERNEL)
 def run(keys: np.ndarray, num_buckets: int) -> np.ndarray | None:
     """Stable argsort of small-integer ``keys``, or None on fallback.
 

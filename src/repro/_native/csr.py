@@ -42,7 +42,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import NativeKernel, guarded
+from .core import NativeKernel
 
 __all__ = [
     "BUILD_KERNEL",
@@ -444,7 +444,6 @@ def _ptr(array: np.ndarray | None, kind):
     return None if array is None else array.ctypes.data_as(kind)
 
 
-@guarded(BUILD_KERNEL)
 def csr_build(
     src: np.ndarray,
     dst: np.ndarray,
@@ -491,7 +490,6 @@ def csr_build(
     return indptr, indices, weights, m - kept, kept - groups
 
 
-@guarded(RELABEL_KERNEL)
 def csr_relabel(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -532,7 +530,6 @@ _KINDS = {"upper": 0, "lower": 1, "rows": 2, "values": 3}
 _BLOCK = 1 << 20
 
 
-@guarded(FORMAT_KERNEL)
 def format_lines(
     kind: str,
     indptr: np.ndarray | None,

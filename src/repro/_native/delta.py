@@ -34,7 +34,7 @@ import ctypes
 
 import numpy as np
 
-from .core import NativeKernel, guarded
+from .core import NativeKernel
 
 __all__ = ["KERNEL", "run"]
 
@@ -265,7 +265,6 @@ KERNEL = NativeKernel(
 MAX_WINDOW_SLOTS = 1 << 22
 
 
-@guarded(KERNEL)
 def run(
     light_indptr: np.ndarray,
     light_targets: np.ndarray,

@@ -68,8 +68,8 @@ Bit-identity argument against the twin:
   half-to-even rounding.
 * **No draws before a decline.** :func:`partition_tree` and
   :func:`dissect_tree` decline (return ``None``, so the twin runs)
-  only before their first draw: an unavailable or faulted kernel,
-  weights that are not finite float64, or a graph too large for 32-bit
+  only before their first draw: an unavailable kernel, weights that
+  are not finite float64, or a graph too large for 32-bit
   draws.  Every node of a tree inherits the root's finite weights and
   size bound, so one check covers the tree.  Once the kernel has drawn,
   the generator has moved, so a failed allocation raises
@@ -84,7 +84,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import NativeKernel, guarded, runtime_gate
+from .core import NativeKernel
 
 __all__ = [
     "KERNEL", "partition_tree", "dissect_tree", "refine", "grow_region",
@@ -1515,8 +1515,8 @@ def _kernel_for(
 
     Every decline happens here, before the first draw: weights that are
     not finite float64 (the twin's float paths differ there), a graph
-    too large for 32-bit draws, or a kernel that is unavailable or
-    faulted.  ``vertex_weights`` None means unit weights.
+    too large for 32-bit draws, or a kernel that is unavailable.
+    ``vertex_weights`` None means unit weights.
     """
     if (
         n >= _MAX_DRAW_N
@@ -1531,7 +1531,7 @@ def _kernel_for(
     ):
         return None
     lib = KERNEL.lib()
-    if lib is None or not runtime_gate(KERNEL):
+    if lib is None:
         return None
     return lib
 
@@ -1674,7 +1674,6 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(KERNEL.lib().pairwise_sum_f64(_f64(values), values.size))
 
 
-@guarded(KERNEL)
 def refine(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -1731,7 +1730,6 @@ def refine(
     return True
 
 
-@guarded(KERNEL)
 def grow_region(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -1771,7 +1769,6 @@ def grow_region(
     return float(grown[0])
 
 
-@guarded(KERNEL)
 def hem_match(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -1812,7 +1809,6 @@ def hem_match(
     return match
 
 
-@guarded(KERNEL)
 def coarse_map(match: np.ndarray) -> tuple[np.ndarray, int] | None:
     """Native matching-to-coarse-map; None when unavailable."""
     lib = KERNEL.lib()

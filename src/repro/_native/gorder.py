@@ -33,7 +33,7 @@ import ctypes
 
 import numpy as np
 
-from .core import NativeKernel, guarded
+from .core import NativeKernel
 
 __all__ = ["KERNEL", "run"]
 
@@ -203,7 +203,6 @@ KERNEL = NativeKernel(
 )
 
 
-@guarded(KERNEL)
 def run(
     indptr: np.ndarray,
     indices: np.ndarray,

@@ -35,7 +35,7 @@ import ctypes
 
 import numpy as np
 
-from .core import NativeKernel, guarded
+from .core import NativeKernel
 
 __all__ = ["KERNEL", "sweep"]
 
@@ -139,7 +139,6 @@ KERNEL = NativeKernel(
 )
 
 
-@guarded(KERNEL)
 def sweep(
     csr: tuple[np.ndarray, ...],
     order: np.ndarray,

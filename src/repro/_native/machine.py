@@ -50,7 +50,7 @@ import ctypes
 
 import numpy as np
 
-from .core import NativeKernel, guarded
+from .core import NativeKernel
 
 __all__ = ["KERNEL", "run_region"]
 
@@ -205,7 +205,6 @@ KERNEL = NativeKernel(
 )
 
 
-@guarded(KERNEL)
 def run_region(
     trace,
     item_thread: np.ndarray | None,

@@ -28,7 +28,7 @@ import ctypes
 
 import numpy as np
 
-from .core import NativeKernel, guarded
+from .core import NativeKernel
 
 __all__ = ["KERNEL", "run"]
 
@@ -265,7 +265,6 @@ KERNEL = NativeKernel(
 )
 
 
-@guarded(KERNEL)
 def run(
     data: bytes, one_based: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, int, int | None] | None:

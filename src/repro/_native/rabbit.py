@@ -39,7 +39,7 @@ import ctypes
 
 import numpy as np
 
-from .core import NativeKernel, guarded
+from .core import NativeKernel
 
 __all__ = ["KERNEL", "aggregate"]
 
@@ -365,7 +365,6 @@ KERNEL = NativeKernel(
 _EMPTY_F64 = np.zeros(1, dtype=np.float64)
 
 
-@guarded(KERNEL)
 def aggregate(
     indptr: np.ndarray,
     indices: np.ndarray,

@@ -26,7 +26,7 @@ import ctypes
 
 import numpy as np
 
-from .core import NativeKernel, guarded
+from .core import NativeKernel
 
 __all__ = ["KERNEL", "run"]
 
@@ -141,7 +141,6 @@ KERNEL = NativeKernel(
 )
 
 
-@guarded(KERNEL)
 def run(
     graph,
     probability: float,

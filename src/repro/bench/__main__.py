@@ -11,14 +11,16 @@ Resilient execution (:mod:`repro.resilience`):
 * resuming is re-running: every ordering, graph and application cell
   lands in a content-addressed store under ``$REPRO_CACHE_DIR``, so the
   same command after a kill serves the finished cells as store hits;
-* ``--timeout S`` / ``--retries K`` bound each cell's attempts; a cell
-  that exhausts them degrades (NaN in the grid) instead of aborting,
-  gets one ``[degraded] <scheme>/<dataset>: <error> (after N
-  attempts)`` line on stderr, and makes the run exit 1;
+* ``--timeout S`` is each cell's deadline; ``--retries K`` bounds how
+  often a cell whose worker died or timed out is run again.  A cell
+  that raised is not run again: the same input raises again.  A failed
+  cell degrades (NaN in the grid) instead of aborting, gets one
+  ``[degraded] <scheme>/<dataset>: <error> (after N attempts)`` line on
+  stderr, and makes the run exit 1;
 * ``--health`` prints the degradation health report after the run —
-  one counter per fallback site: native kernels disabled after a build
-  or runtime fault (their scalar twins ran instead) and
-  resource-pressure fallbacks (:mod:`repro.resilience.degrade`).
+  one counter per fallback site: native kernels whose build failed
+  (their scalar twins ran instead) and resource-pressure fallbacks
+  (:mod:`repro.resilience.degrade`).
 """
 
 from __future__ import annotations
@@ -109,17 +111,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--health", action="store_true",
-        help="print the degradation health report (disabled native "
-             "kernels, fallback counters) after the run",
+        help="print the degradation health report (native kernels "
+             "whose build failed, fallback counters) after the run",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
         help="per-cell deadline in seconds (supervised runs; a cell "
-             "past it is killed and retried)",
+             "past it is killed and retried, up to --retries times)",
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="K",
-        help="retries per failing cell before it degrades (default: 2)",
+        help="retries per cell whose worker died or timed out, before "
+             "it degrades (default: 2); a cell that raised is not "
+             "retried",
     )
     args = parser.parse_args(argv)
     if args.native_info:
@@ -165,7 +169,8 @@ def main(argv: list[str] | None = None) -> int:
     degraded = degraded_cells()
     for (scheme, dataset), (error, attempts) in degraded.items():
         print(f"[degraded] {scheme}/{dataset}: {error} "
-              f"(after {attempts} attempts)", file=sys.stderr)
+              f"(after {attempts} attempt{'s' if attempts != 1 else ''})",
+              file=sys.stderr)
     return 1 if degraded else 0
 
 

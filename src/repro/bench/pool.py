@@ -13,11 +13,12 @@ deterministic:
 * ``jobs=1`` (the default) with no timeout and no active fault plan
   bypasses the supervisor entirely — bit-identical to the sequential
   path and the mode the equivalence tests pin;
-* a crashed, hung, or failing worker is detected, respawned, and its
-  cell retried at once; ``map_cells`` raises :class:`CellFailedError`
-  only after a cell exhausts its retries,
-  while :func:`map_cells_detailed` returns the structured per-cell
-  outcomes so supervised grids can degrade instead of aborting.
+* a crashed or hung worker is detected, respawned, and its cell
+  retried at once; a cell that raised fails on that attempt, since the
+  same input raises again.  ``map_cells`` raises
+  :class:`CellFailedError` for a failed cell, while
+  :func:`map_cells_detailed` returns the structured per-cell outcomes
+  so supervised grids can degrade instead of aborting.
 
 ``python -m repro.bench --jobs N [--timeout S] [--retries K]`` sets the
 process-wide defaults.
@@ -52,7 +53,7 @@ _default_retries = 2
 
 
 class CellFailedError(RuntimeError):
-    """A grid cell failed every attempt under strict ``map_cells``.
+    """A grid cell failed under strict ``map_cells``.
 
     ``results`` holds the full per-cell outcome list so callers can
     still inspect (or salvage) the cells that did complete.
@@ -69,8 +70,7 @@ class CellFailedError(RuntimeError):
         if more > 0:
             detail += f"; ... {more} more"
         super().__init__(
-            f"{len(failures)} of {len(results)} cells failed after "
-            f"retries ({detail})"
+            f"{len(failures)} of {len(results)} cells failed ({detail})"
         )
 
 
@@ -101,7 +101,7 @@ def default_timeout() -> float | None:
 
 
 def set_default_retries(retries: int) -> None:
-    """Set how many times a failed cell is retried by default."""
+    """Set how many times a dead or timed-out cell is retried by default."""
     global _default_retries
     if retries < 0:
         raise ValueError("retries must be >= 0")
@@ -148,9 +148,10 @@ def map_cells_detailed(
 ) -> list[CellResult]:
     """Supervised ``map``: one :class:`CellResult` per cell, input order.
 
-    A cell that crashes its worker, times out, or raises is retried up
-    to ``retries`` times and then degrades to ``ok=False`` with the
-    error recorded — the grid always completes.
+    A cell that crashes its worker or times out is retried up to
+    ``retries`` times; one that raises is not.  A cell that fails
+    degrades to ``ok=False`` with the error recorded — the grid always
+    completes.
     """
     width = jobs if jobs is not None else _default_jobs
     if width < 1:
@@ -179,9 +180,8 @@ def map_cells(
     count; with one job or one cell (and no timeout or active fault
     plan) the work runs in the calling process as a plain loop,
     preserving exception semantics exactly.  Under fan-out, worker death
-    and hangs are supervised and retried; a cell that exhausts its
-    retries raises :class:`CellFailedError` (in sequential runs chained
-    from the original exception).
+    and hangs are supervised and retried; a cell that raised, or
+    exhausted its retries, raises :class:`CellFailedError`.
     """
     cell_list: Sequence[T] = list(cells)
     width = jobs if jobs is not None else _default_jobs

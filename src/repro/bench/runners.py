@@ -13,8 +13,8 @@ hits in the parent process.
 
 Resilience wiring (:mod:`repro.resilience`): a *supervised* warm (fault
 plan active, or a default timeout set) fans out through
-:func:`map_cells_detailed`: a cell that crashes, hangs, or raises past
-its retries lands in :func:`degraded_cells` with its last error and
+:func:`map_cells_detailed`: a cell that raises, or crashes or hangs past
+its retries, lands in :func:`degraded_cells` with its last error and
 attempt count instead of aborting the grid, and
 ``collect_scores``/``collect_costs`` emit NaN for it.  Resuming needs no
 wiring here: orderings persist in the content-addressed store, so a
@@ -56,7 +56,7 @@ _ordering_cache: dict[tuple[str, str], Ordering] = {}
 _measures_cache: dict[tuple[str, str], GapMeasures] = {}
 
 #: (scheme, dataset) -> (last error, attempts) of the cells that
-#: exhausted their retries this process.
+#: failed this process.
 _degraded: dict[tuple[str, str], tuple[str, int]] = {}
 
 

@@ -8,18 +8,19 @@ pipeline survive such failures *and* prove it under injected faults:
 
 :mod:`~repro.resilience.supervisor`
     A supervised process pool replacing bare ``Pool.map``: per-cell
-    timeouts, bounded retries, worker-death detection and respawn, and
-    a structured :class:`~repro.resilience.supervisor.CellResult` so a
-    failed cell degrades to a recorded failure instead of aborting the
-    grid.
+    timeouts, worker-death detection and respawn, bounded retries of
+    deaths and timeouts (never of a cell that raised: it would raise
+    again), and a structured
+    :class:`~repro.resilience.supervisor.CellResult` so a failed cell
+    degrades to a recorded failure instead of aborting the grid.
 :mod:`~repro.resilience.faults`
     Deterministic fault injection (``REPRO_FAULTS``): the same spec and
     seed always reproduce the same fault schedule, so recovery paths are
     property-tested, not hoped for.
 :mod:`~repro.resilience.degrade`
     The process-wide degradation record: named counters for every
-    fallback the run absorbs — a native kernel disabled after a build
-    or runtime fault, disk-full cache writes, quarantined entries — and
+    fallback the run absorbs — a native kernel whose build failed,
+    disk-full cache writes, quarantined entries — and
     the run-level health report behind ``python -m repro.bench --health``.
 :mod:`~repro.resilience.store`
     The file mechanics every on-disk cache shares: atomic writes,

@@ -4,23 +4,21 @@ Every fallback the run absorbs instead of crashing routes through
 :func:`record`: one warning per ``(site, kind)``, a named counter, a
 bounded event log.  Two families feed it:
 
-* **Native kernels.**  A kernel that fails its build or raises at
-  dispatch is turned off for the rest of the process
-  (:meth:`repro._native.core.NativeKernel.disable`); every later call
-  runs the Python tier — for most kernels their declared
-  ``scalar_twin``.  The kernels are
-  deterministic, so a failed build stays failed and a runtime fault
-  recurs on the same input — there is nothing to retry.  Twins are
-  bit-identical by contract, so the downgrade never changes results,
-  only the tier recorded in :data:`~repro.engine.ENGINE_METADATA_KEY`
-  metadata.
+* **Native kernels.**  A kernel whose build fails is off for the rest
+  of the process (:meth:`repro._native.core.NativeKernel.lib`); every
+  call runs the Python tier — for most kernels their declared
+  ``scalar_twin``.  A failed build stays failed, so there is nothing
+  to retry.  Twins are bit-identical by contract, so the downgrade
+  never changes results, only the tier recorded in
+  :data:`~repro.engine.ENGINE_METADATA_KEY` metadata.  An exception a
+  kernel's dispatch raises is a bug, not a fallback: it propagates.
 * **Resource pressure** — disk-full cache write, quarantined store
   entry: the run degrades to compute-without-cache.
 
 The whole picture is queryable as a **health report**
 (:func:`health_report` / :func:`format_health`, surfaced by
-``python -m repro.bench ... --health``).  Grid cells that exhaust their
-retries are a different thing — missing results, not a slower tier —
+``python -m repro.bench ... --health``).  Failed grid cells are a
+different thing — missing results, not a slower tier —
 and are reported by :mod:`repro.bench.runners` and the bench CLI.
 
 State is per-process.  Supervised pool workers ship their degradation

@@ -14,8 +14,7 @@ Spec grammar (``;``-separated clauses, ``:``-separated fields)::
     spec    := clause (";" clause)*
     clause  := kind (":" name "=" value)*
     kind    := "worker-crash" | "cache-corrupt" | "cell-timeout"
-             | "native-build-fail" | "native-runtime-fault"
-             | "disk-full" | "store-torn-read"
+             | "native-build-fail" | "disk-full" | "store-torn-read"
     params  := p=<float in [0,1]>   fire probability      (default 1)
                seed=<int>           schedule seed          (default 0)
                cells=<i,j,...>      restrict to cell indices
@@ -32,10 +31,12 @@ Fault kinds and their seams:
     The supervised pool's worker wrapper.  In a pool worker process the
     fault is *hard* — ``os._exit`` — so the supervisor's death detection
     and respawn path runs; in the sequential (``jobs=1``) path it raises
-    :class:`InjectedFault`, exercising the retry path.
+    :class:`InjectedFault`, the in-process stand-in for a death, which
+    the supervisor retries like one.
 ``cell-timeout``
-    Same seam.  In a pool worker the cell stalls past the supervisor's
-    deadline (killed + retried); sequentially it raises.
+    Same seam.  In a pool worker under a deadline the cell stalls past
+    it (killed + retried); otherwise it raises :class:`InjectedFault`,
+    the stand-in for a timeout, retried like one.
 ``cache-corrupt``
     The on-disk caches (the ordering, cell and graph stores) truncate
     the entry they just wrote (a simulated torn write), so the checksum
@@ -44,13 +45,8 @@ Fault kinds and their seams:
     :class:`repro._native.core.NativeKernel` compilation, including warm
     ``.so`` cache hits — the kernel raises
     :class:`~repro._native.core.NativeBuildError` as if ``cc`` failed, so
-    the kernel is disabled for the process and its scalar twin runs
-    (:meth:`repro._native.core.NativeKernel.disable`).
-``native-runtime-fault``
-    The guarded native dispatch wrappers — the call raises
-    :class:`InjectedFault` *instead of* entering the C kernel (never
-    mid-kernel, so no partially-mutated buffers), disabling the kernel
-    for the process; this and every later call run the scalar twin.
+    the kernel is off for the process and its scalar twin runs
+    (:meth:`repro._native.core.NativeKernel.lib`).
 ``disk-full``
     The cache write seams (:mod:`repro.resilience.store`, shared by the
     ordering and cell caches, and :mod:`repro.graph.store`) — the write
@@ -83,7 +79,6 @@ __all__ = [
     "maybe_cell_timeout",
     "maybe_cache_corrupt",
     "maybe_native_build_fail",
-    "maybe_native_runtime_fault",
     "maybe_disk_full",
     "maybe_store_torn_read",
 ]
@@ -94,7 +89,6 @@ KINDS = (
     "cache-corrupt",
     "cell-timeout",
     "native-build-fail",
-    "native-runtime-fault",
     "disk-full",
     "store-torn-read",
 )
@@ -104,7 +98,11 @@ CRASH_EXIT_CODE = 73
 
 
 class InjectedFault(RuntimeError):
-    """An injected fault firing on a sequential (in-process) path."""
+    """An injected worker death or timeout firing in-process.
+
+    Raised only by :func:`maybe_worker_crash` and :func:`maybe_cell_timeout`;
+    the supervisor retries it, never an exception the cell itself raised.
+    """
 
 
 @dataclasses.dataclass(frozen=True)
@@ -309,25 +307,6 @@ def maybe_native_build_fail(kernel: str) -> bool:
     if plan is None:
         return False
     return plan.decide("native-build-fail", f"native-build:{kernel}")
-
-
-def maybe_native_runtime_fault(kernel: str) -> None:
-    """Raise an injected runtime kernel fault for ``kernel`` if scheduled.
-
-    Fires *before* the C call (never mid-kernel, so output buffers stay
-    untouched); the schedule draws per dispatch, keyed by kernel name and
-    how many times this process has dispatched it, so the first faulting
-    call is reproducible.  A fault disables the kernel for the process,
-    so later calls never reach this seam.
-    """
-    plan = active_plan()
-    if plan is None:
-        return
-    nth = plan.next_entry_count(f"native-call:{kernel}")
-    if plan.decide("native-runtime-fault", f"native-call:{kernel}:{nth}"):
-        raise InjectedFault(
-            f"injected native-runtime-fault in kernel {kernel!r} (call {nth})"
-        )
 
 
 def maybe_disk_full(path: str) -> None:

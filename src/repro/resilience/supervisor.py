@@ -11,15 +11,17 @@ explicitly supervised pool:
   was holding;
 * per-cell **timeouts** — a cell past its deadline is killed and
   retried, not waited on;
-* **bounded retries** — a failed cell is re-queued at once: cells are
-  deterministic and local, so waiting before a retry buys nothing;
 * **worker-death detection and respawn** — a worker that segfaults or
   ``os._exit``\\ s is detected via ``Process.is_alive``/``exitcode``,
   its cell is retried on a freshly spawned worker, and the pool keeps
   its width;
-* a structured :class:`CellResult` per cell — a cell that still fails
-  after its retries degrades to ``ok=False`` with the error recorded,
-  instead of aborting the grid.
+* **retries for deaths and timeouts only** — up to ``retries`` of
+  them, re-queued at once.  A cell that *raised* is recorded failed
+  after that one attempt: cells are deterministic, so the same input
+  raises again and a retry would only repeat the failure;
+* a structured :class:`CellResult` per cell — a failed cell degrades
+  to ``ok=False`` with the error recorded, instead of aborting the
+  grid.
 
 Results are returned in input order.  A width of one with no timeout
 runs in-process (:func:`_run_sequential`); a timeout always takes the
@@ -81,6 +83,32 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _attempt(
+    worker: Callable[[T], object],
+    cell: T,
+    index: int,
+    attempt: int,
+    *,
+    hard: bool,
+    stall: float | None,
+) -> tuple[bool, object, str | None, bool]:
+    """One try at a cell: ``(ok, value, error, retryable)``.
+
+    Only the injected in-process stand-ins for a worker death or a
+    timeout (:class:`~repro.resilience.faults.InjectedFault`) are
+    retryable; an exception from ``worker(cell)`` is final.
+    """
+    try:
+        faults.maybe_worker_crash(index, attempt, hard=hard)
+        faults.maybe_cell_timeout(index, attempt, stall_seconds=stall)
+    except faults.InjectedFault as exc:
+        return False, None, _describe(exc), True
+    try:
+        return True, worker(cell), None, False
+    except Exception as exc:  # noqa: BLE001 - degrade, not abort
+        return False, None, _describe(exc), False
+
+
 def _worker_loop(
     worker: Callable[[T], object],
     tasks,
@@ -121,18 +149,13 @@ def _worker_loop(
         if task is None:
             return
         index, attempt, cell = task
-        try:
-            faults.maybe_worker_crash(index, attempt, hard=True)
-            faults.maybe_cell_timeout(index, attempt, stall_seconds=stall)
-            value = worker(cell)
-        except Exception as exc:  # noqa: BLE001 - reported to supervisor
-            ok, value, error = False, None, _describe(exc)
-        else:
-            ok, error = True, None
+        outcome = _attempt(
+            worker, cell, index, attempt, hard=True, stall=stall
+        )
         # degradation events (disabled kernels, cache write failures, …)
         # piggyback on the result message so the parent's health report
         # covers the whole pool, not just its own process
-        message = (index, attempt, ok, value, error, degrade.drain_outbox())
+        message = (index, attempt, *outcome, degrade.drain_outbox())
         try:
             results.send(message)
         except (BrokenPipeError, OSError):
@@ -171,9 +194,9 @@ def _run_sequential(
 ) -> list[CellResult]:
     """The in-process path: same retry/degrade semantics, no processes.
 
-    Injected faults fire softly (exceptions) here; a fault-free run
-    calls ``worker(cell)`` exactly once per cell, so values are
-    bit-identical to a plain sequential loop.
+    Injected faults fire softly (exceptions) here; every run calls
+    ``worker(cell)`` at most once per cell, so values are bit-identical
+    to a plain sequential loop.
     """
     results: list[CellResult] = []
     for index, cell in enumerate(cell_list):
@@ -181,27 +204,14 @@ def _run_sequential(
         attempt = 0
         while True:
             attempt += 1
-            try:
-                faults.maybe_worker_crash(index, attempt, hard=False)
-                faults.maybe_cell_timeout(index, attempt, stall_seconds=None)
-                value = worker(cell)
-            except Exception as exc:  # noqa: BLE001 - degrade, not abort
-                if attempt > retries:
-                    results.append(
-                        CellResult(
-                            False, None, _describe(exc), attempt,
-                            time.monotonic() - start,
-                        )
-                    )
-                    break
-            else:
-                results.append(
-                    CellResult(
-                        True, value, None, attempt,
-                        time.monotonic() - start,
-                    )
-                )
+            ok, value, error, retryable = _attempt(
+                worker, cell, index, attempt, hard=False, stall=None
+            )
+            if ok or not retryable or attempt > retries:
                 break
+        results.append(
+            CellResult(ok, value, error, attempt, time.monotonic() - start)
+        )
     return results
 
 
@@ -219,7 +229,8 @@ def run_supervised(
     caps the worker-process count (clamped to the cell count; ``1``
     without a timeout runs in-process).  ``timeout`` is the per-attempt
     deadline in seconds (``None`` = unbounded); ``retries`` bounds
-    re-execution after a crash, timeout, or exception.
+    re-execution after a worker death or a timeout.  A cell whose
+    ``worker(cell)`` raised fails after that one attempt.
 
     ``KeyboardInterrupt`` (and any other supervisor-level error)
     terminates and joins every worker before propagating — a Ctrl-C on
@@ -276,10 +287,12 @@ def _run_parallel(
     first_start: dict[int, float] = {}
     results: dict[int, CellResult] = {}
 
-    def resolve_failure(index: int, attempt: int, error: str) -> None:
+    def resolve_failure(
+        index: int, attempt: int, error: str, retryable: bool = True
+    ) -> None:
         if index in results:
             return
-        if attempt > retries:
+        if not retryable or attempt > retries:
             results[index] = CellResult(
                 False, None, error, attempt,
                 time.monotonic() - first_start[index],
@@ -323,7 +336,7 @@ def _run_parallel(
                 if handle.results not in ready_readers:
                     continue
                 try:
-                    (index, attempt, ok, value, error,
+                    (index, attempt, ok, value, error, retryable,
                      degrade_events) = handle.results.recv()
                 except (EOFError, OSError):
                     continue  # degrade: worker death; liveness pass handles it
@@ -338,7 +351,7 @@ def _run_parallel(
                             time.monotonic() - first_start[index],
                         )
                 else:
-                    resolve_failure(index, attempt, error)
+                    resolve_failure(index, attempt, error, retryable)
 
             # Liveness and deadlines.
             now = time.monotonic()
@@ -352,9 +365,8 @@ def _run_parallel(
                     except (EOFError, OSError):
                         final = None
                     if final is not None:
-                        index, attempt, ok, value, error, degrade_events = (
-                            final
-                        )
+                        (index, attempt, ok, value, error, retryable,
+                         degrade_events) = final
                         degrade.absorb(degrade_events)
                         if handle.current == (index, attempt):
                             handle.current = None
@@ -364,7 +376,7 @@ def _run_parallel(
                                 time.monotonic() - first_start[index],
                             )
                         elif not ok:
-                            resolve_failure(index, attempt, error)
+                            resolve_failure(index, attempt, error, retryable)
                     if handle.current is not None:
                         index, attempt = handle.current
                         resolve_failure(

@@ -105,6 +105,33 @@ def _reset_resilience_state():
 
 
 @pytest.fixture(autouse=True)
+def _no_kernel_left_degraded():
+    """Fail a test that leaves a native kernel off for an unarmed reason.
+
+    The twins are bit-identical, so a kernel left off would turn every
+    later native-vs-twin test into twin-vs-twin, and none of them would
+    fail.  An injected ``native-build-fail`` is the one expected way to
+    turn a kernel off (armed by the test, or exported by ``make
+    bench-native``'s second leg); any other degraded kernel, a real
+    compile error, fails the test.  Either way every degraded kernel is
+    reset, so the next test starts clean.  Only kernel state is read:
+    ``lib()`` would start builds.
+    """
+    from repro._native import core
+
+    yield
+    unexpected = []
+    for name in core.kernel_names():
+        kernel = core.get_kernel(name)
+        if kernel.status.startswith("degraded"):
+            if "injected native-build-fail" not in kernel.status:
+                unexpected.append(f"{name}: {kernel.status}")
+            kernel.reset()
+    if unexpected:
+        pytest.fail(f"native kernel left degraded: {unexpected}")
+
+
+@pytest.fixture(autouse=True)
 def _numeric_sanitizer():
     """Arm the numeric sanitizer for every test when REPRO_SANITIZE=1.
 

@@ -110,6 +110,16 @@ def test_kernel_source_compiles_under_the_active_profile(name):
     )
 
 
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_kernel_loads_where_a_compiler_exists(name):
+    """A kernel that quietly fails to load would turn every
+    native-vs-twin test of it into twin-vs-twin."""
+    if native_core._compiler() is None or config.get().faults is not None:
+        pytest.skip("no C compiler, or a fault plan is armed")
+    kernel = native_core.get_kernel(name)
+    assert kernel.lib() is not None, kernel.status
+
+
 def test_build_info_all_covers_every_kernel():
     infos = _native.build_info_all()
     assert set(KERNEL_NAMES) <= set(infos)

@@ -1,4 +1,4 @@
-"""The degradation ladder: kernel latches, resource-pressure fallback, health.
+"""The degradation ladder: failed builds, resource-pressure fallback, health.
 
 Every test here proves the same contract from a different angle: a
 degraded run *finishes with the same bits* as a clean one — the native
@@ -10,10 +10,7 @@ visible in the health report instead of crashing (or vanishing).
 import numpy as np
 import pytest
 
-from repro._native import core as native_core
 from repro._native import counting as native_counting
-from repro._native import fm as native_fm
-from repro.engine import ENGINE_METADATA_KEY
 from repro.graph.store import GraphStore
 from repro.ordering import OrderingStore, get_scheme
 from repro.resilience import degrade
@@ -92,7 +89,7 @@ class TestRecord:
 
 
 # ---------------------------------------------------------------------------
-# Native kernels under injected faults (the guarded dispatch path)
+# Native kernels under an injected build failure
 # ---------------------------------------------------------------------------
 KEYS = np.array([1, 0, 2, 1, 0, 2, 2, 1], dtype=np.int64)
 EXPECTED = np.array([1, 4, 0, 3, 7, 2, 5, 6], dtype=np.int64)
@@ -129,54 +126,6 @@ class TestKernelFaults:
     def test_build_info_clean_kernel_not_degraded(self, counting_kernel):
         info = counting_kernel.build_info()
         assert not info["status"].startswith("degraded")
-
-    def test_runtime_fault_latches(self, knobs, counting_kernel):
-        if counting_kernel.lib() is None:
-            pytest.skip("native kernel unavailable")
-        knobs(REPRO_FAULTS="native-runtime-fault:p=1")
-        assert native_counting.run(KEYS, 3) is None  # fault -> fallback
-        knobs(REPRO_FAULTS=None)
-        assert native_counting.run(KEYS, 3) is None  # still off
-        assert counting_kernel.lib() is None
-        info = counting_kernel.build_info()
-        assert info["status"].startswith("degraded: native-runtime-fault: ")
-        assert degrade.counters() == {
-            f"kernel.{counting_kernel.name}:native-runtime-fault": 1
-        }
-        counting_kernel.reset()
-        assert np.array_equal(native_counting.run(KEYS, 3), EXPECTED)
-
-    def test_runtime_gate_routes_injected_fault(
-        self, knobs, counting_kernel
-    ):
-        knobs(REPRO_FAULTS="native-runtime-fault:p=1")
-        assert not native_core.runtime_gate(counting_kernel)
-        assert counting_kernel.lib() is None
-        assert degrade.counters() == {
-            f"kernel.{counting_kernel.name}:native-runtime-fault": 1
-        }
-
-    def test_metis_under_runtime_fault_records_vector(self, knobs):
-        kernel = native_fm.KERNEL
-        kernel.reset()
-        if kernel.lib() is None:
-            pytest.skip("native kernel unavailable")
-        graph = random_graph(2000, 10000, seed=5)
-        scheme = get_scheme("metis")
-        clean = scheme.order(graph)
-        assert clean.metadata[ENGINE_METADATA_KEY] == "native"
-        knobs(REPRO_FAULTS="native-runtime-fault:p=1")
-        try:
-            faulted = get_scheme("metis").order(graph)
-        finally:
-            # the builder's counting sort latches off too
-            for name in native_core.kernel_names():
-                native_core.get_kernel(name).reset()
-        assert faulted.metadata[ENGINE_METADATA_KEY] == "vector"
-        assert np.array_equal(faulted.permutation, clean.permutation)
-        assert degrade.counters()[
-            f"kernel.{kernel.name}:native-runtime-fault"
-        ] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +192,18 @@ class TestHealth:
         assert report["counters"] == {}
         assert "ok (no degradation recorded)" in degrade.format_health()
 
-    def test_degraded_process_reports_everything(self, counting_kernel):
+    def test_degraded_process_reports_everything(
+        self, knobs, counting_kernel
+    ):
         degrade.record("some-site", "some-kind", "detail")
-        counting_kernel.disable("native-runtime-fault", RuntimeError("boom"))
+        knobs(REPRO_FAULTS="native-build-fail:p=1")
+        assert counting_kernel.lib() is None
         report = degrade.health_report()
         assert not report["healthy"]
         text = degrade.format_health(report)
         assert "degraded-sites=2" in text
         assert (
-            f"[counter] kernel.{counting_kernel.name}:native-runtime-fault: 1"
+            f"[counter] kernel.{counting_kernel.name}:native-build-fail: 1"
             in text
         )
         assert "[counter] some-site:some-kind: 1" in text

@@ -47,6 +47,27 @@ def _fail_on_two(x):
     return x * 2
 
 
+def _count_call(marker_dir):
+    with open(os.path.join(marker_dir, "calls"), "a", encoding="utf-8") as f:
+        f.write("x")
+
+
+def _raise_on_two_counted(cell):
+    value, marker_dir = cell
+    if value == 2:
+        _count_call(marker_dir)
+        raise ValueError("boom")
+    return value * 2
+
+
+def _die_on_two_counted(cell):
+    value, marker_dir = cell
+    if value == 2:
+        _count_call(marker_dir)
+        os._exit(99)
+    return value * 2
+
+
 def _slow(x):
     time.sleep(2.0)
     return x
@@ -137,7 +158,7 @@ class TestExceptionsAndTimeouts:
     def test_exception_degrades_with_description(self):
         results = run_supervised(_fail_on_two, range(5), jobs=2, retries=1)
         assert not results[2].ok
-        assert results[2].attempts == 2
+        assert results[2].attempts == 1
         assert "ValueError" in results[2].error
         assert "boom" in results[2].error
 
@@ -147,6 +168,34 @@ class TestExceptionsAndTimeouts:
         assert [(r.ok, r.value, r.attempts) for r in seq] == [
             (r.ok, r.value, r.attempts) for r in par
         ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_cell_is_called_once(self, tmp_path, jobs):
+        """The same input raises again, so a retry only repeats it."""
+        cells = [(i, str(tmp_path)) for i in range(4)]
+        results = run_supervised(
+            _raise_on_two_counted, cells, jobs=jobs, retries=2
+        )
+        assert (tmp_path / "calls").read_text() == "x"
+        assert not results[2].ok and results[2].attempts == 1
+        assert "boom" in results[2].error
+        for i in (0, 1, 3):
+            assert results[i].ok and results[i].value == i * 2
+
+    # at jobs=1 the timeout runs the cell in a worker process: an
+    # in-process os._exit would end the caller
+    @pytest.mark.parametrize("jobs, timeout", [(1, 60.0), (2, None)])
+    def test_dying_cell_is_retried(self, tmp_path, jobs, timeout):
+        cells = [(i, str(tmp_path)) for i in range(4)]
+        results = run_supervised(
+            _die_on_two_counted, cells, jobs=jobs, timeout=timeout,
+            retries=2,
+        )
+        assert (tmp_path / "calls").read_text() == "xxx"
+        assert not results[2].ok and results[2].attempts == 3
+        assert "worker died" in results[2].error
+        for i in (0, 1, 3):
+            assert results[i].ok and results[i].value == i * 2
 
     def test_hung_cell_times_out_and_degrades(self):
         results = run_supervised(
