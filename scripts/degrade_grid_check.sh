@@ -6,11 +6,14 @@
 #      `native-build-fail`) must exit 0 — each kernel is off for the
 #      process and the Python tiers (for most kernels the scalar twin)
 #      carry the run,
-#   2. the same grid runs clean with the native tier skipped up front
-#      (REPRO_ORDERING_ENGINE=vector),
-#   3. stdout (timings normalised) and every cached ordering entry —
-#      permutation bits, cost, metadata including the recorded engine
-#      tier — must be identical between the two runs,
+#   2. the same grid runs clean at the default engine, with every
+#      kernel built; its cached gorder, metis and nested_dissection
+#      entries must record the `native` tier, so the comparison below
+#      really crosses tiers,
+#   3. stdout (timings normalised) must be byte-identical between the
+#      two runs, and so must every cached ordering entry — permutation
+#      bits, cost, and metadata with the recorded `engine` tier
+#      stripped; no faulted entry may record `native`,
 #   4. `--native-info --health` under the fault must report a
 #      `kernel.<name>:native-build-fail` counter (small grids can
 #      short-circuit to the scalar tier before dispatching a kernel, so
@@ -30,8 +33,9 @@ GRID="fig1 --datasets pgp --schemes $SCHEMES"
 NORMALIZE='s/\([0-9][0-9]*\.[0-9]s\)/(Xs)/g'
 
 # compare_grids FAULT GRID TAG: run GRID under REPRO_FAULTS=FAULT and
-# again under REPRO_ORDERING_ENGINE=vector; stdout and every cached
-# ordering must match, and no entry may record the native tier.
+# again clean with the kernels; stdout and every cached ordering (its
+# tier label aside) must match, no faulted entry may record the native
+# tier, and the clean kernel schemes must record it.
 compare_grids() {
     fault=$1 grid=$2 tag=$3
     echo "== $tag: grid under $fault must exit 0"
@@ -44,8 +48,8 @@ compare_grids() {
         exit 1
     }
 
-    echo "== $tag: clean grid with REPRO_ORDERING_ENGINE=vector"
-    REPRO_ORDERING_ENGINE=vector REPRO_CACHE_DIR="$WORK/$tag-clean" \
+    echo "== $tag: clean grid with the native kernels"
+    REPRO_CACHE_DIR="$WORK/$tag-clean" \
         python -m repro.bench $grid | sed "$NORMALIZE" >"$WORK/$tag-clean.out"
 
     echo "== $tag: stdout and cached orderings must be bit-identical"
@@ -71,6 +75,7 @@ def entries(root):
     return found
 
 faulted, clean = entries(sys.argv[1]), entries(sys.argv[2])
+crossed = set()
 assert faulted, "faulted run cached no orderings"
 assert set(faulted) == set(clean), (sorted(faulted), sorted(clean))
 for rel in sorted(faulted):
@@ -80,10 +85,16 @@ for rel in sorted(faulted):
         assert int(a["cost"]) == int(b["cost"]), rel
         meta_a = json.loads(str(a["metadata"]))
         meta_b = json.loads(str(b["metadata"]))
+    tier_a, tier_b = meta_a.pop("engine", None), meta_b.pop("engine", None)
     assert meta_a == meta_b, (rel, meta_a, meta_b)
     # the recorded tier is the fallback, never the faulted native tier
-    assert meta_a.get("engine", "scalar") != "native", (rel, meta_a)
-print(f"compared {len(faulted)} ordering entries: identical")
+    assert tier_a != "native", (rel, tier_a)
+    scheme = os.path.basename(rel).rsplit("-", 1)[0]
+    if scheme in ("gorder", "metis", "nested_dissection"):
+        assert tier_b == "native", (rel, tier_b)
+        crossed.add(scheme)
+assert len(crossed) == 3, sorted(crossed)
+print(f"compared {len(faulted)} ordering entries across tiers: identical")
 PYEOF
 }
 

@@ -53,7 +53,7 @@ Bit-identity argument against the twin:
   matching cap, the growing target, the FM limits) is numpy's pairwise
   sum: blocks of at most 128 with 8 accumulators, longer runs split at
   ``n/2`` rounded down to a multiple of 8.  Every other sum is
-  sequential in the scalar scan order, which the vector engine's
+  sequential in the scalar scan order, which the vector tier's
   ``bincount``/``cumsum`` folds reproduce, and ``(1 + imbalance) *
   target_fraction * total`` keeps Python's left-to-right order.
 * **Loops.** Python ``float`` arithmetic *is* C ``double`` arithmetic;

@@ -16,7 +16,8 @@ test.  Six contracts, each reported as a :class:`~.core.Finding`:
     until an equivalence run.
 ``parity-equivalence-test``
     Every module containing a gated function must be exercised by at
-    least one equivalence test (a test file driving both engines):
+    least one equivalence test (a test file that forces an engine or
+    runs a leg with the kernels off):
     either the test imports the module directly, or the module is
     reachable through the import graph from a module whose registered
     scheme name appears in the test.
@@ -298,14 +299,16 @@ def check_scalar_twins(index: dict[str, ModuleInfo]) -> list[Finding]:
 # Contract 2: equivalence-test coverage
 # ----------------------------------------------------------------------
 def _equivalence_tests(tests_root: Path) -> list[tuple[Path, ast.Module]]:
-    """Test files that drive both engines (the equivalence suites)."""
+    """Test files that pick a tier (the equivalence suites): they force an
+    engine, or run a leg on a host whose kernels did not build."""
     suites: list[tuple[Path, ast.Module]] = []
     if not tests_root.exists():
         return suites
     for path in sorted(tests_root.glob("test_*.py")):
         source = path.read_text()
-        if "use_engine" in source or (
-            '"scalar"' in source and '"vector"' in source
+        if any(
+            marker in source
+            for marker in ("use_engine", "on_leg", "kernels_off")
         ):
             suites.append((path, ast.parse(source, filename=str(path))))
     return suites

@@ -152,7 +152,7 @@ def greedy_seed_selection_vector(
     num_vertices: int,
     k: int,
 ) -> tuple[list[int], float, int]:
-    """Array-based greedy max-coverage (vector engine).
+    """Array-based greedy max-coverage (vector tier).
 
     Bit-identical to the scalar reference in
     :func:`repro.apps.influence_max.greedy_seed_selection`: identical

@@ -149,7 +149,7 @@ def build_sweep_items(
     ``communities`` supplies the community id of each vertex at sweep time
     (defaults to singleton communities — the first iteration's state, where
     ``community[u] == u``, which is also the most ordering-sensitive
-    configuration).  The vector engine cuts the items out of
+    configuration).  The vector tier cuts the items out of
     :func:`build_sweep_trace`'s flat table; the scalar reference
     (:func:`_build_sweep_items_scalar`) emits the same streams one
     ``layout.line`` call at a time.

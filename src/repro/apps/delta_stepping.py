@@ -18,8 +18,8 @@ native tier escalates the whole bucket loop to a compiled kernel
 (:mod:`repro._native.delta`) that emits the scan stream from which the
 work items are assembled, using light/heavy phase tables whose trace
 lines are precomputed as whole arrays.  Both produce bit-identical
-distances and work-item streams; every engine other than ``"native"``,
-and a native engine whose kernel cannot run, takes the scalar loop.
+distances and work-item streams; the scalar engine, and a native
+engine whose kernel cannot run, take the scalar loop.
 """
 
 from __future__ import annotations

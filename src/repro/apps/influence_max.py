@@ -190,7 +190,7 @@ def sample_rrr_ic_pinned(
     ``original_of[x]`` maps a (possibly relabelled) vertex back to its
     original identity, which keys the per-edge coins.  ``root`` must be
     a vertex of ``[0, n)`` (``ValueError`` otherwise).  Under the native
-    and vector engines the cascade is drawn through the batch sampler
+    engine the cascade is drawn through the batch sampler
     (:mod:`repro.apps.batch`, the ``rrr_sample`` kernel when it can
     run); :func:`_sample_rrr_ic_pinned_scalar` is the retained ground
     truth.
@@ -381,7 +381,7 @@ def greedy_seed_selection(
     Returns ``(seeds, covered_fraction, operations)`` where
     ``covered_fraction`` is the fraction of RRR sets hit by the seeds (the
     IMM spread estimate is ``n * covered_fraction``) and ``operations``
-    counts the work for the cost model.  Under the vector engine the
+    counts the work for the cost model.  Under the native engine the
     selection runs on CSR-encoded set membership
     (:func:`repro.apps.batch.greedy_seed_selection_vector`); the loop
     below is the retained scalar ground truth.

@@ -8,19 +8,21 @@ the per-access reference simulator and the batched engine, writing
 ``BENCH_simulator.json``.
 
 **Ordering stage** (``--orderings``) times every paper scheme through the
-vector and scalar ordering engines (:mod:`repro.engine`) and, where a
-scheme has one, its native kernel; verifies the permutations, costs,
+native and scalar engines (:mod:`repro.engine`): a ``native_s`` row for
+a scheme with a C kernel, a ``vector_s`` row (the tier the native
+engine runs) for one without.  It verifies the permutations, costs,
 and metadata are bit-identical, times a cold/warm cycle of the
 persistent ordering store, and writes ``BENCH_ordering.json``.
-Schemes whose two Python engines are one code path
-(:data:`SINGLE_TIER_SCHEMES`) get no vector/scalar timing, and schemes
-whose vector engine runs the scalar loop
-(:data:`SCALAR_UNDER_VECTOR_SCHEMES`) get no vector timing.
+Schemes whose two engines run one Python code path
+(:data:`SINGLE_TIER_SCHEMES`) get no vector row.  Under
+``REPRO_FAULTS=native-build-fail:p=1`` (a host whose kernels did not
+build) the ``native_s`` rows time the Python tiers instead, and no
+native floor applies.
 
 **Apps stage** (``--apps``) times the application workloads against
 their scalar references — hash-pinned RRR sampling and delta-stepping
 through their native kernels, array-based greedy seed selection and the
-Louvain sweep cost model through the vector engine — verifies every
+Louvain sweep cost model through their vector tiers — verifies every
 result is bit-identical to its scalar reference, and writes
 ``BENCH_apps.json``.
 
@@ -199,18 +201,10 @@ NATIVE_ORDERING_SCHEMES: dict[str, str] = {
     "rabbit": "rabbit_aggregate",
 }
 
-#: schemes whose vector and scalar engines run one code path: timing
-#: both would report noise as a speedup, so the ordering stage writes no
-#: vector/scalar row for them (a native tier still gets its row).
+#: schemes whose native and scalar engines run one Python code path:
+#: timing both would report noise as a speedup, so the ordering stage
+#: writes no vector row for them (a C kernel still gets its native row).
 SINGLE_TIER_SCHEMES = frozenset({"natural", "random", "degree_sort"})
-
-#: schemes whose hot loop runs its scalar reference under the vector
-#: engine (the Louvain sweep, Gorder's greedy and Rabbit's aggregation
-#: have no vector tier): the stage times their scalar and native tiers
-#: only, since a vector row would measure noise.
-SCALAR_UNDER_VECTOR_SCHEMES = frozenset(
-    {"grappolo", "grappolo_rcm", "gorder", "rabbit"}
-)
 
 #: native/scalar speedup floors — roughly half the measured ratios —
 #: enforced only when the kernel actually compiled (an unavailable
@@ -376,51 +370,38 @@ def measure_orderings(
         PAPER_SCHEMES
     )
     per_scheme: dict[str, dict] = {}
-    vector_orderings: dict[str, Ordering] = {}
+    fresh: dict[str, Ordering] = {}
     for name in scheme_names:
         instance = get_scheme(name)
-        entry: dict = {}
-        timed_vector = not (
-            name in SINGLE_TIER_SCHEMES or name in SCALAR_UNDER_VECTOR_SCHEMES
-        )
-        if timed_vector:
-            with use_engine("vector"):
-                t_vec, o_vec = _best_of(
-                    lambda s=instance: s.order(graph), repeats
-                )
         with use_engine("scalar"):
             t_sca, o_sca = _best_of(
                 lambda s=instance: s.order(graph), repeats
             )
-        if name in SINGLE_TIER_SCHEMES:
-            vector_orderings[name] = o_sca
-        elif not timed_vector:
-            vector_orderings[name] = o_sca
-            entry = {"scalar_s": round(t_sca, 6)}
-        else:
-            vector_orderings[name] = o_vec
-            entry = {
-                "vector_s": round(t_vec, 6),
-                "scalar_s": round(t_sca, 6),
-                "speedup": round(
-                    t_sca / t_vec if t_vec > 0 else float("inf"), 3
-                ),
-                "identical": _orderings_identical(o_vec, o_sca),
-            }
-        if name in NATIVE_ORDERING_SCHEMES:
-            with use_engine("native"):
-                t_nat, o_nat = _best_of(
-                    lambda s=instance: s.order(graph), repeats
-                )
-            entry.update(
-                native_s=round(t_nat, 6),
-                native_speedup=round(
-                    t_sca / t_nat if t_nat > 0 else float("inf"), 3
-                ),
-                native_identical=_orderings_identical(o_nat, o_sca),
+        with use_engine("native"):
+            t_nat, o_nat = _best_of(
+                lambda s=instance: s.order(graph), repeats
             )
-        if entry:
-            per_scheme[name] = entry
+        fresh[name] = o_nat
+        speedup = round(t_sca / t_nat if t_nat > 0 else float("inf"), 3)
+        identical = _orderings_identical(o_nat, o_sca)
+        if name in NATIVE_ORDERING_SCHEMES:
+            entry = {} if name in SINGLE_TIER_SCHEMES else {
+                "scalar_s": round(t_sca, 6)
+            }
+            per_scheme[name] = dict(
+                entry,
+                native_s=round(t_nat, 6),
+                native_speedup=speedup,
+                native_identical=identical,
+            )
+        elif name not in SINGLE_TIER_SCHEMES:
+            # no kernel: the native engine ran the scheme's vector tier
+            per_scheme[name] = {
+                "vector_s": round(t_nat, 6),
+                "scalar_s": round(t_sca, 6),
+                "speedup": speedup,
+                "identical": identical,
+            }
 
     # Persistent store: cold fill then warm reload, in a throwaway dir.
     with tempfile.TemporaryDirectory() as tmp:
@@ -434,7 +415,7 @@ def measure_orderings(
         for name in scheme_names:
             reloaded = store.get_or_compute(graph, get_scheme(name))
             warm_identical = warm_identical and _orderings_identical(
-                reloaded, vector_orderings[name]
+                reloaded, fresh[name]
             )
         warm_s = time.perf_counter() - start
         cache = {
@@ -575,8 +556,8 @@ def measure_apps(
     Four workloads, each checked bit-identical against its scalar
     reference: hash-pinned IC RRR sampling and delta-stepping through
     their native kernels, greedy seed selection (CSR max-coverage vs
-    Python rescans) and the Louvain sweep cost model through the vector
-    engine.
+    Python rescans) and the Louvain sweep cost model through their
+    vector tiers.
     """
     graph = load(dataset)
     n = graph.num_vertices
@@ -650,7 +631,7 @@ def measure_apps(
 
     with use_engine("scalar"):
         t_sca, s_sca = _best_of(lambda: build_sweep_items(graph), repeats)
-    with use_engine("vector"):
+    with use_engine("native"):  # no kernel: runs the vector tier
         t_vec, s_vec = _best_of(lambda: build_sweep_items(graph), repeats)
     record(
         "sweep_items", "vector", t_vec, t_sca,
@@ -782,14 +763,11 @@ def measure_ingest(
             builder.add_edge_array(src, dst)
             return builder.build()
 
-        for engine in ("scalar", "vector", "native"):
+        for engine in ("scalar", "native"):
             with use_engine(engine):
                 timings[f"build_{engine}"], built[engine] = _best_of(
                     build_once, repeats
                 )
-        checks["build_vector_identical"] = _graphs_identical(
-            built["scalar"], built["vector"]
-        )
         checks["build_native_identical"] = _graphs_identical(
             built["scalar"], built["native"]
         )
@@ -922,7 +900,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--orderings", action="store_true",
-        help="run the ordering stage (vector vs scalar engines + store "
+        help="run the ordering stage (native vs scalar engines + store "
              "cycle) instead of trace replay",
     )
     parser.add_argument(

@@ -55,7 +55,7 @@ def community_internal_weights(
 ) -> np.ndarray:
     """Intra-community edge weight ``w_in(c)`` for every community.
 
-    The vector engine replaces the per-edge loop with one masked
+    The vector tier replaces the per-edge loop with one masked
     ``np.bincount``.  ``bincount`` accumulates its input sequentially, so
     each community's weights are summed in the same (edge-scan) order as
     the scalar loop — the result is bit-identical.

@@ -8,21 +8,22 @@ two tiers per loop:
   kept as ground truth and exercised by the equivalence tests;
 * one faster tier, required to be **bit-identical** to the scalar path
   (same permutation, same operation counts, same metadata) — either
-  the *vector* engine (numpy frontier-at-a-time traversals and
-  array-based aggregation) or, for the few loops that resist
-  vectorisation, a *native* lazily compiled C kernel
-  (:mod:`repro._native`).
+  a *vector* tier (numpy frontier-at-a-time traversals and array-based
+  aggregation) or, for the few loops that resist vectorisation, a
+  *native* lazily compiled C kernel (:mod:`repro._native`).
 
-A loop with no native kernel runs its vector engine under the native
-tier, so ``"native"`` is always safe to request.  A loop with a kernel
-has no vector tier: under ``"vector"``, or when its kernel failed to
-build or no C compiler is available, it runs its scalar reference.
+There are two engines.  ``"native"`` runs each loop's faster tier: its
+C kernel where it has one, its vector tier otherwise.  On a host whose
+kernels did not build (no C compiler, or a failed build) a loop with a
+kernel runs the Python twin the kernel is checked against, and a loop
+without one still runs its vector tier.  ``"scalar"`` runs every
+reference loop.
 
 This resolution is the one switch that decides which tier runs: every
 dispatch site asks :func:`resolve_engine`, and nothing else (no
 argument, no workload size) overrides it, so
-``REPRO_ORDERING_ENGINE=vector`` (or ``scalar``) keeps the whole
-process in Python.  The engine is resolved per call:
+``REPRO_ORDERING_ENGINE=scalar`` keeps the whole process in the
+reference loops.  The engine is resolved per call:
 
 1. a :func:`use_engine` context override (what the equivalence tests
    and the perf harness use),
@@ -30,9 +31,10 @@ process in Python.  The engine is resolved per call:
    :mod:`repro.config`,
 3. then the default, ``"native"``.
 
-The tier that actually ran is recorded under
-:data:`ENGINE_METADATA_KEY` in ordering metadata; identity comparisons
-must ignore it (:func:`strip_engine_metadata`).
+The tier that actually ran (``"native"``, ``"vector"`` or
+``"scalar"``) is recorded under :data:`ENGINE_METADATA_KEY` in ordering
+metadata; identity comparisons must ignore it
+(:func:`strip_engine_metadata`).
 
 The module also hosts :func:`gather_neighbors`, the multi-range CSR gather
 primitive shared by every frontier-at-a-time traversal.
@@ -58,7 +60,7 @@ __all__ = [
     "gather_neighbors",
 ]
 
-ENGINES = ("native", "vector", "scalar")
+ENGINES = ("native", "scalar")
 DEFAULT_ENGINE = "native"
 
 #: ordering-metadata key recording the tier that actually ran.
@@ -82,7 +84,7 @@ def use_engine(engine: str) -> Iterator[None]:
     global _override
     if engine not in ENGINES:
         raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
+            f"unknown engine {engine!r}; expected one of {list(ENGINES)}"
         )
     previous = _override
     _override = engine

@@ -80,7 +80,7 @@ def vertex_bandwidths(
 ) -> np.ndarray:
     """Per-vertex bandwidth ``beta_i``: max gap from ``i`` to a neighbour.
 
-    Isolated vertices get bandwidth 0.  The vector engine reduces all
+    Isolated vertices get bandwidth 0.  The vector tier reduces all
     per-edge gaps by adjacency segment in one ``np.maximum.reduceat``;
     the scalar loop is the retained reference.
     """

@@ -47,7 +47,7 @@ def vertex_line_fragmentation(
 
     For vertex ``v`` with degree ``d``, the neighbour ranks under ``pi``
     occupy some set of lines; a perfect layout needs ``ceil(d / L)``.
-    Isolated vertices get ratio 1.0.  The vector engine counts distinct
+    Isolated vertices get ratio 1.0.  The vector tier counts distinct
     lines per vertex with one composite-key ``np.unique`` over all edges;
     the scalar loop is the retained reference.
     """

@@ -10,7 +10,7 @@ degree.
 The paper finds RCM the clear winner on graph bandwidth (Figure 6a) and
 competitive on the average gap profile (Figure 5).
 
-Both BFS primitives here run on the frontier-at-a-time vector engine by
+Both BFS primitives here run on the frontier-at-a-time vector tier by
 default (whole levels expanded with one CSR gather) with the original
 per-vertex queue loops retained as the scalar ground truth; see
 :mod:`repro.engine` for the contract and the switch.

@@ -16,7 +16,7 @@ used by the hybrid-engine ablation.
   into the first child's subtree — a level-relaxed Cuthill–McKee without
   the degree sort.
 
-BFS runs frontier-at-a-time on the vector engine; the depth-first orders
+BFS runs frontier-at-a-time on the vector tier; the depth-first orders
 are inherently sequential, so their vector paths batch each vertex's
 neighbour filtering into array operations instead.  The original loops are
 retained as the scalar ground truth (:mod:`repro.engine`).

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from repro import config
 from repro.analysis import sanitize
+from repro.engine import use_engine
 from repro.graph import CSRGraph, from_edges
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +50,49 @@ def run_bench(
         cwd=REPO_ROOT, env=child_env, capture_output=True, text=True,
         timeout=600,
     )
+
+
+def _reset_kernels() -> None:
+    from repro._native import core
+
+    for name in core.kernel_names():
+        core.get_kernel(name).reset()
+
+
+@contextmanager
+def kernels_off():
+    """Run the block as a host whose native kernels did not build.
+
+    Appends ``native-build-fail:p=1`` to the ambient ``REPRO_FAULTS``
+    (``;``-joined, so a chaos plan such as ``make test-faults``'s stays
+    armed), re-parses the config and resets every kernel.  On exit the
+    ambient plan comes back and every kernel is reset again, so the
+    next ``lib()`` builds afresh.
+    """
+    ambient = (os.environ.get("REPRO_FAULTS") or "").strip()
+    patch = pytest.MonkeyPatch()
+    patch.setenv(
+        "REPRO_FAULTS",
+        ";".join(filter(None, (ambient, "native-build-fail:p=1"))),
+    )
+    config.reload()
+    _reset_kernels()
+    try:
+        yield
+    finally:
+        patch.undo()
+        config.reload()
+        _reset_kernels()
+
+
+#: the legs of an equivalence test: the C kernels, a host whose kernels
+#: did not build, and the scalar reference.
+LEGS = ("native", "kernels_off", "scalar")
+
+
+def on_leg(leg: str):
+    """The context that runs its block on ``leg`` (one of :data:`LEGS`)."""
+    return kernels_off() if leg == "kernels_off" else use_engine(leg)
 
 
 @pytest.fixture

@@ -36,14 +36,14 @@ GATED_KERNEL = """
 
 
     def hot(x):
-        if use_engine() == "vector":
+        if use_engine() == "native":
             return x
         return _hot_scalar(x)
     """
 
 ENGINE_STUB = """
     def use_engine():
-        return "vector"
+        return "native"
     """
 
 
@@ -83,7 +83,7 @@ def test_orphaned_scalar_twin_detected(tmp_path):
 
 
                 def hot(x):
-                    if use_engine() == "vector":
+                    if use_engine() == "native":
                         return x
                     return _hot_scalar(x)
                 """,
@@ -107,7 +107,7 @@ def test_self_dispatch_scalar_twin_detected(tmp_path):
 
                 class Kernel:
                     def run(self, x):
-                        if use_engine() == "vector":
+                        if use_engine() == "native":
                             return x
                         return self.run_scalar(x)
                 """,
@@ -490,7 +490,7 @@ def test_check_contracts_fails_on_orphaned_gate(tmp_path):
 
 
                 def hot(x):
-                    if use_engine() == "vector":
+                    if use_engine() == "native":
                         return x
                     return hot_scalar(x)
                 """,

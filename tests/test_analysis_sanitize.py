@@ -11,6 +11,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.permute import validate_ordering
 from repro.ordering.base import OperationCounter
 from repro.simulator.batch import lru_stack_distances
+from tests.conftest import LEGS, on_leg
 
 
 @pytest.fixture
@@ -192,15 +193,14 @@ def test_simulator_line_stream_rejects_float_when_armed(armed):
         lru_stack_distances(np.array([0.5, 1.5]))
 
 
-@pytest.mark.parametrize("engine", ["native", "vector"])
-def test_simulated_region_line_checks_when_armed(armed, engine):
-    """An empty line list is no float stream; a float one is, on every
-    engine."""
-    from repro.engine import use_engine
+@pytest.mark.parametrize("leg", ["native", "kernels_off"])
+def test_simulated_region_line_checks_when_armed(armed, leg):
+    """An empty line list is no float stream; a float one is, with the
+    kernels on or off."""
     from repro.simulator import SimulatedMachine, WorkItem
 
     machine = SimulatedMachine(2)
-    with use_engine(engine):
+    with on_leg(leg):
         result = machine.run_dynamic(
             [WorkItem([], 5), WorkItem([1, 2], 3)], chunk=1
         )
@@ -210,15 +210,14 @@ def test_simulated_region_line_checks_when_armed(armed, engine):
             machine.run_dynamic([WorkItem([1, 2], 3), WorkItem([0.5], 1)])
 
 
-@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
-def test_static_region_line_checks_when_armed(armed, engine):
-    """Per-thread lists replayed by ``run`` are checked on every engine,
+@pytest.mark.parametrize("leg", LEGS)
+def test_static_region_line_checks_when_armed(armed, leg):
+    """Per-thread lists replayed by ``run`` are checked on every leg,
     not only where the kernel flattens them."""
-    from repro.engine import use_engine
     from repro.simulator import SimulatedMachine, WorkItem
 
     machine = SimulatedMachine(2)
-    with use_engine(engine):
+    with on_leg(leg):
         result = machine.run([[WorkItem([], 5)], [WorkItem([1, 2], 3)]])
         assert result.thread_loads == (0, 2)
         with pytest.raises(SanitizerError):

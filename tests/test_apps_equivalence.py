@@ -32,9 +32,11 @@ from repro.graph import from_edges
 from repro.measures.gaps import vertex_bandwidths
 from repro.measures.locality import vertex_line_fragmentation
 from tests.conftest import (
+    LEGS,
     make_grid,
     make_star,
     make_two_cliques,
+    on_leg,
     random_graph,
 )
 
@@ -48,9 +50,9 @@ GRAPHS = {
 }
 
 
-def run_under(engine, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with ``engine`` forced."""
-    with use_engine(engine):
+def run_under(leg, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` on ``leg`` (one of ``LEGS``)."""
+    with on_leg(leg):
         return fn(*args, **kwargs)
 
 
@@ -159,7 +161,7 @@ class TestRngSampler:
         rng_v = np.random.default_rng(13)
         for _ in range(12):
             scalar = run_under("scalar", sample_rrr_ic, graph, 0.3, rng_s)
-            vector = run_under("vector", sample_rrr_ic, graph, 0.3, rng_v)
+            vector = run_under("kernels_off", sample_rrr_ic, graph, 0.3, rng_v)
             assert_rrr_equal(scalar, vector)
         # both generators must land in the same state
         assert rng_s.integers(1 << 30) == rng_v.integers(1 << 30)
@@ -193,16 +195,16 @@ class TestGreedySeeding:
         vector = greedy_seed_selection_vector(sets, n, k)
         assert scalar == vector
 
-    @pytest.mark.parametrize("engine", ["vector", "native"])
+    @pytest.mark.parametrize("leg", ["kernels_off", "native"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_engines_agree(self, seed, engine):
+    def test_engines_agree(self, seed, leg):
         """The native engine orders the membership by vertex with the
-        counting-sort kernel, the vector engine with a stable argsort."""
+        counting-sort kernel, or without it with a stable argsort."""
         rng = np.random.default_rng(seed)
         n = 40
         sets = _random_rrr_sets(rng, n, 25)
         scalar = run_under("scalar", greedy_seed_selection, sets, n, 16)
-        with use_engine(engine):
+        with on_leg(leg):
             assert greedy_seed_selection_vector(sets, n, 16) == scalar
 
     def test_empty_sets(self):
@@ -283,7 +285,7 @@ class TestSweepItems:
             if with_communities else None
         )
         scalar = run_under("scalar", build_sweep_items, graph, communities)
-        vector = run_under("vector", build_sweep_items, graph, communities)
+        vector = run_under("kernels_off", build_sweep_items, graph, communities)
         assert_items_equal(scalar, vector)
 
 
@@ -298,7 +300,7 @@ class TestMeasures:
             if use_pi else None
         )
         scalar = run_under("scalar", vertex_bandwidths, graph, pi)
-        vector = run_under("vector", vertex_bandwidths, graph, pi)
+        vector = run_under("kernels_off", vertex_bandwidths, graph, pi)
         assert np.array_equal(scalar, vector)
         assert scalar.dtype == vector.dtype
 
@@ -313,7 +315,7 @@ class TestMeasures:
             entries_per_line=entries_per_line,
         )
         vector = run_under(
-            "vector", vertex_line_fragmentation, graph, pi,
+            "kernels_off", vertex_line_fragmentation, graph, pi,
             entries_per_line=entries_per_line,
         )
         assert np.array_equal(scalar, vector)
@@ -354,7 +356,7 @@ class TestEndToEndInfluenceMax:
 
 class TestApplicationTraces:
     """The application studies replay block-indexed traces: the same
-    reports under every engine, through the machine's entry points."""
+    reports on every leg, through the machine's entry points."""
 
     @staticmethod
     def per_set_items(graph, rrr_sets, line_budget):
@@ -429,11 +431,11 @@ class TestApplicationTraces:
             k=4, probability=0.2, max_samples=120, seed=3,
         )
         reports = {}
-        for engine in ("native", "vector", "scalar"):
-            with use_engine(engine):
-                reports[engine] = run()
-        assert reports["native"] == reports["vector"] == reports["scalar"]
-        # the budget cut the replay mid-run on every engine
+        for leg in LEGS:
+            with on_leg(leg):
+                reports[leg] = run()
+        assert reports["native"] == reports["kernels_off"] == reports["scalar"]
+        # the budget cut the replay mid-run on every leg
         assert all(0 < traced < total for traced, total in traced_counts)
 
     @pytest.mark.parametrize("schedule", ["block", "colored"])
@@ -444,12 +446,12 @@ class TestApplicationTraces:
         graph = random_graph(60, 200, seed=3)
         ordering = get_scheme("degree_sort").order(graph)
         reports = {}
-        for engine in ("native", "vector", "scalar"):
-            with use_engine(engine):
-                reports[engine] = run_community_detection(
+        for leg in LEGS:
+            with on_leg(leg):
+                reports[leg] = run_community_detection(
                     graph, ordering, num_threads=3, schedule=schedule,
                 )
-        assert reports["native"] == reports["vector"] == reports["scalar"]
+        assert reports["native"] == reports["kernels_off"] == reports["scalar"]
 
     def test_studies_replay_through_the_machine_entry_points(
         self, monkeypatch

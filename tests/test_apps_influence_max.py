@@ -13,7 +13,7 @@ from repro.apps import (
 from repro.apps.influence_max import RRRSet
 from repro.graph import from_edges
 from repro.ordering import get_scheme
-from tests.conftest import make_path, make_star, make_two_cliques
+from tests.conftest import LEGS, make_path, make_star, make_two_cliques, on_leg
 
 
 class TestRRRSampling:
@@ -190,15 +190,14 @@ class TestRootDraw:
         assert bulk.tolist() == loop
         assert bulk_rng.bit_generator.state == loop_rng.bit_generator.state
 
-    @pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+    @pytest.mark.parametrize("leg", LEGS)
     @pytest.mark.parametrize("model", ["ic", "lt"])
     def test_runner_roots_follow_the_scalar_stream(
-        self, engine, model, monkeypatch
+        self, leg, model, monkeypatch
     ):
         """The runner's roots are the dedicated stream's scalar draws,
         mapped through the permutation, on every tier."""
         from repro.apps import batch, influence_max
-        from repro.engine import use_engine
 
         seen = []
         sets_of, lt_of = (
@@ -217,7 +216,7 @@ class TestRootDraw:
         monkeypatch.setattr(influence_max, "sample_rrr_lt", record_lt)
         graph = make_two_cliques(6)
         ordering = get_scheme("random").order(graph)
-        with use_engine(engine):
+        with on_leg(leg):
             report = run_influence_maximization(
                 graph, ordering, k=2, model=model, max_samples=90, seed=5,
             )

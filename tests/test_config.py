@@ -55,7 +55,7 @@ def _cache_dir():
     "knob, raw, read, expected",
     [
         ("REPRO_ORDERING_ENGINE", "", resolve_engine, "native"),
-        ("REPRO_ORDERING_ENGINE", " Vector ", resolve_engine, "vector"),
+        ("REPRO_ORDERING_ENGINE", " Scalar ", resolve_engine, "scalar"),
         ("REPRO_SANITIZE", " ", sanitize.enabled, False),
         ("REPRO_SANITIZE", " 1 ", sanitize.enabled, True),
         ("REPRO_CACHE_DIR", " ", _cache_dir, config.DEFAULT_CACHE_DIR),
@@ -71,6 +71,7 @@ def test_one_rule_for_every_knob(knobs, knob, raw, read, expected):
     "knob, raw",
     [
         ("REPRO_ORDERING_ENGINE", "simd"),
+        ("REPRO_ORDERING_ENGINE", "vector"),
         ("REPRO_NATIVE_SANITIZE", "msan"),
         ("REPRO_FAULTS", "disk-on-fire"),
     ],
@@ -107,8 +108,8 @@ def _resolved_engine(_cell):
 
 
 def test_forked_workers_inherit_the_snapshot(knobs, monkeypatch):
-    knobs(REPRO_ORDERING_ENGINE="vector")
+    knobs(REPRO_ORDERING_ENGINE="scalar")
     monkeypatch.setattr(os, "environ", _NoKnobReads(os.environ))
     results = map_cells_detailed(_resolved_engine, range(2), jobs=2)
     assert [r.error for r in results] == [None, None]
-    assert [r.value for r in results] == ["vector", "vector"]
+    assert [r.value for r in results] == ["scalar", "scalar"]

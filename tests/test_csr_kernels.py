@@ -3,7 +3,8 @@
 ``csr_build`` (:meth:`GraphBuilder.build`), ``csr_relabel``
 (:func:`apply_ordering`) and ``format_lines`` (the :mod:`repro.graph.io`
 writers) each replace a numpy pipeline that stays as the scalar twin.
-Every case here runs the public entry point under all three engines and
+Every case here runs the public entry point on every leg — the
+kernels, a host whose kernels did not build, and the scalar engine — and
 compares arrays bit for bit (weights as their int64 bit patterns, so
 ``-0.0`` and NaN payloads count) or files byte for byte.  The cases
 complement the engine sweeps of ``test_ingest.py``,
@@ -25,9 +26,8 @@ from repro.graph import apply_ordering, from_edges
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import CSRGraph
 from repro.graph.io import write_edge_list, write_matrix_market, write_metis
-from tests.conftest import raw_csr_graph
+from tests.conftest import LEGS, kernels_off, on_leg, raw_csr_graph
 
-ENGINES = ("native", "vector", "scalar")
 KERNELS = (
     native_csr.BUILD_KERNEL,
     native_csr.RELABEL_KERNEL,
@@ -45,17 +45,17 @@ def assert_same_csr(a, b):
     assert bits(a.weights) == bits(b.weights)
 
 
-def build_on_every_engine(n, src, dst, weights=None, weighted=None):
+def build_on_every_leg(n, src, dst, weights=None, weighted=None):
     graphs = {}
-    for engine in ENGINES:
+    for leg in LEGS:
         builder = GraphBuilder(n)
         builder.add_edge_array(src, dst, weights)
-        with use_engine(engine):
-            graphs[engine] = builder.build(weighted=weighted)
-    for engine in ("native", "vector"):
-        assert_same_csr(graphs[engine], graphs["scalar"])
+        with on_leg(leg):
+            graphs[leg] = builder.build(weighted=weighted)
+    for leg in ("native", "kernels_off"):
+        assert_same_csr(graphs[leg], graphs["scalar"])
         assert (
-            graphs[engine].meta["ingest_audit"]
+            graphs[leg].meta["ingest_audit"]
             == graphs["scalar"].meta["ingest_audit"]
         )
     return graphs["native"]
@@ -70,7 +70,7 @@ def test_build_negative_zero_and_nan_weights():
     src = np.asarray([0, 1, 2, 3, 3], dtype=np.int64)
     dst = np.asarray([1, 2, 3, 0, 0], dtype=np.int64)
     weights = np.asarray([-0.0, float("nan"), 2.0, float("nan"), -0.0])
-    graph = build_on_every_engine(4, src, dst, weights)
+    graph = build_on_every_leg(4, src, dst, weights)
     assert graph.weights[graph.indptr[0]] == 0.0
     assert np.signbit(graph.weights[graph.indptr[0]]) == np.False_
 
@@ -90,15 +90,15 @@ def test_build_edge_cases(n, pairs, weighted):
     src = np.asarray([u for u, _ in pairs], dtype=np.int64)
     dst = np.asarray([v for _, v in pairs], dtype=np.int64)
     weights = np.full(src.size, 1.5) if weighted else None
-    graph = build_on_every_engine(n, src, dst, weights, weighted=weighted)
+    graph = build_on_every_leg(n, src, dst, weights, weighted=weighted)
     assert graph.num_vertices == n
 
 
 def test_build_mixed_chunks_and_single_edges():
     """Head-chunk edges and bulk arrays (with and without weights) build
-    the same graph on every engine."""
+    the same graph on every leg."""
     graphs = {}
-    for engine in ENGINES:
+    for leg in LEGS:
         builder = GraphBuilder(8)
         builder.add_edge(0, 1, 2.0)
         builder.add_edge_array(np.asarray([1, 2]), np.asarray([2, 3]))
@@ -106,22 +106,22 @@ def test_build_mixed_chunks_and_single_edges():
         builder.add_edge_array(
             np.asarray([4, 1]), np.asarray([5, 0]), np.asarray([0.5, 0.25])
         )
-        with use_engine(engine):
-            graphs[engine] = builder.build()
-    for engine in ("native", "vector"):
-        assert_same_csr(graphs[engine], graphs["scalar"])
+        with on_leg(leg):
+            graphs[leg] = builder.build()
+    for leg in ("native", "kernels_off"):
+        assert_same_csr(graphs[leg], graphs["scalar"])
 
 
 # ---------------------------------------------------------------------------
 # csr_relabel
 # ---------------------------------------------------------------------------
-def relabel_on_every_engine(graph, pi):
+def relabel_on_every_leg(graph, pi):
     out = {}
-    for engine in ENGINES:
-        with use_engine(engine):
-            out[engine] = apply_ordering(graph, pi)
-    for engine in ("native", "vector"):
-        assert_same_csr(out[engine], out["scalar"])
+    for leg in LEGS:
+        with on_leg(leg):
+            out[leg] = apply_ordering(graph, pi)
+    for leg in ("native", "kernels_off"):
+        assert_same_csr(out[leg], out["scalar"])
     return out["native"]
 
 
@@ -130,9 +130,9 @@ def test_relabel_raw_csr_matches_twin(seed):
     """Duplicates, self-loops, one-sided entries and an unsorted row."""
     graph = raw_csr_graph()
     pi = np.random.default_rng(seed).permutation(graph.num_vertices)
-    relabel_on_every_engine(graph, pi)
+    relabel_on_every_leg(graph, pi)
     unweighted = CSRGraph(graph.indptr, graph.indices)
-    relabel_on_every_engine(unweighted, pi)
+    relabel_on_every_leg(unweighted, pi)
 
 
 @st.composite
@@ -154,7 +154,7 @@ def raw_csrs(draw):
 @settings(max_examples=60, deadline=None)
 def test_relabel_random_raw_csr_matches_twin(case):
     graph, pi = case
-    relabel_on_every_engine(graph, pi)
+    relabel_on_every_leg(graph, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +176,8 @@ def test_format_lines_spans_many_blocks(writer, tmp_path):
         weights=np.linspace(0.001, 1000.0, leaves),
     )
     texts = set()
-    for engine in ENGINES:
-        with use_engine(engine):
+    for leg in LEGS:
+        with on_leg(leg):
             writer(star, tmp_path / "star")
         texts.add((tmp_path / "star").read_bytes())
     assert len(texts) == 1
@@ -187,7 +187,7 @@ def test_format_lines_spans_many_blocks(writer, tmp_path):
 # ---------------------------------------------------------------------------
 # No compiler: the native engine runs the twins
 # ---------------------------------------------------------------------------
-def test_build_fail_runs_the_twins(knobs, tmp_path):
+def test_build_fail_runs_the_twins(tmp_path):
     graph = raw_csr_graph()
     pi = np.random.default_rng(2).permutation(graph.num_vertices)
     src = np.asarray([0, 3, 3, 1, 4], dtype=np.int64)
@@ -206,17 +206,9 @@ def test_build_fail_runs_the_twins(knobs, tmp_path):
 
     with use_engine("scalar"):
         expected = run()
-    knobs(REPRO_FAULTS="native-build-fail:p=1")
-    for kernel in KERNELS:
-        kernel.reset()
-    try:
+    with kernels_off():
         assert all(kernel.lib() is None for kernel in KERNELS)
-        with use_engine("native"):
-            degraded = run()
-    finally:
-        knobs(REPRO_FAULTS=None)
-        for kernel in KERNELS:
-            kernel.reset()
+        degraded = run()
     assert_same_csr(degraded[0], expected[0])
     assert_same_csr(degraded[1], expected[1])
     assert degraded[2] == expected[2]

@@ -1,11 +1,13 @@
-"""The vector and native ordering engines are bit-identical to scalar.
+"""The native engine, kernels on or off, is bit-identical to scalar.
 
 Every engine-gated hot path keeps the original Python loops as ground
 truth (:mod:`repro.engine`); these tests drive each scheme through the
-engines and require the *exact* same permutation, operation count, and
-metadata — not approximate agreement.  The recorded execution tier
-(``ENGINE_METADATA_KEY``) is the one sanctioned metadata difference and
-is stripped before comparing.
+native engine, on this host and on one whose kernels did not build
+(:func:`tests.conftest.kernels_off`), and require the *exact* same
+permutation, operation count, and metadata — not approximate
+agreement.  The recorded execution tier (``ENGINE_METADATA_KEY``) is
+the one sanctioned metadata difference and is stripped before
+comparing.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from tests.conftest import (
     make_path,
     make_star,
     make_two_cliques,
+    on_leg,
     random_graph,
 )
 from repro.engine import (
@@ -67,8 +70,8 @@ GRAPHS = {
 }
 
 
-def order_with(scheme_name, graph, engine):
-    with use_engine(engine):
+def order_with(scheme_name, graph, leg):
+    with on_leg(leg):
         return get_scheme(scheme_name).order(graph)
 
 
@@ -81,19 +84,12 @@ def assert_same_ordering(a, b):
     )
 
 
-#: schemes whose vector engine runs the scalar twin (no vector tier):
-#: their ``vector`` cases compare the kernel with the twin instead.
-TWIN_ONLY_SCHEMES = ("gorder", "rabbit")
-
-
-@pytest.mark.parametrize("engine", ("vector", "native"))
+@pytest.mark.parametrize("leg", ("kernels_off", "native"))
 @pytest.mark.parametrize("scheme_name", GATED_SCHEMES)
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-def test_engines_bit_identical(scheme_name, graph_name, engine):
+def test_engines_bit_identical(scheme_name, graph_name, leg):
     graph = GRAPHS[graph_name]
-    if scheme_name in TWIN_ONLY_SCHEMES:
-        engine = "native"
-    tiered = order_with(scheme_name, graph, engine)
+    tiered = order_with(scheme_name, graph, leg)
     scalar = order_with(scheme_name, graph, "scalar")
     assert_same_ordering(tiered, scalar)
 
@@ -102,10 +98,11 @@ def test_engines_bit_identical(scheme_name, graph_name, engine):
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 def test_partition_schemes_native_matches_vector(scheme_name, graph_name):
     """Under the native engine each ordering is one partition_tree or
-    dissect_tree kernel call; the vector engine runs the recursion."""
+    dissect_tree kernel call; without the kernel the vector tier runs
+    the recursion."""
     graph = GRAPHS[graph_name]
     native = order_with(scheme_name, graph, "native")
-    vector = order_with(scheme_name, graph, "vector")
+    vector = order_with(scheme_name, graph, "kernels_off")
     assert_same_ordering(native, vector)
 
 
@@ -123,9 +120,7 @@ def test_partition_schemes_native_matches_vector(scheme_name, graph_name):
 @settings(max_examples=12, deadline=None)
 def test_engines_bit_identical_random_shapes(scheme_name, n, edges):
     graph = from_edges(n, [(u % n, v % n) for u, v in edges])
-    # Rabbit's one tier beside its scalar loop is the C kernel.
-    engine = "native" if scheme_name == "rabbit" else "vector"
-    tiered = order_with(scheme_name, graph, engine)
+    tiered = order_with(scheme_name, graph, "native")
     scalar = order_with(scheme_name, graph, "scalar")
     assert_same_ordering(tiered, scalar)
 
@@ -133,8 +128,8 @@ def test_engines_bit_identical_random_shapes(scheme_name, n, edges):
 def test_every_registered_scheme_runs_under_all_engines(medium_random):
     for scheme_name in available_schemes():
         scalar = order_with(scheme_name, medium_random, "scalar")
-        for engine in ("vector", "native"):
-            tiered = order_with(scheme_name, medium_random, engine)
+        for leg in ("kernels_off", "native"):
+            tiered = order_with(scheme_name, medium_random, leg)
             assert np.array_equal(tiered.permutation, scalar.permutation)
             assert tiered.cost == scalar.cost
 
@@ -213,10 +208,10 @@ def test_default_engine_is_native():
 
 
 def test_context_override_beats_env(knobs):
-    knobs(REPRO_ORDERING_ENGINE="vector")
-    with use_engine("scalar"):
-        assert resolve_engine() == "scalar"
-    assert resolve_engine() == "vector"
+    knobs(REPRO_ORDERING_ENGINE="scalar")
+    with use_engine("native"):
+        assert resolve_engine() == "native"
+    assert resolve_engine() == "scalar"
 
 
 def test_env_variable_selects_engine(knobs):
@@ -226,15 +221,16 @@ def test_env_variable_selects_engine(knobs):
 
 def test_nested_contexts_restore(monkeypatch):
     with use_engine("scalar"):
-        with use_engine("vector"):
-            assert resolve_engine() == "vector"
+        with use_engine("native"):
+            assert resolve_engine() == "native"
         assert resolve_engine() == "scalar"
     assert resolve_engine() == DEFAULT_ENGINE
 
 
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError):
-        with use_engine("simd"):
+@pytest.mark.parametrize("engine", ("simd", "vector"))
+def test_unknown_engine_rejected(engine):
+    with pytest.raises(ValueError, match=r"\['native', 'scalar'\]"):
+        with use_engine(engine):
             pass  # pragma: no cover
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import use_engine
 from repro.graph import (
     apply_ordering,
     compose_orderings,
@@ -17,7 +16,7 @@ from repro.graph import (
     validate_ordering,
 )
 from repro.measures import average_gap, graph_bandwidth
-from tests.conftest import make_two_cliques, random_graph
+from tests.conftest import LEGS, make_two_cliques, on_leg, random_graph
 
 
 class TestValidation:
@@ -133,16 +132,16 @@ def relabel_cases(draw):
 
 
 class TestApplyOrderingEngines:
-    @pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+    @pytest.mark.parametrize("leg", LEGS)
     @given(case=relabel_cases())
     @settings(max_examples=25, deadline=None)
-    def test_matches_rebuilt_oracle(self, engine, case):
+    def test_matches_rebuilt_oracle(self, leg, case):
         """Relabelling equals building the relabelled edge list afresh
         (isolated vertices, n = 0 and duplicate edges included)."""
         n, edges, weights, pi = case
         g = from_edges(n, edges, weights)
         oracle = from_edges(n, pi[edges], weights)
-        with use_engine(engine):
+        with on_leg(leg):
             h = apply_ordering(g, pi)
         assert np.array_equal(h.indptr, oracle.indptr)
         assert np.array_equal(h.indices, oracle.indices)

@@ -24,6 +24,7 @@ import repro.graph.io as gio
 from repro._native import parse as native_parse
 from repro.engine import use_engine
 from repro.graph.builder import GraphBuilder, from_edges, pair_order
+from tests.conftest import LEGS, on_leg
 
 # Hand-picked bytes covering every grammar corner: comments and n=
 # headers (first/last/overlong), CR/CRLF/LF line breaks, blank and
@@ -149,17 +150,17 @@ def test_read_edge_list_engine_equivalence(raw, tmp_path):
     path = tmp_path / "edges.txt"
     path.write_bytes(raw)
     outcomes = {}
-    for engine in ("scalar", "vector", "native"):
+    for leg in LEGS:
         try:
-            with use_engine(engine):
-                outcomes[engine] = ("ok", gio.read_edge_list(path))
+            with on_leg(leg):
+                outcomes[leg] = ("ok", gio.read_edge_list(path))
         except Exception as exc:  # noqa: BLE001 - comparing exception types
-            outcomes[engine] = ("err", type(exc))
+            outcomes[leg] = ("err", type(exc))
     kinds = {kind for kind, _ in outcomes.values()}
     assert len(kinds) == 1, outcomes
     scalar_kind, scalar_payload = outcomes["scalar"]
-    for engine in ("vector", "native"):
-        kind, payload = outcomes[engine]
+    for leg in ("kernels_off", "native"):
+        kind, payload = outcomes[leg]
         if scalar_kind == "ok":
             # bitwise, not approximate (CSRGraph.__eq__ is allclose, and
             # nan weights would fail it): merge order is preserved
@@ -193,8 +194,8 @@ def test_read_edge_list_records_parse_engine(tmp_path):
 def test_read_edge_list_one_based_and_header(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_bytes(b"# n=6\n1 2\n2 3\n")
-    for engine in ("scalar", "vector", "native"):
-        with use_engine(engine):
+    for leg in LEGS:
+        with on_leg(leg):
             graph = gio.read_edge_list(path, one_based=True)
         assert graph.num_vertices == 6
         assert graph.has_edge(0, 1) and graph.has_edge(1, 2)
@@ -223,16 +224,16 @@ def test_builder_engines_bit_identical(n, edges, weighted):
         "ones": [1.0] * len(edges),
     }[weighted]
     graphs = {}
-    for engine in ("scalar", "vector", "native"):
+    for leg in LEGS:
         builder = GraphBuilder(n)
         builder.add_edges(edges, weights=weights)
-        with use_engine(engine):
-            graphs[engine] = builder.build(
+        with on_leg(leg):
+            graphs[leg] = builder.build(
                 weighted=True if weighted else None
             )
     ref = graphs["scalar"]
-    for engine in ("vector", "native"):
-        graph = graphs[engine]
+    for leg in ("kernels_off", "native"):
+        graph = graphs[leg]
         assert np.array_equal(graph.indptr, ref.indptr)
         assert np.array_equal(graph.indices, ref.indices)
         if weighted:
@@ -259,11 +260,11 @@ def test_pair_order_is_lexsort_on_every_tier(num_buckets, size, seed):
         assert np.array_equal(order, expected)
 
 
-@pytest.mark.parametrize("engine", ("scalar", "vector", "native"))
-def test_builder_forced_weighted_all_ones(engine):
+@pytest.mark.parametrize("leg", LEGS)
+def test_builder_forced_weighted_all_ones(leg):
     """``weighted=True`` keeps a unit weight array; the default drops it."""
     edges = [(0, 1), (1, 2), (2, 0), (1, 0), (3, 3)]
-    with use_engine(engine):
+    with on_leg(leg):
         builder = GraphBuilder(4)
         builder.add_edges(edges, weights=[1.0] * len(edges))
         forced = builder.build(weighted=True)
@@ -280,8 +281,8 @@ def test_builder_forced_weighted_all_ones(engine):
     }
 
 
-@pytest.mark.parametrize("engine", ("scalar", "vector", "native"))
-def test_builder_merges_duplicate_weights_in_insertion_order(engine):
+@pytest.mark.parametrize("leg", LEGS)
+def test_builder_merges_duplicate_weights_in_insertion_order(leg):
     """Duplicates of one edge, in either direction, sum their weights in
     the order they were added — bitwise, not just approximately."""
     weights = [0.1, 1e16, 0.2, -1e16, 0.3]
@@ -290,7 +291,7 @@ def test_builder_merges_duplicate_weights_in_insertion_order(engine):
     for (u, v), w in zip(edges, weights):
         if {u, v} == {2, 5}:
             expected += w
-    with use_engine(engine):
+    with on_leg(leg):
         builder = GraphBuilder(6)
         builder.add_edges(edges, weights=weights)
         graph = builder.build()

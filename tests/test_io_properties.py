@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import use_engine
 from repro.graph import from_edges
 from repro.graph.io import (
     read_edge_list,
@@ -15,6 +14,7 @@ from repro.graph.io import (
     write_matrix_market,
     write_metis,
 )
+from tests.conftest import LEGS, on_leg
 
 FORMATS = [
     (write_edge_list, read_edge_list, "txt"),
@@ -94,13 +94,13 @@ def test_edge_list_roundtrip_identical_across_engines(
     path = tmp_path_factory.mktemp("io") / "g.txt"
     write_edge_list(graph, path)
     restored = {}
-    for engine in ("scalar", "vector", "native"):
-        with use_engine(engine):
-            restored[engine] = read_edge_list(path)
+    for leg in LEGS:
+        with on_leg(leg):
+            restored[leg] = read_edge_list(path)
     ref = restored["scalar"]
     assert ref.num_vertices == graph.num_vertices
-    for engine in ("vector", "native"):
-        other = restored[engine]
+    for leg in ("kernels_off", "native"):
+        other = restored[leg]
         assert np.array_equal(other.indptr, ref.indptr)
         assert np.array_equal(other.indices, ref.indices)
         assert other.is_weighted == ref.is_weighted
@@ -132,7 +132,7 @@ def test_edge_list_one_based_with_comment_headers(
     reference = from_edges(
         max(max(u, v) for u, v in edges) + 1, edges
     )
-    for engine in ("scalar", "vector", "native"):
-        with use_engine(engine):
+    for leg in LEGS:
+        with on_leg(leg):
             restored = read_edge_list(path, one_based=True)
         assert restored == reference

@@ -39,10 +39,13 @@ from repro.simulator.parallel import (
     static_interleaved_schedule,
 )
 from tests.conftest import (
+    LEGS,
+    kernels_off,
     make_clique,
     make_grid,
     make_star,
     make_two_cliques,
+    on_leg,
     random_graph,
     raw_csr_graph,
 )
@@ -146,11 +149,34 @@ def test_reset_forgets_build_state():
     assert kernel.build_info()["status"] != "not built"  # rebuilt lazily
 
 
+def test_kernels_off_takes_effect_and_restores(knobs):
+    """Inside the block no kernel builds and the ambient fault plan
+    stays armed; after it the kernels build again."""
+    from repro.resilience import faults
+
+    if not native_available():
+        pytest.skip("no C compiler: the kernels are off already")
+    knobs(REPRO_FAULTS="cache-corrupt:p=0")  # a clause that never fires
+    graph = load("euroroad")
+    with kernels_off():
+        assert order_with("grappolo", graph, "native").metadata[
+            "engine"
+        ] == "scalar"
+        kinds = [spec.kind for spec in faults.active_plan().specs]
+        assert kinds == ["cache-corrupt", "native-build-fail"]
+    assert order_with("grappolo", graph, "native").metadata["engine"] == (
+        "native"
+    )
+    assert [spec.kind for spec in faults.active_plan().specs] == [
+        "cache-corrupt"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Bit-identity: orderings through the native tier
 # ---------------------------------------------------------------------------
-def order_with(scheme_name, graph, engine):
-    with use_engine(engine):
+def order_with(scheme_name, graph, leg):
+    with on_leg(leg):
         return get_scheme(scheme_name).order(graph)
 
 
@@ -210,17 +236,10 @@ def test_native_degree_sort_on_a_small_graph_records_native():
     assert native.metadata["engine"] == expected
 
 
-def test_gorder_without_its_kernel_runs_the_twin(knobs):
-    kernel = native_core.get_kernel("gorder_greedy")
+def test_gorder_without_its_kernel_runs_the_twin():
     graph = GRAPHS["random"]
     scalar = order_with("gorder", graph, "scalar")
-    knobs(REPRO_FAULTS="native-build-fail:p=1")
-    kernel.reset()
-    try:
-        degraded = order_with("gorder", graph, "native")
-    finally:
-        knobs(REPRO_FAULTS=None)
-        kernel.reset()
+    degraded = order_with("gorder", graph, "kernels_off")
     assert np.array_equal(degraded.permutation, scalar.permutation)
     assert degraded.cost == scalar.cost
     assert degraded.metadata == scalar.metadata
@@ -400,9 +419,9 @@ def test_rabbit_is_invariant_under_uniform_weight_scaling(engine):
         assert ordering.metadata == orders[1].metadata
 
 
-@pytest.mark.parametrize("engine", ("native", "vector", "scalar"))
-def test_rabbit_metadata_on_the_empty_graph(engine):
-    with use_engine(engine):
+@pytest.mark.parametrize("leg", LEGS)
+def test_rabbit_metadata_on_the_empty_graph(leg):
+    with on_leg(leg):
         ordering = get_scheme("rabbit").order(from_edges(0, []))
     assert ordering.permutation.size == 0
     assert strip_engine_metadata(ordering.metadata) == {
@@ -564,32 +583,18 @@ def test_native_louvain_random_shapes(n, edges):
 
 @pytest.mark.parametrize("scheme_name", ("grappolo", "grappolo_rcm"))
 def test_grappolo_records_the_sweep_tier(scheme_name):
-    """``native`` only when every Louvain sweep ran in the kernel; the
-    vector engine runs the scalar sweep and records ``scalar``."""
+    """``native`` only when every Louvain sweep ran in the kernel;
+    without the kernel the scalar sweep runs and records ``scalar``."""
     graph = GRAPHS["random"]
     built = native_core.get_kernel("louvain_sweep").lib() is not None
     native = order_with(scheme_name, graph, "native")
     assert native.metadata["engine"] == ("native" if built else "scalar")
-    vector = order_with(scheme_name, graph, "vector")
-    assert vector.metadata["engine"] == "scalar"
-    assert np.array_equal(native.permutation, vector.permutation)
-
-
-@pytest.mark.parametrize("scheme_name", ("grappolo", "grappolo_rcm"))
-def test_grappolo_without_its_kernel_records_scalar(scheme_name, knobs):
-    kernel = native_core.get_kernel("louvain_sweep")
-    graph = GRAPHS["random"]
+    degraded = order_with(scheme_name, graph, "kernels_off")
     scalar = order_with(scheme_name, graph, "scalar")
-    knobs(REPRO_FAULTS="native-build-fail:p=1")
-    kernel.reset()
-    try:
-        degraded = order_with(scheme_name, graph, "native")
-    finally:
-        knobs(REPRO_FAULTS=None)
-        kernel.reset()
-    assert np.array_equal(degraded.permutation, scalar.permutation)
     assert degraded.metadata == scalar.metadata
     assert degraded.metadata["engine"] == "scalar"
+    for ordering in (native, degraded):
+        assert np.array_equal(ordering.permutation, scalar.permutation)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +644,8 @@ def dynamic_items(seed, count=30, max_len=300, span=3000):
     return items
 
 
-def run_dynamic_with(machine, items, chunk, engine):
-    with use_engine(engine):
+def run_dynamic_with(machine, items, chunk, leg):
+    with on_leg(leg):
         return machine.run_dynamic(items, chunk=chunk)
 
 
@@ -659,7 +664,7 @@ def test_native_run_dynamic_for_scale_geometries(scale):
     items = dynamic_items(7, count=40, max_len=1500, span=40000)
     native = run_dynamic_with(machine, items, 4, "native")
     # long items take the batched engine on the Python path
-    python = run_dynamic_with(machine, items, 4, "vector")
+    python = run_dynamic_with(machine, items, 4, "kernels_off")
     assert native == python
     assert native == run_dynamic_per_access(machine, items, 4)
 
@@ -667,7 +672,7 @@ def test_native_run_dynamic_for_scale_geometries(scale):
 def test_native_run_dynamic_empty_items():
     machine = SimulatedMachine(4)
     empty = run_dynamic_with(machine, [], 8, "native")
-    assert empty == run_dynamic_with(machine, [], 8, "vector")
+    assert empty == run_dynamic_with(machine, [], 8, "kernels_off")
     assert empty.thread_cycles == (0, 0, 0, 0)
     blank = [WorkItem([], 5), WorkItem(np.zeros(0, np.int64), 0)]
     assert run_dynamic_with(machine, blank, 1, "native") == (
@@ -812,40 +817,37 @@ def test_rrr_sampling_native_matches_scalar(budget, monkeypatch):
 # ---------------------------------------------------------------------------
 # Ids the kernels index with: every tier rejects the same bad ids
 # ---------------------------------------------------------------------------
-ENGINES = ("native", "vector", "scalar")
-
-
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("root", ("minus_one", "n"))
-def test_rrr_roots_outside_vertex_range_rejected(engine, root):
+def test_rrr_roots_outside_vertex_range_rejected(leg, root):
     from repro.apps.batch import sample_rrr_ic_pinned_batch
 
     graph = GRAPHS["random"]
     n = graph.num_vertices
     roots = np.asarray([0, -1 if root == "minus_one" else n, 3])
-    with use_engine(engine), pytest.raises(ValueError, match="roots"):
+    with on_leg(leg), pytest.raises(ValueError, match="roots"):
         sample_rrr_ic_pinned_batch(
             graph, 0.3, roots, np.arange(n, dtype=np.int64),
             np.arange(3, dtype=np.int64), 9, jobs=1,
         )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_rrr_original_of_must_map_every_vertex(engine):
+@pytest.mark.parametrize("leg", LEGS)
+def test_rrr_original_of_must_map_every_vertex(leg):
     from repro.apps.batch import sample_rrr_ic_pinned_batch
 
     graph = GRAPHS["random"]
     n = graph.num_vertices
-    with use_engine(engine), pytest.raises(ValueError, match="original_of"):
+    with on_leg(leg), pytest.raises(ValueError, match="original_of"):
         sample_rrr_ic_pinned_batch(
             graph, 0.3, np.asarray([0, 3]), np.arange(n // 2),
             np.arange(2, dtype=np.int64), 9, jobs=1,
         )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("labels", ("minus_one", "two", "short"))
-def test_fm_refine_rejects_labels_outside_the_bisection(engine, labels):
+def test_fm_refine_rejects_labels_outside_the_bisection(leg, labels):
     from repro.partition import fm_refine
 
     graph = GRAPHS["random"]
@@ -857,22 +859,22 @@ def test_fm_refine_rejects_labels_outside_the_bisection(engine, labels):
         part[7] = 2
     else:
         part = part[:-1]
-    with use_engine(engine), pytest.raises(ValueError, match="0/1"):
+    with on_leg(leg), pytest.raises(ValueError, match="0/1"):
         fm_refine(graph, part, np.ones(n))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("source", ("minus_one", "n"))
-def test_delta_stepping_rejects_source_outside_vertex_range(engine, source):
+def test_delta_stepping_rejects_source_outside_vertex_range(leg, source):
     graph = GRAPHS["random"]
     n = graph.num_vertices
-    with use_engine(engine), pytest.raises(ValueError, match="source"):
+    with on_leg(leg), pytest.raises(ValueError, match="source"):
         delta_stepping(graph, -1 if source == "minus_one" else n)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("order", ("minus_one", "repeat", "short"))
-def test_louvain_rejects_vertex_order_that_is_no_permutation(engine, order):
+def test_louvain_rejects_vertex_order_that_is_no_permutation(leg, order):
     graph = GRAPHS["random"]
     n = graph.num_vertices
     vertex_order = np.arange(n, dtype=np.int64)
@@ -882,32 +884,25 @@ def test_louvain_rejects_vertex_order_that_is_no_permutation(engine, order):
         vertex_order[5] = vertex_order[6]
     else:
         vertex_order = vertex_order[:-1]
-    with use_engine(engine), pytest.raises(ValueError, match="permutation"):
+    with on_leg(leg), pytest.raises(ValueError, match="permutation"):
         louvain(graph, vertex_order=vertex_order)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("partner", ("minus_one", "n"))
-def test_coarse_map_rejects_partner_outside_vertex_range(engine, partner):
+def test_coarse_map_rejects_partner_outside_vertex_range(leg, partner):
     from repro.partition import matching_to_coarse_map
 
     match = np.arange(10, dtype=np.int64)
     match[4] = -1 if partner == "minus_one" else 10
-    with use_engine(engine), pytest.raises(ValueError, match="partners"):
+    with on_leg(leg), pytest.raises(ValueError, match="partners"):
         matching_to_coarse_map(match)
 
 
-def test_degree_ordering_under_build_failure(knobs):
-    kernel = native_core.get_kernel("counting_sort")
+def test_degree_ordering_under_build_failure():
     graph = GRAPHS["random"]
     scalar = order_with("hub_sort", graph, "scalar")
-    knobs(REPRO_FAULTS="native-build-fail:p=1")
-    kernel.reset()
-    try:
-        degraded = order_with("hub_sort", graph, "native")
-    finally:
-        knobs(REPRO_FAULTS=None)
-        kernel.reset()
+    degraded = order_with("hub_sort", graph, "kernels_off")
     assert np.array_equal(degraded.permutation, scalar.permutation)
     assert degraded.metadata["engine"] != "native"  # vector fallback ran
 
@@ -940,7 +935,7 @@ def _call_with_weights(entry, graph, weights):
         )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize(
     "entry",
     (
@@ -949,37 +944,28 @@ def _call_with_weights(entry, graph, weights):
     ),
 )
 @pytest.mark.parametrize("length", (10, 150))
-def test_vertex_weights_of_wrong_length_rejected(engine, entry, length):
+def test_vertex_weights_of_wrong_length_rejected(leg, entry, length):
     graph = random_graph(200, 800)
-    with use_engine(engine), pytest.raises(ValueError, match="vertex_weights"):
+    with on_leg(leg), pytest.raises(ValueError, match="vertex_weights"):
         _call_with_weights(entry, graph, np.ones(length))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_vertex_weights_must_be_one_dimensional(engine):
+@pytest.mark.parametrize("leg", LEGS)
+def test_vertex_weights_must_be_one_dimensional(leg):
     graph = random_graph(200, 800)
-    with use_engine(engine), pytest.raises(ValueError, match="vertex_weights"):
+    with on_leg(leg), pytest.raises(ValueError, match="vertex_weights"):
         _call_with_weights("bisect", graph, np.ones((200, 1)))
 
 
 @pytest.mark.parametrize("scheme_name", ("metis", "nested_dissection"))
-def test_partition_orderings_report_the_tier_that_ran(scheme_name, knobs):
+def test_partition_orderings_report_the_tier_that_ran(scheme_name):
     from repro._native import fm as native_fm
 
     graph = GRAPHS["random"]
     native = order_with(scheme_name, graph, "native")
     expected = "native" if native_fm.KERNEL.lib() is not None else "vector"
     assert native.metadata["engine"] == expected
-    assert order_with(scheme_name, graph, "vector").metadata["engine"] == (
-        "vector"
-    )
-    knobs(REPRO_FAULTS="native-build-fail:p=1")
-    native_fm.KERNEL.reset()
-    try:
-        degraded = order_with(scheme_name, graph, "native")
-    finally:
-        knobs(REPRO_FAULTS=None)
-        native_fm.KERNEL.reset()
+    degraded = order_with(scheme_name, graph, "kernels_off")
     assert degraded.metadata["engine"] == "vector"
     assert np.array_equal(degraded.permutation, native.permutation)
 
@@ -1000,7 +986,7 @@ def assert_tree_matches_twin(graph, num_parts, vertex_weights=None, seed=0):
         native = partition_graph(
             graph, num_parts, vertex_weights=vertex_weights, seed=rng_native
         )
-    with use_engine("vector"):
+    with kernels_off():
         twin = partition_graph(
             graph, num_parts, vertex_weights=vertex_weights, seed=rng_twin
         )
@@ -1077,7 +1063,7 @@ def test_partition_tree_matches_twin_on_degenerate_splits(num_parts):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(multilevel, "bisect", spy)
-        with use_engine("vector"):
+        with kernels_off():
             multilevel.partition_graph(graph, num_parts, vertex_weights=weights)
     assert 13 in one_sided  # the twin takes the degenerate path
     assert_tree_matches_twin(graph, num_parts, vertex_weights=weights)
@@ -1132,14 +1118,14 @@ def test_partition_tree_canonicalises_a_raw_csr(num_parts, seed):
     )
 
 
-def dissect_with(graph, engine, seed=0, leaf_size=16):
+def dissect_with(graph, leg, seed=0, leaf_size=16):
     """(sequence, metadata, counter totals, next draw) of one ND run."""
     from repro.ordering.base import OperationCounter
     from repro.ordering.nested_dissection import NestedDissectionOrder
 
     counter = OperationCounter()
     rng = np.random.default_rng(seed)
-    with use_engine(engine):
+    with on_leg(leg):
         permutation, metadata = NestedDissectionOrder(
             leaf_size=leaf_size
         ).compute(graph, counter, rng)
@@ -1151,7 +1137,7 @@ def assert_dissection_matches_twin(graph, seed=0, leaf_size=16):
     from repro._native import fm as native_fm
 
     native = dissect_with(graph, "native", seed, leaf_size)
-    twin = dissect_with(graph, "vector", seed, leaf_size)
+    twin = dissect_with(graph, "kernels_off", seed, leaf_size)
     assert np.array_equal(native[0], twin[0])
     assert strip_engine_metadata(native[1]) == strip_engine_metadata(twin[1])
     assert native[2:] == twin[2:]

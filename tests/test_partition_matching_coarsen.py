@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.engine import use_engine
 from repro.graph import from_edges
 from repro.partition import (
     coarsen_graph,
@@ -11,7 +10,7 @@ from repro.partition import (
     heavy_edge_matching,
     matching_to_coarse_map,
 )
-from tests.conftest import make_path, random_graph
+from tests.conftest import LEGS, make_path, on_leg, random_graph
 
 
 class TestMatching:
@@ -83,10 +82,10 @@ class TestCoarsening:
         with pytest.raises(ValueError, match="cover"):
             contract_by_labels(g, np.asarray([0, 1]))
 
-    @pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
-    def test_negative_label_rejected(self, engine):
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_negative_label_rejected(self, leg):
         g = from_edges(4, [(0, 1), (1, 2)])
-        with use_engine(engine), pytest.raises(
+        with on_leg(leg), pytest.raises(
             ValueError, match="non-negative"
         ):
             contract_by_labels(g, np.asarray([0, 0, 1, -1]))

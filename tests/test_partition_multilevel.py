@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.engine import ENGINES, use_engine
 from repro.graph import from_edges
 from repro.partition import (
     bisect,
@@ -16,10 +15,12 @@ from repro.partition import (
     vertex_separator,
 )
 from tests.conftest import (
+    LEGS,
     make_clique,
     make_grid,
     make_path,
     make_two_cliques,
+    on_leg,
     random_graph,
 )
 
@@ -69,13 +70,13 @@ class TestBisect:
         share = (result.assignment == 0).mean()
         assert 0.1 < share < 0.45
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_labels_the_python_pipeline(self, engine):
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_labels_the_python_pipeline(self, leg):
         """No kernel bisects one graph: the pipeline runs on every
-        engine, labelled ``vector`` under the native one."""
-        with use_engine(engine):
+        leg, labelled ``vector`` under the native engine."""
+        with on_leg(leg):
             result = bisect(random_graph(100, 300, seed=7), seed=1)
-        assert result.engine == ("scalar" if engine == "scalar" else "vector")
+        assert result.engine == ("scalar" if leg == "scalar" else "vector")
 
 
 class TestFMRefine:

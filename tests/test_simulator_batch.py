@@ -115,11 +115,8 @@ class TestCacheAccessBatch:
         assert got.size == 0
         assert cache.stats.accesses == 0
 
-    @pytest.mark.parametrize("engine", ["vector", "scalar"])
-    def test_non_native_engines_never_ask_for_the_kernel(
-        self, monkeypatch, engine
-    ):
-        """Non-native engines replay regions in Python, never in C."""
+    def test_scalar_engine_never_asks_for_the_kernel(self, monkeypatch):
+        """The scalar engine replays regions in Python, never in C."""
         rng = np.random.default_rng(13)
         per_thread = random_region(rng, 3)
         items = [item for items in per_thread for item in items]
@@ -129,10 +126,10 @@ class TestCacheAccessBatch:
             native_dynamic = machine.run_dynamic(items, chunk=2)
 
         def refuse():
-            raise AssertionError(f"region kernel requested under {engine!r}")
+            raise AssertionError("region kernel requested under scalar")
 
         monkeypatch.setattr(native_machine.KERNEL, "lib", refuse)
-        with use_engine(engine):
+        with use_engine("scalar"):
             assert machine.run(per_thread) == native
             assert machine.run_dynamic(items, chunk=2) == native_dynamic
 

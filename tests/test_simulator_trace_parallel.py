@@ -17,6 +17,7 @@ from repro.simulator import (
     static_block_schedule,
     static_interleaved_schedule,
 )
+from tests.conftest import LEGS, kernels_off, on_leg
 
 
 class TestMemoryLayout:
@@ -153,11 +154,11 @@ class TestSimulatedMachine:
         with pytest.raises(ValueError):
             machine.run_dynamic([], chunk=0)
 
-    @pytest.mark.parametrize("engine", ["native", "vector"])
-    def test_zero_threads_rejected(self, engine):
-        # no thread to run the work on: refused up front under every
-        # engine, instead of a region that silently drops every load
-        with use_engine(engine), pytest.raises(
+    @pytest.mark.parametrize("leg", ["native", "kernels_off"])
+    def test_zero_threads_rejected(self, leg):
+        # no thread to run the work on: refused up front, kernels on or
+        # off, instead of a region that silently drops every load
+        with on_leg(leg), pytest.raises(
             ValueError, match="num_threads must be positive"
         ):
             SimulatedMachine(0).run_dynamic(
@@ -173,7 +174,7 @@ class TestSimulatedMachine:
 
 # ---------------------------------------------------------------------------
 # Block-indexed traces: the same regions as WorkItem lists and as the
-# per-access twins, at the native and vector engines
+# per-access twins, with the kernels on and off
 # ---------------------------------------------------------------------------
 def block_trace(seed, count=25, num_blocks=12, max_blocks=6, span=3000,
                 max_len=120):
@@ -233,17 +234,17 @@ def test_block_trace_work_items_spell_out_the_blocks():
     ]
 
 
-@pytest.mark.parametrize("engine", ["native", "vector"])
+@pytest.mark.parametrize("leg", ["native", "kernels_off"])
 @pytest.mark.parametrize("threads", [1, 3, 5])
 @pytest.mark.parametrize("seed", [2, 3])
-def test_block_trace_static_matches_reference(engine, threads, seed):
+def test_block_trace_static_matches_reference(leg, threads, seed):
     trace = block_trace(seed)
     rng = np.random.default_rng(seed + 10)
     thread = rng.integers(0, threads, size=trace.num_items)
     machine = SimulatedMachine(threads, HierarchyConfig.for_scale(0.05))
     items = spelled_out(trace)
     reference = machine.run_reference(per_thread(items, thread, threads))
-    with use_engine(engine):
+    with on_leg(leg):
         assert machine.run(trace, item_thread=thread) == reference
         assert machine.run(per_thread(items, thread, threads)) == reference
 
@@ -259,7 +260,7 @@ def test_block_trace_replays_without_the_python_twins(monkeypatch):
     expected_static = machine.run_reference(
         per_thread(spelled_out(trace), np.arange(25) % 3, 3)
     )
-    with use_engine("vector"):
+    with kernels_off():
         expected_dynamic = machine.run_dynamic(trace, chunk=4)
 
     def refuse(*args, **kwargs):
@@ -284,11 +285,11 @@ DYNAMIC_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("engine", ["native", "vector"])
+@pytest.mark.parametrize("leg", ["native", "kernels_off"])
 @pytest.mark.parametrize("chunk", [1, 3, 8])
 @pytest.mark.parametrize("seed", [4, 5])
 @pytest.mark.parametrize("shape", sorted(DYNAMIC_SHAPES))
-def test_block_trace_dynamic_matches_per_access(engine, chunk, seed, shape):
+def test_block_trace_dynamic_matches_per_access(leg, chunk, seed, shape):
     """Equal to the per-access loop on the lowest-clock chunk schedule,
     which the ``sim_region`` kernel equals wherever it runs."""
     from tests.test_native_kernels import run_dynamic_per_access
@@ -301,13 +302,13 @@ def test_block_trace_dynamic_matches_per_access(engine, chunk, seed, shape):
     machine = SimulatedMachine(3, config)
     items = spelled_out(trace)
     expected = run_dynamic_per_access(machine, items, chunk)
-    with use_engine(engine):
+    with on_leg(leg):
         assert machine.run_dynamic(trace, chunk=chunk) == expected
         assert machine.run_dynamic(items, chunk=chunk) == expected
 
 
-@pytest.mark.parametrize("engine", ["native", "vector"])
-def test_block_trace_edge_shapes(engine):
+@pytest.mark.parametrize("leg", ["native", "kernels_off"])
+def test_block_trace_edge_shapes(leg):
     """Empty traces, zero-length blocks, one item spanning many blocks."""
     from tests.test_native_kernels import run_dynamic_per_access
 
@@ -319,7 +320,7 @@ def test_block_trace_edge_shapes(engine):
     spanning = BlockTrace(item_blocks=[1, 0, 1, 1] * 50,
                           item_offsets=[0, 200], compute=[3],
                           **one_block_table)
-    with use_engine(engine):
+    with on_leg(leg):
         for trace in (empty, zero_length, spanning):
             items = spelled_out(trace)
             assert machine.run_dynamic(trace, chunk=2) == (
@@ -333,8 +334,8 @@ def test_block_trace_edge_shapes(engine):
         assert sum(machine.run_dynamic(spanning).thread_loads) == 6000
 
 
-@pytest.mark.parametrize("engine", ["native", "vector"])
-def test_block_trace_negative_line_replays_in_python(engine):
+@pytest.mark.parametrize("leg", ["native", "kernels_off"])
+def test_block_trace_negative_line_replays_in_python(leg):
     from tests.test_native_kernels import run_dynamic_per_access
 
     trace = block_trace(6)
@@ -344,7 +345,7 @@ def test_block_trace_negative_line_replays_in_python(engine):
                           trace.item_offsets, trace.compute)
     machine = SimulatedMachine(3, HierarchyConfig.for_scale(0.05))
     items = spelled_out(negative)
-    with use_engine(engine):
+    with on_leg(leg):
         assert machine.run_dynamic(negative, chunk=2) == (
             run_dynamic_per_access(machine, items, 2)
         )
@@ -356,17 +357,17 @@ def test_block_trace_negative_line_replays_in_python(engine):
 TRACE_TABLE = dict(blocks=np.arange(30), block_offsets=[0, 10, 10, 30])
 
 
-@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("bad", [[0, 3], [-1, 2], [2, 99]])
-def test_block_ids_outside_the_table_rejected(engine, bad):
-    with use_engine(engine), pytest.raises(ValueError, match="block ids"):
+def test_block_ids_outside_the_table_rejected(leg, bad):
+    with on_leg(leg), pytest.raises(ValueError, match="block ids"):
         SimulatedMachine(2).run_dynamic(BlockTrace(
             item_blocks=bad, item_offsets=[0, 1, 2], compute=[1, 1],
             **TRACE_TABLE,
         ))
 
 
-@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("block_offsets", [
     [1, 10, 10, 30],    # does not start at 0
     [0, 10, 10, 29],    # does not end at len(blocks)
@@ -374,9 +375,9 @@ def test_block_ids_outside_the_table_rejected(engine, bad):
     [],                 # no offsets at all
 ])
 def test_block_offsets_must_rise_from_zero_to_the_stream(
-    engine, block_offsets
+    leg, block_offsets
 ):
-    with use_engine(engine), pytest.raises(
+    with on_leg(leg), pytest.raises(
         ValueError, match="block_offsets must be non-decreasing"
     ):
         SimulatedMachine(2).run_dynamic(BlockTrace(
@@ -384,14 +385,14 @@ def test_block_offsets_must_rise_from_zero_to_the_stream(
         ))
 
 
-@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("item_offsets", [
     [1, 1, 2], [0, 1, 3], [0, 2, 1], [0, 1, 1, 0],
 ])
 def test_item_offsets_must_rise_from_zero_to_the_block_ids(
-    engine, item_offsets
+    leg, item_offsets
 ):
-    with use_engine(engine), pytest.raises(
+    with on_leg(leg), pytest.raises(
         ValueError, match="item_offsets must be non-decreasing"
     ):
         SimulatedMachine(2).run_dynamic(BlockTrace(
@@ -400,28 +401,28 @@ def test_item_offsets_must_rise_from_zero_to_the_block_ids(
         ))
 
 
-@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("thread", [[0, 2], [-1, 0], [0]])
-def test_item_threads_outside_the_machine_rejected(engine, thread):
+def test_item_threads_outside_the_machine_rejected(leg, thread):
     trace = BlockTrace(item_blocks=[0, 2], item_offsets=[0, 1, 2],
                        compute=[1, 1], **TRACE_TABLE)
-    with use_engine(engine), pytest.raises(ValueError, match="thread"):
+    with on_leg(leg), pytest.raises(ValueError, match="thread"):
         SimulatedMachine(2).run(trace, item_thread=thread)
 
 
-@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
-def test_item_threads_with_per_thread_lists_rejected(engine):
+@pytest.mark.parametrize("leg", LEGS)
+def test_item_threads_with_per_thread_lists_rejected(leg):
     """Per-thread lists already place every item: a thread map beside
     them would be ignored."""
     items = [[WorkItem([1, 2], 3)], [WorkItem([4], 1)]]
-    with use_engine(engine), pytest.raises(ValueError, match="item_thread"):
+    with on_leg(leg), pytest.raises(ValueError, match="item_thread"):
         SimulatedMachine(2).run(items, item_thread=[7, 9])
 
 
-@pytest.mark.parametrize("engine", ["native", "vector", "scalar"])
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("compute", [[1.5, 2], [1.0, 2.0], [1]])
-def test_fractional_or_missing_compute_cycles_rejected(engine, compute):
-    with use_engine(engine), pytest.raises(ValueError, match="compute"):
+def test_fractional_or_missing_compute_cycles_rejected(leg, compute):
+    with on_leg(leg), pytest.raises(ValueError, match="compute"):
         SimulatedMachine(2).run_dynamic(BlockTrace(
             item_blocks=[0, 2], item_offsets=[0, 1, 2], compute=compute,
             **TRACE_TABLE,
