@@ -31,10 +31,6 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from .graph import CSRGraph, from_edges
-from .measures import gap_measures
-from .ordering import Ordering, OrderingScheme, available_schemes, get_scheme
-
 __all__ = [
     "__version__",
     "CSRGraph",
@@ -45,3 +41,22 @@ __all__ = [
     "get_scheme",
     "available_schemes",
 ]
+
+
+def __getattr__(name: str):
+    """Import an ``__all__`` name on its first access (PEP 562).
+
+    ``import repro`` then loads no subpackage: a command pays only for
+    the modules it runs.
+    """
+    if name in ("CSRGraph", "from_edges"):
+        from . import graph as home
+    elif name == "gap_measures":
+        from . import measures as home
+    elif name in ("Ordering", "OrderingScheme", "get_scheme",
+                  "available_schemes"):
+        from . import ordering as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(home, name)
+    return value

@@ -19,6 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import config
 from .graph.io import (
     read_edge_list,
     read_matrix_market,
@@ -85,6 +86,11 @@ def main(argv: list[str] | None = None) -> int:
         help="write the rank of each original vertex, one per line",
     )
     args = parser.parse_args(argv)
+    try:
+        config.get()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if not args.input.exists():
         print(f"error: {args.input} does not exist", file=sys.stderr)

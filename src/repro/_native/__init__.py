@@ -5,9 +5,10 @@ scalar Python loop is ground truth, and the native kernel — run only
 under the native engine and when a C compiler is available — is a
 bit-identical escalation of it.  Kernels declare their scalar twin
 (verified statically by :mod:`repro.analysis.contracts`) and report
-their build status through :func:`build_info_all`.  No kernel leaves
-a Python middle tier: when the kernel cannot run, dispatch falls
-straight to the scalar twin.
+their build status through :func:`build_info_all` (one line each
+from :func:`native_summary`).  No kernel leaves a Python middle tier:
+when the kernel cannot run, dispatch falls straight to the scalar
+twin.
 
 Every kernel runs on the calling thread.
 
@@ -52,6 +53,7 @@ from .core import (
     collect_sanitizer_reports,
     get_kernel,
     kernel_names,
+    native_summary,
 )
 from . import (  # noqa: F401  (register)
     counting, csr, delta, fm, gorder, louvain, machine, parse, rabbit, rrr,
@@ -65,6 +67,7 @@ __all__ = [
     "collect_sanitizer_reports",
     "get_kernel",
     "kernel_names",
+    "native_summary",
     "SANITIZE_PROFILES",
     "counting",
     "csr",

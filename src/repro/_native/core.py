@@ -67,6 +67,7 @@ __all__ = [
     "get_kernel",
     "kernel_names",
     "build_info_all",
+    "native_summary",
     "cache_dir",
     "collect_sanitizer_reports",
     "SANITIZE_PROFILES",
@@ -392,6 +393,29 @@ def kernel_names() -> list[str]:
 def build_info_all() -> dict[str, dict]:
     """``{kernel name: build_info()}`` for every registered kernel."""
     return {name: k.build_info() for name, k in _KERNELS.items()}
+
+
+def native_summary(infos: dict[str, dict] | None = None) -> list[str]:
+    """One human-readable status line per native kernel.
+
+    ``infos`` defaults to a fresh :func:`build_info_all`; pass a
+    measurement's recorded ``native_kernels`` to describe the run that
+    produced it.
+    """
+    if infos is None:
+        infos = build_info_all()
+    lines = []
+    for name in sorted(infos):
+        info = infos[name]
+        if info.get("available"):
+            detail = info.get("compiler") or "prebuilt"
+            if info.get("cache_hit"):
+                detail += ", cache hit"
+            lines.append(f"native {name}: ready ({detail})")
+        else:
+            reason = info.get("fallback") or info.get("status")
+            lines.append(f"native {name}: fallback to Python ({reason})")
+    return lines
 
 
 def collect_sanitizer_reports(log_dir: str) -> list[dict]:

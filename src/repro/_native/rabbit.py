@@ -54,11 +54,14 @@ _SOURCE = r"""
  * entries in insertion order (key -1 marks a popped one) and a
  * 2*cap-slot open-addressing index holding entry positions, EMPTY, or
  * DUMMY where an entry was popped.  The three arrays share one block
- * that starts at ``key``. */
+ * of 20 bytes per entry that starts at ``val``, the doubles first for
+ * their alignment; keys are vertex ids (the wrapper refuses
+ * n >= 2**31) and positions stay below cap <= 2**31, so both fit
+ * int32. */
 typedef struct {
-    int64_t *key;
     double *val;
-    int64_t *slot;
+    int32_t *key;
+    int32_t *slot;
     int64_t used;   /* entries appended, popped ones included */
     int64_t live;   /* the dict's len() */
     int64_t cap;    /* a power of two, or 0 before the first insert */
@@ -77,23 +80,26 @@ static void adj_index(adj_t *d, int64_t pos)
     int64_t s = home(d->key[pos], mask);
     while (d->slot[s] >= 0)
         s = (s + 1) & mask;
-    d->slot[s] = pos;
+    d->slot[s] = (int32_t)pos;
 }
 
 /* Move the live entries, in order, into a fresh block with room for
- * at least ``need``; 0 on success, -1 when out of memory. */
+ * at least ``need``; 0 on success, -1 when out of memory or when the
+ * positions would outgrow int32. */
 static int64_t adj_resize(adj_t *d, int64_t need)
 {
     int64_t cap = 1;
     while (cap < need)
         cap *= 2;
+    if (cap > ((int64_t)1 << 31))
+        return -1;
     /* The dict owns the block: adj_free or the next resize frees it. */
-    char *block = malloc((size_t)cap * 32); /* clint: disable=c-malloc-leak */
+    char *block = malloc((size_t)cap * 20); /* clint: disable=c-malloc-leak */
     if (!block)
         return -1;
-    adj_t fresh = {(int64_t *)block,
-                   (double *)(block + (size_t)cap * sizeof(int64_t)),
-                   (int64_t *)(block + (size_t)cap * 2 * sizeof(int64_t)),
+    adj_t fresh = {(double *)block,
+                   (int32_t *)(block + (size_t)cap * sizeof(double)),
+                   (int32_t *)(block + (size_t)cap * 12),
                    0, d->live, cap};
     for (int64_t s = 0; s < 2 * cap; s++)
         fresh.slot[s] = EMPTY;
@@ -105,16 +111,16 @@ static int64_t adj_resize(adj_t *d, int64_t need)
         adj_index(&fresh, fresh.used);
         fresh.used++;
     }
-    free(d->key);
+    free(d->val);
     *d = fresh;
     return 0;
 }
 
 static void adj_free(adj_t *d)
 {
-    free(d->key);
-    d->key = NULL;
+    free(d->val);
     d->val = NULL;
+    d->key = NULL;
     d->slot = NULL;
     d->used = d->live = d->cap = 0;
 }
@@ -136,7 +142,7 @@ static int64_t adj_put(adj_t *d, int64_t key, double w, int64_t acc)
     if (d->used == d->cap
         && adj_resize(d, d->live + d->live / 2 + 1) < 0)
         return -1;
-    d->key[d->used] = key;
+    d->key[d->used] = (int32_t)key;
     d->val[d->used] = acc ? 0.0 + w : w;
     adj_index(d, d->used);
     d->used++;
@@ -248,7 +254,7 @@ int64_t rabbit_aggregate(const int64_t *indptr,
         for (int64_t s = 0; s < 2 * dv->cap; s++)
             dv->slot[s] = EMPTY;
         for (int64_t j = 0; j < ncand; j++) {
-            dv->key[j] = cand[j];
+            dv->key[j] = (int32_t)cand[j];
             dv->val[j] = link[cand[j]];
             adj_index(dv, j);
             in_list[cand[j]] = 0;
@@ -327,7 +333,7 @@ int64_t rabbit_aggregate(const int64_t *indptr,
 done:
     if (adj) {
         for (int64_t v = 0; v < n; v++)
-            free(adj[v].key);
+            free(adj[v].val);
     }
     free(adj);
     free(scratch);
@@ -379,12 +385,15 @@ def aggregate(
     degrees) and ``scan`` the visit order (the stable argsort of the
     neighbour counts); ``weights`` None means unit weights.  Returns
     ``(sequence, merges, num_communities, consolidated_edges)``.  Out
-    of memory also returns None, so the scalar twin runs instead.
+    of memory, or ``n >= 2**31`` (past the kernel's int32 keys), also
+    returns None, so the scalar twin runs instead.
     """
     lib = KERNEL.lib()
     if lib is None:
         return None
     n = indptr.size - 1
+    if n >= 2**31:
+        return None  # the adjacency keys are int32 vertex ids
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     indices = np.ascontiguousarray(indices, dtype=np.int64)
     scan = np.ascontiguousarray(scan, dtype=np.int64)

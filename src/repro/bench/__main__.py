@@ -31,12 +31,9 @@ import json
 import sys
 import time
 
+from .. import config
+from .._native import build_info_all, native_summary
 from ..resilience import degrade
-from .ablations import ABLATIONS
-from .experiments import ALL_EXPERIMENTS
-from .extensions import EXTENSIONS
-from .pool import set_default_jobs, set_default_retries, set_default_timeout
-from .runners import degraded_cells
 
 
 def _call_restricted(func, datasets, schemes):
@@ -75,16 +72,21 @@ def _run_experiments(args, registry, ids, datasets, schemes):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the requested experiments, printing each reproduction."""
-    registry = {**ALL_EXPERIMENTS, **ABLATIONS, **EXTENSIONS}
+    """Run the requested experiments, printing each reproduction.
+
+    The arguments and the knobs are read first, and ``--native-info``
+    is served from the kernels alone: only a run imports the
+    experiment registries.
+    """
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument(
         "ids", nargs="*", metavar="EXPERIMENT",
-        help=f"experiment ids (default: all paper artifacts); "
-             f"available: {', '.join(registry)}",
+        help="experiment ids (default: all paper artifacts): table1, "
+             "fig1, fig4, fig5, fig6a, fig6b, fig7-fig12, and the "
+             "ablation_* and ext_* studies; an unknown id lists them all",
     )
     parser.add_argument(
         "--output", metavar="DIR", default=None,
@@ -126,9 +128,12 @@ def main(argv: list[str] | None = None) -> int:
              "retried",
     )
     args = parser.parse_args(argv)
+    try:
+        config.get()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.native_info:
-        from .._native import build_info_all
-        from .perf import native_summary
         for line in native_summary():
             print(line)
         print(json.dumps(build_info_all(), indent=2))
@@ -143,6 +148,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--timeout must be positive")
     if args.retries is not None and args.retries < 0:
         parser.error("--retries must be >= 0")
+    from .ablations import ABLATIONS
+    from .experiments import ALL_EXPERIMENTS
+    from .extensions import EXTENSIONS
+    from .pool import (
+        set_default_jobs, set_default_retries, set_default_timeout,
+    )
+    from .runners import degraded_cells
+
     set_default_jobs(args.jobs)
     set_default_timeout(args.timeout)
     if args.retries is not None:
@@ -156,6 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.schemes else None
     )
 
+    registry = {**ALL_EXPERIMENTS, **ABLATIONS, **EXTENSIONS}
     ids = args.ids or list(ALL_EXPERIMENTS)
     unknown = [i for i in ids if i not in registry]
     if unknown:

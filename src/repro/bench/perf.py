@@ -82,7 +82,7 @@ from ..engine import strip_engine_metadata, use_engine
 from ..graph import io as graph_io
 from ..graph.builder import GraphBuilder
 from ..graph.store import GraphStore
-from .._native import build_info_all
+from .._native import build_info_all, native_summary
 from ..measures.gaps import gap_measures
 from ..ordering import PAPER_SCHEMES
 from ..ordering.base import Ordering, get_scheme
@@ -122,7 +122,6 @@ __all__ = [
     "NATIVE_ORDERING_FLOORS",
     "ND_NATIVE_WALL_CEILING_S",
     "APPS_NATIVE_FLOORS",
-    "native_summary",
 ]
 
 SCHEMA_VERSION = 1
@@ -845,29 +844,6 @@ def check_ingest(
                     f"below the {INGEST_NATIVE_PARSE_FLOOR:.1f}x floor"
                 )
     return failures
-
-
-def native_summary(infos: dict[str, dict] | None = None) -> list[str]:
-    """One human-readable status line per native kernel.
-
-    ``infos`` defaults to a fresh :func:`repro._native.build_info_all`;
-    pass a measurement's recorded ``native_kernels`` to describe the run
-    that produced it.
-    """
-    if infos is None:
-        infos = build_info_all()
-    lines = []
-    for name in sorted(infos):
-        info = infos[name]
-        if info.get("available"):
-            detail = info.get("compiler") or "prebuilt"
-            if info.get("cache_hit"):
-                detail += ", cache hit"
-            lines.append(f"native {name}: ready ({detail})")
-        else:
-            reason = info.get("fallback") or info.get("status")
-            lines.append(f"native {name}: fallback to Python ({reason})")
-    return lines
 
 
 def check(result: dict, *, min_speedup: float | None = 3.0) -> list[str]:

@@ -32,19 +32,13 @@ function of (graph content, scheme, seed) and lands in a
 content-addressed store, so re-running a killed command serves its
 finished cells as store hits.  See ``docs/robustness.md`` for the fault
 model and the kill-and-rerun check that pins this.
+
+The names below load on first access, so importing one submodule (a
+kernel's build records its failures in :mod:`.degrade`) does not start
+the supervisor's :mod:`multiprocessing` import.
 """
 
 from __future__ import annotations
-
-from .degrade import format_health, health_report
-from .faults import (
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    active_plan,
-    parse_spec,
-)
-from .supervisor import CellResult, run_supervised
 
 __all__ = [
     "CellResult",
@@ -57,3 +51,17 @@ __all__ = [
     "health_report",
     "format_health",
 ]
+
+
+def __getattr__(name: str):
+    """Import an ``__all__`` name on its first access (PEP 562)."""
+    if name in ("health_report", "format_health"):
+        from . import degrade as home
+    elif name in ("CellResult", "run_supervised"):
+        from . import supervisor as home
+    elif name in __all__:
+        from . import faults as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(home, name)
+    return value

@@ -75,6 +75,19 @@ class TestCli:
         from repro.bench.__main__ import main
         assert main(["not_an_experiment"]) == 2
 
+    def test_malformed_knob_is_one_error_line(self, tmp_path):
+        """A bad knob fails like a bad id: exit 2, one line, no traceback."""
+        from tests.conftest import run_bench
+
+        result = run_bench(["fig8"], tmp_path / "cache",
+                           REPRO_ORDERING_ENGINE="vector")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "error: REPRO_ORDERING_ENGINE='vector' is not one of "
+            "['native', 'scalar']"
+        ]
+
 
 class TestResultPersistence:
     def test_save_writes_text_and_json(self, tmp_path):

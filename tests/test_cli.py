@@ -103,3 +103,26 @@ def test_cli_start_does_not_load_the_linter():
         env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_malformed_knob_is_one_error_line(graph_file):
+    """A bad knob exits 2 with one ``error:`` line, before any work."""
+    import os
+    import subprocess
+    import sys
+
+    from tests.conftest import REPO_ROOT
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", str(graph_file)],
+        capture_output=True, text=True,
+        env=dict(env, PYTHONPATH=str(REPO_ROOT / "src"),
+                 REPRO_ORDERING_ENGINE="vector"),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: REPRO_ORDERING_ENGINE='vector' is not one of "
+        "['native', 'scalar']"
+    ]

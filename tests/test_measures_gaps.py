@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import from_edges
+from repro.engine import use_engine
+from repro.graph import CSRGraph, from_edges
+from repro.measures import gaps as gaps_module
 from repro.measures import (
     average_bandwidth,
     average_gap,
     edge_gaps,
+    GapMeasures,
     gap_measures,
     graph_bandwidth,
     log_gap_cost,
@@ -116,3 +119,79 @@ class TestMeasureRelations:
         g = make_path(4)
         d = gap_measures(g).as_dict()
         assert set(d) == {"avg_gap", "bandwidth", "avg_bandwidth", "log_gap"}
+
+
+def _reference_measures(graph, pi):
+    """Gap measures from ``edge_gaps`` and the scalar bandwidth loop."""
+    gaps = edge_gaps(graph, pi)
+    with use_engine("scalar"):
+        beta = vertex_bandwidths(graph, pi)
+    if gaps.size == 0:
+        return gaps, beta, GapMeasures(0.0, 0, 0.0, 0.0)
+    return gaps, beta, GapMeasures(
+        average_gap=float(gaps.mean()),
+        bandwidth=int(gaps.max()),
+        average_bandwidth=float(beta.mean()),
+        log_gap=float(np.log2(1.0 + gaps).mean()),
+    )
+
+
+def _assert_one_pass_matches(graph, pi):
+    gaps, beta, expected = _reference_measures(graph, pi)
+    walked = gaps_module._walk_gaps(
+        graph, gaps_module._ranks(pi, graph.num_vertices)
+    )
+    assert walked[0].dtype == gaps.dtype
+    assert np.array_equal(walked[0], gaps)
+    assert np.array_equal(walked[1], beta)
+    assert vertex_bandwidths(graph, pi).tolist() == beta.tolist()
+    assert gap_measures(graph, pi) == expected
+
+
+class TestOnePass:
+    """``gap_measures`` walks the CSR once, in row chunks, and must equal
+    the measures of ``edge_gaps`` plus the scalar bandwidth loop."""
+
+    def test_every_catalog_input(self):
+        from repro.datasets.registry import dataset_names, load
+
+        for name in dataset_names():
+            graph = load(name)
+            rng = np.random.default_rng(len(name))
+            for pi in (None, rng.permutation(graph.num_vertices)):
+                _assert_one_pass_matches(graph, pi)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        monkeypatch.setattr(gaps_module, "_CHUNK_SLOTS", chunk)
+        graph = random_graph(60, 300, seed=4)
+        pi = np.random.default_rng(4).permutation(60)
+        _assert_one_pass_matches(graph, pi)
+
+    @given(
+        rows=st.lists(
+            st.lists(st.integers(0, 11), max_size=6), max_size=12
+        ),
+        chunk=st.sampled_from([1, 2, 5, 1 << 16]),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_raw_adjacency(self, rows, chunk, seed):
+        """Isolated vertices, self-loops, unsorted and one-sided rows,
+        and n = 0, straight into the CSR."""
+        n = len(rows)
+        adjacency = [[v % n for v in row] for row in rows] if n else []
+        indptr = np.concatenate(
+            ([0], np.cumsum([len(row) for row in adjacency]))
+        ).astype(np.int64)
+        indices = np.asarray(
+            [v for row in adjacency for v in row], dtype=np.int64
+        )
+        graph = CSRGraph(indptr, indices)
+        pi = np.random.default_rng(seed).permutation(n) if seed else None
+        saved = gaps_module._CHUNK_SLOTS
+        gaps_module._CHUNK_SLOTS = chunk
+        try:
+            _assert_one_pass_matches(graph, pi)
+        finally:
+            gaps_module._CHUNK_SLOTS = saved

@@ -341,6 +341,17 @@ def test_native_rabbit_matches_twin_on_isolated_vertices():
     assert_rabbit_matches_twin(from_edges(9, [(2, 5), (5, 6)]))
 
 
+def test_native_rabbit_refuses_ids_past_int32():
+    """The kernel keeps int32 keys, so n >= 2**31 goes to the twin; the
+    wrapper refuses before it reads an array."""
+    from types import SimpleNamespace
+
+    from repro._native import rabbit
+
+    huge = SimpleNamespace(size=2**31 + 1)
+    assert rabbit.aggregate(huge, None, None, None, None, 1.0) is None
+
+
 def test_native_rabbit_matches_twin_with_zero_total_weight():
     """``total == 0`` stops the scan at its first vertex."""
     graph = from_edges(6, [(0, 1), (1, 2), (3, 4)], weights=np.zeros(3))
